@@ -29,17 +29,15 @@ from .errors import (
 from .reduction import (
     ARROW,
     PAREN,
-    Call,
-    ListLit,
-    Value,
     builtin_programs,
+    program_call,
     reduce,
     reduce_k,
     render_state_paren,
     render_state_unroll,
     render_trace,
 )
-from .terms import BIN_POS, NATURAL, REVERSE, delinearize, tokenize, tree_parse
+from .terms import NATURAL, REVERSE, tokenize
 
 DATA_DIR_ENV = "STRUCTREC_DATA_DIR"
 
@@ -62,6 +60,17 @@ def _range_arg(text: str) -> tuple[int, int]:
     if bounds[0] > bounds[1]:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return bounds
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
 
 
 def _ks_arg(text: str) -> tuple[int, ...]:
@@ -227,45 +236,18 @@ def cmd_gen_traces(args) -> int:
 # reduce
 
 
-def _parse_program_args(program: str, inputs: list[str]):
-    programs = builtin_programs()
-    prog = programs[program]
-    if len(inputs) != len(prog.params):
-        raise ReductionError(
-            f"{program} takes {len(prog.params)} input(s), got {len(inputs)}")
-    values = []
-    for text in inputs:
-        toks = tokenize(text)
-        if program in ("inorder", "preorder"):
-            values.append(Value(tree_parse(toks)))
-        else:
-            values.append(Value(delinearize(toks, prog.arg_type)))
-    return Call(program, tuple(values)), programs
-
-
-def _render_expr(expr, style: str) -> str:
-    if isinstance(expr, ListLit):
-        return " ".join(expr.items)
-    if isinstance(expr, Value):
-        return " ".join(render_state_paren(expr))
-    render = render_state_unroll if style == ARROW else render_state_paren
-    return " ".join(render(expr))
-
-
 def cmd_reduce(args) -> int:
-    expr, programs = _parse_program_args(args.program, args.input)
+    expr = program_call(builtin_programs()[args.program], [tokenize(text) for text in args.input])
     style = ARROW if args.program in ("inorder", "preorder") else PAREN
+    render = render_state_unroll if style == ARROW else render_state_paren
     if args.k is not None:
-        state, taken = reduce_k(expr, args.k, programs)
-        print(_render_expr(state, style))
+        state, taken = reduce_k(expr, args.k)
+        print(" ".join(render(state)))
         if taken < args.k:
             print(f"(normal after {taken} levels)", file=sys.stderr)
         return GOOD
-    final, trace = reduce(expr, programs, fuel=args.fuel)
-    if args.trace:
-        print(render_trace(trace, style))
-    else:
-        print(_render_expr(final, style))
+    final, trace = reduce(expr, fuel=args.fuel)
+    print(render_trace(trace, style) if args.trace else " ".join(render(final)))
     return GOOD
 
 
@@ -424,9 +406,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="one token string per program parameter")
     mode = red.add_mutually_exclusive_group()
     mode.add_argument("--trace", action="store_true", help="print the full chain")
-    mode.add_argument("--k", type=int, default=None, metavar="N",
+    mode.add_argument("--k", type=_int_at_least(0), default=None, metavar="N",
                       help="stop after N levels and print that state")
-    red.add_argument("--fuel", type=int, default=None,
+    red.add_argument("--fuel", type=_int_at_least(1), default=None,
                      help="level budget override (default scales with input size)")
     red.set_defaults(func=cmd_reduce)
 

@@ -16,16 +16,15 @@ from .errors import EvalError, IdMismatchError, MalformedSequenceError, Reductio
 from .reduction import (
     ARROW,
     PAREN,
-    Call,
-    Program,
-    Value,
     builtin_programs,
+    levels,
     parse_state_paren,
     parse_state_unroll,
+    program_call,
     render_state_paren,
     render_state_unroll,
     step_level,
-    step_single,
+    step_single,  # no caller here; kept because the benchmark's tracer rebinds it
 )
 from .terms import (
     EMPTY_TOKEN,
@@ -33,10 +32,8 @@ from .terms import (
     RPAR,
     UNROLL_CLOSE,
     UNROLL_OPEN,
-    delinearize,
     normalize_tokens,
     tokenize,
-    tree_parse,
 )
 
 ILLEGAL_RULE = "illegal-rule"
@@ -239,20 +236,17 @@ _PAREN_MARKERS = {LPAR, RPAR}
 _ARROW_MARKERS = {UNROLL_OPEN, UNROLL_CLOSE, EMPTY_TOKEN}
 
 
-def _trace_task(task: str):
-    programs = builtin_programs()
-    if task == "successor":
-        return programs["s"], PAREN
-    if task in ("inorder", "preorder"):
-        return programs[task], ARROW
-    raise EvalError(f"no trace validator for task {task!r}")
-
-
-def _swap_program(task: str) -> Program:
-    # the classic misreading applies the traversal's pieces in the other
-    # root-vs-subtree order, which is exactly the sibling traversal
-    programs = builtin_programs()
-    return programs["preorder"] if task == "inorder" else programs["inorder"]
+_PROGRAMS = builtin_programs()
+# each traced program reduces with a table of itself alone
+_ALONE = {name: {name: program} for name, program in _PROGRAMS.items()}
+_TRACE_TASKS = {
+    "successor": (_PROGRAMS["s"], PAREN),
+    "inorder": (_PROGRAMS["inorder"], ARROW),
+    "preorder": (_PROGRAMS["preorder"], ARROW),
+}
+# the classic misreading applies the traversal's pieces in the other
+# root-vs-subtree order, which is exactly the sibling traversal
+_SWAPPED = {"inorder": _PROGRAMS["preorder"], "preorder": _PROGRAMS["inorder"]}
 
 
 def _has_pending(tokens, style: str) -> bool:
@@ -272,81 +266,59 @@ def validate_trace(text: str, task: str, input_tokens=None) -> TraceJudgment:
     the previous one, labeled with one of the TRACE_ERRORS categories.
     first_bad_step 0 means the initial state itself is bad.
     """
-    program, style = _trace_task(task)
+    if task not in _TRACE_TASKS:
+        raise EvalError(f"no trace validator for task {task!r}")
+    program, style = _TRACE_TASKS[task]
     separator = "=" if style == PAREN else "->"
+    parse, render = ((parse_state_paren, render_state_paren) if style == PAREN
+                     else (parse_state_unroll, render_state_unroll))
     states = [part.strip() for part in text.split(separator)]
     if any(not part for part in states):
         bad = next(i for i, part in enumerate(states) if not part)
         return TraceJudgment(False, bad, MALFORMED_STATE)
-    state_tokens = [tokenize(part) for part in states]
-
-    if style == PAREN:
-        parse = lambda toks: parse_state_paren(toks, program)
-        render = render_state_paren
-        step = step_single
-    else:
-        parse = lambda toks: parse_state_unroll(toks, program)
-        render = render_state_unroll
-        step = step_level
-
-    def try_parse(i):
-        try:
-            return parse(state_tokens[i])
-        except (ReductionError, MalformedSequenceError):
-            return None
-
-    cur = try_parse(0)
-    if cur is None:
+    got = tokenize(states[0])
+    try:
+        cur = parse(got, program)
+    except (ReductionError, MalformedSequenceError):
         return TraceJudgment(False, 0, MALFORMED_STATE)
-    if input_tokens is not None:
-        expected0 = render(_initial_state(program, style, input_tokens))
-        if state_tokens[0] != expected0:
-            return TraceJudgment(False, 0, TOKEN_MUTATION)
+    if input_tokens is not None and got != render(program_call(program, [input_tokens])):
+        return TraceJudgment(False, 0, TOKEN_MUTATION)
 
+    # one engine runs the whole trace: each transition costs the redexes
+    # it rewrites, not a fresh parse and search of the state
+    run = levels(cur, _ALONE[program.name], single=(style == PAREN))
     last = len(states) - 1
-    for i in range(last):
-        result = step(cur, {program.name: program})
-        got = state_tokens[i + 1]
-        if result is None:
+    for i in range(1, last + 1):
+        engine = next(run, None)
+        if engine is None:
             # the reduction already finished, yet the trace continues
-            return TraceJudgment(False, i + 1, MISSING_TERMINATION)
-        expected_expr = result[0]
-        expected = render(expected_expr)
-        if got == expected:
-            cur = expected_expr
+            return TraceJudgment(False, i, MISSING_TERMINATION)
+        expected = engine.render(style)
+        # engine tokens re-tokenize to themselves, so equal text is equal tokens
+        if states[i] == " ".join(expected):
+            got = expected
             continue
-        return TraceJudgment(False, i + 1, _classify(
-            task, style, program, state_tokens, i, expected, is_last=(i + 1 == last)
-        ))
+        got = tokenize(states[i])
+        if got != expected:
+            return TraceJudgment(False, i, _classify(
+                task, style, parse, program, tokenize(states[i - 1]), got, expected,
+                is_last=(i == last)))
 
-    if _has_pending(state_tokens[last], style):
+    if _has_pending(got, style):
         return TraceJudgment(False, last, MISSING_TERMINATION)
     return TraceJudgment(True)
 
 
-def _initial_state(program: Program, style: str, input_tokens):
-    toks = normalize_tokens(input_tokens)
-    if style == PAREN:
-        term = delinearize(toks, program.arg_type)
-    else:
-        term = tree_parse(toks)
-    return Call(program.name, (Value(term),))
-
-
-def _classify(task, style, program, state_tokens, i, expected, is_last) -> str:
-    got = state_tokens[i + 1]
+def _classify(task, style, parse, program, prev, got, expected, is_last) -> str:
     try:
-        if style == PAREN:
-            parse_state_paren(got, program)
-        else:
-            parse_state_unroll(got, program)
+        parse(got, program)
     except (ReductionError, MalformedSequenceError):
         return MALFORMED_STATE
     if style == ARROW:
-        swapped = _swap_program(task)
+        swapped = _SWAPPED[task]
         try:
-            alt_cur = parse_state_unroll(state_tokens[i], swapped)
-            alt = step_level(alt_cur, {swapped.name: swapped})
+            alt_cur = parse_state_unroll(prev, swapped)
+            alt = step_level(alt_cur, _ALONE[swapped.name])
             if alt is not None and render_state_unroll(alt[0]) == got:
                 return RULE_ORDER_SWAP
         except (ReductionError, MalformedSequenceError):

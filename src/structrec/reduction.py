@@ -92,29 +92,37 @@ Expr = Value | Ctor | Call | ListLit | Concat | Var
 
 def is_normal(expr: Expr) -> bool:
     """Normal forms contain no pending calls and no unflattened concats."""
-    if isinstance(expr, (Value, ListLit)):
-        return True
-    if isinstance(expr, Ctor):
-        return all(is_normal(a) for a in expr.args)
-    return False
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Ctor):
+            stack.extend(e.args)
+        elif not isinstance(e, (Value, ListLit)):
+            return False
+    return True
 
 
 def expr_token_count(expr: Expr) -> int:
-    if isinstance(expr, Value):
-        return _term_size(expr.term)
-    if isinstance(expr, Ctor):
-        return 1 + len(expr.payloads) + sum(expr_token_count(a) for a in expr.args)
-    if isinstance(expr, Call):
-        return 1 + sum(expr_token_count(a) for a in expr.args)
-    if isinstance(expr, ListLit):
-        return max(1, len(expr.items))
-    if isinstance(expr, Concat):
-        return 1 + expr_token_count(expr.left) + expr_token_count(expr.right)
-    return 1
-
-
-def _term_size(term: Term) -> int:
-    return 1 + len(term.payloads) + sum(_term_size(c) for c in term.children)
+    total = 0
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Value):
+            total += len(linearize(e.term))
+        elif isinstance(e, Ctor):
+            total += 1 + len(e.payloads)
+            stack.extend(e.args)
+        elif isinstance(e, Call):
+            total += 1
+            stack.extend(e.args)
+        elif isinstance(e, ListLit):
+            total += max(1, len(e.items))
+        elif isinstance(e, Concat):
+            total += 1
+            stack += (e.left, e.right)
+        else:
+            total += 1
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -146,38 +154,101 @@ class Program:
                 f"{self.name} must cover each constructor of {self.arg_type.name} "
                 f"exactly once, got {covered}"
             )
+        # per constructor: binders, the function filling in the template, rule
+        # name and static redex paths; not a field, so eq and repr ignore it
+        object.__setattr__(self, "compiled", {})
         for clause in self.clauses:
             cdef = self.arg_type.constructor(clause.constructor)
-            slots = len(cdef.payload_kinds) + cdef.recursive_arity
-            if len(clause.binders) != slots:
-                raise ValueError(
-                    f"{self.name}.{clause.constructor} needs {slots} binders"
-                )
-            child_binders = set(clause.binders[len(cdef.payload_kinds) :])
-            _check_structural(self.name, clause.template, child_binders)
-
-    def clause_for(self, constructor: str) -> Clause:
-        for clause in self.clauses:
-            if clause.constructor == constructor:
-                return clause
-        raise ReductionError(f"{self.name} has no clause for {constructor!r}")
+            n_pay = len(cdef.payload_kinds)
+            if len(clause.binders) != n_pay + cdef.recursive_arity:
+                raise ValueError(f"{self.name}.{clause.constructor} needs "
+                                 f"{n_pay + cdef.recursive_arity} binders")
+            children = clause.binders[n_pay:]
+            redexes: list = []
+            build = _compile(clause.template, self.name, set(children), (), redexes)
+            self.compiled[clause.constructor] = (
+                clause.binders[:n_pay], children, build, f"{self.name}/{clause.constructor}",
+                None if None in redexes else tuple(redexes))
 
 
-def _check_structural(name: str, template: Expr, child_binders: set[str]) -> None:
-    """Recursive calls may only be applied to a child of the matched term."""
+# ---------------------------------------------------------------------------
+# substitution and local normalization
+
+
+def _compile(template: Expr, name: str, child_binders: set[str], path: tuple = (),
+             redexes: list | None = None):
+    """A function from binder values to the instance of template.  Appends
+    to redexes the paths of the outermost redexes every instance has, or
+    None where they depend on what a parameter is bound to.  Recursive
+    calls may only be applied to a child of the matched term."""
+    if isinstance(template, Var):
+        if redexes is not None and template.name not in child_binders:
+            redexes.append(None)
+        var = template.name
+        return lambda env: env[var]
+    if isinstance(template, ListLit):
+        if not any(isinstance(it, Var) for it in template.items):
+            return lambda env: template
+
+        def fill(env):
+            items = []
+            for it in template.items:
+                if isinstance(it, Var):
+                    bound = env[it.name]
+                    if not isinstance(bound, str):
+                        raise ReductionError(f"list slot {it.name!r} is not a payload")
+                    items.append(bound)
+                else:
+                    items.append(it)
+            return ListLit(tuple(items))
+
+        return fill
     if isinstance(template, Call):
-        if template.fn == name:
-            matched = template.args[0]
-            if not (isinstance(matched, Var) and matched.name in child_binders):
-                raise ValueError(f"{name}: recursion is not structurally decreasing")
-        for arg in template.args:
-            _check_structural(name, arg, child_binders)
-    elif isinstance(template, Ctor):
-        for arg in template.args:
-            _check_structural(name, arg, child_binders)
-    elif isinstance(template, Concat):
-        _check_structural(name, template.left, child_binders)
-        _check_structural(name, template.right, child_binders)
+        first = template.args[0]
+        on_child = isinstance(first, Var) and first.name in child_binders
+        if template.fn == name and not on_child:
+            raise ValueError(f"{name}: recursion is not structurally decreasing")
+        if redexes is not None and (on_child or isinstance(first, (Value, Ctor))):
+            # a constructor may fold into a value, so only a scan can tell
+            redexes.append(path if on_child or isinstance(first, Value) else None)
+            redexes = None
+    elif (isinstance(template, Concat) and redexes is not None
+          and isinstance(template.left, ListLit) and isinstance(template.right, ListLit)):
+        redexes.append(path)
+    if isinstance(template, (Ctor, Call)):
+        parts = [_compile(a, name, child_binders, path + (i,), redexes)
+                 for i, a in enumerate(template.args)]
+        if isinstance(template, Call):
+            fn = template.fn
+            return lambda env: Call(fn, tuple([p(env) for p in parts]))
+        ctor, payloads = template.name, template.payloads
+        return lambda env: _collapse_ctor(Ctor(ctor, payloads, tuple([p(env) for p in parts])))
+    if isinstance(template, Concat):
+        left = _compile(template.left, name, child_binders, path + (0,), redexes)
+        right = _compile(template.right, name, child_binders, path + (1,), redexes)
+        return lambda env: Concat(left(env), right(env))
+    return lambda env: template
+
+
+def _collapse_ctor(expr: Ctor) -> Expr:
+    # bookkeeping, not a reduction step: fold a constructor over values
+    # back into a plain term
+    if all(isinstance(a, Value) for a in expr.args):
+        return Value(Term(expr.name, expr.payloads, tuple(a.term for a in expr.args)))
+    return expr
+
+
+def _apply_clause(prog: Program, args: tuple[Expr, ...]):
+    """The instance of the clause args[0] matches, its rule name, and the
+    paths of the redexes inside it when every instance has the same."""
+    term = args[0].term
+    if term.constructor not in prog.compiled:
+        raise ReductionError(f"{prog.name} has no clause for {term.constructor!r}")
+    payload_binders, child_binders, build, rule, redexes = prog.compiled[term.constructor]
+    env: dict = dict(zip(payload_binders, term.payloads))  # payloads bind to raw tokens
+    env.update(zip(child_binders, [Value(child) for child in term.children]))
+    env.update(zip(prog.params[1:], args[1:]))
+    return build(env), rule, redexes
 
 
 def _make_builtins() -> dict[str, Program]:
@@ -242,66 +313,15 @@ def builtin_programs() -> dict[str, Program]:
     return dict(_BUILTINS)
 
 
-# ---------------------------------------------------------------------------
-# substitution and local normalization
-
-
-def _subst(template: Expr, env: dict[str, Expr]) -> Expr:
-    if isinstance(template, Var):
-        return env[template.name]
-    if isinstance(template, Value):
-        return template
-    if isinstance(template, ListLit):
-        if not any(isinstance(it, Var) for it in template.items):
-            return template
-        items = []
-        for it in template.items:
-            if isinstance(it, Var):
-                bound = env[it.name]
-                if not isinstance(bound, str):
-                    raise ReductionError(f"list slot {it.name!r} is not a payload")
-                items.append(bound)
-            else:
-                items.append(it)
-        return ListLit(tuple(items))
-    if isinstance(template, Ctor):
-        return _collapse_ctor(
-            Ctor(template.name, template.payloads, tuple(_subst(a, env) for a in template.args))
-        )
-    if isinstance(template, Call):
-        return Call(template.fn, tuple(_subst(a, env) for a in template.args))
-    if isinstance(template, Concat):
-        return Concat(_subst(template.left, env), _subst(template.right, env))
-    return template
-
-
-def _collapse_ctor(expr: Ctor) -> Expr:
-    # bookkeeping, not a reduction step: fold a constructor over values
-    # back into a plain term
-    if all(isinstance(a, Value) for a in expr.args):
-        return Value(Term(expr.name, expr.payloads, tuple(a.term for a in expr.args)))
-    return expr
-
-
-def _fireable(expr: Call) -> bool:
-    return isinstance(expr.args[0], Value)
-
-
-def _apply_clause(prog: Program, args: tuple[Expr, ...]) -> tuple[Expr, str]:
-    matched = args[0]
-    assert isinstance(matched, Value)
-    term = matched.term
-    clause = prog.clause_for(term.constructor)
-    cdef = prog.arg_type.constructor(term.constructor)
-    env: dict[str, Expr] = {}
-    n_pay = len(cdef.payload_kinds)
-    for name, payload in zip(clause.binders[:n_pay], term.payloads):
-        env[name] = payload  # payloads bind to raw tokens
-    for name, child in zip(clause.binders[n_pay:], term.children):
-        env[name] = Value(child)
-    for pname, arg in zip(prog.params[1:], args[1:]):
-        env[pname] = arg
-    return _subst(clause.template, env), f"{prog.name}/{term.constructor}"
+def program_call(program: Program, inputs) -> Call:
+    """program applied to its inputs, one token sequence per parameter;
+    trees read in their serialized form, other types in constructor order."""
+    if len(inputs) != len(program.params):
+        raise ReductionError(
+            f"{program.name} takes {len(program.params)} input(s), got {len(inputs)}")
+    return Call(program.name, tuple(
+        Value(tree_parse(toks) if program.arg_type is CHAR_TREE
+              else delinearize(toks, program.arg_type)) for toks in inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -332,166 +352,227 @@ class Trace:
         return len(self.steps)
 
 
-def _rewrite_level(expr: Expr, programs, recs: list, path: tuple[int, ...]) -> Expr:
-    if isinstance(expr, (Value, ListLit)):
+class _Engine:
+    """Call-by-value reduction that keeps its frontier between steps.
+
+    The state is the chain of unary constructors already emitted (prefix)
+    over the part still pending (body).  The frontier holds the paths of
+    the outermost redexes in traversal order.  A step rebuilds only the
+    spines that lead to the redexes it rewrites and looks for new redexes
+    only inside their results and on those spines, so its cost follows the
+    redexes, not the size of the state.  A single step rewrites the first
+    redex (leftmost-outermost); a level rewrites all of them at once and
+    flattens, within the level, every concat of two lists it completes."""
+
+    def __init__(self, expr: Expr, programs, single: bool):
+        self.programs, self.single = programs, single
+        self.prefix: list[str] = []
+        self.base: tuple[int, ...] = ()  # path of body
+        self.body = expr
+        self.frontier: list[tuple[int, ...]] = []
+        self._scan(expr, (), self.frontier)
+        self._absorb()
+
+    def _scan(self, expr: Expr, path: tuple, found: list) -> None:
+        """Append the paths of the outermost redexes in expr, in order."""
+        stack = [(expr, path)]
+        while stack:
+            e, p = stack.pop()
+            if isinstance(e, Call):
+                if e.fn not in self.programs:
+                    raise ReductionError(f"unknown program: {e.fn!r}")
+                if isinstance(e.args[0], Value):
+                    found.append(p)
+                    continue
+                kids = e.args
+            elif isinstance(e, Ctor):
+                kids = e.args
+            elif isinstance(e, Concat):
+                if isinstance(e.left, ListLit) and isinstance(e.right, ListLit):
+                    found.append(p)
+                    continue
+                kids = (e.left, e.right)
+            else:
+                if isinstance(e, Var) and not self.single:
+                    raise ReductionError("unbound template variable in a runtime expression")
+                continue
+            for j in range(len(kids) - 1, -1, -1):
+                stack.append((kids[j], p + (j,)))
+
+    def _absorb(self) -> None:
+        # a unary constructor over a part still pending is output for good
+        body = self.body
+        while (isinstance(body, Ctor) and not body.payloads and len(body.args) == 1
+               and isinstance(body.args[0], (Call, Ctor, Concat))):
+            self.prefix.append(body.name)
+            body = body.args[0]
+            self.base += (0,)
+        self.body = body
+
+    def expr(self) -> Expr:
+        expr = self.body
+        if isinstance(expr, Value) and self.prefix:  # the prefix folds into the value
+            term = expr.term
+            for name in reversed(self.prefix):
+                term = Term(name, (), (term,))
+            return Value(term)
+        for name in reversed(self.prefix):
+            expr = Ctor(name, (), (expr,))
         return expr
-    if isinstance(expr, Var):
-        raise ReductionError("unbound template variable in a runtime expression")
-    if isinstance(expr, Call):
-        if expr.fn not in programs:
-            raise ReductionError(f"unknown program: {expr.fn!r}")
-        if _fireable(expr):
-            result, rule = _apply_clause(programs[expr.fn], expr.args)
-            recs.append((path, rule))
-            return result  # redexes inside the result wait for the next level
-        args = tuple(
-            _rewrite_level(a, programs, recs, path + (i,)) for i, a in enumerate(expr.args)
-        )
-        return Call(expr.fn, args)
-    if isinstance(expr, Ctor):
-        args = tuple(
-            _rewrite_level(a, programs, recs, path + (i,)) for i, a in enumerate(expr.args)
-        )
-        return _collapse_ctor(Ctor(expr.name, expr.payloads, args))
-    if isinstance(expr, Concat):
-        left = _rewrite_level(expr.left, programs, recs, path + (0,))
-        right = _rewrite_level(expr.right, programs, recs, path + (1,))
-        if isinstance(left, ListLit) and isinstance(right, ListLit):
-            # literal concatenation flattens eagerly within the level
-            recs.append((path, "++"))
-            return ListLit(left.items + right.items)
-        return Concat(left, right)
-    raise ReductionError(f"unexpected expression node: {expr!r}")
+
+    def _fire(self, e: Expr, path: tuple, recs: list, found: list) -> Expr:
+        if isinstance(e, Call):
+            new, rule, redexes = _apply_clause(self.programs[e.fn], e.args)
+        else:
+            new, rule, redexes = ListLit(e.left.items + e.right.items), "++", ()
+        recs.append((path, rule))
+        if redexes is None:
+            self._scan(new, path, found)
+        else:
+            found += [path + rel for rel in redexes]
+        return new
+
+    def _close_top(self, spine: list, path: tuple, recs: list, found: list) -> None:
+        """Rebuild the deepest spine node, folding what it completes: a
+        concat of two lists flattens (a level) or becomes a redex (a single
+        step), a constructor over values becomes a value, and a call whose
+        matched argument became a value becomes a redex."""
+        e, mark, *args = spine.pop()
+        depth = len(self.base) + len(spine)
+        if isinstance(e, Concat):
+            left, right = args
+            new = Concat(left, right)
+            woke = isinstance(left, ListLit) and isinstance(right, ListLit)
+            if woke and not self.single:
+                recs.append((path[:depth], "++"))
+                new, woke = ListLit(left.items + right.items), False
+        elif isinstance(e, Ctor):
+            new = _collapse_ctor(Ctor(e.name, e.payloads, tuple(args)))
+            woke = False
+        else:
+            new = Call(e.fn, tuple(args))
+            woke = isinstance(args[0], Value)
+        if woke:
+            # it is outermost now, so it replaces the redexes found inside
+            del found[mark:]
+            found.append(path[:depth])
+        if spine:
+            spine[-1][2 + path[depth - 1]] = new
+        else:
+            self.body = new
+
+    def step(self) -> bool:
+        """Take one step; False once the state is normal."""
+        if not self.frontier:
+            if is_normal(self.expr()):
+                return False
+            raise ReductionError("expression is stuck: nothing to rewrite")
+        targets = self.frontier[:1] if self.single else self.frontier
+        recs: list = []  # (path, rule) of each rewrite, in order
+        found: list = []  # the next frontier
+        d0 = len(self.base)
+        # the ancestors of the current target, as [expr, frontier mark, new
+        # args...]; entry k sits at depth d0 + k on the path of the target
+        spine: list = []
+        prev = self.base
+        for target in targets:
+            shared = d0
+            while shared < len(prev) and prev[shared] == target[shared]:
+                shared += 1
+            while len(spine) > shared - d0 + 1:
+                self._close_top(spine, prev, recs, found)
+            depth = d0 + len(spine)
+            while depth < len(target):
+                node = spine[-1][2 + target[depth - 1]] if spine else self.body
+                kids = (node.left, node.right) if isinstance(node, Concat) else node.args
+                spine.append([node, len(found), *kids])
+                depth += 1
+            if spine:
+                i = 2 + target[-1]
+                spine[-1][i] = self._fire(spine[-1][i], target, recs, found)
+            else:
+                self.body = self._fire(self.body, target, recs, found)
+            prev = target
+        while spine:
+            self._close_top(spine, prev, recs, found)
+        if self.single:
+            rest = self.frontier[1:]
+            if found and len(found[-1]) < len(targets[0]):
+                woke = found[-1]
+                rest = [p for p in rest if p[: len(woke)] != woke]
+            found += rest
+        self.frontier = found
+        self._absorb()
+        self.paths, self.rules = zip(*recs)
+        return True
+
+    def render(self, style: str) -> list[str]:
+        """The state in a trace style; the paren form starts from the
+        emitted prefix instead of walking it."""
+        if style == PAREN and not isinstance(self.body, Ctor):
+            return _paren_form(self.prefix, self.body, linearize)
+        return (render_state_paren if style == PAREN else render_state_unroll)(self.expr())
+
+
+def levels(expr: Expr, programs: dict[str, Program] | None = None, single: bool = False):
+    """Reduce expr step by step until it is normal.  A step is a level,
+    which rewrites every outermost redex at once, or with single one
+    leftmost-outermost rewrite.  Yields the running engine after each
+    step: its paths and rules describe the step, and expr() and render()
+    give the state reached."""
+    engine = _Engine(expr, _BUILTINS if programs is None else programs, single)
+    while engine.step():
+        yield engine
+
+
+def _steps(expr: Expr, programs, single: bool):
+    before = expr
+    for engine in levels(expr, programs, single):
+        after = engine.expr()
+        yield ReductionStep(before, after, engine.paths, engine.rules)
+        before = after
 
 
 def step_level(expr: Expr, programs: dict[str, Program] | None = None):
     """Rewrite every outermost redex at once; None when expr is normal."""
-    programs = _BUILTINS if programs is None else programs
-    if is_normal(expr):
-        return None
-    recs: list[tuple[tuple[int, ...], str]] = []
-    after = _rewrite_level(expr, programs, recs, ())
-    if not recs:
-        raise ReductionError("expression is stuck: nothing to rewrite")
-    step = ReductionStep(
-        before=expr,
-        after=after,
-        paths=tuple(p for p, _ in recs),
-        rules=tuple(r for _, r in recs),
-    )
-    return after, step
-
-
-def redex_paths(expr: Expr, programs: dict[str, Program] | None = None) -> list[tuple[int, ...]]:
-    """Positions where a single rewrite could fire, in traversal order."""
-    programs = _BUILTINS if programs is None else programs
-    found: list[tuple[int, ...]] = []
-
-    def walk(e: Expr, path: tuple[int, ...]) -> None:
-        if isinstance(e, Call):
-            if _fireable(e):
-                found.append(path)
-                return
-            for i, a in enumerate(e.args):
-                walk(a, path + (i,))
-        elif isinstance(e, Ctor):
-            for i, a in enumerate(e.args):
-                walk(a, path + (i,))
-        elif isinstance(e, Concat):
-            if isinstance(e.left, ListLit) and isinstance(e.right, ListLit):
-                found.append(path)
-                return
-            walk(e.left, path + (0,))
-            walk(e.right, path + (1,))
-
-    walk(expr, ())
-    return found
-
-
-def _rewrite_at(expr: Expr, path: tuple[int, ...], programs) -> tuple[Expr, str]:
-    if not path:
-        if isinstance(expr, Call):
-            if not _fireable(expr):
-                raise ReductionError("call argument is not yet a value at the redex")
-            return _apply_clause(programs[expr.fn], expr.args)
-        if isinstance(expr, Concat):
-            assert isinstance(expr.left, ListLit) and isinstance(expr.right, ListLit)
-            return ListLit(expr.left.items + expr.right.items), "++"
-        raise ReductionError(f"no redex at path: {expr!r}")
-    i = path[0]
-    if isinstance(expr, Call):
-        args = list(expr.args)
-        args[i], rule = _rewrite_at(args[i], path[1:], programs)
-        return Call(expr.fn, tuple(args)), rule
-    if isinstance(expr, Ctor):
-        args = list(expr.args)
-        args[i], rule = _rewrite_at(args[i], path[1:], programs)
-        return _collapse_ctor(Ctor(expr.name, expr.payloads, tuple(args))), rule
-    if isinstance(expr, Concat):
-        left, right = expr.left, expr.right
-        if i == 0:
-            left, rule = _rewrite_at(left, path[1:], programs)
-        else:
-            right, rule = _rewrite_at(right, path[1:], programs)
-        return Concat(left, right), rule
-    raise ReductionError(f"bad redex path through {expr!r}")
+    return next(((step.after, step) for step in _steps(expr, programs, False)), None)
 
 
 def step_single(expr: Expr, programs: dict[str, Program] | None = None):
     """Rewrite the leftmost-outermost redex; None when expr is normal."""
-    programs = _BUILTINS if programs is None else programs
-    if is_normal(expr):
-        return None
-    paths = redex_paths(expr, programs)
-    if not paths:
-        raise ReductionError("expression is stuck: nothing to rewrite")
-    path = paths[0]
-    after, rule = _rewrite_at(expr, path, programs)
-    return after, ReductionStep(before=expr, after=after, paths=(path,), rules=(rule,))
+    return next(((step.after, step) for step in _steps(expr, programs, True)), None)
 
 
 def reduce(expr: Expr, programs: dict[str, Program] | None = None, fuel: int | None = None):
-    """Run step_level to normal form; returns (normal form, trace)."""
+    """Run levels to normal form; returns (normal form, trace)."""
     if fuel is None:
         fuel = max(4, 2 * expr_token_count(expr))
     elif fuel < 1:
         raise ValueError("fuel must be at least 1")
     steps: list[ReductionStep] = []
-    cur = expr
-    while (result := step_level(cur, programs)) is not None:
+    for step in _steps(expr, programs, False):
         if len(steps) >= fuel:
             raise FuelExhaustedError(f"no normal form within {fuel} levels")
-        cur, step = result
         steps.append(step)
-    return cur, Trace(initial=expr, steps=tuple(steps))
+    trace = Trace(initial=expr, steps=tuple(steps))
+    return trace.final, trace
 
 
 def reduce_k(expr: Expr, k: int, programs: dict[str, Program] | None = None):
     """Apply at most k levels; returns (expr, levels actually taken)."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    cur = expr
     taken = 0
-    for _ in range(k):
-        result = step_level(cur, programs)
-        if result is None:
-            break
-        cur = result[0]
-        taken += 1
-    return cur, taken
+    for taken, engine in zip(range(1, k + 1), levels(expr, programs)):
+        pass  # zip stops after k levels, or at the normal form
+    return (engine.expr() if taken else expr), taken
 
 
 def recursion_depth(term: Term | tuple[Term, ...], program: str = "s",
                     programs: dict[str, Program] | None = None) -> int:
     """Number of levels to reach the normal form of program applied to term."""
-    programs = _BUILTINS if programs is None else programs
     args = (term,) if isinstance(term, Term) else tuple(term)
-    cur: Expr = Call(program, tuple(Value(t) for t in args))
-    depth = 0
-    while (result := step_level(cur, programs)) is not None:
-        cur = result[0]
-        depth += 1
-    return depth
+    return sum(1 for _ in levels(Call(program, tuple(Value(t) for t in args)), programs))
 
 
 # ---------------------------------------------------------------------------
@@ -509,14 +590,18 @@ def render_state_paren(expr: Expr) -> list[str]:
             raise RenderError("paren form needs a chain of unary constructors")
         prefix.append(cur.name)
         cur = cur.args[0]
+    return _paren_form(prefix, cur, linearize)
+
+
+def _paren_form(prefix: list[str], cur: Expr, tokens) -> list[str]:
     if isinstance(cur, Value):
-        return prefix + linearize(cur.term)
+        return prefix + tokens(cur.term)
     if isinstance(cur, Call):
         inner: list[str] = []
         for arg in cur.args:
             if not isinstance(arg, Value):
                 raise RenderError("pending call arguments must be values")
-            inner.extend(linearize(arg.term))
+            inner.extend(tokens(arg.term))
         return prefix + [LPAR] + inner + [RPAR]
     raise RenderError(f"paren form cannot render {type(cur).__name__} states")
 
@@ -536,7 +621,14 @@ def parse_state_paren(tokens, program: Program) -> Expr:
     prefix, inner = toks[:open_i], toks[open_i + 1 : -1]
     if not inner:
         raise ReductionError("empty paren group")
-    expr: Expr = _parse_call(inner, program)
+    args: list[Expr] = []
+    for _ in program.params:  # one term per parameter
+        term, used = delinearize(inner, program.arg_type, prefix=True)
+        args.append(Value(term))
+        inner = inner[used:]
+    if inner:
+        raise ReductionError(f"trailing tokens in paren group: {inner}")
+    expr: Expr = Call(program.name, tuple(args))
     for name in reversed(prefix):
         cdef = program.arg_type.constructor(name)
         if cdef.recursive_arity != 1 or cdef.payload_kinds:
@@ -545,54 +637,18 @@ def parse_state_paren(tokens, program: Program) -> Expr:
     return expr
 
 
-def _parse_call(tokens: list[str], program: Program) -> Call:
-    # consume one term per program parameter
-    args: list[Expr] = []
-    rest = tokens
-    for _ in program.params:
-        term, used = _delinearize_prefix(rest, program.arg_type)
-        args.append(Value(term))
-        rest = rest[used:]
-    if rest:
-        raise ReductionError(f"trailing tokens in paren group: {rest}")
-    return Call(program.name, tuple(args))
-
-
-def _delinearize_prefix(tokens: list[str], idef: InductiveDef) -> tuple[Term, int]:
-    pos = 0
-
-    def parse() -> Term:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ReductionError("dangling constructor in state tokens")
-        cdef = idef.constructor(tokens[pos])
-        pos += 1
-        n_pay = len(cdef.payload_kinds)
-        payloads = tuple(tokens[pos : pos + n_pay])
-        if len(payloads) != n_pay:
-            raise ReductionError(f"{cdef.name} is missing payload tokens")
-        pos += n_pay
-        children = tuple(parse() for _ in range(cdef.recursive_arity))
-        return Term(cdef.name, payloads, children)
-
-    term = parse()
-    return term, pos
-
-
 def render_state_unroll(expr: Expr) -> list[str]:
     """Flat traversal state: pending subtree calls bracketed, pending leaf
     calls as EMPTY, emitted values bare, in left-to-right order."""
     out: list[str] = []
-
-    def emit(e: Expr) -> None:
+    stack = [expr]
+    while stack:
+        e = stack.pop()
         if isinstance(e, Concat):
-            emit(e.left)
-            emit(e.right)
-            return
-        if isinstance(e, ListLit):
+            stack += (e.right, e.left)
+        elif isinstance(e, ListLit):
             out.extend(e.items)
-            return
-        if isinstance(e, Call):
+        elif isinstance(e, Call):
             arg = e.args[0]
             if not isinstance(arg, Value):
                 raise RenderError("pending call argument must be a value")
@@ -602,10 +658,8 @@ def render_state_unroll(expr: Expr) -> list[str]:
                 out.append(UNROLL_OPEN)
                 out.extend(tree_serialize(arg.term))
                 out.append(UNROLL_CLOSE)
-            return
-        raise RenderError(f"traversal form cannot render {type(e).__name__} states")
-
-    emit(expr)
+        else:
+            raise RenderError(f"traversal form cannot render {type(e).__name__} states")
     return out
 
 
@@ -658,10 +712,7 @@ ARROW = "arrow"
 
 def render_trace(trace: Trace, style: str) -> str:
     """Join trace states with ' = ' (paren style) or ' -> ' (arrow style)."""
-    if style == PAREN:
-        rendered = [" ".join(render_state_paren(s)) for s in trace.states()]
-        return " = ".join(rendered)
-    if style == ARROW:
-        rendered = [" ".join(render_state_unroll(s)) for s in trace.states()]
-        return " -> ".join(rendered)
-    raise RenderError(f"unknown trace style: {style!r}")
+    if style not in (PAREN, ARROW):
+        raise RenderError(f"unknown trace style: {style!r}")
+    render = render_state_paren if style == PAREN else render_state_unroll
+    return (" = " if style == PAREN else " -> ").join(" ".join(render(s)) for s in trace.states())

@@ -41,10 +41,6 @@ NATURAL = "natural"  # written order: exact reversal of constructor order
 _TOKEN_RE = re.compile(r"UNROLL\[|REDUCE\[|[()\]]|[^\s()\[\]]+")
 
 
-def normalize_token(token: str) -> str:
-    return TOKEN_ALIASES.get(token, token)
-
-
 def normalize_tokens(tokens) -> list[str]:
     return [TOKEN_ALIASES.get(t, t) for t in tokens]
 
@@ -53,10 +49,6 @@ def tokenize(text: str) -> list[str]:
     """Split canonical text into tokens, treating parens and brackets as
     atomic even when they are glued to a neighbor."""
     return normalize_tokens(_TOKEN_RE.findall(text))
-
-
-def to_text(tokens) -> str:
-    return " ".join(tokens)
 
 
 @dataclass(frozen=True)
@@ -131,22 +123,6 @@ def builtin_defs() -> dict[str, InductiveDef]:
     return {d.name: d for d in (PEANO, BIN_POS, CHAR_TREE)}
 
 
-def validate_term(term: Term, idef: InductiveDef) -> None:
-    cdef = idef.constructor(term.constructor)
-    if len(term.payloads) != len(cdef.payload_kinds):
-        raise MalformedSequenceError(
-            f"{term.constructor} expects {len(cdef.payload_kinds)} payloads, "
-            f"got {len(term.payloads)}"
-        )
-    if len(term.children) != cdef.recursive_arity:
-        raise MalformedSequenceError(
-            f"{term.constructor} expects {cdef.recursive_arity} children, "
-            f"got {len(term.children)}"
-        )
-    for child in term.children:
-        validate_term(child, idef)
-
-
 # ---------------------------------------------------------------------------
 # linear (preorder) serialization
 
@@ -154,40 +130,46 @@ def validate_term(term: Term, idef: InductiveDef) -> None:
 def linearize(term: Term) -> list[str]:
     """Constructor-order tokens: each constructor before its arguments."""
     out: list[str] = []
-
-    def emit(t: Term) -> None:
-        out.append(t.constructor)
-        out.extend(t.payloads)
-        for child in t.children:
-            emit(child)
-
-    emit(term)
+    stack = [term]
+    while stack:
+        t = stack.pop()
+        while True:  # down the first children; later siblings wait on the stack
+            out.append(t.constructor)
+            out += t.payloads
+            if not t.children:
+                break
+            stack += t.children[:0:-1]
+            t = t.children[0]
     return out
 
 
-def delinearize(tokens, idef: InductiveDef) -> Term:
-    """Parse constructor-order tokens back into a term."""
+def delinearize(tokens, idef: InductiveDef, prefix: bool = False):
+    """Parse constructor-order tokens back into a term.  With prefix, parse
+    one term off the front and return it with the number of tokens used."""
     toks = normalize_tokens(tokens)
     pos = 0
-
-    def parse() -> Term:
-        nonlocal pos
+    open_terms: list = []  # (constructor, payloads, arity, children so far)
+    while True:
         if pos >= len(toks):
             raise MalformedSequenceError("dangling constructor: token sequence ends early")
         cdef = idef.constructor(toks[pos])
-        pos += 1
         n_pay = len(cdef.payload_kinds)
-        if pos + n_pay > len(toks):
+        if pos + 1 + n_pay > len(toks):
             raise MalformedSequenceError(f"{cdef.name} is missing payload tokens")
-        payloads = tuple(toks[pos : pos + n_pay])
-        pos += n_pay
-        children = tuple(parse() for _ in range(cdef.recursive_arity))
-        return Term(cdef.name, payloads, children)
-
-    term = parse()
-    if pos != len(toks):
-        raise MalformedSequenceError(f"trailing tokens after position {pos}")
-    return term
+        open_terms.append((cdef.name, tuple(toks[pos + 1 : pos + 1 + n_pay]),
+                           cdef.recursive_arity, []))
+        pos += 1 + n_pay
+        # close every term whose children are all parsed
+        while len(open_terms[-1][3]) == open_terms[-1][2]:
+            name, payloads, _, children = open_terms.pop()
+            term = Term(name, payloads, tuple(children))
+            if not open_terms:
+                if prefix:
+                    return term, pos
+                if pos != len(toks):
+                    raise MalformedSequenceError(f"trailing tokens after position {pos}")
+                return term
+            open_terms[-1][3].append(term)
 
 
 def reorder(tokens, target_order: str, source_order: str | None = None) -> list[str]:
@@ -305,19 +287,29 @@ def tree_serialize(term: Term) -> list[str]:
     if term.constructor == "Leaf":
         raise MalformedSequenceError("a bare Leaf has no serialized form")
     out: list[str] = []
-
-    def emit(node: Term) -> None:
+    owed: list = []  # per open paren, the right sibling owed after it (None: none)
+    node = term
+    while True:
         out.append(node.payloads[0])
-        for child in node.children:
-            if child.constructor == "Leaf":
-                out.append(LEAF_TOKEN)
-            else:
-                out.append(LPAR)
-                emit(child)
+        left, right = node.children
+        if left.constructor != "Leaf":
+            out.append(LPAR)
+            owed.append(right)
+            node = left
+            continue
+        out.append(LEAF_TOKEN)
+        while right.constructor == "Leaf":
+            out.append(LEAF_TOKEN)
+            while owed:
+                right = owed.pop()
                 out.append(RPAR)
-
-    emit(term)
-    return out
+                if right is not None:
+                    break
+            else:
+                return out
+        out.append(LPAR)
+        owed.append(None)
+        node = right
 
 
 _STRUCTURAL = {LPAR, RPAR, LEAF_TOKEN, UNROLL_OPEN, UNROLL_CLOSE, EMPTY_TOKEN}
@@ -325,40 +317,41 @@ _STRUCTURAL = {LPAR, RPAR, LEAF_TOKEN, UNROLL_OPEN, UNROLL_CLOSE, EMPTY_TOKEN}
 
 def tree_parse(tokens) -> Term:
     toks = normalize_tokens(tokens)
-    pos = 0
-
-    def need(what: str) -> str:
-        nonlocal pos
+    bare = Term("Leaf")
+    pos, want = 0, "a node value"
+    open_nodes: list = []  # (value, subtrees so far) of each unfinished node
+    while True:
         if pos >= len(toks):
-            raise MalformedSequenceError(f"unexpected end of tree tokens, wanted {what}")
+            raise MalformedSequenceError(f"unexpected end of tree tokens, wanted {want}")
         tok = toks[pos]
         pos += 1
-        return tok
-
-    def parse_node() -> Term:
-        value = need("a node value")
-        if value in _STRUCTURAL:
-            raise MalformedSequenceError(f"expected a node value, got {value!r}")
-        left = parse_branch()
-        right = parse_branch()
-        return Term("Branch", (value,), (left, right))
-
-    def parse_branch() -> Term:
-        tok = need("LEAF or a subtree")
-        if tok == LEAF_TOKEN:
-            return Term("Leaf")
-        if tok == LPAR:
-            node = parse_node()
-            closing = need("a closing paren")
-            if closing != RPAR:
-                raise MalformedSequenceError(f"unbalanced parens: got {closing!r}")
-            return node
-        raise MalformedSequenceError(f"expected LEAF or '(', got {tok!r}")
-
-    tree = parse_node()
-    if pos != len(toks):
-        raise MalformedSequenceError(f"trailing tokens after position {pos}")
-    return tree
+        if want == "a node value":
+            if tok in _STRUCTURAL:
+                raise MalformedSequenceError(f"expected a node value, got {tok!r}")
+            open_nodes.append((tok, []))
+            want = "LEAF or a subtree"
+            continue
+        if want == "LEAF or a subtree":
+            if tok == LPAR:
+                want = "a node value"
+                continue
+            if tok != LEAF_TOKEN:
+                raise MalformedSequenceError(f"expected LEAF or '(', got {tok!r}")
+            tree = bare
+        elif tok != RPAR:
+            raise MalformedSequenceError(f"unbalanced parens: got {tok!r}")
+        # tree is the next subtree of the innermost unfinished node
+        value, kids = open_nodes[-1]
+        kids.append(tree)
+        want = "LEAF or a subtree"
+        if len(kids) == 2:
+            open_nodes.pop()
+            tree = Term("Branch", (value,), tuple(kids))
+            if not open_nodes:
+                if pos != len(toks):
+                    raise MalformedSequenceError(f"trailing tokens after position {pos}")
+                return tree
+            want = "a closing paren"
 
 
 # ---------------------------------------------------------------------------

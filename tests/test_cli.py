@@ -61,6 +61,19 @@ def test_reduce_malformed_tokens(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("flag,value", [("--fuel", "0"), ("--k", "-1")])
+def test_reduce_out_of_range_budget_is_a_usage_error(capsys, flag, value):
+    code, _, err = run(capsys, "reduce", "s", "X0 01", flag, value)
+    assert code == 2
+    assert err.startswith("usage:") and f"argument {flag}: must be at least" in err
+
+
+def test_reduce_all_ones_successor_past_the_recursion_limit(capsys):
+    code, out, _ = run(capsys, "reduce", "s", " ".join(["X1"] * 331 + ["01"]))
+    assert code == 0
+    assert out.split() == ["X0"] * 332 + ["01"]
+
+
 def test_reduce_fuel_exhaustion(capsys):
     code, _, err = run(capsys, "reduce", "s", " ".join(["X1"] * 30 + ["01"]),
                        "--fuel", "2")

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from structrec.errors import FuelExhaustedError, ReductionError
+from structrec.evaluation import validate_trace
 from structrec.reduction import (
     ARROW,
     PAREN,
@@ -42,6 +43,8 @@ from structrec.terms import (
     peano_encode,
     peano_value,
     tokenize,
+    tree_parse,
+    tree_serialize,
 )
 
 CAT_TREE = branch("a", branch("c", leaf(), leaf()), branch("t", leaf(), leaf()))
@@ -347,3 +350,52 @@ def test_parse_state_paren_accepts_alias_spelling():
     program = builtin_programs()["s"]
     state = parse_state_paren(tokenize("XO ( X1 01 )"), program)
     assert render_state_paren(state) == ["X0", "(", "X1", "01", ")"]
+
+
+# ---------------------------------------------------------------------------
+# inputs far beyond Python's recursion limit
+
+
+def test_hundred_thousand_token_successor_reduces_renders_and_replays():
+    # a short X1 run keeps the trace at four levels, so its text stays small
+    rng = random.Random(11)
+    tokens = ["X1"] * 3 + ["X0"] + [rng.choice(("X0", "X1")) for _ in range(99_995)] + ["01"]
+    term = delinearize(tokens, BIN_POS)
+    final, trace = reduce(Call("s", (Value(term),)))
+    assert len(trace) == 4
+    assert bin_value(final.term) == bin_value(term) + 1
+    text = render_trace(trace, PAREN)
+    assert text.split(" = ")[-1].split() == ["X0"] * 3 + ["X1"] + tokens[4:]
+    assert validate_trace(text, "successor", input_tokens=tokens).valid
+
+
+def _left_spine(depth):
+    tree = leaf()
+    for i in range(depth):
+        tree = branch("abc"[i % 3], tree, leaf())
+    return tree
+
+
+def _walk_inorder(tree):
+    walk = []
+    while tree.constructor != "Leaf":
+        walk.append(tree.payloads[0])
+        tree = tree.children[0]
+    return walk[::-1]
+
+
+def test_left_spine_tree_of_depth_two_thousand_parses_and_serializes():
+    tokens = tree_serialize(_left_spine(2000))
+    assert tokens[:4] == ["b", "(", "a", "("] and tokens[-2:] == [")", "LEAF"]
+    assert len(tokens) == 4 * 2000 - 1
+    assert tree_serialize(tree_parse(tokens)) == tokens  # == on terms this deep would recurse
+
+
+def test_inorder_of_a_left_spine_past_the_recursion_limit():
+    # level k holds a concat chain about 2k deep, so the trace holds about
+    # depth**2 nodes; 700 keeps that small, while a walk of its states that
+    # recursed per node would pass Python's default limit of 1,000 frames
+    tree = tree_parse(tree_serialize(_left_spine(700)))
+    final, trace = reduce(Call("inorder", (Value(tree),)))
+    assert len(trace) == 701
+    assert list(final.items) == _walk_inorder(tree)
