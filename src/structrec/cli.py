@@ -148,10 +148,7 @@ def _emit(records, out_dir: str, name: str, spec: datasets.DatasetSpec) -> Path:
     directory = Path(out_dir if out_dir is not None else _default_out())
     directory.mkdir(parents=True, exist_ok=True)
     data_path = directory / f"{name}.jsonl"
-    if records and isinstance(records[0], datasets.TraceRecord):
-        datasets.write_traces(records, data_path)
-    else:
-        datasets.write_jsonl(records, data_path)
+    datasets.write_jsonl(records, data_path)
     datasets.write_manifest(directory / f"{name}.manifest.json", spec, data_path, len(records))
     print(f"wrote {len(records)} records to {data_path}")
     return data_path

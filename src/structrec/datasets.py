@@ -34,6 +34,7 @@ from .terms import (
     Term,
     bin_encode,
     bin_x1_run,
+    intern_tokens,
     linearize,
     normalize_tokens,
     remap_tokens,
@@ -101,7 +102,13 @@ class ExampleRecord:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExampleRecord":
+        """Tokens are interned, so equal tokens across records are one
+        object; raises TypeError on a field of the wrong type."""
+        if not isinstance(obj, dict):
+            raise TypeError("a record must be a JSON object")
         meta_obj = obj.get("meta", {})
+        if not isinstance(meta_obj, dict):
+            raise TypeError("meta must be an object")
         meta = RecordMeta(
             value=meta_obj.get("value"),
             bits=meta_obj.get("bits"),
@@ -110,12 +117,15 @@ class ExampleRecord:
             pad_len=meta_obj.get("pad_len", 0),
             weight=meta_obj.get("weight", 1),
         )
+        for key, val in vars(meta).items():
+            if val is not None and not isinstance(val, int):
+                raise TypeError(f"meta {key} must be an integer or null")
         return cls(
             id=str(obj["id"]),
             task=obj["task"],
             order=obj.get("order"),
-            input=list(obj["input"]),
-            target=list(obj["target"]),
+            input=intern_tokens(obj["input"], "input"),
+            target=intern_tokens(obj["target"], "target"),
             meta=meta,
         )
 
@@ -636,13 +646,6 @@ def read_traces(path) -> list[TraceRecord]:
         except (KeyError, TypeError) as exc:
             raise GenerationError(f"{path}:{lineno}: bad trace record ({exc})") from None
     return records
-
-
-def write_traces(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(_dump_line(record.to_dict()))
-            handle.write("\n")
 
 
 def file_digest(path) -> str:

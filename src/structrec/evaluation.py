@@ -30,8 +30,10 @@ from .terms import (
     EMPTY_TOKEN,
     LPAR,
     RPAR,
+    TOKEN_ALIASES,
     UNROLL_CLOSE,
     UNROLL_OPEN,
+    intern_tokens,
     normalize_tokens,
     tokenize,
 )
@@ -64,6 +66,8 @@ class PredictionRecord:
 
 
 def read_predictions(path) -> list[PredictionRecord]:
+    """Candidates are token lists or strings (tokenized); tokens are
+    normalized and interned, so equal tokens are one object."""
     records = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -74,16 +78,25 @@ def read_predictions(path) -> list[PredictionRecord]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise EvalError(f"{path}:{lineno}: bad JSON ({exc})") from None
-            if "id" not in obj or "candidates" not in obj:
-                raise EvalError(f"{path}:{lineno}: need id and candidates fields")
-            candidates = []
-            for cand in obj["candidates"]:
-                if isinstance(cand, str):
-                    candidates.append(tokenize(cand))
-                else:
-                    candidates.append(normalize_tokens(cand))
+            if not isinstance(obj, dict) or "id" not in obj or "candidates" not in obj:
+                raise EvalError(f"{path}:{lineno}: need an object with id and candidates fields")
+            try:
+                candidates = _candidates(obj["candidates"])
+            except TypeError:
+                raise EvalError(f"{path}:{lineno}: candidates must be a list of strings "
+                                "or of token lists") from None
             records.append(PredictionRecord(id=str(obj["id"]), candidates=candidates))
     return records
+
+
+def _candidates(value) -> list[list[str]]:
+    if not isinstance(value, list):
+        raise TypeError("candidates must be a list")
+    return [intern_tokens(tokenize(cand)) if isinstance(cand, str)
+            else normalize_tokens(intern_tokens(cand)) for cand in value]
+
+
+_ALIASED = TOKEN_ALIASES.keys()
 
 
 def _pair(predictions, gold):
@@ -109,36 +122,16 @@ def _pair(predictions, gold):
     return pairs
 
 
-def _target_tokens(record) -> list[str]:
-    return normalize_tokens(record.target)
-
-
 def exact_match(predictions, gold) -> float:
     """Fraction whose first candidate equals the target exactly."""
-    pairs = _pair(predictions, gold)
-    if not pairs:
-        return 0.0
-    hits = sum(
-        1
-        for pred, record in pairs
-        if pred.candidates and pred.candidates[0] == _target_tokens(record)
-    )
-    return hits / len(pairs)
+    return compute_metrics(predictions, gold, ks=()).exact
 
 
 def hit_at_k(predictions, gold, k: int) -> float:
     """Fraction whose target appears among the first k candidates."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    pairs = _pair(predictions, gold)
-    if not pairs:
-        return 0.0
-    hits = sum(
-        1
-        for pred, record in pairs
-        if _target_tokens(record) in pred.candidates[:k]
-    )
-    return hits / len(pairs)
+    return compute_metrics(predictions, gold, ks=(k,)).hits[k]
 
 
 # ---------------------------------------------------------------------------
@@ -157,34 +150,18 @@ _KEY_ALIASES = {"bit_length": "bits", "tree_depth": "depth"}
 _META_KEYS = ("value", "bits", "depth", "edge_group", "pad_len", "weight")
 
 
-def _meta_value(record, key: str):
-    meta = record.meta
-    if not hasattr(meta, key):
-        raise EvalError(f"unknown breakdown key: {key!r}")
-    value = getattr(meta, key)
-    if value is None:
-        raise EvalError(f"record {record.id} has no {key!r} metadata")
-    return value
+def _meta_field(key: str) -> str:
+    field = _KEY_ALIASES.get(key, key)
+    if field not in _META_KEYS:
+        raise EvalError(f"unknown breakdown key: {key!r} (meta fields: "
+                        f"{', '.join(_META_KEYS)}; aliases: {', '.join(_KEY_ALIASES)})")
+    return field
 
 
 def breakdown(predictions, gold, key: str) -> list[BreakdownRow]:
     """First-candidate accuracy per metadata bucket; empty buckets are
     simply absent."""
-    key = _KEY_ALIASES.get(key, key)
-    pairs = _pair(predictions, gold)
-    totals: dict = {}
-    correct: dict = {}
-    for pred, record in pairs:
-        bucket = _meta_value(record, key)
-        totals[bucket] = totals.get(bucket, 0) + 1
-        if pred.candidates and pred.candidates[0] == _target_tokens(record):
-            correct[bucket] = correct.get(bucket, 0) + 1
-    rows = []
-    for bucket in sorted(totals):
-        n = totals[bucket]
-        c = correct.get(bucket, 0)
-        rows.append(BreakdownRow(bucket=bucket, n=n, correct=c, accuracy=c / n))
-    return rows
+    return compute_metrics(predictions, gold, ks=(), breakdown_keys=(key,)).breakdowns[key]
 
 
 def failure_signature(prediction, gold_target) -> str:
@@ -370,21 +347,57 @@ class MetricsReport:
 
 
 def compute_metrics(predictions, gold, ks=(1, 3, 5), breakdown_keys=()) -> MetricsReport:
+    """Every metric in one pass over the id-joined pairs.
+
+    Each gold target is normalized once and its rank among the first
+    max(ks) candidates found once: rank 0 is an exact match, a rank below
+    k a hit at k.  Breakdown rows and failure signatures accumulate in the
+    same loop.  Errors come in this order: ids, then ks, then keys.
+    """
     pairs = _pair(predictions, gold)
-    report = MetricsReport(
-        n=len(pairs),
-        exact=exact_match(predictions, gold),
-        hits={k: hit_at_k(predictions, gold, k) for k in sorted(set(ks))},
-        breakdowns={key: breakdown(predictions, gold, key) for key in breakdown_keys},
-        failures={},
-    )
+    ks = sorted(set(ks))
+    if ks and ks[0] < 1:
+        raise ValueError("k must be at least 1")
+    fields = {key: _meta_field(key) for key in breakdown_keys}
+    # one (totals, correct) pair per field, however many aliases name it
+    buckets = {field: ({}, {}) for field in fields.values()}
+    depth = ks[-1] if ks else 1
+    ranks = [0] * (depth + 1)  # ranks[depth] counts the misses
+    failures: dict = {}
     for pred, record in pairs:
-        first = pred.candidates[0] if pred.candidates else []
-        target = _target_tokens(record)
-        if first != target:
-            label = failure_signature(first, target)
-            report.failures[label] = report.failures.get(label, 0) + 1
-    return report
+        target = record.target  # the readers keep aliases as given
+        if not _ALIASED.isdisjoint(target):
+            target = normalize_tokens(target)
+        top = pred.candidates[:depth]
+        rank = top.index(target) if target in top else depth
+        ranks[rank] += 1
+        for field, (totals, correct) in buckets.items():
+            bucket = getattr(record.meta, field)
+            if bucket is None:
+                raise EvalError(f"record {record.id} has no {field!r} metadata")
+            totals[bucket] = totals.get(bucket, 0) + 1
+            if not rank:
+                correct[bucket] = correct.get(bucket, 0) + 1
+        if rank:
+            first = top[0] if top else []
+            if first != target:  # equal only when both are empty
+                label = failure_signature(first, target)
+                failures[label] = failures.get(label, 0) + 1
+
+    n = len(pairs)
+    breakdowns = {}
+    for key, field in fields.items():
+        totals, correct = buckets[field]
+        breakdowns[key] = [BreakdownRow(bucket=b, n=totals[b], correct=correct.get(b, 0),
+                                        accuracy=correct.get(b, 0) / totals[b])
+                           for b in sorted(totals)]
+    return MetricsReport(
+        n=n,
+        exact=ranks[0] / n if n else 0.0,
+        hits={k: sum(ranks[:k]) / n if n else 0.0 for k in ks},
+        breakdowns=breakdowns,
+        failures=failures,
+    )
 
 
 def render_report(report: MetricsReport, fmt: str = "text") -> str:

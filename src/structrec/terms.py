@@ -10,6 +10,7 @@ yields an equivalent encoding.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import MalformedSequenceError, RemapError
@@ -43,6 +44,17 @@ _TOKEN_RE = re.compile(r"UNROLL\[|REDUCE\[|[()\]]|[^\s()\[\]]+")
 
 def normalize_tokens(tokens) -> list[str]:
     return [TOKEN_ALIASES.get(t, t) for t in tokens]
+
+
+def intern_tokens(tokens, what: str = "tokens") -> list[str]:
+    """A list of token strings with every token interned, so equal tokens
+    read from a file are one object; TypeError on anything else."""
+    if isinstance(tokens, list):
+        try:
+            return list(map(sys.intern, tokens))
+        except TypeError:  # intern() takes strings only
+            pass
+    raise TypeError(f"{what} must be a list of token strings")
 
 
 def tokenize(text: str) -> list[str]:

@@ -4,6 +4,7 @@ any change to the reduction engine that alters a state, a path or a rule
 name shows up here."""
 
 import hashlib
+import json
 
 import pytest
 
@@ -139,3 +140,68 @@ def test_inorder_level_and_single_records():
         (((1,),), ("++",)),
         (((),), ("++",)),
     ]
+
+
+# ---------------------------------------------------------------------------
+# eval reports
+
+
+def _numeral(value: int) -> list[str]:
+    """bin_pos tokens, least significant bit first, with the top bit as 01."""
+    bits = bin(value)[3:]
+    return ["X1" if bit == "1" else "X0" for bit in reversed(bits)] + ["01"]
+
+
+def _eval_fixture(directory):
+    """Gold records and ranked predictions that hit every scoring path: all
+    four failure labels, an empty candidate list, targets at rank 1, 2, 3
+    and 6 and nowhere, string candidates, and the XO alias in gold
+    targets and predictions."""
+    gold, preds = [], []
+    for i in range(60):
+        value = 1 + (i * 37) % 300
+        target = _numeral(value + 1)
+        rid = f"r{i:03d}"
+        gold.append({"id": rid, "task": "successor", "order": "reverse",
+                     "input": _numeral(value),
+                     "target": ["XO" if tok == "X0" and i % 7 == 0 else tok
+                                for tok in target],
+                     "meta": {"value": value, "bits": value.bit_length(),
+                              "depth": i % 4 + 1, "edge_group": i % 3,
+                              "pad_len": 0, "weight": 1}})
+        wrong = ["X1" if tok == "X0" else "X0" if tok == "X1" else tok for tok in target]
+        if wrong == target:
+            wrong = ["X0"] + target
+        short, long = target[1:], ["X0"] + target
+        other = ["01"] if len(target) > 2 else ["X1", "X1", "X1", "01"]
+        candidates = [
+            [target],                                  # exact
+            [wrong, short, target, long],              # rank 3, wrong-token
+            [short, wrong, other],                     # nowhere, one-token-short
+            [long, target],                            # rank 2, one-token-long
+            [other, wrong, short, long, wrong],        # nowhere, other
+            [],                                        # no candidates
+            [" ".join(target).replace("X0", "XO")],    # a string, with the alias
+            [wrong, wrong, short, long, other, target],  # rank 6
+        ][i % 8]
+        preds.append({"id": rid, "candidates": candidates})
+    gold_path, pred_path = directory / "gold.jsonl", directory / "pred.jsonl"
+    gold_path.write_text("".join(json.dumps(obj) + "\n" for obj in gold))
+    pred_path.write_text("".join(json.dumps(obj) + "\n" for obj in reversed(preds)))
+    return gold_path, pred_path
+
+
+# sha256 of `structrec eval` stdout on the fixture above, by --format
+EVAL_PINS = {
+    "json": "dcba0c90a8ad4e400a0329880cf9daee8dc570c05f4f287a821ae4643ca44fdf",
+    "text": "8ca8a61c11a0dc54c5ad67ce76759fcc2f565fbc901e2fbf08906dccd40c5187",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(EVAL_PINS))
+def test_eval_report_is_pinned(tmp_path, capsys, fmt):
+    gold, pred = _eval_fixture(tmp_path)
+    argv = ["eval", "--gold", str(gold), "--pred", str(pred), "--format", fmt,
+            "--breakdown", "bits", "--breakdown", "bit_length", "--breakdown", "edge_group"]
+    assert main(argv) == 0
+    assert _sha(capsys.readouterr().out.encode()) == EVAL_PINS[fmt]

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from structrec.cli import main
+from structrec.datasets import record_rng
 
 
 def run(capsys, *argv):
@@ -207,6 +208,103 @@ def test_eval_id_mismatch_exit_code(capsys, tmp_path):
                      "--gold", str(tmp_path / "successor_reverse.jsonl"),
                      "--pred", str(pred))
     assert code == 6
+
+
+def _gold_and_pred(capsys, tmp_path, count=20):
+    code, _, _ = run(capsys, "gen", "successor", "--range", f"1:{count}", "--out", str(tmp_path))
+    assert code == 0
+    gold = (tmp_path / "successor_reverse.jsonl").read_text().splitlines()
+    pred = []
+    for line in gold:
+        obj = json.loads(line)
+        pred.append(json.dumps({"id": obj["id"],
+                                "candidates": [obj["target"], " ".join(obj["input"])]}))
+    return gold, pred
+
+
+def _eval_lines(capsys, tmp_path, gold, pred, *flags):
+    gold_path, pred_path = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold_path.write_text("".join(line + "\n" for line in gold))
+    pred_path.write_text("".join(line + "\n" for line in pred))
+    return run(capsys, "eval", "--gold", str(gold_path), "--pred", str(pred_path), *flags)
+
+
+@pytest.mark.parametrize("which,field,value", [
+    ("gold", "meta", 5),
+    ("gold", "target", [1, 2]),
+    ("pred", "candidates", "X1 01"),
+    ("pred", "candidates", [5]),
+])
+def test_eval_malformed_record_exit_code(capsys, tmp_path, which, field, value):
+    gold, pred = _gold_and_pred(capsys, tmp_path)
+    lines = gold if which == "gold" else pred
+    obj = json.loads(lines[3])
+    obj[field] = value
+    lines[3] = json.dumps(obj)
+    code, out, err = _eval_lines(capsys, tmp_path, gold, pred)
+    assert code == 4
+    assert err.startswith("error: ") and ":4: " in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("key", ["to_dict", "__dict__", "astrology"])
+def test_eval_unknown_breakdown_key_exit_code(capsys, tmp_path, key):
+    gold, pred = _gold_and_pred(capsys, tmp_path)
+    code, out, err = _eval_lines(capsys, tmp_path, gold, pred, "--breakdown", key)
+    assert code == 4
+    assert err.startswith(f"error: unknown breakdown key: {key!r}")
+    assert out == ""
+
+
+FUZZ_VALUES = (None, True, 7, 2.5, "", "X1 01", [], [7], ["X0", 7], [["01"]], {"X1": 1})
+
+
+def _mutate(line: str, ids, rng) -> str:
+    """One damaged copy of a JSONL line: a field dropped, a value or a
+    token of another type, a cut line, or another record's id."""
+    try:
+        obj = json.loads(line)
+    except ValueError:
+        obj = None
+    kind = rng.choice(("drop", "swap", "truncate", "duplicate-id"))
+    if not isinstance(obj, dict) or kind == "truncate":
+        return line[:rng.randrange(len(line) + 1)]
+    if kind == "duplicate-id":
+        obj["id"] = rng.choice(ids)
+        return json.dumps(obj)
+    holder = obj["meta"] if isinstance(obj.get("meta"), dict) and rng.random() < 0.4 else obj
+    if not holder:
+        return json.dumps(rng.choice(FUZZ_VALUES))
+    key = rng.choice(sorted(holder))
+    if kind == "drop":
+        del holder[key]
+    elif isinstance(holder[key], list) and holder[key] and rng.random() < 0.5:
+        inner = holder[key]
+        inner[rng.randrange(len(inner))] = rng.choice(FUZZ_VALUES)
+    else:
+        holder[key] = rng.choice(FUZZ_VALUES)
+    return json.dumps(obj)
+
+
+def test_eval_fuzzed_records_exit_cleanly(capsys, tmp_path):
+    gold, pred = _gold_and_pred(capsys, tmp_path, count=12)
+    ids = [json.loads(line)["id"] for line in gold]
+    seen = set()
+    for case in range(400):
+        rng = record_rng(0, "eval-fuzz", case)
+        files = {"gold": list(gold), "pred": list(pred)}
+        for _ in range(rng.randint(1, 3)):
+            lines = files[rng.choice(("gold", "pred"))]
+            at = rng.randrange(len(lines))
+            lines[at] = _mutate(lines[at], ids, rng)
+        code, _, err = _eval_lines(capsys, tmp_path, files["gold"], files["pred"],
+                                   "--breakdown", "bits", "--breakdown", "edge_group",
+                                   "--format", rng.choice(("text", "json")))
+        assert code in (0, 4, 6), (case, err)
+        assert "Traceback" not in err
+        assert code == 0 or err.startswith("error: "), (case, err)
+        seen.add(code)
+    assert seen == {0, 4, 6}
 
 
 def test_missing_file_exit_code(capsys, tmp_path):

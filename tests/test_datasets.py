@@ -33,7 +33,6 @@ from structrec.datasets import (
     tree_key,
     write_jsonl,
     write_manifest,
-    write_traces,
 )
 from structrec.errors import GenerationError
 from structrec.reduction import (
@@ -344,10 +343,33 @@ def test_read_jsonl_reports_line_numbers(tmp_path):
     assert ":2:" in str(err.value)
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"meta": 5}, "meta must be an object"),
+    ({"meta": {"bits": "3"}}, "meta bits must be an integer"),
+    ({"target": [1, 2]}, "target must be a list of token strings"),
+    ({"input": "X1 01"}, "input must be a list of token strings"),
+])
+def test_read_jsonl_rejects_malformed_records(tmp_path, change, message):
+    obj = gen_successor_range(DatasetSpec(lo=1, hi=1))[0].to_dict()
+    obj.update(change)
+    path = tmp_path / "bad.jsonl"
+    path.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(GenerationError, match=f":1: bad record \\({message}"):
+        read_jsonl(path)
+
+
+def test_read_jsonl_interns_tokens(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_jsonl(gen_successor_range(DatasetSpec(lo=5, hi=6)), path)
+    five, six = read_jsonl(path)
+    assert (five.input, six.input) == (["X1", "X0", "01"], ["X0", "X1", "01"])
+    assert five.input[0] is six.input[1] and five.target[2] is six.target[2]
+
+
 def test_trace_files_round_trip(tmp_path):
     records = gen_traces(DatasetSpec(task=SUCCESSOR, lo=1, hi=10))
     path = tmp_path / "traces.jsonl"
-    write_traces(records, path)
+    write_jsonl(records, path)
     back = read_traces(path)
     assert [r.to_dict() for r in back] == [r.to_dict() for r in records]
 

@@ -110,6 +110,29 @@ def test_read_predictions_rejects_missing_fields(tmp_path):
         read_predictions(path)
 
 
+@pytest.mark.parametrize("line", [
+    '{"id": "a", "candidates": "X1 01"}',      # a string is not a ranked list
+    '{"id": "a", "candidates": [5]}',
+    '{"id": "a", "candidates": [["X1", 5]]}',
+    '{"id": "a", "candidates": [{"X1": 1}]}',
+    '["a", ["X1 01"]]',
+])
+def test_read_predictions_rejects_malformed_candidates(tmp_path, line):
+    path = tmp_path / "p.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(EvalError, match=":1:"):
+        read_predictions(path)
+
+
+def test_read_predictions_interns_tokens(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text('{"id": "a", "candidates": [["X1", "01"]]}\n'
+                    '{"id": "b", "candidates": ["X0 X1 XO 01"]}\n')
+    first, second = (record.candidates[0] for record in read_predictions(path))
+    assert second == ["X0", "X1", "X0", "01"]  # the alias is still resolved
+    assert first[0] is second[1] and first[1] is second[3]
+
+
 # ---------------------------------------------------------------------------
 # breakdowns
 
@@ -139,6 +162,26 @@ def test_breakdown_unknown_key():
     gold = _gold(4)
     with pytest.raises(EvalError):
         breakdown(_perfect(gold), gold, "astrology")
+
+
+def test_breakdown_unknown_key_even_without_records():
+    # an attribute of the metadata object is not a metadata field
+    for key in ("to_dict", "__class__", "astrology"):
+        with pytest.raises(EvalError, match="unknown breakdown key"):
+            compute_metrics([], [], breakdown_keys=(key,))
+
+
+def test_aliased_breakdowns_are_reported_under_each_name_once():
+    gold = _gold(40)
+    preds = _perfect(gold)
+    for pred in preds[::3]:
+        pred.candidates = [["01"]]
+    report = compute_metrics(preds, gold, breakdown_keys=("bits", "bit_length", "bits"))
+    assert list(report.breakdowns) == ["bits", "bit_length"]
+    assert report.breakdowns["bits"] == report.breakdowns["bit_length"] == breakdown(
+        preds, gold, "bits")
+    assert sum(row.n for row in report.breakdowns["bit_length"]) == 40
+    assert sum(row.correct for row in report.breakdowns["bits"]) == 40 - 14
 
 
 def test_breakdown_buckets_are_sorted():
@@ -189,6 +232,60 @@ def test_compute_metrics_and_render():
     assert doc["n"] == 16
     assert "hit@1" in doc["hits"]
     assert doc["failures"].get("other") == 1
+
+
+def test_compute_metrics_agrees_with_the_single_metrics():
+    rng = random.Random(5)
+    gold = _gold(80)
+    preds = []
+    for record in gold:
+        candidates = [["X0"] * (i + 1) for i in range(rng.randrange(7))]
+        candidates.insert(rng.randrange(len(candidates) + 2), list(record.target))
+        preds.append(PredictionRecord(id=record.id, candidates=candidates[:rng.randrange(8)]))
+    report = compute_metrics(preds, gold, ks=(4, 1, 2, 4), breakdown_keys=("edge_group",))
+    assert report.exact == exact_match(preds, gold)
+    assert report.hits == {k: hit_at_k(preds, gold, k) for k in (1, 2, 4)}
+    assert report.breakdowns["edge_group"] == breakdown(preds, gold, "edge_group")
+    misses = [(p.candidates[0] if p.candidates else [], r.target)
+              for p, r in zip(preds, gold) if p.candidates[:1] != [r.target]]
+    assert sum(report.failures.values()) == len(misses)
+    for k in (1, 2, 4):
+        assert report.hits[k] == sum(
+            1 for p, r in zip(preds, gold) if r.target in p.candidates[:k]) / 80
+
+
+def test_compute_metrics_without_pairs():
+    report = compute_metrics([], [], ks=(3, 1), breakdown_keys=("bits", "edge_group"))
+    assert (report.n, report.exact, report.hits, report.breakdowns, report.failures) == (
+        0, 0.0, {1: 0.0, 3: 0.0}, {"bits": [], "edge_group": []}, {})
+
+
+def test_compute_metrics_error_order():
+    gold = _gold(3)
+    preds = _perfect(gold)
+    with pytest.raises(IdMismatchError):
+        compute_metrics(preds + preds[:1], gold, ks=(0,), breakdown_keys=("astrology",))
+    with pytest.raises(ValueError, match="k must be"):
+        compute_metrics(preds, gold, ks=(0,), breakdown_keys=("astrology",))
+    with pytest.raises(EvalError, match="unknown breakdown key"):
+        compute_metrics(preds, gold, ks=(1,), breakdown_keys=("astrology",))
+    with pytest.raises(ValueError):
+        hit_at_k(preds + preds[:1], gold, 0)
+
+
+def test_empty_candidate_list_is_a_labelled_miss():
+    gold = _gold(4)
+    preds = _perfect(gold)
+    preds[1].candidates = []
+    report = compute_metrics(preds, gold)
+    assert report.exact == report.hits[5] == 0.75
+    assert report.failures == {failure_signature([], gold[1].target): 1}
+    # an empty target is not matched by an empty list, and not labelled either
+    gold[2].target = []
+    preds[2].candidates = []
+    report = compute_metrics(preds, gold)
+    assert report.exact == 0.5
+    assert sum(report.failures.values()) == 1
 
 
 def test_render_report_rejects_unknown_format():
