@@ -10,10 +10,10 @@ its result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from .errors import BudgetExhaustedError, MalformedSequenceError, UpdateClashError
+from .errors import BudgetExhaustedError, UpdateClashError
 from .terms import BIN_POS, ONE, X0, X1, delinearize, normalize_tokens
 
 # a location is a bare name or a (name, index) pair
@@ -37,18 +37,30 @@ class Undef:
 UNDEF = Undef()
 
 
-@dataclass(frozen=True)
-class AsmState:
-    store: dict = field(default_factory=dict)
+class AsmState(dict):
+    """Location store: a dict whose unset locations read UNDEF, so rules
+    read a location with one subscript, s[name] or s[name, index].  A run
+    owns its state and applies each step's updates to it in place."""
+
+    __slots__ = ()
+
+    def __missing__(self, loc):
+        return UNDEF
 
     def get(self, name: str, index: int | None = None):
-        loc = name if index is None else (name, index)
-        return self.store.get(loc, UNDEF)
+        return self[name if index is None else (name, index)]
+
+    @classmethod
+    def load(cls, tokens, **fields) -> "AsmState":
+        """Tokens on the input tape in[0..len), no output yet, and fields."""
+        state = cls({("in", i): tok for i, tok in enumerate(tokens)})
+        state.update(len=len(tokens), outn=0, done=False, **fields)
+        return state
 
     def with_updates(self, updates) -> "AsmState":
-        merged = dict(self.store)
+        merged = AsmState(self)
         merged.update(updates)
-        return AsmState(merged)
+        return merged
 
 
 class ReadLog:
@@ -58,9 +70,12 @@ class ReadLog:
         self.base = base
         self.reads: set[str] = set()
 
+    def __getitem__(self, loc: Location):
+        self.reads.add(loc if isinstance(loc, str) else loc[0])
+        return self.base[loc]
+
     def get(self, name: str, index: int | None = None):
-        self.reads.add(name)
-        return self.base.get(name, index)
+        return self[name if index is None else (name, index)]
 
 
 @dataclass(frozen=True)
@@ -80,72 +95,101 @@ class AsmMachine:
     halted: Callable  # state -> bool
 
 
-def asm_step(machine: AsmMachine, state: AsmState) -> AsmState:
-    """One simultaneous firing of every rule whose guard holds."""
-    fired = [rule for rule in machine.rules if rule.guard(state)]
-    if not fired:
-        return state
+def _fire(machine: AsmMachine, state) -> tuple[dict, list[str]]:
+    """Evaluate every guard once; returns the merged updates of the rules
+    that fire, and their ids.  Fired updates that disagree are a clash."""
     merged: dict = {}
     owner: dict = {}
-    for rule in fired:
-        for loc, value in rule.updates(state):
-            if loc in merged and merged[loc] != value:
-                raise UpdateClashError(
-                    f"{machine.name}: rules {owner[loc]} and {rule.id} both write "
-                    f"{loc!r} with different values"
-                )
-            merged[loc] = value
-            owner[loc] = rule.id
-    return state.with_updates(merged)
+    fired = []
+    for rule in machine.rules:
+        if rule.guard(state):
+            fired.append(rule.id)
+            for loc, value in rule.updates(state):
+                if loc in merged and merged[loc] != value:
+                    raise UpdateClashError(
+                        f"{machine.name}: rules {owner[loc]} and {rule.id} both write "
+                        f"{loc!r} with different values"
+                    )
+                merged[loc] = value
+                owner[loc] = rule.id
+    return merged, fired
 
 
-def _default_budget(machine_input) -> int:
+def asm_step(machine: AsmMachine, state: AsmState) -> AsmState:
+    """One simultaneous firing of every rule whose guard holds, as a new state."""
+    updates, fired = _fire(machine, state)
+    return state.with_updates(updates) if fired else state
+
+
+def _budget(machine_input, budget: int | None) -> int:
+    if budget is None:
+        try:
+            return 4 * len(machine_input) + 16
+        except TypeError:
+            return 256
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
+    return budget
+
+
+def _run(machine: AsmMachine, state: AsmState, budget: int, on_step=None,
+         spec: "RasmSpec | None" = None, depth: int = 0):
+    """The run loop: step until halted, applying each step's updates to
+    state in place, and call on_step(steps, fired rule ids, state) after
+    each.  An agent of a recursive machine (spec) yields the child's input
+    when its call guard holds and is sent the child's output.  Returns
+    (state, steps)."""
+    halted = machine.halted
+    steps = 0
+    while not halted(state):
+        if steps >= budget:
+            raise BudgetExhaustedError(
+                f"{machine.name}: no halt within {budget} steps" if spec is None
+                else f"{spec.name}: agent at depth {depth} exceeded {budget} steps")
+        if spec is not None and spec.call_guard(state):
+            updates, fired = spec.result_write(state, (yield spec.call_args(state))), ()
+        else:
+            updates, fired = _fire(machine, state)
+            if spec is not None and not updates:
+                raise BudgetExhaustedError(f"{spec.name}: agent is stuck")
+        state.update(updates)
+        steps += 1
+        if on_step is not None:
+            on_step(steps, fired, state)
+    return state, steps
+
+
+def _finish(run):
+    """The result of a run that spawns no agent, so never yields."""
     try:
-        return 4 * len(machine_input) + 16
-    except TypeError:
-        return 256
+        next(run)
+    except StopIteration as done:
+        return done.value
 
 
 def asm_run(machine: AsmMachine, machine_input, budget: int | None = None):
     """Run to a halting state; returns (state, steps taken)."""
-    if budget is None:
-        budget = _default_budget(machine_input)
-    elif budget < 1:
-        raise ValueError("budget must be at least 1")
-    state = machine.init(machine_input)
-    steps = 0
-    while not machine.halted(state):
-        if steps >= budget:
-            raise BudgetExhaustedError(f"{machine.name}: no halt within {budget} steps")
-        state = asm_step(machine, state)
-        steps += 1
-    return state, steps
+    budget = _budget(machine_input, budget)
+    return _finish(_run(machine, machine.init(machine_input), budget))
 
 
 def asm_log(machine: AsmMachine, machine_input, budget: int | None = None):
     """Like asm_run but returns the per-step state log: a list of
     (step index, fired rule ids, state) records including the initial state."""
-    if budget is None:
-        budget = _default_budget(machine_input)
+    budget = _budget(machine_input, budget)
     state = machine.init(machine_input)
-    log = [(0, (), state)]
-    steps = 0
-    while not machine.halted(state):
-        if steps >= budget:
-            raise BudgetExhaustedError(f"{machine.name}: no halt within {budget} steps")
-        fired = tuple(rule.id for rule in machine.rules if rule.guard(state))
-        state = asm_step(machine, state)
-        steps += 1
-        log.append((steps, fired, state))
+    log = [(0, (), AsmState(state))]
+    _finish(_run(machine, state, budget, lambda steps, fired, after: log.append(
+        (steps, tuple(fired), AsmState(after)))))
     return log
 
 
 def machine_output(state: AsmState) -> list[str]:
     """Read the out[0..outn) token array."""
-    n = state.get("outn")
+    n = state["outn"]
     if n is UNDEF:
         return []
-    return [state.get("out", j) for j in range(n)]
+    return [state["out", j] for j in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -155,48 +199,43 @@ def machine_output(state: AsmState) -> list[str]:
 def _load_input(tokens) -> AsmState:
     toks = normalize_tokens(tokens)
     delinearize(toks, BIN_POS)  # reject malformed inputs up front
-    store: dict = {("in", i): tok for i, tok in enumerate(toks)}
-    store.update({"len": len(toks), "pos": 0, "outn": 0, "done": False})
-    return AsmState(store)
+    return AsmState.load(toks, pos=0)
 
 
 def successor_machine() -> AsmMachine:
     """Scan the constructor-order input: each X1 head emits an X0; the
     first X0 head emits an X1 and copies the rest; a 01 head emits X0 01."""
 
-    def head(s: AsmState):
-        return s.get("in", s.get("pos"))
-
-    def not_done(s: AsmState) -> bool:
-        return s.get("done") is False
-
     def upd_shift(s: AsmState):
-        pos, outn = s.get("pos"), s.get("outn")
+        pos, outn = s["pos"], s["outn"]
         return [(("out", outn), X0), ("pos", pos + 1), ("outn", outn + 1)]
 
     def upd_flip(s: AsmState):
-        pos, outn, n = s.get("pos"), s.get("outn"), s.get("len")
+        pos, outn, n = s["pos"], s["outn"], s["len"]
         ups = [(("out", outn), X1)]
         for j in range(pos + 1, n):
-            ups.append((("out", outn + 1 + (j - pos - 1)), s.get("in", j)))
+            ups.append((("out", outn + 1 + (j - pos - 1)), s["in", j]))
         ups.append(("outn", outn + 1 + (n - pos - 1)))
         ups.append(("done", True))
         return ups
 
     def upd_base(s: AsmState):
-        outn = s.get("outn")
+        outn = s["outn"]
         return [(("out", outn), X0), (("out", outn + 1), ONE), ("outn", outn + 2), ("done", True)]
 
     rules = (
-        GuardedRule("shift-ones", lambda s: not_done(s) and head(s) == X1, upd_shift),
-        GuardedRule("flip-first-zero", lambda s: not_done(s) and head(s) == X0, upd_flip),
-        GuardedRule("base-one", lambda s: not_done(s) and head(s) == ONE, upd_base),
+        GuardedRule("shift-ones", lambda s: s["done"] is False and s["in", s["pos"]] == X1,
+                    upd_shift),
+        GuardedRule("flip-first-zero",
+                    lambda s: s["done"] is False and s["in", s["pos"]] == X0, upd_flip),
+        GuardedRule("base-one", lambda s: s["done"] is False and s["in", s["pos"]] == ONE,
+                    upd_base),
     )
     return AsmMachine(
         name="successor",
         rules=rules,
         init=_load_input,
-        halted=lambda s: s.get("done") is True,
+        halted=lambda s: s["done"] is True,
     )
 
 
@@ -226,35 +265,29 @@ class RasmResult:
 
 def rasm_run(spec: RasmSpec, machine_input, budget: int | None = None) -> RasmResult:
     """Run the root agent; children run to completion while the caller
-    waits, and their output is written back into the caller's state."""
-    if budget is None:
-        budget = _default_budget(machine_input)
-    stats = {"agents": 0, "max_depth": 0, "steps": 0}
-
-    def run_agent(agent_input, depth: int) -> list[str]:
-        stats["max_depth"] = max(stats["max_depth"], depth)
-        state = spec.machine.init(agent_input)
-        steps = 0
-        while not spec.machine.halted(state):
-            if steps >= budget:
-                raise BudgetExhaustedError(
-                    f"{spec.name}: agent at depth {depth} exceeded {budget} steps"
-                )
-            if spec.call_guard(state):
-                stats["agents"] += 1
-                child_out = run_agent(spec.call_args(state), depth + 1)
-                state = state.with_updates(spec.result_write(state, child_out))
-            else:
-                nxt = asm_step(spec.machine, state)
-                if nxt == state:
-                    raise BudgetExhaustedError(f"{spec.name}: agent is stuck")
-                state = nxt
-            steps += 1
-            stats["steps"] += 1
-        return spec.output(state)
-
-    out = run_agent(machine_input, 0)
-    return RasmResult(out, stats["agents"], stats["max_depth"], stats["steps"])
+    waits, and their output is written back into the caller's state.  The
+    waiting agents are runs on an explicit stack, so the call depth has no
+    recursion limit."""
+    budget = _budget(machine_input, budget)
+    machine = spec.machine
+    agents = [_run(machine, machine.init(machine_input), budget, spec=spec)]
+    spawned = max_depth = steps = 0
+    reply = None
+    while True:
+        try:
+            child_input = agents[-1].send(reply)
+        except StopIteration as done:
+            agents.pop()
+            steps += done.value[1]
+            reply = spec.output(done.value[0])
+            if not agents:
+                return RasmResult(reply, spawned, max_depth, steps)
+            continue
+        spawned += 1
+        max_depth = max(max_depth, len(agents))
+        agents.append(_run(machine, machine.init(child_input), budget, spec=spec,
+                           depth=len(agents)))
+        reply = None
 
 
 def successor_rasm() -> RasmSpec:
@@ -264,12 +297,7 @@ def successor_rasm() -> RasmSpec:
     def init(tokens) -> AsmState:
         toks = normalize_tokens(tokens)
         delinearize(toks, BIN_POS)
-        store: dict = {("in", i): tok for i, tok in enumerate(toks)}
-        store.update({"len": len(toks), "child_ready": False, "outn": 0, "done": False})
-        return AsmState(store)
-
-    def not_done(s: AsmState) -> bool:
-        return s.get("done") is False
+        return AsmState.load(toks, child_ready=False)
 
     def emit(tokens_out):
         ups = [(("out", j), tok) for j, tok in enumerate(tokens_out)]
@@ -279,19 +307,19 @@ def successor_rasm() -> RasmSpec:
         return emit([X0, ONE])
 
     def upd_flip(s: AsmState):
-        rest = [s.get("in", i) for i in range(1, s.get("len"))]
+        rest = [s["in", i] for i in range(1, s["len"])]
         return emit([X1] + rest)
 
     def upd_wrap(s: AsmState):
-        child = [s.get("child", i) for i in range(s.get("childn"))]
+        child = [s["child", i] for i in range(s["childn"])]
         return emit([X0] + child)
 
     rules = (
-        GuardedRule("base-one", lambda s: not_done(s) and s.get("in", 0) == ONE, upd_base),
-        GuardedRule("flip-zero", lambda s: not_done(s) and s.get("in", 0) == X0, upd_flip),
+        GuardedRule("base-one", lambda s: s["done"] is False and s["in", 0] == ONE, upd_base),
+        GuardedRule("flip-zero", lambda s: s["done"] is False and s["in", 0] == X0, upd_flip),
         GuardedRule(
             "wrap-child",
-            lambda s: not_done(s) and s.get("in", 0) == X1 and s.get("child_ready") is True,
+            lambda s: s["done"] is False and s["in", 0] == X1 and s["child_ready"] is True,
             upd_wrap,
         ),
     )
@@ -299,14 +327,14 @@ def successor_rasm() -> RasmSpec:
         name="successor-agent",
         rules=rules,
         init=init,
-        halted=lambda s: s.get("done") is True,
+        halted=lambda s: s["done"] is True,
     )
 
     def call_guard(s: AsmState) -> bool:
-        return not_done(s) and s.get("in", 0) == X1 and s.get("child_ready") is False
+        return s["done"] is False and s["in", 0] == X1 and s["child_ready"] is False
 
     def call_args(s: AsmState) -> list[str]:
-        return [s.get("in", i) for i in range(1, s.get("len"))]
+        return [s["in", i] for i in range(1, s["len"])]
 
     def result_write(s: AsmState, child_out):
         ups = [(("child", j), tok) for j, tok in enumerate(child_out)]

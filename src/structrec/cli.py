@@ -29,6 +29,7 @@ from .errors import (
 from .reduction import (
     ARROW,
     PAREN,
+    _normal_form,
     builtin_programs,
     program_call,
     reduce,
@@ -49,12 +50,12 @@ OUT_OF_FUEL = 5
 ID_MISMATCH = 6
 
 
-def _range_arg(text: str) -> tuple[int, int]:
+def _range_arg(text: str, bound=int) -> tuple[int, int]:
     lo, sep, hi = text.partition(":")
     if not sep:
         raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
     try:
-        bounds = int(lo), int(hi)
+        bounds = bound(lo), bound(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integers in LO:HI, got {text!r}") from None
     if bounds[0] > bounds[1]:
@@ -243,8 +244,8 @@ def cmd_reduce(args) -> int:
         if taken < args.k:
             print(f"(normal after {taken} levels)", file=sys.stderr)
         return GOOD
-    final, trace = reduce(expr, fuel=args.fuel)
-    print(render_trace(trace, style) if args.trace else " ".join(render(final)))
+    print(render_trace(reduce(expr, fuel=args.fuel)[1], style) if args.trace
+          else " ".join(render(_normal_form(expr, fuel=args.fuel))))
     return GOOD
 
 
@@ -417,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="single input in the order's own token layout")
     sc.add_argument("--diff", action="store_true",
                     help="compare against the reduction oracle over --range")
-    sc.add_argument("--range", type=_range_arg, default=(1, 1024), metavar="LO:HI")
+    sc.add_argument("--range", type=lambda text: _range_arg(text, _int_at_least(1)),
+                    default=(1, 1024), metavar="LO:HI")
     sc.add_argument("--out", default=None, help="write per-value disagreements as JSONL")
     sc.set_defaults(func=cmd_shortcut)
 
@@ -428,7 +430,8 @@ def build_parser() -> argparse.ArgumentParser:
     am.add_argument("--mode", choices=(shortcuts.FAITHFUL, shortcuts.CORRECTED),
                     default=shortcuts.FAITHFUL, help="shortcut machines only")
     am.add_argument("--log", action="store_true", help="print every step and fired rules")
-    am.add_argument("--budget", type=int, default=None, help="step budget override")
+    am.add_argument("--budget", type=_int_at_least(1), default=None,
+                    help="step budget override")
     am.set_defaults(func=cmd_asm)
 
     ev = sub.add_parser("eval", help="score predictions or validate traces")

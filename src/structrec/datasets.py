@@ -21,6 +21,7 @@ from .reduction import (
     Call,
     ListLit,
     Value,
+    _normal_form,
     reduce,
     reduce_k,
     render_state_paren,
@@ -143,8 +144,12 @@ class TraceRecord:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TraceRecord":
-        return cls(id=str(obj["id"]), task=obj["task"], input=list(obj["input"]),
-                   trace=obj["trace"])
+        """Tokens are interned; raises TypeError on a field of the wrong type."""
+        if not isinstance(obj, dict) or not all(
+                isinstance(obj[key], str) for key in ("task", "trace")):
+            raise TypeError("a trace record must be an object with string task and trace")
+        return cls(id=str(obj["id"]), task=obj["task"],
+                   input=intern_tokens(obj["input"], "input"), trace=obj["trace"])
 
 
 @dataclass
@@ -451,7 +456,7 @@ def gen_traversal(samples, kind: str, k: int | None = None) -> list[ExampleRecor
     for sample in samples:
         expr = Call(kind, (Value(sample.tree),))
         if k is None:
-            final, _ = reduce(expr)
+            final = _normal_form(expr)
             assert isinstance(final, ListLit)
             target = list(final.items)
         else:

@@ -525,9 +525,10 @@ def levels(expr: Expr, programs: dict[str, Program] | None = None, single: bool 
         yield engine
 
 
-def _steps(expr: Expr, programs, single: bool):
+def _steps(expr: Expr, engines):
+    """The steps that the engines of a levels() run over expr take."""
     before = expr
-    for engine in levels(expr, programs, single):
+    for engine in engines:
         after = engine.expr()
         yield ReductionStep(before, after, engine.paths, engine.rules)
         before = after
@@ -535,27 +536,38 @@ def _steps(expr: Expr, programs, single: bool):
 
 def step_level(expr: Expr, programs: dict[str, Program] | None = None):
     """Rewrite every outermost redex at once; None when expr is normal."""
-    return next(((step.after, step) for step in _steps(expr, programs, False)), None)
+    return next(((step.after, step) for step in _steps(expr, levels(expr, programs))), None)
 
 
 def step_single(expr: Expr, programs: dict[str, Program] | None = None):
     """Rewrite the leftmost-outermost redex; None when expr is normal."""
-    return next(((step.after, step) for step in _steps(expr, programs, True)), None)
+    return next(((step.after, step) for step in _steps(expr, levels(expr, programs, True))), None)
 
 
-def reduce(expr: Expr, programs: dict[str, Program] | None = None, fuel: int | None = None):
-    """Run levels to normal form; returns (normal form, trace)."""
+def _fueled_levels(expr: Expr, programs, fuel: int | None):
+    """levels() under a level budget that scales with the input size."""
     if fuel is None:
         fuel = max(4, 2 * expr_token_count(expr))
     elif fuel < 1:
         raise ValueError("fuel must be at least 1")
-    steps: list[ReductionStep] = []
-    for step in _steps(expr, programs, False):
-        if len(steps) >= fuel:
+    for taken, engine in enumerate(levels(expr, programs), start=1):
+        if taken > fuel:
             raise FuelExhaustedError(f"no normal form within {fuel} levels")
-        steps.append(step)
-    trace = Trace(initial=expr, steps=tuple(steps))
+        yield engine
+
+
+def reduce(expr: Expr, programs: dict[str, Program] | None = None, fuel: int | None = None):
+    """Run levels to normal form; returns (normal form, trace)."""
+    trace = Trace(initial=expr, steps=tuple(_steps(expr, _fueled_levels(expr, programs, fuel))))
     return trace.final, trace
+
+
+def _normal_form(expr: Expr, programs=None, fuel: int | None = None) -> Expr:
+    """reduce()'s normal form under the same budget, building no other state."""
+    engine = None
+    for engine in _fueled_levels(expr, programs, fuel):
+        pass
+    return expr if engine is None else engine.expr()
 
 
 def reduce_k(expr: Expr, k: int, programs: dict[str, Program] | None = None):

@@ -14,13 +14,14 @@ order) or the fact that an X1 has already been emitted (reverse order).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
 from .asm import AsmMachine, AsmState, GuardedRule, asm_run, machine_output
 from .errors import GenerationError, MalformedSequenceError
 from .evaluation import failure_signature
-from .reduction import Call, Value, reduce
+from .reduction import Call, Value, _normal_form
 from .terms import (
     BIN_POS,
     NATURAL,
@@ -32,7 +33,6 @@ from .terms import (
     delinearize,
     linearize,
     normalize_tokens,
-    reorder,
 )
 
 FAITHFUL = "faithful"
@@ -101,11 +101,11 @@ def edge_inputs(bit_lengths) -> tuple[EdgeCaseGroup, EdgeCaseGroup]:
 
 def _validated(tokens, order: str) -> list[str]:
     toks = normalize_tokens(tokens)
-    constructor_form = toks if order == REVERSE else list(reversed(toks))
-    delinearize(constructor_form, BIN_POS)
+    delinearize(toks if order == REVERSE else toks[::-1], BIN_POS)
     return toks
 
 
+@functools.cache
 def natural_shortcut_machine(mode: str = FAITHFUL) -> AsmMachine:
     """Natural order: copy everything strictly before the final X0, emit
     one X1, then X0 tokens up to the halting position.  With no X0 in the
@@ -116,10 +116,7 @@ def natural_shortcut_machine(mode: str = FAITHFUL) -> AsmMachine:
     def init(tokens) -> AsmState:
         toks = _validated(tokens, NATURAL)
         n = len(toks)
-        last_zero = None
-        for i, tok in enumerate(toks):
-            if tok == X0:
-                last_zero = i
+        last_zero = max((i for i, tok in enumerate(toks) if tok == X0), default=None)
         if last_zero is not None:
             copy_upto, pivot_token, halt = last_zero, X1, n
         elif n == 1:
@@ -128,46 +125,27 @@ def natural_shortcut_machine(mode: str = FAITHFUL) -> AsmMachine:
             copy_upto, pivot_token, halt = 0, ONE, n + 1
         else:
             copy_upto, pivot_token, halt = 0, ONE, n
-        store: dict = {("in", i): tok for i, tok in enumerate(toks)}
-        store.update(
-            {
-                "len": n,
-                "copy_upto": copy_upto,
-                "pivot_token": pivot_token,
-                "halt": halt,
-                "outn": 0,
-                "done": False,
-            }
-        )
-        return AsmState(store)
-
-    def not_done(s: AsmState) -> bool:
-        return s.get("done") is False
+        return AsmState.load(toks, copy_upto=copy_upto, pivot_token=pivot_token, halt=halt)
 
     rules = (
         GuardedRule(
             "copy-prefix",
-            lambda s: not_done(s) and s.get("outn") < s.get("copy_upto"),
-            lambda s: [(("out", s.get("outn")), s.get("in", s.get("outn"))),
-                       ("outn", s.get("outn") + 1)],
+            lambda s: s["done"] is False and s["outn"] < s["copy_upto"],
+            lambda s: [(("out", s["outn"]), s["in", s["outn"]]), ("outn", s["outn"] + 1)],
         ),
         GuardedRule(
             "emit-pivot",
-            lambda s: not_done(s)
-            and s.get("outn") == s.get("copy_upto")
-            and s.get("outn") < s.get("halt"),
-            lambda s: [(("out", s.get("outn")), s.get("pivot_token")),
-                       ("outn", s.get("outn") + 1)],
+            lambda s: s["done"] is False and s["outn"] == s["copy_upto"] < s["halt"],
+            lambda s: [(("out", s["outn"]), s["pivot_token"]), ("outn", s["outn"] + 1)],
         ),
         GuardedRule(
             "fill-zeros",
-            lambda s: not_done(s)
-            and s.get("copy_upto") < s.get("outn") < s.get("halt"),
-            lambda s: [(("out", s.get("outn")), X0), ("outn", s.get("outn") + 1)],
+            lambda s: s["done"] is False and s["copy_upto"] < s["outn"] < s["halt"],
+            lambda s: [(("out", s["outn"]), X0), ("outn", s["outn"] + 1)],
         ),
         GuardedRule(
             "halt",
-            lambda s: not_done(s) and s.get("outn") == s.get("halt"),
+            lambda s: s["done"] is False and s["outn"] == s["halt"],
             lambda s: [("done", True)],
         ),
     )
@@ -175,10 +153,11 @@ def natural_shortcut_machine(mode: str = FAITHFUL) -> AsmMachine:
         name=f"shortcut-natural-{mode}",
         rules=rules,
         init=init,
-        halted=lambda s: s.get("done") is True,
+        halted=lambda s: s["done"] is True,
     )
 
 
+@functools.cache
 def reverse_shortcut_machine(mode: str = FAITHFUL) -> AsmMachine:
     """Reverse order: X0 until the position of the input's first X0, one
     X1 there, then copy the remainder; the emitted X1 is the switch
@@ -189,11 +168,7 @@ def reverse_shortcut_machine(mode: str = FAITHFUL) -> AsmMachine:
     def init(tokens) -> AsmState:
         toks = _validated(tokens, REVERSE)
         n = len(toks)
-        first_zero = None
-        for i, tok in enumerate(toks):
-            if tok == X0:
-                first_zero = i
-                break
+        first_zero = next((i for i, tok in enumerate(toks) if tok == X0), None)
         if first_zero is not None:
             pivot, pivot_token, halt = first_zero, X1, n
         elif n == 1:
@@ -202,52 +177,33 @@ def reverse_shortcut_machine(mode: str = FAITHFUL) -> AsmMachine:
             pivot, pivot_token, halt = n, ONE, n + 1
         else:
             pivot, pivot_token, halt = n - 1, ONE, n
-        store: dict = {("in", i): tok for i, tok in enumerate(toks)}
-        store.update(
-            {
-                "len": n,
-                "pivot": pivot,
-                "pivot_token": pivot_token,
-                "halt": halt,
-                "x1_out": False,
-                "outn": 0,
-                "done": False,
-            }
-        )
-        return AsmState(store)
-
-    def not_done(s: AsmState) -> bool:
-        return s.get("done") is False
+        return AsmState.load(toks, pivot=pivot, pivot_token=pivot_token, halt=halt,
+                             x1_out=False)
 
     rules = (
         GuardedRule(
             "emit-zeros",
-            lambda s: not_done(s)
-            and s.get("x1_out") is False
-            and s.get("outn") < s.get("pivot"),
-            lambda s: [(("out", s.get("outn")), X0), ("outn", s.get("outn") + 1)],
+            lambda s: s["done"] is False and s["x1_out"] is False and s["outn"] < s["pivot"],
+            lambda s: [(("out", s["outn"]), X0), ("outn", s["outn"] + 1)],
         ),
         GuardedRule(
             "emit-pivot",
-            lambda s: not_done(s)
-            and s.get("x1_out") is False
-            and s.get("outn") == s.get("pivot")
-            and s.get("outn") < s.get("halt"),
-            lambda s: [(("out", s.get("outn")), s.get("pivot_token")),
-                       ("outn", s.get("outn") + 1),
-                       ("x1_out", s.get("pivot_token") == X1)],
+            lambda s: s["done"] is False
+            and s["x1_out"] is False
+            and s["outn"] == s["pivot"]
+            and s["outn"] < s["halt"],
+            lambda s: [(("out", s["outn"]), s["pivot_token"]),
+                       ("outn", s["outn"] + 1),
+                       ("x1_out", s["pivot_token"] == X1)],
         ),
         GuardedRule(
             "copy-tail",
-            lambda s: not_done(s)
-            and s.get("x1_out") is True
-            and s.get("outn") < s.get("halt"),
-            lambda s: [(("out", s.get("outn")), s.get("in", s.get("outn"))),
-                       ("outn", s.get("outn") + 1)],
+            lambda s: s["done"] is False and s["x1_out"] is True and s["outn"] < s["halt"],
+            lambda s: [(("out", s["outn"]), s["in", s["outn"]]), ("outn", s["outn"] + 1)],
         ),
         GuardedRule(
             "halt",
-            lambda s: not_done(s) and s.get("outn") == s.get("halt"),
+            lambda s: s["done"] is False and s["outn"] == s["halt"],
             lambda s: [("done", True)],
         ),
     )
@@ -255,22 +211,18 @@ def reverse_shortcut_machine(mode: str = FAITHFUL) -> AsmMachine:
         name=f"shortcut-reverse-{mode}",
         rules=rules,
         init=init,
-        halted=lambda s: s.get("done") is True,
+        halted=lambda s: s["done"] is True,
     )
 
 
 def emulate_natural(tokens, mode: str = FAITHFUL) -> list[str]:
     """Successor of a natural-order sequence via the shortcut machine."""
-    machine = natural_shortcut_machine(mode)
-    state, _ = asm_run(machine, list(tokens))
-    return machine_output(state)
+    return machine_output(asm_run(natural_shortcut_machine(mode), list(tokens))[0])
 
 
 def emulate_reverse(tokens, mode: str = FAITHFUL) -> list[str]:
     """Successor of a constructor-order sequence via the shortcut machine."""
-    machine = reverse_shortcut_machine(mode)
-    state, _ = asm_run(machine, list(tokens))
-    return machine_output(state)
+    return machine_output(asm_run(reverse_shortcut_machine(mode), list(tokens))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -298,24 +250,19 @@ class DisagreementReport:
 
 
 def diff_against_oracle(order: str, mode: str, lo: int, hi: int) -> DisagreementReport:
-    """Compare the emulator with reduce(s(.)) over a value range."""
+    """Compare the emulator with the normal form of s(.) over a value range."""
     if order not in (NATURAL, REVERSE):
         raise ValueError(f"unknown order: {order!r}")
     _check_mode(mode)
     if not 1 <= lo <= hi:
         raise ValueError(f"bad value range {lo}..{hi}")
     emulate = emulate_natural if order == NATURAL else emulate_reverse
+    step = -1 if order == NATURAL else 1  # natural order is the reversal
     found = []
     for value in range(lo, hi + 1):
         term = bin_encode(value)
-        tokens = linearize(term)
-        if order == NATURAL:
-            tokens = list(reversed(tokens))
-        final, _ = reduce(Call("s", (Value(term),)))
-        expected = linearize(final.term)
-        if order == NATURAL:
-            expected = list(reversed(expected))
-        got = emulate(tokens, mode)
+        expected = linearize(_normal_form(Call("s", (Value(term),))).term)[::step]
+        got = emulate(linearize(term)[::step], mode)
         if got != expected:
             found.append(
                 Disagreement(

@@ -1,7 +1,8 @@
-"""Byte-identity pins: generated files, CLI traces and the rewrite records
-of every reduction step are fixed to digests of their known-good output, so
-any change to the reduction engine that alters a state, a path or a rule
-name shows up here."""
+"""Byte-identity pins: generated files, CLI traces, machine logs, shortcut
+diffs and the rewrite records of every reduction step are fixed to digests
+of their known-good output, so any change to the reduction engine or the
+machines that alters a state, a path, a rule name or a reported
+disagreement shows up here."""
 
 import hashlib
 import json
@@ -24,6 +25,9 @@ TREE = ("a ( b ( c LEAF LEAF ) ( a LEAF ( b LEAF LEAF ) ) ) "
         "( c ( a LEAF LEAF ) ( b ( c LEAF LEAF ) LEAF ) )")
 INPUTS = {"s": [S_INPUT], "add": ["S S S I", "S S I"], "inorder": [TREE], "preorder": [TREE]}
 
+TRAVERSAL_ARGV = ["gen", "traversal", "--train", "300", "--test", "60", "--depths", "2:7",
+                  "--seed", "5"]
+
 GEN_PINS = {
     "traces_successor": (
         ["gen", "traces", "--range", "1:2048"],
@@ -42,6 +46,26 @@ GEN_PINS = {
         "293b8503afed054ce18d048a13148ed91077dac2c13fe88049b25f5614a2eaa8",
         "4607eddb5ad8e8972d375fb4ad56d1c0a6c2968a1c7a0a5371800ba75f8953c9",
     ),
+    "inorder_full_train": (
+        TRAVERSAL_ARGV + ["--kind", "inorder"],
+        "4ddc1e8f4484c12b46e5dd2d8c58bddd59a759d61444d18d2b2ee3f31c3c6699",
+        "20f39ba7b7bfbce351534914d0223cdc9d4099bc7f68f428d58431b19a2896dc",
+    ),
+    "inorder_full_test": (
+        TRAVERSAL_ARGV + ["--kind", "inorder"],
+        "cb57539038eaa6d659ab064fe4789e1641ebef2963fbec6a23b13a679759edc2",
+        "2cbb1f3e79e705df46cc136654a668d36c0e356561b6426030d4d8599120564a",
+    ),
+    "preorder_full_train": (
+        TRAVERSAL_ARGV + ["--kind", "preorder"],
+        "7c68038df74e783792f2107095609153f4d36668f406a422c6fa8e8ea1a045fb",
+        "2dd047761045d5412ca9cac74c5e216cd2f75103665e277b3041648ccf516fe4",
+    ),
+    "preorder_full_test": (
+        TRAVERSAL_ARGV + ["--kind", "preorder"],
+        "e42b13b68fde424c0781e3bdd8348211079829220ef526befa5b9caf957907db",
+        "8ec07499dd19699ce333f89b8c391cb416753cec80cfe7868e90d01ebbc08b02",
+    ),
 }
 
 # sha256 of `structrec reduce PROGRAM INPUT... --trace` stdout
@@ -50,6 +74,35 @@ TRACE_PINS = {
     "add": "9635548631269bdfd979cdbfd2537039d0776ecadb973f412494da8b7c5f5002",
     "inorder": "d410c1ab640af6d7590625fb28e5dd8dd0940f20725618f847fe5afc4724ed7e",
     "preorder": "50176f936bbbf56b8ef1218ae9eb341ec6ad0b9f3cbde0a3250106e35d28ea33",
+}
+
+# sha256 of `structrec asm MACHINE --input TOKENS --log [--mode MODE]` stdout,
+# over every input of the machine's token order, one run after another
+ASM_CONSTRUCTOR_INPUTS = ["X1 X1 X1 X0 X1 01", "X1 X1 X1 X1 01", "X0 X1 X0 01", "01", "X0 01"]
+ASM_NATURAL_INPUTS = [" ".join(reversed(text.split())) for text in ASM_CONSTRUCTOR_INPUTS]
+ASM_LOG_PINS = {
+    ("successor", None): "5f67c6834607244820b8a8643e97b1d6a8e13aa1778f4671af5e8f5358b38aa8",
+    ("shortcut-natural", "faithful"):
+        "809a20e4c7d6ec6caa3c2d32e7edb3b0500827389ea775cb9c011334c798ef0e",
+    ("shortcut-natural", "corrected"):
+        "26cf3f1c54c78f58d5d9fec0b3426c6a8410f41c23da3c310d54c3f284a873cb",
+    ("shortcut-reverse", "faithful"):
+        "ccd55cbdac5be4f78f61b659c9c2945e09430252f51cb483e925ab2e56343064",
+    ("shortcut-reverse", "corrected"):
+        "f43c494c895fae370b349d628793eae2051f76a0e652c33581c2472a478a128f",
+}
+
+# sha256 of `structrec shortcut ORDER --mode MODE --diff --range 1:4096 --out F`
+# stdout (with F written as OUT) and of F
+SHORTCUT_DIFF_PINS = {
+    ("natural", "faithful"): (
+        "83035c227b46ad576182920afecc8a227223928de5497eca817b24b92009799f",
+        "5cd992ad06f5e44b4dd7f511144a4022198d75b1037930abf4dba87c4586d75e",
+    ),
+    ("reverse", "corrected"): (
+        "7b7494e5966a3e51018c0bf040a419ea92ae3b6fcd51e3b551c127daf63c3b50",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
 }
 
 # sha256 of repr([(paths, rules) per step]): reduce's levels, then the
@@ -95,6 +148,24 @@ def test_gen_traces_files_are_pinned(tmp_path, capsys, name):
 def test_reduce_trace_output_is_pinned(capsys, program):
     assert main(["reduce", program, *INPUTS[program], "--trace"]) == 0
     assert _sha(capsys.readouterr().out.encode()) == TRACE_PINS[program]
+
+
+@pytest.mark.parametrize("machine,mode", sorted(ASM_LOG_PINS, key=str))
+def test_asm_log_output_is_pinned(capsys, machine, mode):
+    inputs = ASM_NATURAL_INPUTS if machine == "shortcut-natural" else ASM_CONSTRUCTOR_INPUTS
+    for text in inputs:
+        assert main(["asm", machine, "--input", text, "--log",
+                     *(["--mode", mode] if mode else [])]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == ASM_LOG_PINS[machine, mode]
+
+
+@pytest.mark.parametrize("order,mode", sorted(SHORTCUT_DIFF_PINS))
+def test_shortcut_diff_output_is_pinned(tmp_path, capsys, order, mode):
+    path = tmp_path / "diff.jsonl"
+    assert main(["shortcut", order, "--mode", mode, "--diff", "--range", "1:4096",
+                 "--out", str(path)]) == 0
+    out = capsys.readouterr().out.replace(str(path), "OUT")
+    assert (_sha(out.encode()), _sha(path.read_bytes())) == SHORTCUT_DIFF_PINS[order, mode]
 
 
 @pytest.mark.parametrize("program", sorted(STEP_PINS))

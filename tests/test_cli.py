@@ -75,6 +75,12 @@ def test_reduce_all_ones_successor_past_the_recursion_limit(capsys):
     assert out.split() == ["X0"] * 332 + ["01"]
 
 
+def test_reduce_long_all_ones_successor_keeps_only_the_final_state(capsys):
+    code, out, _ = run(capsys, "reduce", "s", " ".join(["X1"] * 3000 + ["01"]))
+    assert code == 0
+    assert out.split() == ["X0"] * 3001 + ["01"]
+
+
 def test_reduce_fuel_exhaustion(capsys):
     code, _, err = run(capsys, "reduce", "s", " ".join(["X1"] * 30 + ["01"]),
                        "--fuel", "2")
@@ -138,6 +144,14 @@ def test_asm_rasm_reports_agents(capsys):
 def test_asm_budget_exhaustion(capsys):
     code, _, _ = run(capsys, "asm", "successor", "--input", "X1 X0 01", "--budget", "1")
     assert code == 5
+
+
+def test_asm_rasm_past_the_recursion_limit(capsys):
+    code, out, err = run(capsys, "asm", "successor-rasm",
+                         "--input", " ".join(["X1"] * 1199 + ["01"]))
+    assert code == 0
+    assert out.split() == ["X0"] * 1200 + ["01"]
+    assert "agents: 1199  max call depth: 1199" in err
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +321,41 @@ def test_eval_fuzzed_records_exit_cleanly(capsys, tmp_path):
     assert seen == {0, 4, 6}
 
 
+@pytest.mark.parametrize("field,value", [
+    ("trace", 5),
+    ("input", "X1 01"),
+    ("input", ["X1", 1]),
+    ("task", ["successor"]),
+])
+def test_validate_traces_malformed_record_exit_code(capsys, tmp_path, field, value):
+    assert run(capsys, "gen", "traces", "--range", "1:8", "--out", str(tmp_path))[0] == 0
+    path = tmp_path / "traces_successor.jsonl"
+    lines = path.read_text().splitlines()
+    obj = json.loads(lines[2])
+    obj[field] = value
+    lines[2] = json.dumps(obj)
+    path.write_text("".join(line + "\n" for line in lines))
+    code, out, err = run(capsys, "eval", "--validate-traces", "--traces", str(path))
+    assert code == 4
+    assert err.startswith("error: ") and ":3: " in err
+    assert out == ""
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, _ = run(capsys, "eval", "--gold", str(tmp_path / "no.jsonl"),
                      "--pred", str(tmp_path / "also_no.jsonl"))
     assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("asm", "successor", "--input", "X1 X0 01", "--budget", "0"),
+    ("shortcut", "natural", "--diff", "--range", "0:5"),
+])
+def test_values_below_one_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("usage:") and f"argument {argv[-2]}: must be at least 1" in err
+    assert out == ""
 
 
 def test_bad_flags_exit_code(capsys):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from structrec.asm import ReadLog, asm_run, asm_step, machine_output
+from structrec.datasets import record_rng
 from structrec.errors import GenerationError, MalformedSequenceError
 from structrec.reduction import Call, Value, reduce
 from structrec.shortcuts import (
@@ -124,6 +125,32 @@ def test_diff_report_corrected_is_empty():
     for order in (NATURAL, REVERSE):
         report = diff_against_oracle(order, CORRECTED, 1, 1024)
         assert report.disagreements == ()
+
+
+def _random_value(rng) -> int:
+    """Up to 2,000 bits: all ones, all ones but one zero bit, or uniform."""
+    bits = rng.randint(1, 2000)
+    ones = 2**bits - 1
+    shape = rng.randrange(3)
+    if shape == 0:
+        return ones
+    if shape == 1 and bits >= 2:
+        return ones - 2 ** rng.randrange(bits - 1)
+    return rng.getrandbits(bits) | 2 ** (bits - 1)
+
+
+def test_random_long_values_against_the_oracle():
+    """Corrected mode equals the oracle; faithful mode disagrees exactly on
+    the values 2^L - 1 (L >= 2), one token short."""
+    for case in range(24):
+        value = _random_value(record_rng(0, "shortcut-oracle", case))
+        all_ones = value >= 3 and value == 2 ** value.bit_length() - 1
+        for order in (NATURAL, REVERSE):
+            assert diff_against_oracle(order, CORRECTED, value, value).disagreements == ()
+            found = diff_against_oracle(order, FAITHFUL, value, value).disagreements
+            assert [d.label for d in found] == (["one-token-short"] if all_ones else []), \
+                (case, order, value.bit_length())
+            assert [d.value for d in found] == ([value] if all_ones else [])
 
 
 def test_report_serializations():
