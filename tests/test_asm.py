@@ -122,6 +122,30 @@ def test_clashing_writes_raise():
         asm_step(machine, AsmState({}))
 
 
+def test_clashing_writes_raise_in_a_run():
+    rules = _const_rules({"a": [("x", 1)], "b": [("x", 2)]})
+    machine = AsmMachine("toy", tuple(rules), lambda _: AsmState({}), lambda s: False)
+    with pytest.raises(UpdateClashError, match="rules a and b both write 'x'"):
+        asm_run(machine, None)
+
+
+def test_a_run_reads_the_state_before_each_step():
+    """Two rules swap x and y in one step: both read the old values, even
+    though the run applies the updates to its state in place."""
+    rules = (
+        GuardedRule("x-from-y", lambda s: s["n"] < 3, lambda s: [("x", s["y"])]),
+        GuardedRule("y-from-x", lambda s: s["n"] < 3, lambda s: [("y", s["x"])]),
+        GuardedRule("count", lambda s: s["n"] < 3, lambda s: [("n", s["n"] + 1)]),
+    )
+    machine = AsmMachine("swap", rules, lambda _: AsmState({"x": 1, "y": 2, "n": 0}),
+                         lambda s: s["n"] == 3)
+    state, steps = asm_run(machine, None)
+    assert (state["x"], state["y"], steps) == (2, 1, 3)
+    log = asm_log(machine, None)
+    assert [(entry[2]["x"], entry[2]["y"]) for entry in log] == [(1, 2), (2, 1), (1, 2), (2, 1)]
+    assert log[1][1] == ("x-from-y", "y-from-x", "count")
+
+
 def test_rule_order_does_not_matter():
     rng = random.Random(10)
     base = successor_machine()
