@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = gen_sub.add_parser("random", help="successor pairs at uniform long bit lengths")
     g.add_argument("--order", choices=(REVERSE, NATURAL), default=REVERSE)
-    g.add_argument("--count", type=int, default=1000)
+    g.add_argument("--count", type=_int_at_least(1), default=1000)
     g.add_argument("--bits", type=_range_arg, default=(18, 41), metavar="LO:HI",
                    help="bit-length range (default 18:41)")
     _add_gen_common(g)
@@ -370,19 +370,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = gen_sub.add_parser("trees", help="structure-disjoint train/test tree files")
     g.add_argument("--depths", type=_range_arg, default=(5, 6), metavar="LO:HI")
-    g.add_argument("--train", type=int, default=20000)
-    g.add_argument("--test", type=int, default=1000)
+    g.add_argument("--train", type=_int_at_least(0), default=20000)
+    g.add_argument("--test", type=_int_at_least(0), default=1000)
     g.add_argument("--alphabet", default="abc")
     _add_gen_common(g)
     g.set_defaults(func=cmd_gen_trees)
 
     g = gen_sub.add_parser("traversal", help="traversal targets over fresh tree splits")
     g.add_argument("--kind", choices=("inorder", "preorder"), default="inorder")
-    g.add_argument("--k", type=int, default=None,
+    g.add_argument("--k", type=_int_at_least(1), default=None,
                    help="emit the state after k levels instead of the full traversal")
     g.add_argument("--depths", type=_range_arg, default=(5, 6), metavar="LO:HI")
-    g.add_argument("--train", type=int, default=20000)
-    g.add_argument("--test", type=int, default=1000)
+    g.add_argument("--train", type=_int_at_least(0), default=20000)
+    g.add_argument("--test", type=_int_at_least(0), default=1000)
     g.add_argument("--alphabet", default="abc")
     _add_gen_common(g)
     g.set_defaults(func=cmd_gen_traversal)
@@ -392,7 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="successor")
     g.add_argument("--range", type=_range_arg, default=(1, 1024), metavar="LO:HI",
                    help="successor value range (default 1:1024)")
-    g.add_argument("--count", type=int, default=100, help="tree count for traversal traces")
+    g.add_argument("--count", type=_int_at_least(1), default=100,
+                   help="tree count for traversal traces")
     g.add_argument("--depths", type=_range_arg, default=(2, 4), metavar="LO:HI")
     g.add_argument("--alphabet", default="abc")
     _add_gen_common(g)

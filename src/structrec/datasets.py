@@ -33,6 +33,7 @@ from .terms import (
     NATURAL,
     REVERSE,
     Term,
+    _bin_tokens,
     bin_encode,
     bin_x1_run,
     intern_tokens,
@@ -221,8 +222,8 @@ def _successor_record(rec_id: str, task: str, value: int, order: str,
         id=rec_id,
         task=task,
         order=order,
-        input=_ordered(linearize(bin_encode(value)), order),
-        target=_ordered(linearize(bin_encode(value + 1)), order),
+        input=_ordered(_bin_tokens(value), order),
+        target=_ordered(_bin_tokens(value + 1), order),
         meta=RecordMeta(
             value=value,
             bits=value.bit_length(),

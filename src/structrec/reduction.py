@@ -4,7 +4,8 @@ A program is an ordered set of pattern-match clauses over one inductive
 argument.  One step bundles unfolding the definition, applying it, and
 selecting the matching clause.  Two stepping modes are provided: a
 single leftmost-outermost rewrite, and a whole-frontier "level" that
-rewrites every outermost redex simultaneously.
+rewrites every outermost redex simultaneously.  Callers that need only
+the normal form get it from a big-step evaluator of the same clauses.
 
 Two intermediate-state surface forms are supported: the paren form for
 linear programs (emitted prefix, then the pending argument in parens)
@@ -15,6 +16,7 @@ emitted values render bare.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import FuelExhaustedError, ReductionError, RenderError
@@ -155,7 +157,7 @@ class Program:
                 f"exactly once, got {covered}"
             )
         # per constructor: binders, the function filling in the template, rule
-        # name and static redex paths; not a field, so eq and repr ignore it
+        # name, redex paths, big-step code; not a field, so eq and repr ignore it
         object.__setattr__(self, "compiled", {})
         for clause in self.clauses:
             cdef = self.arg_type.constructor(clause.constructor)
@@ -166,9 +168,16 @@ class Program:
             children = clause.binders[n_pay:]
             redexes: list = []
             build = _compile(clause.template, self.name, set(children), (), redexes)
+            # big-step code over payloads, children, then the other arguments
+            slots = {b: i for i, b in enumerate(clause.binders + self.params[1:])}
+            calls: list = []
+            try:
+                big = (calls, *_compile_big(clause.template, slots, calls))
+            except (KeyError, ReductionError):  # an unbound variable, or not an expression
+                big = None
             self.compiled[clause.constructor] = (
                 clause.binders[:n_pay], children, build, f"{self.name}/{clause.constructor}",
-                None if None in redexes else tuple(redexes))
+                None if None in redexes else tuple(redexes), big)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +239,100 @@ def _compile(template: Expr, name: str, child_binders: set[str], path: tuple = (
     return lambda env: template
 
 
+def _compile_big(template: Expr, slots: dict, calls: list):
+    """(build, c, waits): build(env, vals) makes the node's value from the
+    environment and the values of earlier calls; in a body that appeared at
+    level t it is normal at level max(t + c, the levels of calls waits).
+    Appends the node's calls in firing order as (program, argument builds,
+    c and waits of the matched one, those of the others not normal at t)."""
+    if isinstance(template, Var):
+        slot = slots[template.name]
+        return (lambda env, vals: env[slot]), 0, ()
+    if isinstance(template, (Value, str)):  # a term, or a token in a list
+        const = template.term if isinstance(template, Value) else template
+        return (lambda env, vals: const), 0, ()
+    if isinstance(template, ListLit):
+        kids, kind, c, join = template.items, str, 0, lambda *items: items
+    elif isinstance(template, Concat):
+        # two lists that were lists already take a level to join; any other
+        # concat joins in the level that completes it
+        kids, kind, c, join = (template.left, template.right), tuple, 1, operator.add
+    elif isinstance(template, (Ctor, Call)):  # a call takes its value from its body instead
+        kids, kind, c = template.args, Term, 0
+        join = lambda *args: Term(template.name, template.payloads, args)
+    else:
+        raise ReductionError("not an expression")
+    parts = [_compile_big(kid, slots, calls) for kid in kids]
+    builds = [build for build, _, _ in parts]
+    if isinstance(template, Call):
+        calls.append((template.fn, builds, *parts[0][1:],
+                      [p[1:] for p in parts[1:] if p[1:] != (0, ())]))
+        index = len(calls) - 1
+        return (lambda env, vals: vals[index]), 0, (index,)
+
+    def build(env, vals):
+        args = [make(env, vals) for make in builds]
+        for arg in args:
+            if type(arg) is not kind:
+                raise ReductionError("ill-typed")  # levels() gets stuck, rejects or leaves it
+        return join(*args)
+
+    return build, max([c] + [p[1] for p in parts]), sum((p[2] for p in parts), ())
+
+
+def _big_step(expr: Expr, programs, fuel: int):
+    """The normal form levels() reaches from a call on values, by eval/apply
+    on an explicit stack.  A call fires one level after its matched argument
+    is normal.  None past fuel levels, and where only levels() can tell what
+    happens: an error, a stuck part, or a call that fires while another
+    argument is pending, which levels() substitutes unevaluated."""
+    if not (isinstance(expr, Call) and expr.args
+            and all(isinstance(a, Value) for a in expr.args)):
+        return None
+    # the body being evaluated: its code, environment and the level it
+    # appeared at, and the values and levels of its calls so far
+    code = (((expr.fn, [lambda env, vals, a=a: a.term for a in expr.args], 0, (), ()),),
+            lambda env, vals: vals[0], 0, (0,))
+    env, t, vals, ready_at, stack = (), 0, [], [], []
+    try:
+        while True:
+            calls, build, c, waits = code
+            if len(vals) < len(calls):
+                fn, builds, k, w, others = calls[len(vals)]
+                args = tuple([make(env, vals) for make in builds])
+                ready = max([t + k] + [ready_at[j] for j in w]) if w else t + k
+                if others and any(max([t + ok] + [ready_at[j] for j in ow]) > ready
+                                  for ok, ow in others):
+                    return None  # levels() would substitute an argument still pending
+                term, prog = args[0], programs.get(fn)
+                entry = prog.compiled.get(term.constructor) if type(term) is Term and prog else None
+                body = entry[5] if entry else None  # (calls, build, c, waits)
+                if (ready >= fuel or body is None or len(args) != len(prog.params)
+                        or len(term.payloads) != len(entry[0])
+                        or len(term.children) != len(entry[1])):
+                    return None
+                body_env = term.payloads + term.children + args[1:]
+                if body[0]:
+                    stack.append((code, env, t, vals, ready_at))
+                    code, env, t, vals, ready_at = body, body_env, ready + 1, [], []
+                else:  # a body without calls is normal as it appears
+                    vals.append(body[1](body_env, ()))
+                    ready_at.append(ready + 1 + body[2])
+            else:
+                value = build(env, vals)
+                level = max([t + c] + [ready_at[j] for j in waits])
+                if not stack:
+                    break
+                code, env, t, vals, ready_at = stack.pop()
+                vals.append(value)
+                ready_at.append(level)
+    except ReductionError:  # only levels() tells what happens
+        return None
+    if level > fuel or type(value) not in (Term, tuple):
+        return None
+    return Value(value) if type(value) is Term else ListLit(value)
+
+
 def _collapse_ctor(expr: Ctor) -> Expr:
     # bookkeeping, not a reduction step: fold a constructor over values
     # back into a plain term
@@ -244,7 +347,7 @@ def _apply_clause(prog: Program, args: tuple[Expr, ...]):
     term = args[0].term
     if term.constructor not in prog.compiled:
         raise ReductionError(f"{prog.name} has no clause for {term.constructor!r}")
-    payload_binders, child_binders, build, rule, redexes = prog.compiled[term.constructor]
+    payload_binders, child_binders, build, rule, redexes, _ = prog.compiled[term.constructor]
     env: dict = dict(zip(payload_binders, term.payloads))  # payloads bind to raw tokens
     env.update(zip(child_binders, [Value(child) for child in term.children]))
     env.update(zip(prog.params[1:], args[1:]))
@@ -544,12 +647,18 @@ def step_single(expr: Expr, programs: dict[str, Program] | None = None):
     return next(((step.after, step) for step in _steps(expr, levels(expr, programs, True))), None)
 
 
-def _fueled_levels(expr: Expr, programs, fuel: int | None):
-    """levels() under a level budget that scales with the input size."""
+def _budget(expr: Expr, fuel: int | None) -> int:
+    """The level budget: fuel, or by default one that scales with the input size."""
     if fuel is None:
-        fuel = max(4, 2 * expr_token_count(expr))
-    elif fuel < 1:
+        return max(4, 2 * expr_token_count(expr))
+    if fuel < 1:
         raise ValueError("fuel must be at least 1")
+    return fuel
+
+
+def _fueled_levels(expr: Expr, programs, fuel: int | None):
+    """levels() under the level budget."""
+    fuel = _budget(expr, fuel)
     for taken, engine in enumerate(levels(expr, programs), start=1):
         if taken > fuel:
             raise FuelExhaustedError(f"no normal form within {fuel} levels")
@@ -563,7 +672,13 @@ def reduce(expr: Expr, programs: dict[str, Program] | None = None, fuel: int | N
 
 
 def _normal_form(expr: Expr, programs=None, fuel: int | None = None) -> Expr:
-    """reduce()'s normal form under the same budget, building no other state."""
+    """reduce()'s normal form under the same budget, building no other state:
+    big-step, or levels() where only it can tell, so errors are the same."""
+    programs = _BUILTINS if programs is None else programs
+    fuel = _budget(expr, fuel)
+    result = _big_step(expr, programs, fuel)
+    if result is not None:
+        return result
     engine = None
     for engine in _fueled_levels(expr, programs, fuel):
         pass

@@ -213,16 +213,18 @@ def reorder(tokens, target_order: str, source_order: str | None = None) -> list[
 # value semantics for the numeric types
 
 
-def bin_encode(n: int) -> Term:
-    """Positive binary term for n >= 1."""
+def _bin_tokens(n: int) -> list[str]:
+    """Constructor-order bin_pos tokens of n >= 1: the bits from the least
+    significant up, then the leading 1 bit as 01."""
     if n < 1:
         raise ValueError(f"bin_pos encodes positive integers only, got {n}")
-    ops: list[str] = []
-    while n > 1:
-        ops.append(X1 if n & 1 else X0)
-        n >>= 1
+    return [X1 if bit == "1" else X0 for bit in bin(n)[:2:-1]] + [ONE]
+
+
+def bin_encode(n: int) -> Term:
+    """Positive binary term for n >= 1."""
     term = Term(ONE)
-    for op in reversed(ops):
+    for op in reversed(_bin_tokens(n)[:-1]):
         term = Term(op, children=(term,))
     return term
 
@@ -288,9 +290,10 @@ def branch(value: str, left: Term, right: Term) -> Term:
 
 def tree_depth(term: Term) -> int:
     """Leaf alone is depth 0; a Branch over two Leaf children is depth 1."""
-    if term.constructor == "Leaf":
-        return 0
-    return 1 + max(tree_depth(c) for c in term.children)
+    depth, level = 0, [term]
+    while level := [kid for node in level if node.constructor != "Leaf" for kid in node.children]:
+        depth += 1  # level holds the nodes one deeper than the last
+    return depth
 
 
 def tree_serialize(term: Term) -> list[str]:

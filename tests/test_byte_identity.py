@@ -1,8 +1,8 @@
-"""Byte-identity pins: generated files, CLI traces, machine logs, shortcut
-diffs and the rewrite records of every reduction step are fixed to digests
-of their known-good output, so any change to the reduction engine or the
-machines that alters a state, a path, a rule name or a reported
-disagreement shows up here."""
+"""Byte-identity pins: generated files, CLI traces and normal forms,
+machine logs, shortcut diffs and the rewrite records of every reduction
+step are fixed to digests of their known-good output, so any change to
+the reduction engine, the big-step evaluator or the machines that alters
+a state, a path, a rule name or a reported disagreement shows up here."""
 
 import hashlib
 import json
@@ -66,6 +66,53 @@ GEN_PINS = {
         "e42b13b68fde424c0781e3bdd8348211079829220ef526befa5b9caf957907db",
         "8ec07499dd19699ce333f89b8c391cb416753cec80cfe7868e90d01ebbc08b02",
     ),
+    "inorder_k2_train": (
+        TRAVERSAL_ARGV + ["--kind", "inorder", "--k", "2"],
+        "3271a844419a011914acc95da0a04139381e1838e2a1daf2c48096171a7ff475",
+        "c424202e7a76786356c0792873a9d85c891d0e44c627300c523d23c2bc5ce34c",
+    ),
+    "inorder_k2_test": (
+        TRAVERSAL_ARGV + ["--kind", "inorder", "--k", "2"],
+        "e119fa5b8a7fc68fa2a3cb707993df3ecf8c31cb5811c7f082e3b001418ff9c2",
+        "204781f2ac401ce88caed20b7cb60a7deb1480dc837d8b5995e707439a37a885",
+    ),
+    "preorder_k2_train": (
+        TRAVERSAL_ARGV + ["--kind", "preorder", "--k", "2"],
+        "095b504c42d68c23efd0767c18636b431b677cc656d9e0b03a826909ff06737a",
+        "e60725d442f3b89c89370253ef04c3ce04a2ae130699caccf07ff84a0d960155",
+    ),
+    "preorder_k2_test": (
+        TRAVERSAL_ARGV + ["--kind", "preorder", "--k", "2"],
+        "78406c12ceab98e036eaa62bba9e6204e66683e3a8de0157ff65c8d86244f589",
+        "523b78a640dc6620acc7176cdb54ea2aa085921c348006205da688eb920e7d0d",
+    ),
+    "successor_reverse": (
+        ["gen", "successor", "--range", "1:4096", "--max-pad", "3",
+         "--remap", '{"X0":"a","X1":"b","01":"c"}', "--oversample-g1", "4",
+         "--oversample-g2", "3"],
+        "bc9bb0e53bbbc2acb54a8e9326b4fe4093b1311f8337b9982c7dbcd179f17d27",
+        "a297971c5d6a5a83ec63175d22057a7025f467b3ea0d3557c1dfdac389b95c22",
+    ),
+    "edge_group1_reverse": (
+        ["gen", "successor", "--edge-cases", "2:40"],
+        "2365ef4f6ce2d9f639b05ed38dd3df90086b0995adfa461bb667cb1ca143faf3",
+        "3f24e4772ce402b52a538949b9d81b23b34764f53d0aa2cad4c9d87f163adb10",
+    ),
+    "edge_group2_reverse": (
+        ["gen", "successor", "--edge-cases", "2:40"],
+        "982227d7a3f97b8957912ef94c2d76f7af26ff92d41cd8f3a615b67a5d4cf1b8",
+        "252029700c7cca5767fea266aefd5080468330dd90cdfc46055fbe63b29619f8",
+    ),
+    "successor_random_reverse": (
+        ["gen", "random", "--count", "300"],
+        "8c56afbb7c0d727eccaab66b7ec762357661341a8d4849011d857c11ced8fed9",
+        "068d7148701bd458136434d9c78cc3b2a581baa0f9e3f32692fe12056dcba8f3",
+    ),
+    "single_step": (
+        ["gen", "single-step", "--range", "1:512"],
+        "822b6f3dc4597de66180e4145935d0b89c6cf904d97fef50f78bd1b9e02532bd",
+        "96a30174fd319ccdcf622844c4aa3f47093200304cdcd614693ebdb9e052eb3a",
+    ),
 }
 
 # sha256 of `structrec reduce PROGRAM INPUT... --trace` stdout
@@ -74,6 +121,14 @@ TRACE_PINS = {
     "add": "9635548631269bdfd979cdbfd2537039d0776ecadb973f412494da8b7c5f5002",
     "inorder": "d410c1ab640af6d7590625fb28e5dd8dd0940f20725618f847fe5afc4724ed7e",
     "preorder": "50176f936bbbf56b8ef1218ae9eb341ec6ad0b9f3cbde0a3250106e35d28ea33",
+}
+
+# sha256 of `structrec reduce PROGRAM INPUT...` stdout, the normal form alone
+NORMAL_FORM_PINS = {
+    "s": "e9d51ee251c2994aadd206f782008f2c819cf49dd57eaba3be57ae7569d65cdb",
+    "add": "73be7ff1f29cd4493187c382af24df3987db4a21a14bb2551a478252fab2915b",
+    "inorder": "323bebcb804469d9d23e7fd0a4d6a2f8be20fddb816b89f35ab65a067a3af8e8",
+    "preorder": "734b435d77dce20f44c93bd62c2d3e0be23eceb194cdfc504b4c7e165c237338",
 }
 
 # sha256 of `structrec asm MACHINE --input TOKENS --log [--mode MODE]` stdout,
@@ -148,6 +203,12 @@ def test_gen_traces_files_are_pinned(tmp_path, capsys, name):
 def test_reduce_trace_output_is_pinned(capsys, program):
     assert main(["reduce", program, *INPUTS[program], "--trace"]) == 0
     assert _sha(capsys.readouterr().out.encode()) == TRACE_PINS[program]
+
+
+@pytest.mark.parametrize("program", sorted(NORMAL_FORM_PINS))
+def test_reduce_normal_form_output_is_pinned(capsys, program):
+    assert main(["reduce", program, *INPUTS[program]]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == NORMAL_FORM_PINS[program]
 
 
 @pytest.mark.parametrize("machine,mode", sorted(ASM_LOG_PINS, key=str))

@@ -87,6 +87,17 @@ def test_reduce_fuel_exhaustion(capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("program,text,taken", [
+    ("s", " ".join(["X1"] * 30 + ["X0", "01"]), 31),  # one level per trailing X1, plus one
+    ("inorder", "a ( b ( c LEAF LEAF ) LEAF ) ( t LEAF LEAF )", 4),  # depth 3, plus one
+])
+def test_reduce_fuel_is_enough_at_the_level_count(capsys, program, text, taken):
+    assert run(capsys, "reduce", program, text, "--fuel", str(taken - 1))[0] == 5
+    code, out, _ = run(capsys, "reduce", program, text, "--fuel", str(taken))
+    assert code == 0
+    assert out == run(capsys, "reduce", program, text)[1]
+
+
 # ---------------------------------------------------------------------------
 # shortcut
 
@@ -350,11 +361,25 @@ def test_missing_file_exit_code(capsys, tmp_path):
 @pytest.mark.parametrize("argv", [
     ("asm", "successor", "--input", "X1 X0 01", "--budget", "0"),
     ("shortcut", "natural", "--diff", "--range", "0:5"),
+    ("gen", "random", "--count", "-5"),
+    ("gen", "traces", "--task", "inorder", "--count", "-3"),
+    ("gen", "traversal", "--k", "0"),
 ])
 def test_values_below_one_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("usage:") and f"argument {argv[-2]}: must be at least 1" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen", "traversal", "--train", "-2"),
+    ("gen", "trees", "--test", "-1"),
+])
+def test_negative_split_sizes_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("usage:") and f"argument {argv[-2]}: must be at least 0" in err
     assert out == ""
 
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from structrec.datasets import record_rng
 from structrec.errors import FuelExhaustedError, ReductionError
 from structrec.evaluation import validate_trace
 from structrec.reduction import (
@@ -17,8 +18,11 @@ from structrec.reduction import (
     Program,
     Value,
     Var,
+    _big_step,
+    _normal_form,
     builtin_programs,
     is_normal,
+    levels,
     parse_state_paren,
     parse_state_unroll,
     recursion_depth,
@@ -32,7 +36,11 @@ from structrec.reduction import (
 )
 from structrec.terms import (
     BIN_POS,
+    CHAR_TREE,
+    ONE,
     PEANO,
+    X0,
+    X1,
     bin_encode,
     bin_value,
     bin_x1_run,
@@ -43,6 +51,7 @@ from structrec.terms import (
     peano_encode,
     peano_value,
     tokenize,
+    tree_depth,
     tree_parse,
     tree_serialize,
 )
@@ -399,3 +408,155 @@ def test_inorder_of_a_left_spine_past_the_recursion_limit():
     final, trace = reduce(Call("inorder", (Value(tree),)))
     assert len(trace) == 701
     assert list(final.items) == _walk_inorder(tree)
+
+
+# ---------------------------------------------------------------------------
+# big-step normal forms against levels()
+
+
+def _by_levels(expr, programs=None):
+    """The normal form of a levels() run and the number of levels it took."""
+    taken, engine = 0, None
+    for taken, engine in enumerate(levels(expr, programs), start=1):
+        pass
+    return engine.expr(), taken
+
+
+def _tokens(expr):
+    # compares deep terms without the recursion of the generated __eq__
+    return (type(expr), linearize(expr.term) if isinstance(expr, Value) else list(expr.items))
+
+
+def _assert_big_step_is_levels(expr, programs=None):
+    """Big-step gives the levels() normal form within the levels() count L
+    and gives way below it, where _normal_form raises FuelExhaustedError;
+    returns L."""
+    expected, taken = _by_levels(expr, programs)
+    programs = builtin_programs() if programs is None else programs
+    got = _big_step(expr, programs, taken)
+    assert got is not None and _tokens(got) == _tokens(expected)
+    assert _tokens(_normal_form(expr, programs, fuel=taken)) == _tokens(expected)
+    if taken > 1:
+        assert _big_step(expr, programs, taken - 1) is None
+        with pytest.raises(FuelExhaustedError):
+            _normal_form(expr, programs, fuel=taken - 1)
+    return taken
+
+
+def _tree_of_size(rng, branches):
+    """A random tree with the given number of branches, joined bottom up."""
+    forest = [leaf() for _ in range(branches + 1)]
+    while len(forest) > 1:
+        i = rng.randrange(len(forest) - 1)
+        forest[i:i + 2] = [branch(rng.choice("abc"), forest[i], forest[i + 1])]
+    return forest[0]
+
+
+@pytest.mark.parametrize("program", ["s", "add", "inorder", "preorder"])
+def test_big_step_equals_levels_at_random_sizes(program):
+    for i in range(25):
+        rng = record_rng(5, f"big-step-{program}", i)
+        size = rng.randint(2, 10 ** rng.randint(1, 4))  # input tokens, up to 10^4
+        if program == "s":
+            value = 2**size - 1 if i % 4 == 0 else rng.getrandbits(size - 1) | 1 << (size - 1)
+            taken = _assert_big_step_is_levels(s_of(value))
+            assert taken == bin_x1_run(value) + 1  # the depth law
+        elif program == "add":
+            n = rng.randint(1, size - 1)
+            _assert_big_step_is_levels(
+                Call("add", (Value(peano_encode(n)), Value(peano_encode(size - n)))))
+        else:
+            tree = _tree_of_size(rng, max(1, (size - 1) // 3))
+            expr = Call(program, (Value(tree),))
+            assert _assert_big_step_is_levels(expr) == tree_depth(tree) + 1
+            ref = _ref_inorder if program == "inorder" else _ref_preorder
+            assert list(_normal_form(expr).items) == ref(tree)
+
+
+def _plus_two(ctor, binders):
+    kids = tuple(Var(b) for b in binders)
+    return Clause(ctor, binders, Call("s", (Call("s", (Ctor(ctor, (), kids),)),)))
+
+
+HAND_BUILT = {
+    # bodies that join two lists that are lists already, which takes a level
+    "wrap": Program("wrap", ("t",), CHAR_TREE, (
+        Clause("Leaf", (), Concat(ListLit(("<",)), ListLit((">",)))),
+        Clause("Branch", ("v", "l", "r"), Concat(
+            Concat(ListLit((Var("v"),)), Call("wrap", (Var("l"),))),
+            Concat(Call("wrap", (Var("r"),)), ListLit((Var("v"), "!"))))),
+    )),
+    # a call on the value of another call
+    "plus2": Program("plus2", ("b",), BIN_POS, (
+        _plus_two(ONE, ()), _plus_two(X0, ("b",)), _plus_two(X1, ("b",)))),
+}
+
+
+@pytest.mark.parametrize("program", sorted(HAND_BUILT))
+def test_big_step_equals_levels_on_hand_built_programs(program):
+    programs = {**builtin_programs(), **HAND_BUILT}
+    for i in range(40):
+        rng = record_rng(5, f"big-step-{program}", i)
+        if program == "wrap":
+            arg = _tree_of_size(rng, rng.randint(0, 60))
+        else:
+            arg = bin_encode(rng.randint(1, 2 ** rng.randint(1, 60)))
+        _assert_big_step_is_levels(Call(program, (Value(arg),)), programs)
+
+
+PEANO_ONE = Value(peano_encode(1))
+
+
+def _peano_program(name, params, on_one, on_succ):
+    return Program(name, params, PEANO, (Clause("I", (), on_one), Clause("S", ("p",), on_succ)))
+
+
+def test_a_pending_other_argument_leaves_the_normal_form_to_levels():
+    # the outer add fires while its second argument is still an add call,
+    # which levels() substitutes unevaluated
+    twice = _peano_program("twice", ("n", "m"), Var("m"),
+                           Call("add", (Var("p"), Call("add", (Var("p"), Var("m"))))))
+    programs = {**builtin_programs(), "twice": twice}
+    expr = Call("twice", (Value(peano_encode(4)), Value(peano_encode(3))))
+    assert _big_step(expr, programs, 100) is None
+    expected, _ = _by_levels(expr, programs)
+    assert _tokens(_normal_form(expr, programs)) == _tokens(expected)
+    assert peano_value(expected.term) == 3 + 3 + 3  # p + (p + m) with p = n - 1
+
+
+def test_a_missing_clause_raises_the_levels_error():
+    wrong = _peano_program("wrong", ("n",), Call("s", (PEANO_ONE,)), Call("wrong", (Var("p"),)))
+    programs = {**builtin_programs(), "wrong": wrong}
+    expr = Call("wrong", (Value(peano_encode(3)),))
+    assert _big_step(expr, programs, 100) is None
+    with pytest.raises(ReductionError) as by_levels:
+        reduce(expr, programs)
+    with pytest.raises(ReductionError) as by_normal_form:
+        _normal_form(expr, programs)
+    assert str(by_normal_form.value) == str(by_levels.value) == "s has no clause for 'I'"
+
+
+def test_a_cross_program_loop_runs_out_of_fuel():
+    ping = _peano_program("ping", ("n",), Call("pong", (PEANO_ONE,)), Call("pong", (Var("p"),)))
+    pong = _peano_program("pong", ("n",), Call("ping", (PEANO_ONE,)), Call("ping", (Var("p"),)))
+    programs = {"ping": ping, "pong": pong}
+    expr = Call("ping", (Value(peano_encode(3)),))
+    assert _big_step(expr, programs, 8) is None
+    with pytest.raises(FuelExhaustedError, match="within 8 levels"):
+        _normal_form(expr, programs)
+
+
+def test_big_step_takes_a_hundred_thousand_token_numeral():
+    term = delinearize(["X1"] * 99_999 + ["01"], BIN_POS)
+    expr = Call("s", (Value(term),))
+    final = _big_step(expr, builtin_programs(), 100_000)
+    assert linearize(final.term) == ["X0"] * 100_000 + ["01"]
+    assert _big_step(expr, builtin_programs(), 99_999) is None
+
+
+def test_big_step_takes_a_depth_ten_thousand_left_spine():
+    tree = _left_spine(10_000)
+    expr = Call("inorder", (Value(tree),))
+    final = _big_step(expr, builtin_programs(), 10_001)
+    assert list(final.items) == _walk_inorder(tree)
+    assert _big_step(expr, builtin_programs(), 10_000) is None

@@ -250,6 +250,13 @@ def test_tree_depth():
     assert tree_depth(CAT_TREE) == 2
 
 
+def test_tree_depth_of_a_spine_past_the_recursion_limit():
+    tree = leaf()
+    for i in range(10_000):
+        tree = branch("a", leaf(), tree) if i % 2 else branch("b", tree, leaf())
+    assert tree_depth(tree) == 10_000
+
+
 # ---------------------------------------------------------------------------
 # respelling
 
