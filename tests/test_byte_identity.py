@@ -4,21 +4,31 @@ step are fixed to digests of their known-good output, so any change to
 the reduction engine, the big-step evaluator or the machines that alters
 a state, a path, a rule name or a reported disagreement shows up here."""
 
+import functools
 import hashlib
 import json
 
 import pytest
 
 from structrec.cli import main
+from structrec.datasets import record_rng, sample_tree
+from structrec.evaluation import TRACE_ERRORS, validate_trace
 from structrec.reduction import (
+    ARROW,
+    PAREN,
     Call,
     Value,
     builtin_programs,
+    levels,
+    parse_state_unroll,
     program_call,
     reduce,
+    render_state_paren,
+    render_state_unroll,
     step_single,
 )
-from structrec.terms import tokenize, tree_parse
+from structrec.terms import BIN_POS, PEANO, delinearize, linearize, tokenize, tree_parse, \
+    tree_serialize
 
 S_INPUT = " ".join(["X1"] * 40 + ["X0", "X1", "X0", "01"])
 TREE = ("a ( b ( c LEAF LEAF ) ( a LEAF ( b LEAF LEAF ) ) ) "
@@ -337,3 +347,202 @@ def test_eval_report_is_pinned(tmp_path, capsys, fmt):
             "--breakdown", "bits", "--breakdown", "bit_length", "--breakdown", "edge_group"]
     assert main(argv) == 0
     assert _sha(capsys.readouterr().out.encode()) == EVAL_PINS[fmt]
+
+
+# ---------------------------------------------------------------------------
+# trace judgments and the constructor-order parser
+
+
+def _oracle_states(task: str, tokens) -> list[list[str]]:
+    """The states of the oracle trace of task on tokens, each as tokens."""
+    program = builtin_programs()["s" if task == "successor" else task]
+    call = program_call(program, [tokens])
+    if task == "successor":
+        return [render_state_paren(call)] + [engine.render(PAREN) for engine in levels(call)]
+    return [render_state_unroll(call)] + [engine.render(ARROW) for engine in levels(call)]
+
+
+TRACE_DAMAGE = ("none", "none", "mutate", "drop", "repeat", "swap", "premature", "malformed",
+                "alias", "other-input", "mutate-input", "no-input", "cut")
+
+
+def _damaged(kind: str, task: str, states, tokens, rng):
+    """The trace text of states after one kind of damage, and the input
+    given with it."""
+    states = [list(state) for state in states]
+    last = len(states) - 1
+    vocab = ("X0", "X1", "01") if task == "successor" else ("a", "b", "c", "LEAF")
+    if kind == "mutate":
+        state = states[rng.randrange(last + 1)]
+        state[rng.randrange(len(state))] = rng.choice(vocab)
+    elif kind == "drop" and last:
+        del states[-1]
+    elif kind == "repeat":
+        states.append(states[-1])
+    elif kind == "swap" and task != "successor" and last:
+        # from state i on, the sibling traversal's trace
+        i = rng.randrange(last)
+        sibling = builtin_programs()["preorder" if task == "inorder" else "inorder"]
+        _, trace = reduce(parse_state_unroll(states[i], sibling))
+        states[i:] = [render_state_unroll(state) for state in trace.states()]
+    elif kind == "premature" and last > 1:
+        states[rng.randrange(1, last):] = [states[-1]]
+    elif kind == "malformed":
+        state = states[rng.randrange(last + 1)]
+        state.insert(rng.randrange(len(state) + 1),
+                     rng.choice(("(", ")", "]", "UNROLL[", "EMPTY", "Q")))
+    elif kind == "alias":
+        spelled = {"X0": "XO", "UNROLL[": "REDUCE["}
+        states = [[spelled.get(tok, tok) if rng.random() < 0.5 else tok for tok in state]
+                  for state in states]
+        tokens = [spelled.get(tok, tok) for tok in tokens]
+    elif kind == "other-input":
+        tokens = (_numeral(rng.randint(1, 2**12)) if task == "successor"
+                  else tree_serialize(sample_tree(rng, rng.randint(1, 3), "abc")))
+    elif kind == "mutate-input":
+        tokens = list(tokens)
+        tokens[rng.randrange(len(tokens))] = rng.choice(vocab)
+    elif kind == "no-input":
+        tokens = None
+    text = (" = " if task == "successor" else " -> ").join(" ".join(state) for state in states)
+    if kind == "cut":
+        text = text[: rng.randrange(1, len(text) + 1)]
+    return text, tokens
+
+
+@functools.cache
+def _trace_cases() -> tuple:
+    """(task, trace text, input tokens): successor traces of 1-300 bits,
+    a third of them edge-group members, and inorder and preorder traces of
+    depth 1-7, each clean or damaged in one way; then malformed inputs."""
+    cases = []
+    for i in range(240):
+        rng = record_rng(0, "trace-pins", i)
+        if i % 2:
+            task = rng.choice(("inorder", "preorder"))
+            tokens = tree_serialize(sample_tree(rng, rng.randint(1, 7), "abc"))
+        else:
+            task, bits, group = "successor", rng.randint(1, 300), rng.randrange(3)
+            if group == 1 and bits >= 2:
+                value = 2**bits - 1
+            elif group == 2 and bits >= 3:
+                value = 3 * 2 ** (bits - 2) - 1
+            else:
+                value = rng.randint(2 ** (bits - 1), 2**bits - 1)
+            tokens = _numeral(value)
+        kind = rng.choice(TRACE_DAMAGE)
+        cases.append((task, *_damaged(kind, task, _oracle_states(task, tokens), tokens, rng)))
+    successor = " = ".join(" ".join(s) for s in _oracle_states("successor", ["X1", "X0", "01"]))
+    tree = "a ( b LEAF LEAF ) LEAF"
+    inorder = " -> ".join(" ".join(s) for s in _oracle_states("inorder", tokenize(tree)))
+    cases += [
+        ("successor", successor, ["X1", "X0"]),  # dangling
+        ("successor", successor, ["X1", "Q", "01"]),  # unknown constructor
+        ("successor", successor, ["X1", "X0", "01", "X1"]),  # trailing tokens
+        ("successor", successor, []),
+        ("successor", successor, ["X1", "XO", "01"]),
+        ("successor", "X0 ( X0 01 )", ["X1", "X0", "01"]),  # an emitted prefix in state 0
+        ("successor", "X0 X1 01", ["X1", "X0", "01"]),  # state 0 a value
+        ("inorder", inorder, ["a", "(", "b", "LEAF", "LEAF", ")", "LEAF", "]"]),
+        ("inorder", inorder, ["]"]),
+        ("preorder", "UNROLL[ a LEAF LEAF ] ]", ["a", "LEAF", "LEAF", "]"]),
+        ("preorder", "UNROLL[ a LEAF LEAF ] -> a", ["a", "LEAF", "LEAF", "]"]),
+        ("inorder", "EMPTY", ["LEAF"]),
+        ("inorder", "REDUCE[ a LEAF LEAF ] -> a EMPTY EMPTY -> a", ["a", "LEAF", "LEAF"]),
+        ("carousel", successor, None),
+    ]
+    return tuple(cases)
+
+
+def _outcome(call):
+    """What call returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # the pin fixes which error, too
+        return type(exc).__name__, str(exc)
+
+
+def _judgments(cases) -> list:
+    def judge(task, text, tokens):
+        judgment = validate_trace(text, task, input_tokens=tokens)
+        return judgment.valid, judgment.first_bad_step, judgment.error
+    return [_outcome(lambda: judge(*case)) for case in cases]
+
+
+# sha256 of repr(_judgments(_trace_cases()))
+TRACE_JUDGMENT_PIN = "865955e65d464323e56a6243483803f77e89f6eddde4be99b6e26b2c7e2b7489"
+
+
+def test_trace_judgments_are_pinned():
+    judgments = _judgments(_trace_cases())
+    labels = {j[2] for j in judgments if len(j) == 3}
+    assert labels == {None, *TRACE_ERRORS}  # every label, and valid traces
+    assert {j[0] for j in judgments if len(j) == 2} == {"MalformedSequenceError", "EvalError"}
+    assert _sha(repr(judgments).encode()) == TRACE_JUDGMENT_PIN
+
+
+# sha256 of `structrec eval --validate-traces` stdout over the trace cases
+# that have an input and raise nothing, by --format
+TRACE_REPORT_PINS = {
+    "json": "223ba06b8b6a0955b6bfe89c6a37a8286ef91e8ee26e69aae32e4dddc990d5fe",
+    "text": "f1b2bc79ad4c8b57afd6dcbe8b7fdba86ee428ddc834e28d6f466ce9ea019846",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(TRACE_REPORT_PINS))
+def test_trace_validation_report_is_pinned(tmp_path, capsys, fmt):
+    cases = _trace_cases()
+    path = tmp_path / "traces.jsonl"
+    path.write_text("".join(
+        json.dumps({"id": f"t{i}", "task": task, "input": tokens, "trace": text}) + "\n"
+        for i, ((task, text, tokens), judgment) in enumerate(zip(cases, _judgments(cases)))
+        if tokens is not None and len(judgment) == 3))
+    assert main(["eval", "--validate-traces", "--traces", str(path), "--format", fmt]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == TRACE_REPORT_PINS[fmt]
+
+
+def _parser_inputs(idef, count: int = 5000) -> list[list[str]]:
+    """Seeded token sequences around the chains of idef: complete chains
+    with up to three edits (a token dropped, inserted or replaced, from
+    both types' constructors, the XO alias and an unknown token)."""
+    unary = [c.name for c in idef.constructors if c.recursive_arity]
+    base = next(c.name for c in idef.constructors if not c.recursive_arity)
+    vocab = ("X0", "X1", "01", "XO", "S", "I", "Q")
+    inputs = []
+    for i in range(count):
+        rng = record_rng(0, f"parse-pins/{idef.name}", i)
+        tokens = [rng.choice(unary) for _ in range(rng.choice((0, 1, 2, 5, 40)))] + [base]
+        for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+            at = rng.randrange(len(tokens) + 1)
+            edit = rng.choice(("drop", "insert", "replace"))
+            if edit == "insert" or at == len(tokens):
+                tokens.insert(at, rng.choice(vocab))
+            elif edit == "drop":
+                del tokens[at]
+            else:
+                tokens[at] = rng.choice(vocab)
+        inputs.append(tokens)
+    return inputs
+
+
+def _parser_outcomes(idef) -> list:
+    def whole(tokens):
+        return linearize(delinearize(tokens, idef))
+
+    def front(tokens):
+        term, used = delinearize(tokens, idef, prefix=True)
+        return linearize(term), used
+    return [(_outcome(lambda: whole(tokens)), _outcome(lambda: front(tokens)))
+            for tokens in _parser_inputs(idef)]
+
+
+# sha256 of repr(_parser_outcomes(idef)), by type
+PARSER_PINS = {
+    "bin_pos": "a7171c24e0cd434614da5c4e93b5002118cdcb2c7fa84d6580d2643c85ad485f",
+    "peano": "cb8480675a3ff27d1e09741969148a141c1e7f05fead3f39c2177e88b3270c6a",
+}
+
+
+@pytest.mark.parametrize("idef", [BIN_POS, PEANO], ids=lambda idef: idef.name)
+def test_delinearize_outcomes_are_pinned(idef):
+    assert _sha(repr(_parser_outcomes(idef)).encode()) == PARSER_PINS[idef.name]
