@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import BudgetExhaustedError, UpdateClashError
-from .terms import BIN_POS, ONE, X0, X1, delinearize, normalize_tokens
+from .terms import BIN_POS, ONE, X0, X1, _chain_length, normalize_tokens
 
 # a location is a bare name or a (name, index) pair
 Location = str | tuple[str, int]
@@ -198,7 +198,7 @@ def machine_output(state: AsmState) -> list[str]:
 
 def _load_input(tokens) -> AsmState:
     toks = normalize_tokens(tokens)
-    delinearize(toks, BIN_POS)  # reject malformed inputs up front
+    _chain_length(toks, BIN_POS)  # reject malformed inputs up front
     return AsmState.load(toks, pos=0)
 
 
@@ -296,7 +296,7 @@ def successor_rasm() -> RasmSpec:
 
     def init(tokens) -> AsmState:
         toks = normalize_tokens(tokens)
-        delinearize(toks, BIN_POS)
+        _chain_length(toks, BIN_POS)
         return AsmState.load(toks, child_ready=False)
 
     def emit(tokens_out):

@@ -407,7 +407,7 @@ def gen_trees(spec: DatasetSpec) -> tuple[list[TreeSample], SplitSpec]:
     samples: list[TreeSample] = []
     seen: set[str] = set()
 
-    def draw(stream: str, index, depth: int | None) -> tuple[Term, int]:
+    def draw(stream: str, index, depth: int | None) -> tuple[Term, int, str]:
         rng = record_rng(spec.seed, stream, index)
         for _ in range(_MAX_TRIES):
             d = depth if depth is not None else rng.choice(depths)
@@ -415,7 +415,7 @@ def gen_trees(spec: DatasetSpec) -> tuple[list[TreeSample], SplitSpec]:
             key = tree_key(tree)
             if key not in seen:
                 seen.add(key)
-                return tree, d
+                return tree, d, key
         raise GenerationError(f"could not find a fresh tree after {_MAX_TRIES} tries")
 
     # test first: its per-depth quotas are exact, while train may fall back
@@ -425,16 +425,16 @@ def gen_trees(spec: DatasetSpec) -> tuple[list[TreeSample], SplitSpec]:
     j = 0
     for d in depths:
         for _ in range(test_quota[d]):
-            tree, _ = draw("tree-test", j, d)
+            tree, _, key = draw("tree-test", j, d)
             test_samples.append(TreeSample(id=f"test-{j:04d}", tree=tree, depth=d, split="test"))
-            test_keys.add(tree_key(tree))
+            test_keys.add(key)
             j += 1
 
     train_keys: set[str] = set()
     for i in range(spec.train_count):
-        tree, d = draw("tree-train", i, None)
+        tree, d, key = draw("tree-train", i, None)
         samples.append(TreeSample(id=f"train-{i:05d}", tree=tree, depth=d, split="train"))
-        train_keys.add(tree_key(tree))
+        train_keys.add(key)
     samples.extend(test_samples)
 
     split = SplitSpec(

@@ -16,6 +16,7 @@ from .errors import EvalError, IdMismatchError, MalformedSequenceError, Reductio
 from .reduction import (
     ARROW,
     PAREN,
+    Call,
     builtin_programs,
     levels,
     parse_state_paren,
@@ -246,7 +247,8 @@ def validate_trace(text: str, task: str, input_tokens=None) -> TraceJudgment:
     if task not in _TRACE_TASKS:
         raise EvalError(f"no trace validator for task {task!r}")
     program, style = _TRACE_TASKS[task]
-    separator = "=" if style == PAREN else "->"
+    separator, opening, closing = ("=", LPAR, RPAR) if style == PAREN else (
+        "->", UNROLL_OPEN, UNROLL_CLOSE)
     parse, render = ((parse_state_paren, render_state_paren) if style == PAREN
                      else (parse_state_unroll, render_state_unroll))
     states = [part.strip() for part in text.split(separator)]
@@ -258,7 +260,11 @@ def validate_trace(text: str, task: str, input_tokens=None) -> TraceJudgment:
         cur = parse(got, program)
     except (ReductionError, MalformedSequenceError):
         return TraceJudgment(False, 0, MALFORMED_STATE)
-    if input_tokens is not None and got != render(program_call(program, [input_tokens])):
+    # a pending call on the input shows the input's own tokens: compare
+    # them before parsing the input (which still says why a bad one is bad)
+    if input_tokens is not None and not (
+            isinstance(cur, Call) and got == [opening, *normalize_tokens(input_tokens), closing]
+    ) and got != render(program_call(program, [input_tokens])):
         return TraceJudgment(False, 0, TOKEN_MUTATION)
 
     # one engine runs the whole trace: each transition costs the redexes

@@ -29,8 +29,9 @@ from .terms import (
     REVERSE,
     X0,
     X1,
+    _bin_tokens,
+    _chain_length,
     bin_encode,
-    delinearize,
     linearize,
     normalize_tokens,
 )
@@ -88,8 +89,8 @@ def edge_inputs(bit_lengths) -> tuple[EdgeCaseGroup, EdgeCaseGroup]:
     lengths = sorted(set(bit_lengths))
     if not lengths:
         raise GenerationError("empty bit-length range")
-    g1 = {L: linearize(bin_encode(group1_value(L))) for L in lengths if L >= 2}
-    g2 = {L: linearize(bin_encode(group2_value(L))) for L in lengths if L >= 3}
+    g1 = {L: _bin_tokens(group1_value(L)) for L in lengths if L >= 2}
+    g2 = {L: _bin_tokens(group2_value(L)) for L in lengths if L >= 3}
     if not g1 and not g2:
         raise GenerationError(f"no edge inputs exist at bit lengths {lengths}")
     return EdgeCaseGroup(1, g1), EdgeCaseGroup(2, g2)
@@ -101,7 +102,7 @@ def edge_inputs(bit_lengths) -> tuple[EdgeCaseGroup, EdgeCaseGroup]:
 
 def _validated(tokens, order: str) -> list[str]:
     toks = normalize_tokens(tokens)
-    delinearize(toks if order == REVERSE else toks[::-1], BIN_POS)
+    _chain_length(toks if order == REVERSE else toks[::-1], BIN_POS)
     return toks
 
 
@@ -260,9 +261,8 @@ def diff_against_oracle(order: str, mode: str, lo: int, hi: int) -> Disagreement
     step = -1 if order == NATURAL else 1  # natural order is the reversal
     found = []
     for value in range(lo, hi + 1):
-        term = bin_encode(value)
-        expected = linearize(_normal_form(Call("s", (Value(term),))).term)[::step]
-        got = emulate(linearize(term)[::step], mode)
+        expected = linearize(_normal_form(Call("s", (Value(bin_encode(value)),))).term)[::step]
+        got = emulate(_bin_tokens(value)[::step], mode)
         if got != expected:
             found.append(
                 Disagreement(

@@ -9,6 +9,8 @@ yields an equivalent encoding.
 
 from __future__ import annotations
 
+import functools
+import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -42,8 +44,14 @@ NATURAL = "natural"  # written order: exact reversal of constructor order
 _TOKEN_RE = re.compile(r"UNROLL\[|REDUCE\[|[()\]]|[^\s()\[\]]+")
 
 
+_ALIASED = TOKEN_ALIASES.keys()
+
+
 def normalize_tokens(tokens) -> list[str]:
-    return [TOKEN_ALIASES.get(t, t) for t in tokens]
+    toks = list(tokens)
+    if _ALIASED.isdisjoint(toks):  # the usual case, checked at C speed
+        return toks
+    return [TOKEN_ALIASES.get(t, t) for t in toks]
 
 
 def intern_tokens(tokens, what: str = "tokens") -> list[str]:
@@ -90,6 +98,14 @@ class InductiveDef:
                 return c
         raise MalformedSequenceError(f"unknown {self.name} constructor: {name!r}")
 
+    @functools.cached_property
+    def _links(self) -> frozenset[str] | None:
+        """The constructors with one child, when every constructor has at
+        most one child and no payloads (a chain type); else None."""
+        if any(c.recursive_arity > 1 or c.payload_kinds for c in self.constructors):
+            return None
+        return frozenset(c.name for c in self.constructors if c.recursive_arity)
+
     @property
     def vocabulary(self) -> frozenset[str]:
         return frozenset(c.name for c in self.constructors)
@@ -98,11 +114,58 @@ class InductiveDef:
 @dataclass(frozen=True)
 class Term:
     """A fully applied constructor tree.  Structural equality and hashing
-    make terms directly usable as dedup keys."""
+    make terms directly usable as dedup keys; they and repr walk the tree
+    with a stack, so its depth has no recursion limit.  A term read by
+    delinearize also keeps the span it was read from (not a field)."""
 
     constructor: str
     payloads: tuple[str, ...] = ()
     children: tuple["Term", ...] = ()
+
+    _span = None  # (shared normalized tokens, start, end) of a parsed term
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if (a.__class__ is not b.__class__ or a.constructor != b.constructor
+                    or a.payloads != b.payloads or len(a.children) != len(b.children)):
+                return False
+            pairs += zip(a.children, b.children)
+        return True
+
+    def __hash__(self):
+        nodes, stack = [], [self]
+        while stack:  # preorder, so every child comes after its parent
+            nodes.append(t := stack.pop())
+            stack += t.children
+        hashes: list = []  # each subtree leaves its hash, last child on top
+        for t in reversed(nodes):
+            k = len(t.children)
+            kids = tuple(hashes[len(hashes) - k:])
+            del hashes[len(hashes) - k:]
+            hashes.append(hash((t.constructor, t.payloads, kids)))
+        return hashes[0]
+
+    def __repr__(self):
+        out, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, str):
+                out.append(t)
+                continue
+            out.append(f"{t.__class__.__qualname__}(constructor={t.constructor!r}, "
+                       f"payloads={t.payloads!r}, children=(")
+            stack.append(",))" if len(t.children) == 1 else "))")
+            for j in range(len(t.children) - 1, -1, -1):
+                stack.append(t.children[j])
+                if j:
+                    stack.append(", ")
+        return "".join(out)
 
 
 PEANO = InductiveDef(
@@ -141,6 +204,9 @@ def builtin_defs() -> dict[str, InductiveDef]:
 
 def linearize(term: Term) -> list[str]:
     """Constructor-order tokens: each constructor before its arguments."""
+    if term._span is not None:
+        toks, start, end = term._span
+        return list(toks[start:end])
     out: list[str] = []
     stack = [term]
     while stack:
@@ -155,12 +221,45 @@ def linearize(term: Term) -> list[str]:
     return out
 
 
+_new = object.__new__
+
+
+def _spanned(constructor: str, payloads: tuple, children: tuple, span: tuple) -> Term:
+    """Term(constructor, payloads, children) read from span."""
+    term = _new(Term)  # filled in directly: the frozen __init__ costs twice as much
+    fields = term.__dict__
+    fields["constructor"], fields["payloads"], fields["children"], fields["_span"] = \
+        constructor, payloads, children, span
+    return term
+
+
+def _chain_length(toks, idef: InductiveDef, prefix: bool = False) -> int:
+    """The number of normalized tokens the chain at the front of toks
+    takes, for a type whose constructors are links (one child) and bases
+    (none), all without payloads; raises what delinearize raises."""
+    try:  # the first token that is not a link ends the chain, or is unknown
+        end = operator.indexOf(map(idef._links.__contains__, toks), False) + 1
+    except ValueError:  # links only
+        raise MalformedSequenceError("dangling constructor: token sequence ends early") from None
+    idef.constructor(toks[end - 1])  # a base, or raises for an unknown token
+    if not prefix and end != len(toks):
+        raise MalformedSequenceError(f"trailing tokens after position {end}")
+    return end
+
+
 def delinearize(tokens, idef: InductiveDef, prefix: bool = False):
     """Parse constructor-order tokens back into a term.  With prefix, parse
-    one term off the front and return it with the number of tokens used."""
-    toks = normalize_tokens(tokens)
+    one term off the front and return it with the number of tokens used.
+    Each term keeps its span of the normalized tokens."""
+    toks = tuple(normalize_tokens(tokens))
+    if idef._links is not None:  # a chain, built from its base up
+        end = _chain_length(toks, idef, prefix)
+        term = _spanned(toks[end - 1], (), (), (toks, end - 1, end))
+        for i in range(end - 2, -1, -1):
+            term = _spanned(toks[i], (), (term,), (toks, i, end))
+        return (term, end) if prefix else term
     pos = 0
-    open_terms: list = []  # (constructor, payloads, arity, children so far)
+    open_terms: list = []  # (constructor, payloads, arity, children so far, start)
     while True:
         if pos >= len(toks):
             raise MalformedSequenceError("dangling constructor: token sequence ends early")
@@ -168,13 +267,13 @@ def delinearize(tokens, idef: InductiveDef, prefix: bool = False):
         n_pay = len(cdef.payload_kinds)
         if pos + 1 + n_pay > len(toks):
             raise MalformedSequenceError(f"{cdef.name} is missing payload tokens")
-        open_terms.append((cdef.name, tuple(toks[pos + 1 : pos + 1 + n_pay]),
-                           cdef.recursive_arity, []))
+        open_terms.append((cdef.name, toks[pos + 1 : pos + 1 + n_pay],
+                           cdef.recursive_arity, [], pos))
         pos += 1 + n_pay
         # close every term whose children are all parsed
         while len(open_terms[-1][3]) == open_terms[-1][2]:
-            name, payloads, _, children = open_terms.pop()
-            term = Term(name, payloads, tuple(children))
+            name, payloads, _, children, start = open_terms.pop()
+            term = _spanned(name, payloads, tuple(children), (toks, start, pos))
             if not open_terms:
                 if prefix:
                     return term, pos
@@ -203,7 +302,7 @@ def reorder(tokens, target_order: str, source_order: str | None = None) -> list[
     elif source_order not in (REVERSE, NATURAL):
         raise MalformedSequenceError(f"unknown order: {source_order!r}")
     constructor_form = toks if source_order == REVERSE else list(reversed(toks))
-    delinearize(constructor_form, BIN_POS)  # completeness check
+    _chain_length(constructor_form, BIN_POS)  # completeness check
     if source_order == target_order:
         return list(toks)
     return list(reversed(toks))

@@ -352,6 +352,53 @@ def test_validate_traces_malformed_record_exit_code(capsys, tmp_path, field, val
     assert out == ""
 
 
+TRACE_FUZZ_TOKENS = ("X0", "X1", "01", "XO", "(", ")", "UNROLL[", "REDUCE[", "]", "EMPTY",
+                     "LEAF", "a", "Q", "=", "->", "")
+
+
+def _damaged_trace(obj: dict, pool, rng) -> dict:
+    """One damaged copy of a trace record: cut or mutated trace text, the
+    input of another record, a malformed input, or another task."""
+    kind = rng.choice(("cut", "mutate", "other-input", "bad-input", "task"))
+    if kind == "cut":
+        obj["trace"] = obj["trace"][:rng.randrange(len(obj["trace"]) + 1)]
+    elif kind == "mutate":
+        tokens = obj["trace"].split(" ")
+        for _ in range(rng.randint(1, 3)):
+            tokens[rng.randrange(len(tokens))] = rng.choice(TRACE_FUZZ_TOKENS)
+        obj["trace"] = " ".join(tokens)
+    elif kind == "other-input":
+        obj["input"] = json.loads(rng.choice(pool))["input"]
+    elif kind == "bad-input":
+        obj["input"] = [rng.choice(TRACE_FUZZ_TOKENS) for _ in range(rng.randint(0, 4))]
+    else:
+        obj["task"] = rng.choice(("successor", "inorder", "preorder", "carousel", ""))
+    return obj
+
+
+def test_validate_traces_fuzzed_records_exit_cleanly(capsys, tmp_path):
+    assert run(capsys, "gen", "traces", "--range", "1:40", "--out", str(tmp_path))[0] == 0
+    assert run(capsys, "gen", "traces", "--task", "inorder", "--count", "20", "--depths", "1:4",
+               "--out", str(tmp_path))[0] == 0
+    pool = ((tmp_path / "traces_successor.jsonl").read_text().splitlines()
+            + (tmp_path / "traces_inorder.jsonl").read_text().splitlines())
+    path = tmp_path / "fuzzed.jsonl"
+    seen = set()
+    for case in range(300):
+        rng = record_rng(0, "trace-fuzz", case)
+        lines = rng.sample(pool, rng.randint(1, 4))
+        for at in rng.sample(range(len(lines)), rng.randint(1, len(lines))):
+            lines[at] = json.dumps(_damaged_trace(json.loads(lines[at]), pool, rng))
+        path.write_text("".join(line + "\n" for line in lines))
+        code, _, err = run(capsys, "eval", "--validate-traces", "--traces", str(path),
+                           "--format", rng.choice(("text", "json")))
+        assert code in (0, 2, 3, 4, 5, 6), (case, err)
+        assert "Traceback" not in err
+        assert code == 0 or err.startswith("error: "), (case, err)
+        seen.add(code)
+    assert seen == {0, 4}
+
+
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, _ = run(capsys, "eval", "--gold", str(tmp_path / "no.jsonl"),
                      "--pred", str(tmp_path / "also_no.jsonl"))

@@ -11,7 +11,10 @@ from structrec.terms import (
     NATURAL,
     PEANO,
     REVERSE,
+    ConstructorDef,
+    InductiveDef,
     Term,
+    _chain_length,
     bin_encode,
     bin_value,
     bin_x1_run,
@@ -156,6 +159,48 @@ def test_delinearize_empty():
         delinearize([], BIN_POS)
 
 
+def _outcome(call):
+    try:
+        return call()
+    except MalformedSequenceError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("idef", [BIN_POS, PEANO], ids=lambda idef: idef.name)
+def test_chain_parse_agrees_with_the_generic_loop(idef):
+    """A chain type takes the one-pass parse; the same constructors plus
+    one with payloads and two children take the generic loop.  Both give
+    the same terms, counts and errors, in both modes."""
+    generic = InductiveDef(idef.name, idef.constructors + (ConstructorDef("Pair", 2, ("c",)),))
+    assert idef._links is not None and generic._links is None
+    rng = random.Random(3)
+    vocab = ("X0", "X1", "01", "XO", "S", "I", "Q")
+    for _ in range(3000):
+        tokens = [rng.choice(vocab) for _ in range(rng.choice((0, 1, 2, 4, 9)))]
+        for prefix in (False, True):
+            chain = _outcome(lambda: delinearize(tokens, idef, prefix=prefix))
+            assert chain == _outcome(lambda: delinearize(tokens, generic, prefix=prefix))
+            used = chain[1] if prefix and not isinstance(chain, str) else len(tokens)
+            assert _outcome(lambda: _chain_length(normalize_tokens(tokens), idef, prefix)) == (
+                chain if isinstance(chain, str) else used)
+
+
+def test_parsed_terms_keep_their_spans():
+    tokens = ["X1", "XO", "X1", "01", "X0"]
+    term, used = delinearize(tokens, BIN_POS, prefix=True)
+    assert used == 4
+    assert linearize(term) == ["X1", "X0", "X1", "01"]
+    assert linearize(term.children[0].children[0]) == ["X1", "01"]
+    assert term == bin_encode(13) and hash(term) == hash(bin_encode(13))
+    assert repr(term) == repr(bin_encode(13))
+    linearize(term).append("X0")  # a copy: the span stays as it was
+    assert linearize(term) == ["X1", "X0", "X1", "01"]
+    tree = delinearize(linearize(CAT_TREE), CHAR_TREE)
+    assert linearize(tree.children[1]) == linearize(CAT_TREE.children[1])
+    assert Term("X0", (), (term,))._span is None
+    assert linearize(Term("X0", (), (term,))) == ["X0", "X1", "X0", "X1", "01"]
+
+
 # ---------------------------------------------------------------------------
 # tokens and aliases
 
@@ -295,3 +340,28 @@ def test_builtin_defs_vocabularies():
 
 def test_term_equality_is_structural():
     assert bin_encode(6) == Term("X0", (), (Term("X1", (), (Term("01"),)),))
+
+
+def test_term_repr_text():
+    assert repr(bin_encode(2)) == ("Term(constructor='X0', payloads=(), children=("
+                                   "Term(constructor='01', payloads=(), children=()),))")
+    assert repr(branch("a", leaf(), leaf())) == (
+        "Term(constructor='Branch', payloads=('a',), children=("
+        "Term(constructor='Leaf', payloads=(), children=()), "
+        "Term(constructor='Leaf', payloads=(), children=())))")
+
+
+def _left_spine(depth, last="a"):
+    tree = leaf()
+    for i in range(depth):
+        tree = branch(last if i == depth - 1 else "abc"[i % 3], tree, leaf())
+    return tree
+
+
+def test_deep_terms_compare_hash_and_print_past_the_recursion_limit():
+    tree = _left_spine(10_000)
+    parsed = tree_parse(tree_serialize(tree))
+    assert parsed == tree and hash(parsed) == hash(tree)
+    assert parsed != _left_spine(10_000, last="b") and parsed != _left_spine(9_999)
+    assert repr(parsed) == repr(tree) and repr(parsed).count("Branch") == 10_000
+
