@@ -196,10 +196,10 @@ def machine_output(state: AsmState) -> list[str]:
 # the successor machine over constructor-order tokens
 
 
-def _load_input(tokens) -> AsmState:
+def _load_input(tokens, **fields) -> AsmState:
     toks = normalize_tokens(tokens)
     _chain_length(toks, BIN_POS)  # reject malformed inputs up front
-    return AsmState.load(toks, pos=0)
+    return AsmState.load(toks, **fields)
 
 
 def successor_machine() -> AsmMachine:
@@ -234,7 +234,7 @@ def successor_machine() -> AsmMachine:
     return AsmMachine(
         name="successor",
         rules=rules,
-        init=_load_input,
+        init=lambda tokens: _load_input(tokens, pos=0),
         halted=lambda s: s["done"] is True,
     )
 
@@ -294,11 +294,6 @@ def successor_rasm() -> RasmSpec:
     """One agent per recursive unfolding: an X1 head spawns a child on
     the remaining tokens and prefixes the child's answer with X0."""
 
-    def init(tokens) -> AsmState:
-        toks = normalize_tokens(tokens)
-        _chain_length(toks, BIN_POS)
-        return AsmState.load(toks, child_ready=False)
-
     def emit(tokens_out):
         ups = [(("out", j), tok) for j, tok in enumerate(tokens_out)]
         return ups + [("outn", len(tokens_out)), ("done", True)]
@@ -326,7 +321,7 @@ def successor_rasm() -> RasmSpec:
     machine = AsmMachine(
         name="successor-agent",
         rules=rules,
-        init=init,
+        init=lambda tokens: _load_input(tokens, child_ready=False),
         halted=lambda s: s["done"] is True,
     )
 

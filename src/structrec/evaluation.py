@@ -260,12 +260,12 @@ def validate_trace(text: str, task: str, input_tokens=None) -> TraceJudgment:
         cur = parse(got, program)
     except (ReductionError, MalformedSequenceError):
         return TraceJudgment(False, 0, MALFORMED_STATE)
-    # a pending call on the input shows the input's own tokens: compare
-    # them before parsing the input (which still says why a bad one is bad)
-    if input_tokens is not None and not (
-            isinstance(cur, Call) and got == [opening, *normalize_tokens(input_tokens), closing]
-    ) and got != render(program_call(program, [input_tokens])):
-        return TraceJudgment(False, 0, TOKEN_MUTATION)
+    if input_tokens is not None:
+        # a pending call on the input shows the input's own tokens; only when
+        # they differ is the input parsed, which still rejects a bad one
+        shown = isinstance(cur, Call) and got == [opening, *normalize_tokens(input_tokens), closing]
+        if not shown and got != render(program_call(program, [input_tokens])):
+            return TraceJudgment(False, 0, TOKEN_MUTATION)
 
     # one engine runs the whole trace: each transition costs the redexes
     # it rewrites, not a fresh parse and search of the state

@@ -44,14 +44,11 @@ NATURAL = "natural"  # written order: exact reversal of constructor order
 _TOKEN_RE = re.compile(r"UNROLL\[|REDUCE\[|[()\]]|[^\s()\[\]]+")
 
 
-_ALIASED = TOKEN_ALIASES.keys()
-
-
 def normalize_tokens(tokens) -> list[str]:
     toks = list(tokens)
-    if _ALIASED.isdisjoint(toks):  # the usual case, checked at C speed
-        return toks
-    return [TOKEN_ALIASES.get(t, t) for t in toks]
+    if not TOKEN_ALIASES.keys().isdisjoint(toks):  # rare; the check runs at C speed
+        toks = [TOKEN_ALIASES.get(t, t) for t in toks]
+    return toks
 
 
 def intern_tokens(tokens, what: str = "tokens") -> list[str]:
@@ -100,8 +97,7 @@ class InductiveDef:
 
     @functools.cached_property
     def _links(self) -> frozenset[str] | None:
-        """The constructors with one child, when every constructor has at
-        most one child and no payloads (a chain type); else None."""
+        """The one-child constructors of a chain type (no payloads, no two children)."""
         if any(c.recursive_arity > 1 or c.payload_kinds for c in self.constructors):
             return None
         return frozenset(c.name for c in self.constructors if c.recursive_arity)
@@ -114,42 +110,29 @@ class InductiveDef:
 @dataclass(frozen=True)
 class Term:
     """A fully applied constructor tree.  Structural equality and hashing
-    make terms directly usable as dedup keys; they and repr walk the tree
-    with a stack, so its depth has no recursion limit.  A term read by
-    delinearize also keeps the span it was read from (not a field)."""
+    (iterative, as is repr) make terms directly usable as dedup keys."""
 
     constructor: str
     payloads: tuple[str, ...] = ()
     children: tuple["Term", ...] = ()
 
-    _span = None  # (shared normalized tokens, start, end) of a parsed term
+    _span = None  # not a field: (shared normalized tokens, start, end) of a parsed term
+
+    def _nodes(self):
+        """Constructor, payloads and child count per node in preorder: the tree."""
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            yield t.constructor, t.payloads, len(t.children)
+            stack += t.children[::-1]
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            if (a.__class__ is not b.__class__ or a.constructor != b.constructor
-                    or a.payloads != b.payloads or len(a.children) != len(b.children)):
-                return False
-            pairs += zip(a.children, b.children)
-        return True
+        return self is other or all(map(operator.eq, self._nodes(), other._nodes()))
 
     def __hash__(self):
-        nodes, stack = [], [self]
-        while stack:  # preorder, so every child comes after its parent
-            nodes.append(t := stack.pop())
-            stack += t.children
-        hashes: list = []  # each subtree leaves its hash, last child on top
-        for t in reversed(nodes):
-            k = len(t.children)
-            kids = tuple(hashes[len(hashes) - k:])
-            del hashes[len(hashes) - k:]
-            hashes.append(hash((t.constructor, t.payloads, kids)))
-        return hashes[0]
+        return hash(tuple(self._nodes()))
 
     def __repr__(self):
         out, stack = [], [self]
@@ -203,7 +186,8 @@ def builtin_defs() -> dict[str, InductiveDef]:
 
 
 def linearize(term: Term) -> list[str]:
-    """Constructor-order tokens: each constructor before its arguments."""
+    """Constructor-order tokens: each constructor before its arguments.  A
+    term read by delinearize gives a copy of its span, without a walk."""
     if term._span is not None:
         toks, start, end = term._span
         return list(toks[start:end])
@@ -221,12 +205,10 @@ def linearize(term: Term) -> list[str]:
     return out
 
 
-_new = object.__new__
-
-
 def _spanned(constructor: str, payloads: tuple, children: tuple, span: tuple) -> Term:
-    """Term(constructor, payloads, children) read from span."""
-    term = _new(Term)  # filled in directly: the frozen __init__ costs twice as much
+    """Term(constructor, payloads, children) read from span; set directly,
+    as the frozen __init__ (a setattr per field) takes 1.5 times as long."""
+    term = object.__new__(Term)
     fields = term.__dict__
     fields["constructor"], fields["payloads"], fields["children"], fields["_span"] = \
         constructor, payloads, children, span
@@ -234,9 +216,8 @@ def _spanned(constructor: str, payloads: tuple, children: tuple, span: tuple) ->
 
 
 def _chain_length(toks, idef: InductiveDef, prefix: bool = False) -> int:
-    """The number of normalized tokens the chain at the front of toks
-    takes, for a type whose constructors are links (one child) and bases
-    (none), all without payloads; raises what delinearize raises."""
+    """The number of normalized tokens the chain at the front of toks takes,
+    for a chain type (see InductiveDef._links); raises what delinearize raises."""
     try:  # the first token that is not a link ends the chain, or is unknown
         end = operator.indexOf(map(idef._links.__contains__, toks), False) + 1
     except ValueError:  # links only
@@ -301,8 +282,7 @@ def reorder(tokens, target_order: str, source_order: str | None = None) -> list[
             raise MalformedSequenceError("sequence is not a complete bin_pos encoding")
     elif source_order not in (REVERSE, NATURAL):
         raise MalformedSequenceError(f"unknown order: {source_order!r}")
-    constructor_form = toks if source_order == REVERSE else list(reversed(toks))
-    _chain_length(constructor_form, BIN_POS)  # completeness check
+    _chain_length(toks if source_order == REVERSE else toks[::-1], BIN_POS)  # completeness check
     if source_order == target_order:
         return list(toks)
     return list(reversed(toks))
