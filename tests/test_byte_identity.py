@@ -448,6 +448,9 @@ def _trace_cases() -> tuple:
         ("inorder", inorder, ["]"]),
         ("preorder", "UNROLL[ a LEAF LEAF ] ]", ["a", "LEAF", "LEAF", "]"]),
         ("preorder", "UNROLL[ a LEAF LEAF ] -> a", ["a", "LEAF", "LEAF", "]"]),
+        # state 0 shows the input's tokens but is no single call on it
+        ("inorder", "UNROLL[ a LEAF LEAF ] x UNROLL[ b LEAF LEAF ]",
+         ["a", "LEAF", "LEAF", "]", "x", "UNROLL[", "b", "LEAF", "LEAF"]),
         ("inorder", "EMPTY", ["LEAF"]),
         ("inorder", "REDUCE[ a LEAF LEAF ] -> a EMPTY EMPTY -> a", ["a", "LEAF", "LEAF"]),
         ("carousel", successor, None),
@@ -471,7 +474,7 @@ def _judgments(cases) -> list:
 
 
 # sha256 of repr(_judgments(_trace_cases()))
-TRACE_JUDGMENT_PIN = "865955e65d464323e56a6243483803f77e89f6eddde4be99b6e26b2c7e2b7489"
+TRACE_JUDGMENT_PIN = "d967a979edb163411549eec9d43ae4a2a14628ddb4a5aceab662feb0ee184cc5"
 
 
 def test_trace_judgments_are_pinned():
