@@ -116,17 +116,17 @@ def _add_gen_common(parser: argparse.ArgumentParser) -> None:
                         help=f"global RNG seed (default {datasets.DEFAULT_SEED})")
     parser.add_argument("--out", default=None,
                         help=f"output directory (default ${DATA_DIR_ENV} or '.')")
-    parser.add_argument("--max-pad", type=int, default=0, metavar="P",
+    parser.add_argument("--max-pad", type=_int_at_least(0), default=0, metavar="P",
                         help="prefix input and target with Uniform{0..P} pad tokens (default 0)")
     parser.add_argument("--remap", type=_remap_arg, default=None, metavar="JSON",
                         help="token respelling, inline JSON object or a path to one")
-    parser.add_argument("--oversample-g1", type=int, default=1, metavar="K",
+    parser.add_argument("--oversample-g1", type=_int_at_least(1), default=1, metavar="K",
                         help="duplication factor for edge group 1 records (default 1)")
-    parser.add_argument("--oversample-g2", type=int, default=1, metavar="K",
+    parser.add_argument("--oversample-g2", type=_int_at_least(1), default=1, metavar="K",
                         help="duplication factor for edge group 2 records (default 1)")
-    parser.add_argument("--weight-g1", type=int, default=1, metavar="W",
+    parser.add_argument("--weight-g1", type=_int_at_least(1), default=1, metavar="W",
                         help="loss weight stored on edge group 1 records (default 1)")
-    parser.add_argument("--weight-g2", type=int, default=1, metavar="W",
+    parser.add_argument("--weight-g2", type=_int_at_least(1), default=1, metavar="W",
                         help="loss weight stored on edge group 2 records (default 1)")
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from .errors import GenerationError
 from .reduction import (
@@ -83,6 +83,10 @@ class RecordMeta:
         return out
 
 
+# RecordMeta's fields in order, and their defaults
+_META_KEYS, _META_DEFAULTS = zip(*((f.name, f.default) for f in fields(RecordMeta)))
+
+
 @dataclass
 class ExampleRecord:
     id: str
@@ -111,25 +115,13 @@ class ExampleRecord:
         meta_obj = obj.get("meta", {})
         if not isinstance(meta_obj, dict):
             raise TypeError("meta must be an object")
-        meta = RecordMeta(
-            value=meta_obj.get("value"),
-            bits=meta_obj.get("bits"),
-            depth=meta_obj.get("depth"),
-            edge_group=meta_obj.get("edge_group", 0),
-            pad_len=meta_obj.get("pad_len", 0),
-            weight=meta_obj.get("weight", 1),
-        )
-        for key, val in vars(meta).items():
+        meta = list(map(meta_obj.get, _META_KEYS, _META_DEFAULTS))
+        for key, val in zip(_META_KEYS, meta):
             if val is not None and not isinstance(val, int):
                 raise TypeError(f"meta {key} must be an integer or null")
-        return cls(
-            id=str(obj["id"]),
-            task=obj["task"],
-            order=obj.get("order"),
-            input=intern_tokens(obj["input"], "input"),
-            target=intern_tokens(obj["target"], "target"),
-            meta=meta,
-        )
+        return cls(str(obj["id"]), obj["task"], obj.get("order"),
+                   intern_tokens(obj["input"], "input"), intern_tokens(obj["target"], "target"),
+                   RecordMeta(*meta))
 
 
 @dataclass
@@ -610,26 +602,29 @@ def write_jsonl(records, path) -> None:
             handle.write("\n")
 
 
-def _read_lines(path):
+def _read_records(path, build, error=GenerationError, what="bad record ({})") -> list:
+    """build(obj) for the JSON object on each non-blank line; a line that
+    is not JSON, or whose object build rejects with KeyError or TypeError,
+    raises error naming the file and its physical line."""
+    records = []
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                yield json.loads(line)
+                obj = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise GenerationError(f"{path}:{lineno}: bad JSON ({exc})") from None
+                raise error(f"{path}:{lineno}: bad JSON ({exc})") from None
+            try:
+                records.append(build(obj))
+            except (KeyError, TypeError) as exc:
+                raise error(f"{path}:{lineno}: {what.format(exc)}") from None
+    return records
 
 
 def read_jsonl(path) -> list[ExampleRecord]:
-    records = []
-    for lineno, obj in enumerate(_read_lines(path), start=1):
-        try:
-            records.append(ExampleRecord.from_dict(obj))
-        except (KeyError, TypeError) as exc:
-            raise GenerationError(f"{path}:{lineno}: bad record ({exc})") from None
-    return records
+    return _read_records(path, ExampleRecord.from_dict)
 
 
 def write_tree_samples(samples, path) -> None:
@@ -645,13 +640,7 @@ def write_tree_samples(samples, path) -> None:
 
 
 def read_traces(path) -> list[TraceRecord]:
-    records = []
-    for lineno, obj in enumerate(_read_lines(path), start=1):
-        try:
-            records.append(TraceRecord.from_dict(obj))
-        except (KeyError, TypeError) as exc:
-            raise GenerationError(f"{path}:{lineno}: bad trace record ({exc})") from None
-    return records
+    return _read_records(path, TraceRecord.from_dict, what="bad trace record ({})")
 
 
 def file_digest(path) -> str:

@@ -10,8 +10,10 @@ error category.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
+from . import datasets  # its record loop; datasets imports this module, via shortcuts
 from .errors import EvalError, IdMismatchError, MalformedSequenceError, ReductionError
 from .reduction import (
     ARROW,
@@ -69,32 +71,21 @@ class PredictionRecord:
 def read_predictions(path) -> list[PredictionRecord]:
     """Candidates are token lists or strings (tokenized); tokens are
     normalized and interned, so equal tokens are one object."""
-    records = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise EvalError(f"{path}:{lineno}: bad JSON ({exc})") from None
-            if not isinstance(obj, dict) or "id" not in obj or "candidates" not in obj:
-                raise EvalError(f"{path}:{lineno}: need an object with id and candidates fields")
-            try:
-                candidates = _candidates(obj["candidates"])
-            except TypeError:
-                raise EvalError(f"{path}:{lineno}: candidates must be a list of strings "
-                                "or of token lists") from None
-            records.append(PredictionRecord(id=str(obj["id"]), candidates=candidates))
-    return records
+    return datasets._read_records(path, _prediction, EvalError, "{}")
 
 
-def _candidates(value) -> list[list[str]]:
-    if not isinstance(value, list):
-        raise TypeError("candidates must be a list")
-    return [intern_tokens(tokenize(cand)) if isinstance(cand, str)
-            else normalize_tokens(intern_tokens(cand)) for cand in value]
+def _prediction(obj) -> PredictionRecord:
+    if not isinstance(obj, dict) or "id" not in obj or "candidates" not in obj:
+        raise TypeError("need an object with id and candidates fields")
+    value = obj["candidates"]
+    if isinstance(value, list):
+        try:
+            return PredictionRecord(str(obj["id"]), [
+                list(map(sys.intern, tokenize(cand))) if isinstance(cand, str)
+                else normalize_tokens(intern_tokens(cand)) for cand in value])
+        except TypeError:  # a candidate that is neither a string nor a token list
+            pass
+    raise TypeError("candidates must be a list of strings or of token lists")
 
 
 _ALIASED = TOKEN_ALIASES.keys()

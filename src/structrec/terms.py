@@ -62,10 +62,19 @@ def intern_tokens(tokens, what: str = "tokens") -> list[str]:
     raise TypeError(f"{what} must be a list of token strings")
 
 
+# text holding none of these splits on whitespace exactly as _TOKEN_RE
+# does (only its last branch can match, and \s is str.isspace) and holds
+# no alias, so str.split gives its tokens
+_NEEDS_REGEX = ("(", ")", "[", "]", *TOKEN_ALIASES)
+
+
 def tokenize(text: str) -> list[str]:
     """Split canonical text into tokens, treating parens and brackets as
     atomic even when they are glued to a neighbor."""
-    return normalize_tokens(_TOKEN_RE.findall(text))
+    for piece in _NEEDS_REGEX:
+        if piece in text:
+            return normalize_tokens(_TOKEN_RE.findall(text))
+    return text.split()
 
 
 @dataclass(frozen=True)

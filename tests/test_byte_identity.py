@@ -350,6 +350,71 @@ def test_eval_report_is_pinned(tmp_path, capsys, fmt):
     assert _sha(capsys.readouterr().out.encode()) == EVAL_PINS[fmt]
 
 
+WHITESPACE = [chr(c) for c in range(0x110000) if chr(c).isspace()]
+
+
+def _string_variants(target, i) -> list[str]:
+    """Candidate strings around a target: the whitespace-split ones and
+    the ones that hold a paren, a bracket, an alias or a token that
+    merely contains an alias."""
+    plain = " ".join(target)
+    wide = WHITESPACE[i % len(WHITESPACE)]
+    return [
+        plain,
+        "\t".join(target),
+        wide.join(target) + wide,
+        f"  {plain} \n",
+        "",
+        "(" + "".join(f"{tok}(" for tok in target[:-1]) + target[-1] + ")",
+        plain.replace("X0", "XO"),
+        plain.replace("X0", "XOR"),
+        "aXO " + plain,
+        f"UNROLL[{plain}]",
+        f"REDUCE[ {plain} ]",
+        "XO" + plain,
+        "[" + plain,
+        "X1 " + plain,
+    ]
+
+
+def _string_eval_fixture(directory):
+    """Gold records and ranked predictions whose every candidate is a string."""
+    gold, preds = [], []
+    for i in range(90):
+        value = 1 + (i * 53) % 400
+        target = _numeral(value + 1)
+        rid = f"s{i:03d}"
+        gold.append({"id": rid, "task": "successor", "order": "reverse",
+                     "input": _numeral(value), "target": target,
+                     "meta": {"value": value, "bits": value.bit_length(),
+                              "depth": i % 4 + 1, "edge_group": i % 3,
+                              "pad_len": 0, "weight": 1}})
+        rng = record_rng(3, "string-candidates", i)
+        variants = _string_variants(target, i)
+        rng.shuffle(variants)
+        preds.append({"id": rid, "candidates": variants[:rng.randrange(7)]})
+    gold_path, pred_path = directory / "gold.jsonl", directory / "pred.jsonl"
+    gold_path.write_text("".join(json.dumps(obj) + "\n" for obj in gold))
+    pred_path.write_text("".join(json.dumps(obj) + "\n" for obj in preds))
+    return gold_path, pred_path
+
+
+# sha256 of `structrec eval` stdout on the string-candidate fixture, by --format
+STRING_EVAL_PINS = {
+    "json": "f94c09037ddbc72ccb1b289bf4b2e1293d27c05f81a41bc181ff56deafb5d051",
+    "text": "b73122d5c500fc5e0c795fcf3d388936378203c470844ff9e690580fad5b5b44",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(STRING_EVAL_PINS))
+def test_string_candidate_report_is_pinned(tmp_path, capsys, fmt):
+    gold, pred = _string_eval_fixture(tmp_path)
+    argv = ["eval", "--gold", str(gold), "--pred", str(pred), "--format", fmt,
+            "--hit-ks", "1,3,6", "--breakdown", "bits"]
+    assert main(argv) == 0
+    assert _sha(capsys.readouterr().out.encode()) == STRING_EVAL_PINS[fmt]
+
+
 # ---------------------------------------------------------------------------
 # trace judgments and the constructor-order parser
 

@@ -1,6 +1,10 @@
 """CLI: subcommand behavior, file outputs, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -411,6 +415,10 @@ def test_missing_file_exit_code(capsys, tmp_path):
     ("gen", "random", "--count", "-5"),
     ("gen", "traces", "--task", "inorder", "--count", "-3"),
     ("gen", "traversal", "--k", "0"),
+    ("gen", "successor", "--oversample-g1", "0"),
+    ("gen", "successor", "--oversample-g2", "0"),
+    ("gen", "random", "--weight-g1", "0"),
+    ("gen", "single-step", "--weight-g2", "-1"),
 ])
 def test_values_below_one_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -422,12 +430,111 @@ def test_values_below_one_are_usage_errors(capsys, argv):
 @pytest.mark.parametrize("argv", [
     ("gen", "traversal", "--train", "-2"),
     ("gen", "trees", "--test", "-1"),
+    ("gen", "successor", "--max-pad", "-1"),
+    ("gen", "traces", "--max-pad", "-3"),
 ])
 def test_negative_split_sizes_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("usage:") and f"argument {argv[-2]}: must be at least 0" in err
     assert out == ""
+
+
+def _int_flag(rng, low, high) -> str:
+    """Mostly an integer in low..high, else one below it or not an integer."""
+    if rng.random() < 0.75:
+        return str(rng.randint(low, high))
+    return rng.choice((str(low - 1), "-1", "x", "", "1.5"))
+
+
+def _range_flag(rng, lows, width) -> str:
+    """Mostly LO:HI spanning at most width + 1 values, else a reversed
+    range or not a range."""
+    lo = rng.choice(lows)
+    if rng.random() < 0.75:
+        return f"{lo}:{lo + rng.randint(0, width)}"
+    return rng.choice((f"{lo}:{lo - 1}", str(lo), f"{lo}:", ":", "a:b", "1:2:3"))
+
+
+BIG = 2**31
+GEN_FLAGS = {
+    "--seed": lambda rng: _int_flag(rng, -5, 9),
+    "--max-pad": lambda rng: _int_flag(rng, 0, 4),
+    "--oversample-g1": lambda rng: _int_flag(rng, 1, 4),
+    "--oversample-g2": lambda rng: _int_flag(rng, 1, 4),
+    "--weight-g1": lambda rng: _int_flag(rng, 1, 4),
+    "--weight-g2": lambda rng: _int_flag(rng, 1, 4),
+}
+TREE_FLAGS = {
+    "--depths": lambda rng: _range_flag(rng, (-1, 0, 1, 2, 3, 5), 4),
+    "--train": lambda rng: _int_flag(rng, 0, 50),
+    "--test": lambda rng: _int_flag(rng, 0, 50),
+}
+# each subcommand with small sizes to start from, and its numeric and range
+# flags, every value small enough that a run takes milliseconds
+FLAG_FUZZ = {
+    ("gen", "successor"): (["--range", "1:8"], {
+        "--range": lambda rng: _range_flag(rng, (-1, 0, 1, 5, BIG - 40, BIG, BIG + 1), 63),
+        "--edge-cases": lambda rng: _range_flag(rng, (-1, 0, 1, 2, 30, 64), 8),
+        **GEN_FLAGS}),
+    ("gen", "random"): (["--count", "5", "--bits", "4:8"], {
+        "--count": lambda rng: _int_flag(rng, 1, 50),
+        "--bits": lambda rng: _range_flag(rng, (-1, 0, 1, 2, 30, 62), 4),
+        **GEN_FLAGS}),
+    ("gen", "single-step"): (["--range", "1:8"], {
+        "--range": lambda rng: _range_flag(rng, (-1, 0, 1, 5, BIG - 40, BIG), 63),
+        **GEN_FLAGS}),
+    ("gen", "trees"): (["--depths", "2:3", "--train", "5", "--test", "2"],
+                       {**TREE_FLAGS, **GEN_FLAGS}),
+    ("gen", "traversal"): (["--depths", "2:3", "--train", "5", "--test", "2"], {
+        "--k": lambda rng: _int_flag(rng, 1, 6), **TREE_FLAGS, **GEN_FLAGS}),
+    ("gen", "traces"): (["--task", "inorder", "--count", "3", "--range", "1:8"], {
+        "--task": lambda rng: rng.choice(("successor", "inorder", "preorder")),
+        "--range": lambda rng: _range_flag(rng, (-1, 0, 1, 5, BIG - 40, BIG), 63),
+        "--count": lambda rng: _int_flag(rng, 1, 50),
+        "--depths": TREE_FLAGS["--depths"],
+        **GEN_FLAGS}),
+    ("reduce", "s", "X1 X0 X1 01"): ([], {
+        "--k": lambda rng: _int_flag(rng, 0, 6),
+        "--fuel": lambda rng: _int_flag(rng, 1, 6),
+        "--trace": None}),
+    ("reduce", "preorder", "a ( b LEAF LEAF ) LEAF"): ([], {
+        "--k": lambda rng: _int_flag(rng, 0, 6),
+        "--fuel": lambda rng: _int_flag(rng, 1, 6)}),
+    ("shortcut", "natural"): (["--diff", "--range", "1:8"], {
+        "--range": lambda rng: _range_flag(rng, (-1, 0, 1, 2, 1000, BIG - 40), 63),
+        "--mode": lambda rng: rng.choice(("faithful", "corrected"))}),
+    ("asm", "successor-rasm", "--input", "X1 X1 X0 01"): ([], {
+        "--budget": lambda rng: _int_flag(rng, 1, 8)}),
+    ("asm", "shortcut-reverse", "--input", "X1 X1 01"): ([], {
+        "--budget": lambda rng: _int_flag(rng, 1, 8)}),
+}
+
+
+def test_fuzzed_flag_values_exit_cleanly(capsys, tmp_path):
+    gold, pred = _gold_and_pred(capsys, tmp_path, count=8)
+    gold_path, pred_path = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold_path.write_text("".join(line + "\n" for line in gold))
+    pred_path.write_text("".join(line + "\n" for line in pred))
+    cases = {**FLAG_FUZZ, ("eval", "--gold", str(gold_path), "--pred", str(pred_path)): ([], {
+        "--hit-ks": lambda rng: rng.choice(("1", "0", "-1", "1,3", "2,2,9", "", "a", "64",
+                                            "1,,2"))})}
+    seen = set()
+    for case in range(240):
+        rng = record_rng(0, "flag-fuzz", case)
+        command = rng.choice(sorted(cases))
+        base, flags = cases[command]
+        argv = [*command, *base]
+        if command[0] == "gen":
+            argv += ["--out", str(tmp_path / "out")]
+        for flag in rng.sample(sorted(flags), rng.randint(1, min(3, len(flags)))):
+            argv += [flag] if flags[flag] is None else [flag, flags[flag](rng)]
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2, 3, 4, 5, 6), (argv, err)
+        assert "Traceback" not in err
+        assert code == 0 or err.startswith(("usage:", "error:")), (argv, err)
+        seen.add(code)
+    assert {0, 2, 4, 5} <= seen
 
 
 def test_bad_flags_exit_code(capsys):
@@ -438,6 +545,14 @@ def test_bad_flags_exit_code(capsys):
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
     assert run(capsys, "gen", "--help")[0] == 0
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-m", "structrec", "--help"], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: structrec")
 
 
 def test_gen_remap_and_padding(capsys, tmp_path):

@@ -358,6 +358,14 @@ def test_read_jsonl_rejects_malformed_records(tmp_path, change, message):
         read_jsonl(path)
 
 
+def test_read_jsonl_names_the_physical_line_after_blank_lines(tmp_path):
+    good = json.dumps(gen_successor_range(DatasetSpec(lo=1, hi=1))[0].to_dict())
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f'{good}\n\n{good.replace("[", "[7, ", 1)}\n')
+    with pytest.raises(GenerationError, match=":3: bad record"):
+        read_jsonl(path)
+
+
 def test_read_jsonl_interns_tokens(tmp_path):
     path = tmp_path / "d.jsonl"
     write_jsonl(gen_successor_range(DatasetSpec(lo=5, hi=6)), path)
@@ -417,3 +425,12 @@ def test_record_meta_omits_unset_fields():
 def test_spec_validation_rejects(kwargs):
     with pytest.raises(GenerationError):
         DatasetSpec(**kwargs).validate()
+
+
+def test_read_traces_names_the_physical_line_after_blank_lines(tmp_path):
+    good = json.dumps(gen_traces(DatasetSpec(task=SUCCESSOR, lo=1, hi=1))[0].to_dict())
+    bad = json.dumps({**json.loads(good), "trace": 5})
+    path = tmp_path / "traces.jsonl"
+    path.write_text(f"{good}\n\n  \n{bad}\n")
+    with pytest.raises(GenerationError, match=":4: bad trace record"):
+        read_traces(path)

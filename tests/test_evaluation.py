@@ -1,6 +1,7 @@
 """Metrics, breakdowns, failure signatures, and the trace validator."""
 
 import json
+import operator
 import random
 
 import pytest
@@ -121,6 +122,22 @@ def test_read_predictions_rejects_malformed_candidates(tmp_path, line):
     path = tmp_path / "p.jsonl"
     path.write_text(line + "\n")
     with pytest.raises(EvalError, match=":1:"):
+        read_predictions(path)
+
+
+def test_read_predictions_interns_whitespace_split_candidates(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text('{"id": "a", "candidates": [["X1", "X0", "01"]]}\n'
+                    '{"id": "b", "candidates": [" X0\\tX1\\u3000 01 "]}\n')
+    first, second = (record.candidates[0] for record in read_predictions(path))
+    assert second == ["X0", "X1", "01"]
+    assert all(map(operator.is_, second, [first[1], first[0], first[2]]))
+
+
+def test_read_predictions_names_the_physical_line_after_blank_lines(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text('{"id": "a", "candidates": ["X1 01"]}\n\n{"id": "b", "candidates": [5]}\n')
+    with pytest.raises(EvalError, match=":3: candidates must be a list"):
         read_predictions(path)
 
 

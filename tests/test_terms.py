@@ -1,6 +1,7 @@
 """Token and term layer: encodings, round trips, orders, respelling."""
 
 import random
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from structrec.terms import (
     ConstructorDef,
     InductiveDef,
     Term,
+    _TOKEN_RE,
     _chain_length,
     bin_encode,
     bin_value,
@@ -221,6 +223,30 @@ def test_tokenize_unroll_alias():
 
 def test_tokenize_parens_without_spaces():
     assert tokenize("(X1 01)") == ["(", "X1", "01", ")"]
+
+
+ALL_CHARS = "".join(map(chr, range(0x110000)))
+WHITESPACE = [c for c in ALL_CHARS if c.isspace()]
+TEXT_PIECES = ("X0", "X1", "01", "LEAF", "EMPTY", "a", "b", "Q", "(", ")", "[", "]", "UNROLL[",
+               "REDUCE[", "XO", "XOR", "aXO", "XOX", "X", "O", "REDUCE", "\u200b", "\xa0X1")
+
+
+def test_regex_whitespace_is_str_isspace():
+    # what lets tokenize split text without brackets on str.split
+    assert re.findall(r"\s", ALL_CHARS) == WHITESPACE
+
+
+def test_tokenize_agrees_with_the_token_regex():
+    rng = random.Random(8)
+    for case in range(4000):
+        parts = []
+        for _ in range(rng.randint(0, 12)):
+            if rng.random() < 0.4:
+                parts.append("".join(rng.choices(WHITESPACE, k=rng.randint(1, 3))))
+            else:
+                parts.append(rng.choice(TEXT_PIECES))  # glued when no whitespace falls between
+        text = "".join(parts)
+        assert tokenize(text) == normalize_tokens(_TOKEN_RE.findall(text)), (case, text)
 
 
 # ---------------------------------------------------------------------------
