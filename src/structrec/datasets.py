@@ -34,13 +34,13 @@ from .terms import (
     REVERSE,
     Term,
     _bin_tokens,
+    _check_injective,
+    _respelled,
     bin_encode,
     bin_x1_run,
     intern_tokens,
     linearize,
     normalize_tokens,
-    remap_tokens,
-    tree_depth,
     tree_serialize,
 )
 
@@ -60,8 +60,12 @@ TRACES = "traces"
 def record_rng(seed: int, stream: str, index) -> random.Random:
     """Per-record RNG; the built-in hash() is salted, so derive the seed
     from a stable digest instead."""
+    return random.Random(_record_seed(seed, stream, index))
+
+
+def _record_seed(seed: int, stream: str, index) -> int:
     digest = hashlib.sha256(f"{seed}/{stream}/{index}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
+    return int.from_bytes(digest[:8], "big")
 
 
 @dataclass
@@ -350,14 +354,28 @@ _BRANCH_PROB = 0.8
 _MAX_TRIES = 1000
 
 
-def _grow(rng: random.Random, budget: int, alphabet: str) -> Term:
-    if budget == 0 or rng.random() > _BRANCH_PROB:
-        return Term("Leaf")
-    return Term(
-        "Branch",
-        (rng.choice(alphabet),),
-        (_grow(rng, budget - 1, alphabet), _grow(rng, budget - 1, alphabet)),
-    )
+# a candidate tree is a leaf, or (depth, value, left, right): plain tuples,
+# so a candidate of the wrong depth costs no Term
+_LEAF = (0,)
+
+
+def _branch(rng: random.Random, budget: int, alphabet: str) -> tuple:
+    """A Branch candidate: its value, then each subtree in turn, which
+    while budget lasts is a Branch with probability _BRANCH_PROB (the coin
+    drawn before anything of the subtree)."""
+    value = rng.choice(alphabet)
+    left = (_branch(rng, budget - 1, alphabet)
+            if budget and rng.random() <= _BRANCH_PROB else _LEAF)
+    right = (_branch(rng, budget - 1, alphabet)
+             if budget and rng.random() <= _BRANCH_PROB else _LEAF)
+    return 1 + max(left[0], right[0]), value, left, right
+
+
+def _as_term(node: tuple, leaf: Term) -> Term:
+    if node is _LEAF:
+        return leaf
+    _, value, left, right = node
+    return Term("Branch", (value,), (_as_term(left, leaf), _as_term(right, leaf)))
 
 
 def sample_tree(rng: random.Random, depth: int, alphabet: str) -> Term:
@@ -366,13 +384,9 @@ def sample_tree(rng: random.Random, depth: int, alphabet: str) -> Term:
     if depth < 1:
         raise GenerationError("tree samples need depth >= 1 (a bare Leaf is not a sample)")
     for _ in range(_MAX_TRIES):
-        tree = Term(
-            "Branch",
-            (rng.choice(alphabet),),
-            (_grow(rng, depth - 1, alphabet), _grow(rng, depth - 1, alphabet)),
-        )
-        if tree_depth(tree) == depth:
-            return tree
+        tree = _branch(rng, depth - 1, alphabet)
+        if tree[0] == depth:
+            return _as_term(tree, Term("Leaf"))  # one leaf term serves the whole tree
     raise GenerationError(f"could not hit depth {depth} in {_MAX_TRIES} tries")
 
 
@@ -515,19 +529,16 @@ def apply_padding(records, max_pad: int, seed: int, pad_token: str = PAD_TOKEN):
     number of pad tokens (0..max_pad inclusive)."""
     if max_pad < 0:
         raise GenerationError("max_pad must be non-negative")
-    out = []
+    rng, out = random.Random(), []
     for i, record in enumerate(records):
-        rng = record_rng(seed, "pad", i)
+        rng.seed(_record_seed(seed, "pad", i))  # record_rng(seed, "pad", i), reseeded
         pad = rng.randint(0, max_pad)
         prefix = [pad_token] * pad
-        out.append(
-            replace(
-                record,
-                input=prefix + list(record.input),
-                target=prefix + list(record.target),
-                meta=replace(record.meta, pad_len=pad),
-            )
-        )
+        meta = record.meta
+        out.append(ExampleRecord(
+            record.id, record.task, record.order,
+            prefix + list(record.input), prefix + list(record.target),
+            RecordMeta(meta.value, meta.bits, meta.depth, meta.edge_group, pad, meta.weight)))
     return out
 
 
@@ -537,14 +548,14 @@ def apply_remap(records, mapping: dict):
     full = dict(mapping)
     for tok in STRUCTURAL_TOKENS:
         full.setdefault(tok, tok)
-    return [
-        replace(
-            record,
-            input=remap_tokens(record.input, full),
-            target=remap_tokens(record.target, full),
-        )
-        for record in records
-    ]
+    out = []
+    for record in records:
+        if not out:  # checked once, and only when there is a record to respell
+            _check_injective(full)
+        out.append(ExampleRecord(
+            record.id, record.task, record.order,
+            _respelled(record.input, full), _respelled(record.target, full), record.meta))
+    return out
 
 
 def oversample(records, group1_factor: int, group2_factor: int, seed: int):
@@ -591,8 +602,12 @@ def build_dataset(spec: DatasetSpec) -> list[ExampleRecord]:
 # files
 
 
+# what json.dumps(obj, sort_keys=True, separators=(",", ":")) would build per call
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _dump_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
 def write_jsonl(records, path) -> None:

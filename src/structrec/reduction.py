@@ -105,12 +105,21 @@ def is_normal(expr: Expr) -> bool:
 
 
 def expr_token_count(expr: Expr) -> int:
+    """The size of expr in tokens; a value counts as many as it linearizes
+    to (its constructors and payloads, or the span it was read from),
+    without building the list."""
     total = 0
     stack = [expr]
     while stack:
         e = stack.pop()
-        if isinstance(e, Value):
-            total += len(linearize(e.term))
+        if type(e) is Term:
+            if e._span is None:
+                total += 1 + len(e.payloads)
+                stack += e.children
+            else:
+                total += e._span[2] - e._span[1]
+        elif isinstance(e, Value):
+            stack.append(e.term)
         elif isinstance(e, Ctor):
             total += 1 + len(e.payloads)
             stack.extend(e.args)
@@ -157,7 +166,9 @@ class Program:
                 f"exactly once, got {covered}"
             )
         # per constructor: binders, the function filling in the template, rule
-        # name, redex paths, big-step code; not a field, so eq and repr ignore it
+        # name, redex paths, big-step code (its calls, build and c, and the
+        # payloads, children and other arguments it takes); not a field, so
+        # eq and repr ignore it
         object.__setattr__(self, "compiled", {})
         for clause in self.clauses:
             cdef = self.arg_type.constructor(clause.constructor)
@@ -172,7 +183,8 @@ class Program:
             slots = {b: i for i, b in enumerate(clause.binders + self.params[1:])}
             calls: list = []
             try:
-                big = (calls, *_compile_big(clause.template, slots, calls))
+                build_big, c, _ = _compile_big(clause.template, slots, calls)
+                big = (calls, build_big, c, n_pay, cdef.recursive_arity, len(self.params) - 1)
             except (KeyError, ReductionError):  # an unbound variable, or not an expression
                 big = None
             self.compiled[clause.constructor] = (
@@ -243,8 +255,9 @@ def _compile_big(template: Expr, slots: dict, calls: list):
     """(build, c, waits): build(env, vals) makes the node's value from the
     environment and the values of earlier calls; in a body that appeared at
     level t it is normal at level max(t + c, the levels of calls waits).
-    Appends the node's calls in firing order as (program, argument builds,
-    c and waits of the matched one, those of the others not normal at t)."""
+    Appends the node's calls in firing order as (program, the matched
+    argument's build, the other arguments' builds, c and waits of the
+    matched one, those of the others not normal at t)."""
     if isinstance(template, Var):
         slot = slots[template.name]
         return (lambda env, vals: env[slot]), 0, ()
@@ -252,7 +265,7 @@ def _compile_big(template: Expr, slots: dict, calls: list):
         const = template.term if isinstance(template, Value) else template
         return (lambda env, vals: const), 0, ()
     if isinstance(template, ListLit):
-        kids, kind, c, join = template.items, str, 0, lambda *items: items
+        kids, kind, c, join = template.items, str, 0, None
     elif isinstance(template, Concat):
         # two lists that were lists already take a level to join; any other
         # concat joins in the level that completes it
@@ -265,70 +278,109 @@ def _compile_big(template: Expr, slots: dict, calls: list):
     parts = [_compile_big(kid, slots, calls) for kid in kids]
     builds = [build for build, _, _ in parts]
     if isinstance(template, Call):
-        calls.append((template.fn, builds, *parts[0][1:],
+        calls.append((template.fn, builds[0], tuple(builds[1:]), *parts[0][1:],
                       [p[1:] for p in parts[1:] if p[1:] != (0, ())]))
         index = len(calls) - 1
         return (lambda env, vals: vals[index]), 0, (index,)
+    return (_joined(builds, kind, join), max([c] + [p[1] for p in parts]),
+            sum((p[2] for p in parts), ()))
 
-    def build(env, vals):
-        args = [make(env, vals) for make in builds]
-        for arg in args:
+
+def _joined(builds: list, kind: type, join):
+    """build(env, vals): join over the values of builds, each of type kind,
+    or their tuple when join is None (a list's items), fixed to the arity."""
+    if not builds:  # nothing to evaluate: one value serves every instance
+        const = join() if join else ()
+        return lambda env, vals: const
+    if len(builds) == 1:
+        (only,) = builds
+
+        def build(env, vals):
+            arg = only(env, vals)
             if type(arg) is not kind:
                 raise ReductionError("ill-typed")  # levels() gets stuck, rejects or leaves it
-        return join(*args)
+            return join(arg) if join else (arg,)
+    elif len(builds) == 2:
+        first, second = builds
 
-    return build, max([c] + [p[1] for p in parts]), sum((p[2] for p in parts), ())
+        def build(env, vals):
+            left, right = first(env, vals), second(env, vals)
+            if type(left) is not kind or type(right) is not kind:
+                raise ReductionError("ill-typed")
+            return join(left, right) if join else (left, right)
+    else:
+        def build(env, vals):
+            args = tuple([make(env, vals) for make in builds])
+            for arg in args:
+                if type(arg) is not kind:
+                    raise ReductionError("ill-typed")
+            return join(*args) if join else args
+    return build
 
 
-def _big_step(expr: Expr, programs, fuel: int):
+def _big_step(expr: Expr, programs, fuel: int | None):
     """The normal form levels() reaches from a call on values, by eval/apply
     on an explicit stack.  A call fires one level after its matched argument
-    is normal.  None past fuel levels, and where only levels() can tell what
-    happens: an error, a stuck part, or a call that fires while another
-    argument is pending, which levels() substitutes unevaluated."""
+    is normal.  None past fuel levels (None: _budget's default, sized only
+    once a level reaches 4, the least it can be), and where only levels()
+    can tell what happens: an error, a stuck part, or a call that fires
+    while another argument is pending, which levels() substitutes
+    unevaluated."""
     if not (isinstance(expr, Call) and expr.args
             and all(isinstance(a, Value) for a in expr.args)):
         return None
-    # the body being evaluated: its code, environment and the level it
-    # appeared at, and the values and levels of its calls so far
-    code = (((expr.fn, [lambda env, vals, a=a: a.term for a in expr.args], 0, (), ()),),
-            lambda env, vals: vals[0], 0, (0,))
+    sized = fuel is not None
+    limit = _budget(expr, fuel) if sized else 4
+    # the body being evaluated: its calls and build, its environment and the
+    # level it appeared at, and the values and levels of its calls so far
+    terms = [lambda env, vals, a=a: a.term for a in expr.args]
+    calls, build = ((expr.fn, terms[0], tuple(terms[1:]), 0, (), ()),), lambda env, vals: vals[0]
     env, t, vals, ready_at, stack = (), 0, [], [], []
     try:
         while True:
-            calls, build, c, waits = code
             if len(vals) < len(calls):
-                fn, builds, k, w, others = calls[len(vals)]
-                args = tuple([make(env, vals) for make in builds])
+                fn, first, rest, k, w, others = calls[len(vals)]
+                term = first(env, vals)
                 ready = max([t + k] + [ready_at[j] for j in w]) if w else t + k
                 if others and any(max([t + ok] + [ready_at[j] for j in ow]) > ready
                                   for ok, ow in others):
                     return None  # levels() would substitute an argument still pending
-                term, prog = args[0], programs.get(fn)
+                prog = programs.get(fn)
                 entry = prog.compiled.get(term.constructor) if type(term) is Term and prog else None
-                body = entry[5] if entry else None  # (calls, build, c, waits)
-                if (ready >= fuel or body is None or len(args) != len(prog.params)
-                        or len(term.payloads) != len(entry[0])
-                        or len(term.children) != len(entry[1])):
+                body = entry[5] if entry else None
+                if (body is None or len(term.payloads) != body[3]
+                        or len(term.children) != body[4] or len(rest) != body[5]):
                     return None
-                body_env = term.payloads + term.children + args[1:]
+                if ready >= limit:
+                    if not sized:
+                        limit, sized = _budget(expr, None), True
+                    if ready >= limit:
+                        return None
+                body_env = term.payloads + term.children
+                if rest:
+                    body_env += tuple([make(env, vals) for make in rest])
                 if body[0]:
-                    stack.append((code, env, t, vals, ready_at))
-                    code, env, t, vals, ready_at = body, body_env, ready + 1, [], []
-                else:  # a body without calls is normal as it appears
+                    stack.append((calls, build, env, t, vals, ready_at))
+                    calls, build = body[0], body[1]
+                    env, t, vals, ready_at = body_env, ready + 1, [], []
+                else:  # a body without calls is normal as it appears, or c levels later
                     vals.append(body[1](body_env, ()))
                     ready_at.append(ready + 1 + body[2])
             else:
-                value = build(env, vals)
-                level = max([t + c] + [ready_at[j] for j in waits])
+                # normal with its latest call: a call inside an argument
+                # fires before the call it is in, and every call ends a level
+                # or more after the body appeared, as late as c can make it
+                value, level = build(env, vals), max(ready_at)
                 if not stack:
                     break
-                code, env, t, vals, ready_at = stack.pop()
+                calls, build, env, t, vals, ready_at = stack.pop()
                 vals.append(value)
                 ready_at.append(level)
     except ReductionError:  # only levels() tells what happens
         return None
-    if level > fuel or type(value) not in (Term, tuple):
+    if level > limit and not sized:
+        limit = _budget(expr, None)
+    if level > limit or type(value) not in (Term, tuple):
         return None
     return Value(value) if type(value) is Term else ListLit(value)
 
@@ -675,7 +727,6 @@ def _normal_form(expr: Expr, programs=None, fuel: int | None = None) -> Expr:
     """reduce()'s normal form under the same budget, building no other state:
     big-step, or levels() where only it can tell, so errors are the same."""
     programs = _BUILTINS if programs is None else programs
-    fuel = _budget(expr, fuel)
     result = _big_step(expr, programs, fuel)
     if result is not None:
         return result

@@ -463,20 +463,20 @@ def tree_parse(tokens) -> Term:
 
 def remap_tokens(tokens, mapping: dict[str, str]) -> list[str]:
     """Apply a bijective respelling positionwise."""
+    _check_injective(mapping)
+    return _respelled(tokens, mapping)
+
+
+def _check_injective(mapping: dict[str, str]) -> None:
     values = list(mapping.values())
     if len(set(values)) != len(values):
         raise RemapError("remap is not injective")
-    toks = normalize_tokens(tokens)
-    out = []
-    for tok in toks:
-        if tok not in mapping:
-            raise RemapError(f"token outside remap domain: {tok!r}")
-        out.append(mapping[tok])
-    return out
 
 
-def invert_remap(mapping: dict[str, str]) -> dict[str, str]:
-    values = list(mapping.values())
-    if len(set(values)) != len(values):
-        raise RemapError("remap is not injective")
-    return {v: k for k, v in mapping.items()}
+def _respelled(tokens, mapping: dict[str, str]) -> list[str]:
+    """The normalized tokens respelled by mapping, which the caller has
+    checked is injective."""
+    try:
+        return list(map(mapping.__getitem__, normalize_tokens(tokens)))
+    except KeyError as exc:  # the first token outside the domain
+        raise RemapError(f"token outside remap domain: {exc.args[0]!r}") from None

@@ -38,6 +38,7 @@ INPUTS = {"s": [S_INPUT], "add": ["S S S I", "S S I"], "inorder": [TREE], "preor
 
 TRAVERSAL_ARGV = ["gen", "traversal", "--train", "300", "--test", "60", "--depths", "2:7",
                   "--seed", "5"]
+TREES_ARGV = ["gen", "trees", "--depths", "2:7", "--train", "200", "--test", "40", "--seed", "5"]
 
 GEN_PINS = {
     "traces_successor": (
@@ -123,6 +124,23 @@ GEN_PINS = {
         ["gen", "single-step", "--range", "1:512"],
         "822b6f3dc4597de66180e4145935d0b89c6cf904d97fef50f78bd1b9e02532bd",
         "96a30174fd319ccdcf622844c4aa3f47093200304cdcd614693ebdb9e052eb3a",
+    ),
+    "trees_train": (
+        TREES_ARGV,
+        "422eef9953f112a9b30df814f9170b6c6660513536f775490e66acb4eae316c3",
+        "ef1fdf0bf5da7868b505a69bc4668cacf18aa3d66bae0c686ca7ce80563a7e1e",
+    ),
+    "trees_test": (
+        TREES_ARGV,
+        "d7238a89f85366fe980004b7c8f11ca4af8db4a93a3d952887dac036cead3fc2",
+        "aa49f1c537092773c8228fff5656331f241a8085f75b5e8039933610bd8cd785",
+    ),
+    # a remap that names PAD, which padding adds after the remap
+    "successor_natural": (
+        ["gen", "successor", "--order", "natural", "--range", "1:2048", "--max-pad", "2",
+         "--remap", '{"X0":"a","X1":"b","01":"c","PAD":"p"}', "--oversample-g1", "3"],
+        "579cec2a3396443b6c5872d3575cc1e037217c561db066ee8d4d1481e211de95",
+        "17d59fa2cd67c8f9dfafd988a90b648d3000f1cbb57026fa19400ad9b78639ee",
     ),
 }
 

@@ -34,7 +34,7 @@ from structrec.datasets import (
     write_jsonl,
     write_manifest,
 )
-from structrec.errors import GenerationError
+from structrec.errors import GenerationError, RemapError
 from structrec.reduction import (
     Call,
     Value,
@@ -284,6 +284,43 @@ def test_remap_can_target_structural_tokens_explicitly():
     mapped = apply_remap(padded, {"01": "c", "X0": "a", "X1": "b", "PAD": "_"})
     tokens = {tok for r in mapped for tok in r.input}
     assert "PAD" not in tokens
+
+
+def test_padding_draws_each_length_from_the_record_rng():
+    records = gen_successor_range(DatasetSpec(lo=1, hi=50))
+    padded = apply_padding(records, 5, seed=7, pad_token="_")
+    for i, (record, out) in enumerate(zip(records, padded)):
+        pad = record_rng(7, "pad", i).randint(0, 5)
+        assert out.meta.pad_len == pad
+        assert out.input == ["_"] * pad + record.input
+        assert out.target == ["_"] * pad + record.target
+        assert out.to_dict()["meta"] == {**record.meta.to_dict(), "pad_len": pad}
+        assert out.input is not record.input and record.meta.pad_len == 0
+
+
+def test_remap_checks_injectivity_only_with_a_record():
+    records = gen_successor_range(DatasetSpec(lo=1, hi=3))
+    # the second is not injective only once PAD keeps its own spelling
+    for mapping in ({"01": "c", "X0": "a", "X1": "a"}, {"01": "c", "X0": "PAD", "X1": "b"}):
+        with pytest.raises(RemapError) as raised:
+            apply_remap(records, mapping)
+        assert str(raised.value) == "remap is not injective"
+        assert apply_remap([], mapping) == []
+
+
+def test_remap_names_the_first_token_outside_its_domain():
+    record = ExampleRecord("r", SUCCESSOR, None, ["X1", "Z", "Q", "01"], ["X0", "X1", "01"])
+    with pytest.raises(RemapError) as raised:
+        apply_remap([record], {"01": "c", "X0": "a", "X1": "b"})
+    assert str(raised.value) == "token outside remap domain: 'Z'"
+
+
+def test_remap_normalizes_an_alias_before_respelling_it():
+    record = ExampleRecord("r", SUCCESSOR, None, ["X1", "XO", "01"], ["XO", "X1", "01"])
+    (mapped,) = apply_remap([record], {"01": "c", "X0": "a", "X1": "b"})
+    assert (mapped.input, mapped.target) == (["b", "a", "c"], ["a", "b", "c"])
+    assert (mapped.id, mapped.task, mapped.meta) == ("r", SUCCESSOR, record.meta)
+    assert record.input == ["X1", "XO", "01"]
 
 
 def test_oversample_counts():

@@ -37,10 +37,13 @@ from structrec.reduction import (
 from structrec.terms import (
     BIN_POS,
     CHAR_TREE,
+    ConstructorDef,
+    InductiveDef,
     ONE,
     PEANO,
     X0,
     X1,
+    Term,
     bin_encode,
     bin_value,
     bin_x1_run,
@@ -489,7 +492,30 @@ HAND_BUILT = {
     # a call on the value of another call
     "plus2": Program("plus2", ("b",), BIN_POS, (
         _plus_two(ONE, ()), _plus_two(X0, ("b",)), _plus_two(X1, ("b",)))),
+    # lists of three items, built by the general loop rather than a fixed arity
+    "echo": Program("echo", ("t",), CHAR_TREE, (
+        Clause("Leaf", (), ListLit(("<", "-", ">"))),
+        Clause("Branch", ("v", "l", "r"), Concat(
+            Concat(Call("echo", (Var("l"),)), ListLit((Var("v"), "|", Var("v")))),
+            Call("echo", (Var("r"),)))),
+    )),
+    # a one-child constructor over a list, and two-child concats over a term
+    # on the right and on the left: levels() gets stuck, so every input is
+    # left to it
+    "mistyped": Program("mistyped", ("b",), BIN_POS, (
+        Clause(ONE, (), Ctor(X0, (), (ListLit(("1",)),))),
+        Clause(X0, ("b",), Concat(ListLit(("0",)), Var("b"))),
+        Clause(X1, ("b",), Concat(Var("b"), ListLit(("1",)))),
+    )),
 }
+
+
+def _outcome(normalize):
+    """What normalize() returns, or the class and text of what it raises."""
+    try:
+        return normalize()
+    except Exception as exc:  # levels() lets some errors of hand-built input through
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("program", sorted(HAND_BUILT))
@@ -497,11 +523,73 @@ def test_big_step_equals_levels_on_hand_built_programs(program):
     programs = {**builtin_programs(), **HAND_BUILT}
     for i in range(40):
         rng = record_rng(5, f"big-step-{program}", i)
-        if program == "wrap":
+        if HAND_BUILT[program].arg_type is CHAR_TREE:
             arg = _tree_of_size(rng, rng.randint(0, 60))
-        else:
-            arg = bin_encode(rng.randint(1, 2 ** rng.randint(1, 60)))
-        _assert_big_step_is_levels(Call(program, (Value(arg),)), programs)
+        else:  # 1, 2 and 3 first: each clause at the top
+            arg = bin_encode(i + 1 if i < 3 else rng.randint(1, 2 ** rng.randint(1, 60)))
+        expr = Call(program, (Value(arg),))
+        if program != "mistyped":
+            _assert_big_step_is_levels(expr, programs)
+            continue
+        assert _big_step(expr, programs, 10**6) is None
+        by_levels = _outcome(lambda: _by_levels(expr, programs)[0])
+        assert _outcome(lambda: _normal_form(expr, programs)) == by_levels
+        assert not isinstance(by_levels, (Value, ListLit))
+
+
+def test_default_fuel_is_sized_only_past_four_levels(monkeypatch):
+    # the default budget is at least 4, so shallower runs never count tokens
+    import structrec.reduction as reduction
+
+    sized = []
+    monkeypatch.setattr(reduction, "expr_token_count", lambda expr: sized.append(expr) or 50)
+    assert _tokens(_normal_form(s_of(0b1111))) == (Value, linearize(bin_encode(16)))  # four
+    assert sized == []
+    assert _tokens(_normal_form(s_of(0b11111))) == (Value, linearize(bin_encode(32)))  # five
+    assert sized == [s_of(0b11111)]
+    # no call fires past level 3, but joining the leaves' lists takes two more
+    programs = {**builtin_programs(), **HAND_BUILT}
+    tree = branch("a", branch("b", branch("c", leaf(), leaf()), leaf()), leaf())
+    expr = Call("wrap", (Value(tree),))
+    expected, taken = _by_levels(expr, programs)
+    assert taken == 5 and _tokens(_big_step(expr, programs, None)) == _tokens(expected)
+    assert len(sized) == 2
+
+
+def test_a_call_that_does_not_fit_its_clause_is_left_to_levels():
+    # hand-built: too few or too many children or payloads, or arguments; a
+    # payload too many would bind the right-hand child to the left one
+    pairs = InductiveDef("pairs", (ConstructorDef("Tip", 0), ConstructorDef("Node", 2)))
+    right = Program("right", ("t",), pairs, (
+        Clause("Tip", (), ListLit(("tip",))),
+        Clause("Node", ("l", "r"), Concat(ListLit(("node",)), Call("right", (Var("r"),)))),
+    ))
+    programs = {**builtin_programs(), "right": right}
+    node = Term("Node", (), (Term("Tip"), Term("Tip")))
+    for expr in (Call("s", (Value(Term(X0)),)),
+                 Call("s", (Value(Term(X1, (), (Term(ONE), Term(ONE)))),)),
+                 Call("s", (Value(Term(X0, ("a",), (Term(ONE),))),)),
+                 Call("inorder", (Value(Term("Branch", ("a", "b"), (leaf(),))),)),
+                 Call("right", (Value(Term("Node", ("x",), (node, Term("Tip")))),)),
+                 Call("add", (Value(peano_encode(2)),)),
+                 Call("s", (Value(bin_encode(5)), Value(bin_encode(1))))):
+        assert _big_step(expr, programs, 100) is None
+        by_levels = _outcome(lambda: _by_levels(expr, programs)[0])
+        assert _outcome(lambda: _normal_form(expr, programs)) == by_levels
+
+
+def test_token_count_needs_no_linearize():
+    # a parsed term counts its span, a built one its nodes and payloads
+    from structrec.reduction import expr_token_count
+
+    tree = _tree_of_size(random.Random(3), 40)
+    parsed = delinearize(linearize(tree), CHAR_TREE)
+    chain = delinearize(["X1"] * 9 + ["01"], BIN_POS)
+    for term in (bin_encode(2**70 + 5), tree, parsed, parsed.children[1], chain,
+                 chain.children[0]):
+        assert expr_token_count(Value(term)) == len(linearize(term))
+    add = Call("add", (Value(peano_encode(3)), Value(peano_encode(2))))
+    assert expr_token_count(add) == 1 + 3 + 2
 
 
 PEANO_ONE = Value(peano_encode(1))
