@@ -194,9 +194,9 @@ def cmd_gen_trees(args) -> int:
     directory.mkdir(parents=True, exist_ok=True)
     for name, part in (("trees_train", "train"), ("trees_test", "test")):
         path = directory / f"{name}.jsonl"
-        datasets.write_tree_samples([s for s in samples if s.split == part], path)
-        datasets.write_manifest(directory / f"{name}.manifest.json", spec, path,
-                                sum(1 for s in samples if s.split == part))
+        records = [s for s in samples if s.split == part]
+        datasets.write_jsonl(records, path)
+        datasets.write_manifest(directory / f"{name}.manifest.json", spec, path, len(records))
         print(f"wrote {name} to {path}")
     return GOOD
 

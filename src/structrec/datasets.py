@@ -9,6 +9,7 @@ specs produce byte-identical bytes.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import random
@@ -121,7 +122,7 @@ class ExampleRecord:
             raise TypeError("meta must be an object")
         meta = list(map(meta_obj.get, _META_KEYS, _META_DEFAULTS))
         for key, val in zip(_META_KEYS, meta):
-            if val is not None and not isinstance(val, int):
+            if val is not None and type(val) is not int:  # JSON true/false are bools, not ints
                 raise TypeError(f"meta {key} must be an integer or null")
         return cls(str(obj["id"]), obj["task"], obj.get("order"),
                    intern_tokens(obj["input"], "input"), intern_tokens(obj["target"], "target"),
@@ -319,6 +320,10 @@ class TreeSample:
     tree: Term
     depth: int
     split: str
+
+    def to_dict(self) -> dict:
+        return {"id": self.id, "depth": self.depth, "split": self.split,
+                "tokens": tree_serialize(self.tree)}
 
 
 @dataclass
@@ -622,36 +627,33 @@ def _read_records(path, build, error=GenerationError, what="bad record ({})") ->
     is not JSON, or whose object build rejects with KeyError or TypeError,
     raises error naming the file and its physical line."""
     records = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}:{lineno}: bad JSON ({exc})") from None
-            try:
-                records.append(build(obj))
-            except (KeyError, TypeError) as exc:
-                raise error(f"{path}:{lineno}: {what.format(exc)}") from None
+    # records hold only strings, lists of interned strings and small
+    # dataclasses, so they form no cycles and reference counting frees every
+    # temporary; a collection here would only rescan the records read so far
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise error(f"{path}:{lineno}: bad JSON ({exc})") from None
+                try:
+                    records.append(build(obj))
+                except (KeyError, TypeError) as exc:
+                    raise error(f"{path}:{lineno}: {what.format(exc)}") from None
+    finally:
+        if was_enabled:
+            gc.enable()
     return records
 
 
 def read_jsonl(path) -> list[ExampleRecord]:
     return _read_records(path, ExampleRecord.from_dict)
-
-
-def write_tree_samples(samples, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for sample in samples:
-            handle.write(_dump_line({
-                "id": sample.id,
-                "depth": sample.depth,
-                "split": sample.split,
-                "tokens": tree_serialize(sample.tree),
-            }))
-            handle.write("\n")
 
 
 def read_traces(path) -> list[TraceRecord]:

@@ -400,6 +400,12 @@ def _apply_clause(prog: Program, args: tuple[Expr, ...]):
     if term.constructor not in prog.compiled:
         raise ReductionError(f"{prog.name} has no clause for {term.constructor!r}")
     payload_binders, child_binders, build, rule, redexes, _ = prog.compiled[term.constructor]
+    if (len(term.payloads) != len(payload_binders) or len(term.children) != len(child_binders)
+            or len(args) != len(prog.params)):
+        want = len(payload_binders), len(child_binders), len(prog.params)
+        got = len(term.payloads), len(term.children), len(args)
+        raise ReductionError(f"{prog.name} on {term.constructor!r} takes "
+                             f"(payloads, children, arguments) {want}, got {got}")
     env: dict = dict(zip(payload_binders, term.payloads))  # payloads bind to raw tokens
     env.update(zip(child_binders, [Value(child) for child in term.children]))
     env.update(zip(prog.params[1:], args[1:]))

@@ -263,6 +263,7 @@ def _eval_lines(capsys, tmp_path, gold, pred, *flags):
     ("gold", "target", [1, 2]),
     ("pred", "candidates", "X1 01"),
     ("pred", "candidates", [5]),
+    ("gold", "meta", {"bits": True}),  # would share a breakdown bucket with bits 1
 ])
 def test_eval_malformed_record_exit_code(capsys, tmp_path, which, field, value):
     gold, pred = _gold_and_pred(capsys, tmp_path)

@@ -1,5 +1,6 @@
 """Dataset generation: determinism, splits, padding, respelling, files."""
 
+import gc
 import json
 import random
 
@@ -385,6 +386,8 @@ def test_read_jsonl_reports_line_numbers(tmp_path):
     ({"meta": {"bits": "3"}}, "meta bits must be an integer"),
     ({"target": [1, 2]}, "target must be a list of token strings"),
     ({"input": "X1 01"}, "input must be a list of token strings"),
+    ({"meta": {"bits": True}}, "meta bits must be an integer"),  # bool is an int subclass
+    ({"meta": {"edge_group": False}}, "meta edge_group must be an integer"),
 ])
 def test_read_jsonl_rejects_malformed_records(tmp_path, change, message):
     obj = gen_successor_range(DatasetSpec(lo=1, hi=1))[0].to_dict()
@@ -409,6 +412,61 @@ def test_read_jsonl_interns_tokens(tmp_path):
     five, six = read_jsonl(path)
     assert (five.input, six.input) == (["X1", "X0", "01"], ["X0", "X1", "01"])
     assert five.input[0] is six.input[1] and five.target[2] is six.target[2]
+
+
+def _collections_during(read, path) -> list[int]:
+    """The generation of each collection the collector starts while read(path) runs."""
+    generations = []
+
+    def count(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        read(path)
+    finally:
+        gc.callbacks.remove(count)
+    return generations
+
+
+def test_reading_records_starts_no_collection(tmp_path):
+    # a count, not a time: 5,000 records leave far more tracked containers
+    # than a young-generation collection waits for
+    path = tmp_path / "d.jsonl"
+    write_jsonl(gen_successor_range(DatasetSpec(lo=1, hi=5000)), path)
+    assert gc.isenabled()
+    assert _collections_during(read_jsonl, path) == []
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("read,bad", [
+    (read_jsonl, "not json"),
+    (read_jsonl, '{"id": "a", "task": "successor", "input": "X1 01", "target": []}'),
+    (read_traces, "not json"),
+    (read_traces, '{"id": "a", "task": "successor", "input": ["01"], "trace": 5}'),
+])
+def test_a_reader_that_raises_turns_the_collector_back_on(tmp_path, read, bad):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(bad + "\n")
+    with pytest.raises(GenerationError, match=":1: bad"):
+        read(path)
+    assert gc.isenabled()
+
+
+def test_a_reader_leaves_a_disabled_collector_disabled(tmp_path):
+    path = tmp_path / "d.jsonl"
+    write_jsonl(gen_successor_range(DatasetSpec(lo=1, hi=3)), path)
+    gc.disable()
+    try:
+        read_jsonl(path)
+        assert not gc.isenabled()
+        path.write_text("not json\n")
+        with pytest.raises(GenerationError):
+            read_jsonl(path)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 def test_trace_files_round_trip(tmp_path):

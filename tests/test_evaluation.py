@@ -1,11 +1,13 @@
 """Metrics, breakdowns, failure signatures, and the trace validator."""
 
+import gc
 import json
 import operator
 import random
 
 import pytest
 
+from structrec.cli import main
 from structrec.errors import EvalError, IdMismatchError
 from structrec.evaluation import (
     ILLEGAL_RULE,
@@ -148,6 +150,53 @@ def test_read_predictions_interns_tokens(tmp_path):
     first, second = (record.candidates[0] for record in read_predictions(path))
     assert second == ["X0", "X1", "X0", "01"]  # the alias is still resolved
     assert first[0] is second[1] and first[1] is second[3]
+
+
+def test_reading_predictions_starts_no_collection(tmp_path):
+    # a count, not a time: each record leaves several tracked containers
+    path = tmp_path / "p.jsonl"
+    path.write_text("".join(f'{{"id": "r{i}", "candidates": [["X1", "01"], "X0 X1 01"]}}\n'
+                            for i in range(5000)))
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    assert gc.isenabled()
+    gc.callbacks.append(count)
+    try:
+        assert len(read_predictions(path)) == 5000
+    finally:
+        gc.callbacks.remove(count)
+    assert started == [] and gc.isenabled()
+
+
+@pytest.mark.parametrize("bad", ["not json", '{"id": "a", "candidates": [5]}'])
+def test_reading_predictions_restores_the_collector_as_it_was(tmp_path, bad):
+    path = tmp_path / "p.jsonl"
+    path.write_text(bad + "\n")
+    with pytest.raises(EvalError, match=":1: "):
+        read_predictions(path)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with pytest.raises(EvalError, match=":1: "):
+            read_predictions(path)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+def test_eval_on_a_bad_line_exits_4_naming_it(capsys, tmp_path):
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    lines = [json.dumps(r.to_dict()) for r in _gold(3)]
+    gold.write_text("\n".join(lines) + "\n")
+    pred.write_text('{"id": "succ-reverse-1", "candidates": [["X0", "01"]]}\n\n{"id": \n')
+    assert main(["eval", "--gold", str(gold), "--pred", str(pred)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{pred}:3: bad JSON" in err
+    assert gc.isenabled()
 
 
 # ---------------------------------------------------------------------------

@@ -578,6 +578,22 @@ def test_a_call_that_does_not_fit_its_clause_is_left_to_levels():
         assert _outcome(lambda: _normal_form(expr, programs)) == by_levels
 
 
+@pytest.mark.parametrize("expr,message", [
+    (Call("s", (Value(Term(X0)),)), r"s on 'X0' .* \(0, 1, 1\), got \(0, 0, 1\)"),
+    (Call("add", (Value(peano_encode(2)),)), r"add on 'S' .* \(0, 1, 2\), got \(0, 1, 1\)"),
+    (Call("s", (Value(Term(X1, (), (Term(ONE), Term(ONE)))),)), r"s on 'X1' .* got \(0, 2, 1\)"),
+    (Call("s", (Value(Term(X0, ("a",), (Term(ONE),))),)), r"s on 'X0' .* got \(1, 1, 1\)"),
+    (Call("s", (Value(bin_encode(5)), Value(bin_encode(1)))), r"s on 'X1' .* got \(0, 1, 2\)"),
+])
+def test_a_call_of_the_wrong_shape_raises_a_reduction_error(expr, message):
+    # a child, payload or argument too few or too many, which zip would
+    # otherwise drop or leave unbound
+    with pytest.raises(ReductionError, match=message):
+        reduce(expr)
+    with pytest.raises(ReductionError, match=message):
+        _normal_form(expr, builtin_programs())
+
+
 def test_token_count_needs_no_linearize():
     # a parsed term counts its span, a built one its nodes and payloads
     from structrec.reduction import expr_token_count
