@@ -136,9 +136,9 @@ def _run(machine: AsmMachine, state: AsmState, budget: int, on_step=None,
          spec: "RasmSpec | None" = None, depth: int = 0):
     """The run loop: step until halted, applying each step's updates to
     state in place, and call on_step(steps, fired rule ids, state) after
-    each.  An agent of a recursive machine (spec) yields the child's input
-    when its call guard holds and is sent the child's output.  Returns
-    (state, steps)."""
+    each.  An agent of a recursive machine (spec) yields the child's
+    initial state when its call guard holds and is sent the child's halted
+    state.  Returns (state, steps)."""
     halted = machine.halted
     steps = 0
     while not halted(state):
@@ -147,7 +147,7 @@ def _run(machine: AsmMachine, state: AsmState, budget: int, on_step=None,
                 f"{machine.name}: no halt within {budget} steps" if spec is None
                 else f"{spec.name}: agent at depth {depth} exceeded {budget} steps")
         if spec is not None and spec.call_guard(state):
-            updates, fired = spec.result_write(state, (yield spec.call_args(state))), ()
+            updates, fired = spec.result_write(state, (yield spec.spawn(state))), ()
         else:
             updates, fired = _fire(machine, state)
             if spec is not None and not updates:
@@ -248,11 +248,11 @@ class RasmSpec:
     """Per-agent machine plus the call rule that spawns a child agent."""
 
     name: str
-    machine: AsmMachine
+    machine: AsmMachine  # its init builds the root agent's state
     call_guard: Callable  # state -> bool: agent needs a child result
-    call_args: Callable  # state -> child input
-    result_write: Callable  # (state, child output) -> updates
-    output: Callable  # halted state -> output tokens
+    spawn: Callable  # state -> the child agent's initial state
+    result_write: Callable  # (state, child's halted state) -> updates
+    output: Callable  # halted root state -> output tokens
 
 
 @dataclass(frozen=True)
@@ -265,9 +265,9 @@ class RasmResult:
 
 def rasm_run(spec: RasmSpec, machine_input, budget: int | None = None) -> RasmResult:
     """Run the root agent; children run to completion while the caller
-    waits, and their output is written back into the caller's state.  The
-    waiting agents are runs on an explicit stack, so the call depth has no
-    recursion limit."""
+    waits, and each child's halted state is handed back to its caller.
+    The waiting agents are runs on an explicit stack, so the call depth
+    has no recursion limit."""
     budget = _budget(machine_input, budget)
     machine = spec.machine
     agents = [_run(machine, machine.init(machine_input), budget, spec=spec)]
@@ -275,71 +275,93 @@ def rasm_run(spec: RasmSpec, machine_input, budget: int | None = None) -> RasmRe
     reply = None
     while True:
         try:
-            child_input = agents[-1].send(reply)
+            child = agents[-1].send(reply)
         except StopIteration as done:
             agents.pop()
-            steps += done.value[1]
-            reply = spec.output(done.value[0])
+            reply, agent_steps = done.value
+            steps += agent_steps
             if not agents:
-                return RasmResult(reply, spawned, max_depth, steps)
+                return RasmResult(spec.output(reply), spawned, max_depth, steps)
             continue
         spawned += 1
         max_depth = max(max_depth, len(agents))
-        agents.append(_run(machine, machine.init(child_input), budget, spec=spec,
-                           depth=len(agents)))
+        agents.append(_run(machine, child, budget, spec=spec, depth=len(agents)))
         reply = None
 
 
-def successor_rasm() -> RasmSpec:
-    """One agent per recursive unfolding: an X1 head spawns a child on
-    the remaining tokens and prefixes the child's answer with X0."""
+class _Agent(AsmState):
+    """An agent's store: its named locations are its own, and the indexed
+    ones (the in and out tapes) live in one store that every agent of a
+    run shares, so a call passes an offset instead of a copy."""
 
-    def emit(tokens_out):
-        ups = [(("out", j), tok) for j, tok in enumerate(tokens_out)]
-        return ups + [("outn", len(tokens_out)), ("done", True)]
+    __slots__ = ("tapes",)
+
+    def __init__(self, tapes: AsmState, **fields):
+        super().__init__(fields)
+        self.tapes = tapes
+
+    def __missing__(self, loc):
+        return self.tapes[loc] if loc.__class__ is tuple else UNDEF
+
+    def update(self, updates):
+        for loc, value in dict(updates).items():
+            if loc.__class__ is tuple:
+                self.tapes[loc] = value
+            else:
+                self[loc] = value
+
+
+def successor_rasm() -> RasmSpec:
+    """One agent per recursive unfolding: the agent at offset at reads
+    in[at]; an X1 there spawns a child at at + 1, whose answer fills
+    out[at + 1 .. childn), and prefixes it with X0 at out[at]."""
 
     def upd_base(s: AsmState):
-        return emit([X0, ONE])
+        at = s["at"]
+        return [(("out", at), X0), (("out", at + 1), ONE), ("outn", at + 2), ("done", True)]
 
     def upd_flip(s: AsmState):
-        rest = [s["in", i] for i in range(1, s["len"])]
-        return emit([X1] + rest)
+        at, n = s["at"], s["len"]
+        ups = [(("out", at), X1)]
+        ups += [(("out", j), s["in", j]) for j in range(at + 1, n)]
+        return ups + [("outn", n), ("done", True)]
 
     def upd_wrap(s: AsmState):
-        child = [s["child", i] for i in range(s["childn"])]
-        return emit([X0] + child)
+        return [(("out", s["at"]), X0), ("outn", s["childn"]), ("done", True)]
+
+    def agent(tapes: AsmState, at: int) -> _Agent:
+        return _Agent(tapes, at=at, len=tapes["len"], done=False, child_ready=False)
 
     rules = (
-        GuardedRule("base-one", lambda s: s["done"] is False and s["in", 0] == ONE, upd_base),
-        GuardedRule("flip-zero", lambda s: s["done"] is False and s["in", 0] == X0, upd_flip),
+        GuardedRule("base-one",
+                    lambda s: s["done"] is False and s["in", s["at"]] == ONE, upd_base),
+        GuardedRule("flip-zero",
+                    lambda s: s["done"] is False and s["in", s["at"]] == X0, upd_flip),
         GuardedRule(
             "wrap-child",
-            lambda s: s["done"] is False and s["in", 0] == X1 and s["child_ready"] is True,
+            lambda s: s["done"] is False and s["in", s["at"]] == X1 and s["child_ready"] is True,
             upd_wrap,
         ),
     )
     machine = AsmMachine(
         name="successor-agent",
         rules=rules,
-        init=lambda tokens: _load_input(tokens, child_ready=False),
+        init=lambda tokens: agent(_load_input(tokens), 0),  # validated once, for every agent
         halted=lambda s: s["done"] is True,
     )
 
     def call_guard(s: AsmState) -> bool:
-        return s["done"] is False and s["in", 0] == X1 and s["child_ready"] is False
+        return (s["done"] is False and s["in", s["at"]] == X1
+                and s["child_ready"] is False)
 
-    def call_args(s: AsmState) -> list[str]:
-        return [s["in", i] for i in range(1, s["len"])]
-
-    def result_write(s: AsmState, child_out):
-        ups = [(("child", j), tok) for j, tok in enumerate(child_out)]
-        return ups + [("childn", len(child_out)), ("child_ready", True)]
+    def result_write(s: AsmState, child: AsmState):
+        return [("childn", child["outn"]), ("child_ready", True)]
 
     return RasmSpec(
         name="successor-rasm",
         machine=machine,
         call_guard=call_guard,
-        call_args=call_args,
+        spawn=lambda s: agent(s.tapes, s["at"] + 1),
         result_write=result_write,
         output=machine_output,
     )

@@ -52,21 +52,71 @@ class Value:
     term: Term
 
 
-@dataclass(frozen=True)
-class Ctor:
+class _Nested:
+    """Eq, hash and repr of the expressions that hold expressions, from one
+    walk on a stack, as Term's are: the dataclass-generated ones recurse
+    once per level.  The repr text is the generated one."""
+
+    __slots__ = ()
+    _exprs: tuple[str, ...] = ()  # the fields that hold an expression or a tuple of them
+
+    def _pieces(self):
+        """The repr text in order, as strings, where each expression that
+        holds no expression stands for its own text."""
+        stack = [self]
+        while stack:
+            e = stack.pop()
+            if not isinstance(e, _Nested):
+                yield e
+                continue
+            parts = [f"{e.__class__.__qualname__}("]
+            for i, name in enumerate(e.__dataclass_fields__):
+                value = getattr(e, name)
+                if name not in e._exprs:
+                    parts.append(f"{', ' if i else ''}{name}={value!r}")
+                    continue
+                parts.append(f"{', ' if i else ''}{name}=")
+                if value.__class__ is tuple:
+                    parts.append("(")
+                    for j, kid in enumerate(value):
+                        parts += (", ", kid) if j else (kid,)
+                    parts.append(",)" if len(value) == 1 else ")")
+                else:
+                    parts.append(value)
+            parts.append(")")
+            stack += reversed(parts)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or list(self._pieces()) == list(other._pieces())
+
+    def __hash__(self):
+        return hash(tuple(self._pieces()))
+
+    def __repr__(self):
+        return "".join(p if isinstance(p, str) else repr(p) for p in self._pieces())
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Ctor(_Nested):
     """A constructor applied to not-yet-reduced arguments."""
 
     name: str
     payloads: tuple[str, ...]
     args: tuple["Expr", ...]
 
+    _exprs = ("args",)
 
-@dataclass(frozen=True)
-class Call:
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Call(_Nested):
     """A pending program call; the first argument is the matched one."""
 
     fn: str
     args: tuple["Expr", ...]
+
+    _exprs = ("args",)
 
 
 @dataclass(frozen=True)
@@ -76,10 +126,12 @@ class ListLit:
     items: tuple
 
 
-@dataclass(frozen=True)
-class Concat:
+@dataclass(frozen=True, eq=False, repr=False)
+class Concat(_Nested):
     left: "Expr"
     right: "Expr"
+
+    _exprs = ("left", "right")
 
 
 @dataclass(frozen=True)

@@ -29,9 +29,9 @@ from .terms import (
     REVERSE,
     X0,
     X1,
+    _bin_terms,
     _bin_tokens,
     _chain_length,
-    bin_encode,
     linearize,
     normalize_tokens,
 )
@@ -260,8 +260,8 @@ def diff_against_oracle(order: str, mode: str, lo: int, hi: int) -> Disagreement
     emulate = emulate_natural if order == NATURAL else emulate_reverse
     step = -1 if order == NATURAL else 1  # natural order is the reversal
     found = []
-    for value in range(lo, hi + 1):
-        expected = linearize(_normal_form(Call("s", (Value(bin_encode(value)),))).term)[::step]
+    for value, term in zip(range(lo, hi + 1), _bin_terms(lo, hi)):
+        expected = linearize(_normal_form(Call("s", (Value(term),))).term)[::step]
         got = emulate(_bin_tokens(value)[::step], mode)
         if got != expected:
             found.append(

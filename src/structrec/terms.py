@@ -317,6 +317,25 @@ def bin_encode(n: int) -> Term:
     return term
 
 
+def _bin_terms(lo: int, hi: int):
+    """Yield bin_encode(v) for v in lo..hi.  The term of v shares the term
+    of its high bits with v - 1's: only the t + 1 nodes the carry changed
+    are new, where t is the number of trailing ones of v - 1 (about two per
+    value), and a new bit length starts again from bin_encode."""
+    chain: list[Term] = []  # chain[k] is the term of v >> k, down to 01
+    for v in range(lo, hi + 1):
+        if v == lo or not v & (v - 1):
+            chain = [bin_encode(v)]
+            while chain[-1].children:
+                chain.append(chain[-1].children[0])
+        else:
+            t = (v ^ (v - 1)).bit_length() - 1  # below the top bit: v is no power of two
+            chain[t] = Term(X1, children=(chain[t + 1],))
+            for k in range(t - 1, -1, -1):
+                chain[k] = Term(X0, children=(chain[k + 1],))
+        yield chain[0]
+
+
 def bin_value(term: Term) -> int:
     ops: list[str] = []
     t = term

@@ -1,5 +1,6 @@
 """Guarded-update machines: simultaneity, clashes, budgets, recursion."""
 
+import dataclasses
 import random
 
 import pytest
@@ -213,3 +214,30 @@ def test_rasm_known_values():
     result = rasm_run(spec, _succ_tokens(15))
     assert result.output == ["X0", "X0", "X0", "X0", "01"]
     assert result.agent_count == 3
+
+
+def _rasm_locations(n):
+    """Locations held by every agent's store and the tapes, for X1^n 01."""
+    spec = successor_rasm()
+    stores = []
+
+    def kept(state):
+        stores.append(state)
+        return state
+
+    counted = dataclasses.replace(
+        spec,
+        machine=dataclasses.replace(spec.machine, init=lambda toks: kept(spec.machine.init(toks))),
+        spawn=lambda s: kept(spec.spawn(s)),
+    )
+    result = rasm_run(counted, ["X1"] * n + ["01"])
+    assert result.output == ["X0"] * (n + 1) + ["01"] and len(stores) == n + 1
+    assert all(store.tapes is stores[0].tapes for store in stores)
+    return sum(map(len, stores)) + len(stores[0].tapes)
+
+
+@pytest.mark.parametrize("n", [300, 1199])
+def test_rasm_holds_locations_linear_in_the_input(n):
+    # an agent that copied the rest of the input or its child's answer
+    # would hold about n**2 / 2 locations across the run
+    assert _rasm_locations(n) <= 10 * (n + 1)

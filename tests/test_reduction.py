@@ -403,6 +403,45 @@ def test_left_spine_tree_of_depth_two_thousand_parses_and_serializes():
     assert tree_serialize(tree_parse(tokens)) == tokens  # == on terms this deep would recurse
 
 
+def _ctor_chain(depth, base):
+    expr = base
+    for _ in range(depth):
+        expr = Ctor(X0, (), (expr,))
+    return expr
+
+
+def _concat_chain(depth, last="a"):
+    expr = ListLit((last,))
+    for i in range(depth):
+        expr = Concat(expr, Call("inorder", (Value(leaf()),))) if i % 2 else Concat(
+            ListLit(("b",)), expr)
+    return expr
+
+
+def test_expression_repr_text():
+    args = (Call("s", (Value(bin_encode(2)),)), ListLit((X0, Var("x"))))
+    expr = Concat(Ctor("Branch", ("a",), args), Ctor(ONE, (), ()))
+    assert repr(expr) == (
+        "Concat(left=Ctor(name='Branch', payloads=('a',), args=(Call(fn='s', args=("
+        "Value(term=Term(constructor='X0', payloads=(), children=("
+        "Term(constructor='01', payloads=(), children=()),))),)), "
+        "ListLit(items=('X0', Var(name='x'))))), right=Ctor(name='01', payloads=(), args=()))")
+
+
+def test_deep_expressions_compare_hash_and_print_past_the_recursion_limit():
+    chain = _ctor_chain(3000, Value(bin_encode(3)))
+    same = _ctor_chain(3000, Value(bin_encode(3)))
+    assert chain == same and hash(chain) == hash(same)
+    assert chain != _ctor_chain(3000, Value(bin_encode(5)))
+    assert chain != _ctor_chain(2999, Value(bin_encode(3)))
+    assert repr(chain) == ("Ctor(name='X0', payloads=(), args=(" * 3000
+                           + repr(Value(bin_encode(3))) + ",))" * 3000)
+    cat = _concat_chain(3000)
+    assert cat == _concat_chain(3000) and hash(cat) == hash(_concat_chain(3000))
+    assert cat != _concat_chain(3000, last="b") and cat != _concat_chain(2999)
+    assert repr(cat).count("Concat(left=") == 3000
+
+
 def test_inorder_of_a_left_spine_past_the_recursion_limit():
     # level k holds a concat chain about 2k deep, so the trace holds about
     # depth**2 nodes; 700 keeps that small, while a walk of its states that

@@ -1,6 +1,7 @@
 """Shortcut emulators: exact outputs, edge groups, guard discipline."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -137,6 +138,18 @@ def _random_value(rng) -> int:
     if shape == 1 and bits >= 2:
         return ones - 2 ** rng.randrange(bits - 1)
     return rng.getrandbits(bits) | 2 ** (bits - 1)
+
+
+def test_oracle_sweep_holds_no_range_of_terms():
+    diff_against_oracle(NATURAL, FAITHFUL, 1, 8)  # machines and programs are built once
+    tracemalloc.start()
+    try:
+        diff_against_oracle(NATURAL, FAITHFUL, 1, 2**12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a cache of every term of the range traces about 0.85 MB here
+    assert peak < 64 * 1024
 
 
 def test_random_long_values_against_the_oracle():

@@ -16,6 +16,7 @@ from structrec.terms import (
     InductiveDef,
     Term,
     _TOKEN_RE,
+    _bin_terms,
     _chain_length,
     bin_encode,
     bin_value,
@@ -66,6 +67,40 @@ def test_bin_round_trip_large():
     for _ in range(200):
         n = rng.randint(1, 2**200)
         assert bin_value(bin_encode(n)) == n
+
+
+def _chain_nodes(term):
+    while True:
+        yield term
+        if not term.children:
+            return
+        term = term.children[0]
+
+
+def test_bin_terms_equal_bin_encode_over_a_range():
+    rng = random.Random(5)
+    ranges = [(1, 1), (1, 700), (2**11 - 30, 2**13 + 30), (2**40 - 5, 2**40 + 5)]
+    for _ in range(20):
+        lo = rng.randint(1, 2**rng.randint(1, 64))
+        ranges.append((lo, lo + rng.randint(0, 300)))
+    for lo, hi in ranges:
+        assert list(_bin_terms(lo, hi)) == [bin_encode(v) for v in range(lo, hi + 1)]
+
+
+def test_bin_terms_of_two_thousand_bits():
+    rng = random.Random(6)
+    for value in (2**2000 - 1, 2**1999, rng.getrandbits(2000) | 2**1999):
+        assert list(_bin_terms(value, value)) == [bin_encode(value)]
+    lo, hi = 2**2000 - 3, 2**2000 + 3  # crosses a power of two
+    assert list(_bin_terms(lo, hi)) == [bin_encode(v) for v in range(lo, hi + 1)]
+
+
+def test_bin_terms_share_the_terms_of_high_bits():
+    terms = list(_bin_terms(1, 2**12))
+    nodes = {id(node) for term in terms for node in _chain_nodes(term)}
+    # a value builds one node per bit the carry changes, 2 on average; each
+    # new bit length builds its whole chain
+    assert len(nodes) <= 2 * len(terms) + sum(range(1, 14))
 
 
 @pytest.mark.parametrize("bad", [0, -1, -7])
