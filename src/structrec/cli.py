@@ -29,7 +29,6 @@ from .errors import (
 from .reduction import (
     ARROW,
     PAREN,
-    _normal_form,
     builtin_programs,
     program_call,
     reduce,
@@ -244,8 +243,8 @@ def cmd_reduce(args) -> int:
         if taken < args.k:
             print(f"(normal after {taken} levels)", file=sys.stderr)
         return GOOD
-    print(render_trace(reduce(expr, fuel=args.fuel)[1], style) if args.trace
-          else " ".join(render(_normal_form(expr, fuel=args.fuel))))
+    final, trace = reduce(expr, fuel=args.fuel)
+    print(render_trace(trace, style) if args.trace else " ".join(render(final)))
     return GOOD
 
 

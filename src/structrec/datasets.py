@@ -22,7 +22,6 @@ from .reduction import (
     Call,
     ListLit,
     Value,
-    _normal_form,
     reduce,
     reduce_k,
     render_state_paren,
@@ -468,7 +467,7 @@ def gen_traversal(samples, kind: str, k: int | None = None) -> list[ExampleRecor
     for sample in samples:
         expr = Call(kind, (Value(sample.tree),))
         if k is None:
-            final = _normal_form(expr)
+            final, _ = reduce(expr)
             assert isinstance(final, ListLit)
             target = list(final.items)
         else:

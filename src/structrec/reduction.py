@@ -4,8 +4,9 @@ A program is an ordered set of pattern-match clauses over one inductive
 argument.  One step bundles unfolding the definition, applying it, and
 selecting the matching clause.  Two stepping modes are provided: a
 single leftmost-outermost rewrite, and a whole-frontier "level" that
-rewrites every outermost redex simultaneously.  Callers that need only
-the normal form get it from a big-step evaluator of the same clauses.
+rewrites every outermost redex simultaneously.  reduce() gets the normal
+form and the number of levels from a big-step evaluator of the same
+clauses, and steps only when a caller reads the trace's steps.
 
 Two intermediate-state surface forms are supported: the paren form for
 linear programs (emitted prefix, then the pending argument in parens)
@@ -16,6 +17,7 @@ emitted values render bare.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -371,13 +373,13 @@ def _joined(builds: list, kind: type, join):
 
 
 def _big_step(expr: Expr, programs, fuel: int | None):
-    """The normal form levels() reaches from a call on values, by eval/apply
-    on an explicit stack.  A call fires one level after its matched argument
-    is normal.  None past fuel levels (None: _budget's default, sized only
-    once a level reaches 4, the least it can be), and where only levels()
-    can tell what happens: an error, a stuck part, or a call that fires
-    while another argument is pending, which levels() substitutes
-    unevaluated."""
+    """(normal form, levels) of the levels() run from a call on values, by
+    eval/apply on an explicit stack.  A call fires one level after its
+    matched argument is normal.  None past fuel levels (None: _budget's
+    default, sized only once a level reaches 4, the least it can be), and
+    where only levels() can tell what happens: an error, a stuck part, or a
+    call that fires while another argument is pending, which levels()
+    substitutes unevaluated."""
     if not (isinstance(expr, Call) and expr.args
             and all(isinstance(a, Value) for a in expr.args)):
         return None
@@ -434,7 +436,7 @@ def _big_step(expr: Expr, programs, fuel: int | None):
         limit = _budget(expr, None)
     if level > limit or type(value) not in (Term, tuple):
         return None
-    return Value(value) if type(value) is Term else ListLit(value)
+    return (Value(value) if type(value) is Term else ListLit(value)), level
 
 
 def _collapse_ctor(expr: Ctor) -> Expr:
@@ -549,20 +551,28 @@ class ReductionStep:
     rules: tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class Trace:
-    initial: Expr
-    steps: tuple[ReductionStep, ...]
+    """A run of levels to normal form.  Its initial and final states and its
+    length are known when it is made; its steps are taken by levels() the
+    first time they are read, and kept."""
+
+    __slots__ = ("initial", "final", "_length", "_programs", "_steps")
+
+    def __init__(self, initial: Expr, final: Expr, length: int, programs) -> None:
+        self.initial, self.final, self._length = initial, final, length
+        self._programs, self._steps = programs, None
 
     @property
-    def final(self) -> Expr:
-        return self.steps[-1].after if self.steps else self.initial
+    def steps(self) -> tuple[ReductionStep, ...]:
+        if self._steps is None:
+            self._steps = tuple(_steps(self.initial, levels(self.initial, self._programs)))
+        return self._steps
 
     def states(self) -> list[Expr]:
         return [self.initial] + [s.after for s in self.steps]
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return self._length
 
 
 class _Engine:
@@ -766,32 +776,21 @@ def _budget(expr: Expr, fuel: int | None) -> int:
     return fuel
 
 
-def _fueled_levels(expr: Expr, programs, fuel: int | None):
-    """levels() under the level budget."""
-    fuel = _budget(expr, fuel)
-    for taken, engine in enumerate(levels(expr, programs), start=1):
-        if taken > fuel:
-            raise FuelExhaustedError(f"no normal form within {fuel} levels")
-        yield engine
-
-
 def reduce(expr: Expr, programs: dict[str, Program] | None = None, fuel: int | None = None):
-    """Run levels to normal form; returns (normal form, trace)."""
-    trace = Trace(initial=expr, steps=tuple(_steps(expr, _fueled_levels(expr, programs, fuel))))
-    return trace.final, trace
-
-
-def _normal_form(expr: Expr, programs=None, fuel: int | None = None) -> Expr:
-    """reduce()'s normal form under the same budget, building no other state:
-    big-step, or levels() where only it can tell, so errors are the same."""
+    """Reduce expr to normal form within fuel levels (by default a budget
+    that grows with the input); returns (normal form, trace).  Big-step gives
+    the normal form and the trace's length; the trace steps when its steps
+    are first read.  Where only levels() can tell what happens, it runs here
+    under the budget, so its errors and FuelExhaustedError come from here."""
     programs = _BUILTINS if programs is None else programs
-    result = _big_step(expr, programs, fuel)
-    if result is not None:
-        return result
-    engine = None
-    for engine in _fueled_levels(expr, programs, fuel):
-        pass
-    return expr if engine is None else engine.expr()
+    found = _big_step(expr, programs, fuel)
+    if found is None:
+        fuel, taken, engine = _budget(expr, fuel), 0, None
+        for taken, engine in enumerate(levels(expr, programs), start=1):
+            if taken > fuel:
+                raise FuelExhaustedError(f"no normal form within {fuel} levels")
+        found = (expr if engine is None else engine.expr()), taken
+    return found[0], Trace(expr, *found, programs)
 
 
 def reduce_k(expr: Expr, k: int, programs: dict[str, Program] | None = None):
@@ -806,9 +805,9 @@ def reduce_k(expr: Expr, k: int, programs: dict[str, Program] | None = None):
 
 def recursion_depth(term: Term | tuple[Term, ...], program: str = "s",
                     programs: dict[str, Program] | None = None) -> int:
-    """Number of levels to reach the normal form of program applied to term."""
+    """Levels to reach the normal form of program applied to term, unbudgeted."""
     args = (term,) if isinstance(term, Term) else tuple(term)
-    return sum(1 for _ in levels(Call(program, tuple(Value(t) for t in args)), programs))
+    return len(reduce(Call(program, tuple(Value(t) for t in args)), programs, math.inf)[1])
 
 
 # ---------------------------------------------------------------------------

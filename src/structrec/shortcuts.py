@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .asm import AsmMachine, AsmState, GuardedRule, asm_run, machine_output
 from .errors import GenerationError, MalformedSequenceError
 from .evaluation import failure_signature
-from .reduction import Call, Value, _normal_form
+from .reduction import Call, Value, reduce
 from .terms import (
     BIN_POS,
     NATURAL,
@@ -76,24 +76,6 @@ def group2_value(bits: int) -> int:
     if bits < 3:
         raise GenerationError("group 2 needs bit length >= 3")
     return 3 * 2 ** (bits - 2) - 1
-
-
-@dataclass(frozen=True)
-class EdgeCaseGroup:
-    group: int
-    members: dict  # bit length -> constructor-order tokens
-
-
-def edge_inputs(bit_lengths) -> tuple[EdgeCaseGroup, EdgeCaseGroup]:
-    """The one member of each group per bit length in the given range."""
-    lengths = sorted(set(bit_lengths))
-    if not lengths:
-        raise GenerationError("empty bit-length range")
-    g1 = {L: _bin_tokens(group1_value(L)) for L in lengths if L >= 2}
-    g2 = {L: _bin_tokens(group2_value(L)) for L in lengths if L >= 3}
-    if not g1 and not g2:
-        raise GenerationError(f"no edge inputs exist at bit lengths {lengths}")
-    return EdgeCaseGroup(1, g1), EdgeCaseGroup(2, g2)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +243,7 @@ def diff_against_oracle(order: str, mode: str, lo: int, hi: int) -> Disagreement
     step = -1 if order == NATURAL else 1  # natural order is the reversal
     found = []
     for value, term in zip(range(lo, hi + 1), _bin_terms(lo, hi)):
-        expected = linearize(_normal_form(Call("s", (Value(term),))).term)[::step]
+        expected = linearize(reduce(Call("s", (Value(term),)))[0].term)[::step]
         got = emulate(_bin_tokens(value)[::step], mode)
         if got != expected:
             found.append(

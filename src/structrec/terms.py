@@ -186,10 +186,6 @@ CHAR_TREE = InductiveDef(
 )
 
 
-def builtin_defs() -> dict[str, InductiveDef]:
-    return {d.name: d for d in (PEANO, BIN_POS, CHAR_TREE)}
-
-
 # ---------------------------------------------------------------------------
 # linear (preorder) serialization
 

@@ -19,7 +19,6 @@ from structrec.reduction import (
     Value,
     Var,
     _big_step,
-    _normal_form,
     builtin_programs,
     is_normal,
     levels,
@@ -119,10 +118,42 @@ def test_trace_level_count_is_x1_run_plus_one():
         assert len(trace) == bin_x1_run(n) + 1
 
 
+def _stepped(expr, programs=None):
+    return sum(1 for _ in levels(expr, programs))
+
+
 def test_recursion_depth_matches_trace_length():
-    for n in range(1, 1024):
-        _, trace = run(s_of(n))
-        assert recursion_depth(bin_encode(n)) == len(trace)
+    # recursion_depth and len(trace) both come from big-step, so the depth
+    # law is held to a count of the stepping engine's levels
+    for n in range(1, 2048):
+        assert recursion_depth(bin_encode(n)) == _stepped(s_of(n))
+    rng = random.Random(11)
+    for _ in range(40):
+        tree = _tree_of_size(rng, rng.randint(0, 60))
+        for kind in ("inorder", "preorder"):
+            assert recursion_depth(tree, kind) == _stepped(Call(kind, (Value(tree),)))
+        args = (peano_encode(rng.randint(1, 40)), peano_encode(rng.randint(1, 40)))
+        assert recursion_depth(args, "add") == _stepped(Call("add", tuple(map(Value, args))))
+
+
+def test_reduce_takes_no_step_until_the_steps_are_read(monkeypatch):
+    import structrec.reduction as reduction
+
+    def no_levels(*args, **kwargs):
+        raise AssertionError("levels() ran")
+
+    monkeypatch.setattr(reduction, "levels", no_levels)
+    for expr, tokens, length in [
+        (s_of(11), ["X0", "X0", "X1", "01"], 3),
+        (Call("add", (Value(peano_encode(2)), Value(peano_encode(1)))), ["S", "S", "I"], 2),
+        (Call("inorder", (Value(CAT_TREE),)), ["c", "a", "t"], 3),
+        (Call("preorder", (Value(CAT_TREE),)), ["a", "c", "t"], 3),
+    ]:
+        final, trace = reduce(expr)
+        assert trace.initial is expr and trace.final is final and len(trace) == length
+        assert (linearize(final.term) if isinstance(final, Value) else list(final.items)) == tokens
+    with pytest.raises(AssertionError, match="levels"):
+        trace.steps
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +501,19 @@ def _tokens(expr):
 
 
 def _assert_big_step_is_levels(expr, programs=None):
-    """Big-step gives the levels() normal form within the levels() count L
-    and gives way below it, where _normal_form raises FuelExhaustedError;
+    """Big-step gives the levels() normal form and level count L within L
+    levels and gives way below it, where reduce raises FuelExhaustedError;
     returns L."""
     expected, taken = _by_levels(expr, programs)
     programs = builtin_programs() if programs is None else programs
     got = _big_step(expr, programs, taken)
-    assert got is not None and _tokens(got) == _tokens(expected)
-    assert _tokens(_normal_form(expr, programs, fuel=taken)) == _tokens(expected)
+    assert got is not None and _tokens(got[0]) == _tokens(expected) and got[1] == taken
+    final, trace = reduce(expr, programs, fuel=taken)
+    assert _tokens(final) == _tokens(expected) and len(trace) == taken
     if taken > 1:
         assert _big_step(expr, programs, taken - 1) is None
         with pytest.raises(FuelExhaustedError):
-            _normal_form(expr, programs, fuel=taken - 1)
+            reduce(expr, programs, fuel=taken - 1)
     return taken
 
 
@@ -512,7 +544,7 @@ def test_big_step_equals_levels_at_random_sizes(program):
             expr = Call(program, (Value(tree),))
             assert _assert_big_step_is_levels(expr) == tree_depth(tree) + 1
             ref = _ref_inorder if program == "inorder" else _ref_preorder
-            assert list(_normal_form(expr).items) == ref(tree)
+            assert list(reduce(expr)[0].items) == ref(tree)
 
 
 def _plus_two(ctor, binders):
@@ -572,7 +604,7 @@ def test_big_step_equals_levels_on_hand_built_programs(program):
             continue
         assert _big_step(expr, programs, 10**6) is None
         by_levels = _outcome(lambda: _by_levels(expr, programs)[0])
-        assert _outcome(lambda: _normal_form(expr, programs)) == by_levels
+        assert _outcome(lambda: reduce(expr, programs)[0]) == by_levels
         assert not isinstance(by_levels, (Value, ListLit))
 
 
@@ -582,16 +614,17 @@ def test_default_fuel_is_sized_only_past_four_levels(monkeypatch):
 
     sized = []
     monkeypatch.setattr(reduction, "expr_token_count", lambda expr: sized.append(expr) or 50)
-    assert _tokens(_normal_form(s_of(0b1111))) == (Value, linearize(bin_encode(16)))  # four
+    assert _tokens(reduce(s_of(0b1111))[0]) == (Value, linearize(bin_encode(16)))  # four
     assert sized == []
-    assert _tokens(_normal_form(s_of(0b11111))) == (Value, linearize(bin_encode(32)))  # five
+    assert _tokens(reduce(s_of(0b11111))[0]) == (Value, linearize(bin_encode(32)))  # five
     assert sized == [s_of(0b11111)]
     # no call fires past level 3, but joining the leaves' lists takes two more
     programs = {**builtin_programs(), **HAND_BUILT}
     tree = branch("a", branch("b", branch("c", leaf(), leaf()), leaf()), leaf())
     expr = Call("wrap", (Value(tree),))
     expected, taken = _by_levels(expr, programs)
-    assert taken == 5 and _tokens(_big_step(expr, programs, None)) == _tokens(expected)
+    got, level = _big_step(expr, programs, None)
+    assert level == taken == 5 and _tokens(got) == _tokens(expected)
     assert len(sized) == 2
 
 
@@ -614,7 +647,7 @@ def test_a_call_that_does_not_fit_its_clause_is_left_to_levels():
                  Call("s", (Value(bin_encode(5)), Value(bin_encode(1))))):
         assert _big_step(expr, programs, 100) is None
         by_levels = _outcome(lambda: _by_levels(expr, programs)[0])
-        assert _outcome(lambda: _normal_form(expr, programs)) == by_levels
+        assert _outcome(lambda: reduce(expr, programs)[0]) == by_levels
 
 
 @pytest.mark.parametrize("expr,message", [
@@ -627,10 +660,11 @@ def test_a_call_that_does_not_fit_its_clause_is_left_to_levels():
 def test_a_call_of_the_wrong_shape_raises_a_reduction_error(expr, message):
     # a child, payload or argument too few or too many, which zip would
     # otherwise drop or leave unbound
+    assert _big_step(expr, builtin_programs(), 100) is None  # levels() raises it
     with pytest.raises(ReductionError, match=message):
         reduce(expr)
     with pytest.raises(ReductionError, match=message):
-        _normal_form(expr, builtin_programs())
+        reduce(expr, builtin_programs())
 
 
 def test_token_count_needs_no_linearize():
@@ -662,9 +696,14 @@ def test_a_pending_other_argument_leaves_the_normal_form_to_levels():
     programs = {**builtin_programs(), "twice": twice}
     expr = Call("twice", (Value(peano_encode(4)), Value(peano_encode(3))))
     assert _big_step(expr, programs, 100) is None
-    expected, _ = _by_levels(expr, programs)
-    assert _tokens(_normal_form(expr, programs)) == _tokens(expected)
+    expected, taken = _by_levels(expr, programs)
+    final, trace = reduce(expr, programs)
+    assert _tokens(final) == _tokens(expected) and len(trace) == taken
     assert peano_value(expected.term) == 3 + 3 + 3  # p + (p + m) with p = n - 1
+    # its steps are the levels() steps, taken when first read
+    stepped = [(engine.paths, engine.rules) for engine in levels(expr, programs)]
+    assert [(step.paths, step.rules) for step in trace.steps] == stepped
+    assert trace.steps[-1].after == final and trace.states()[0] is expr
 
 
 def test_a_missing_clause_raises_the_levels_error():
@@ -673,10 +712,10 @@ def test_a_missing_clause_raises_the_levels_error():
     expr = Call("wrong", (Value(peano_encode(3)),))
     assert _big_step(expr, programs, 100) is None
     with pytest.raises(ReductionError) as by_levels:
+        _by_levels(expr, programs)
+    with pytest.raises(ReductionError) as by_reduce:
         reduce(expr, programs)
-    with pytest.raises(ReductionError) as by_normal_form:
-        _normal_form(expr, programs)
-    assert str(by_normal_form.value) == str(by_levels.value) == "s has no clause for 'I'"
+    assert str(by_reduce.value) == str(by_levels.value) == "s has no clause for 'I'"
 
 
 def test_a_cross_program_loop_runs_out_of_fuel():
@@ -686,20 +725,20 @@ def test_a_cross_program_loop_runs_out_of_fuel():
     expr = Call("ping", (Value(peano_encode(3)),))
     assert _big_step(expr, programs, 8) is None
     with pytest.raises(FuelExhaustedError, match="within 8 levels"):
-        _normal_form(expr, programs)
+        reduce(expr, programs)
 
 
 def test_big_step_takes_a_hundred_thousand_token_numeral():
     term = delinearize(["X1"] * 99_999 + ["01"], BIN_POS)
     expr = Call("s", (Value(term),))
-    final = _big_step(expr, builtin_programs(), 100_000)
-    assert linearize(final.term) == ["X0"] * 100_000 + ["01"]
+    final, level = _big_step(expr, builtin_programs(), 100_000)
+    assert linearize(final.term) == ["X0"] * 100_000 + ["01"] and level == 100_000
     assert _big_step(expr, builtin_programs(), 99_999) is None
 
 
 def test_big_step_takes_a_depth_ten_thousand_left_spine():
     tree = _left_spine(10_000)
     expr = Call("inorder", (Value(tree),))
-    final = _big_step(expr, builtin_programs(), 10_001)
-    assert list(final.items) == _walk_inorder(tree)
+    final, level = _big_step(expr, builtin_programs(), 10_001)
+    assert list(final.items) == _walk_inorder(tree) and level == 10_001
     assert _big_step(expr, builtin_programs(), 10_000) is None

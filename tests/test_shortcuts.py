@@ -16,7 +16,6 @@ from structrec.shortcuts import (
     REVERSE_GUARD_LOCATIONS,
     diff_against_oracle,
     edge_group,
-    edge_inputs,
     emulate_natural,
     emulate_reverse,
     group1_value,
@@ -205,19 +204,6 @@ def test_group_values():
         group1_value(1)
     with pytest.raises(GenerationError):
         group2_value(2)
-
-
-def test_edge_inputs_one_member_per_length():
-    g1, g2 = edge_inputs(range(2, 6))
-    assert sorted(g1.members) == [2, 3, 4, 5]
-    assert sorted(g2.members) == [3, 4, 5]
-    assert g1.members[3] == ["X1", "X1", "01"]
-    assert g2.members[4] == ["X1", "X1", "X0", "01"]
-
-
-def test_edge_inputs_empty_range():
-    with pytest.raises(GenerationError):
-        edge_inputs([])
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from structrec.terms import (
     bin_value,
     bin_x1_run,
     branch,
-    builtin_defs,
     delinearize,
     leaf,
     linearize,
@@ -393,10 +392,10 @@ def test_invert_remap_round_trip():
 
 
 def test_builtin_defs_vocabularies():
-    defs = builtin_defs()
-    assert set(defs) == {"peano", "bin_pos", "char_tree"}
-    assert defs["bin_pos"].vocabulary == {"01", "X0", "X1"}
-    assert defs["peano"].vocabulary == {"I", "S"}
+    assert [d.name for d in (PEANO, BIN_POS, CHAR_TREE)] == ["peano", "bin_pos", "char_tree"]
+    assert BIN_POS.vocabulary == {"01", "X0", "X1"}
+    assert PEANO.vocabulary == {"I", "S"}
+    assert CHAR_TREE.vocabulary == {"Leaf", "Branch"}
 
 
 def test_term_equality_is_structural():
