@@ -36,6 +36,7 @@ from .terms import (
     _bin_tokens,
     _check_injective,
     _respelled,
+    _spanned,
     bin_encode,
     bin_x1_run,
     intern_tokens,
@@ -390,7 +391,11 @@ def sample_tree(rng: random.Random, depth: int, alphabet: str) -> Term:
     for _ in range(_MAX_TRIES):
         tree = _branch(rng, depth - 1, alphabet)
         if tree[0] == depth:
-            return _as_term(tree, Term("Leaf"))  # one leaf term serves the whole tree
+            term = _as_term(tree, Term("Leaf"))  # one leaf term serves the whole tree
+            # serialized once: its key and its records slice the root's span
+            tokens = tree_serialize(term)
+            return _spanned("Branch", term.payloads, term.children, (tokens, 0, len(tokens)),
+                            "_tree_span")
     raise GenerationError(f"could not hit depth {depth} in {_MAX_TRIES} tries")
 
 

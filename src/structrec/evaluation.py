@@ -258,8 +258,8 @@ def validate_trace(text: str, task: str, input_tokens=None) -> TraceJudgment:
         if not shown and got != render(program_call(program, [input_tokens])):
             return TraceJudgment(False, 0, TOKEN_MUTATION)
 
-    # one engine runs the whole trace: each transition costs the redexes
-    # it rewrites, not a fresh parse and search of the state
+    # one engine runs the whole trace: each transition costs one pass over
+    # the pending part of the state, not a fresh parse of it
     run = levels(cur, _ALONE[program.name], single=(style == PAREN))
     last = len(states) - 1
     for i in range(1, last + 1):

@@ -4,7 +4,8 @@ A program is an ordered set of pattern-match clauses over one inductive
 argument.  One step bundles unfolding the definition, applying it, and
 selecting the matching clause.  Two stepping modes are provided: a
 single leftmost-outermost rewrite, and a whole-frontier "level" that
-rewrites every outermost redex simultaneously.  reduce() gets the normal
+rewrites every outermost redex simultaneously; either is one post-order
+pass over the part of the state still pending.  reduce() gets the normal
 form and the number of levels from a big-step evaluator of the same
 clauses, and steps only when a caller reads the trace's steps.
 
@@ -45,9 +46,12 @@ from .terms import (
 
 # ---------------------------------------------------------------------------
 # expressions
+#
+# Expressions keep their fields in slots: a trace holds every state, and a
+# slotted instance takes about half the memory of one with a dict.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Value:
     """A fully reduced constructor term."""
 
@@ -100,7 +104,7 @@ class _Nested:
         return "".join(p if isinstance(p, str) else repr(p) for p in self._pieces())
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Ctor(_Nested):
     """A constructor applied to not-yet-reduced arguments."""
 
@@ -111,7 +115,7 @@ class Ctor(_Nested):
     _exprs = ("args",)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Call(_Nested):
     """A pending program call; the first argument is the matched one."""
 
@@ -121,14 +125,14 @@ class Call(_Nested):
     _exprs = ("args",)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ListLit:
     """A literal list of output tokens (template slots may hold a Var)."""
 
     items: tuple
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Concat(_Nested):
     left: "Expr"
     right: "Expr"
@@ -162,9 +166,14 @@ def expr_token_count(expr: Expr) -> int:
     """The size of expr in tokens; a value counts as many as it linearizes
     to (its constructors and payloads, or the span it was read from),
     without building the list."""
+    return _token_count(expr, math.inf)
+
+
+def _token_count(expr: Expr, enough: float) -> int:
+    """expr_token_count(expr), or a count of at least enough, once it reaches it."""
     total = 0
     stack = [expr]
-    while stack:
+    while stack and total < enough:
         e = stack.pop()
         if type(e) is Term:
             if e._span is None:
@@ -219,10 +228,11 @@ class Program:
                 f"{self.name} must cover each constructor of {self.arg_type.name} "
                 f"exactly once, got {covered}"
             )
-        # per constructor: binders, the function filling in the template, rule
-        # name, redex paths, big-step code (its calls, build and c, and the
-        # payloads, children and other arguments it takes); not a field, so
-        # eq and repr ignore it
+        # per constructor: the payloads, children and arguments it takes, the
+        # function building the instance, rule name, the programs the
+        # instance calls, and big-step code (its calls, build and c); both
+        # builders read the payloads, children, then the other arguments by
+        # position.  Not a field, so eq and repr ignore it
         object.__setattr__(self, "compiled", {})
         for clause in self.clauses:
             cdef = self.arg_type.constructor(clause.constructor)
@@ -230,77 +240,67 @@ class Program:
             if len(clause.binders) != n_pay + cdef.recursive_arity:
                 raise ValueError(f"{self.name}.{clause.constructor} needs "
                                  f"{n_pay + cdef.recursive_arity} binders")
-            children = clause.binders[n_pay:]
-            redexes: list = []
-            build = _compile(clause.template, self.name, set(children), (), redexes)
-            # big-step code over payloads, children, then the other arguments
             slots = {b: i for i, b in enumerate(clause.binders + self.params[1:])}
+            fns: set = set()
+            build = _compile(clause.template, self.name, slots,
+                             range(n_pay, n_pay + cdef.recursive_arity), fns)
             calls: list = []
             try:
                 build_big, c, _ = _compile_big(clause.template, slots, calls)
-                big = (calls, build_big, c, n_pay, cdef.recursive_arity, len(self.params) - 1)
+                big = (calls, build_big, c)
             except (KeyError, ReductionError):  # an unbound variable, or not an expression
                 big = None
             self.compiled[clause.constructor] = (
-                clause.binders[:n_pay], children, build, f"{self.name}/{clause.constructor}",
-                None if None in redexes else tuple(redexes), big)
+                (n_pay, cdef.recursive_arity, len(self.params)), build,
+                f"{self.name}/{clause.constructor}", tuple(fns), big)
 
 
 # ---------------------------------------------------------------------------
 # substitution and local normalization
 
 
-def _compile(template: Expr, name: str, child_binders: set[str], path: tuple = (),
-             redexes: list | None = None):
-    """A function from binder values to the instance of template.  Appends
-    to redexes the paths of the outermost redexes every instance has, or
-    None where they depend on what a parameter is bound to.  Recursive
-    calls may only be applied to a child of the matched term."""
+def _compile(template: Expr, name: str, slots: dict, kids: range, fns: set):
+    """A function from the environment (payloads, children, then the other
+    arguments, by position) to the instance of template, in which each
+    child becomes a value.  Adds to fns the programs the instance calls.
+    Recursive calls may only be applied to a child of the matched term."""
     if isinstance(template, Var):
-        if redexes is not None and template.name not in child_binders:
-            redexes.append(None)
-        var = template.name
-        return lambda env: env[var]
+        slot = slots.get(template.name)
+        if slot is None:
+            def unbound(env, var=template.name):
+                raise ReductionError(f"unbound template variable {var!r}")
+            return unbound
+        return (lambda env: Value(env[slot])) if slot in kids else operator.itemgetter(slot)
     if isinstance(template, ListLit):
-        if not any(isinstance(it, Var) for it in template.items):
+        items = template.items
+        picks = {i: slots.get(it.name) for i, it in enumerate(items) if isinstance(it, Var)}
+        if not picks:
             return lambda env: template
 
         def fill(env):
-            items = []
-            for it in template.items:
-                if isinstance(it, Var):
-                    bound = env[it.name]
-                    if not isinstance(bound, str):
-                        raise ReductionError(f"list slot {it.name!r} is not a payload")
-                    items.append(bound)
-                else:
-                    items.append(it)
-            return ListLit(tuple(items))
+            out = list(items)
+            for i, slot in picks.items():
+                out[i] = None if slot is None else env[slot]
+                if not isinstance(out[i], str):
+                    raise ReductionError(f"list slot {items[i].name!r} is not a payload")
+            return ListLit(tuple(out))
 
         return fill
     if isinstance(template, Call):
         first = template.args[0]
-        on_child = isinstance(first, Var) and first.name in child_binders
-        if template.fn == name and not on_child:
+        if template.fn == name and not (isinstance(first, Var) and slots.get(first.name) in kids):
             raise ValueError(f"{name}: recursion is not structurally decreasing")
-        if redexes is not None and (on_child or isinstance(first, (Value, Ctor))):
-            # a constructor may fold into a value, so only a scan can tell
-            redexes.append(path if on_child or isinstance(first, Value) else None)
-            redexes = None
-    elif (isinstance(template, Concat) and redexes is not None
-          and isinstance(template.left, ListLit) and isinstance(template.right, ListLit)):
-        redexes.append(path)
+        fns.add(template.fn)
     if isinstance(template, (Ctor, Call)):
-        parts = [_compile(a, name, child_binders, path + (i,), redexes)
-                 for i, a in enumerate(template.args)]
+        parts = [_compile(a, name, slots, kids, fns) for a in template.args]
         if isinstance(template, Call):
             fn = template.fn
             return lambda env: Call(fn, tuple([p(env) for p in parts]))
         ctor, payloads = template.name, template.payloads
         return lambda env: _collapse_ctor(Ctor(ctor, payloads, tuple([p(env) for p in parts])))
     if isinstance(template, Concat):
-        left = _compile(template.left, name, child_binders, path + (0,), redexes)
-        right = _compile(template.right, name, child_binders, path + (1,), redexes)
+        left = _compile(template.left, name, slots, kids, fns)
+        right = _compile(template.right, name, slots, kids, fns)
         return lambda env: Concat(left(env), right(env))
     return lambda env: template
 
@@ -383,8 +383,7 @@ def _big_step(expr: Expr, programs, fuel: int | None):
     if not (isinstance(expr, Call) and expr.args
             and all(isinstance(a, Value) for a in expr.args)):
         return None
-    sized = fuel is not None
-    limit = _budget(expr, fuel) if sized else 4
+    limit = 4 if fuel is None else _budget(expr, fuel)
     # the body being evaluated: its calls and build, its environment and the
     # level it appeared at, and the values and levels of its calls so far
     terms = [lambda env, vals, a=a: a.term for a in expr.args]
@@ -401,13 +400,13 @@ def _big_step(expr: Expr, programs, fuel: int | None):
                     return None  # levels() would substitute an argument still pending
                 prog = programs.get(fn)
                 entry = prog.compiled.get(term.constructor) if type(term) is Term and prog else None
-                body = entry[5] if entry else None
-                if (body is None or len(term.payloads) != body[3]
-                        or len(term.children) != body[4] or len(rest) != body[5]):
+                body = entry[4] if entry else None
+                if body is None or entry[0] != (len(term.payloads), len(term.children),
+                                                len(rest) + 1):
                     return None
                 if ready >= limit:
-                    if not sized:
-                        limit, sized = _budget(expr, None), True
+                    if fuel is None:  # a default budget counted past twice the level
+                        limit = _budget(expr, None, 2 * ready)
                     if ready >= limit:
                         return None
                 body_env = term.payloads + term.children
@@ -432,8 +431,8 @@ def _big_step(expr: Expr, programs, fuel: int | None):
                 ready_at.append(level)
     except ReductionError:  # only levels() tells what happens
         return None
-    if level > limit and not sized:
-        limit = _budget(expr, None)
+    if level > limit and fuel is None:
+        limit = _budget(expr, None, level)
     if level > limit or type(value) not in (Term, tuple):
         return None
     return (Value(value) if type(value) is Term else ListLit(value)), level
@@ -449,21 +448,16 @@ def _collapse_ctor(expr: Ctor) -> Expr:
 
 def _apply_clause(prog: Program, args: tuple[Expr, ...]):
     """The instance of the clause args[0] matches, its rule name, and the
-    paths of the redexes inside it when every instance has the same."""
+    programs the instance calls."""
     term = args[0].term
     if term.constructor not in prog.compiled:
         raise ReductionError(f"{prog.name} has no clause for {term.constructor!r}")
-    payload_binders, child_binders, build, rule, redexes, _ = prog.compiled[term.constructor]
-    if (len(term.payloads) != len(payload_binders) or len(term.children) != len(child_binders)
-            or len(args) != len(prog.params)):
-        want = len(payload_binders), len(child_binders), len(prog.params)
-        got = len(term.payloads), len(term.children), len(args)
+    want, build, rule, fns, _ = prog.compiled[term.constructor]
+    got = len(term.payloads), len(term.children), len(args)
+    if got != want:
         raise ReductionError(f"{prog.name} on {term.constructor!r} takes "
                              f"(payloads, children, arguments) {want}, got {got}")
-    env: dict = dict(zip(payload_binders, term.payloads))  # payloads bind to raw tokens
-    env.update(zip(child_binders, [Value(child) for child in term.children]))
-    env.update(zip(prog.params[1:], args[1:]))
-    return build(env), rule, redexes
+    return build(term.payloads + term.children + args[1:]), rule, fns
 
 
 def _make_builtins() -> dict[str, Program]:
@@ -576,51 +570,31 @@ class Trace:
 
 
 class _Engine:
-    """Call-by-value reduction that keeps its frontier between steps.
+    """Call-by-value reduction, one pass over the pending part per step.
 
     The state is the chain of unary constructors already emitted (prefix)
-    over the part still pending (body).  The frontier holds the paths of
-    the outermost redexes in traversal order.  A step rebuilds only the
-    spines that lead to the redexes it rewrites and looks for new redexes
-    only inside their results and on those spines, so its cost follows the
-    redexes, not the size of the state.  A single step rewrites the first
-    redex (leftmost-outermost); a level rewrites all of them at once and
-    flattens, within the level, every concat of two lists it completes."""
+    over the part still pending (body).  A step walks the body once, in
+    post-order: it fires each outermost redex it meets and rebuilds only
+    the nodes whose children changed, folding what that completes: a
+    constructor over values becomes a value and, within a level, a concat
+    of two lists flattens.  A level rewrites every outermost redex; a
+    single step stops after the first (leftmost-outermost) one, so it
+    rebuilds only that redex's ancestors."""
 
     def __init__(self, expr: Expr, programs, single: bool):
         self.programs, self.single = programs, single
+        stack = [expr]  # the input's one check; an instance is checked as it is built
+        while stack:
+            e = stack.pop()
+            if isinstance(e, Var):
+                raise ReductionError("unbound template variable in a runtime expression")
+            if isinstance(e, Call) and e.fn not in programs:
+                raise ReductionError(f"unknown program: {e.fn!r}")
+            stack += (e.left, e.right) if isinstance(e, Concat) else getattr(e, "args", ())
         self.prefix: list[str] = []
         self.base: tuple[int, ...] = ()  # path of body
         self.body = expr
-        self.frontier: list[tuple[int, ...]] = []
-        self._scan(expr, (), self.frontier)
         self._absorb()
-
-    def _scan(self, expr: Expr, path: tuple, found: list) -> None:
-        """Append the paths of the outermost redexes in expr, in order."""
-        stack = [(expr, path)]
-        while stack:
-            e, p = stack.pop()
-            if isinstance(e, Call):
-                if e.fn not in self.programs:
-                    raise ReductionError(f"unknown program: {e.fn!r}")
-                if isinstance(e.args[0], Value):
-                    found.append(p)
-                    continue
-                kids = e.args
-            elif isinstance(e, Ctor):
-                kids = e.args
-            elif isinstance(e, Concat):
-                if isinstance(e.left, ListLit) and isinstance(e.right, ListLit):
-                    found.append(p)
-                    continue
-                kids = (e.left, e.right)
-            else:
-                if isinstance(e, Var) and not self.single:
-                    raise ReductionError("unbound template variable in a runtime expression")
-                continue
-            for j in range(len(kids) - 1, -1, -1):
-                stack.append((kids[j], p + (j,)))
 
     def _absorb(self) -> None:
         # a unary constructor over a part still pending is output for good
@@ -643,88 +617,72 @@ class _Engine:
             expr = Ctor(name, (), (expr,))
         return expr
 
-    def _fire(self, e: Expr, path: tuple, recs: list, found: list) -> Expr:
-        if isinstance(e, Call):
-            new, rule, redexes = _apply_clause(self.programs[e.fn], e.args)
-        else:
-            new, rule, redexes = ListLit(e.left.items + e.right.items), "++", ()
-        recs.append((path, rule))
-        if redexes is None:
-            self._scan(new, path, found)
-        else:
-            found += [path + rel for rel in redexes]
-        return new
-
-    def _close_top(self, spine: list, path: tuple, recs: list, found: list) -> None:
-        """Rebuild the deepest spine node, folding what it completes: a
-        concat of two lists flattens (a level) or becomes a redex (a single
-        step), a constructor over values becomes a value, and a call whose
-        matched argument became a value becomes a redex."""
-        e, mark, *args = spine.pop()
-        depth = len(self.base) + len(spine)
-        if isinstance(e, Concat):
-            left, right = args
-            new = Concat(left, right)
-            woke = isinstance(left, ListLit) and isinstance(right, ListLit)
-            if woke and not self.single:
-                recs.append((path[:depth], "++"))
-                new, woke = ListLit(left.items + right.items), False
-        elif isinstance(e, Ctor):
-            new = _collapse_ctor(Ctor(e.name, e.payloads, tuple(args)))
-            woke = False
-        else:
-            new = Call(e.fn, tuple(args))
-            woke = isinstance(args[0], Value)
-        if woke:
-            # it is outermost now, so it replaces the redexes found inside
-            del found[mark:]
-            found.append(path[:depth])
-        if spine:
-            spine[-1][2 + path[depth - 1]] = new
-        else:
-            self.body = new
-
     def step(self) -> bool:
         """Take one step; False once the state is normal."""
-        if not self.frontier:
-            if is_normal(self.expr()):
+        programs, single, base = self.programs, self.single, self.base
+        recs: list = []  # (path, rule) of each rewrite, in order
+        # per ancestor of node, outermost first: [expr, its kids, the new
+        # kids or None], and the index of the kid on the way to node
+        frames: list = []
+        path: list = []
+        node = self.body
+        while True:
+            cls = node.__class__
+            if cls is Concat:
+                left, right = node.left, node.right
+                if left.__class__ is ListLit and right.__class__ is ListLit:
+                    recs.append((base + tuple(path), "++"))
+                    node = ListLit(left.items + right.items)
+                else:
+                    frames.append([node, (left, right), None])
+                    path.append(0)
+                    node = left
+                    continue
+            elif cls is Call and node.args[0].__class__ is Value:
+                node, rule, fns = _apply_clause(programs[node.fn], node.args)
+                for fn in fns:
+                    if fn not in programs:
+                        raise ReductionError(f"unknown program: {fn!r}")
+                recs.append((base + tuple(path), rule))
+            elif (cls is Call or cls is Ctor) and node.args:
+                frames.append([node, node.args, None])
+                path.append(0)
+                node = node.args[0]
+                continue
+            # node is done: it goes to its parent, then the next kid is
+            # visited, or the parent is rebuilt and is done too
+            while frames:
+                frame = frames[-1]
+                kids, i = frame[1], path[-1]
+                if node is not kids[i]:
+                    if frame[2] is None:
+                        frame[2] = list(kids)
+                    frame[2][i] = node
+                if i + 1 < len(kids) and not (single and recs):
+                    path[-1] = i + 1
+                    node = kids[i + 1]
+                    break
+                frames.pop()
+                path.pop()
+                parent, _, new = frame
+                if new is None:
+                    node = parent
+                elif parent.__class__ is Ctor:
+                    node = _collapse_ctor(Ctor(parent.name, parent.payloads, tuple(new)))
+                elif parent.__class__ is Call:
+                    node = Call(parent.fn, tuple(new))
+                elif single or not new[0].__class__ is new[1].__class__ is ListLit:
+                    node = Concat(*new)
+                else:  # a level flattens each concat of two lists it completes
+                    recs.append((base + tuple(path), "++"))
+                    node = ListLit(new[0].items + new[1].items)
+            else:
+                break
+        if not recs:
+            if is_normal(node):
                 return False
             raise ReductionError("expression is stuck: nothing to rewrite")
-        targets = self.frontier[:1] if self.single else self.frontier
-        recs: list = []  # (path, rule) of each rewrite, in order
-        found: list = []  # the next frontier
-        d0 = len(self.base)
-        # the ancestors of the current target, as [expr, frontier mark, new
-        # args...]; entry k sits at depth d0 + k on the path of the target
-        spine: list = []
-        prev = self.base
-        for target in targets:
-            shared = d0
-            while shared < len(prev) and prev[shared] == target[shared]:
-                shared += 1
-            while len(spine) > shared - d0 + 1:
-                self._close_top(spine, prev, recs, found)
-            depth = d0 + len(spine)
-            while depth < len(target):
-                node = spine[-1][2 + target[depth - 1]] if spine else self.body
-                kids = (node.left, node.right) if isinstance(node, Concat) else node.args
-                spine.append([node, len(found), *kids])
-                depth += 1
-            if spine:
-                i = 2 + target[-1]
-                spine[-1][i] = self._fire(spine[-1][i], target, recs, found)
-            else:
-                self.body = self._fire(self.body, target, recs, found)
-            prev = target
-        while spine:
-            self._close_top(spine, prev, recs, found)
-        if self.single:
-            rest = self.frontier[1:]
-            if found and len(found[-1]) < len(targets[0]):
-                woke = found[-1]
-                rest = [p for p in rest if p[: len(woke)] != woke]
-            found += rest
-        self.frontier = found
+        self.body = node
         self._absorb()
         self.paths, self.rules = zip(*recs)
         return True
@@ -767,10 +725,11 @@ def step_single(expr: Expr, programs: dict[str, Program] | None = None):
     return next(((step.after, step) for step in _steps(expr, levels(expr, programs, True))), None)
 
 
-def _budget(expr: Expr, fuel: int | None) -> int:
-    """The level budget: fuel, or by default one that scales with the input size."""
+def _budget(expr: Expr, fuel: int | None, past: float = math.inf) -> int:
+    """The level budget: fuel, or by default one that scales with the input
+    size, counted only until it passes past."""
     if fuel is None:
-        return max(4, 2 * expr_token_count(expr))
+        return max(4, 2 * _token_count(expr, past / 2 + 1))
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     return fuel
@@ -879,22 +838,21 @@ def render_state_unroll(expr: Expr) -> list[str]:
     stack = [expr]
     while stack:
         e = stack.pop()
-        if isinstance(e, Concat):
+        cls = e.__class__
+        if cls is Concat:
             stack += (e.right, e.left)
-        elif isinstance(e, ListLit):
-            out.extend(e.items)
-        elif isinstance(e, Call):
-            arg = e.args[0]
-            if not isinstance(arg, Value):
-                raise RenderError("pending call argument must be a value")
-            if arg.term.constructor == "Leaf":
-                out.append(EMPTY_TOKEN)
-            else:
-                out.append(UNROLL_OPEN)
-                out.extend(tree_serialize(arg.term))
-                out.append(UNROLL_CLOSE)
+        elif cls is ListLit:
+            out += e.items
+        elif cls is not Call:
+            raise RenderError(f"traversal form cannot render {cls.__name__} states")
+        elif e.args[0].__class__ is not Value:
+            raise RenderError("pending call argument must be a value")
+        elif e.args[0].term.constructor == "Leaf":
+            out.append(EMPTY_TOKEN)
         else:
-            raise RenderError(f"traversal form cannot render {type(e).__name__} states")
+            out.append(UNROLL_OPEN)
+            out += tree_serialize(e.args[0].term)
+            out.append(UNROLL_CLOSE)
     return out
 
 

@@ -125,7 +125,11 @@ class Term:
     payloads: tuple[str, ...] = ()
     children: tuple["Term", ...] = ()
 
-    _span = None  # not a field: (shared normalized tokens, start, end) of a parsed term
+    # not fields: (shared normalized tokens, start, end) of a term read by
+    # delinearize (constructor order), and of a tree read by tree_parse
+    # (serialized form)
+    _span = None
+    _tree_span = None
 
     def _nodes(self):
         """Constructor, payloads and child count per node in preorder: the tree."""
@@ -210,13 +214,23 @@ def linearize(term: Term) -> list[str]:
     return out
 
 
-def _spanned(constructor: str, payloads: tuple, children: tuple, span: tuple) -> Term:
-    """Term(constructor, payloads, children) read from span; set directly,
-    as the frozen __init__ (a setattr per field) takes 1.5 times as long."""
+def _spanned(constructor: str, payloads: tuple, children: tuple, span: tuple,
+             kind: str = "_span") -> Term:
+    """Term(constructor, payloads, children) with span as its kind of span
+    (_span or _tree_span); set directly, as the frozen __init__ (a setattr
+    per field) takes 1.5 times as long."""
     term = object.__new__(Term)
     fields = term.__dict__
-    fields["constructor"], fields["payloads"], fields["children"], fields["_span"] = \
+    fields["constructor"], fields["payloads"], fields["children"], fields[kind] = \
         constructor, payloads, children, span
+    return term
+
+
+def _chain(toks: tuple, end: int) -> Term:
+    """The chain term of toks[:end], built from its base up; each node keeps its span."""
+    term = _spanned(toks[end - 1], (), (), (toks, end - 1, end))
+    for i in range(end - 2, -1, -1):
+        term = _spanned(toks[i], (), (term,), (toks, i, end))
     return term
 
 
@@ -238,11 +252,9 @@ def delinearize(tokens, idef: InductiveDef, prefix: bool = False):
     one term off the front and return it with the number of tokens used.
     Each term keeps its span of the normalized tokens."""
     toks = tuple(normalize_tokens(tokens))
-    if idef._links is not None:  # a chain, built from its base up
+    if idef._links is not None:
         end = _chain_length(toks, idef, prefix)
-        term = _spanned(toks[end - 1], (), (), (toks, end - 1, end))
-        for i in range(end - 2, -1, -1):
-            term = _spanned(toks[i], (), (term,), (toks, i, end))
+        term = _chain(toks, end)
         return (term, end) if prefix else term
     pos = 0
     open_terms: list = []  # (constructor, payloads, arity, children so far, start)
@@ -306,11 +318,9 @@ def _bin_tokens(n: int) -> list[str]:
 
 
 def bin_encode(n: int) -> Term:
-    """Positive binary term for n >= 1."""
-    term = Term(ONE)
-    for op in reversed(_bin_tokens(n)[:-1]):
-        term = Term(op, children=(term,))
-    return term
+    """Positive binary term for n >= 1, spanned as if read by delinearize."""
+    toks = tuple(_bin_tokens(n))
+    return _chain(toks, len(toks))
 
 
 def _bin_terms(lo: int, hi: int):
@@ -401,7 +411,11 @@ def tree_depth(term: Term) -> int:
 
 def tree_serialize(term: Term) -> list[str]:
     """Render a Branch-rooted tree: root value, then each subtree either as
-    LEAF or wrapped in parens."""
+    LEAF or wrapped in parens.  A tree that keeps its span (read by
+    tree_parse, or sampled for a dataset) gives a copy of it, without a walk."""
+    if term._tree_span is not None:
+        toks, start, end = term._tree_span
+        return toks[start:end]
     if term.constructor == "Leaf":
         raise MalformedSequenceError("a bare Leaf has no serialized form")
     out: list[str] = []
@@ -434,10 +448,12 @@ _STRUCTURAL = {LPAR, RPAR, LEAF_TOKEN, UNROLL_OPEN, UNROLL_CLOSE, EMPTY_TOKEN}
 
 
 def tree_parse(tokens) -> Term:
+    """Inverse of tree_serialize; each Branch keeps its span of the
+    normalized tokens."""
     toks = normalize_tokens(tokens)
     bare = Term("Leaf")
     pos, want = 0, "a node value"
-    open_nodes: list = []  # (value, subtrees so far) of each unfinished node
+    open_nodes: list = []  # (value, subtrees so far, start) of each unfinished node
     while True:
         if pos >= len(toks):
             raise MalformedSequenceError(f"unexpected end of tree tokens, wanted {want}")
@@ -446,7 +462,7 @@ def tree_parse(tokens) -> Term:
         if want == "a node value":
             if tok in _STRUCTURAL:
                 raise MalformedSequenceError(f"expected a node value, got {tok!r}")
-            open_nodes.append((tok, []))
+            open_nodes.append((tok, [], pos - 1))
             want = "LEAF or a subtree"
             continue
         if want == "LEAF or a subtree":
@@ -459,12 +475,12 @@ def tree_parse(tokens) -> Term:
         elif tok != RPAR:
             raise MalformedSequenceError(f"unbalanced parens: got {tok!r}")
         # tree is the next subtree of the innermost unfinished node
-        value, kids = open_nodes[-1]
+        value, kids, start = open_nodes[-1]
         kids.append(tree)
         want = "LEAF or a subtree"
         if len(kids) == 2:
             open_nodes.pop()
-            tree = Term("Branch", (value,), tuple(kids))
+            tree = _spanned("Branch", (value,), tuple(kids), (toks, start, pos), "_tree_span")
             if not open_nodes:
                 if pos != len(toks):
                     raise MalformedSequenceError(f"trailing tokens after position {pos}")

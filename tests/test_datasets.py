@@ -166,6 +166,28 @@ def test_gen_trees_no_duplicates_anywhere():
     assert len(keys) == len(set(keys))
 
 
+def test_each_sampled_tree_is_serialized_once(monkeypatch):
+    # a draw walks its tree once; its key and its records slice that walk
+    import structrec.datasets as datasets
+    from structrec.terms import Term, tree_serialize
+
+    drawn, walks = [], []
+    sample = datasets.sample_tree
+    monkeypatch.setattr(datasets, "sample_tree", lambda *a: drawn.append(sample(*a)) or drawn[-1])
+    monkeypatch.setattr(datasets, "tree_serialize", lambda tree: walks.append(
+        tree._tree_span is None) or tree_serialize(tree))
+    spec = DatasetSpec(task=TRAVERSAL, depth_lo=2, depth_hi=4, train_count=150,
+                       test_count=15, seed=14)
+    samples, _ = gen_trees(spec)
+    records = gen_traversal(samples, "inorder")
+    # each draw is walked, then keyed; each record takes its input
+    assert sum(walks) == len(drawn) >= len(samples)
+    assert len(walks) == 2 * len(drawn) + len(records)
+    for sample, record in zip(samples, records):
+        built = Term("Branch", sample.tree.payloads, sample.tree.children)
+        assert sample.tree == built and record.input == tree_serialize(built)
+
+
 def test_gen_trees_deterministic():
     spec = DatasetSpec(task=TRAVERSAL, depth_lo=2, depth_hi=3, train_count=100,
                        test_count=10, seed=13)

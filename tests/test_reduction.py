@@ -1,5 +1,6 @@
 """Reduction engine: levels, single steps, traces, renderings."""
 
+import math
 import random
 
 import pytest
@@ -613,7 +614,7 @@ def test_default_fuel_is_sized_only_past_four_levels(monkeypatch):
     import structrec.reduction as reduction
 
     sized = []
-    monkeypatch.setattr(reduction, "expr_token_count", lambda expr: sized.append(expr) or 50)
+    monkeypatch.setattr(reduction, "_token_count", lambda expr, enough: sized.append(expr) or 50)
     assert _tokens(reduce(s_of(0b1111))[0]) == (Value, linearize(bin_encode(16)))  # four
     assert sized == []
     assert _tokens(reduce(s_of(0b11111))[0]) == (Value, linearize(bin_encode(32)))  # five
@@ -626,6 +627,24 @@ def test_default_fuel_is_sized_only_past_four_levels(monkeypatch):
     got, level = _big_step(expr, programs, None)
     assert level == taken == 5 and _tokens(got) == _tokens(expected)
     assert len(sized) == 2
+
+
+def test_default_fuel_counts_only_until_it_passes_the_level():
+    # big-step asks only whether twice the count passes the level reached,
+    # so a large input is counted no further than that
+    from structrec.reduction import _budget, _token_count, expr_token_count
+
+    tree = _tree_of_size(random.Random(4), 3000)
+    expr = Call("inorder", (Value(tree),))
+    full = expr_token_count(expr)
+    assert full > 9000 and _token_count(expr, math.inf) == full
+    assert 10 <= _token_count(expr, 10) <= 12  # a Branch adds 2, a Leaf 1, the call 1
+    for past in (0, 3, 4, 9, 100, 2 * full - 1, 2 * full, 10 * full):
+        budget = _budget(expr, None, past)
+        assert budget == 2 * full if 2 * full <= past else past < budget <= 2 * full
+    assert _budget(expr, None) == 2 * full and _budget(expr, 7, 1) == 7
+    deep = s_of(2**40 - 1)  # 40 levels: sized in steps as the levels pass 4, 8, ...
+    assert _tokens(reduce(deep)[0]) == (Value, linearize(bin_encode(2**40)))
 
 
 def test_a_call_that_does_not_fit_its_clause_is_left_to_levels():
@@ -742,3 +761,59 @@ def test_big_step_takes_a_depth_ten_thousand_left_spine():
     final, level = _big_step(expr, builtin_programs(), 10_001)
     assert list(final.items) == _walk_inorder(tree) and level == 10_001
     assert _big_step(expr, builtin_programs(), 10_000) is None
+
+
+# ---------------------------------------------------------------------------
+# the one-pass engine
+
+
+def _run_levels(expr, single=False):
+    """The rules of each step a levels() run takes, and the state it ends in."""
+    rules, engine = [], None
+    for engine in levels(expr, single=single):
+        rules.append(engine.rules)
+    return rules, (expr if engine is None else engine.expr())
+
+
+def test_one_pass_engine_agrees_with_big_step_on_random_inputs():
+    rng = record_rng(13, "one-pass", 0)
+    exprs = [s_of(rng.randrange(1, 2**80)) for _ in range(60)]
+    exprs += [s_of(2**k - 1) for k in (1, 2, 40, 79)]
+    for i in range(160):
+        tree = _random_tree(rng, rng.randint(1, 7))
+        if i % 2 and tree.constructor != "Leaf":  # a parsed tree renders from its span
+            tree = tree_parse(tree_serialize(tree))
+        exprs.append(Call(("inorder", "preorder")[i % 4 // 2], (Value(tree),)))
+    for expr in exprs:
+        final, trace = reduce(expr)
+        by_level, last = _run_levels(expr)
+        assert len(by_level) == len(trace) and _tokens(last) == _tokens(final)
+        assert by_level == [step.rules for step in trace.steps]
+        by_single, last = _run_levels(expr, single=True)
+        assert _tokens(last) == _tokens(final)
+        # a level's rewrites are the single steps' rewrites, taken at once
+        assert sorted(r for rules in by_single for r in rules) == sorted(
+            r for rules in by_level for r in rules)
+        assert all(len(rules) == 1 for rules in by_single)
+
+
+def test_unknown_programs_and_unbound_variables_raise_on_the_first_step():
+    nope = Call("nope", (Value(leaf()),))
+    pending = Call("inorder", (Value(CAT_TREE),))
+    for expr, message in ((nope, "unknown program: 'nope'"),
+                          (Concat(pending, Concat(ListLit(("a",)), nope)), "unknown program"),
+                          (Concat(pending, Var("x")), "unbound template variable")):
+        for single in (False, True):
+            with pytest.raises(ReductionError, match=message):
+                next(levels(expr, single=single))
+
+
+def test_an_instance_calling_an_unknown_program_raises_in_the_step_that_builds_it():
+    hop = _peano_program("hop", ("n",), ListLit(("end",)), Call("gone", (Var("p"),)))
+    relay = _peano_program("relay", ("n",), ListLit(()), Call("hop", (Var("p"),)))
+    programs = {**builtin_programs(), "hop": hop, "relay": relay}
+    assert [e.rules for e in levels(Call("hop", (PEANO_ONE,)), programs)] == [("hop/I",)]
+    run = levels(Call("relay", (Value(peano_encode(3)),)), programs)
+    assert next(run).rules == ("relay/S",)
+    with pytest.raises(ReductionError, match="unknown program: 'gone'"):
+        next(run)

@@ -236,6 +236,81 @@ def test_parsed_terms_keep_their_spans():
     assert linearize(Term("X0", (), (term,))) == ["X0", "X1", "X0", "X1", "01"]
 
 
+def _built(tree):
+    """The same tree made with Term(...), so it holds no span."""
+    if tree.constructor == "Leaf":
+        return Term("Leaf")
+    return Term("Branch", tree.payloads, tuple(_built(kid) for kid in tree.children))
+
+
+def _random_branch(rng, depth):
+    kids = [leaf() if depth == 1 or rng.random() < 0.3 else _random_branch(rng, depth - 1)
+            for _ in range(2)]
+    return branch(rng.choice(("a", "b", "c", "X0")), *kids)
+
+
+def _subtrees(tree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.constructor != "Leaf":
+            yield node
+            stack += node.children
+
+
+def test_parsed_trees_serialize_from_their_spans():
+    rng = random.Random(23)
+    for _ in range(200):
+        tokens = tree_serialize(_random_branch(rng, rng.randint(1, 7)))
+        tree = tree_parse(tokens)
+        assert tree_serialize(tree) == tokens
+        for node in _subtrees(tree):  # every Branch keeps its own span
+            assert node._tree_span is not None and node._span is None
+            assert tree_serialize(node) == tree_serialize(_built(node))
+        built = _built(tree)
+        assert built._tree_span is None
+        assert tree == built and hash(tree) == hash(built) and repr(tree) == repr(built)
+        assert linearize(tree) == linearize(built)
+        from structrec.reduction import Value, expr_token_count
+
+        assert expr_token_count(Value(tree)) == expr_token_count(Value(built))
+
+
+def test_a_serialized_span_is_a_fresh_copy():
+    tokens = tokenize("a ( b LEAF LEAF ) ( c LEAF ( a LEAF LEAF ) )")
+    tree = tree_parse(tokens)
+    out = tree_serialize(tree)
+    out[0] = "z"
+    out.append("LEAF")
+    tree_serialize(tree.children[1]).clear()
+    tokens[0] = "y"  # nor does the caller's list back the span
+    assert tree_serialize(tree) == tokenize("a ( b LEAF LEAF ) ( c LEAF ( a LEAF LEAF ) )")
+    assert tree_serialize(tree.children[1]) == tokenize("c LEAF ( a LEAF LEAF )")
+    assert tree_serialize(tree) is not tree_serialize(tree)
+
+
+def test_parsed_trees_and_states_normalize_aliases():
+    from structrec.reduction import builtin_programs, parse_state_unroll, render_state_unroll
+
+    tree = tree_parse(["XO", "(", "b", "LEAF", "LEAF", ")", "LEAF"])
+    assert tree_serialize(tree) == ["X0", "(", "b", "LEAF", "LEAF", ")", "LEAF"]
+    state = parse_state_unroll(tokenize("c REDUCE[ XO LEAF LEAF ] EMPTY"),
+                               builtin_programs()["inorder"])
+    assert render_state_unroll(state) == ["c", "UNROLL[", "X0", "LEAF", "LEAF", "]", "EMPTY"]
+
+
+def test_bin_encode_is_the_chain_delinearize_reads():
+    rng = random.Random(29)
+    for n in [1, 2, 3, 13, 2**17 - 1] + [rng.randrange(1, 2**80) for _ in range(50)]:
+        term = bin_encode(n)
+        built = Term("01")
+        for op in reversed(linearize(term)[:-1]):
+            built = Term(op, children=(built,))
+        assert term == built and hash(term) == hash(built) and repr(term) == repr(built)
+        assert term == delinearize(linearize(built), BIN_POS) and bin_value(term) == n
+        assert linearize(term) == linearize(built) and term._span is not None
+
+
 # ---------------------------------------------------------------------------
 # tokens and aliases
 
