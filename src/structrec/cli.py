@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -319,8 +320,17 @@ def cmd_eval(args) -> int:
             raise ReductionError("eval needs --gold and --pred")
         gold = datasets.read_jsonl(args.gold)
         predictions = evaluation.read_predictions(args.pred)
-        metrics = evaluation.compute_metrics(
-            predictions, gold, ks=args.hit_ks, breakdown_keys=args.breakdown)
+        # the records form no cycles: frozen, no full collection walks them
+        # while they are scored; a caller's own frozen objects stay frozen
+        freeze = not gc.get_freeze_count()
+        if freeze:
+            gc.freeze()
+        try:
+            metrics = evaluation.compute_metrics(
+                predictions, gold, ks=args.hit_ks, breakdown_keys=args.breakdown)
+        finally:
+            if freeze:
+                gc.unfreeze()
         text = evaluation.render_report(metrics, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -69,7 +69,7 @@ def _record_seed(seed: int, stream: str, index) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-@dataclass
+@dataclass(slots=True)
 class RecordMeta:
     value: int | None = None
     bits: int | None = None
@@ -92,7 +92,7 @@ class RecordMeta:
 _META_KEYS, _META_DEFAULTS = zip(*((f.name, f.default) for f in fields(RecordMeta)))
 
 
-@dataclass
+@dataclass(slots=True)
 class ExampleRecord:
     id: str
     task: str
@@ -129,7 +129,7 @@ class ExampleRecord:
                    RecordMeta(*meta))
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     id: str
     task: str

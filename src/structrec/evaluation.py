@@ -62,7 +62,7 @@ TRACE_ERRORS = (
 # predictions and pairing
 
 
-@dataclass
+@dataclass(slots=True)
 class PredictionRecord:
     id: str
     candidates: list[list[str]]
@@ -92,25 +92,26 @@ _ALIASED = TOKEN_ALIASES.keys()
 
 
 def _pair(predictions, gold):
-    """Match predictions to gold records by id, strictly."""
+    """Match predictions to gold records by id, strictly; ids compare as
+    strings on both sides."""
     by_id: dict[str, PredictionRecord] = {}
     for pred in predictions:
-        if pred.id in by_id:
-            raise IdMismatchError(f"duplicate prediction id: {pred.id}")
-        by_id[pred.id] = pred
-    gold_ids = set()
+        pid = str(pred.id)
+        if pid in by_id:
+            raise IdMismatchError(f"duplicate prediction id: {pid}")
+        by_id[pid] = pred
     pairs = []
     for record in gold:
         rid = str(record.id)
-        if rid in gold_ids:
-            raise IdMismatchError(f"duplicate gold id: {rid}")
-        gold_ids.add(rid)
-        if rid not in by_id:
+        pred = by_id.pop(rid, None)
+        if pred is None:
+            # a matched id has left by_id, so a repeated gold id lands here too
+            if any(str(done.id) == rid for _, done in pairs):
+                raise IdMismatchError(f"duplicate gold id: {rid}")
             raise IdMismatchError(f"no prediction for gold id: {rid}")
-        pairs.append((by_id[rid], record))
-    extra = set(by_id) - gold_ids
-    if extra:
-        raise IdMismatchError(f"predictions for unknown ids: {sorted(extra)[:5]}")
+        pairs.append((pred, record))
+    if by_id:
+        raise IdMismatchError(f"predictions for unknown ids: {sorted(by_id)[:5]}")
     return pairs
 
 
@@ -158,8 +159,8 @@ def breakdown(predictions, gold, key: str) -> list[BreakdownRow]:
 
 def failure_signature(prediction, gold_target) -> str:
     """Classify a wrong prediction against its target."""
-    pred = list(prediction)
-    target = list(gold_target)
+    pred = prediction if isinstance(prediction, list) else list(prediction)
+    target = gold_target if isinstance(gold_target, list) else list(gold_target)
     if pred == target:
         raise ValueError("failure_signature needs a wrong prediction")
     if len(pred) == len(target):
@@ -368,8 +369,9 @@ def compute_metrics(predictions, gold, ks=(1, 3, 5), breakdown_keys=()) -> Metri
         top = pred.candidates[:depth]
         rank = top.index(target) if target in top else depth
         ranks[rank] += 1
+        meta = record.meta
         for field, (totals, correct) in buckets.items():
-            bucket = getattr(record.meta, field)
+            bucket = getattr(meta, field)
             if bucket is None:
                 raise EvalError(f"record {record.id} has no {field!r} metadata")
             totals[bucket] = totals.get(bucket, 0) + 1

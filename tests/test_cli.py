@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, file outputs, and exit codes."""
 
+import gc
 import json
 import os
 import subprocess
@@ -284,6 +285,34 @@ def test_eval_unknown_breakdown_key_exit_code(capsys, tmp_path, key):
     assert code == 4
     assert err.startswith(f"error: unknown breakdown key: {key!r}")
     assert out == ""
+
+
+@pytest.mark.parametrize("damage, expected", [(None, 0), ("missing", 6), ("malformed", 4)])
+@pytest.mark.parametrize("enabled, frozen", [(True, False), (False, True)])
+def test_eval_leaves_the_collector_as_it_found_it(capsys, tmp_path, damage, expected,
+                                                 enabled, frozen):
+    gold, pred = _gold_and_pred(capsys, tmp_path)
+    if damage == "missing":
+        pred.pop()
+    elif damage == "malformed":
+        pred[3] = pred[3][:-2]
+    was_enabled, was_frozen = gc.isenabled(), gc.get_freeze_count()
+    try:
+        if not enabled:
+            gc.disable()
+        if frozen:
+            gc.freeze()
+        before = gc.get_freeze_count()
+        code, _, _ = _eval_lines(capsys, tmp_path, gold, pred)
+        after = gc.get_freeze_count()
+        assert (code, gc.isenabled()) == (expected, enabled)
+        # frozen objects that the run frees leave the count; none may join or thaw
+        assert after == before if not before else 0 < after <= before
+    finally:
+        if not was_frozen:
+            gc.unfreeze()
+        if was_enabled:
+            gc.enable()
 
 
 FUZZ_VALUES = (None, True, 7, 2.5, "", "X1 01", [], [7], ["X0", 7], [["01"]], {"X1": 1})

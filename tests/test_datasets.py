@@ -1,7 +1,10 @@
 """Dataset generation: determinism, splits, padding, respelling, files."""
 
+import copy
+import dataclasses
 import gc
 import json
+import pickle
 import random
 
 import pytest
@@ -14,6 +17,7 @@ from structrec.datasets import (
     SUCCESSOR,
     SUCCESSOR_RANDOM,
     TRAVERSAL,
+    TraceRecord,
     apply_padding,
     apply_remap,
     build_dataset,
@@ -36,6 +40,7 @@ from structrec.datasets import (
     write_manifest,
 )
 from structrec.errors import GenerationError, RemapError
+from structrec.evaluation import PredictionRecord
 from structrec.reduction import (
     Call,
     Value,
@@ -519,6 +524,49 @@ def test_record_meta_omits_unset_fields():
     assert "value" not in meta.to_dict()
     record = ExampleRecord(id="x", task="t", order=None, input=["a"], target=["b"])
     assert ExampleRecord.from_dict(record.to_dict()) == record
+
+
+
+_META = RecordMeta(value=5, bits=3, depth=2, edge_group=1)
+_META_REPR = "RecordMeta(value=5, bits=3, depth=2, edge_group=1, pad_len=0, weight=1)"
+_META_DICT = {"value": 5, "bits": 3, "depth": 2, "edge_group": 1, "pad_len": 0, "weight": 1}
+
+
+# each record class: an instance, one field and another value for it, its
+# repr and its asdict, as they were before the classes were slotted
+@pytest.mark.parametrize("record, name, other, text, as_dict", [
+    (_META, "bits", 4, _META_REPR, _META_DICT),
+    (ExampleRecord("a", "successor", "reverse", ["X1", "01"], ["X0", "X1", "01"], _META),
+     "target", ["X0", "01"],
+     "ExampleRecord(id='a', task='successor', order='reverse', input=['X1', '01'], "
+     f"target=['X0', 'X1', '01'], meta={_META_REPR})",
+     {"id": "a", "task": "successor", "order": "reverse", "input": ["X1", "01"],
+      "target": ["X0", "X1", "01"], "meta": _META_DICT}),
+    (TraceRecord("t", "successor", ["X1", "01"], "( X1 01 ) = X0 ( 01 ) = X0 X0 01"),
+     "trace", "X0 X0 01",
+     "TraceRecord(id='t', task='successor', input=['X1', '01'], "
+     "trace='( X1 01 ) = X0 ( 01 ) = X0 X0 01')",
+     {"id": "t", "task": "successor", "input": ["X1", "01"],
+      "trace": "( X1 01 ) = X0 ( 01 ) = X0 X0 01"}),
+    (PredictionRecord("p", [["X0", "01"], ["01"]]), "candidates", [],
+     "PredictionRecord(id='p', candidates=[['X0', '01'], ['01']])",
+     {"id": "p", "candidates": [["X0", "01"], ["01"]]}),
+])
+def test_record_classes_are_slotted(record, name, other, text, as_dict):
+    assert "__slots__" in vars(type(record)) and not hasattr(record, "__dict__")
+    with pytest.raises(AttributeError):
+        record.astrology = 1
+    assert repr(record) == text
+    assert dataclasses.asdict(record) == as_dict
+    changed = dataclasses.replace(record, **{name: other})
+    assert getattr(changed, name) == other and changed != record
+    assert dataclasses.replace(changed, **{name: getattr(record, name)}) == record
+    shallow = copy.copy(record)
+    assert shallow == record and shallow is not record
+    assert all(getattr(shallow, f.name) is getattr(record, f.name)
+               for f in dataclasses.fields(record))
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):  # 0 and 1 cannot carry slots
+        assert pickle.loads(pickle.dumps(record, protocol)) == record
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from structrec.evaluation import (
     render_report,
     validate_trace,
 )
-from structrec.datasets import DatasetSpec, gen_successor_range
+from structrec.datasets import DatasetSpec, ExampleRecord, gen_successor_range
 from structrec.reduction import ARROW, PAREN, Call, Value, reduce, render_trace
 from structrec.terms import bin_encode, branch, leaf, linearize, tree_serialize
 
@@ -93,6 +93,65 @@ def test_id_mismatches_raise(mutate):
     mutate(preds, gold)
     with pytest.raises(IdMismatchError):
         exact_match(preds, gold)
+
+
+def _strangers(*names):
+    return [PredictionRecord(id=name, candidates=[]) for name in names]
+
+
+# each case: predictions, gold (indices into _gold(5) and _perfect of it), message
+@pytest.mark.parametrize("pred_ix, extra, gold_ix, message", [
+    ((0, 1, 2, 3, 4, 0), (), (0, 1, 2, 3, 4),
+     "duplicate prediction id: succ-reverse-1"),
+    ((0, 1, 2, 3, 4), (), (0, 1, 2, 1, 3),  # the first occurrence of 2 was matched
+     "duplicate gold id: succ-reverse-2"),
+    ((0, 2, 3, 4), (), (0, 1, 2, 1),        # the first occurrence of 2 has no prediction
+     "no prediction for gold id: succ-reverse-2"),
+    ((0, 1, 3, 4), (), (0, 1, 2, 3, 4),
+     "no prediction for gold id: succ-reverse-3"),
+    ((0, 1, 3, 4), (), (0, 1, 3, 4, 3, 2),  # the first fault in gold order wins
+     "duplicate gold id: succ-reverse-4"),
+    ((0, 1, 2, 3, 4), ("z", "b", "y", "a", "x", "c"), (0, 1, 2, 3, 4),
+     "predictions for unknown ids: ['a', 'b', 'c', 'x', 'y']"),
+    ((4, 3, 2, 1, 0), (), (0, 1, 2),
+     "predictions for unknown ids: ['succ-reverse-4', 'succ-reverse-5']"),
+    ((0, 1, 2, 2), ("a",), (0, 1),          # a duplicate prediction precedes all else
+     "duplicate prediction id: succ-reverse-3"),
+])
+@pytest.mark.parametrize("wrap", [list, lambda items: (item for item in items)])
+def test_id_mismatch_messages(pred_ix, extra, gold_ix, message, wrap):
+    gold = _gold(5)
+    preds = _perfect(gold)
+    with pytest.raises(IdMismatchError) as info:
+        compute_metrics(wrap([preds[i] for i in pred_ix] + _strangers(*extra)),
+                        wrap([gold[i] for i in gold_ix]))
+    assert type(info.value) is IdMismatchError
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("pred_id", [7, "7"])
+@pytest.mark.parametrize("gold_id", [7, "7"])
+def test_ids_match_as_strings(pred_id, gold_id):
+    gold = [ExampleRecord(gold_id, "successor", "reverse", ["X0", "01"], ["X1", "01"])]
+    assert compute_metrics([PredictionRecord(pred_id, [["X1", "01"]])], gold).exact == 1.0
+    with pytest.raises(IdMismatchError, match="^duplicate prediction id: 7$"):
+        compute_metrics([PredictionRecord(pred_id, []), PredictionRecord("7", [])], gold)
+
+
+def test_unknown_ids_of_mixed_types_are_reported():
+    with pytest.raises(IdMismatchError) as info:
+        compute_metrics(_strangers(7, "a", 10), [])
+    assert str(info.value) == "predictions for unknown ids: ['10', '7', 'a']"
+
+
+def test_generator_inputs_score_as_lists():
+    gold = _gold(40)
+    preds = _perfect(gold)[::-1]
+    for i, pred in enumerate(preds[::3]):
+        pred.candidates = [["X0"] * (i % 4 + 1), *pred.candidates]
+    kwargs = dict(ks=(1, 2, 5), breakdown_keys=("bits", "edge_group"))
+    assert compute_metrics((p for p in preds), (r for r in gold), **kwargs) == compute_metrics(
+        preds, gold, **kwargs)
 
 
 def test_read_predictions(tmp_path):
