@@ -249,7 +249,7 @@ def validate_trace(text: str, task: str, input_tokens=None) -> TraceJudgment:
         return TraceJudgment(False, bad, MALFORMED_STATE)
     got = tokenize(states[0])
     try:
-        cur = parse(got, program)
+        cur = parse(got, program, normalized=True)
     except (ReductionError, MalformedSequenceError):
         return TraceJudgment(False, 0, MALFORMED_STATE)
     if input_tokens is not None:
@@ -286,13 +286,13 @@ def validate_trace(text: str, task: str, input_tokens=None) -> TraceJudgment:
 
 def _classify(task, style, parse, program, prev, got, expected, is_last) -> str:
     try:
-        parse(got, program)
+        parse(got, program, normalized=True)
     except (ReductionError, MalformedSequenceError):
         return MALFORMED_STATE
     if style == ARROW:
         swapped = _SWAPPED[task]
         try:
-            alt_cur = parse_state_unroll(prev, swapped)
+            alt_cur = parse_state_unroll(prev, swapped, normalized=True)
             alt = step_level(alt_cur, _ALONE[swapped.name])
             if alt is not None and render_state_unroll(alt[0]) == got:
                 return RULE_ORDER_SWAP

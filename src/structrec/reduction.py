@@ -37,6 +37,7 @@ from .terms import (
     X1,
     InductiveDef,
     Term,
+    _slot_stored,
     delinearize,
     linearize,
     normalize_tokens,
@@ -48,9 +49,11 @@ from .terms import (
 # expressions
 #
 # Expressions keep their fields in slots: a trace holds every state, and a
-# slotted instance takes about half the memory of one with a dict.
+# slotted instance takes about half the memory of one with a dict.  Each is
+# built by storing its fields straight into the slots (see _slot_stored).
 
 
+@_slot_stored
 @dataclass(frozen=True, slots=True)
 class Value:
     """A fully reduced constructor term."""
@@ -104,6 +107,7 @@ class _Nested:
         return "".join(p if isinstance(p, str) else repr(p) for p in self._pieces())
 
 
+@_slot_stored
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Ctor(_Nested):
     """A constructor applied to not-yet-reduced arguments."""
@@ -115,6 +119,7 @@ class Ctor(_Nested):
     _exprs = ("args",)
 
 
+@_slot_stored
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Call(_Nested):
     """A pending program call; the first argument is the matched one."""
@@ -125,6 +130,7 @@ class Call(_Nested):
     _exprs = ("args",)
 
 
+@_slot_stored
 @dataclass(frozen=True, slots=True)
 class ListLit:
     """A literal list of output tokens (template slots may hold a Var)."""
@@ -132,6 +138,7 @@ class ListLit:
     items: tuple
 
 
+@_slot_stored
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Concat(_Nested):
     left: "Expr"
@@ -295,9 +302,21 @@ def _compile(template: Expr, name: str, slots: dict, kids: range, fns: set):
         parts = [_compile(a, name, slots, kids, fns) for a in template.args]
         if isinstance(template, Call):
             fn = template.fn
+            if len(parts) == 1:
+                (only,) = parts
+                return lambda env: Call(fn, (only(env),))
             return lambda env: Call(fn, tuple([p(env) for p in parts]))
         ctor, payloads = template.name, template.payloads
-        return lambda env: _collapse_ctor(Ctor(ctor, payloads, tuple([p(env) for p in parts])))
+        if len(parts) == 1:
+            (only,) = parts
+
+            def build(env):
+                arg = only(env)
+                if arg.__class__ is Value:
+                    return Value(Term(ctor, payloads, (arg.term,)))
+                return Ctor(ctor, payloads, (arg,))
+            return build
+        return lambda env: _collapse_ctor(ctor, payloads, tuple([p(env) for p in parts]))
     if isinstance(template, Concat):
         left = _compile(template.left, name, slots, kids, fns)
         right = _compile(template.right, name, slots, kids, fns)
@@ -438,81 +457,34 @@ def _big_step(expr: Expr, programs, fuel: int | None):
     return (Value(value) if type(value) is Term else ListLit(value)), level
 
 
-def _collapse_ctor(expr: Ctor) -> Expr:
-    # bookkeeping, not a reduction step: fold a constructor over values
+def _collapse_ctor(name: str, payloads: tuple, args: tuple) -> Expr:
+    # bookkeeping, not a reduction step: a constructor over values folds
     # back into a plain term
-    if all(isinstance(a, Value) for a in expr.args):
-        return Value(Term(expr.name, expr.payloads, tuple(a.term for a in expr.args)))
-    return expr
-
-
-def _apply_clause(prog: Program, args: tuple[Expr, ...]):
-    """The instance of the clause args[0] matches, its rule name, and the
-    programs the instance calls."""
-    term = args[0].term
-    if term.constructor not in prog.compiled:
-        raise ReductionError(f"{prog.name} has no clause for {term.constructor!r}")
-    want, build, rule, fns, _ = prog.compiled[term.constructor]
-    got = len(term.payloads), len(term.children), len(args)
-    if got != want:
-        raise ReductionError(f"{prog.name} on {term.constructor!r} takes "
-                             f"(payloads, children, arguments) {want}, got {got}")
-    return build(term.payloads + term.children + args[1:]), rule, fns
+    for arg in args:
+        if arg.__class__ is not Value:
+            return Ctor(name, payloads, args)
+    return Value(Term(name, payloads, tuple([arg.term for arg in args])))
 
 
 def _make_builtins() -> dict[str, Program]:
-    s = Program(
-        "s",
-        ("b",),
-        BIN_POS,
-        (
+    programs = [
+        Program("s", ("b",), BIN_POS, (
             Clause(ONE, (), Value(Term(X0, children=(Term(ONE),)))),
             Clause(X0, ("b",), Ctor(X1, (), (Var("b"),))),
-            Clause(X1, ("b",), Ctor(X0, (), (Call("s", (Var("b"),)),))),
-        ),
-    )
-    add = Program(
-        "add",
-        ("n", "m"),
-        PEANO,
-        (
+            Clause(X1, ("b",), Ctor(X0, (), (Call("s", (Var("b"),)),))))),
+        Program("add", ("n", "m"), PEANO, (
             Clause("I", (), Ctor("S", (), (Var("m"),))),
-            Clause("S", ("p",), Ctor("S", (), (Call("add", (Var("p"), Var("m"))),))),
-        ),
-    )
-    inorder = Program(
-        "inorder",
-        ("t",),
-        CHAR_TREE,
-        (
+            Clause("S", ("p",), Ctor("S", (), (Call("add", (Var("p"), Var("m"))),))))),
+    ]
+    label = ListLit((Var("v"),))
+    for name in ("inorder", "preorder"):  # the label after, or before, the left subtree's walk
+        left = Call(name, (Var("l"),))
+        programs.append(Program(name, ("t",), CHAR_TREE, (
             Clause("Leaf", (), ListLit(())),
-            Clause(
-                "Branch",
-                ("v", "l", "r"),
-                Concat(
-                    Concat(Call("inorder", (Var("l"),)), ListLit((Var("v"),))),
-                    Call("inorder", (Var("r"),)),
-                ),
-            ),
-        ),
-    )
-    preorder = Program(
-        "preorder",
-        ("t",),
-        CHAR_TREE,
-        (
-            Clause("Leaf", (), ListLit(())),
-            Clause(
-                "Branch",
-                ("v", "l", "r"),
-                Concat(
-                    Concat(ListLit((Var("v"),)), Call("preorder", (Var("l"),))),
-                    Call("preorder", (Var("r"),)),
-                ),
-            ),
-        ),
-    )
-    return {p.name: p for p in (s, add, inorder, preorder)}
+            Clause("Branch", ("v", "l", "r"), Concat(
+                Concat(left, label) if name == "inorder" else Concat(label, left),
+                Call(name, (Var("r"),)))))))
+    return {p.name: p for p in programs}
 
 
 _BUILTINS = _make_builtins()
@@ -592,7 +564,6 @@ class _Engine:
                 raise ReductionError(f"unknown program: {e.fn!r}")
             stack += (e.left, e.right) if isinstance(e, Concat) else getattr(e, "args", ())
         self.prefix: list[str] = []
-        self.base: tuple[int, ...] = ()  # path of body
         self.body = expr
         self._absorb()
 
@@ -603,7 +574,6 @@ class _Engine:
                and isinstance(body.args[0], (Call, Ctor, Concat))):
             self.prefix.append(body.name)
             body = body.args[0]
-            self.base += (0,)
         self.body = body
 
     def expr(self) -> Expr:
@@ -619,8 +589,8 @@ class _Engine:
 
     def step(self) -> bool:
         """Take one step; False once the state is normal."""
-        programs, single, base = self.programs, self.single, self.base
-        recs: list = []  # (path, rule) of each rewrite, in order
+        programs, single = self.programs, self.single
+        recs: list = []  # (path from body, rule) of each rewrite, in order
         # per ancestor of node, outermost first: [expr, its kids, the new
         # kids or None], and the index of the kid on the way to node
         frames: list = []
@@ -631,7 +601,7 @@ class _Engine:
             if cls is Concat:
                 left, right = node.left, node.right
                 if left.__class__ is ListLit and right.__class__ is ListLit:
-                    recs.append((base + tuple(path), "++"))
+                    recs.append((tuple(path), "++"))
                     node = ListLit(left.items + right.items)
                 else:
                     frames.append([node, (left, right), None])
@@ -639,11 +609,20 @@ class _Engine:
                     node = left
                     continue
             elif cls is Call and node.args[0].__class__ is Value:
-                node, rule, fns = _apply_clause(programs[node.fn], node.args)
+                # the instance of the clause the matched term selects
+                prog, args, term = programs[node.fn], node.args, node.args[0].term
+                if term.constructor not in prog.compiled:
+                    raise ReductionError(f"{prog.name} has no clause for {term.constructor!r}")
+                want, build, rule, fns, _ = prog.compiled[term.constructor]
+                got = len(term.payloads), len(term.children), len(args)
+                if got != want:
+                    raise ReductionError(f"{prog.name} on {term.constructor!r} takes "
+                                         f"(payloads, children, arguments) {want}, got {got}")
+                node = build(term.payloads + term.children + args[1:])
                 for fn in fns:
                     if fn not in programs:
                         raise ReductionError(f"unknown program: {fn!r}")
-                recs.append((base + tuple(path), rule))
+                recs.append((tuple(path), rule))
             elif (cls is Call or cls is Ctor) and node.args:
                 frames.append([node, node.args, None])
                 path.append(0)
@@ -668,13 +647,13 @@ class _Engine:
                 if new is None:
                     node = parent
                 elif parent.__class__ is Ctor:
-                    node = _collapse_ctor(Ctor(parent.name, parent.payloads, tuple(new)))
+                    node = _collapse_ctor(parent.name, parent.payloads, tuple(new))
                 elif parent.__class__ is Call:
                     node = Call(parent.fn, tuple(new))
                 elif single or not new[0].__class__ is new[1].__class__ is ListLit:
                     node = Concat(*new)
                 else:  # a level flattens each concat of two lists it completes
-                    recs.append((base + tuple(path), "++"))
+                    recs.append((tuple(path), "++"))
                     node = ListLit(new[0].items + new[1].items)
             else:
                 break
@@ -682,10 +661,17 @@ class _Engine:
             if is_normal(node):
                 return False
             raise ReductionError("expression is stuck: nothing to rewrite")
+        self._paths, self.rules = zip(*recs)
+        self._depth = len(self.prefix)  # of the body the paths start from
         self.body = node
         self._absorb()
-        self.paths, self.rules = zip(*recs)
         return True
+
+    @property
+    def paths(self) -> tuple[tuple[int, ...], ...]:
+        """The paths of the last step's rewrites, from the root of the state."""
+        zeros = (0,) * self._depth
+        return tuple([zeros + path for path in self._paths])
 
     def render(self, style: str) -> list[str]:
         """The state in a trace style; the paren form starts from the
@@ -800,15 +786,16 @@ def _paren_form(prefix: list[str], cur: Expr, tokens) -> list[str]:
     raise RenderError(f"paren form cannot render {type(cur).__name__} states")
 
 
-def parse_state_paren(tokens, program: Program) -> Expr:
-    """Inverse of render_state_paren for one program."""
-    toks = normalize_tokens(tokens)
+def parse_state_paren(tokens, program: Program, *, normalized: bool = False) -> Expr:
+    """Inverse of render_state_paren for one program.  With normalized,
+    tokens is a list that the caller has normalized already."""
+    toks = tokens if normalized else normalize_tokens(tokens)
     if not toks:
         raise ReductionError("empty state")
     if LPAR not in toks:
         if RPAR in toks:
             raise ReductionError("unbalanced parens")
-        return Value(delinearize(toks, program.arg_type))
+        return Value(delinearize(toks, program.arg_type, normalized=True))
     open_i = toks.index(LPAR)
     if toks[-1] != RPAR or toks.count(LPAR) != 1 or toks.count(RPAR) != 1:
         raise ReductionError("state must contain exactly one trailing paren group")
@@ -817,7 +804,7 @@ def parse_state_paren(tokens, program: Program) -> Expr:
         raise ReductionError("empty paren group")
     args: list[Expr] = []
     for _ in program.params:  # one term per parameter
-        term, used = delinearize(inner, program.arg_type, prefix=True)
+        term, used = delinearize(inner, program.arg_type, prefix=True, normalized=True)
         args.append(Value(term))
         inner = inner[used:]
     if inner:
@@ -856,9 +843,10 @@ def render_state_unroll(expr: Expr) -> list[str]:
     return out
 
 
-def parse_state_unroll(tokens, program: Program) -> Expr:
-    """Inverse of render_state_unroll for one traversal program."""
-    toks = normalize_tokens(tokens)
+def parse_state_unroll(tokens, program: Program, *, normalized: bool = False) -> Expr:
+    """Inverse of render_state_unroll for one traversal program.  With
+    normalized, tokens is a list that the caller has normalized already."""
+    toks = tokens if normalized else normalize_tokens(tokens)
     if not toks:
         raise ReductionError("empty state")
     items: list[Expr] = []
@@ -882,7 +870,7 @@ def parse_state_unroll(tokens, program: Program) -> Expr:
                 close = toks.index(UNROLL_CLOSE, pos + 1)
             except ValueError:
                 raise ReductionError("unterminated UNROLL group") from None
-            tree = tree_parse(toks[pos + 1 : close])
+            tree = tree_parse(toks[pos + 1 : close], normalized=True)
             items.append(Call(program.name, (Value(tree),)))
             pos = close + 1
         elif tok == UNROLL_CLOSE:

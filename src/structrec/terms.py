@@ -13,7 +13,7 @@ import functools
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields
 
 from .errors import MalformedSequenceError, RemapError
 
@@ -116,20 +116,51 @@ class InductiveDef:
         return frozenset(c.name for c in self.constructors)
 
 
-@dataclass(frozen=True)
-class Term:
+def _slot_stored(cls):
+    """cls, a frozen slotted dataclass, with an __init__ that stores each
+    field straight into its slot and None into its bases' slots (the frozen
+    one calls object.__setattr__ per field: Call takes 1.5 times as long),
+    and a pickled state of every slot.  Fields, eq, hash and repr stay the
+    dataclass's; setting or deleting any attribute raises FrozenInstanceError
+    (the slotted dataclass's own check raises TypeError for a non-field)."""
+    names = [f.name for f in fields(cls)]
+    slots = names + [s for base in cls.__mro__[1:] for s in vars(base).get("__slots__", ())]
+    stores = [getattr(cls, name).__set__ for name in slots]
+    namespace = {f"_store_{name}": store for name, store in zip(slots, stores)}
+    exec(f"def __init__(self, {', '.join(names)}):\n" + "".join(
+        f"    _store_{name}(self, {name if name in names else None})\n" for name in slots), namespace)
+    init = namespace["__init__"]
+    init.__defaults__, init.__qualname__ = cls.__init__.__defaults__, f"{cls.__qualname__}.__init__"
+    cls.__init__ = init
+
+    def __setstate__(self, state):
+        for store, value in zip(stores, state):
+            store(self, value)
+
+    def frozen(self, name, *value):
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    cls.__getstate__ = lambda self: [getattr(self, name) for name in slots]
+    cls.__setstate__, cls.__setattr__, cls.__delattr__ = __setstate__, frozen, frozen
+    return cls
+
+
+class _Spans:
+    # (shared normalized tokens, start, end) of a term read by delinearize
+    # (constructor order), and of a tree read by tree_parse (serialized
+    # form); Term(...) sets both to None
+    __slots__ = ("_span", "_tree_span")
+
+
+@_slot_stored
+@dataclass(frozen=True, slots=True)
+class Term(_Spans):
     """A fully applied constructor tree.  Structural equality and hashing
     (iterative, as is repr) make terms directly usable as dedup keys."""
 
     constructor: str
     payloads: tuple[str, ...] = ()
     children: tuple["Term", ...] = ()
-
-    # not fields: (shared normalized tokens, start, end) of a term read by
-    # delinearize (constructor order), and of a tree read by tree_parse
-    # (serialized form)
-    _span = None
-    _tree_span = None
 
     def _nodes(self):
         """Constructor, payloads and child count per node in preorder: the tree."""
@@ -162,6 +193,12 @@ class Term:
                 if j:
                     stack.append(", ")
         return "".join(out)
+
+
+_new = object.__new__
+_store_constructor, _store_payloads, _store_children, _store_span, _store_tree_span = (
+    Term.constructor.__set__, Term.payloads.__set__, Term.children.__set__,
+    Term._span.__set__, Term._tree_span.__set__)
 
 
 PEANO = InductiveDef(
@@ -217,12 +254,13 @@ def linearize(term: Term) -> list[str]:
 def _spanned(constructor: str, payloads: tuple, children: tuple, span: tuple,
              kind: str = "_span") -> Term:
     """Term(constructor, payloads, children) with span as its kind of span
-    (_span or _tree_span); set directly, as the frozen __init__ (a setattr
-    per field) takes 1.5 times as long."""
-    term = object.__new__(Term)
-    fields = term.__dict__
-    fields["constructor"], fields["payloads"], fields["children"], fields[kind] = \
-        constructor, payloads, children, span
+    (_span or _tree_span), stored straight into the slots."""
+    term = _new(Term)
+    _store_constructor(term, constructor)
+    _store_payloads(term, payloads)
+    _store_children(term, children)
+    _store_span(term, span if kind == "_span" else None)
+    _store_tree_span(term, span if kind == "_tree_span" else None)
     return term
 
 
@@ -247,11 +285,12 @@ def _chain_length(toks, idef: InductiveDef, prefix: bool = False) -> int:
     return end
 
 
-def delinearize(tokens, idef: InductiveDef, prefix: bool = False):
+def delinearize(tokens, idef: InductiveDef, prefix: bool = False, *, normalized: bool = False):
     """Parse constructor-order tokens back into a term.  With prefix, parse
     one term off the front and return it with the number of tokens used.
-    Each term keeps its span of the normalized tokens."""
-    toks = tuple(normalize_tokens(tokens))
+    Each term keeps its span of the normalized tokens.  With normalized,
+    the caller has normalized the tokens already."""
+    toks = tuple(tokens if normalized else normalize_tokens(tokens))
     if idef._links is not None:
         end = _chain_length(toks, idef, prefix)
         term = _chain(toks, end)
@@ -279,30 +318,6 @@ def delinearize(tokens, idef: InductiveDef, prefix: bool = False):
                     raise MalformedSequenceError(f"trailing tokens after position {pos}")
                 return term
             open_terms[-1][3].append(term)
-
-
-def reorder(tokens, target_order: str, source_order: str | None = None) -> list[str]:
-    """Convert a complete bin_pos sequence between constructor (reverse)
-    and natural order.  Natural order is the exact reversal; tokens keep
-    their spellings."""
-    if target_order not in (REVERSE, NATURAL):
-        raise MalformedSequenceError(f"unknown order: {target_order!r}")
-    toks = normalize_tokens(tokens)
-    if not toks:
-        raise MalformedSequenceError("empty sequence has no order")
-    if source_order is None:
-        if toks[-1] == ONE:
-            source_order = REVERSE
-        elif toks[0] == ONE:
-            source_order = NATURAL
-        else:
-            raise MalformedSequenceError("sequence is not a complete bin_pos encoding")
-    elif source_order not in (REVERSE, NATURAL):
-        raise MalformedSequenceError(f"unknown order: {source_order!r}")
-    _chain_length(toks if source_order == REVERSE else toks[::-1], BIN_POS)  # completeness check
-    if source_order == target_order:
-        return list(toks)
-    return list(reversed(toks))
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +462,11 @@ def tree_serialize(term: Term) -> list[str]:
 _STRUCTURAL = {LPAR, RPAR, LEAF_TOKEN, UNROLL_OPEN, UNROLL_CLOSE, EMPTY_TOKEN}
 
 
-def tree_parse(tokens) -> Term:
+def tree_parse(tokens, *, normalized: bool = False) -> Term:
     """Inverse of tree_serialize; each Branch keeps its span of the
-    normalized tokens."""
-    toks = normalize_tokens(tokens)
+    normalized tokens.  With normalized, tokens is a list of normalized
+    tokens that the caller leaves unchanged, and the spans share it."""
+    toks = tokens if normalized else normalize_tokens(tokens)
     bare = Term("Leaf")
     pos, want = 0, "a node value"
     open_nodes: list = []  # (value, subtrees so far, start) of each unfinished node
@@ -490,12 +506,6 @@ def tree_parse(tokens) -> Term:
 
 # ---------------------------------------------------------------------------
 # vocabulary remaps
-
-
-def remap_tokens(tokens, mapping: dict[str, str]) -> list[str]:
-    """Apply a bijective respelling positionwise."""
-    _check_injective(mapping)
-    return _respelled(tokens, mapping)
 
 
 def _check_injective(mapping: dict[str, str]) -> None:

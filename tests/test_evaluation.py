@@ -449,6 +449,29 @@ def test_oracle_traversal_traces_validate():
     assert judgment.valid
 
 
+def test_the_first_state_is_normalized_once(monkeypatch):
+    from structrec import evaluation, reduction, terms
+
+    calls = []
+
+    def counted(tokens, normalize=terms.normalize_tokens):
+        calls.append(list(tokens))
+        return normalize(tokens)
+
+    for module in (terms, reduction, evaluation):
+        monkeypatch.setattr(module, "normalize_tokens", counted)
+    for text, task in (("( X1 XO 01 ) = X0 ( X0 01 ) = X0 X1 01", "successor"),
+                       (_traversal_trace(branch("X0", CAT_TREE, leaf())).replace("X0", "XO", 1),
+                        "inorder")):
+        calls.clear()
+        assert validate_trace(text, task).valid
+        assert len(calls) == 1  # by tokenize; not again by the state's or the term's parser
+    # called on their own, the parsers still normalize
+    program = reduction.builtin_programs()["s"]
+    assert reduction.parse_state_paren(["XO", "(", "01", ")"], program) == reduction.Ctor(
+        "X0", (), (Call("s", (Value(bin_encode(1)),)),))
+
+
 def test_single_state_trace_of_a_base_value_is_not_valid():
     # a bare final answer with no reduction shown does not start at the input
     judgment = validate_trace("X0 01", "successor", input_tokens=["01"])

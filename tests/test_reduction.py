@@ -1,6 +1,9 @@
 """Reduction engine: levels, single steps, traces, renderings."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
@@ -817,3 +820,77 @@ def test_an_instance_calling_an_unknown_program_raises_in_the_step_that_builds_i
     assert next(run).rules == ("relay/S",)
     with pytest.raises(ReductionError, match="unknown program: 'gone'"):
         next(run)
+
+
+# ---------------------------------------------------------------------------
+# the node layer
+
+_TWO = Term(X0, (), (Term(ONE),))
+_TWO_TEXT = ("Term(constructor='X0', payloads=(), children=("
+             "Term(constructor='01', payloads=(), children=()),))")
+_PENDING = Call("s", (Value(_TWO),))
+_PENDING_TEXT = f"Call(fn='s', args=(Value(term={_TWO_TEXT}),))"
+
+
+# each node class: an instance, one field and another value for it, its
+# fields, and its repr and the key its hash is the hash of, as they were
+# before the nodes were slot-stored
+@pytest.mark.parametrize("node, name, other, names, text, key", [
+    (_TWO, "constructor", X1, ("constructor", "payloads", "children"), _TWO_TEXT,
+     ((X0, (), 1), (ONE, (), 0))),
+    (Value(_TWO), "term", Term(ONE), ("term",), f"Value(term={_TWO_TEXT})", (_TWO,)),
+    (Ctor("Branch", ("a",), (_PENDING, Value(Term("Leaf")))), "payloads", ("b",),
+     ("name", "payloads", "args"),
+     f"Ctor(name='Branch', payloads=('a',), args=({_PENDING_TEXT}, "
+     "Value(term=Term(constructor='Leaf', payloads=(), children=()))))",
+     ("Ctor(", "name='Branch'", ", payloads=('a',)", ", args=", "(",
+      "Call(", "fn='s'", ", args=", "(", Value(_TWO), ",)", ")",
+      ", ", Value(Term("Leaf")), ")", ")")),
+    (_PENDING, "fn", "add", ("fn", "args"), _PENDING_TEXT,
+     ("Call(", "fn='s'", ", args=", "(", Value(_TWO), ",)", ")")),
+    (ListLit(("a", "b")), "items", ("a",), ("items",), "ListLit(items=('a', 'b'))",
+     (("a", "b"),)),
+    (Concat(ListLit(("a",)), _PENDING), "left", ListLit(()), ("left", "right"),
+     f"Concat(left=ListLit(items=('a',)), right={_PENDING_TEXT})",
+     ("Concat(", "left=", ListLit(("a",)), ", right=",
+      "Call(", "fn='s'", ", args=", "(", Value(_TWO), ",)", ")", ")")),
+], ids=["Term", "Value", "Ctor", "Call", "ListLit", "Concat"])
+def test_nodes_are_frozen_slot_stores_with_their_dataclass_surface(node, name, other, names,
+                                                                   text, key):
+    cls = type(node)
+    assert not hasattr(node, "__dict__")
+    for attribute in (name, "_span", "astrology"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, attribute, other)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, attribute)
+    assert tuple(f.name for f in dataclasses.fields(cls)) == names
+    assert repr(node) == text and hash(node) == hash(key)
+    again = cls(*(getattr(node, n) for n in names))
+    assert again == node and hash(again) == hash(node) and again is not node
+    changed = dataclasses.replace(node, **{name: other})
+    assert getattr(changed, name) == other and changed != node
+    assert dataclasses.replace(changed, **{name: getattr(node, name)}) == node
+    assert copy.copy(node) == node
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):  # 0 and 1 cannot carry slots
+        assert pickle.loads(pickle.dumps(node, protocol)) == node
+
+
+def test_single_step_cost_does_not_grow_with_length(monkeypatch):
+    built = [0]  # expression nodes and terms built
+    for cls in (Term, Value, Ctor, Call, ListLit, Concat):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built[0] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    per_step = {}
+    for n in (64, 1024):  # n X1 constructors over 01: the successor carries n times
+        expr = Call("s", (Value(delinearize([X1] * n + [ONE], BIN_POS)),))
+        per_step[n], steps, start = [], [], built[0]
+        for engine in levels(expr, single=True):
+            per_step[n].append(built[0] - start)
+            steps.append((engine.paths, engine.rules))
+            start = built[0]
+        assert len(steps) == n + 1
+    assert max(per_step[1024]) <= max(per_step[64])
+    assert steps == [(((0,) * i,), ("s/X1",)) for i in range(1024)] + [(((0,) * 1024,), ("s/01",))]

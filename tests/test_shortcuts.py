@@ -25,7 +25,7 @@ from structrec.shortcuts import (
     report_to_jsonl,
     reverse_shortcut_machine,
 )
-from structrec.terms import NATURAL, REVERSE, bin_encode, linearize, reorder
+from structrec.terms import NATURAL, REVERSE, bin_encode, linearize
 
 
 def _oracle(value, order):

@@ -1,5 +1,8 @@
-"""Token and term layer: encodings, round trips, orders, respelling."""
+"""Token and term layer: encodings, round trips, respelling, the node layer."""
 
+import copy
+import dataclasses
+import pickle
 import random
 import re
 
@@ -9,15 +12,15 @@ from structrec.errors import MalformedSequenceError, RemapError
 from structrec.terms import (
     BIN_POS,
     CHAR_TREE,
-    NATURAL,
     PEANO,
-    REVERSE,
     ConstructorDef,
     InductiveDef,
     Term,
     _TOKEN_RE,
     _bin_terms,
     _chain_length,
+    _check_injective,
+    _respelled,
     bin_encode,
     bin_value,
     bin_x1_run,
@@ -28,8 +31,6 @@ from structrec.terms import (
     normalize_tokens,
     peano_encode,
     peano_value,
-    remap_tokens,
-    reorder,
     tokenize,
     tree_depth,
     tree_parse,
@@ -232,8 +233,24 @@ def test_parsed_terms_keep_their_spans():
     assert linearize(term) == ["X1", "X0", "X1", "01"]
     tree = delinearize(linearize(CAT_TREE), CHAR_TREE)
     assert linearize(tree.children[1]) == linearize(CAT_TREE.children[1])
-    assert Term("X0", (), (term,))._span is None
+    built = Term("X0", (), (term,))
+    assert built._span is None and built._tree_span is None
     assert linearize(Term("X0", (), (term,))) == ["X0", "X1", "X0", "X1", "01"]
+
+
+def test_spanned_terms_copy_pickle_and_replace_with_their_spans_readable():
+    term = delinearize(["X1", "X0", "01"], BIN_POS)
+    tree = tree_parse(tokenize("a ( b LEAF LEAF ) LEAF"))
+    for spanned in (term, tree):
+        assert not hasattr(spanned, "__dict__")
+        copies = [copy.copy(spanned)] + [pickle.loads(pickle.dumps(spanned, protocol))
+                                         for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies:  # the spans travel with the term
+            assert other == spanned and other is not spanned
+            assert (other._span, other._tree_span) == (spanned._span, spanned._tree_span)
+        replaced = dataclasses.replace(spanned)  # a new term from the fields holds no span
+        assert replaced == spanned and replaced._span is None and replaced._tree_span is None
+        assert linearize(replaced) == linearize(spanned)
 
 
 def _built(tree):
@@ -358,42 +375,6 @@ def test_tokenize_agrees_with_the_token_regex():
 
 
 # ---------------------------------------------------------------------------
-# orders
-
-
-def test_reorder_is_reversal():
-    assert reorder(["X1", "X0", "01"], NATURAL) == ["01", "X0", "X1"]
-    assert reorder(["01", "X0", "X1"], REVERSE) == ["X1", "X0", "01"]
-
-
-def test_reorder_round_trip():
-    rng = random.Random(3)
-    for _ in range(500):
-        toks = linearize(bin_encode(rng.randint(1, 2**32)))
-        assert reorder(reorder(toks, NATURAL), REVERSE) == toks
-
-
-def test_reorder_keeps_spellings():
-    # only the sequence flips, X0/X1 spellings stay put
-    assert reorder(["X0", "X1", "01"], NATURAL) == ["01", "X1", "X0"]
-
-
-def test_reorder_identity_when_already_there():
-    assert reorder(["X1", "01"], REVERSE) == ["X1", "01"]
-    assert reorder(["01", "X1"], NATURAL) == ["01", "X1"]
-
-
-def test_reorder_single_token():
-    assert reorder(["01"], NATURAL) == ["01"]
-    assert reorder(["01"], REVERSE) == ["01"]
-
-
-def test_reorder_rejects_malformed():
-    with pytest.raises(MalformedSequenceError):
-        reorder(["X0", "X1"], NATURAL)
-
-
-# ---------------------------------------------------------------------------
 # trees
 
 
@@ -442,24 +423,24 @@ def test_tree_depth_of_a_spine_past_the_recursion_limit():
 
 def test_remap_tokens():
     mapping = {"X0": "a", "X1": "b", "01": "c"}
-    assert remap_tokens(["X1", "X0", "01"], mapping) == ["b", "a", "c"]
+    assert _respelled(["X1", "X0", "01"], mapping) == ["b", "a", "c"]
 
 
 def test_remap_requires_known_tokens():
     with pytest.raises(RemapError):
-        remap_tokens(["X1", "Q"], {"X1": "b"})
+        _respelled(["X1", "Q"], {"X1": "b"})
 
 
 def test_remap_requires_injective():
     with pytest.raises(RemapError):
-        remap_tokens(["X1", "X0", "01"], {"X0": "a", "X1": "a", "01": "c"})
+        _check_injective({"X0": "a", "X1": "a", "01": "c"})
 
 
 def test_invert_remap_round_trip():
     mapping = {"X0": "a", "X1": "b", "01": "c"}
     toks = ["X1", "X0", "X0", "01"]
     inverse = {v: k for k, v in mapping.items()}
-    assert remap_tokens(remap_tokens(toks, mapping), inverse) == toks
+    assert _respelled(_respelled(toks, mapping), inverse) == toks
 
 
 # ---------------------------------------------------------------------------
