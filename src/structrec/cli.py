@@ -467,6 +467,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # gen's records hold no cycles: a collection while they are built only rescans them
+    paused = args.command == "gen" and gc.isenabled()
+    if paused:
+        gc.disable()
     try:
         return args.func(args)
     except (FuelExhaustedError, BudgetExhaustedError) as exc:
@@ -481,6 +485,9 @@ def main(argv=None) -> int:
     except StructrecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BAD_INPUT
+    finally:
+        if paused:
+            gc.enable()
 
 
 if __name__ == "__main__":

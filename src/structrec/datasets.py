@@ -628,24 +628,29 @@ def write_jsonl(records, path) -> None:
 
 def _read_records(path, build, error=GenerationError, what="bad record ({})") -> list:
     """build(obj) for the JSON object on each non-blank line; a line that
-    is not JSON, or whose object build rejects with KeyError or TypeError,
-    raises error naming the file and its physical line."""
-    records = []
-    # records hold only strings, lists of interned strings and small
-    # dataclasses, so they form no cycles and reference counting frees every
-    # temporary; a collection here would only rescan the records read so far
+    is not UTF-8 or not JSON, or whose object build rejects with KeyError or
+    TypeError, raises error naming the file and its physical line."""
+    # records hold only strings, lists of strings and small dataclasses, so
+    # they form no cycles and reference counting frees every temporary; a
+    # collection here would only rescan the records read so far
     was_enabled = gc.isenabled()
     gc.disable()
+    records, scan = [], json.JSONDecoder().scan_once
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8", errors="surrogateescape") as handle:
             for lineno, line in enumerate(handle, start=1):
                 line = line.strip()
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise error(f"{path}:{lineno}: bad JSON ({exc})") from None
+                    obj, end = scan(line, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    end = None
+                if end != len(line) or not line.isascii():  # json.loads words any error
+                    try:  # a byte that is not UTF-8 was read as a lone surrogate
+                        obj = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
+                    except (ValueError, RecursionError) as exc:
+                        raise error(f"{path}:{lineno}: bad JSON ({exc})") from None
                 try:
                     records.append(build(obj))
                 except (KeyError, TypeError) as exc:

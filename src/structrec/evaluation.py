@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter, itemgetter, not_
 
 from . import datasets  # its record loop; datasets imports this module, via shortcuts
 from .errors import EvalError, IdMismatchError, MalformedSequenceError, ReductionError
@@ -64,14 +67,25 @@ TRACE_ERRORS = (
 
 @dataclass(slots=True)
 class PredictionRecord:
+    """Ranked candidates: token lists, or canonical text read as its space-separated tokens."""
+
     id: str
-    candidates: list[list[str]]
+    candidates: list[list[str] | str]
 
 
 def read_predictions(path) -> list[PredictionRecord]:
-    """Candidates are token lists or strings (tokenized); tokens are
-    normalized and interned, so equal tokens are one object."""
+    """Candidates are token lists or strings.  Canonical text (printable, non-empty, single
+    spaces between tokens, no paren, bracket or alias) stays a string; any other string is
+    tokenized and a token list normalized, their tokens interned."""
     return datasets._read_records(path, _prediction, EvalError, "{}")
+
+
+def _canonical(text: str) -> bool:
+    # then text.split(" ") == tokenize(text); space-joined texts are canonical
+    # exactly when each one is ("[" also rules out the alias REDUCE[)
+    return (text[:1] not in ("", " ") and text[-1] != " " and "  " not in text
+            and text.isprintable() and not ("(" in text or ")" in text or "[" in text
+                                            or "]" in text or "XO" in text))
 
 
 def _prediction(obj) -> PredictionRecord:
@@ -80,39 +94,41 @@ def _prediction(obj) -> PredictionRecord:
     value = obj["candidates"]
     if isinstance(value, list):
         try:
+            if _canonical(" ".join(value)):  # one check for a record of canonical texts
+                return PredictionRecord(str(obj["id"]), value)
+        except TypeError:  # a candidate that is not a string
+            pass
+        try:
             return PredictionRecord(str(obj["id"]), [
-                list(map(sys.intern, tokenize(cand))) if isinstance(cand, str)
+                cand if isinstance(cand, str) and _canonical(cand)
+                else list(map(sys.intern, tokenize(cand))) if isinstance(cand, str)
                 else normalize_tokens(intern_tokens(cand)) for cand in value])
         except TypeError:  # a candidate that is neither a string nor a token list
             pass
     raise TypeError("candidates must be a list of strings or of token lists")
 
 
-_ALIASED = TOKEN_ALIASES.keys()
-
-
 def _pair(predictions, gold):
-    """Match predictions to gold records by id, strictly; ids compare as
-    strings on both sides."""
+    """Match predictions to gold records by id, strictly; ids compare as strings
+    on both sides.  Returns the matched predictions and the gold records."""
     by_id: dict[str, PredictionRecord] = {}
     for pred in predictions:
         pid = str(pred.id)
         if pid in by_id:
             raise IdMismatchError(f"duplicate prediction id: {pid}")
         by_id[pid] = pred
-    pairs = []
-    for record in gold:
-        rid = str(record.id)
-        pred = by_id.pop(rid, None)
-        if pred is None:
-            # a matched id has left by_id, so a repeated gold id lands here too
-            if any(str(done.id) == rid for _, done in pairs):
-                raise IdMismatchError(f"duplicate gold id: {rid}")
-            raise IdMismatchError(f"no prediction for gold id: {rid}")
-        pairs.append((pred, record))
+    gold = list(gold)
+    left = len(by_id) - len(gold)  # unknown ids, if every gold id finds its prediction
+    matched = [by_id.pop(str(record.id), None) for record in gold]
+    if len(by_id) != left:  # a matched id has left by_id, so a repeated gold id finds none
+        at = matched.index(None)
+        rid = str(gold[at].id)
+        if any(str(record.id) == rid for record in gold[:at]):
+            raise IdMismatchError(f"duplicate gold id: {rid}")
+        raise IdMismatchError(f"no prediction for gold id: {rid}")
     if by_id:
         raise IdMismatchError(f"predictions for unknown ids: {sorted(by_id)[:5]}")
-    return pairs
+    return matched, gold
 
 
 def exact_match(predictions, gold) -> float:
@@ -347,53 +363,55 @@ class MetricsReport:
 def compute_metrics(predictions, gold, ks=(1, 3, 5), breakdown_keys=()) -> MetricsReport:
     """Every metric in one pass over the id-joined pairs.
 
-    Each gold target is normalized once and its rank among the first
-    max(ks) candidates found once: rank 0 is an exact match, a rank below
-    k a hit at k.  Breakdown rows and failure signatures accumulate in the
-    same loop.  Errors come in this order: ids, then ks, then keys.
-    """
-    pairs = _pair(predictions, gold)
+    Each target's rank among the first max(ks) candidates is found once,
+    a text candidate as the target joined by spaces: rank 0 is an exact
+    match, a rank below k a hit at k.  Errors come in this order: ids, ks,
+    keys, then the first record lacking a breakdown field."""
+    preds, records = _pair(predictions, gold)
     ks = sorted(set(ks))
     if ks and ks[0] < 1:
         raise ValueError("k must be at least 1")
     fields = {key: _meta_field(key) for key in breakdown_keys}
-    # one (totals, correct) pair per field, however many aliases name it
-    buckets = {field: ({}, {}) for field in fields.values()}
-    depth = ks[-1] if ks else 1
-    ranks = [0] * (depth + 1)  # ranks[depth] counts the misses
-    failures: dict = {}
-    for pred, record in pairs:
-        target = record.target  # the readers keep aliases as given
-        if not _ALIASED.isdisjoint(target):
-            target = normalize_tokens(target)
-        top = pred.candidates[:depth]
-        rank = top.index(target) if target in top else depth
-        ranks[rank] += 1
-        meta = record.meta
-        for field, (totals, correct) in buckets.items():
-            bucket = getattr(meta, field)
-            if bucket is None:
-                raise EvalError(f"record {record.id} has no {field!r} metadata")
-            totals[bucket] = totals.get(bucket, 0) + 1
-            if not rank:
-                correct[bucket] = correct.get(bucket, 0) + 1
-        if rank:
-            first = top[0] if top else []
-            if first != target:  # equal only when both are empty
-                label = failure_signature(first, target)
-                failures[label] = failures.get(label, 0) + 1
+    # one column per field, however many aliases name it
+    columns = {field: list(map(attrgetter(f"meta.{field}"), records)) for field in fields.values()}
+    lacking = [(column.index(None), field) for field, column in columns.items() if None in column]
+    if lacking:  # the first record lacking a field, and its first such field
+        at, field = min(lacking, key=itemgetter(0))
+        raise EvalError(f"record {records[at].id} has no {field!r} metadata")
 
-    n = len(pairs)
+    depth = ks[-1] if ks else 1
+    ranks = []
+    failures: dict = {}
+    for pred, record in zip(preds, records):
+        cands, target = pred.candidates, record.target  # the readers keep aliases as given
+        text = " ".join(target)
+        # equal text is equal tokens unless a target token holds a space
+        rank = cands.index(text) if text in cands and text.count(" ") == len(target) - 1 else depth
+        if rank:
+            if not TOKEN_ALIASES.keys().isdisjoint(target):  # then no text candidate matched
+                target = normalize_tokens(target)
+                text = " ".join(target)
+                if text in cands and text.count(" ") == len(target) - 1:
+                    rank = cands.index(text)
+            if target in cands[:rank]:  # a token-list candidate ranks higher
+                rank = cands.index(target)
+            first = cands[0] if cands else []
+            if rank and first != target:  # equal only when both are empty
+                label = failure_signature(first.split(" ") if isinstance(first, str) else first, target)
+                failures[label] = failures.get(label, 0) + 1
+        ranks.append(rank)
+
+    n, counts = len(records), Counter(ranks)
     breakdowns = {}
     for key, field in fields.items():
-        totals, correct = buckets[field]
-        breakdowns[key] = [BreakdownRow(bucket=b, n=totals[b], correct=correct.get(b, 0),
-                                        accuracy=correct.get(b, 0) / totals[b])
+        totals, correct = Counter(columns[field]), Counter(compress(columns[field], map(not_, ranks)))
+        breakdowns[key] = [BreakdownRow(bucket=b, n=totals[b], correct=correct[b],
+                                        accuracy=correct[b] / totals[b])
                            for b in sorted(totals)]
     return MetricsReport(
         n=n,
-        exact=ranks[0] / n if n else 0.0,
-        hits={k: sum(ranks[:k]) / n if n else 0.0 for k in ks},
+        exact=counts[0] / n if n else 0.0,
+        hits={k: sum(c for rank, c in counts.items() if rank < k) / n if n else 0.0 for k in ks},
         breakdowns=breakdowns,
         failures=failures,
     )

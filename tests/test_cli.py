@@ -315,6 +315,46 @@ def test_eval_leaves_the_collector_as_it_found_it(capsys, tmp_path, damage, expe
             gc.enable()
 
 
+def test_gen_starts_no_collection_while_it_builds_and_writes(capsys, tmp_path, monkeypatch):
+    # a count, not a time: 5,000 records leave far more tracked containers
+    # than a young-generation collection waits for
+    from structrec import cli
+
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    def counted(args, command=cli.cmd_gen_successor):
+        gc.callbacks.append(count)
+        try:
+            return command(args)
+        finally:
+            gc.callbacks.remove(count)
+
+    monkeypatch.setattr(cli, "cmd_gen_successor", counted)  # the parser's own build is not counted
+    assert gc.isenabled()
+    code, _, _ = run(capsys, "gen", "successor", "--range", "1:5000", "--out", str(tmp_path))
+    assert (code, started, gc.isenabled()) == (0, [], True)
+    assert len((tmp_path / "successor_reverse.jsonl").read_text().splitlines()) == 5000
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["gen", "random", "--count", "5"], 0),
+    (["gen", "trees", "--alphabet", ""], 4),
+])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_gen_leaves_the_collector_as_it_found_it(capsys, tmp_path, argv, expected, enabled):
+    try:
+        if not enabled:
+            gc.disable()
+        code, _, _ = run(capsys, *argv, "--out", str(tmp_path))
+        assert (code, gc.isenabled()) == (expected, enabled)
+    finally:
+        gc.enable()
+
+
 FUZZ_VALUES = (None, True, 7, 2.5, "", "X1 01", [], [7], ["X0", 7], [["01"]], {"X1": 1})
 
 

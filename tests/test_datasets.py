@@ -39,8 +39,8 @@ from structrec.datasets import (
     write_jsonl,
     write_manifest,
 )
-from structrec.errors import GenerationError, RemapError
-from structrec.evaluation import PredictionRecord
+from structrec.errors import EvalError, GenerationError, RemapError
+from structrec.evaluation import PredictionRecord, read_predictions
 from structrec.reduction import (
     Call,
     Value,
@@ -477,6 +477,86 @@ def test_a_reader_that_raises_turns_the_collector_back_on(tmp_path, read, bad):
     path = tmp_path / "bad.jsonl"
     path.write_text(bad + "\n")
     with pytest.raises(GenerationError, match=":1: bad"):
+        read(path)
+    assert gc.isenabled()
+
+
+# each reader with its error type and its message for a line that is JSON
+# but not an object
+_READERS = [
+    (read_jsonl, GenerationError, "bad record (a record must be a JSON object)"),
+    (read_predictions, EvalError, "need an object with id and candidates fields"),
+    (read_traces, GenerationError,
+     "bad trace record (a trace record must be an object with string task and trace)"),
+]
+
+
+@pytest.mark.parametrize("read,error,not_an_object", _READERS)
+@pytest.mark.parametrize("text,lineno,message", [
+    ("{} {}\n", 1, "bad JSON (Extra data: line 1 column 4 (char 3))"),
+    ('{"id": "a", "candidates": [\n', 1, "bad JSON (Expecting value: line 1 column 28 (char 27))"),
+    ('{"id": "a", "candidates": ["X1 01"\n', 1,
+     "bad JSON (Expecting ',' delimiter: line 1 column 35 (char 34))"),
+    ('\ufeff{"id": "a"}\n', 1, "bad JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                               "line 1 column 1 (char 0))"),
+    ("\n\ufeff{}\n", 2, "bad JSON (Unexpected UTF-8 BOM (decode using utf-8-sig): "
+                         "line 1 column 1 (char 0))"),
+    ("NaN\n", 1, None),
+    ("-Infinity\n", 1, None),
+    ("[1, 2]\n", 1, None),
+    ("[]\n", 1, None),
+    ("5\n", 1, None),
+    ('"text"\n', 1, None),
+    ("null\n", 1, None),
+    ("\n  \n\t\n{} {}\n", 4, "bad JSON (Extra data: line 1 column 4 (char 3))"),
+    ("\r\n\n5 6\r\n", 3, "bad JSON (Extra data: line 1 column 3 (char 2))"),
+    ("\n\n\n\n5", 5, None),
+    ("not json\n", 1, "bad JSON (Expecting value: line 1 column 1 (char 0))"),
+    ("{\"a\": 1}}\n", 1, "bad JSON (Extra data: line 1 column 9 (char 8))"),
+    ("{\"a\": 1}\u3000x\n", 1, "bad JSON (Extra data: line 1 column 9 (char 8))"),
+])
+def test_reader_errors_keep_their_text_and_line(tmp_path, read, error, not_an_object,
+                                                text, lineno, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as err:
+        read(path)
+    assert str(err.value) == f"{path}:{lineno}: {message or not_an_object}"
+    assert gc.isenabled()
+
+
+def test_blank_lines_alone_read_as_no_records(tmp_path):
+    path = tmp_path / "blank.jsonl"
+    path.write_text("\n  \n\t\r\n\u3000\n")
+    for read, _, _ in _READERS:
+        assert read(path) == []
+
+
+@pytest.mark.parametrize("read,error,_", _READERS)
+def test_a_line_that_is_not_utf8_is_bad_json_at_its_line(tmp_path, read, error, _):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"\n" * 3 + b'{"id": "a\xff"}\n' + b"\n" * 10000)
+    with pytest.raises(error) as err:
+        read(path)
+    assert str(err.value) == (f"{path}:4: bad JSON ('utf-8' codec can't decode byte 0xff "
+                              "in position 9: invalid start byte)")
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("read,error,_", _READERS)
+def test_an_earlier_bad_line_is_named_before_a_later_byte_that_is_not_utf8(
+        tmp_path, read, error, _):
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(b"not json\n" + b'{"id": "\xc3"}\n')
+    with pytest.raises(error, match=":1: bad JSON \\(Expecting value"):
+        read(path)
+
+
+@pytest.mark.parametrize("read,error,_", _READERS)
+def test_deep_nesting_is_bad_json_at_its_line(tmp_path, read, error, _):
+    path = tmp_path / "deep.jsonl"
+    path.write_text("\n" + "[" * 100000 + "]" * 100000 + "\n")
+    with pytest.raises(error, match=r"^.*deep\.jsonl:2: bad JSON \(.*recursion"):
         read(path)
     assert gc.isenabled()
 

@@ -28,9 +28,18 @@ from structrec.evaluation import (
     render_report,
     validate_trace,
 )
-from structrec.datasets import DatasetSpec, ExampleRecord, gen_successor_range
+from structrec.datasets import DatasetSpec, ExampleRecord, RecordMeta, gen_successor_range
 from structrec.reduction import ARROW, PAREN, Call, Value, reduce, render_trace
-from structrec.terms import bin_encode, branch, leaf, linearize, tree_serialize
+from structrec.terms import (
+    TOKEN_ALIASES,
+    bin_encode,
+    branch,
+    leaf,
+    linearize,
+    normalize_tokens,
+    tokenize,
+    tree_serialize,
+)
 
 CAT_TREE = branch("a", branch("c", leaf(), leaf()), branch("t", leaf(), leaf()))
 
@@ -162,7 +171,13 @@ def test_read_predictions(tmp_path):
     )
     records = read_predictions(path)
     assert records[0].candidates == [["X0", "01"]]
-    assert records[1].candidates == [["X1", "01"]]  # strings are tokenized
+    assert records[1].candidates == ["X1 01"]  # canonical text stays text
+    gold = [ExampleRecord(id=rid, task="successor", order="reverse", input=["01"], target=target)
+            for rid, target in (("a", ["X0", "01"]), ("b", ["X1", "01"]))]
+    tokenized = [PredictionRecord(id="a", candidates=[["X0", "01"]]),
+                 PredictionRecord(id="b", candidates=[["X1", "01"]])]
+    assert compute_metrics(records, gold) == compute_metrics(tokenized, gold)
+    assert compute_metrics(records, gold).exact == 1.0
 
 
 def test_read_predictions_rejects_missing_fields(tmp_path):
@@ -200,6 +215,75 @@ def test_read_predictions_names_the_physical_line_after_blank_lines(tmp_path):
     path.write_text('{"id": "a", "candidates": ["X1 01"]}\n\n{"id": "b", "candidates": [5]}\n')
     with pytest.raises(EvalError, match=":3: candidates must be a list"):
         read_predictions(path)
+
+
+# tokens a target or candidate is drawn from: aliases, parens and brackets
+# alone and glued, a bar inside a token, and (targets only) an empty token
+# and one that holds a space
+_FUZZ_TOKENS = ["X0", "X1", "01", "XO", "REDUCE[", "UNROLL[", "]", "(", ")", "X1(", ")X0",
+                "a|b", "|", "EMPTY", "é"]
+_FUZZ_ODD_TOKENS = ["", "a b", "X1 01"]
+_FUZZ_SEPARATORS = [" "] * 6 + ["  ", "\t", "\u3000", " \t "]
+
+
+def _fuzz_text(rng, tokens) -> str:
+    text = "".join(tok + rng.choice(_FUZZ_SEPARATORS) for tok in tokens)[:-1] if tokens else ""
+    if rng.random() < 0.1:
+        text = " " + text
+    if rng.random() < 0.1:
+        text += rng.choice([" ", "\t"])
+    return text
+
+
+def _fuzz_candidate(rng, target):
+    roll = rng.random()
+    if roll < 0.35:  # the target itself, as text or as tokens, aliases kept or resolved
+        tokens = list(target) if rng.random() < 0.5 else normalize_tokens(target)
+    elif roll < 0.55 and target:
+        tokens = list(target)
+        del tokens[rng.randrange(len(tokens))]
+    elif roll < 0.65:
+        return rng.choice(["", " ", "\t", "\u3000", "  "])
+    else:
+        tokens = [rng.choice(_FUZZ_TOKENS) for _ in range(rng.randint(0, 4))]
+    if rng.random() < 0.25 and all(tokens):
+        return tokens
+    if rng.random() < 0.5:
+        return " ".join(tokens)
+    return _fuzz_text(rng, tokens)
+
+
+def test_kept_text_scores_as_its_tokens(tmp_path):
+    rng = random.Random(1016)
+    gold, lines, tokenized = [], [], []
+    for i in range(3000):
+        target = [rng.choice(_FUZZ_TOKENS if rng.random() < 0.95 else _FUZZ_ODD_TOKENS)
+                  for _ in range(rng.randint(0, 5))]
+        cands = [_fuzz_candidate(rng, target) for _ in range(rng.randint(0, 6))]
+        gold.append(ExampleRecord(id=f"r{i}", task="successor", order=None, input=[],
+                                  target=target, meta=RecordMeta(bits=len(target),
+                                                                 edge_group=i % 3)))
+        lines.append(json.dumps({"id": f"r{i}", "candidates": cands}))
+        tokenized.append(PredictionRecord(id=f"r{i}", candidates=[
+            tokenize(c) if isinstance(c, str) else normalize_tokens(c) for c in cands]))
+    path = tmp_path / "p.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    read = read_predictions(path)
+    kept = [c for record in read for c in record.candidates if isinstance(c, str)]
+    assert len(kept) > 500 and all(c.split(" ") == tokenize(c) for c in kept)
+    assert not any(alias in c for c in kept for alias in TOKEN_ALIASES)
+    for ks in ((), (1,), (1, 2, 3, 5)):
+        got = compute_metrics(read, gold, ks=ks, breakdown_keys=("bits", "edge_group"))
+        assert got == compute_metrics(tokenized, gold, ks=ks,
+                                      breakdown_keys=("bits", "edge_group"))
+    ranks = [next((i for i, c in enumerate(p.candidates) if c == normalize_tokens(g.target)), 99)
+             for p, g in zip(tokenized, gold)]
+    assert got.hits == {k: sum(rank < k for rank in ranks) / len(ranks) for k in ks}
+    # the draw reaches the cases the text search must get right: hits, every
+    # failure label, and kept text equal to a target that its tokens are not
+    assert 0.1 < got.exact < 0.9 and len(got.failures) == 4
+    assert sum(" ".join(g.target) in r.candidates for r, g in zip(read, gold)
+               if any(tok == "" or " " in tok for tok in g.target)) > 10
 
 
 def test_read_predictions_interns_tokens(tmp_path):
@@ -258,6 +342,25 @@ def test_eval_on_a_bad_line_exits_4_naming_it(capsys, tmp_path):
     assert gc.isenabled()
 
 
+@pytest.mark.parametrize("bad", [b'{"id": "\xff"}', b"[" * 100000 + b"]" * 100000],
+                         ids=["not-utf8", "deep"])
+@pytest.mark.parametrize("flag", ["--gold", "--pred", "--traces"])
+def test_eval_on_a_line_it_cannot_decode_exits_4_naming_it(capsys, tmp_path, bad, flag):
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text("\n".join(json.dumps(r.to_dict()) for r in _gold(2)) + "\n")
+    pred.write_text("".join(json.dumps({"id": r.id, "candidates": [r.target]}) + "\n"
+                            for r in _gold(2)))
+    path = {"--gold": gold, "--pred": pred, "--traces": tmp_path / "traces.jsonl"}[flag]
+    path.write_bytes((path.read_bytes() if path.exists() else b"") + b"\n" + bad + b"\n")
+    argv = (["eval", "--validate-traces", "--traces", str(path)] if flag == "--traces"
+            else ["eval", "--gold", str(gold), "--pred", str(pred)])
+    assert main(argv) == 4
+    err = capsys.readouterr().err
+    lineno = 2 if flag == "--traces" else 4
+    assert err.startswith(f"error: {path}:{lineno}: bad JSON (") and "Traceback" not in err
+    assert gc.isenabled()
+
+
 # ---------------------------------------------------------------------------
 # breakdowns
 
@@ -294,6 +397,33 @@ def test_breakdown_unknown_key_even_without_records():
     for key in ("to_dict", "__class__", "astrology"):
         with pytest.raises(EvalError, match="unknown breakdown key"):
             compute_metrics([], [], breakdown_keys=(key,))
+
+
+# metadata of records r0..r4: (bits, depth); None is missing
+_METAS = [(3, 2), (4, None), (None, 1), (None, None), (5, 3)]
+
+
+@pytest.mark.parametrize("keys,message", [
+    (("bits",), "record r2 has no 'bits' metadata"),
+    (("depth",), "record r1 has no 'depth' metadata"),
+    (("bits", "depth"), "record r1 has no 'depth' metadata"),
+    (("tree_depth", "bit_length"), "record r1 has no 'depth' metadata"),
+    (("bit_length", "tree_depth", "bits"), "record r1 has no 'depth' metadata"),
+    (("edge_group", "depth", "bits"), "record r1 has no 'depth' metadata"),
+])
+@pytest.mark.parametrize("order", [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0), (0, 2, 3, 1)])
+def test_missing_metadata_is_named_at_the_first_record_lacking_a_field(keys, message, order):
+    gold = [ExampleRecord(f"r{i}", "successor", "reverse", ["01"], ["X0", "01"],
+                          RecordMeta(bits=_METAS[i][0], depth=_METAS[i][1])) for i in order]
+    preds = [PredictionRecord(record.id, [["X0", "01"]]) for record in gold]
+    with pytest.raises(EvalError) as info:
+        compute_metrics(preds, gold, breakdown_keys=keys)
+    fields = [{"bit_length": "bits", "tree_depth": "depth"}.get(key, key) for key in keys]
+    first, field = next((record, field) for record in gold for field in fields
+                        if getattr(record.meta, field) is None)
+    assert str(info.value) == f"record {first.id} has no {field!r} metadata"
+    if order[:2] == (0, 1):
+        assert str(info.value) == message
 
 
 def test_aliased_breakdowns_are_reported_under_each_name_once():
