@@ -648,7 +648,8 @@ def _read_records(path, build, error=GenerationError, what="bad record ({})") ->
                     end = None
                 if end != len(line) or not line.isascii():  # json.loads words any error
                     try:  # a byte that is not UTF-8 was read as a lone surrogate
-                        obj = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
+                        text = line.encode("utf-8", "surrogateescape").decode("utf-8")
+                        obj = obj if end == len(line) else json.loads(text)
                     except (ValueError, RecursionError) as exc:
                         raise error(f"{path}:{lineno}: bad JSON ({exc})") from None
                 try:

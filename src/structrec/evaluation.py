@@ -380,8 +380,7 @@ def compute_metrics(predictions, gold, ks=(1, 3, 5), breakdown_keys=()) -> Metri
         raise EvalError(f"record {records[at].id} has no {field!r} metadata")
 
     depth = ks[-1] if ks else 1
-    ranks = []
-    failures: dict = {}
+    ranks, failures = [], {}
     for pred, record in zip(preds, records):
         cands, target = pred.candidates, record.target  # the readers keep aliases as given
         text = " ".join(target)
