@@ -646,7 +646,7 @@ def _read_records(path, build, error=GenerationError, what="bad record ({})") ->
                     obj, end = scan(line, 0)
                 except (StopIteration, ValueError, RecursionError):
                     end = None
-                if end != len(line) or not line.isascii():  # json.loads words any error
+                if end != len(line) or not line.isascii():  # json.loads words the error
                     try:  # a byte that is not UTF-8 was read as a lone surrogate
                         text = line.encode("utf-8", "surrogateescape").decode("utf-8")
                         obj = obj if end == len(line) else json.loads(text)
