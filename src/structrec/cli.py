@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 bad flags, 3 I/O failure, 4 malformed input,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import json
 import os
@@ -116,33 +115,52 @@ def _add_gen_common(parser: argparse.ArgumentParser) -> None:
                         help=f"global RNG seed (default {datasets.DEFAULT_SEED})")
     parser.add_argument("--out", default=None,
                         help=f"output directory (default ${DATA_DIR_ENV} or '.')")
+
+
+def _add_postprocess_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-pad", type=_int_at_least(0), default=0, metavar="P",
                         help="prefix input and target with Uniform{0..P} pad tokens (default 0)")
     parser.add_argument("--remap", type=_remap_arg, default=None, metavar="JSON",
                         help="token respelling, inline JSON object or a path to one")
-    parser.add_argument("--oversample-g1", type=_int_at_least(1), default=1, metavar="K",
-                        help="duplication factor for edge group 1 records (default 1)")
-    parser.add_argument("--oversample-g2", type=_int_at_least(1), default=1, metavar="K",
-                        help="duplication factor for edge group 2 records (default 1)")
-    parser.add_argument("--weight-g1", type=_int_at_least(1), default=1, metavar="W",
-                        help="loss weight stored on edge group 1 records (default 1)")
-    parser.add_argument("--weight-g2", type=_int_at_least(1), default=1, metavar="W",
-                        help="loss weight stored on edge group 2 records (default 1)")
 
 
-def _gen_spec(args, **overrides) -> datasets.DatasetSpec:
-    spec = datasets.DatasetSpec(
-        seed=args.seed,
-        max_pad=args.max_pad,
-        remap=args.remap,
-        oversample_group1=args.oversample_g1,
-        oversample_group2=args.oversample_g2,
-        weight_group1=args.weight_g1,
-        weight_group2=args.weight_g2,
-    )
-    spec = dataclasses.replace(spec, **overrides)
+def _add_edge_group_flags(parser: argparse.ArgumentParser) -> None:
+    for group in (1, 2):
+        parser.add_argument(f"--oversample-g{group}", dest=f"oversample_group{group}",
+                            type=_int_at_least(1), default=1, metavar="K",
+                            help=f"duplication factor for edge group {group} records (default 1)")
+    for group in (1, 2):
+        parser.add_argument(f"--weight-g{group}", dest=f"weight_group{group}",
+                            type=_int_at_least(1), default=1, metavar="W",
+                            help=f"loss weight stored on edge group {group} records (default 1)")
+
+
+def _add_tree_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--depths", type=_range_arg, default=(5, 6), metavar="LO:HI")
+    parser.add_argument("--train", type=_int_at_least(0), default=20000)
+    parser.add_argument("--test", type=_int_at_least(0), default=1000)
+    parser.add_argument("--alphabet", default="abc")
+
+
+# the DatasetSpec fields that the shared flag groups set, each flag's dest
+_GROUP_FIELDS = frozenset({"seed", "max_pad", "remap", "oversample_group1", "oversample_group2",
+                           "weight_group1", "weight_group2"})
+
+
+def _gen_spec(args, **fields) -> datasets.DatasetSpec:
+    """The spec of fields and of the group flags this subcommand has; a
+    flag it lacks leaves its field at the spec's default."""
+    flags = {field: value for field, value in vars(args).items() if field in _GROUP_FIELDS}
+    spec = datasets.DatasetSpec(**{**flags, **fields})
     spec.validate()
     return spec
+
+
+def _tree_spec(args, **fields) -> datasets.DatasetSpec:
+    return _gen_spec(args, task=datasets.TRAVERSAL,
+                     depth_lo=args.depths[0], depth_hi=args.depths[1],
+                     train_count=args.train, test_count=args.test, alphabet=args.alphabet,
+                     **fields)
 
 
 def _emit(records, out_dir: str, name: str, spec: datasets.DatasetSpec) -> Path:
@@ -185,9 +203,7 @@ def cmd_gen_single_step(args) -> int:
 
 
 def cmd_gen_trees(args) -> int:
-    spec = _gen_spec(args, task=datasets.TRAVERSAL,
-                     depth_lo=args.depths[0], depth_hi=args.depths[1],
-                     train_count=args.train, test_count=args.test, alphabet=args.alphabet)
+    spec = _tree_spec(args)
     samples, split = datasets.gen_trees(spec)
     assert not split.overlap()
     directory = Path(args.out if args.out is not None else _default_out())
@@ -202,9 +218,7 @@ def cmd_gen_trees(args) -> int:
 
 
 def cmd_gen_traversal(args) -> int:
-    spec = _gen_spec(args, task=datasets.TRAVERSAL, kind=args.kind, k=args.k,
-                     depth_lo=args.depths[0], depth_hi=args.depths[1],
-                     train_count=args.train, test_count=args.test, alphabet=args.alphabet)
+    spec = _tree_spec(args, kind=args.kind, k=args.k)
     samples, _ = datasets.gen_trees(spec)
     stem = f"{spec.kind}_{'full' if spec.k is None else f'k{spec.k}'}"
     for part in ("train", "test"):
@@ -223,10 +237,7 @@ def cmd_gen_traces(args) -> int:
                          depth_lo=args.depths[0], depth_hi=args.depths[1],
                          alphabet=args.alphabet)
         name = f"traces_{args.task}"
-    records = datasets.gen_traces(
-        spec if args.task != "successor"
-        else dataclasses.replace(spec, task=datasets.SUCCESSOR))
-    _emit(records, args.out, name, spec)
+    _emit(datasets.gen_traces(spec), args.out, name, spec)
     return GOOD
 
 
@@ -277,6 +288,9 @@ def cmd_shortcut(args) -> int:
 def cmd_asm(args) -> int:
     tokens = tokenize(args.input)
     if args.machine == "successor-rasm":
+        if args.log:
+            raise ReductionError(
+                "successor-rasm keeps no step log; --log works on the other machines")
         result = asm_mod.rasm_run(asm_mod.successor_rasm(), tokens, budget=args.budget)
         print(" ".join(result.output))
         print(f"agents: {result.agent_count}  max call depth: {result.max_call_depth}  "
@@ -320,17 +334,8 @@ def cmd_eval(args) -> int:
             raise ReductionError("eval needs --gold and --pred")
         gold = datasets.read_jsonl(args.gold)
         predictions = evaluation.read_predictions(args.pred)
-        # the records form no cycles: frozen, no full collection walks them
-        # while they are scored; a caller's own frozen objects stay frozen
-        freeze = not gc.get_freeze_count()
-        if freeze:
-            gc.freeze()
-        try:
-            metrics = evaluation.compute_metrics(
-                predictions, gold, ks=args.hit_ks, breakdown_keys=args.breakdown)
-        finally:
-            if freeze:
-                gc.unfreeze()
+        metrics = evaluation.compute_metrics(
+            predictions, gold, ks=args.hit_ks, breakdown_keys=args.breakdown)
         text = evaluation.render_report(metrics, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
@@ -362,6 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--edge-cases", type=_range_arg, default=None, metavar="LO:HI",
                    help="write the two edge groups for this bit-length range instead")
     _add_gen_common(g)
+    _add_postprocess_flags(g)
+    _add_edge_group_flags(g)
     g.set_defaults(func=cmd_gen_successor)
 
     g = gen_sub.add_parser("random", help="successor pairs at uniform long bit lengths")
@@ -370,18 +377,19 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--bits", type=_range_arg, default=(18, 41), metavar="LO:HI",
                    help="bit-length range (default 18:41)")
     _add_gen_common(g)
+    _add_postprocess_flags(g)
+    _add_edge_group_flags(g)
     g.set_defaults(func=cmd_gen_random)
 
     g = gen_sub.add_parser("single-step", help="consecutive state pairs from successor runs")
     g.add_argument("--range", type=_range_arg, default=(1, 1024), metavar="LO:HI")
     _add_gen_common(g)
+    _add_postprocess_flags(g)
+    _add_edge_group_flags(g)
     g.set_defaults(func=cmd_gen_single_step)
 
     g = gen_sub.add_parser("trees", help="structure-disjoint train/test tree files")
-    g.add_argument("--depths", type=_range_arg, default=(5, 6), metavar="LO:HI")
-    g.add_argument("--train", type=_int_at_least(0), default=20000)
-    g.add_argument("--test", type=_int_at_least(0), default=1000)
-    g.add_argument("--alphabet", default="abc")
+    _add_tree_flags(g)
     _add_gen_common(g)
     g.set_defaults(func=cmd_gen_trees)
 
@@ -389,11 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--kind", choices=("inorder", "preorder"), default="inorder")
     g.add_argument("--k", type=_int_at_least(1), default=None,
                    help="emit the state after k levels instead of the full traversal")
-    g.add_argument("--depths", type=_range_arg, default=(5, 6), metavar="LO:HI")
-    g.add_argument("--train", type=_int_at_least(0), default=20000)
-    g.add_argument("--test", type=_int_at_least(0), default=1000)
-    g.add_argument("--alphabet", default="abc")
+    _add_tree_flags(g)
     _add_gen_common(g)
+    _add_postprocess_flags(g)
     g.set_defaults(func=cmd_gen_traversal)
 
     g = gen_sub.add_parser("traces", help="fully rendered oracle traces")
@@ -467,8 +473,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    # gen's records hold no cycles: a collection while they are built only rescans them
-    paused = args.command == "gen" and gc.isenabled()
+    # gen's and eval's records hold no cycles: a collection while they are
+    # built, read or scored only rescans them
+    paused = args.command in ("gen", "eval") and gc.isenabled()
     if paused:
         gc.disable()
     try:

@@ -55,7 +55,6 @@ SUCCESSOR = "successor"
 SUCCESSOR_RANDOM = "successor_random"
 SINGLE_STEP = "single_step"
 TRAVERSAL = "traversal"
-TRACES = "traces"
 
 
 def record_rng(seed: int, stream: str, index) -> random.Random:
@@ -211,22 +210,25 @@ def _ordered(tokens: list[str], order: str) -> list[str]:
     return tokens if order == REVERSE else list(reversed(tokens))
 
 
-def _successor_record(rec_id: str, task: str, value: int, order: str,
-                      weight_group1: int = 1, weight_group2: int = 1) -> ExampleRecord:
+def _group_weight(spec: DatasetSpec, group: int) -> int:
+    """The loss weight of a record in this edge group; group 0 (none) weighs 1."""
+    return {1: spec.weight_group1, 2: spec.weight_group2}.get(group, 1)
+
+
+def _successor_record(rec_id: str, task: str, value: int, spec: DatasetSpec) -> ExampleRecord:
     group = edge_group(value)
-    weight = {1: weight_group1, 2: weight_group2}.get(group, 1)
     return ExampleRecord(
         id=rec_id,
         task=task,
-        order=order,
-        input=_ordered(_bin_tokens(value), order),
-        target=_ordered(_bin_tokens(value + 1), order),
+        order=spec.order,
+        input=_ordered(_bin_tokens(value), spec.order),
+        target=_ordered(_bin_tokens(value + 1), spec.order),
         meta=RecordMeta(
             value=value,
             bits=value.bit_length(),
             depth=bin_x1_run(value) + 1,  # closed form; tests pin it to the engine
             edge_group=group,
-            weight=weight,
+            weight=_group_weight(spec, group),
         ),
     )
 
@@ -235,13 +237,8 @@ def gen_successor_range(spec: DatasetSpec) -> list[ExampleRecord]:
     """One record per value in lo..hi, target is the successor in the
     same order."""
     spec.validate()
-    return [
-        _successor_record(
-            f"succ-{spec.order}-{value}", SUCCESSOR, value, spec.order,
-            spec.weight_group1, spec.weight_group2,
-        )
-        for value in range(spec.lo, spec.hi + 1)
-    ]
+    return [_successor_record(f"succ-{spec.order}-{value}", SUCCESSOR, value, spec)
+            for value in range(spec.lo, spec.hi + 1)]
 
 
 def gen_successor_random(spec: DatasetSpec) -> list[ExampleRecord]:
@@ -254,11 +251,7 @@ def gen_successor_random(spec: DatasetSpec) -> list[ExampleRecord]:
         bits = rng.randint(spec.bits_lo, spec.bits_hi)
         value = rng.randint(2 ** (bits - 1), 2**bits - 1)
         records.append(
-            _successor_record(
-                f"rand-{spec.order}-{i:05d}", SUCCESSOR_RANDOM, value, spec.order,
-                spec.weight_group1, spec.weight_group2,
-            )
-        )
+            _successor_record(f"rand-{spec.order}-{i:05d}", SUCCESSOR_RANDOM, value, spec))
     return records
 
 
@@ -269,16 +262,10 @@ def gen_edge_records(spec: DatasetSpec, bit_lengths) -> tuple[list[ExampleRecord
     lengths = sorted(set(bit_lengths))
     if not lengths:
         raise GenerationError("empty bit-length range")
-    g1 = [
-        _successor_record(f"edge1-{spec.order}-{L}", SUCCESSOR, group1_value(L), spec.order,
-                          spec.weight_group1, spec.weight_group2)
-        for L in lengths if L >= 2
-    ]
-    g2 = [
-        _successor_record(f"edge2-{spec.order}-{L}", SUCCESSOR, group2_value(L), spec.order,
-                          spec.weight_group1, spec.weight_group2)
-        for L in lengths if L >= 3
-    ]
+    g1 = [_successor_record(f"edge1-{spec.order}-{L}", SUCCESSOR, group1_value(L), spec)
+          for L in lengths if L >= 2]
+    g2 = [_successor_record(f"edge2-{spec.order}-{L}", SUCCESSOR, group2_value(L), spec)
+          for L in lengths if L >= 3]
     return g1, g2
 
 
@@ -291,6 +278,7 @@ def gen_single_step(spec: DatasetSpec) -> list[ExampleRecord]:
         term = bin_encode(value)
         _, trace = reduce(Call("s", (Value(term),)))
         states = [render_state_paren(state) for state in trace.states()]
+        group = edge_group(value)
         for step_i in range(len(states) - 1):
             records.append(
                 ExampleRecord(
@@ -303,7 +291,8 @@ def gen_single_step(spec: DatasetSpec) -> list[ExampleRecord]:
                         value=value,
                         bits=value.bit_length(),
                         depth=len(states) - 1,
-                        edge_group=edge_group(value),
+                        edge_group=group,
+                        weight=_group_weight(spec, group),
                     ),
                 )
             )
@@ -499,7 +488,7 @@ def gen_traces(spec: DatasetSpec) -> list[TraceRecord]:
     """Fully rendered oracle traces for prompting and validator fixtures."""
     spec.validate()
     records = []
-    if spec.task in (SUCCESSOR, TRACES):
+    if spec.task == SUCCESSOR:
         for value in range(spec.lo, spec.hi + 1):
             term = bin_encode(value)
             _, trace = reduce(Call("s", (Value(term),)))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from operator import attrgetter, itemgetter, not_
 
-from . import datasets  # its record loop; datasets imports this module, via shortcuts
+from . import datasets  # its record loop and meta keys; datasets imports this via shortcuts
 from .errors import EvalError, IdMismatchError, MalformedSequenceError, ReductionError
 from .reduction import (
     ARROW,
@@ -156,14 +156,13 @@ class BreakdownRow:
 
 
 _KEY_ALIASES = {"bit_length": "bits", "tree_depth": "depth"}
-_META_KEYS = ("value", "bits", "depth", "edge_group", "pad_len", "weight")
 
 
 def _meta_field(key: str) -> str:
     field = _KEY_ALIASES.get(key, key)
-    if field not in _META_KEYS:
+    if field not in datasets._META_KEYS:
         raise EvalError(f"unknown breakdown key: {key!r} (meta fields: "
-                        f"{', '.join(_META_KEYS)}; aliases: {', '.join(_KEY_ALIASES)})")
+                        f"{', '.join(datasets._META_KEYS)}; aliases: {', '.join(_KEY_ALIASES)})")
     return field
 
 

@@ -15,9 +15,9 @@ order) or the fact that an X1 has already been emitted (reverse order).
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
+from . import datasets  # its JSON line encoder; datasets imports this module
 from .asm import AsmMachine, AsmState, GuardedRule, asm_run, machine_output
 from .errors import GenerationError, MalformedSequenceError
 from .evaluation import failure_signature
@@ -260,23 +260,11 @@ def diff_against_oracle(order: str, mode: str, lo: int, hi: int) -> Disagreement
 
 
 def report_to_jsonl(report: DisagreementReport) -> str:
-    lines = []
-    for d in report.disagreements:
-        lines.append(
-            json.dumps(
-                {
-                    "value": d.value,
-                    "bits": d.bits,
-                    "edge_group": d.edge_group,
-                    "expected": list(d.expected),
-                    "got": list(d.got),
-                    "label": d.label,
-                },
-                sort_keys=True,
-                separators=(",", ":"),
-            )
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(
+        datasets._dump_line({"value": d.value, "bits": d.bits, "edge_group": d.edge_group,
+                             "expected": list(d.expected), "got": list(d.got), "label": d.label})
+        + "\n"
+        for d in report.disagreements)
 
 
 def report_summary(report: DisagreementReport) -> str:

@@ -436,27 +436,30 @@ def tree_serialize(term: Term) -> list[str]:
     out: list[str] = []
     owed: list = []  # per open paren, the right sibling owed after it (None: none)
     node = term
-    while True:
-        out.append(node.payloads[0])
-        left, right = node.children
-        if left.constructor != "Leaf":
-            out.append(LPAR)
-            owed.append(right)
-            node = left
-            continue
-        out.append(LEAF_TOKEN)
-        while right.constructor == "Leaf":
+    try:
+        while True:
+            out.append(node.payloads[0])
+            left, right = node.children
+            if left.constructor != "Leaf":
+                out.append(LPAR)
+                owed.append(right)
+                node = left
+                continue
             out.append(LEAF_TOKEN)
-            while owed:
-                right = owed.pop()
-                out.append(RPAR)
-                if right is not None:
-                    break
-            else:
-                return out
-        out.append(LPAR)
-        owed.append(None)
-        node = right
+            while right.constructor == "Leaf":
+                out.append(LEAF_TOKEN)
+                while owed:
+                    right = owed.pop()
+                    out.append(RPAR)
+                    if right is not None:
+                        break
+                else:
+                    return out
+            out.append(LPAR)
+            owed.append(None)
+            node = right
+    except (IndexError, ValueError):  # node has no payload, or not two children
+        raise MalformedSequenceError(f"not a char_tree term: {node.constructor!r}") from None
 
 
 _STRUCTURAL = {LPAR, RPAR, LEAF_TOKEN, UNROLL_OPEN, UNROLL_CLOSE, EMPTY_TOKEN}

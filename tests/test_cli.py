@@ -1,5 +1,6 @@
 """CLI: subcommand behavior, file outputs, and exit codes."""
 
+import argparse
 import gc
 import json
 import os
@@ -168,6 +169,12 @@ def test_asm_rasm_past_the_recursion_limit(capsys):
     assert code == 0
     assert out.split() == ["X0"] * 1200 + ["01"]
     assert "agents: 1199  max call depth: 1199" in err
+
+
+def test_asm_rasm_rejects_log(capsys):
+    code, out, err = run(capsys, "asm", "successor-rasm", "--input", "X1 01", "--log")
+    assert (code, out) == (4, "")
+    assert err == "error: successor-rasm keeps no step log; --log works on the other machines\n"
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +347,22 @@ def test_gen_starts_no_collection_while_it_builds_and_writes(capsys, tmp_path, m
     assert len((tmp_path / "successor_reverse.jsonl").read_text().splitlines()) == 5000
 
 
+def test_eval_scores_with_the_collector_paused(capsys, tmp_path, monkeypatch):
+    from structrec import evaluation
+
+    gold, pred = _gold_and_pred(capsys, tmp_path)
+    enabled = []
+
+    def scored(*args, score=evaluation.compute_metrics, **kwargs):
+        enabled.append(gc.isenabled())
+        return score(*args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "compute_metrics", scored)
+    assert gc.isenabled()
+    code, _, _ = _eval_lines(capsys, tmp_path, gold, pred)
+    assert (code, enabled, gc.isenabled()) == (0, [False], True)
+
+
 @pytest.mark.parametrize("argv, expected", [
     (["gen", "random", "--count", "5"], 0),
     (["gen", "trees", "--alphabet", ""], 4),
@@ -501,7 +524,7 @@ def test_values_below_one_are_usage_errors(capsys, argv):
     ("gen", "traversal", "--train", "-2"),
     ("gen", "trees", "--test", "-1"),
     ("gen", "successor", "--max-pad", "-1"),
-    ("gen", "traces", "--max-pad", "-3"),
+    ("gen", "traversal", "--max-pad", "-3"),
 ])
 def test_negative_split_sizes_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -527,9 +550,11 @@ def _range_flag(rng, lows, width) -> str:
 
 
 BIG = 2**31
+SEED_FLAGS = {"--seed": lambda rng: _int_flag(rng, -5, 9)}
+PAD_FLAGS = {"--max-pad": lambda rng: _int_flag(rng, 0, 4)}
 GEN_FLAGS = {
-    "--seed": lambda rng: _int_flag(rng, -5, 9),
-    "--max-pad": lambda rng: _int_flag(rng, 0, 4),
+    **SEED_FLAGS,
+    **PAD_FLAGS,
     "--oversample-g1": lambda rng: _int_flag(rng, 1, 4),
     "--oversample-g2": lambda rng: _int_flag(rng, 1, 4),
     "--weight-g1": lambda rng: _int_flag(rng, 1, 4),
@@ -555,15 +580,15 @@ FLAG_FUZZ = {
         "--range": lambda rng: _range_flag(rng, (-1, 0, 1, 5, BIG - 40, BIG), 63),
         **GEN_FLAGS}),
     ("gen", "trees"): (["--depths", "2:3", "--train", "5", "--test", "2"],
-                       {**TREE_FLAGS, **GEN_FLAGS}),
+                       {**TREE_FLAGS, **SEED_FLAGS}),
     ("gen", "traversal"): (["--depths", "2:3", "--train", "5", "--test", "2"], {
-        "--k": lambda rng: _int_flag(rng, 1, 6), **TREE_FLAGS, **GEN_FLAGS}),
+        "--k": lambda rng: _int_flag(rng, 1, 6), **TREE_FLAGS, **SEED_FLAGS, **PAD_FLAGS}),
     ("gen", "traces"): (["--task", "inorder", "--count", "3", "--range", "1:8"], {
         "--task": lambda rng: rng.choice(("successor", "inorder", "preorder")),
         "--range": lambda rng: _range_flag(rng, (-1, 0, 1, 5, BIG - 40, BIG), 63),
         "--count": lambda rng: _int_flag(rng, 1, 50),
         "--depths": TREE_FLAGS["--depths"],
-        **GEN_FLAGS}),
+        **SEED_FLAGS}),
     ("reduce", "s", "X1 X0 X1 01"): ([], {
         "--k": lambda rng: _int_flag(rng, 0, 6),
         "--fuel": lambda rng: _int_flag(rng, 1, 6),
@@ -617,6 +642,33 @@ def test_help_exits_zero(capsys):
     assert run(capsys, "gen", "--help")[0] == 0
 
 
+PUBLIC_NAMES = """
+    ARROW AsmMachine AsmState BIN_POS BudgetExhaustedError CHAR_TREE CORRECTED Call Concat Ctor
+    DEFAULT_SEED DatasetSpec EvalError ExampleRecord FAITHFUL FuelExhaustedError GenerationError
+    GuardedRule IdMismatchError ListLit MalformedSequenceError NATURAL PAREN PEANO REVERSE RasmSpec
+    RecordMeta ReductionError RemapError RenderError StructrecError Term TraceRecord UNDEF
+    UpdateClashError Value asm_log asm_run bin_encode bin_value bin_x1_run build_dataset
+    builtin_programs compute_metrics delinearize diff_against_oracle edge_group emulate_natural
+    emulate_reverse failure_signature gen_edge_records gen_single_step gen_successor_random
+    gen_successor_range gen_traces gen_traversal gen_trees linearize machine_output
+    natural_shortcut_machine rasm_run read_jsonl read_predictions read_traces reduce reduce_k
+    render_report render_state_paren render_state_unroll render_trace reverse_shortcut_machine
+    successor_machine successor_rasm tokenize tree_depth tree_parse tree_serialize validate_trace
+    write_jsonl write_manifest
+""".split()
+
+
+def test_the_package_exports_are_pinned():
+    import types
+
+    import structrec
+
+    exported = sorted(name for name, value in vars(structrec).items()
+                      if not name.startswith("_") and not isinstance(value, types.ModuleType))
+    assert exported == PUBLIC_NAMES
+    assert len(exported) == 80
+
+
 def test_python_dash_m_runs_the_cli():
     src = str(Path(__file__).resolve().parents[1] / "src")
     done = subprocess.run([sys.executable, "-m", "structrec", "--help"], capture_output=True,
@@ -651,3 +703,54 @@ def test_gen_oversample(capsys, tmp_path):
     for row in rows:
         expected = 5 if row["meta"]["edge_group"] == 1 else 1
         assert counts[row["id"]] == expected
+
+
+def test_gen_single_step_weights_edge_group_records(capsys, tmp_path):
+    code, _, _ = run(capsys, "gen", "single-step", "--range", "1:16", "--out", str(tmp_path),
+                     "--weight-g1", "5", "--weight-g2", "7")
+    assert code == 0
+    rows = [json.loads(line) for line in (tmp_path / "single_step.jsonl").read_text().splitlines()]
+    assert {(row["meta"]["edge_group"], row["meta"]["weight"]) for row in rows} == {
+        (0, 1), (1, 5), (2, 7)}
+    manifest = json.loads((tmp_path / "single_step.manifest.json").read_text())
+    assert (manifest["spec"]["weight_group1"], manifest["spec"]["weight_group2"]) == (5, 7)
+
+
+def _subcommands(parser) -> dict:
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+POSTPROCESS = {"--max-pad", "--remap"}
+EDGE_GROUPS = {"--oversample-g1", "--oversample-g2", "--weight-g1", "--weight-g2"}
+SHARED = {"--seed", "--out"}
+TREES = {"--depths", "--train", "--test", "--alphabet"}
+GEN_TAKES = {
+    "successor": {"--order", "--range", "--edge-cases", *SHARED, *POSTPROCESS, *EDGE_GROUPS},
+    "random": {"--order", "--count", "--bits", *SHARED, *POSTPROCESS, *EDGE_GROUPS},
+    "single-step": {"--range", *SHARED, *POSTPROCESS, *EDGE_GROUPS},
+    "trees": {*TREES, *SHARED},
+    "traversal": {"--kind", "--k", *TREES, *SHARED, *POSTPROCESS},
+    "traces": {"--task", "--range", "--count", "--depths", "--alphabet", *SHARED},
+}
+
+
+def test_each_gen_subcommand_takes_only_the_flags_it_reads():
+    from structrec.cli import build_parser
+
+    gen = _subcommands(_subcommands(build_parser())["gen"])
+    takes = {name: {flag for action in sub._actions for flag in action.option_strings}
+             - {"-h", "--help"} for name, sub in gen.items()}
+    assert takes == GEN_TAKES
+    assert sum(map(len, takes.values())) == 54
+
+
+@pytest.mark.parametrize("command, flag", sorted(
+    (command, flag) for command, takes in GEN_TAKES.items()
+    for flag in (POSTPROCESS | EDGE_GROUPS) - takes))
+def test_a_flag_a_gen_subcommand_would_ignore_is_a_usage_error(capsys, tmp_path, command, flag):
+    value = '{"X0": "a"}' if flag == "--remap" else "3"
+    code, out, err = run(capsys, "gen", command, flag, value, "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and f"unrecognized arguments: {flag} {value}" in err
+    assert not any(tmp_path.iterdir())

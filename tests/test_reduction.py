@@ -9,7 +9,7 @@ import random
 import pytest
 
 from structrec.datasets import record_rng
-from structrec.errors import FuelExhaustedError, ReductionError
+from structrec.errors import FuelExhaustedError, MalformedSequenceError, ReductionError
 from structrec.evaluation import validate_trace
 from structrec.reduction import (
     ARROW,
@@ -894,3 +894,11 @@ def test_single_step_cost_does_not_grow_with_length(monkeypatch):
         assert len(steps) == n + 1
     assert max(per_step[1024]) <= max(per_step[64])
     assert steps == [(((0,) * i,), ("s/X1",)) for i in range(1024)] + [(((0,) * 1024,), ("s/01",))]
+
+
+def test_traversal_form_of_a_call_on_no_tree_is_malformed():
+    expr = s_of(5)
+    with pytest.raises(MalformedSequenceError, match="not a char_tree term: 'X1'"):
+        render_state_unroll(expr)
+    with pytest.raises(MalformedSequenceError, match="not a char_tree term: 'X1'"):
+        render_trace(reduce(expr)[1], ARROW)

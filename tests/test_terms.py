@@ -399,6 +399,17 @@ def test_tree_serialize_rejects_bare_leaf():
         tree_serialize(leaf())
 
 
+@pytest.mark.parametrize("term, name", [
+    (bin_encode(5), "X1"),
+    (Term("Branch", ("a",), (leaf(),)), "Branch"),
+    (branch("a", leaf(), bin_encode(2)), "X0"),
+    (branch("a", branch("b", Term("01"), leaf()), leaf()), "01"),
+])
+def test_tree_serialize_of_a_term_that_is_no_tree_is_malformed(term, name):
+    with pytest.raises(MalformedSequenceError, match=f"not a char_tree term: '{name}'"):
+        tree_serialize(term)
+
+
 def test_tree_parse_rejects_unbalanced():
     with pytest.raises(MalformedSequenceError):
         tree_parse(["a", "(", "c", "LEAF", "LEAF"])
