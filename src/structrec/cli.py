@@ -35,7 +35,7 @@ from .reduction import (
     reduce_k,
     render_state_paren,
     render_state_unroll,
-    render_trace,
+    render_states,
 )
 from .terms import NATURAL, REVERSE, tokenize
 
@@ -228,7 +228,20 @@ def cmd_gen_traversal(args) -> int:
     return GOOD
 
 
+# the flags of gen traces that one task reads and the others do not, by
+# dest, with their defaults
+_TRACE_TASK_FLAGS = {"range": (1, 1024), "count": 100, "depths": (2, 4), "alphabet": "abc"}
+
+
 def cmd_gen_traces(args) -> int:
+    reads = ("range",) if args.task == "successor" else ("count", "depths", "alphabet")
+    unread = [f"--{dest}" for dest in _TRACE_TASK_FLAGS
+              if dest not in reads and getattr(args, dest) is not None]
+    if unread:
+        args.usage_error(f"--task {args.task} does not read {', '.join(unread)}")
+    for dest in reads:
+        if getattr(args, dest) is None:
+            setattr(args, dest, _TRACE_TASK_FLAGS[dest])
     if args.task == "successor":
         spec = _gen_spec(args, task=datasets.SUCCESSOR, lo=args.range[0], hi=args.range[1])
         name = "traces_successor"
@@ -255,8 +268,14 @@ def cmd_reduce(args) -> int:
         if taken < args.k:
             print(f"(normal after {taken} levels)", file=sys.stderr)
         return GOOD
-    final, trace = reduce(expr, fuel=args.fuel)
-    print(render_trace(trace, style) if args.trace else " ".join(render(final)))
+    final, _ = reduce(expr, fuel=args.fuel)
+    if not args.trace:
+        print(" ".join(render(final)))
+        return GOOD
+    separator = " = " if style == PAREN else " -> "
+    for i, state in enumerate(render_states(expr, style)):  # each state written as it is cut
+        sys.stdout.write(f"{separator if i else ''}{state}")
+    sys.stdout.write("\n")
     return GOOD
 
 
@@ -287,6 +306,9 @@ def cmd_shortcut(args) -> int:
 
 def cmd_asm(args) -> int:
     tokens = tokenize(args.input)
+    if args.mode is not None and not args.machine.startswith("shortcut-"):
+        raise ReductionError(f"{args.machine} has no mode; --mode works on the shortcut machines")
+    mode = shortcuts.FAITHFUL if args.mode is None else args.mode
     if args.machine == "successor-rasm":
         if args.log:
             raise ReductionError(
@@ -298,8 +320,8 @@ def cmd_asm(args) -> int:
         return GOOD
     machine = {
         "successor": asm_mod.successor_machine,
-        "shortcut-natural": lambda: shortcuts.natural_shortcut_machine(args.mode),
-        "shortcut-reverse": lambda: shortcuts.reverse_shortcut_machine(args.mode),
+        "shortcut-natural": lambda: shortcuts.natural_shortcut_machine(mode),
+        "shortcut-reverse": lambda: shortcuts.reverse_shortcut_machine(mode),
     }[args.machine]()
     if args.log:
         entries = asm_mod.asm_log(machine, tokens, budget=args.budget)
@@ -405,14 +427,16 @@ def build_parser() -> argparse.ArgumentParser:
     g = gen_sub.add_parser("traces", help="fully rendered oracle traces")
     g.add_argument("--task", choices=("successor", "inorder", "preorder"),
                    default="successor")
-    g.add_argument("--range", type=_range_arg, default=(1, 1024), metavar="LO:HI",
+    g.add_argument("--range", type=_range_arg, default=None, metavar="LO:HI",
                    help="successor value range (default 1:1024)")
-    g.add_argument("--count", type=_int_at_least(1), default=100,
-                   help="tree count for traversal traces")
-    g.add_argument("--depths", type=_range_arg, default=(2, 4), metavar="LO:HI")
-    g.add_argument("--alphabet", default="abc")
+    g.add_argument("--count", type=_int_at_least(1), default=None,
+                   help="tree count for traversal traces (default 100)")
+    g.add_argument("--depths", type=_range_arg, default=None, metavar="LO:HI",
+                   help="tree depth range for traversal traces (default 2:4)")
+    g.add_argument("--alphabet", default=None,
+                   help="node values of traversal trees (default abc)")
     _add_gen_common(g)
-    g.set_defaults(func=cmd_gen_traces)
+    g.set_defaults(func=cmd_gen_traces, usage_error=g.error)
 
     red = sub.add_parser("reduce", help="reduce a program application")
     red.add_argument("program", choices=("s", "add", "inorder", "preorder"))
@@ -444,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
                                         "shortcut-natural", "shortcut-reverse"))
     am.add_argument("--input", required=True, metavar="TOKENS")
     am.add_argument("--mode", choices=(shortcuts.FAITHFUL, shortcuts.CORRECTED),
-                    default=shortcuts.FAITHFUL, help="shortcut machines only")
+                    default=None, help=f"shortcut machines only (default {shortcuts.FAITHFUL})")
     am.add_argument("--log", action="store_true", help="print every step and fired rules")
     am.add_argument("--budget", type=_int_at_least(1), default=None,
                     help="step budget override")
@@ -480,6 +504,8 @@ def main(argv=None) -> int:
         gc.disable()
     try:
         return args.func(args)
+    except SystemExit as exc:  # a usage error found once the flags are read together
+        return int(exc.code or 0)
     except (FuelExhaustedError, BudgetExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return OUT_OF_FUEL

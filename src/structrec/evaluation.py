@@ -2,7 +2,7 @@
 
 Gold records are matched to predictions by id.  Accuracy is exact token
 equality of the first candidate; Hit@k admits any of the first k
-candidates.  Rendered traces are replayed against the engine one
+candidates.  Rendered traces are replayed against the exact semantics one
 transition at a time, and the first offending state is labeled with an
 error category.
 """
@@ -23,12 +23,12 @@ from .reduction import (
     PAREN,
     Call,
     builtin_programs,
-    levels,
     parse_state_paren,
     parse_state_unroll,
     program_call,
     render_state_paren,
     render_state_unroll,
+    render_states,
     step_level,
     step_single,  # no caller here; kept because the benchmark's tracer rebinds it
 )
@@ -239,6 +239,11 @@ def _has_pending(tokens, style: str) -> bool:
     return any(tok in markers for tok in tokens)
 
 
+def _split(text: str) -> list[str]:
+    """The tokens of a rendered state's text."""
+    return text.split(" ") if text else []
+
+
 def _stripped(tokens) -> list[str]:
     drop = {LPAR, RPAR, UNROLL_OPEN, UNROLL_CLOSE}
     return [tok for tok in tokens if tok not in drop]
@@ -274,27 +279,26 @@ def validate_trace(text: str, task: str, input_tokens=None) -> TraceJudgment:
         if not shown and got != render(program_call(program, [input_tokens])):
             return TraceJudgment(False, 0, TOKEN_MUTATION)
 
-    # one engine runs the whole trace: each transition costs one pass over
-    # the pending part of the state, not a fresh parse of it
-    run = levels(cur, _ALONE[program.name], single=(style == PAREN))
+    # the states from the parsed one on, each rendered from a cut of one
+    # big-step run, not stepped and parsed anew
+    run = render_states(cur, style, _ALONE[program.name], single=(style == PAREN))
+    next(run)  # the state the trace starts from
     last = len(states) - 1
     for i in range(1, last + 1):
-        engine = next(run, None)
-        if engine is None:
+        expected = next(run, None)
+        if expected is None:
             # the reduction already finished, yet the trace continues
             return TraceJudgment(False, i, MISSING_TERMINATION)
-        expected = engine.render(style)
-        # engine tokens re-tokenize to themselves, so equal text is equal tokens
-        if states[i] == " ".join(expected):
-            got = expected
+        # rendered tokens re-tokenize to themselves, so equal text is equal tokens
+        if states[i] == expected:
             continue
-        got = tokenize(states[i])
-        if got != expected:
+        got, want = tokenize(states[i]), _split(expected)
+        if got != want:
             return TraceJudgment(False, i, _classify(
-                task, style, parse, program, tokenize(states[i - 1]), got, expected,
+                task, style, parse, program, tokenize(states[i - 1]), got, want,
                 is_last=(i == last)))
 
-    if _has_pending(got, style):
+    if _has_pending(_split(expected) if last else got, style):
         return TraceJudgment(False, last, MISSING_TERMINATION)
     return TraceJudgment(True)
 

@@ -7,7 +7,8 @@ single leftmost-outermost rewrite, and a whole-frontier "level" that
 rewrites every outermost redex simultaneously; either is one post-order
 pass over the part of the state still pending.  reduce() gets the normal
 form and the number of levels from a big-step evaluator of the same
-clauses, and steps only when a caller reads the trace's steps.
+clauses, and steps only when a caller reads the trace's steps.  A rendered
+trace is cut from the big-step evaluator's call tree, level by level.
 
 Two intermediate-state surface forms are supported: the paren form for
 linear programs (emitted prefix, then the pending argument in parens)
@@ -44,6 +45,10 @@ from .terms import (
     tree_parse,
     tree_serialize,
 )
+
+# the trace styles: the paren form and the flat traversal form (see below)
+PAREN = "paren"
+ARROW = "arrow"
 
 # ---------------------------------------------------------------------------
 # expressions
@@ -237,7 +242,8 @@ class Program:
             )
         # per constructor: the payloads, children and arguments it takes, the
         # function building the instance, rule name, the programs the
-        # instance calls, and big-step code (its calls, build and c); both
+        # instance calls, and big-step code (its calls, build and c, and its
+        # render code per trace style); both
         # builders read the payloads, children, then the other arguments by
         # position.  Not a field, so eq and repr ignore it
         object.__setattr__(self, "compiled", {})
@@ -254,7 +260,8 @@ class Program:
             calls: list = []
             try:
                 build_big, c, _ = _compile_big(clause.template, slots, calls)
-                big = (calls, build_big, c)
+                big = (calls, build_big, c, {style: _render_code(
+                    clause.template, slots, style, range(n_pay))[0] for style in (PAREN, ARROW)})
             except (KeyError, ReductionError):  # an unbound variable, or not an expression
                 big = None
             self.compiled[clause.constructor] = (
@@ -391,22 +398,109 @@ def _joined(builds: list, kind: type, join):
     return build
 
 
-def _big_step(expr: Expr, programs, fuel: int | None):
+def _render_code(expr: Expr, slots: dict, style: str, payloads: range = range(0)):
+    """(code, calls): the tokens in which style renders expr, a template or
+    a state, in order, where (slot,) stands for a bound variable's tokens
+    and i for the state of its i-th call, and its calls in that order (the
+    order _compile_big numbers them in).  Slots in payloads hold a payload,
+    the others a term.  (None, None) where the style cannot render expr
+    from a cut alone: a call on a pending argument, a list item that is no
+    token, and what render_state_paren or render_state_unroll rejects."""
+    code: list = []
+    calls: list = []
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Call):
+            if not all(_holds_no_call(arg) for arg in e.args):
+                return None, None
+            code.append(len(calls))
+            calls.append(e)
+        elif style == ARROW:
+            if isinstance(e, Concat):
+                stack += (e.right, e.left)
+            elif isinstance(e, ListLit):
+                for it in e.items:
+                    if isinstance(it, Var) and slots[it.name] in payloads:
+                        code.append((slots[it.name],))
+                    elif isinstance(it, str):
+                        code.append(it)
+                    else:
+                        return None, None
+            else:
+                return None, None
+        elif isinstance(e, Var) and slots[e.name] not in payloads:
+            code.append((slots[e.name],))
+        elif isinstance(e, Value):
+            code += linearize(e.term)
+        elif isinstance(e, Ctor) and (len(e.args) == 1 and not e.payloads
+                                      or all(_holds_no_call(arg) for arg in e.args)):
+            # a link of the emitted prefix, or a value: the constructor, its
+            # payloads, then its arguments, as linearize writes a term
+            code.append(e.name)
+            code += e.payloads
+            stack += reversed(e.args)
+        else:
+            return None, None
+    return tuple(code), calls
+
+
+def _holds_no_call(expr: Expr) -> bool:
+    """expr is a value once its variables are bound."""
+    stack = [expr]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Ctor):
+            stack += e.args
+        elif not isinstance(e, (Var, Value)):
+            return False
+    return True
+
+
+def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None,
+              single: bool = False):
     """(normal form, levels) of the levels() run from a call on values, by
     eval/apply on an explicit stack.  A call fires one level after its
     matched argument is normal.  None past fuel levels (None: _budget's
     default, sized only once a level reaches 4, the least it can be), and
     where only levels() can tell what happens: an error, a stuck part, or a
     call that fires while another argument is pending, which levels()
-    substitutes unevaluated."""
-    if not (isinstance(expr, Call) and expr.args
-            and all(isinstance(a, Value) for a in expr.args)):
-        return None
+    substitutes unevaluated.
+
+    With a trace style, instead (levels, code, calls) of the run from any
+    state that style renders, each of its calls on values starting at level
+    0, and no value: the state's render code and calls (see _render_code),
+    each call recorded as it fires as (the level it fires in, its matched
+    term, the environment and render code of its clause instance, the
+    calls the instance makes).  None also where style cannot render a
+    clause instance from the cut, and with single where a state may hold
+    two redexes: a single step is then not a level."""
+    if style is None:
+        if not (isinstance(expr, Call) and expr.args
+                and all(isinstance(a, Value) for a in expr.args)):
+            return None
+        terms = [lambda env, vals, a=a: a.term for a in expr.args]
+        calls, code, kids = ((expr.fn, terms[0], tuple(terms[1:]), 0, (), ()),), None, None
+    else:
+        try:
+            code, starts = _render_code(expr, {}, style)
+        except KeyError:  # a variable in a runtime expression
+            return None
+        if code is None or single and (style == ARROW or len(starts) > 1):
+            return None
+        if not starts:  # normal, or lists to join in one level
+            return int(isinstance(expr, Concat)), code, []
+        calls, kids = [], []
+        for call in starts:  # each a call on values
+            if not (call.args and all(isinstance(a, Value) for a in call.args)):
+                return None
+            terms = [lambda env, vals, a=a: a.term for a in call.args]
+            calls.append((call.fn, terms[0], tuple(terms[1:]), 0, (), ()))
     limit = 4 if fuel is None else _budget(expr, fuel)
     # the body being evaluated: its calls and build, its environment and the
-    # level it appeared at, and the values and levels of its calls so far
-    terms = [lambda env, vals, a=a: a.term for a in expr.args]
-    calls, build = ((expr.fn, terms[0], tuple(terms[1:]), 0, (), ()),), lambda env, vals: vals[0]
+    # level it appeared at, the values and levels of its calls so far, and
+    # the records of its fired calls, kept instead of values
+    build, root = (lambda env, vals: vals[0]), kids
     env, t, vals, ready_at, stack = (), 0, [], [], []
     try:
         while True:
@@ -431,8 +525,23 @@ def _big_step(expr: Expr, programs, fuel: int | None):
                 body_env = term.payloads + term.children
                 if rest:
                     body_env += tuple([make(env, vals) for make in rest])
-                if body[0]:
-                    stack.append((calls, build, env, t, vals, ready_at))
+                if kids is not None:
+                    # the code's checks stand in for the build's: the calls
+                    # and arguments here read no value
+                    own = body[3][style]
+                    if own is None or single and len(body[0]) > 1:
+                        return None
+                    fired = (ready + 1, term, body_env, own, [])
+                    kids.append(fired)
+                    if body[0]:
+                        stack.append((calls, build, env, t, vals, ready_at, kids))
+                        calls, build, kids = body[0], _no_value, fired[4]
+                        env, t, vals, ready_at = body_env, ready + 1, [], []
+                    else:
+                        vals.append(None)
+                        ready_at.append(ready + 1 + body[2])
+                elif body[0]:
+                    stack.append((calls, build, env, t, vals, ready_at, kids))
                     calls, build = body[0], body[1]
                     env, t, vals, ready_at = body_env, ready + 1, [], []
                 else:  # a body without calls is normal as it appears, or c levels later
@@ -442,19 +551,29 @@ def _big_step(expr: Expr, programs, fuel: int | None):
                 # normal with its latest call: a call inside an argument
                 # fires before the call it is in, and every call ends a level
                 # or more after the body appeared, as late as c can make it
-                value, level = build(env, vals), max(ready_at)
+                level = max(ready_at)
                 if not stack:
                     break
-                calls, build, env, t, vals, ready_at = stack.pop()
+                value = build(env, vals)
+                calls, build, env, t, vals, ready_at, kids = stack.pop()
                 vals.append(value)
                 ready_at.append(level)
+        value = build(env, vals)
     except ReductionError:  # only levels() tells what happens
         return None
     if level > limit and fuel is None:
         limit = _budget(expr, None, level)
-    if level > limit or type(value) not in (Term, tuple):
+    if level > limit:
+        return None
+    if root is not None:
+        return level, code, root
+    if type(value) not in (Term, tuple):
         return None
     return (Value(value) if type(value) is Term else ListLit(value)), level
+
+
+def _no_value(env, vals) -> None:
+    return None
 
 
 def _collapse_ctor(name: str, payloads: tuple, args: tuple) -> Expr:
@@ -673,20 +792,13 @@ class _Engine:
         zeros = (0,) * self._depth
         return tuple([zeros + path for path in self._paths])
 
-    def render(self, style: str) -> list[str]:
-        """The state in a trace style; the paren form starts from the
-        emitted prefix instead of walking it."""
-        if style == PAREN and not isinstance(self.body, Ctor):
-            return _paren_form(self.prefix, self.body, linearize)
-        return (render_state_paren if style == PAREN else render_state_unroll)(self.expr())
-
 
 def levels(expr: Expr, programs: dict[str, Program] | None = None, single: bool = False):
     """Reduce expr step by step until it is normal.  A step is a level,
     which rewrites every outermost redex at once, or with single one
     leftmost-outermost rewrite.  Yields the running engine after each
-    step: its paths and rules describe the step, and expr() and render()
-    give the state reached."""
+    step: its paths and rules describe the step, and expr() gives the
+    state reached."""
     engine = _Engine(expr, _BUILTINS if programs is None else programs, single)
     while engine.step():
         yield engine
@@ -770,18 +882,14 @@ def render_state_paren(expr: Expr) -> list[str]:
             raise RenderError("paren form needs a chain of unary constructors")
         prefix.append(cur.name)
         cur = cur.args[0]
-    return _paren_form(prefix, cur, linearize)
-
-
-def _paren_form(prefix: list[str], cur: Expr, tokens) -> list[str]:
     if isinstance(cur, Value):
-        return prefix + tokens(cur.term)
+        return prefix + linearize(cur.term)
     if isinstance(cur, Call):
         inner: list[str] = []
         for arg in cur.args:
             if not isinstance(arg, Value):
                 raise RenderError("pending call arguments must be values")
-            inner.extend(tokens(arg.term))
+            inner.extend(linearize(arg.term))
         return prefix + [LPAR] + inner + [RPAR]
     raise RenderError(f"paren form cannot render {type(cur).__name__} states")
 
@@ -887,13 +995,90 @@ def parse_state_unroll(tokens, program: Program, *, normalized: bool = False) ->
     return expr
 
 
-PAREN = "paren"
-ARROW = "arrow"
+def render_states(expr: Expr, style: str, programs: dict[str, Program] | None = None,
+                  single: bool = False):
+    """The states of the levels() run from expr (with single, of its single
+    steps) rendered in style, each as its tokens joined by spaces, from
+    expr to the normal form.
+
+    A level is one unit of depth of big-step's call tree (Blelloch and
+    Greiner, "Parallelism in sequential functional languages", FPCA 1995),
+    so the state after level k is the cut of that tree at k: a call that
+    fires after k is pending, and one that fired by k is its clause
+    instance.  A part that has completed renders once and its text is
+    reused, so no state is built.  Where big-step gives up (see _big_step),
+    levels() steps and each state it reaches is rendered."""
+    if style not in (PAREN, ARROW):
+        raise RenderError(f"unknown trace style: {style!r}")
+    programs = _BUILTINS if programs is None else programs
+    return _cuts(expr, style, programs, single)
+
+
+def _cuts(expr: Expr, style: str, programs, single: bool):
+    """render_states(expr, style, programs, single), once its arguments are checked."""
+    found = _big_step(expr, programs, math.inf, style, single)
+    if found is None:
+        render = render_state_paren if style == PAREN else render_state_unroll
+        yield " ".join(render(expr))
+        for engine in levels(expr, programs, single):
+            yield " ".join(render(engine.expr()))
+        return
+    last, code, kids = found
+    paren = style == PAREN
+    pieces = [(0, None, (), code, kids)]  # the state fires at level 0 into its code
+    for level in range(last + 1):
+        pieces = _cut(pieces, level, paren)
+        yield " ".join([p if p.__class__ is str else _pending(p, paren) for p in pieces])
+
+
+def _cut(pieces: list, level: int, paren: bool) -> list:
+    """The pieces of the state after level from those of the state before
+    it: texts, and between them the calls still pending, where each call
+    that fires at level is replaced by its clause instance."""
+    cut, run = [], []  # run: the tokens and texts since the last pending call
+    for piece in pieces:
+        if piece.__class__ is str:
+            run.append(piece)
+        elif piece[0] != level:
+            if run:
+                cut.append(" ".join(run))
+                run = []
+            cut.append(piece)
+        else:
+            _, _, env, code, kids = piece
+            for part in code:
+                cls = part.__class__
+                if cls is str:
+                    run.append(part)
+                elif cls is int:  # a call of the instance, which fires later
+                    if run:
+                        cut.append(" ".join(run))
+                        run = []
+                    cut.append(kids[part])
+                elif paren:
+                    run += linearize(env[part[0]])
+                else:
+                    run.append(env[part[0]])
+    if run:
+        cut.append(" ".join(run))
+    return cut
+
+
+def _pending(call: tuple, paren: bool) -> str:
+    """A pending call's text, as render_state_paren or render_state_unroll
+    renders it."""
+    term = call[1]
+    if paren:
+        inner = linearize(term)
+        for arg in call[2][len(term.payloads) + len(term.children):]:
+            inner += linearize(arg)
+        return f"{LPAR} {' '.join(inner)} {RPAR}"
+    if term.constructor == "Leaf":
+        return EMPTY_TOKEN
+    return f"{UNROLL_OPEN} {' '.join(tree_serialize(term))} {UNROLL_CLOSE}"
 
 
 def render_trace(trace: Trace, style: str) -> str:
     """Join trace states with ' = ' (paren style) or ' -> ' (arrow style)."""
-    if style not in (PAREN, ARROW):
-        raise RenderError(f"unknown trace style: {style!r}")
-    render = render_state_paren if style == PAREN else render_state_unroll
-    return (" = " if style == PAREN else " -> ").join(" ".join(render(s)) for s in trace.states())
+    return (" = " if style == PAREN else " -> ").join(
+        render_states(trace.initial, style, trace._programs))

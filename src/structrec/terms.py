@@ -438,6 +438,8 @@ def tree_serialize(term: Term) -> list[str]:
     node = term
     try:
         while True:
+            if node.constructor != "Branch":  # a misnamed node of any shape
+                raise MalformedSequenceError(f"not a char_tree term: {node.constructor!r}")
             out.append(node.payloads[0])
             left, right = node.children
             if left.constructor != "Leaf":

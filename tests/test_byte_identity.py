@@ -26,6 +26,7 @@ from structrec.reduction import (
     reduce,
     render_state_paren,
     render_state_unroll,
+    render_states,
     step_single,
 )
 from structrec.terms import BIN_POS, PEANO, delinearize, linearize, tokenize, tree_parse, \
@@ -266,6 +267,16 @@ def test_step_paths_and_rules_are_pinned(program):
         == STEP_PINS[program]
 
 
+@pytest.mark.parametrize("program", sorted(TRACE_PINS))
+def test_pinned_trace_inputs_are_cut_into_the_levels_states(program):
+    call = _call(program)
+    style, render = ((PAREN, render_state_paren) if program in ("s", "add")
+                     else (ARROW, render_state_unroll))
+    for single in (False, True) if style == PAREN else (False,):
+        stepped = [render(call)] + [render(e.expr()) for e in levels(call, single=single)]
+        assert list(render_states(call, style, single=single)) == [" ".join(s) for s in stepped]
+
+
 def test_add_level_records():
     _, trace = reduce(_call("add"))
     assert [(step.paths, step.rules) for step in trace.steps] == [
@@ -442,8 +453,8 @@ def _oracle_states(task: str, tokens) -> list[list[str]]:
     program = builtin_programs()["s" if task == "successor" else task]
     call = program_call(program, [tokens])
     if task == "successor":
-        return [render_state_paren(call)] + [engine.render(PAREN) for engine in levels(call)]
-    return [render_state_unroll(call)] + [engine.render(ARROW) for engine in levels(call)]
+        return [render_state_paren(call)] + [render_state_paren(e.expr()) for e in levels(call)]
+    return [render_state_unroll(call)] + [render_state_unroll(e.expr()) for e in levels(call)]
 
 
 TRACE_DAMAGE = ("none", "none", "mutate", "drop", "repeat", "swap", "premature", "malformed",

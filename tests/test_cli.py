@@ -177,6 +177,15 @@ def test_asm_rasm_rejects_log(capsys):
     assert err == "error: successor-rasm keeps no step log; --log works on the other machines\n"
 
 
+@pytest.mark.parametrize("machine", ["successor", "successor-rasm"])
+@pytest.mark.parametrize("mode", ["faithful", "corrected"])
+def test_asm_successor_machines_reject_mode(capsys, machine, mode):
+    code, out, err = run(capsys, "asm", machine, "--input", "X1 01", "--mode", mode)
+    assert (code, out) == (4, "")
+    assert err == f"error: {machine} has no mode; --mode works on the shortcut machines\n"
+    assert run(capsys, "asm", machine, "--input", "X1 01")[:2] == (0, "X0 X0 01\n")
+
+
 # ---------------------------------------------------------------------------
 # gen and eval
 
@@ -583,7 +592,7 @@ FLAG_FUZZ = {
                        {**TREE_FLAGS, **SEED_FLAGS}),
     ("gen", "traversal"): (["--depths", "2:3", "--train", "5", "--test", "2"], {
         "--k": lambda rng: _int_flag(rng, 1, 6), **TREE_FLAGS, **SEED_FLAGS, **PAD_FLAGS}),
-    ("gen", "traces"): (["--task", "inorder", "--count", "3", "--range", "1:8"], {
+    ("gen", "traces"): (["--task", "inorder", "--count", "3"], {
         "--task": lambda rng: rng.choice(("successor", "inorder", "preorder")),
         "--range": lambda rng: _range_flag(rng, (-1, 0, 1, 5, BIG - 40, BIG), 63),
         "--count": lambda rng: _int_flag(rng, 1, 50),
@@ -733,6 +742,32 @@ GEN_TAKES = {
     "traversal": {"--kind", "--k", *TREES, *SHARED, *POSTPROCESS},
     "traces": {"--task", "--range", "--count", "--depths", "--alphabet", *SHARED},
 }
+
+
+@pytest.mark.parametrize("task, flags, unread", [
+    ("successor", ["--range", "1:5", "--count", "7"], "--count"),
+    ("successor", ["--depths", "1:3", "--alphabet", "xy"], "--depths, --alphabet"),
+    ("inorder", ["--range", "1:5"], "--range"),
+    ("preorder", ["--count", "7", "--range", "1:5"], "--range"),
+])
+def test_a_flag_the_trace_task_does_not_read_is_a_usage_error(capsys, tmp_path, task, flags,
+                                                              unread):
+    code, out, err = run(capsys, "gen", "traces", "--task", task, *flags, "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and err.endswith(f"error: --task {task} does not read {unread}\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("task, flags", [
+    ("successor", ["--range", "1:1024"]),
+    ("inorder", ["--count", "100", "--depths", "2:4", "--alphabet", "abc"]),
+])
+def test_the_flags_a_trace_task_reads_default_to_their_spec(capsys, tmp_path, task, flags):
+    for out, given in (("plain", []), ("given", flags)):
+        assert run(capsys, "gen", "traces", "--task", task, *given,
+                   "--out", str(tmp_path / out))[0] == 0
+    for name in (f"traces_{task}.jsonl", f"traces_{task}.manifest.json"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "given" / name).read_bytes()
 
 
 def test_each_gen_subcommand_takes_only_the_flags_it_reads():

@@ -8,8 +8,9 @@ import random
 
 import pytest
 
+from structrec import evaluation
 from structrec.datasets import record_rng
-from structrec.errors import FuelExhaustedError, MalformedSequenceError, ReductionError
+from structrec.errors import FuelExhaustedError, MalformedSequenceError, ReductionError, RenderError
 from structrec.evaluation import validate_trace
 from structrec.reduction import (
     ARROW,
@@ -28,11 +29,13 @@ from structrec.reduction import (
     levels,
     parse_state_paren,
     parse_state_unroll,
+    program_call,
     recursion_depth,
     reduce,
     reduce_k,
     render_state_paren,
     render_state_unroll,
+    render_states,
     render_trace,
     step_level,
     step_single,
@@ -779,15 +782,7 @@ def _run_levels(expr, single=False):
 
 
 def test_one_pass_engine_agrees_with_big_step_on_random_inputs():
-    rng = record_rng(13, "one-pass", 0)
-    exprs = [s_of(rng.randrange(1, 2**80)) for _ in range(60)]
-    exprs += [s_of(2**k - 1) for k in (1, 2, 40, 79)]
-    for i in range(160):
-        tree = _random_tree(rng, rng.randint(1, 7))
-        if i % 2 and tree.constructor != "Leaf":  # a parsed tree renders from its span
-            tree = tree_parse(tree_serialize(tree))
-        exprs.append(Call(("inorder", "preorder")[i % 4 // 2], (Value(tree),)))
-    for expr in exprs:
+    for expr in _fuzz_exprs(record_rng(13, "one-pass", 0)):
         final, trace = reduce(expr)
         by_level, last = _run_levels(expr)
         assert len(by_level) == len(trace) and _tokens(last) == _tokens(final)
@@ -798,6 +793,144 @@ def test_one_pass_engine_agrees_with_big_step_on_random_inputs():
         assert sorted(r for rules in by_single for r in rules) == sorted(
             r for rules in by_level for r in rules)
         assert all(len(rules) == 1 for rules in by_single)
+
+
+# ---------------------------------------------------------------------------
+# traces cut from big-step's call tree
+
+
+def _fuzz_exprs(rng):
+    """The seeded fuzz above: successor calls on values below 2^80 and on
+    all-ones values, and traversal calls on random trees, half of them
+    parsed."""
+    exprs = [s_of(rng.randrange(1, 2**80)) for _ in range(60)]
+    exprs += [s_of(2**k - 1) for k in (1, 2, 40, 79)]
+    for i in range(160):
+        tree = _random_tree(rng, rng.randint(1, 7))
+        if i % 2 and tree.constructor != "Leaf":  # a parsed tree renders from its span
+            tree = tree_parse(tree_serialize(tree))
+        exprs.append(Call(("inorder", "preorder")[i % 4 // 2], (Value(tree),)))
+    return exprs
+
+
+def _stepped_states(expr, style, programs=None, single=False):
+    """The reference: each state a levels() run reaches, rendered."""
+    render = render_state_paren if style == PAREN else render_state_unroll
+    states = [render(expr)] + [render(engine.expr()) for engine in levels(expr, programs, single)]
+    return [" ".join(state) for state in states]
+
+
+def _assert_cuts_are_levels(expr, programs=None):
+    """In both modes the validator uses (the paren form by single steps, the
+    traversal form by levels), and by levels in the paren form as
+    render_trace does, the cut's states are the rendered levels() states,
+    from expr and from a parsed state halfway; returns the states."""
+    programs = builtin_programs() if programs is None else programs
+    program = programs[expr.fn]
+    style = ARROW if program.arg_type is CHAR_TREE else PAREN
+    parse = parse_state_unroll if style == ARROW else parse_state_paren
+    for single in (False, True) if style == PAREN else (False,):
+        states = _stepped_states(expr, style, programs, single)
+        assert _big_step(expr, programs, math.inf, style, single) is not None  # no fallback
+        assert list(render_states(expr, style, programs, single)) == states
+        middle = parse(tokenize(states[(len(states) - 1) // 2]), program)
+        assert list(render_states(middle, style, programs, single)) == _stepped_states(
+            middle, style, programs, single)
+    return states
+
+
+def test_cut_states_are_the_levels_states_on_the_fuzz():
+    for expr in _fuzz_exprs(record_rng(13, "one-pass", 0)):
+        _assert_cuts_are_levels(expr)
+    for n, m in ((1, 1), (3, 2), (40, 17)):
+        _assert_cuts_are_levels(Call("add", (Value(peano_encode(n)), Value(peano_encode(m)))))
+
+
+@pytest.mark.parametrize("program", sorted(HAND_BUILT))
+def test_cut_states_on_hand_built_programs_are_the_levels_states(program):
+    # wrap and echo render from the cut; plus2 calls on a pending argument
+    # and mistyped gets stuck, so levels() renders both
+    programs = {**builtin_programs(), **HAND_BUILT}
+    cut = program in ("wrap", "echo")
+    style = ARROW if HAND_BUILT[program].arg_type is CHAR_TREE else PAREN
+    for i in range(12):
+        rng = record_rng(6, f"cut-{program}", i)
+        if style == ARROW:
+            arg = _tree_of_size(rng, rng.randint(0, 30))
+        else:
+            arg = bin_encode(i + 1 if i < 3 else rng.randint(1, 2 ** rng.randint(1, 30)))
+        expr = Call(program, (Value(arg),))
+        found = _big_step(expr, programs, math.inf, style)
+        assert (found is not None) == cut
+        assert _outcome(lambda: list(render_states(expr, style, programs))) == _outcome(
+            lambda: _stepped_states(expr, style, programs))
+
+
+def test_a_parsed_state_of_lists_and_calls_is_cut_from_level_zero():
+    program = builtin_programs()["preorder"]
+    for text in ("a b", "EMPTY", "x UNROLL[ a ( b LEAF LEAF ) LEAF ] y EMPTY UNROLL[ c LEAF LEAF ] z"):
+        state = parse_state_unroll(tokenize(text), program)
+        assert list(render_states(state, ARROW)) == _stepped_states(state, ARROW)
+    state = parse_state_paren(tokenize("X0 X0 ( X1 X1 01 )"), builtin_programs()["s"])
+    assert list(render_states(state, PAREN, single=True)) == [
+        "X0 X0 ( X1 X1 01 )", "X0 X0 X0 ( X1 01 )", "X0 X0 X0 X0 ( 01 )", "X0 X0 X0 X0 X0 01"]
+    assert list(render_states(Value(bin_encode(6)), PAREN)) == ["X0 X1 01"]
+    with pytest.raises(RenderError, match="unknown trace style"):
+        render_states(s_of(3), "zigzag")
+
+
+def _validate_by_levels(text, task, input_tokens):
+    """validate_trace as it stood on levels(): each state stepped, then rendered."""
+    program, style = evaluation._TRACE_TASKS[task]
+    separator = "=" if style == PAREN else "->"
+    parse, render = ((parse_state_paren, render_state_paren) if style == PAREN
+                     else (parse_state_unroll, render_state_unroll))
+    states = [part.strip() for part in text.split(separator)]
+    if not all(states):
+        return False, states.index(""), evaluation.MALFORMED_STATE
+    got = tokenize(states[0])
+    try:
+        cur = parse(got, program, normalized=True)
+    except (ReductionError, MalformedSequenceError):
+        return False, 0, evaluation.MALFORMED_STATE
+    if got != render(program_call(program, [input_tokens])):
+        return False, 0, evaluation.TOKEN_MUTATION
+    run = levels(cur, {program.name: program}, single=(style == PAREN))
+    last = len(states) - 1
+    for i in range(1, last + 1):
+        engine = next(run, None)
+        if engine is None:
+            return False, i, evaluation.MISSING_TERMINATION
+        expected = render(engine.expr())
+        got = tokenize(states[i])
+        if got != expected:
+            return False, i, evaluation._classify(task, style, parse, program,
+                                                  tokenize(states[i - 1]), got, expected,
+                                                  is_last=(i == last))
+    if evaluation._has_pending(got, style):
+        return False, last, evaluation.MISSING_TERMINATION
+    return True, None, None
+
+
+def test_cut_judgments_are_the_levels_judgments_on_replay_corruptions():
+    rng = record_rng(13, "cut-replay", 0)
+    for expr in _fuzz_exprs(record_rng(13, "one-pass", 0)):
+        if expr.args[0].term.constructor == "Leaf":  # no input names a bare leaf
+            continue
+        task = "successor" if expr.fn == "s" else expr.fn
+        style = PAREN if task == "successor" else ARROW
+        states = _stepped_states(expr, style)
+        tokens = (linearize if task == "successor" else tree_serialize)(expr.args[0].term)
+        mutated = [state.split() for state in states]
+        at = rng.randrange(len(mutated))
+        mutated[at][rng.randrange(len(mutated[at]))] = rng.choice(
+            ("X0", "X1", "01") if task == "successor" else ("a", "b", "c", "LEAF"))
+        for damaged in (states, [" ".join(s) for s in mutated], states[:-1],
+                        states + states[-1:]):
+            text = (" = " if style == PAREN else " -> ").join(damaged)
+            judgment = validate_trace(text, task, input_tokens=tokens)
+            assert (judgment.valid, judgment.first_bad_step, judgment.error) == (
+                _validate_by_levels(text, task, tokens))
 
 
 def test_unknown_programs_and_unbound_variables_raise_on_the_first_step():
@@ -894,6 +1027,30 @@ def test_single_step_cost_does_not_grow_with_length(monkeypatch):
         assert len(steps) == n + 1
     assert max(per_step[1024]) <= max(per_step[64])
     assert steps == [(((0,) * i,), ("s/X1",)) for i in range(1024)] + [(((0,) * 1024,), ("s/01",))]
+
+
+def test_cut_path_builds_nodes_linear_in_the_depth_of_a_left_spine(monkeypatch):
+    built = [0]  # expression nodes and terms built; rendered text is no node
+    for cls in (Term, Value, Ctor, Call, ListLit, Concat):
+        def counted(self, *args, _init=cls.__init__, **kwargs):
+            built[0] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    per_depth = {}
+    for depth in (250, 500, 1000):
+        tree = _left_spine(depth)
+        tokens, expr = tree_serialize(tree), Call("inorder", (Value(tree),))
+        start = built[0]
+        text = render_trace(reduce(expr)[1], ARROW)
+        assert validate_trace(text, "inorder", input_tokens=tokens).valid
+        # and the call records the cuts are read from, one per call
+        records, stack = 0, list(_big_step(expr, builtin_programs(), math.inf, ARROW)[2])
+        while stack:
+            records += 1
+            stack += stack.pop()[4]
+        per_depth[depth] = built[0] - start + records
+    assert 0 < per_depth[500] <= 2.2 * per_depth[250]
+    assert per_depth[1000] <= 2.2 * per_depth[500]
 
 
 def test_traversal_form_of_a_call_on_no_tree_is_malformed():
