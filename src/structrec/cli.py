@@ -29,6 +29,7 @@ from .errors import (
 from .reduction import (
     ARROW,
     PAREN,
+    SEPARATOR,
     builtin_programs,
     program_call,
     reduce,
@@ -228,20 +229,39 @@ def cmd_gen_traversal(args) -> int:
     return GOOD
 
 
-# the flags of gen traces that one task reads and the others do not, by
-# dest, with their defaults
-_TRACE_TASK_FLAGS = {"range": (1, 1024), "count": 100, "depths": (2, 4), "alphabet": "abc"}
+# the flags of gen traces that only some tasks read, by dest: the tasks
+# that read each, and its default
+_TREE_TASKS = ("inorder", "preorder")
+_TRACE_TASK_FLAGS = {"range": (("successor",), (1, 1024)), "count": (_TREE_TASKS, 100),
+                     "depths": (_TREE_TASKS, (2, 4)), "alphabet": (_TREE_TASKS, "abc")}
+
+
+def _trace_default(dest: str) -> str:
+    default = _TRACE_TASK_FLAGS[dest][1]
+    return "%d:%d" % default if isinstance(default, tuple) else str(default)
+
+
+class _GenParser(argparse.ArgumentParser):
+    """A gen subcommand's parser.  Of its task_flags, which only some
+    values of --task read, one the chosen task does not read is a usage
+    error, as a flag the subcommand lacks is, and one it reads and is not
+    given takes its default."""
+
+    task_flags: dict = {}  # dest: (the tasks that read the flag, its default)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        unread = [f"--{dest}" for dest, (tasks, _) in self.task_flags.items()
+                  if namespace.task not in tasks and getattr(namespace, dest) is not None]
+        if unread:
+            self.error(f"--task {namespace.task} does not read {', '.join(unread)}")
+        for dest, (tasks, default) in self.task_flags.items():
+            if namespace.task in tasks and getattr(namespace, dest) is None:
+                setattr(namespace, dest, default)
+        return namespace, extras
 
 
 def cmd_gen_traces(args) -> int:
-    reads = ("range",) if args.task == "successor" else ("count", "depths", "alphabet")
-    unread = [f"--{dest}" for dest in _TRACE_TASK_FLAGS
-              if dest not in reads and getattr(args, dest) is not None]
-    if unread:
-        args.usage_error(f"--task {args.task} does not read {', '.join(unread)}")
-    for dest in reads:
-        if getattr(args, dest) is None:
-            setattr(args, dest, _TRACE_TASK_FLAGS[dest])
     if args.task == "successor":
         spec = _gen_spec(args, task=datasets.SUCCESSOR, lo=args.range[0], hi=args.range[1])
         name = "traces_successor"
@@ -268,14 +288,13 @@ def cmd_reduce(args) -> int:
         if taken < args.k:
             print(f"(normal after {taken} levels)", file=sys.stderr)
         return GOOD
-    final, _ = reduce(expr, fuel=args.fuel)
-    if not args.trace:
-        print(" ".join(render(final)))
+    if args.trace:  # each state written as it is cut
+        for i, state in enumerate(render_states(expr, style, fuel=args.fuel)):
+            sys.stdout.write(f"{SEPARATOR[style] if i else ''}{state}")
+        sys.stdout.write("\n")
         return GOOD
-    separator = " = " if style == PAREN else " -> "
-    for i, state in enumerate(render_states(expr, style)):  # each state written as it is cut
-        sys.stdout.write(f"{separator if i else ''}{state}")
-    sys.stdout.write("\n")
+    final, _ = reduce(expr, fuel=args.fuel)
+    print(" ".join(render(final)))
     return GOOD
 
 
@@ -380,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write datasets with manifest sidecars")
-    gen_sub = gen.add_subparsers(dest="gen_command", required=True)
+    gen_sub = gen.add_subparsers(dest="gen_command", required=True, parser_class=_GenParser)
 
     g = gen_sub.add_parser("successor", help="successor pairs over a value range")
     g.add_argument("--order", choices=(REVERSE, NATURAL), default=REVERSE)
@@ -428,15 +447,17 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--task", choices=("successor", "inorder", "preorder"),
                    default="successor")
     g.add_argument("--range", type=_range_arg, default=None, metavar="LO:HI",
-                   help="successor value range (default 1:1024)")
+                   help=f"successor value range (default {_trace_default('range')})")
     g.add_argument("--count", type=_int_at_least(1), default=None,
-                   help="tree count for traversal traces (default 100)")
+                   help=f"tree count for traversal traces (default {_trace_default('count')})")
     g.add_argument("--depths", type=_range_arg, default=None, metavar="LO:HI",
-                   help="tree depth range for traversal traces (default 2:4)")
+                   help="tree depth range for traversal traces "
+                        f"(default {_trace_default('depths')})")
     g.add_argument("--alphabet", default=None,
-                   help="node values of traversal trees (default abc)")
+                   help=f"node values of traversal trees (default {_trace_default('alphabet')})")
     _add_gen_common(g)
-    g.set_defaults(func=cmd_gen_traces, usage_error=g.error)
+    g.task_flags = _TRACE_TASK_FLAGS
+    g.set_defaults(func=cmd_gen_traces)
 
     red = sub.add_parser("reduce", help="reduce a program application")
     red.add_argument("program", choices=("s", "add", "inorder", "preorder"))
@@ -504,8 +525,6 @@ def main(argv=None) -> int:
         gc.disable()
     try:
         return args.func(args)
-    except SystemExit as exc:  # a usage error found once the flags are read together
-        return int(exc.code or 0)
     except (FuelExhaustedError, BudgetExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return OUT_OF_FUEL

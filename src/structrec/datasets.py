@@ -19,14 +19,14 @@ from .errors import GenerationError
 from .reduction import (
     ARROW,
     PAREN,
+    SEPARATOR,
     Call,
     ListLit,
     Value,
     reduce,
     reduce_k,
-    render_state_paren,
     render_state_unroll,
-    render_trace,
+    render_states,
 )
 from .shortcuts import edge_group
 from .terms import (
@@ -276,8 +276,7 @@ def gen_single_step(spec: DatasetSpec) -> list[ExampleRecord]:
     records = []
     for value in range(spec.lo, spec.hi + 1):
         term = bin_encode(value)
-        _, trace = reduce(Call("s", (Value(term),)))
-        states = [render_state_paren(state) for state in trace.states()]
+        states = [state.split(" ") for state in render_states(Call("s", (Value(term),)), PAREN)]
         group = edge_group(value)
         for step_i in range(len(states) - 1):
             records.append(
@@ -491,13 +490,13 @@ def gen_traces(spec: DatasetSpec) -> list[TraceRecord]:
     if spec.task == SUCCESSOR:
         for value in range(spec.lo, spec.hi + 1):
             term = bin_encode(value)
-            _, trace = reduce(Call("s", (Value(term),)))
+            states = render_states(Call("s", (Value(term),)), PAREN)
             records.append(
                 TraceRecord(
                     id=f"trace-succ-{value}",
                     task="successor",
                     input=linearize(term),
-                    trace=render_trace(trace, PAREN),
+                    trace=SEPARATOR[PAREN].join(states),
                 )
             )
         return records
@@ -505,13 +504,13 @@ def gen_traces(spec: DatasetSpec) -> list[TraceRecord]:
         tree_spec = replace(spec, train_count=spec.count, test_count=0)
         samples, _ = gen_trees(tree_spec)
         for sample in samples:
-            _, trace = reduce(Call(spec.kind, (Value(sample.tree),)))
+            states = render_states(Call(spec.kind, (Value(sample.tree),)), ARROW)
             records.append(
                 TraceRecord(
                     id=f"trace-{spec.kind}-{sample.id}",
                     task=spec.kind,
                     input=tree_serialize(sample.tree),
-                    trace=render_trace(trace, ARROW),
+                    trace=SEPARATOR[ARROW].join(states),
                 )
             )
         return records

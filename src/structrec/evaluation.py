@@ -21,6 +21,7 @@ from .errors import EvalError, IdMismatchError, MalformedSequenceError, Reductio
 from .reduction import (
     ARROW,
     PAREN,
+    SEPARATOR,
     Call,
     builtin_programs,
     parse_state_paren,
@@ -259,11 +260,10 @@ def validate_trace(text: str, task: str, input_tokens=None) -> TraceJudgment:
     if task not in _TRACE_TASKS:
         raise EvalError(f"no trace validator for task {task!r}")
     program, style = _TRACE_TASKS[task]
-    separator, opening, closing = ("=", LPAR, RPAR) if style == PAREN else (
-        "->", UNROLL_OPEN, UNROLL_CLOSE)
+    opening, closing = (LPAR, RPAR) if style == PAREN else (UNROLL_OPEN, UNROLL_CLOSE)
     parse, render = ((parse_state_paren, render_state_paren) if style == PAREN
                      else (parse_state_unroll, render_state_unroll))
-    states = [part.strip() for part in text.split(separator)]
+    states = [part.strip() for part in text.split(SEPARATOR[style].strip())]
     if any(not part for part in states):
         bad = next(i for i, part in enumerate(states) if not part)
         return TraceJudgment(False, bad, MALFORMED_STATE)

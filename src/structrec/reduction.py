@@ -49,6 +49,8 @@ from .terms import (
 # the trace styles: the paren form and the flat traversal form (see below)
 PAREN = "paren"
 ARROW = "arrow"
+# what stands between two states of a rendered trace, by style
+SEPARATOR = {PAREN: " = ", ARROW: " -> "}
 
 # ---------------------------------------------------------------------------
 # expressions
@@ -996,10 +998,12 @@ def parse_state_unroll(tokens, program: Program, *, normalized: bool = False) ->
 
 
 def render_states(expr: Expr, style: str, programs: dict[str, Program] | None = None,
-                  single: bool = False):
+                  single: bool = False, fuel: float | None = math.inf):
     """The states of the levels() run from expr (with single, of its single
     steps) rendered in style, each as its tokens joined by spaces, from
-    expr to the normal form.
+    expr to the normal form.  fuel bounds the levels as reduce()'s does (None:
+    the default budget that grows with the input); past it, or where the run
+    fails, the error is raised before the first state is yielded.
 
     A level is one unit of depth of big-step's call tree (Blelloch and
     Greiner, "Parallelism in sequential functional languages", FPCA 1995),
@@ -1011,17 +1015,23 @@ def render_states(expr: Expr, style: str, programs: dict[str, Program] | None = 
     if style not in (PAREN, ARROW):
         raise RenderError(f"unknown trace style: {style!r}")
     programs = _BUILTINS if programs is None else programs
-    return _cuts(expr, style, programs, single)
+    return _cuts(expr, style, programs, single, fuel)
 
 
-def _cuts(expr: Expr, style: str, programs, single: bool):
-    """render_states(expr, style, programs, single), once its arguments are checked."""
-    found = _big_step(expr, programs, math.inf, style, single)
+def _cuts(expr: Expr, style: str, programs, single: bool, fuel: float | None):
+    """render_states(expr, style, programs, single, fuel), once its arguments
+    are checked."""
+    found = _big_step(expr, programs, fuel, style, single)
     if found is None:
-        render = render_state_paren if style == PAREN else render_state_unroll
-        yield " ".join(render(expr))
-        for engine in levels(expr, programs, single):
-            yield " ".join(render(engine.expr()))
+        # stepped in full first, so that an error comes before any state
+        fuel, render = _budget(expr, fuel), (
+            render_state_paren if style == PAREN else render_state_unroll)
+        states = [" ".join(render(expr))]
+        for taken, engine in enumerate(levels(expr, programs, single), start=1):
+            if taken > fuel:
+                raise FuelExhaustedError(f"no normal form within {fuel} levels")
+            states.append(" ".join(render(engine.expr())))
+        yield from states
         return
     last, code, kids = found
     paren = style == PAREN
@@ -1079,6 +1089,6 @@ def _pending(call: tuple, paren: bool) -> str:
 
 
 def render_trace(trace: Trace, style: str) -> str:
-    """Join trace states with ' = ' (paren style) or ' -> ' (arrow style)."""
-    return (" = " if style == PAREN else " -> ").join(
-        render_states(trace.initial, style, trace._programs))
+    """Join trace states with the style's SEPARATOR."""
+    states = render_states(trace.initial, style, trace._programs)
+    return SEPARATOR[style].join(states)

@@ -102,6 +102,11 @@ def test_reduce_fuel_is_enough_at_the_level_count(capsys, program, text, taken):
     code, out, _ = run(capsys, "reduce", program, text, "--fuel", str(taken))
     assert code == 0
     assert out == run(capsys, "reduce", program, text)[1]
+    # a trace is written as it is cut, yet past the fuel it writes nothing
+    assert run(capsys, "reduce", program, text, "--trace", "--fuel", str(taken - 1))[:2] == (5, "")
+    code, out, _ = run(capsys, "reduce", program, text, "--trace", "--fuel", str(taken))
+    assert code == 0
+    assert out == run(capsys, "reduce", program, text, "--trace")[1]
 
 
 # ---------------------------------------------------------------------------
@@ -592,9 +597,13 @@ FLAG_FUZZ = {
                        {**TREE_FLAGS, **SEED_FLAGS}),
     ("gen", "traversal"): (["--depths", "2:3", "--train", "5", "--test", "2"], {
         "--k": lambda rng: _int_flag(rng, 1, 6), **TREE_FLAGS, **SEED_FLAGS, **PAD_FLAGS}),
-    ("gen", "traces"): (["--task", "inorder", "--count", "3"], {
-        "--task": lambda rng: rng.choice(("successor", "inorder", "preorder")),
+    # each task of gen traces with only the flags it reads, so every
+    # fuzzed value reaches the command
+    ("gen", "traces", "--task", "successor"): (["--range", "1:8"], {
         "--range": lambda rng: _range_flag(rng, (-1, 0, 1, 5, BIG - 40, BIG), 63),
+        **SEED_FLAGS}),
+    ("gen", "traces"): (["--task", "inorder", "--count", "3"], {
+        "--task": lambda rng: rng.choice(("inorder", "preorder")),
         "--count": lambda rng: _int_flag(rng, 1, 50),
         "--depths": TREE_FLAGS["--depths"],
         **SEED_FLAGS}),
