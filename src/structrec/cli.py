@@ -33,7 +33,6 @@ from .reduction import (
     builtin_programs,
     program_call,
     reduce,
-    reduce_k,
     render_state_paren,
     render_state_unroll,
     render_states,
@@ -279,12 +278,14 @@ def cmd_gen_traces(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if args.k is not None and args.fuel is not None:
+        raise ReductionError("--k has no fuel; --fuel works with --trace or alone")
     expr = program_call(builtin_programs()[args.program], [tokenize(text) for text in args.input])
     style = ARROW if args.program in ("inorder", "preorder") else PAREN
-    render = render_state_unroll if style == ARROW else render_state_paren
-    if args.k is not None:
-        state, taken = reduce_k(expr, args.k)
-        print(" ".join(render(state)))
+    if args.k is not None:  # the state after k levels, or the normal form before them
+        for taken, state in zip(range(args.k + 1), render_states(expr, style)):
+            pass  # zip stops at state k, or after the normal form
+        print(state)
         if taken < args.k:
             print(f"(normal after {taken} levels)", file=sys.stderr)
         return GOOD
@@ -294,6 +295,7 @@ def cmd_reduce(args) -> int:
         sys.stdout.write("\n")
         return GOOD
     final, _ = reduce(expr, fuel=args.fuel)
+    render = render_state_unroll if style == ARROW else render_state_paren
     print(" ".join(render(final)))
     return GOOD
 

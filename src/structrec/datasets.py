@@ -19,14 +19,12 @@ from .errors import GenerationError
 from .reduction import (
     ARROW,
     PAREN,
-    SEPARATOR,
     Call,
     ListLit,
     Value,
     reduce,
-    reduce_k,
-    render_state_unroll,
     render_states,
+    render_trace,
 )
 from .shortcuts import edge_group
 from .terms import (
@@ -41,7 +39,6 @@ from .terms import (
     bin_x1_run,
     intern_tokens,
     linearize,
-    normalize_tokens,
     tree_serialize,
 )
 
@@ -464,8 +461,9 @@ def gen_traversal(samples, kind: str, k: int | None = None) -> list[ExampleRecor
             assert isinstance(final, ListLit)
             target = list(final.items)
         else:
-            state, _ = reduce_k(expr, k)
-            target = render_state_unroll(state)
+            for _, state in zip(range(k + 1), render_states(expr, ARROW)):
+                pass  # zip stops at state k, or after the normal form
+            target = state.split(" ")
         records.append(
             ExampleRecord(
                 id=f"{kind}-{'full' if k is None else k}-{sample.id}",
@@ -490,13 +488,12 @@ def gen_traces(spec: DatasetSpec) -> list[TraceRecord]:
     if spec.task == SUCCESSOR:
         for value in range(spec.lo, spec.hi + 1):
             term = bin_encode(value)
-            states = render_states(Call("s", (Value(term),)), PAREN)
             records.append(
                 TraceRecord(
                     id=f"trace-succ-{value}",
                     task="successor",
                     input=linearize(term),
-                    trace=SEPARATOR[PAREN].join(states),
+                    trace=render_trace(Call("s", (Value(term),)), PAREN),
                 )
             )
         return records
@@ -504,13 +501,12 @@ def gen_traces(spec: DatasetSpec) -> list[TraceRecord]:
         tree_spec = replace(spec, train_count=spec.count, test_count=0)
         samples, _ = gen_trees(tree_spec)
         for sample in samples:
-            states = render_states(Call(spec.kind, (Value(sample.tree),)), ARROW)
             records.append(
                 TraceRecord(
                     id=f"trace-{spec.kind}-{sample.id}",
                     task=spec.kind,
                     input=tree_serialize(sample.tree),
-                    trace=SEPARATOR[ARROW].join(states),
+                    trace=render_trace(Call(spec.kind, (Value(sample.tree),)), ARROW),
                 )
             )
         return records

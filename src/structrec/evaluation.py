@@ -281,7 +281,7 @@ def validate_trace(text: str, task: str, input_tokens=None) -> TraceJudgment:
 
     # the states from the parsed one on, each rendered from a cut of one
     # big-step run, not stepped and parsed anew
-    run = render_states(cur, style, _ALONE[program.name], single=(style == PAREN))
+    run = render_states(cur, style, _ALONE[program.name])
     next(run)  # the state the trace starts from
     last = len(states) - 1
     for i in range(1, last + 1):

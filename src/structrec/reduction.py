@@ -7,8 +7,9 @@ single leftmost-outermost rewrite, and a whole-frontier "level" that
 rewrites every outermost redex simultaneously; either is one post-order
 pass over the part of the state still pending.  reduce() gets the normal
 form and the number of levels from a big-step evaluator of the same
-clauses, and steps only when a caller reads the trace's steps.  A rendered
-trace is cut from the big-step evaluator's call tree, level by level.
+clauses, and a rendered trace is cut from that evaluator's call tree,
+level by level; levels() steps only where big-step gives up, and is the
+reference both are held to.
 
 Two intermediate-state surface forms are supported: the paren form for
 linear programs (emitted prefix, then the pending argument in parens)
@@ -55,7 +56,7 @@ SEPARATOR = {PAREN: " = ", ARROW: " -> "}
 # ---------------------------------------------------------------------------
 # expressions
 #
-# Expressions keep their fields in slots: a trace holds every state, and a
+# Expressions keep their fields in slots: stepping builds every state, and a
 # slotted instance takes about half the memory of one with a dict.  Each is
 # built by storing its fields straight into the slots (see _slot_stored).
 
@@ -459,8 +460,7 @@ def _holds_no_call(expr: Expr) -> bool:
     return True
 
 
-def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None,
-              single: bool = False):
+def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
     """(normal form, levels) of the levels() run from a call on values, by
     eval/apply on an explicit stack.  A call fires one level after its
     matched argument is normal.  None past fuel levels (None: _budget's
@@ -475,8 +475,7 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None,
     each call recorded as it fires as (the level it fires in, its matched
     term, the environment and render code of its clause instance, the
     calls the instance makes).  None also where style cannot render a
-    clause instance from the cut, and with single where a state may hold
-    two redexes: a single step is then not a level."""
+    clause instance from the cut."""
     if style is None:
         if not (isinstance(expr, Call) and expr.args
                 and all(isinstance(a, Value) for a in expr.args)):
@@ -488,7 +487,7 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None,
             code, starts = _render_code(expr, {}, style)
         except KeyError:  # a variable in a runtime expression
             return None
-        if code is None or single and (style == ARROW or len(starts) > 1):
+        if code is None:
             return None
         if not starts:  # normal, or lists to join in one level
             return int(isinstance(expr, Concat)), code, []
@@ -531,7 +530,7 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None,
                     # the code's checks stand in for the build's: the calls
                     # and arguments here read no value
                     own = body[3][style]
-                    if own is None or single and len(body[0]) > 1:
+                    if own is None:
                         return None
                     fired = (ready + 1, term, body_env, own, [])
                     kids.append(fired)
@@ -636,30 +635,6 @@ class ReductionStep:
     after: Expr
     paths: tuple[tuple[int, ...], ...]
     rules: tuple[str, ...]
-
-
-class Trace:
-    """A run of levels to normal form.  Its initial and final states and its
-    length are known when it is made; its steps are taken by levels() the
-    first time they are read, and kept."""
-
-    __slots__ = ("initial", "final", "_length", "_programs", "_steps")
-
-    def __init__(self, initial: Expr, final: Expr, length: int, programs) -> None:
-        self.initial, self.final, self._length = initial, final, length
-        self._programs, self._steps = programs, None
-
-    @property
-    def steps(self) -> tuple[ReductionStep, ...]:
-        if self._steps is None:
-            self._steps = tuple(_steps(self.initial, levels(self.initial, self._programs)))
-        return self._steps
-
-    def states(self) -> list[Expr]:
-        return [self.initial] + [s.after for s in self.steps]
-
-    def __len__(self) -> int:
-        return self._length
 
 
 class _Engine:
@@ -835,38 +810,36 @@ def _budget(expr: Expr, fuel: int | None, past: float = math.inf) -> int:
     return fuel
 
 
+def _fueled_levels(expr: Expr, programs, fuel: float | None):
+    """levels(expr, programs), raising FuelExhaustedError on the first level
+    past the budget of fuel (see _budget)."""
+    fuel = _budget(expr, fuel)
+    for taken, engine in enumerate(levels(expr, programs), start=1):
+        if taken > fuel:
+            raise FuelExhaustedError(f"no normal form within {fuel} levels")
+        yield engine
+
+
 def reduce(expr: Expr, programs: dict[str, Program] | None = None, fuel: int | None = None):
     """Reduce expr to normal form within fuel levels (by default a budget
-    that grows with the input); returns (normal form, trace).  Big-step gives
-    the normal form and the trace's length; the trace steps when its steps
-    are first read.  Where only levels() can tell what happens, it runs here
-    under the budget, so its errors and FuelExhaustedError come from here."""
+    that grows with the input); returns (normal form, levels taken), from
+    big-step.  Where only levels() can tell what happens, it runs here under
+    the budget, so its errors and FuelExhaustedError come from here."""
     programs = _BUILTINS if programs is None else programs
     found = _big_step(expr, programs, fuel)
     if found is None:
-        fuel, taken, engine = _budget(expr, fuel), 0, None
-        for taken, engine in enumerate(levels(expr, programs), start=1):
-            if taken > fuel:
-                raise FuelExhaustedError(f"no normal form within {fuel} levels")
+        taken, engine = 0, None
+        for taken, engine in enumerate(_fueled_levels(expr, programs, fuel), start=1):
+            pass  # one engine, stepped in place
         found = (expr if engine is None else engine.expr()), taken
-    return found[0], Trace(expr, *found, programs)
-
-
-def reduce_k(expr: Expr, k: int, programs: dict[str, Program] | None = None):
-    """Apply at most k levels; returns (expr, levels actually taken)."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    taken = 0
-    for taken, engine in zip(range(1, k + 1), levels(expr, programs)):
-        pass  # zip stops after k levels, or at the normal form
-    return (engine.expr() if taken else expr), taken
+    return found
 
 
 def recursion_depth(term: Term | tuple[Term, ...], program: str = "s",
                     programs: dict[str, Program] | None = None) -> int:
     """Levels to reach the normal form of program applied to term, unbudgeted."""
     args = (term,) if isinstance(term, Term) else tuple(term)
-    return len(reduce(Call(program, tuple(Value(t) for t in args)), programs, math.inf)[1])
+    return reduce(Call(program, tuple(Value(t) for t in args)), programs, math.inf)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -998,12 +971,12 @@ def parse_state_unroll(tokens, program: Program, *, normalized: bool = False) ->
 
 
 def render_states(expr: Expr, style: str, programs: dict[str, Program] | None = None,
-                  single: bool = False, fuel: float | None = math.inf):
-    """The states of the levels() run from expr (with single, of its single
-    steps) rendered in style, each as its tokens joined by spaces, from
-    expr to the normal form.  fuel bounds the levels as reduce()'s does (None:
-    the default budget that grows with the input); past it, or where the run
-    fails, the error is raised before the first state is yielded.
+                  fuel: float | None = math.inf):
+    """The states of the levels() run from expr rendered in style, each as
+    its tokens joined by spaces, from expr to the normal form.  fuel bounds
+    the levels as reduce()'s does (None: the default budget that grows with
+    the input); past it, or where the run fails, the error is raised before
+    the first state is yielded.
 
     A level is one unit of depth of big-step's call tree (Blelloch and
     Greiner, "Parallelism in sequential functional languages", FPCA 1995),
@@ -1015,21 +988,18 @@ def render_states(expr: Expr, style: str, programs: dict[str, Program] | None = 
     if style not in (PAREN, ARROW):
         raise RenderError(f"unknown trace style: {style!r}")
     programs = _BUILTINS if programs is None else programs
-    return _cuts(expr, style, programs, single, fuel)
+    return _cuts(expr, style, programs, fuel)
 
 
-def _cuts(expr: Expr, style: str, programs, single: bool, fuel: float | None):
-    """render_states(expr, style, programs, single, fuel), once its arguments
-    are checked."""
-    found = _big_step(expr, programs, fuel, style, single)
+def _cuts(expr: Expr, style: str, programs, fuel: float | None):
+    """render_states(expr, style, programs, fuel), once its arguments are
+    checked."""
+    found = _big_step(expr, programs, fuel, style)
     if found is None:
         # stepped in full first, so that an error comes before any state
-        fuel, render = _budget(expr, fuel), (
-            render_state_paren if style == PAREN else render_state_unroll)
+        render = render_state_paren if style == PAREN else render_state_unroll
         states = [" ".join(render(expr))]
-        for taken, engine in enumerate(levels(expr, programs, single), start=1):
-            if taken > fuel:
-                raise FuelExhaustedError(f"no normal form within {fuel} levels")
+        for engine in _fueled_levels(expr, programs, fuel):
             states.append(" ".join(render(engine.expr())))
         yield from states
         return
@@ -1088,7 +1058,7 @@ def _pending(call: tuple, paren: bool) -> str:
     return f"{UNROLL_OPEN} {' '.join(tree_serialize(term))} {UNROLL_CLOSE}"
 
 
-def render_trace(trace: Trace, style: str) -> str:
-    """Join trace states with the style's SEPARATOR."""
-    states = render_states(trace.initial, style, trace._programs)
+def render_trace(expr: Expr, style: str, programs: dict[str, Program] | None = None) -> str:
+    """render_states(expr, style, programs) joined by the style's SEPARATOR."""
+    states = render_states(expr, style, programs)  # checks the style first
     return SEPARATOR[style].join(states)

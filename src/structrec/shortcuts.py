@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import datasets  # its JSON line encoder; datasets imports this module
 from .asm import AsmMachine, AsmState, GuardedRule, asm_run, machine_output
-from .errors import GenerationError, MalformedSequenceError
+from .errors import GenerationError
 from .evaluation import failure_signature
 from .reduction import Call, Value, reduce
 from .terms import (

@@ -68,8 +68,7 @@ def _verdict(num, ok, description):
 
 
 def _successor(n):
-    final, trace = reduce(Call("s", (Value(bin_encode(n)),)))
-    return final, trace
+    return reduce(Call("s", (Value(bin_encode(n)),)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,15 +104,15 @@ def test_criterion_02_pinned_examples():
         final, _ = reduce(Call("s", (Value(term),)))
         ok = ok and linearize(final.term) == tokenize(want)
 
-    final, trace = _successor(11)
-    ok = ok and linearize(final.term) == tokenize("XO XO X1 01") and len(trace) == 3
+    final, taken = _successor(11)
+    ok = ok and linearize(final.term) == tokenize("XO XO X1 01") and taken == 3
 
     add_final, _ = reduce(Call("add", (Value(peano_encode(2)), Value(peano_encode(1)))))
     ok = ok and linearize(add_final.term) == ["S", "S", "I"]
 
     cat = branch("a", branch("c", leaf(), leaf()), branch("t", leaf(), leaf()))
-    cat_final, cat_trace = reduce(Call("inorder", (Value(cat),)))
-    ok = ok and cat_final == ListLit(("c", "a", "t")) and len(cat_trace) == 3
+    cat_final, cat_taken = reduce(Call("inorder", (Value(cat),)))
+    ok = ok and cat_final == ListLit(("c", "a", "t")) and cat_taken == 3
 
     _verdict(2, ok, "six successor pairs, the three-level eleven chain, "
                     "add (S I) I = S (S I), and the c-a-t traversal are bit-exact")
@@ -247,14 +246,14 @@ def test_criterion_07_trace_validator():
     a label; the skipped-copy trace is flagged at step 2."""
     traces = []
     for n in range(1, 9001):
-        _, trace = _successor(n)
-        traces.append((render_trace(trace, PAREN), "successor", linearize(bin_encode(n))))
+        traces.append((render_trace(Call("s", (Value(bin_encode(n)),)), PAREN), "successor",
+                       linearize(bin_encode(n))))
     samples, _ = gen_trees(DatasetSpec(task="traversal", depth_lo=2, depth_hi=4,
                                        train_count=1000, test_count=0,
                                        seed=DEFAULT_SEED))
     for sample in samples:
-        _, trace = reduce(Call("inorder", (Value(sample.tree),)))
-        traces.append((render_trace(trace, ARROW), "inorder", tree_serialize(sample.tree)))
+        traces.append((render_trace(Call("inorder", (Value(sample.tree),)), ARROW), "inorder",
+                       tree_serialize(sample.tree)))
 
     valid = sum(
         1 for text, task, input_tokens in traces

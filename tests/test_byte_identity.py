@@ -23,7 +23,6 @@ from structrec.reduction import (
     levels,
     parse_state_unroll,
     program_call,
-    reduce,
     render_state_paren,
     render_state_unroll,
     render_states,
@@ -190,7 +189,7 @@ SHORTCUT_DIFF_PINS = {
     ),
 }
 
-# sha256 of repr([(paths, rules) per step]): reduce's levels, then the
+# sha256 of repr([(paths, rules) per step]): the levels() run, then the
 # chain of single steps to normal form
 STEP_PINS = {
     "s": ("4a42d7d3e6e73bbd5b8b7acabb482ad76904ffc33f26f788ac4bc12410452a75",
@@ -235,6 +234,19 @@ def test_reduce_trace_output_is_pinned(capsys, program):
     assert _sha(capsys.readouterr().out.encode()) == TRACE_PINS[program]
 
 
+@pytest.mark.parametrize("program", sorted(TRACE_PINS))
+def test_reduce_k_prints_the_levels_state_after_k_levels(capsys, program):
+    call = _call(program)
+    render = render_state_paren if program in ("s", "add") else render_state_unroll
+    states = [render(call)] + [render(engine.expr()) for engine in levels(call)]
+    last = len(states) - 1
+    for k in range(last + 2):
+        assert main(["reduce", program, *INPUTS[program], "--k", str(k)]) == 0
+        out, err = capsys.readouterr()
+        assert out == " ".join(states[min(k, last)]) + "\n"
+        assert err == (f"(normal after {last} levels)\n" if k > last else "")
+
+
 @pytest.mark.parametrize("program", sorted(NORMAL_FORM_PINS))
 def test_reduce_normal_form_output_is_pinned(capsys, program):
     assert main(["reduce", program, *INPUTS[program]]) == 0
@@ -261,9 +273,8 @@ def test_shortcut_diff_output_is_pinned(tmp_path, capsys, order, mode):
 
 @pytest.mark.parametrize("program", sorted(STEP_PINS))
 def test_step_paths_and_rules_are_pinned(program):
-    _, trace = reduce(_call(program))
-    levels = [(step.paths, step.rules) for step in trace.steps]
-    assert (_sha(repr(levels).encode()), _sha(repr(_single_records(_call(program))).encode())) \
+    by_level = [(engine.paths, engine.rules) for engine in levels(_call(program))]
+    assert (_sha(repr(by_level).encode()), _sha(repr(_single_records(_call(program))).encode())) \
         == STEP_PINS[program]
 
 
@@ -272,14 +283,14 @@ def test_pinned_trace_inputs_are_cut_into_the_levels_states(program):
     call = _call(program)
     style, render = ((PAREN, render_state_paren) if program in ("s", "add")
                      else (ARROW, render_state_unroll))
+    cut = list(render_states(call, style))
     for single in (False, True) if style == PAREN else (False,):
         stepped = [render(call)] + [render(e.expr()) for e in levels(call, single=single)]
-        assert list(render_states(call, style, single=single)) == [" ".join(s) for s in stepped]
+        assert cut == [" ".join(s) for s in stepped]
 
 
 def test_add_level_records():
-    _, trace = reduce(_call("add"))
-    assert [(step.paths, step.rules) for step in trace.steps] == [
+    assert [(engine.paths, engine.rules) for engine in levels(_call("add"))] == [
         (((),), ("add/S",)),
         (((0,),), ("add/S",)),
         (((0, 0),), ("add/S",)),
@@ -289,8 +300,7 @@ def test_add_level_records():
 
 def test_inorder_level_and_single_records():
     expr = Call("inorder", (Value(tree_parse(tokenize("a ( c LEAF LEAF ) ( t LEAF LEAF )"))),))
-    _, trace = reduce(expr)
-    assert [(step.paths, step.rules) for step in trace.steps] == [
+    assert [(engine.paths, engine.rules) for engine in levels(expr)] == [
         (((),), ("inorder/Branch",)),
         (((0, 0), (1,)), ("inorder/Branch", "inorder/Branch")),
         (((0, 0, 0, 0), (0, 0, 0), (0, 0, 1), (0, 0), (0,), (1, 0, 0), (1, 0), (1, 1), (1,), ()),
@@ -478,8 +488,8 @@ def _damaged(kind: str, task: str, states, tokens, rng):
         # from state i on, the sibling traversal's trace
         i = rng.randrange(last)
         sibling = builtin_programs()["preorder" if task == "inorder" else "inorder"]
-        _, trace = reduce(parse_state_unroll(states[i], sibling))
-        states[i:] = [render_state_unroll(state) for state in trace.states()]
+        start = parse_state_unroll(states[i], sibling)
+        states[i:] = [state.split(" ") for state in render_states(start, ARROW)]
     elif kind == "premature" and last > 1:
         states[rng.randrange(1, last):] = [states[-1]]
     elif kind == "malformed":

@@ -87,6 +87,17 @@ def test_reduce_long_all_ones_successor_keeps_only_the_final_state(capsys):
     assert out.split() == ["X0"] * 3001 + ["01"]
 
 
+@pytest.mark.parametrize("flags", [("--k", "3", "--fuel", "1"), ("--fuel", "1", "--k", "3")])
+def test_reduce_k_takes_no_fuel(capsys, flags):
+    code, out, err = run(capsys, "reduce", "s", "X1 X1 01", *flags)
+    assert (code, out) == (4, "")
+    assert err.startswith("error:") and "--k" in err and "--fuel" in err
+    # each alone runs: three levels reach the normal form, one does not
+    assert run(capsys, "reduce", "s", "X1 X1 01", "--k", "3") == (0, "X0 X0 X0 01\n", "")
+    code, _, err = run(capsys, "reduce", "s", "X1 X1 01", "--fuel", "1")
+    assert code == 5 and "no normal form within 1 levels" in err
+
+
 def test_reduce_fuel_exhaustion(capsys):
     code, _, err = run(capsys, "reduce", "s", " ".join(["X1"] * 30 + ["01"]),
                        "--fuel", "2")
@@ -607,13 +618,17 @@ FLAG_FUZZ = {
         "--count": lambda rng: _int_flag(rng, 1, 50),
         "--depths": TREE_FLAGS["--depths"],
         **SEED_FLAGS}),
+    # --k and --fuel apart, as reduce rejects them together, each on a
+    # paren and a traversal program
     ("reduce", "s", "X1 X0 X1 01"): ([], {
-        "--k": lambda rng: _int_flag(rng, 0, 6),
         "--fuel": lambda rng: _int_flag(rng, 1, 6),
         "--trace": None}),
+    ("reduce", "add", "S S I", "S I"): ([], {
+        "--k": lambda rng: _int_flag(rng, 0, 6)}),
     ("reduce", "preorder", "a ( b LEAF LEAF ) LEAF"): ([], {
-        "--k": lambda rng: _int_flag(rng, 0, 6),
         "--fuel": lambda rng: _int_flag(rng, 1, 6)}),
+    ("reduce", "inorder", "a ( b LEAF LEAF ) ( c LEAF LEAF )"): ([], {
+        "--k": lambda rng: _int_flag(rng, 0, 6)}),
     ("shortcut", "natural"): (["--diff", "--range", "1:8"], {
         "--range": lambda rng: _range_flag(rng, (-1, 0, 1, 2, 1000, BIG - 40), 63),
         "--mode": lambda rng: rng.choice(("faithful", "corrected"))}),
@@ -669,7 +684,7 @@ PUBLIC_NAMES = """
     builtin_programs compute_metrics delinearize diff_against_oracle edge_group emulate_natural
     emulate_reverse failure_signature gen_edge_records gen_single_step gen_successor_random
     gen_successor_range gen_traces gen_traversal gen_trees linearize machine_output
-    natural_shortcut_machine rasm_run read_jsonl read_predictions read_traces reduce reduce_k
+    natural_shortcut_machine rasm_run read_jsonl read_predictions read_traces reduce
     render_report render_state_paren render_state_unroll render_trace reverse_shortcut_machine
     successor_machine successor_rasm tokenize tree_depth tree_parse tree_serialize validate_trace
     write_jsonl write_manifest
@@ -684,7 +699,33 @@ def test_the_package_exports_are_pinned():
     exported = sorted(name for name, value in vars(structrec).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == PUBLIC_NAMES
-    assert len(exported) == 80
+    assert len(exported) == 79
+
+
+# evaluation imports step_single without calling it: the benchmark's
+# self-test (bench/selftest.py) reads it there, until the tracer no longer
+# needs it (ROADMAP item 1)
+UNUSED_IMPORTS_KEPT = {("evaluation", "step_single")}
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    import ast
+
+    import structrec
+
+    unused = set()
+    for path in sorted(Path(structrec.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # the package's names, imported to be exported
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused |= {(path.stem, name) for name in imported - used}
+    assert unused == UNUSED_IMPORTS_KEPT
 
 
 def test_python_dash_m_runs_the_cli():

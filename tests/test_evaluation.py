@@ -29,7 +29,7 @@ from structrec.evaluation import (
     validate_trace,
 )
 from structrec.datasets import DatasetSpec, ExampleRecord, RecordMeta, gen_successor_range
-from structrec.reduction import ARROW, PAREN, Call, Value, reduce, render_trace
+from structrec.reduction import ARROW, PAREN, Call, Value, render_trace
 from structrec.terms import (
     TOKEN_ALIASES,
     bin_encode,
@@ -555,13 +555,11 @@ def test_render_report_rejects_unknown_format():
 
 
 def _successor_trace(n):
-    _, trace = reduce(Call("s", (Value(bin_encode(n)),)))
-    return render_trace(trace, PAREN)
+    return render_trace(Call("s", (Value(bin_encode(n)),)), PAREN)
 
 
 def _traversal_trace(tree, kind="inorder"):
-    _, trace = reduce(Call(kind, (Value(tree),)))
-    return render_trace(trace, ARROW)
+    return render_trace(Call(kind, (Value(tree),)), ARROW)
 
 
 def test_oracle_successor_traces_validate():

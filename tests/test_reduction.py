@@ -32,7 +32,6 @@ from structrec.reduction import (
     program_call,
     recursion_depth,
     reduce,
-    reduce_k,
     render_state_paren,
     render_state_unroll,
     render_states,
@@ -73,8 +72,7 @@ def s_of(n):
 
 
 def run(expr):
-    final, trace = reduce(expr)
-    return final, trace
+    return reduce(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -107,22 +105,19 @@ def test_successor_is_plus_one_random():
 
 
 def test_successor_trace_eleven():
-    _, trace = run(s_of(11))
-    assert len(trace) == 3
-    assert render_trace(trace, PAREN) == (
+    assert run(s_of(11))[1] == 3
+    assert render_trace(s_of(11), PAREN) == (
         "( X1 X1 X0 01 ) = X0 ( X1 X0 01 ) = X0 X0 ( X0 01 ) = X0 X0 X1 01"
     )
 
 
 def test_successor_trace_five():
-    _, trace = run(s_of(5))
-    assert render_trace(trace, PAREN) == "( X1 X0 01 ) = X0 ( X0 01 ) = X0 X1 01"
+    assert render_trace(s_of(5), PAREN) == "( X1 X0 01 ) = X0 ( X0 01 ) = X0 X1 01"
 
 
 def test_trace_level_count_is_x1_run_plus_one():
     for n in range(1, 2048):
-        _, trace = run(s_of(n))
-        assert len(trace) == bin_x1_run(n) + 1
+        assert run(s_of(n))[1] == bin_x1_run(n) + 1
 
 
 def _stepped(expr, programs=None):
@@ -130,7 +125,7 @@ def _stepped(expr, programs=None):
 
 
 def test_recursion_depth_matches_trace_length():
-    # recursion_depth and len(trace) both come from big-step, so the depth
+    # recursion_depth and reduce's level count both come from big-step, so the depth
     # law is held to a count of the stepping engine's levels
     for n in range(1, 2048):
         assert recursion_depth(bin_encode(n)) == _stepped(s_of(n))
@@ -150,17 +145,20 @@ def test_reduce_takes_no_step_until_the_steps_are_read(monkeypatch):
         raise AssertionError("levels() ran")
 
     monkeypatch.setattr(reduction, "levels", no_levels)
-    for expr, tokens, length in [
-        (s_of(11), ["X0", "X0", "X1", "01"], 3),
-        (Call("add", (Value(peano_encode(2)), Value(peano_encode(1)))), ["S", "S", "I"], 2),
-        (Call("inorder", (Value(CAT_TREE),)), ["c", "a", "t"], 3),
-        (Call("preorder", (Value(CAT_TREE),)), ["a", "c", "t"], 3),
+    for expr, tokens, length, style in [
+        (s_of(11), ["X0", "X0", "X1", "01"], 3, PAREN),
+        (Call("add", (Value(peano_encode(2)), Value(peano_encode(1)))), ["S", "S", "I"], 2,
+         PAREN),
+        (Call("inorder", (Value(CAT_TREE),)), ["c", "a", "t"], 3, ARROW),
+        (Call("preorder", (Value(CAT_TREE),)), ["a", "c", "t"], 3, ARROW),
     ]:
-        final, trace = reduce(expr)
-        assert trace.initial is expr and trace.final is final and len(trace) == length
+        final, taken = reduce(expr)
+        assert taken == length
         assert (linearize(final.term) if isinstance(final, Value) else list(final.items)) == tokens
+        assert render_trace(expr, style).count(" = " if style == PAREN else " -> ") == length
+    # the steps are levels()'s, which only runs when asked
     with pytest.raises(AssertionError, match="levels"):
-        trace.steps
+        step_level(expr)
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +166,10 @@ def test_reduce_takes_no_step_until_the_steps_are_read(monkeypatch):
 
 
 def test_add_two_plus_one():
-    final, trace = run(Call("add", (Value(peano_encode(2)), Value(peano_encode(1)))))
+    final, taken = run(Call("add", (Value(peano_encode(2)), Value(peano_encode(1)))))
     assert isinstance(final, Value)
     assert linearize(final.term) == ["S", "S", "I"]
-    assert len(trace) == 2
+    assert taken == 2
 
 
 def test_add_commutes_on_values():
@@ -188,9 +186,9 @@ def test_add_commutes_on_values():
 
 
 def test_inorder_cat():
-    final, trace = run(Call("inorder", (Value(CAT_TREE),)))
+    final, taken = run(Call("inorder", (Value(CAT_TREE),)))
     assert final == ListLit(("c", "a", "t"))
-    assert len(trace) == 3
+    assert taken == 3
 
 
 def test_preorder_cat():
@@ -199,8 +197,7 @@ def test_preorder_cat():
 
 
 def test_inorder_arrow_trace():
-    _, trace = run(Call("inorder", (Value(CAT_TREE),)))
-    assert render_trace(trace, ARROW) == (
+    assert render_trace(Call("inorder", (Value(CAT_TREE),)), ARROW) == (
         "UNROLL[ a ( c LEAF LEAF ) ( t LEAF LEAF ) ] -> "
         "UNROLL[ c LEAF LEAF ] a UNROLL[ t LEAF LEAF ] -> "
         "EMPTY c EMPTY a EMPTY t EMPTY -> "
@@ -209,9 +206,9 @@ def test_inorder_arrow_trace():
 
 
 def test_inorder_leaf_is_empty_list():
-    final, trace = run(Call("inorder", (Value(leaf()),)))
+    final, taken = run(Call("inorder", (Value(leaf()),)))
     assert final == ListLit(())
-    assert len(trace) == 1
+    assert taken == 1
 
 
 def _ref_inorder(tree):
@@ -248,10 +245,7 @@ def test_traversal_level_count_is_depth_plus_one():
     rng = random.Random(8)
     for _ in range(100):
         tree = branch(rng.choice("abc"), _random_tree(rng, 4), _random_tree(rng, 4))
-        _, trace = run(Call("inorder", (Value(tree),)))
-        from structrec.terms import tree_depth
-
-        assert len(trace) == tree_depth(tree) + 1
+        assert run(Call("inorder", (Value(tree),)))[1] == tree_depth(tree) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -301,24 +295,6 @@ def test_is_normal():
     assert is_normal(ListLit(("a", "b")))
     assert not is_normal(s_of(3))
     assert not is_normal(Concat(ListLit(()), ListLit(())))
-
-
-def test_reduce_k_partial():
-    state, taken = reduce_k(s_of(7), 2)
-    assert taken == 2
-    assert render_state_paren(state) == ["X0", "X0", "(", "01", ")"]
-
-
-def test_reduce_k_overshoot_stops_at_normal():
-    state, taken = reduce_k(s_of(7), 50)
-    assert taken == 3
-    assert is_normal(state)
-
-
-def test_reduce_k_zero_is_identity():
-    expr = s_of(7)
-    state, taken = reduce_k(expr, 0)
-    assert state == expr and taken == 0
 
 
 def test_fuel_exhaustion():
@@ -411,10 +387,10 @@ def test_hundred_thousand_token_successor_reduces_renders_and_replays():
     rng = random.Random(11)
     tokens = ["X1"] * 3 + ["X0"] + [rng.choice(("X0", "X1")) for _ in range(99_995)] + ["01"]
     term = delinearize(tokens, BIN_POS)
-    final, trace = reduce(Call("s", (Value(term),)))
-    assert len(trace) == 4
+    final, taken = reduce(Call("s", (Value(term),)))
+    assert taken == 4
     assert bin_value(final.term) == bin_value(term) + 1
-    text = render_trace(trace, PAREN)
+    text = render_trace(Call("s", (Value(term),)), PAREN)
     assert text.split(" = ")[-1].split() == ["X0"] * 3 + ["X1"] + tokens[4:]
     assert validate_trace(text, "successor", input_tokens=tokens).valid
 
@@ -485,8 +461,8 @@ def test_inorder_of_a_left_spine_past_the_recursion_limit():
     # depth**2 nodes; 700 keeps that small, while a walk of its states that
     # recursed per node would pass Python's default limit of 1,000 frames
     tree = tree_parse(tree_serialize(_left_spine(700)))
-    final, trace = reduce(Call("inorder", (Value(tree),)))
-    assert len(trace) == 701
+    final, taken = reduce(Call("inorder", (Value(tree),)))
+    assert taken == 701
     assert list(final.items) == _walk_inorder(tree)
 
 
@@ -515,8 +491,8 @@ def _assert_big_step_is_levels(expr, programs=None):
     programs = builtin_programs() if programs is None else programs
     got = _big_step(expr, programs, taken)
     assert got is not None and _tokens(got[0]) == _tokens(expected) and got[1] == taken
-    final, trace = reduce(expr, programs, fuel=taken)
-    assert _tokens(final) == _tokens(expected) and len(trace) == taken
+    final, level = reduce(expr, programs, fuel=taken)
+    assert _tokens(final) == _tokens(expected) and level == taken
     if taken > 1:
         assert _big_step(expr, programs, taken - 1) is None
         with pytest.raises(FuelExhaustedError):
@@ -722,13 +698,9 @@ def test_a_pending_other_argument_leaves_the_normal_form_to_levels():
     expr = Call("twice", (Value(peano_encode(4)), Value(peano_encode(3))))
     assert _big_step(expr, programs, 100) is None
     expected, taken = _by_levels(expr, programs)
-    final, trace = reduce(expr, programs)
-    assert _tokens(final) == _tokens(expected) and len(trace) == taken
+    final, level = reduce(expr, programs)
+    assert _tokens(final) == _tokens(expected) and level == taken
     assert peano_value(expected.term) == 3 + 3 + 3  # p + (p + m) with p = n - 1
-    # its steps are the levels() steps, taken when first read
-    stepped = [(engine.paths, engine.rules) for engine in levels(expr, programs)]
-    assert [(step.paths, step.rules) for step in trace.steps] == stepped
-    assert trace.steps[-1].after == final and trace.states()[0] is expr
 
 
 def test_a_missing_clause_raises_the_levels_error():
@@ -783,10 +755,9 @@ def _run_levels(expr, single=False):
 
 def test_one_pass_engine_agrees_with_big_step_on_random_inputs():
     for expr in _fuzz_exprs(record_rng(13, "one-pass", 0)):
-        final, trace = reduce(expr)
+        final, taken = reduce(expr)
         by_level, last = _run_levels(expr)
-        assert len(by_level) == len(trace) and _tokens(last) == _tokens(final)
-        assert by_level == [step.rules for step in trace.steps]
+        assert len(by_level) == taken and _tokens(last) == _tokens(final)
         by_single, last = _run_levels(expr, single=True)
         assert _tokens(last) == _tokens(final)
         # a level's rewrites are the single steps' rewrites, taken at once
@@ -821,21 +792,21 @@ def _stepped_states(expr, style, programs=None, single=False):
 
 
 def _assert_cuts_are_levels(expr, programs=None):
-    """In both modes the validator uses (the paren form by single steps, the
-    traversal form by levels), and by levels in the paren form as
-    render_trace does, the cut's states are the rendered levels() states,
-    from expr and from a parsed state halfway; returns the states."""
+    """The cut's states are the rendered levels() states, from expr and from
+    a parsed state halfway; in the paren form they are also the single
+    steps' states, so the validator's cut by levels accepts a paren trace
+    of single steps; returns the states."""
     programs = builtin_programs() if programs is None else programs
     program = programs[expr.fn]
     style = ARROW if program.arg_type is CHAR_TREE else PAREN
     parse = parse_state_unroll if style == ARROW else parse_state_paren
+    assert _big_step(expr, programs, math.inf, style) is not None  # no fallback
+    states = list(render_states(expr, style, programs))
+    middle = parse(tokenize(states[(len(states) - 1) // 2]), program)
+    from_middle = list(render_states(middle, style, programs))
     for single in (False, True) if style == PAREN else (False,):
-        states = _stepped_states(expr, style, programs, single)
-        assert _big_step(expr, programs, math.inf, style, single) is not None  # no fallback
-        assert list(render_states(expr, style, programs, single)) == states
-        middle = parse(tokenize(states[(len(states) - 1) // 2]), program)
-        assert list(render_states(middle, style, programs, single)) == _stepped_states(
-            middle, style, programs, single)
+        assert states == _stepped_states(expr, style, programs, single)
+        assert from_middle == _stepped_states(middle, style, programs, single)
     return states
 
 
@@ -872,11 +843,13 @@ def test_a_parsed_state_of_lists_and_calls_is_cut_from_level_zero():
         state = parse_state_unroll(tokenize(text), program)
         assert list(render_states(state, ARROW)) == _stepped_states(state, ARROW)
     state = parse_state_paren(tokenize("X0 X0 ( X1 X1 01 )"), builtin_programs()["s"])
-    assert list(render_states(state, PAREN, single=True)) == [
+    assert list(render_states(state, PAREN)) == [
         "X0 X0 ( X1 X1 01 )", "X0 X0 X0 ( X1 01 )", "X0 X0 X0 X0 ( 01 )", "X0 X0 X0 X0 X0 01"]
     assert list(render_states(Value(bin_encode(6)), PAREN)) == ["X0 X1 01"]
     with pytest.raises(RenderError, match="unknown trace style"):
         render_states(s_of(3), "zigzag")
+    with pytest.raises(RenderError, match="unknown trace style"):  # not SEPARATOR's KeyError
+        render_trace(s_of(3), "zigzag")
 
 
 def _validate_by_levels(text, task, input_tokens):
@@ -1041,7 +1014,7 @@ def test_cut_path_builds_nodes_linear_in_the_depth_of_a_left_spine(monkeypatch):
         tree = _left_spine(depth)
         tokens, expr = tree_serialize(tree), Call("inorder", (Value(tree),))
         start = built[0]
-        text = render_trace(reduce(expr)[1], ARROW)
+        text = render_trace(expr, ARROW)
         assert validate_trace(text, "inorder", input_tokens=tokens).valid
         # and the call records the cuts are read from, one per call
         records, stack = 0, list(_big_step(expr, builtin_programs(), math.inf, ARROW)[2])
@@ -1058,4 +1031,4 @@ def test_traversal_form_of_a_call_on_no_tree_is_malformed():
     with pytest.raises(MalformedSequenceError, match="not a char_tree term: 'X1'"):
         render_state_unroll(expr)
     with pytest.raises(MalformedSequenceError, match="not a char_tree term: 'X1'"):
-        render_trace(reduce(expr)[1], ARROW)
+        render_trace(expr, ARROW)
