@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from structrec.asm import asm_run, machine_output, rasm_run, successor_machine, successor_rasm
 from structrec.cli import main
 from structrec.datasets import record_rng, sample_tree
 from structrec.errors import StructrecError
@@ -28,8 +29,16 @@ from structrec.reduction import (
     render_states,
     step_single,
 )
-from structrec.terms import BIN_POS, PEANO, delinearize, linearize, tokenize, tree_parse, \
-    tree_serialize
+from structrec.shortcuts import (
+    CORRECTED,
+    FAITHFUL,
+    emulate_natural,
+    emulate_reverse,
+    natural_shortcut_machine,
+    reverse_shortcut_machine,
+)
+from structrec.terms import BIN_POS, PEANO, bin_encode, delinearize, linearize, tokenize, \
+    tree_parse, tree_serialize
 
 S_INPUT = " ".join(["X1"] * 40 + ["X0", "X1", "X0", "01"])
 TREE = ("a ( b ( c LEAF LEAF ) ( a LEAF ( b LEAF LEAF ) ) ) "
@@ -654,3 +663,70 @@ PARSER_PINS = {
 @pytest.mark.parametrize("idef", [BIN_POS, PEANO], ids=lambda idef: idef.name)
 def test_delinearize_outcomes_are_pinned(idef):
     assert _sha(repr(_parser_outcomes(idef)).encode()) == PARSER_PINS[idef.name]
+
+
+# ---------------------------------------------------------------------------
+# machine outcomes
+
+
+def _machine_inputs(count: int = 300) -> list[list[str]]:
+    """Constructor-order token lists: valid values below 2**128 (with
+    all-ones and 1 0 1...1 values among them), the same with XO aliases,
+    and malformed lists (empty, dangling, trailing and unknown tokens)."""
+    inputs = []
+    for i in range(count):
+        rng = record_rng(0, "machine-outcomes", i)
+        bits = rng.randint(1, 128)
+        value = rng.choice((rng.getrandbits(bits) | 1 << (bits - 1), 2**bits - 1,
+                            3 * 2 ** max(bits - 2, 0) - 1))
+        tokens = linearize(bin_encode(value))
+        kind = rng.choice(("valid", "valid", "valid", "alias", "empty", "dangling",
+                           "trailing", "unknown"))
+        if kind == "alias":
+            tokens = [tok if tok != "X0" or rng.random() < 0.5 else "XO" for tok in tokens]
+        elif kind == "empty":
+            tokens = []
+        elif kind == "dangling":
+            tokens = tokens[:rng.randrange(len(tokens))]
+        elif kind == "trailing":
+            tokens += rng.choices(("X0", "X1", "01"), k=rng.randint(1, 3))
+        elif kind == "unknown":
+            tokens[rng.randrange(len(tokens))] = rng.choice(("X2", "LEAF", "0", "x1", "S"))
+        inputs.append(tokens)
+    return inputs
+
+
+def _machine_outcomes() -> list:
+    """Per input: the successor machine's output and steps, the RASM's
+    output, agents, depth and steps, and each shortcut emulator's output
+    and steps (natural order on the reversed list), in both modes."""
+    def flat(machine, tokens):
+        state, steps = asm_run(machine, tokens)
+        return machine_output(state), steps
+
+    def rasm(tokens):
+        result = rasm_run(successor_rasm(), tokens)
+        return result.output, result.agent_count, result.max_call_depth, result.steps
+
+    def emulated(emulate, machine, tokens):
+        return emulate(tokens, machine.name.rsplit("-", 1)[1]), asm_run(machine, tokens)[1]
+
+    outcomes = []
+    for tokens in _machine_inputs():
+        row = [_outcome(lambda: flat(successor_machine(), tokens)),
+               _outcome(lambda: rasm(tokens))]
+        for mode in (FAITHFUL, CORRECTED):
+            row.append(_outcome(lambda: emulated(
+                emulate_natural, natural_shortcut_machine(mode), tokens[::-1])))
+            row.append(_outcome(lambda: emulated(
+                emulate_reverse, reverse_shortcut_machine(mode), tokens)))
+        outcomes.append(row)
+    return outcomes
+
+
+# sha256 of repr(_machine_outcomes())
+MACHINE_OUTCOME_PIN = "9667e68fe6fd08c450a32d173344ec9d814ad803433ff0048419645f800b521e"
+
+
+def test_machine_outcomes_are_pinned():
+    assert _sha(repr(_machine_outcomes()).encode()) == MACHINE_OUTCOME_PIN
