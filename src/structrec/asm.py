@@ -1,9 +1,11 @@
 """Abstract state machines with guarded simultaneous updates.
 
-A machine is a fixed set of guarded rules over a flat location store.
-Every rule whose guard holds fires in the same step; their update sets
-are merged and applied simultaneously, and two fired updates that
-assign different values to one location are a clash.  A recursive
+A machine is a fixed set of guarded rules over a store of named
+locations, in which a tape (the in and out token arrays) is one list held
+under its name: a rule reads s["in"][i], and an update names that cell
+("in", i).  Every rule whose guard holds fires in the same step; their
+update sets are merged and applied simultaneously, and two fired updates
+that assign different values to one location are a clash.  A recursive
 variant lets an agent spawn a child agent on a sub-input and wait for
 its result.
 """
@@ -16,7 +18,7 @@ from typing import Callable
 from .errors import BudgetExhaustedError, UpdateClashError
 from .terms import BIN_POS, ONE, X0, X1, _chain_length, normalize_tokens
 
-# a location is a bare name or a (name, index) pair
+# a location is a bare name or a (tape name, index) cell
 Location = str | tuple[str, int]
 
 
@@ -38,9 +40,10 @@ UNDEF = Undef()
 
 
 class AsmState(dict):
-    """Location store: a dict whose unset locations read UNDEF, so rules
-    read a location with one subscript, s[name] or s[name, index].  A run
-    owns its state and applies each step's updates to it in place."""
+    """Location store for hand-built machines: a dict whose unset locations
+    read UNDEF.  The built-in machines start from a plain dict in which
+    init sets every location they read.  A run owns its state, of either
+    kind, and applies each step's updates to it in place."""
 
     __slots__ = ()
 
@@ -48,34 +51,64 @@ class AsmState(dict):
         return UNDEF
 
     def get(self, name: str, index: int | None = None):
-        return self[name if index is None else (name, index)]
-
-    @classmethod
-    def load(cls, tokens, **fields) -> "AsmState":
-        """Tokens on the input tape in[0..len), no output yet, and fields."""
-        state = cls({("in", i): tok for i, tok in enumerate(tokens)})
-        state.update(len=len(tokens), outn=0, done=False, **fields)
-        return state
+        return _read(self, name, index)
 
     def with_updates(self, updates) -> "AsmState":
-        merged = AsmState(self)
-        merged.update(updates)
-        return merged
+        return _snapshot(self, dict(updates))
+
+
+def _read(state: dict, name: str, index: int | None = None):
+    """The value under name, or cell index of the tape name; UNDEF if unset."""
+    value = dict.get(state, name, UNDEF)
+    if index is None:
+        return value
+    return value[index] if value is not UNDEF and index < len(value) else UNDEF
+
+
+def _start(tokens: list, **fields) -> dict:
+    """A built-in machine's initial state: tokens on the in tape, an empty
+    out tape, and fields."""
+    return {"in": tokens, "out": [], "len": len(tokens), "outn": 0, "done": False, **fields}
+
+
+def _apply(state: dict, updates: dict) -> None:
+    """Write updates into state, each cell into its tape's list; a tape
+    grows to hold a cell past its end, and the cells it skips read UNDEF."""
+    for loc, value in updates.items():
+        if loc.__class__ is str:
+            state[loc] = value
+            continue
+        name, index = loc
+        tape = state[name] if name in state else state.setdefault(name, [])
+        if index == len(tape):
+            tape.append(value)
+        else:
+            tape += [UNDEF] * (index + 1 - len(tape))
+            tape[index] = value
+
+
+def _snapshot(state: dict, updates: dict) -> dict:
+    """A copy of state, with its own copy of each tape list, and updates applied."""
+    new = state.__class__({name: value[:] if value.__class__ is list else value
+                           for name, value in state.items()})
+    _apply(new, updates)
+    return new
 
 
 class ReadLog:
     """State view that records which location names guards inspect."""
 
-    def __init__(self, base: AsmState):
+    def __init__(self, base: dict):
         self.base = base
         self.reads: set[str] = set()
 
-    def __getitem__(self, loc: Location):
-        self.reads.add(loc if isinstance(loc, str) else loc[0])
-        return self.base[loc]
+    def __getitem__(self, name: str):
+        self.reads.add(name)
+        return dict.get(self.base, name, UNDEF)
 
     def get(self, name: str, index: int | None = None):
-        return self[name if index is None else (name, index)]
+        self.reads.add(name)
+        return _read(self.base, name, index)
 
 
 @dataclass(frozen=True)
@@ -91,7 +124,7 @@ class AsmMachine:
 
     name: str
     rules: tuple[GuardedRule, ...]
-    init: Callable  # input -> AsmState
+    init: Callable  # input -> the initial state, a dict
     halted: Callable  # state -> bool
 
 
@@ -115,10 +148,10 @@ def _fire(machine: AsmMachine, state) -> tuple[dict, list[str]]:
     return merged, fired
 
 
-def asm_step(machine: AsmMachine, state: AsmState) -> AsmState:
+def asm_step(machine: AsmMachine, state: dict) -> dict:
     """One simultaneous firing of every rule whose guard holds, as a new state."""
     updates, fired = _fire(machine, state)
-    return state.with_updates(updates) if fired else state
+    return _snapshot(state, updates) if fired else state
 
 
 def _budget(machine_input, budget: int | None) -> int:
@@ -132,7 +165,7 @@ def _budget(machine_input, budget: int | None) -> int:
     return budget
 
 
-def _run(machine: AsmMachine, state: AsmState, budget: int, on_step=None,
+def _run(machine: AsmMachine, state: dict, budget: int, on_step=None,
          spec: "RasmSpec | None" = None, depth: int = 0):
     """The run loop: step until halted, applying each step's updates to
     state in place, and call on_step(steps, fired rule ids, state) after
@@ -147,12 +180,12 @@ def _run(machine: AsmMachine, state: AsmState, budget: int, on_step=None,
                 f"{machine.name}: no halt within {budget} steps" if spec is None
                 else f"{spec.name}: agent at depth {depth} exceeded {budget} steps")
         if spec is not None and spec.call_guard(state):
-            updates, fired = spec.result_write(state, (yield spec.spawn(state))), ()
+            updates, fired = dict(spec.result_write(state, (yield spec.spawn(state)))), ()
         else:
             updates, fired = _fire(machine, state)
             if spec is not None and not updates:
                 raise BudgetExhaustedError(f"{spec.name}: agent is stuck")
-        state.update(updates)
+        _apply(state, updates)
         steps += 1
         if on_step is not None:
             on_step(steps, fired, state)
@@ -178,57 +211,55 @@ def asm_log(machine: AsmMachine, machine_input, budget: int | None = None):
     (step index, fired rule ids, state) records including the initial state."""
     budget = _budget(machine_input, budget)
     state = machine.init(machine_input)
-    log = [(0, (), AsmState(state))]
+    log = [(0, (), _snapshot(state, {}))]
     _finish(_run(machine, state, budget, lambda steps, fired, after: log.append(
-        (steps, tuple(fired), AsmState(after)))))
+        (steps, tuple(fired), _snapshot(after, {})))))
     return log
 
 
-def machine_output(state: AsmState) -> list[str]:
+def machine_output(state: dict) -> list[str]:
     """Read the out[0..outn) token array."""
-    n = state["outn"]
-    if n is UNDEF:
-        return []
-    return [state["out", j] for j in range(n)]
+    n = _read(state, "outn")
+    return [] if n is UNDEF else state["out"][:n]
 
 
 # ---------------------------------------------------------------------------
 # the successor machine over constructor-order tokens
 
 
-def _load_input(tokens, **fields) -> AsmState:
+def _load_input(tokens, **fields) -> dict:
     toks = normalize_tokens(tokens)
     _chain_length(toks, BIN_POS)  # reject malformed inputs up front
-    return AsmState.load(toks, **fields)
+    return _start(toks, **fields)
 
 
 def successor_machine() -> AsmMachine:
     """Scan the constructor-order input: each X1 head emits an X0; the
     first X0 head emits an X1 and copies the rest; a 01 head emits X0 01."""
 
-    def upd_shift(s: AsmState):
+    def upd_shift(s: dict):
         pos, outn = s["pos"], s["outn"]
         return [(("out", outn), X0), ("pos", pos + 1), ("outn", outn + 1)]
 
-    def upd_flip(s: AsmState):
-        pos, outn, n = s["pos"], s["outn"], s["len"]
+    def upd_flip(s: dict):
+        pos, outn, n, tape = s["pos"], s["outn"], s["len"], s["in"]
         ups = [(("out", outn), X1)]
         for j in range(pos + 1, n):
-            ups.append((("out", outn + 1 + (j - pos - 1)), s["in", j]))
+            ups.append((("out", outn + 1 + (j - pos - 1)), tape[j]))
         ups.append(("outn", outn + 1 + (n - pos - 1)))
         ups.append(("done", True))
         return ups
 
-    def upd_base(s: AsmState):
+    def upd_base(s: dict):
         outn = s["outn"]
         return [(("out", outn), X0), (("out", outn + 1), ONE), ("outn", outn + 2), ("done", True)]
 
     rules = (
-        GuardedRule("shift-ones", lambda s: s["done"] is False and s["in", s["pos"]] == X1,
+        GuardedRule("shift-ones", lambda s: s["done"] is False and s["in"][s["pos"]] == X1,
                     upd_shift),
         GuardedRule("flip-first-zero",
-                    lambda s: s["done"] is False and s["in", s["pos"]] == X0, upd_flip),
-        GuardedRule("base-one", lambda s: s["done"] is False and s["in", s["pos"]] == ONE,
+                    lambda s: s["done"] is False and s["in"][s["pos"]] == X0, upd_flip),
+        GuardedRule("base-one", lambda s: s["done"] is False and s["in"][s["pos"]] == ONE,
                     upd_base),
     )
     return AsmMachine(
@@ -289,57 +320,37 @@ def rasm_run(spec: RasmSpec, machine_input, budget: int | None = None) -> RasmRe
         reply = None
 
 
-class _Agent(AsmState):
-    """An agent's store: its named locations are its own, and the indexed
-    ones (the in and out tapes) live in one store that every agent of a
-    run shares, so a call passes an offset instead of a copy."""
-
-    __slots__ = ("tapes",)
-
-    def __init__(self, tapes: AsmState, **fields):
-        super().__init__(fields)
-        self.tapes = tapes
-
-    def __missing__(self, loc):
-        return self.tapes[loc] if loc.__class__ is tuple else UNDEF
-
-    def update(self, updates):
-        for loc, value in dict(updates).items():
-            if loc.__class__ is tuple:
-                self.tapes[loc] = value
-            else:
-                self[loc] = value
-
-
 def successor_rasm() -> RasmSpec:
     """One agent per recursive unfolding: the agent at offset at reads
     in[at]; an X1 there spawns a child at at + 1, whose answer fills
-    out[at + 1 .. childn), and prefixes it with X0 at out[at]."""
+    out[at + 1 .. childn), and prefixes it with X0 at out[at].  Agents
+    hold the root's tape lists, so a call passes an offset, not a copy."""
 
-    def upd_base(s: AsmState):
+    def upd_base(s: dict):
         at = s["at"]
         return [(("out", at), X0), (("out", at + 1), ONE), ("outn", at + 2), ("done", True)]
 
-    def upd_flip(s: AsmState):
-        at, n = s["at"], s["len"]
+    def upd_flip(s: dict):
+        at, n, tape = s["at"], s["len"], s["in"]
         ups = [(("out", at), X1)]
-        ups += [(("out", j), s["in", j]) for j in range(at + 1, n)]
+        ups += [(("out", j), tape[j]) for j in range(at + 1, n)]
         return ups + [("outn", n), ("done", True)]
 
-    def upd_wrap(s: AsmState):
+    def upd_wrap(s: dict):
         return [(("out", s["at"]), X0), ("outn", s["childn"]), ("done", True)]
 
-    def agent(tapes: AsmState, at: int) -> _Agent:
-        return _Agent(tapes, at=at, len=tapes["len"], done=False, child_ready=False)
+    def agent(root: dict, at: int) -> dict:
+        return {"in": root["in"], "out": root["out"], "at": at, "len": root["len"],
+                "done": False, "child_ready": False}
 
     rules = (
         GuardedRule("base-one",
-                    lambda s: s["done"] is False and s["in", s["at"]] == ONE, upd_base),
+                    lambda s: s["done"] is False and s["in"][s["at"]] == ONE, upd_base),
         GuardedRule("flip-zero",
-                    lambda s: s["done"] is False and s["in", s["at"]] == X0, upd_flip),
+                    lambda s: s["done"] is False and s["in"][s["at"]] == X0, upd_flip),
         GuardedRule(
             "wrap-child",
-            lambda s: s["done"] is False and s["in", s["at"]] == X1 and s["child_ready"] is True,
+            lambda s: s["done"] is False and s["in"][s["at"]] == X1 and s["child_ready"] is True,
             upd_wrap,
         ),
     )
@@ -350,18 +361,18 @@ def successor_rasm() -> RasmSpec:
         halted=lambda s: s["done"] is True,
     )
 
-    def call_guard(s: AsmState) -> bool:
-        return (s["done"] is False and s["in", s["at"]] == X1
+    def call_guard(s: dict) -> bool:
+        return (s["done"] is False and s["in"][s["at"]] == X1
                 and s["child_ready"] is False)
 
-    def result_write(s: AsmState, child: AsmState):
+    def result_write(s: dict, child: dict):
         return [("childn", child["outn"]), ("child_ready", True)]
 
     return RasmSpec(
         name="successor-rasm",
         machine=machine,
         call_guard=call_guard,
-        spawn=lambda s: agent(s.tapes, s["at"] + 1),
+        spawn=lambda s: agent(s, s["at"] + 1),
         result_write=result_write,
         output=machine_output,
     )

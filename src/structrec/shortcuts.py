@@ -18,7 +18,7 @@ import functools
 from dataclasses import dataclass
 
 from . import datasets  # its JSON line encoder; datasets imports this module
-from .asm import AsmMachine, AsmState, GuardedRule, asm_run, machine_output
+from .asm import AsmMachine, GuardedRule, _start, asm_run, machine_output
 from .errors import GenerationError
 from .evaluation import failure_signature
 from .reduction import Call, Value, reduce
@@ -96,25 +96,24 @@ def natural_shortcut_machine(mode: str = FAITHFUL) -> AsmMachine:
     position early."""
     _check_mode(mode)
 
-    def init(tokens) -> AsmState:
+    def init(tokens) -> dict:
         toks = _validated(tokens, NATURAL)
         n = len(toks)
-        last_zero = max((i for i, tok in enumerate(toks) if tok == X0), default=None)
-        if last_zero is not None:
-            copy_upto, pivot_token, halt = last_zero, X1, n
+        if X0 in toks:  # the last X0 is the pivot
+            copy_upto, pivot_token, halt = n - 1 - toks[::-1].index(X0), X1, n
         elif n == 1:
             copy_upto, pivot_token, halt = 0, ONE, 2  # the base pair is learned outright
         elif mode == CORRECTED:
             copy_upto, pivot_token, halt = 0, ONE, n + 1
         else:
             copy_upto, pivot_token, halt = 0, ONE, n
-        return AsmState.load(toks, copy_upto=copy_upto, pivot_token=pivot_token, halt=halt)
+        return _start(toks, copy_upto=copy_upto, pivot_token=pivot_token, halt=halt)
 
     rules = (
         GuardedRule(
             "copy-prefix",
             lambda s: s["done"] is False and s["outn"] < s["copy_upto"],
-            lambda s: [(("out", s["outn"]), s["in", s["outn"]]), ("outn", s["outn"] + 1)],
+            lambda s: [(("out", s["outn"]), s["in"][s["outn"]]), ("outn", s["outn"] + 1)],
         ),
         GuardedRule(
             "emit-pivot",
@@ -148,20 +147,18 @@ def reverse_shortcut_machine(mode: str = FAITHFUL) -> AsmMachine:
     mode places it one position early."""
     _check_mode(mode)
 
-    def init(tokens) -> AsmState:
+    def init(tokens) -> dict:
         toks = _validated(tokens, REVERSE)
         n = len(toks)
-        first_zero = next((i for i, tok in enumerate(toks) if tok == X0), None)
-        if first_zero is not None:
-            pivot, pivot_token, halt = first_zero, X1, n
+        if X0 in toks:  # the first X0 is the pivot
+            pivot, pivot_token, halt = toks.index(X0), X1, n
         elif n == 1:
             pivot, pivot_token, halt = 1, ONE, 2  # the base pair is learned outright
         elif mode == CORRECTED:
             pivot, pivot_token, halt = n, ONE, n + 1
         else:
             pivot, pivot_token, halt = n - 1, ONE, n
-        return AsmState.load(toks, pivot=pivot, pivot_token=pivot_token, halt=halt,
-                             x1_out=False)
+        return _start(toks, pivot=pivot, pivot_token=pivot_token, halt=halt, x1_out=False)
 
     rules = (
         GuardedRule(
@@ -182,7 +179,7 @@ def reverse_shortcut_machine(mode: str = FAITHFUL) -> AsmMachine:
         GuardedRule(
             "copy-tail",
             lambda s: s["done"] is False and s["x1_out"] is True and s["outn"] < s["halt"],
-            lambda s: [(("out", s["outn"]), s["in", s["outn"]]), ("outn", s["outn"] + 1)],
+            lambda s: [(("out", s["outn"]), s["in"][s["outn"]]), ("outn", s["outn"] + 1)],
         ),
         GuardedRule(
             "halt",

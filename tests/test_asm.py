@@ -10,6 +10,7 @@ from structrec.asm import (
     AsmMachine,
     AsmState,
     GuardedRule,
+    ReadLog,
     asm_log,
     asm_run,
     asm_step,
@@ -169,6 +170,10 @@ def test_unset_locations_read_undef():
     state = AsmState({})
     assert state.get("anything") is UNDEF
     assert state.get("arr", 3) is UNDEF
+    for base in (state, {"arr": [1]}):
+        log = ReadLog(base)
+        assert (log["anything"], log.get("arr", 3)) == (UNDEF, UNDEF)
+        assert log.reads == {"anything", "arr"}
 
 
 def test_budget_exhausted():
@@ -187,6 +192,44 @@ def test_states_are_immutable_snapshots():
     updated = state.with_updates({"x": 2, "y": 3})
     assert state.get("x") == 1 and state.get("y") is UNDEF
     assert updated.get("x") == 2 and updated.get("y") == 3
+
+
+def test_a_step_leaves_the_earlier_state_and_its_tapes_as_they_were():
+    machine = successor_machine()
+    state = machine.init(_succ_tokens(5))
+    stepped = asm_step(machine, state)
+    assert state["out"] == [] and state["outn"] == 0
+    assert stepped["out"] == ["X0"] and stepped["in"] == state["in"]
+
+
+def test_each_log_entry_keeps_the_tape_of_its_step():
+    """The rule overwrites out[0] on every step; each entry shows the value
+    of its own step, not the last one."""
+    rules = (GuardedRule("bump", lambda s: s["n"] < 3,
+                         lambda s: [(("out", 0), s["n"]), ("n", s["n"] + 1)]),)
+    machine = AsmMachine("bump", rules, lambda _: AsmState({"n": 0, "out": ["a"]}),
+                         lambda s: s["n"] == 3)
+    assert [entry[2]["out"] for entry in asm_log(machine, None)] == [["a"], [0], [1], [2]]
+
+
+@pytest.mark.parametrize("start", [{}, {"out": []}], ids=["unset", "empty"])
+def test_a_cell_past_the_end_of_a_tape_reads_back(start):
+    rules = (GuardedRule("far", lambda s: s["done"] is UNDEF,
+                         lambda s: [(("out", 3), "X1"), ("done", True)]),)
+    machine = AsmMachine("far", rules, lambda _: AsmState(start), lambda s: s["done"] is True)
+    state, steps = asm_run(machine, None)
+    assert (state["out"][3], steps) == ("X1", 1)
+    assert [state.get("out", j) for j in range(5)] == [UNDEF, UNDEF, UNDEF, "X1", UNDEF]
+
+
+def test_one_rule_writing_a_cell_twice_clashes():
+    rules = (GuardedRule("twice", lambda s: True,
+                         lambda s: [(("out", 3), "X0"), (("out", 3), "X1")]),)
+    machine = AsmMachine("toy", rules, lambda _: AsmState({}), lambda s: False)
+    with pytest.raises(UpdateClashError) as raised:
+        asm_run(machine, None)
+    assert str(raised.value) == \
+        "toy: rules twice and twice both write ('out', 3) with different values"
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +260,8 @@ def test_rasm_known_values():
 
 
 def _rasm_locations(n):
-    """Locations held by every agent's store and the tapes, for X1^n 01."""
+    """Locations held across a run on X1^n 01: every agent's own entries
+    (all but its references to the tapes) and the cells of the tapes."""
     spec = successor_rasm()
     stores = []
 
@@ -232,8 +276,9 @@ def _rasm_locations(n):
     )
     result = rasm_run(counted, ["X1"] * n + ["01"])
     assert result.output == ["X0"] * (n + 1) + ["01"] and len(stores) == n + 1
-    assert all(store.tapes is stores[0].tapes for store in stores)
-    return sum(map(len, stores)) + len(stores[0].tapes)
+    root = stores[0]
+    assert all(store["in"] is root["in"] and store["out"] is root["out"] for store in stores)
+    return sum(len(store) - 2 for store in stores) + len(root["in"]) + len(root["out"])
 
 
 @pytest.mark.parametrize("n", [300, 1199])
