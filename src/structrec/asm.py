@@ -104,7 +104,7 @@ class ReadLog:
 
     def __getitem__(self, name: str):
         self.reads.add(name)
-        return dict.get(self.base, name, UNDEF)
+        return _read(self.base, name)
 
     def get(self, name: str, index: int | None = None):
         self.reads.add(name)
