@@ -1,18 +1,23 @@
 """Abstract state machines with guarded simultaneous updates.
 
 A machine is a fixed set of guarded rules over a store of named
-locations, in which a tape (the in and out token arrays) is one list held
-under its name: a rule reads s["in"][i], and an update names that cell
-("in", i).  Every rule whose guard holds fires in the same step; their
-update sets are merged and applied simultaneously, and two fired updates
-that assign different values to one location are a clash.  A recursive
-variant lets an agent spawn a child agent on a sub-input and wait for
-its result.
+locations, a dict in which a tape (the in and out token arrays) is one
+list held under its name: a rule reads s["in"][i], and an update names
+that cell ("in", i).  Every rule whose guard holds fires in the same step;
+their update sets are merged and applied simultaneously, and two fired
+updates that assign different values to one location are a clash.
+
+Each machine is compiled once into one step function.  It tests the
+guards in rule order and writes the fired updates in place; a guard or
+update given as expression text over s is inlined into it, and a callable
+one is called.  A recursive variant lets an agent spawn a child agent on
+a sub-input and wait for its result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import BudgetExhaustedError, UpdateClashError
@@ -39,27 +44,9 @@ class Undef:
 UNDEF = Undef()
 
 
-class AsmState(dict):
-    """Location store for hand-built machines: a dict whose unset locations
-    read UNDEF.  The built-in machines start from a plain dict in which
-    init sets every location they read.  A run owns its state, of either
-    kind, and applies each step's updates to it in place."""
-
-    __slots__ = ()
-
-    def __missing__(self, loc):
-        return UNDEF
-
-    def get(self, name: str, index: int | None = None):
-        return _read(self, name, index)
-
-    def with_updates(self, updates) -> "AsmState":
-        return _snapshot(self, dict(updates))
-
-
 def _read(state: dict, name: str, index: int | None = None):
     """The value under name, or cell index of the tape name; UNDEF if unset."""
-    value = dict.get(state, name, UNDEF)
+    value = state.get(name, UNDEF)
     if index is None:
         return value
     return value[index] if value is not UNDEF and index < len(value) else UNDEF
@@ -71,10 +58,11 @@ def _start(tokens: list, **fields) -> dict:
     return {"in": tokens, "out": [], "len": len(tokens), "outn": 0, "done": False, **fields}
 
 
-def _apply(state: dict, updates: dict) -> None:
-    """Write updates into state, each cell into its tape's list; a tape
-    grows to hold a cell past its end, and the cells it skips read UNDEF."""
-    for loc, value in updates.items():
+def _apply(state: dict, updates) -> None:
+    """Write (location, value) pairs into state, each cell into its tape's
+    list; a tape grows to hold a cell past its end, and the cells it skips
+    read UNDEF."""
+    for loc, value in updates:
         if loc.__class__ is str:
             state[loc] = value
             continue
@@ -87,12 +75,10 @@ def _apply(state: dict, updates: dict) -> None:
             tape[index] = value
 
 
-def _snapshot(state: dict, updates: dict) -> dict:
-    """A copy of state, with its own copy of each tape list, and updates applied."""
-    new = state.__class__({name: value[:] if value.__class__ is list else value
-                           for name, value in state.items()})
-    _apply(new, updates)
-    return new
+def _snapshot(state: dict) -> dict:
+    """A copy of state, with its own copy of each tape list."""
+    return {name: value[:] if value.__class__ is list else value
+            for name, value in state.items()}
 
 
 class ReadLog:
@@ -111,47 +97,101 @@ class ReadLog:
         return _read(self.base, name, index)
 
 
+# the names that rule text may use besides s
+_NAMES = {"X0": X0, "X1": X1, "ONE": ONE}
+
+
+@functools.lru_cache(maxsize=256)
+def _code(source: str):
+    return compile(source, "<asm>", "exec")
+
+
+def _define(source: str, names: dict) -> Callable:
+    """The function f that source defines over names; each built-in
+    machine's source repeats from one build to the next, so compiles once."""
+    exec(_code(source), names)
+    return names["f"]
+
+
 @dataclass(frozen=True)
 class GuardedRule:
+    """When guard(state) holds, the rule fires and writes updates(state),
+    (location, value) pairs.  Either may be given as expression text over
+    s (package source only, never input; update text is a list display):
+    the text becomes the callable here, and the step compiler inlines it."""
+
     id: str
     guard: Callable
-    updates: Callable  # state -> iterable of (location, value)
+    updates: Callable
+    text: tuple = field(init=False, repr=False, compare=False)  # each text, or None
+
+    def __post_init__(self):
+        text = tuple(part if isinstance(part, str) else None
+                     for part in (self.guard, self.updates))
+        object.__setattr__(self, "text", text)
+        for name, source in zip(("guard", "updates"), text):
+            if source is not None:
+                object.__setattr__(self, name, _define(f"def f(s):\n    return ({source})",
+                                                       dict(_NAMES)))
 
 
 @dataclass(frozen=True)
 class AsmMachine:
-    """Immutable rule set; each run owns its own state."""
+    """Immutable rule set, compiled once into step; each run owns its own state."""
 
     name: str
     rules: tuple[GuardedRule, ...]
     init: Callable  # input -> the initial state, a dict
     halted: Callable  # state -> bool
+    step: Callable = field(init=False, repr=False, compare=False)  # state -> fired rule ids
+
+    def __post_init__(self):
+        object.__setattr__(self, "step", _compile(self))
 
 
-def _fire(machine: AsmMachine, state) -> tuple[dict, list[str]]:
-    """Evaluate every guard once; returns the merged updates of the rules
-    that fire, and their ids.  Fired updates that disagree are a clash."""
+def _compile(machine: AsmMachine) -> Callable:
+    """One step: every guard tested in rule order, the fired rules' updates
+    computed, then written into the state in place.  Returns the fired rule
+    ids, or () if the step writes nothing (a fixed point).  One rule whose
+    locations are distinct needs no merge."""
+    names = dict(_NAMES, _merge=_merge, _apply=_apply, _name=machine.name)
+    lines = ["def f(s):", "    fired = []", "    ups = []"]
+    for i, rule in enumerate(machine.rules):
+        guard, updates = rule.text
+        names[f"_r{i}"] = rule
+        lines += [f"    if ({guard or f'_r{i}.guard(s)'}):",
+                  f"        fired.append({rule.id!r})",
+                  f"        ups.append({updates or f'list(_r{i}.updates(s))'})"]
+    lines += ["    if len(ups) == 1 and len(dict(ups[0])) == len(ups[0]):",
+              "        ups = ups[0]",
+              "    elif ups:",
+              "        ups = _merge(_name, fired, ups).items()",
+              "    _apply(s, ups)",
+              "    return fired if ups else ()"]
+    return _define("\n".join(lines), names)
+
+
+def _merge(name: str, fired: list, ups: list) -> dict:
+    """The fired rules' updates as one dict; updates that disagree are a clash."""
     merged: dict = {}
     owner: dict = {}
-    fired = []
-    for rule in machine.rules:
-        if rule.guard(state):
-            fired.append(rule.id)
-            for loc, value in rule.updates(state):
-                if loc in merged and merged[loc] != value:
-                    raise UpdateClashError(
-                        f"{machine.name}: rules {owner[loc]} and {rule.id} both write "
-                        f"{loc!r} with different values"
-                    )
-                merged[loc] = value
-                owner[loc] = rule.id
-    return merged, fired
+    for rule_id, rule_ups in zip(fired, ups):
+        for loc, value in rule_ups:
+            if loc in merged and merged[loc] != value:
+                raise UpdateClashError(
+                    f"{name}: rules {owner[loc]} and {rule_id} both write "
+                    f"{loc!r} with different values"
+                )
+            merged[loc] = value
+            owner[loc] = rule_id
+    return merged
 
 
 def asm_step(machine: AsmMachine, state: dict) -> dict:
     """One simultaneous firing of every rule whose guard holds, as a new state."""
-    updates, fired = _fire(machine, state)
-    return _snapshot(state, updates) if fired else state
+    new = _snapshot(state)
+    machine.step(new)
+    return new
 
 
 def _budget(machine_input, budget: int | None) -> int:
@@ -172,7 +212,7 @@ def _run(machine: AsmMachine, state: dict, budget: int, on_step=None,
     each.  An agent of a recursive machine (spec) yields the child's
     initial state when its call guard holds and is sent the child's halted
     state.  Returns (state, steps)."""
-    halted = machine.halted
+    halted, step = machine.halted, machine.step
     steps = 0
     while not halted(state):
         if steps >= budget:
@@ -180,12 +220,12 @@ def _run(machine: AsmMachine, state: dict, budget: int, on_step=None,
                 f"{machine.name}: no halt within {budget} steps" if spec is None
                 else f"{spec.name}: agent at depth {depth} exceeded {budget} steps")
         if spec is not None and spec.call_guard(state):
-            updates, fired = dict(spec.result_write(state, (yield spec.spawn(state)))), ()
+            _apply(state, spec.result_write(state, (yield spec.spawn(state))))
+            fired = ()
         else:
-            updates, fired = _fire(machine, state)
-            if spec is not None and not updates:
+            fired = step(state)
+            if spec is not None and not fired:
                 raise BudgetExhaustedError(f"{spec.name}: agent is stuck")
-        _apply(state, updates)
         steps += 1
         if on_step is not None:
             on_step(steps, fired, state)
@@ -211,9 +251,9 @@ def asm_log(machine: AsmMachine, machine_input, budget: int | None = None):
     (step index, fired rule ids, state) records including the initial state."""
     budget = _budget(machine_input, budget)
     state = machine.init(machine_input)
-    log = [(0, (), _snapshot(state, {}))]
+    log = [(0, (), _snapshot(state))]
     _finish(_run(machine, state, budget, lambda steps, fired, after: log.append(
-        (steps, tuple(fired), _snapshot(after, {})))))
+        (steps, tuple(fired), _snapshot(after)))))
     return log
 
 
@@ -237,10 +277,6 @@ def successor_machine() -> AsmMachine:
     """Scan the constructor-order input: each X1 head emits an X0; the
     first X0 head emits an X1 and copies the rest; a 01 head emits X0 01."""
 
-    def upd_shift(s: dict):
-        pos, outn = s["pos"], s["outn"]
-        return [(("out", outn), X0), ("pos", pos + 1), ("outn", outn + 1)]
-
     def upd_flip(s: dict):
         pos, outn, n, tape = s["pos"], s["outn"], s["len"], s["in"]
         ups = [(("out", outn), X1)]
@@ -250,17 +286,13 @@ def successor_machine() -> AsmMachine:
         ups.append(("done", True))
         return ups
 
-    def upd_base(s: dict):
-        outn = s["outn"]
-        return [(("out", outn), X0), (("out", outn + 1), ONE), ("outn", outn + 2), ("done", True)]
-
     rules = (
-        GuardedRule("shift-ones", lambda s: s["done"] is False and s["in"][s["pos"]] == X1,
-                    upd_shift),
-        GuardedRule("flip-first-zero",
-                    lambda s: s["done"] is False and s["in"][s["pos"]] == X0, upd_flip),
-        GuardedRule("base-one", lambda s: s["done"] is False and s["in"][s["pos"]] == ONE,
-                    upd_base),
+        GuardedRule("shift-ones", 's["done"] is False and s["in"][s["pos"]] == X1',
+                    '[(("out", s["outn"]), X0), ("pos", s["pos"] + 1), ("outn", s["outn"] + 1)]'),
+        GuardedRule("flip-first-zero", 's["done"] is False and s["in"][s["pos"]] == X0', upd_flip),
+        GuardedRule("base-one", 's["done"] is False and s["in"][s["pos"]] == ONE',
+                    '[(("out", s["outn"]), X0), (("out", s["outn"] + 1), ONE),'
+                    ' ("outn", s["outn"] + 2), ("done", True)]'),
     )
     return AsmMachine(
         name="successor",
@@ -326,33 +358,24 @@ def successor_rasm() -> RasmSpec:
     out[at + 1 .. childn), and prefixes it with X0 at out[at].  Agents
     hold the root's tape lists, so a call passes an offset, not a copy."""
 
-    def upd_base(s: dict):
-        at = s["at"]
-        return [(("out", at), X0), (("out", at + 1), ONE), ("outn", at + 2), ("done", True)]
-
     def upd_flip(s: dict):
         at, n, tape = s["at"], s["len"], s["in"]
         ups = [(("out", at), X1)]
         ups += [(("out", j), tape[j]) for j in range(at + 1, n)]
         return ups + [("outn", n), ("done", True)]
 
-    def upd_wrap(s: dict):
-        return [(("out", s["at"]), X0), ("outn", s["childn"]), ("done", True)]
-
     def agent(root: dict, at: int) -> dict:
         return {"in": root["in"], "out": root["out"], "at": at, "len": root["len"],
                 "done": False, "child_ready": False}
 
     rules = (
-        GuardedRule("base-one",
-                    lambda s: s["done"] is False and s["in"][s["at"]] == ONE, upd_base),
-        GuardedRule("flip-zero",
-                    lambda s: s["done"] is False and s["in"][s["at"]] == X0, upd_flip),
-        GuardedRule(
-            "wrap-child",
-            lambda s: s["done"] is False and s["in"][s["at"]] == X1 and s["child_ready"] is True,
-            upd_wrap,
-        ),
+        GuardedRule("base-one", 's["done"] is False and s["in"][s["at"]] == ONE',
+                    '[(("out", s["at"]), X0), (("out", s["at"] + 1), ONE), ("outn", s["at"] + 2),'
+                    ' ("done", True)]'),
+        GuardedRule("flip-zero", 's["done"] is False and s["in"][s["at"]] == X0', upd_flip),
+        GuardedRule("wrap-child", 's["done"] is False and s["in"][s["at"]] == X1'
+                    ' and s["child_ready"] is True',
+                    '[(("out", s["at"]), X0), ("outn", s["childn"]), ("done", True)]'),
     )
     machine = AsmMachine(
         name="successor-agent",

@@ -110,26 +110,13 @@ def natural_shortcut_machine(mode: str = FAITHFUL) -> AsmMachine:
         return _start(toks, copy_upto=copy_upto, pivot_token=pivot_token, halt=halt)
 
     rules = (
-        GuardedRule(
-            "copy-prefix",
-            lambda s: s["done"] is False and s["outn"] < s["copy_upto"],
-            lambda s: [(("out", s["outn"]), s["in"][s["outn"]]), ("outn", s["outn"] + 1)],
-        ),
-        GuardedRule(
-            "emit-pivot",
-            lambda s: s["done"] is False and s["outn"] == s["copy_upto"] < s["halt"],
-            lambda s: [(("out", s["outn"]), s["pivot_token"]), ("outn", s["outn"] + 1)],
-        ),
-        GuardedRule(
-            "fill-zeros",
-            lambda s: s["done"] is False and s["copy_upto"] < s["outn"] < s["halt"],
-            lambda s: [(("out", s["outn"]), X0), ("outn", s["outn"] + 1)],
-        ),
-        GuardedRule(
-            "halt",
-            lambda s: s["done"] is False and s["outn"] == s["halt"],
-            lambda s: [("done", True)],
-        ),
+        GuardedRule("copy-prefix", 's["done"] is False and s["outn"] < s["copy_upto"]',
+                    '[(("out", s["outn"]), s["in"][s["outn"]]), ("outn", s["outn"] + 1)]'),
+        GuardedRule("emit-pivot", 's["done"] is False and s["outn"] == s["copy_upto"] < s["halt"]',
+                    '[(("out", s["outn"]), s["pivot_token"]), ("outn", s["outn"] + 1)]'),
+        GuardedRule("fill-zeros", 's["done"] is False and s["copy_upto"] < s["outn"] < s["halt"]',
+                    '[(("out", s["outn"]), X0), ("outn", s["outn"] + 1)]'),
+        GuardedRule("halt", 's["done"] is False and s["outn"] == s["halt"]', '[("done", True)]'),
     )
     return AsmMachine(
         name=f"shortcut-natural-{mode}",
@@ -161,31 +148,18 @@ def reverse_shortcut_machine(mode: str = FAITHFUL) -> AsmMachine:
         return _start(toks, pivot=pivot, pivot_token=pivot_token, halt=halt, x1_out=False)
 
     rules = (
-        GuardedRule(
-            "emit-zeros",
-            lambda s: s["done"] is False and s["x1_out"] is False and s["outn"] < s["pivot"],
-            lambda s: [(("out", s["outn"]), X0), ("outn", s["outn"] + 1)],
-        ),
-        GuardedRule(
-            "emit-pivot",
-            lambda s: s["done"] is False
-            and s["x1_out"] is False
-            and s["outn"] == s["pivot"]
-            and s["outn"] < s["halt"],
-            lambda s: [(("out", s["outn"]), s["pivot_token"]),
-                       ("outn", s["outn"] + 1),
-                       ("x1_out", s["pivot_token"] == X1)],
-        ),
-        GuardedRule(
-            "copy-tail",
-            lambda s: s["done"] is False and s["x1_out"] is True and s["outn"] < s["halt"],
-            lambda s: [(("out", s["outn"]), s["in"][s["outn"]]), ("outn", s["outn"] + 1)],
-        ),
-        GuardedRule(
-            "halt",
-            lambda s: s["done"] is False and s["outn"] == s["halt"],
-            lambda s: [("done", True)],
-        ),
+        GuardedRule("emit-zeros",
+                    's["done"] is False and s["x1_out"] is False and s["outn"] < s["pivot"]',
+                    '[(("out", s["outn"]), X0), ("outn", s["outn"] + 1)]'),
+        GuardedRule("emit-pivot",
+                    's["done"] is False and s["x1_out"] is False'
+                    ' and s["outn"] == s["pivot"] and s["outn"] < s["halt"]',
+                    '[(("out", s["outn"]), s["pivot_token"]), ("outn", s["outn"] + 1),'
+                    ' ("x1_out", s["pivot_token"] == X1)]'),
+        GuardedRule("copy-tail",
+                    's["done"] is False and s["x1_out"] is True and s["outn"] < s["halt"]',
+                    '[(("out", s["outn"]), s["in"][s["outn"]]), ("outn", s["outn"] + 1)]'),
+        GuardedRule("halt", 's["done"] is False and s["outn"] == s["halt"]', '[("done", True)]'),
     )
     return AsmMachine(
         name=f"shortcut-reverse-{mode}",

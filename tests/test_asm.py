@@ -8,7 +8,6 @@ import pytest
 from structrec.asm import (
     UNDEF,
     AsmMachine,
-    AsmState,
     GuardedRule,
     ReadLog,
     asm_log,
@@ -95,38 +94,42 @@ def _const_rules(updates_by_rule):
     for rid, updates in updates_by_rule.items():
         rules.append(GuardedRule(
             id=rid,
-            guard=lambda s: s.get("done") is UNDEF,
+            guard=lambda s: s["done"] is False,
             updates=lambda s, u=updates: list(u),
         ))
     return rules
 
 
+def _toy(updates_by_rule):
+    return AsmMachine("toy", tuple(_const_rules(updates_by_rule)), lambda _: {"done": False},
+                      lambda s: s["done"] is True)
+
+
 def test_simultaneous_updates_merge():
-    rules = _const_rules({"a": [("x", 1), ("done", True)], "b": [("y", 2), ("done", True)]})
-    machine = AsmMachine("toy", tuple(rules), lambda _: AsmState({}),
-                         lambda s: s.get("done") is True)
+    machine = _toy({"a": [("x", 1), ("done", True)], "b": [("y", 2), ("done", True)]})
     state, steps = asm_run(machine, None)
-    assert (state.get("x"), state.get("y"), steps) == (1, 2, 1)
+    assert (state["x"], state["y"], steps) == (1, 2, 1)
 
 
 def test_agreeing_writes_do_not_clash():
-    rules = _const_rules({"a": [("x", 1)], "b": [("x", 1), ("done", True)]})
-    machine = AsmMachine("toy", tuple(rules), lambda _: AsmState({}),
-                         lambda s: s.get("done") is True)
-    state, _ = asm_run(machine, None)
-    assert state.get("x") == 1
+    two_rules = {"a": [("x", 1)], "b": [("x", 1), ("done", True)]}
+    # one rule writing one cell twice: the step cannot take its
+    # distinct-locations path, and merges instead
+    one_rule = {"twice": [(("out", 1), "X1"), ("x", 1), (("out", 1), "X1"), ("done", True)]}
+    for updates_by_rule in (two_rules, one_rule):
+        state, steps = asm_run(_toy(updates_by_rule), None)
+        assert (state["x"], steps) == (1, 1)
+    assert state["out"] == [UNDEF, "X1"]
 
 
 def test_clashing_writes_raise():
-    rules = _const_rules({"a": [("x", 1)], "b": [("x", 2)]})
-    machine = AsmMachine("toy", tuple(rules), lambda _: AsmState({}), lambda s: False)
+    machine = _toy({"a": [("x", 1)], "b": [("x", 2)]})
     with pytest.raises(UpdateClashError):
-        asm_step(machine, AsmState({}))
+        asm_step(machine, {"done": False})
 
 
 def test_clashing_writes_raise_in_a_run():
-    rules = _const_rules({"a": [("x", 1)], "b": [("x", 2)]})
-    machine = AsmMachine("toy", tuple(rules), lambda _: AsmState({}), lambda s: False)
+    machine = _toy({"a": [("x", 1)], "b": [("x", 2)]})
     with pytest.raises(UpdateClashError, match="rules a and b both write 'x'"):
         asm_run(machine, None)
 
@@ -139,7 +142,7 @@ def test_a_run_reads_the_state_before_each_step():
         GuardedRule("y-from-x", lambda s: s["n"] < 3, lambda s: [("y", s["x"])]),
         GuardedRule("count", lambda s: s["n"] < 3, lambda s: [("n", s["n"] + 1)]),
     )
-    machine = AsmMachine("swap", rules, lambda _: AsmState({"x": 1, "y": 2, "n": 0}),
+    machine = AsmMachine("swap", rules, lambda _: {"x": 1, "y": 2, "n": 0},
                          lambda s: s["n"] == 3)
     state, steps = asm_run(machine, None)
     assert (state["x"], state["y"], steps) == (2, 1, 3)
@@ -161,23 +164,20 @@ def test_rule_order_does_not_matter():
 
 
 def test_no_fireable_rule_is_a_fixed_point():
-    machine = AsmMachine("idle", (), lambda _: AsmState({"a": 1}), lambda s: False)
+    machine = AsmMachine("idle", (), lambda _: {"a": 1}, lambda s: False)
     state = machine.init(None)
     assert asm_step(machine, state) == state
 
 
 def test_unset_locations_read_undef():
-    state = AsmState({})
-    assert state.get("anything") is UNDEF
-    assert state.get("arr", 3) is UNDEF
-    for base in (state, {"arr": [1]}):
+    for base in ({}, {"arr": [1]}):
         log = ReadLog(base)
         assert (log["anything"], log.get("arr", 3)) == (UNDEF, UNDEF)
         assert log.reads == {"anything", "arr"}
 
 
 def test_budget_exhausted():
-    machine = AsmMachine("spin", (), lambda _: AsmState({}), lambda s: False)
+    machine = AsmMachine("spin", (), lambda _: {}, lambda s: False)
     with pytest.raises(BudgetExhaustedError):
         asm_run(machine, None, budget=5)
 
@@ -187,19 +187,17 @@ def test_budget_must_be_positive():
         asm_run(successor_machine(), _succ_tokens(3), budget=0)
 
 
-def test_states_are_immutable_snapshots():
-    state = AsmState({"x": 1})
-    updated = state.with_updates({"x": 2, "y": 3})
-    assert state.get("x") == 1 and state.get("y") is UNDEF
-    assert updated.get("x") == 2 and updated.get("y") == 3
-
-
 def test_a_step_leaves_the_earlier_state_and_its_tapes_as_they_were():
     machine = successor_machine()
     state = machine.init(_succ_tokens(5))
     stepped = asm_step(machine, state)
-    assert state["out"] == [] and state["outn"] == 0
+    assert state["out"] == [] and (state["outn"], state["pos"]) == (0, 0)
     assert stepped["out"] == ["X0"] and stepped["in"] == state["in"]
+    assert (stepped["outn"], stepped["pos"]) == (1, 1)
+    # a location the step adds appears in the new state only
+    state = {"x": 1, "done": False}
+    stepped = asm_step(_toy({"a": [("x", 2), ("y", 3)]}), state)
+    assert state == {"x": 1, "done": False} and stepped == {"x": 2, "y": 3, "done": False}
 
 
 def test_each_log_entry_keeps_the_tape_of_its_step():
@@ -207,25 +205,26 @@ def test_each_log_entry_keeps_the_tape_of_its_step():
     of its own step, not the last one."""
     rules = (GuardedRule("bump", lambda s: s["n"] < 3,
                          lambda s: [(("out", 0), s["n"]), ("n", s["n"] + 1)]),)
-    machine = AsmMachine("bump", rules, lambda _: AsmState({"n": 0, "out": ["a"]}),
+    machine = AsmMachine("bump", rules, lambda _: {"n": 0, "out": ["a"]},
                          lambda s: s["n"] == 3)
     assert [entry[2]["out"] for entry in asm_log(machine, None)] == [["a"], [0], [1], [2]]
 
 
 @pytest.mark.parametrize("start", [{}, {"out": []}], ids=["unset", "empty"])
 def test_a_cell_past_the_end_of_a_tape_reads_back(start):
-    rules = (GuardedRule("far", lambda s: s["done"] is UNDEF,
+    rules = (GuardedRule("far", lambda s: s["done"] is False,
                          lambda s: [(("out", 3), "X1"), ("done", True)]),)
-    machine = AsmMachine("far", rules, lambda _: AsmState(start), lambda s: s["done"] is True)
+    machine = AsmMachine("far", rules, lambda _: {"done": False, **start},
+                         lambda s: s["done"] is True)
     state, steps = asm_run(machine, None)
     assert (state["out"][3], steps) == ("X1", 1)
-    assert [state.get("out", j) for j in range(5)] == [UNDEF, UNDEF, UNDEF, "X1", UNDEF]
+    assert [ReadLog(state).get("out", j) for j in range(5)] == [UNDEF, UNDEF, UNDEF, "X1", UNDEF]
 
 
 def test_one_rule_writing_a_cell_twice_clashes():
     rules = (GuardedRule("twice", lambda s: True,
                          lambda s: [(("out", 3), "X0"), (("out", 3), "X1")]),)
-    machine = AsmMachine("toy", rules, lambda _: AsmState({}), lambda s: False)
+    machine = AsmMachine("toy", rules, lambda _: {}, lambda s: False)
     with pytest.raises(UpdateClashError) as raised:
         asm_run(machine, None)
     assert str(raised.value) == \
@@ -286,3 +285,106 @@ def test_rasm_holds_locations_linear_in_the_input(n):
     # an agent that copied the rest of the input or its child's answer
     # would hold about n**2 / 2 locations across the run
     assert _rasm_locations(n) <= 10 * (n + 1)
+
+
+@pytest.mark.parametrize("rules", [(), (GuardedRule("idle", "True", "[]"),)],
+                         ids=["fires-nothing", "writes-nothing"])
+def test_rasm_agent_that_cannot_move_is_stuck(rules):
+    spec = successor_rasm()
+    stuck = dataclasses.replace(spec, machine=dataclasses.replace(spec.machine, rules=rules))
+    # the root spawns a child on X1; the child reads 01 and has no call to make
+    with pytest.raises(BudgetExhaustedError, match="^successor-rasm: agent is stuck$"):
+        rasm_run(stuck, ["X1", "01"])
+
+
+# ---------------------------------------------------------------------------
+# the compiled step against a reference interpreter
+
+
+def _reference_fire(machine, state):
+    """Evaluate every guard once; returns the merged updates of the rules
+    that fire, and their ids.  Fired updates that disagree are a clash."""
+    merged: dict = {}
+    owner: dict = {}
+    fired = []
+    for rule in machine.rules:
+        if rule.guard(state):
+            fired.append(rule.id)
+            for loc, value in rule.updates(state):
+                if loc in merged and merged[loc] != value:
+                    raise UpdateClashError(
+                        f"{machine.name}: rules {owner[loc]} and {rule.id} both write "
+                        f"{loc!r} with different values"
+                    )
+                merged[loc] = value
+                owner[loc] = rule.id
+    return merged, fired
+
+
+def _reference_apply(state, updates):
+    """Write updates into state, each cell into its tape's list; a tape
+    grows to hold a cell past its end, and the cells it skips read UNDEF."""
+    for loc, value in updates.items():
+        if loc.__class__ is str:
+            state[loc] = value
+            continue
+        name, index = loc
+        tape = state[name] if name in state else state.setdefault(name, [])
+        if index == len(tape):
+            tape.append(value)
+        else:
+            tape += [UNDEF] * (index + 1 - len(tape))
+            tape[index] = value
+
+
+_GUARDS = ('True', 's["a"] == 1', 's["b"] < 2', 's["a"] != s["b"]', 's["c"] % 2 == 0',
+           'len(s["out"]) < 3', 's["out"] != [] and s["out"][0] == 1')
+_VALUES = ('0', '1', '2', 's["a"]', 's["b"] + 1', '(s["c"] + 1) % 3', 'len(s["out"])')
+_LOCATIONS = ('"a"', '"b"', '"c"', '("out", 0)', '("out", 1)', '("out", 2)', '("out", 4)',
+              '("out", s["a"])')
+
+
+def _random_rule(rng, rule_id):
+    """A rule whose guard and updates are each text or the same text as a
+    callable; a callable's updates are sometimes a one-shot iterator."""
+    guard = rng.choice(_GUARDS)
+    updates = "[" + ", ".join(f"({rng.choice(_LOCATIONS)}, {rng.choice(_VALUES)})"
+                              for _ in range(rng.randrange(4))) + "]"
+    if rng.random() < 0.5:
+        guard = eval(f"lambda s: {guard}")
+    if rng.random() < 0.5:
+        listed = eval(f"lambda s: {updates}")
+        updates = (lambda s: iter(listed(s))) if rng.random() < 0.5 else listed
+    return GuardedRule(rule_id, guard, updates)
+
+
+def test_the_compiled_step_matches_the_reference_interpreter():
+    rng = random.Random(2024)
+    seen = {"clash": 0, "agree": 0, "several": 0, "writes-nothing": 0, "past-end": 0}
+    for trial in range(2000):
+        rules = tuple(_random_rule(rng, f"r{i}") for i in range(rng.randint(1, 4)))
+        machine = AsmMachine(f"m{trial}", rules, lambda _: {}, lambda s: False)
+        state = {"a": rng.randrange(3), "b": rng.randrange(3), "c": rng.randrange(3),
+                 "out": [rng.randrange(3) for _ in range(rng.randrange(3))]}
+        for _ in range(3):
+            got = dict(state, out=state["out"][:])
+            try:
+                merged, fired = _reference_fire(machine, state)
+            except UpdateClashError as clash:
+                with pytest.raises(UpdateClashError) as raised:
+                    machine.step(got)
+                assert str(raised.value) == str(clash)
+                seen["clash"] += 1
+                break
+            # a step that writes nothing is a fixed point, and reports no rule
+            assert list(machine.step(got)) == (fired if merged else [])
+            written = sum(len(list(rule.updates(state))) for rule in rules if rule.guard(state))
+            _reference_apply(state, merged)
+            assert got == state
+            seen["agree"] += written > len(merged)
+            seen["several"] += len(fired) > 1
+            seen["writes-nothing"] += not merged
+            seen["past-end"] += any(cell is UNDEF for cell in state["out"])
+            state = got
+    # the sample takes every path of the step
+    assert min(seen.values()) >= 100, seen
