@@ -152,8 +152,10 @@ class AsmMachine:
 def _compile(machine: AsmMachine) -> Callable:
     """One step: every guard tested in rule order, the fired rules' updates
     computed, then written into the state in place.  Returns the fired rule
-    ids, or () if the step writes nothing (a fixed point).  One rule whose
-    locations are distinct needs no merge."""
+    ids, or () if the step writes nothing (a fixed point).  Once a second
+    rule fires, the updates so far are merged, so that a clash raises
+    before any later rule is tested; one rule whose locations are distinct
+    needs no merge."""
     names = dict(_NAMES, _merge=_merge, _apply=_apply, _name=machine.name)
     lines = ["def f(s):", "    fired = []", "    ups = []"]
     for i, rule in enumerate(machine.rules):
@@ -161,7 +163,8 @@ def _compile(machine: AsmMachine) -> Callable:
         names[f"_r{i}"] = rule
         lines += [f"    if ({guard or f'_r{i}.guard(s)'}):",
                   f"        fired.append({rule.id!r})",
-                  f"        ups.append({updates or f'list(_r{i}.updates(s))'})"]
+                  f"        ups.append({updates or f'list(_r{i}.updates(s))'})",
+                  "        if len(ups) > 1: _merge(_name, fired, ups)"]
     lines += ["    if len(ups) == 1 and len(dict(ups[0])) == len(ups[0]):",
               "        ups = ups[0]",
               "    elif ups:",

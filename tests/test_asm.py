@@ -113,8 +113,7 @@ def test_simultaneous_updates_merge():
 
 def test_agreeing_writes_do_not_clash():
     two_rules = {"a": [("x", 1)], "b": [("x", 1), ("done", True)]}
-    # one rule writing one cell twice: the step cannot take its
-    # distinct-locations path, and merges instead
+    # one rule writing one cell twice with one value
     one_rule = {"twice": [(("out", 1), "X1"), ("x", 1), (("out", 1), "X1"), ("done", True)]}
     for updates_by_rule in (two_rules, one_rule):
         state, steps = asm_run(_toy(updates_by_rule), None)
@@ -132,6 +131,17 @@ def test_clashing_writes_raise_in_a_run():
     machine = _toy({"a": [("x", 1)], "b": [("x", 2)]})
     with pytest.raises(UpdateClashError, match="rules a and b both write 'x'"):
         asm_run(machine, None)
+
+
+def test_a_clash_raises_before_a_later_rule_is_tested():
+    # rules are tested, and their updates merged, one by one in rule order
+    later = (GuardedRule("guard-fails", lambda s: 1 / 0, "[]"),
+             GuardedRule("updates-fail", "True", lambda s: 1 / 0))
+    for rule in later:
+        machine = AsmMachine("toy", (*_const_rules({"a": [("x", 1)], "b": [("x", 2)]}), rule),
+                             lambda _: {"done": False}, lambda s: False)
+        with pytest.raises(UpdateClashError, match="rules a and b both write 'x'"):
+            asm_run(machine, None)
 
 
 def test_a_run_reads_the_state_before_each_step():
