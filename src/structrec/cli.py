@@ -315,8 +315,7 @@ def cmd_shortcut(args) -> int:
     report = shortcuts.diff_against_oracle(args.order, args.mode, *args.range)
     print(shortcuts.report_summary(report))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(shortcuts.report_to_jsonl(report))
+        datasets.write_jsonl(report.disagreements, args.out)
         print(f"wrote disagreements to {args.out}")
     return GOOD
 

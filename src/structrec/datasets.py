@@ -26,7 +26,6 @@ from .reduction import (
     render_states,
     render_trace,
 )
-from .shortcuts import edge_group
 from .terms import (
     NATURAL,
     REVERSE,
@@ -37,6 +36,9 @@ from .terms import (
     _spanned,
     bin_encode,
     bin_x1_run,
+    edge_group,
+    group1_value,
+    group2_value,
     intern_tokens,
     linearize,
     tree_serialize,
@@ -254,8 +256,6 @@ def gen_successor_random(spec: DatasetSpec) -> list[ExampleRecord]:
 
 def gen_edge_records(spec: DatasetSpec, bit_lengths) -> tuple[list[ExampleRecord], list[ExampleRecord]]:
     """The two edge groups as successor records, one member per bit length."""
-    from .shortcuts import group1_value, group2_value
-
     lengths = sorted(set(bit_lengths))
     if not lengths:
         raise GenerationError("empty bit-length range")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 from operator import attrgetter, itemgetter, not_
 
-from . import datasets  # its record loop and meta keys; datasets imports this via shortcuts
+from .datasets import _META_KEYS, _read_records
 from .errors import EvalError, IdMismatchError, MalformedSequenceError, ReductionError
 from .reduction import (
     ARROW,
@@ -78,7 +78,7 @@ def read_predictions(path) -> list[PredictionRecord]:
     """Candidates are token lists or strings.  Canonical text (printable, non-empty, single
     spaces between tokens, no paren, bracket or alias) stays a string; any other string is
     tokenized and a token list normalized, their tokens interned."""
-    return datasets._read_records(path, _prediction, EvalError, "{}")
+    return _read_records(path, _prediction, EvalError, "{}")
 
 
 def _canonical(text: str) -> bool:
@@ -161,9 +161,9 @@ _KEY_ALIASES = {"bit_length": "bits", "tree_depth": "depth"}
 
 def _meta_field(key: str) -> str:
     field = _KEY_ALIASES.get(key, key)
-    if field not in datasets._META_KEYS:
+    if field not in _META_KEYS:
         raise EvalError(f"unknown breakdown key: {key!r} (meta fields: "
-                        f"{', '.join(datasets._META_KEYS)}; aliases: {', '.join(_KEY_ALIASES)})")
+                        f"{', '.join(_META_KEYS)}; aliases: {', '.join(_KEY_ALIASES)})")
     return field
 
 

@@ -463,11 +463,13 @@ def _holds_no_call(expr: Expr) -> bool:
 def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
     """(normal form, levels) of the levels() run from a call on values, by
     eval/apply on an explicit stack.  A call fires one level after its
-    matched argument is normal.  None past fuel levels (None: _budget's
-    default, sized only once a level reaches 4, the least it can be), and
+    matched argument is normal.  None past the larger of fuel and _budget's
+    default (sized only once a level reaches 4, the least it can be), and
     where only levels() can tell what happens: an error, a stuck part, or a
     call that fires while another argument is pending, which levels()
-    substitutes unevaluated.
+    substitutes unevaluated.  A run that completes past an explicit fuel
+    raises FuelExhaustedError: it is the levels() run, so no error of
+    levels() comes before the level past the fuel.
 
     With a trace style, instead (levels, code, calls) of the run from any
     state that style renders, each of its calls on values starting at level
@@ -497,7 +499,7 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
                 return None
             terms = [lambda env, vals, a=a: a.term for a in call.args]
             calls.append((call.fn, terms[0], tuple(terms[1:]), 0, (), ()))
-    limit = 4 if fuel is None else _budget(expr, fuel)
+    limit = 4 if fuel is None else max(4, _budget(expr, fuel))
     # the body being evaluated: its calls and build, its environment and the
     # level it appeared at, the values and levels of its calls so far, and
     # the records of its fired calls, kept instead of values
@@ -518,9 +520,8 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
                 if body is None or entry[0] != (len(term.payloads), len(term.children),
                                                 len(rest) + 1):
                     return None
-                if ready >= limit:
-                    if fuel is None:  # a default budget counted past twice the level
-                        limit = _budget(expr, None, 2 * ready)
+                if ready >= limit:  # the default budget, counted past twice the level
+                    limit = max(limit, _budget(expr, None, 2 * ready))
                     if ready >= limit:
                         return None
                 body_env = term.payloads + term.children
@@ -562,14 +563,14 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
         value = build(env, vals)
     except ReductionError:  # only levels() tells what happens
         return None
-    if level > limit and fuel is None:
-        limit = _budget(expr, None, level)
     if level > limit:
+        limit = max(limit, _budget(expr, None, level))
+    if level > limit or root is None and type(value) not in (Term, tuple):
         return None
+    if fuel is not None and level > fuel:
+        raise FuelExhaustedError(f"no normal form within {fuel} levels")
     if root is not None:
         return level, code, root
-    if type(value) not in (Term, tuple):
-        return None
     return (Value(value) if type(value) is Term else ListLit(value)), level
 
 
@@ -823,8 +824,9 @@ def _fueled_levels(expr: Expr, programs, fuel: float | None):
 def reduce(expr: Expr, programs: dict[str, Program] | None = None, fuel: int | None = None):
     """Reduce expr to normal form within fuel levels (by default a budget
     that grows with the input); returns (normal form, levels taken), from
-    big-step.  Where only levels() can tell what happens, it runs here under
-    the budget, so its errors and FuelExhaustedError come from here."""
+    big-step, which raises FuelExhaustedError for a run that completes past
+    fuel.  Where only levels() can tell what happens, it runs here under the
+    budget, so its errors come from here."""
     programs = _BUILTINS if programs is None else programs
     found = _big_step(expr, programs, fuel)
     if found is None:

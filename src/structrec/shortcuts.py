@@ -15,11 +15,9 @@ order) or the fact that an X1 has already been emitted (reverse order).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from . import datasets  # its JSON line encoder; datasets imports this module
 from .asm import AsmMachine, GuardedRule, _start, asm_run, machine_output
-from .errors import GenerationError
 from .evaluation import failure_signature
 from .reduction import Call, Value, reduce
 from .terms import (
@@ -32,6 +30,7 @@ from .terms import (
     _bin_terms,
     _bin_tokens,
     _chain_length,
+    edge_group,
     linearize,
     normalize_tokens,
 )
@@ -49,33 +48,6 @@ REVERSE_GUARD_LOCATIONS = frozenset({"done", "outn", "pivot", "halt", "x1_out"})
 def _check_mode(mode: str) -> None:
     if mode not in (FAITHFUL, CORRECTED):
         raise ValueError(f"unknown emulator mode: {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# edge-case groups
-
-
-def edge_group(value: int) -> int:
-    """1 for all-ones values (>= 2 bits), 2 for values of binary shape
-    1 0 1...1 (>= 3 bits), else 0."""
-    if value >= 3 and value & (value + 1) == 0:
-        return 1
-    bits = value.bit_length()
-    if bits >= 3 and value == 3 * 2 ** (bits - 2) - 1:
-        return 2
-    return 0
-
-
-def group1_value(bits: int) -> int:
-    if bits < 2:
-        raise GenerationError("group 1 needs bit length >= 2")
-    return 2**bits - 1
-
-
-def group2_value(bits: int) -> int:
-    if bits < 3:
-        raise GenerationError("group 2 needs bit length >= 3")
-    return 3 * 2 ** (bits - 2) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +164,9 @@ class Disagreement:
     got: tuple[str, ...]
     label: str
 
+    def to_dict(self) -> dict:
+        return asdict(self)
+
 
 @dataclass(frozen=True)
 class DisagreementReport:
@@ -228,14 +203,6 @@ def diff_against_oracle(order: str, mode: str, lo: int, hi: int) -> Disagreement
                 )
             )
     return DisagreementReport(order, mode, lo, hi, hi - lo + 1, tuple(found))
-
-
-def report_to_jsonl(report: DisagreementReport) -> str:
-    return "".join(
-        datasets._dump_line({"value": d.value, "bits": d.bits, "edge_group": d.edge_group,
-                             "expected": list(d.expected), "got": list(d.got), "label": d.label})
-        + "\n"
-        for d in report.disagreements)
 
 
 def report_summary(report: DisagreementReport) -> str:

@@ -15,7 +15,7 @@ import re
 import sys
 from dataclasses import FrozenInstanceError, dataclass, fields
 
-from .errors import MalformedSequenceError, RemapError
+from .errors import GenerationError, MalformedSequenceError, RemapError
 
 # Canonical constructor spellings for positive binary numbers.  Some
 # sources write the even constructor with a letter O; that spelling is
@@ -381,6 +381,29 @@ def bin_x1_run(n: int) -> int:
     if n & (n + 1) == 0:
         return n.bit_length() - 1
     return ((n + 1) & ~n).bit_length() - 1
+
+
+def edge_group(value: int) -> int:
+    """1 for all-ones values (>= 2 bits), 2 for values of binary shape
+    1 0 1...1 (>= 3 bits), else 0."""
+    if value >= 3 and value & (value + 1) == 0:
+        return 1
+    bits = value.bit_length()
+    if bits >= 3 and value == 3 * 2 ** (bits - 2) - 1:
+        return 2
+    return 0
+
+
+def group1_value(bits: int) -> int:
+    if bits < 2:
+        raise GenerationError("group 1 needs bit length >= 2")
+    return 2**bits - 1
+
+
+def group2_value(bits: int) -> int:
+    if bits < 3:
+        raise GenerationError("group 2 needs bit length >= 3")
+    return 3 * 2 ** (bits - 2) - 1
 
 
 def peano_encode(n: int) -> Term:

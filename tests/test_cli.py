@@ -120,6 +120,26 @@ def test_reduce_fuel_is_enough_at_the_level_count(capsys, program, text, taken):
     assert out == run(capsys, "reduce", program, text, "--trace")[1]
 
 
+@pytest.mark.parametrize("trace", [(), ("--trace",)])
+def test_reduce_past_the_fuel_raises_without_stepping(capsys, monkeypatch, trace):
+    # a depth-2,000 left spine takes 2,001 levels: big-step completes the
+    # run and raises itself, so the stepping engine never starts
+    from structrec import reduction
+    from structrec.terms import branch, leaf, tree_serialize
+
+    def no_engine(*args):
+        raise AssertionError("levels() ran")
+
+    tree = leaf()
+    for i in range(2000):
+        tree = branch("abc"[i % 3], tree, leaf())
+    text = " ".join(tree_serialize(tree))
+    monkeypatch.setattr(reduction, "_Engine", no_engine)
+    code, out, err = run(capsys, "reduce", "inorder", text, *trace, "--fuel", "2000")
+    assert (code, out) == (5, "")
+    assert err == "error: no normal form within 2000 levels\n"
+
+
 # ---------------------------------------------------------------------------
 # shortcut
 
@@ -726,6 +746,37 @@ def test_no_module_imports_a_name_it_does_not_use():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused |= {(path.stem, name) for name in imported - used}
     assert unused == UNUSED_IMPORTS_KEPT
+
+
+# each module imports only modules before it, so the modules form a DAG
+MODULE_ORDER = ("errors", "terms", "reduction", "asm", "datasets", "evaluation", "shortcuts",
+                "cli")
+
+
+def test_the_modules_import_each_other_in_one_order():
+    import ast
+
+    import structrec
+
+    found = set()
+    for path in sorted(Path(structrec.__file__).parent.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):  # the package's surface, after every module
+            continue
+        rank = MODULE_ORDER.index(path.stem)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        in_body = {id(node) for fn in ast.walk(tree)
+                   if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            for name in names:
+                if MODULE_ORDER.index(name) >= rank:
+                    found.add((path.stem, name, "not earlier"))
+                if id(node) in in_body:
+                    found.add((path.stem, name, "in a function"))
+    assert found == set()
 
 
 def test_python_dash_m_runs_the_cli():

@@ -24,6 +24,7 @@ from structrec.reduction import (
     Value,
     Var,
     _big_step,
+    _fueled_levels,
     builtin_programs,
     is_normal,
     levels,
@@ -485,7 +486,7 @@ def _tokens(expr):
 
 def _assert_big_step_is_levels(expr, programs=None):
     """Big-step gives the levels() normal form and level count L within L
-    levels and gives way below it, where reduce raises FuelExhaustedError;
+    levels, and below it both big-step and reduce raise FuelExhaustedError;
     returns L."""
     expected, taken = _by_levels(expr, programs)
     programs = builtin_programs() if programs is None else programs
@@ -494,7 +495,8 @@ def _assert_big_step_is_levels(expr, programs=None):
     final, level = reduce(expr, programs, fuel=taken)
     assert _tokens(final) == _tokens(expected) and level == taken
     if taken > 1:
-        assert _big_step(expr, programs, taken - 1) is None
+        with pytest.raises(FuelExhaustedError):
+            _big_step(expr, programs, taken - 1)
         with pytest.raises(FuelExhaustedError):
             reduce(expr, programs, fuel=taken - 1)
     return taken
@@ -725,12 +727,30 @@ def test_a_cross_program_loop_runs_out_of_fuel():
         reduce(expr, programs)
 
 
+def test_an_error_within_the_fuel_comes_before_a_deep_call_runs_out():
+    # big-step walks the deep call on the left past the fuel first, but
+    # levels() meets the missing clause on the right at level 2
+    both = Program("both", ("t",), CHAR_TREE, (
+        Clause("Leaf", (), ListLit(())),
+        Clause("Branch", ("v", "l", "r"),
+               Concat(Call("inorder", (Var("l"),)), Call("s", (Var("r"),)))),
+    ))
+    programs = {**builtin_programs(), "both": both}
+    expr = Call("both", (Value(branch("a", _left_spine(10), leaf())),))
+    for fuel in (2, 3, 12):
+        with pytest.raises(ReductionError, match="^s has no clause for 'Leaf'$"):
+            reduce(expr, programs, fuel)
+        with pytest.raises(ReductionError, match="^s has no clause for 'Leaf'$"):
+            next(render_states(expr, ARROW, programs, fuel))
+
+
 def test_big_step_takes_a_hundred_thousand_token_numeral():
     term = delinearize(["X1"] * 99_999 + ["01"], BIN_POS)
     expr = Call("s", (Value(term),))
     final, level = _big_step(expr, builtin_programs(), 100_000)
     assert linearize(final.term) == ["X0"] * 100_000 + ["01"] and level == 100_000
-    assert _big_step(expr, builtin_programs(), 99_999) is None
+    with pytest.raises(FuelExhaustedError, match="within 99999 levels"):
+        _big_step(expr, builtin_programs(), 99_999)
 
 
 def test_big_step_takes_a_depth_ten_thousand_left_spine():
@@ -738,7 +758,65 @@ def test_big_step_takes_a_depth_ten_thousand_left_spine():
     expr = Call("inorder", (Value(tree),))
     final, level = _big_step(expr, builtin_programs(), 10_001)
     assert list(final.items) == _walk_inorder(tree) and level == 10_001
-    assert _big_step(expr, builtin_programs(), 10_000) is None
+    with pytest.raises(FuelExhaustedError, match="within 10000 levels"):
+        _big_step(expr, builtin_programs(), 10_000)
+
+
+def _fuel_inputs():
+    """The fuzz inputs, and eleven seeded calls of each hand-built program,
+    each with the programs it runs on and its trace style."""
+    programs = {**builtin_programs(), **HAND_BUILT}
+    for expr in _fuzz_exprs(record_rng(13, "one-pass", 0)):
+        yield expr, programs, PAREN if expr.fn == "s" else ARROW
+    for name in sorted(HAND_BUILT):
+        for i in range(11):
+            rng = record_rng(7, f"fuel-{name}", i)
+            if HAND_BUILT[name].arg_type is CHAR_TREE:
+                arg, style = _tree_of_size(rng, rng.randint(0, 12)), ARROW
+            else:
+                arg, style = bin_encode(i + 1 if i < 3 else rng.randint(1, 2**12)), PAREN
+            yield Call(name, (Value(arg),)), programs, style
+
+
+def _by_fueled_levels(expr, programs, fuel, style):
+    """What reduce and render_states give by stepping levels() under fuel."""
+    render = render_state_paren if style == PAREN else render_state_unroll
+
+    def normal_form():
+        taken, engine = 0, None
+        for taken, engine in enumerate(_fueled_levels(expr, programs, fuel), start=1):
+            pass
+        return repr(expr if engine is None else engine.expr()), taken
+
+    def states():
+        return [" ".join(render(expr))] + [
+            " ".join(render(engine.expr())) for engine in _fueled_levels(expr, programs, fuel)]
+
+    return _outcome(normal_form), _outcome(states)
+
+
+def test_fuel_gives_what_levels_gives_under_it():
+    # big-step raises past the fuel itself where it completes; either way
+    # the outcome is the levels() run's: the normal form and level count,
+    # the states, or the error and its text
+    checked = 0
+    for expr, programs, style in _fuel_inputs():
+        taken = 0
+        try:
+            for taken, _ in enumerate(_fueled_levels(expr, programs, math.inf), start=1):
+                pass
+        except ReductionError:
+            pass  # taken counts the levels before the error
+        for fuel in [*range(1, taken + 2), None]:
+            def by_reduce():
+                final, level = reduce(expr, programs, fuel)
+                return repr(final), level
+
+            got = (_outcome(by_reduce),
+                   _outcome(lambda: list(render_states(expr, style, programs, fuel))))
+            assert got == _by_fueled_levels(expr, programs, fuel, style), (expr, fuel)
+            checked += 1
+    assert checked > 1500
 
 
 # ---------------------------------------------------------------------------

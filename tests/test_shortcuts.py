@@ -6,7 +6,7 @@ import tracemalloc
 import pytest
 
 from structrec.asm import ReadLog, asm_run, asm_step, machine_output
-from structrec.datasets import record_rng
+from structrec.datasets import record_rng, write_jsonl
 from structrec.errors import GenerationError, MalformedSequenceError
 from structrec.reduction import Call, Value, reduce
 from structrec.shortcuts import (
@@ -15,17 +15,21 @@ from structrec.shortcuts import (
     NATURAL_GUARD_LOCATIONS,
     REVERSE_GUARD_LOCATIONS,
     diff_against_oracle,
-    edge_group,
     emulate_natural,
     emulate_reverse,
-    group1_value,
-    group2_value,
     natural_shortcut_machine,
     report_summary,
-    report_to_jsonl,
     reverse_shortcut_machine,
 )
-from structrec.terms import NATURAL, REVERSE, bin_encode, linearize
+from structrec.terms import (
+    NATURAL,
+    REVERSE,
+    bin_encode,
+    edge_group,
+    group1_value,
+    group2_value,
+    linearize,
+)
 
 
 def _oracle(value, order):
@@ -165,10 +169,14 @@ def test_random_long_values_against_the_oracle():
             assert [d.value for d in found] == ([value] if all_ones else [])
 
 
-def test_report_serializations():
+def test_report_serializations(tmp_path):
     report = diff_against_oracle(NATURAL, FAITHFUL, 1, 64)
-    lines = [json.loads(line) for line in report_to_jsonl(report).splitlines()]
+    path = tmp_path / "disagreements.jsonl"
+    write_jsonl(report.disagreements, path)
+    lines = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
     assert [entry["value"] for entry in lines] == [3, 7, 15, 31, 63]
+    assert lines[0] == {"value": 3, "bits": 2, "edge_group": 1, "expected": ["01", "X0", "X0"],
+                        "got": ["01", "X0"], "label": "one-token-short"}
     summary = report_summary(report)
     assert "disagreements 5" in summary
 
