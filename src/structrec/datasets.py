@@ -330,8 +330,17 @@ def tree_key(tree: Term) -> str:
 
 def count_trees(max_depth: int, alphabet_size: int) -> int:
     """Distinct labeled trees of depth <= max_depth."""
+    return _count_trees(max_depth, alphabet_size, float("inf"))
+
+
+def _count_trees(max_depth: int, alphabet_size: int, enough) -> int:
+    """count_trees(max_depth, alphabet_size), or the count for a smaller
+    depth once that passes enough: each depth squares the count, so an
+    exact one soon has more digits than memory holds."""
     total = 1  # the bare leaf
     for _ in range(max_depth):
+        if total > enough:
+            break
         total = 1 + alphabet_size * total * total
     return total
 
@@ -389,19 +398,23 @@ def gen_trees(spec: DatasetSpec) -> tuple[list[TreeSample], SplitSpec]:
     across the depth range."""
     spec.validate()
     depths = list(range(spec.depth_lo, spec.depth_hi + 1))
-    available = count_trees(spec.depth_hi, len(spec.alphabet)) - count_trees(
-        spec.depth_lo - 1, len(spec.alphabet)
-    )
-    if spec.train_count + spec.test_count > available:
+    # counted only as far as the request needs: a depth holds at least as
+    # many trees as all shallower ones, so once a count passes the request
+    # the trees suffice, and a shortfall is always counted exactly
+    size, need = len(spec.alphabet), spec.train_count + spec.test_count
+    below = _count_trees(spec.depth_lo - 1, size, need)
+    available = _count_trees(spec.depth_hi, size, need + below) - below
+    if need > available:
         raise GenerationError(
-            f"requested {spec.train_count + spec.test_count} trees but only "
+            f"requested {need} trees but only "
             f"{available} distinct ones exist in depths {spec.depth_lo}..{spec.depth_hi}"
         )
     per_depth = spec.test_count // len(depths)
     extra = spec.test_count - per_depth * len(depths)
     test_quota = {d: per_depth + (1 if j < extra else 0) for j, d in enumerate(depths)}
     for d, quota in test_quota.items():
-        if quota > count_trees_exact(d, len(spec.alphabet)):
+        shallower = _count_trees(d - 1, size, quota)
+        if quota > 1 + size * shallower * shallower - shallower:  # count_trees_exact(d, size)
             raise GenerationError(f"not enough distinct depth-{d} trees for the test split")
 
     samples: list[TreeSample] = []

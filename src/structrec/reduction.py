@@ -244,11 +244,11 @@ class Program:
                 f"exactly once, got {covered}"
             )
         # per constructor: the payloads, children and arguments it takes, the
-        # function building the instance, rule name, the programs the
-        # instance calls, and big-step code (its calls, build and c, and its
-        # render code per trace style); both
-        # builders read the payloads, children, then the other arguments by
-        # position.  Not a field, so eq and repr ignore it
+        # template and its variables' slots in the environment (payloads,
+        # children, then the other arguments, by position), the rule name,
+        # the programs the instance calls, and big-step code (its calls,
+        # build and c, and its render code per trace style).  Not a field,
+        # so eq and repr ignore it
         object.__setattr__(self, "compiled", {})
         for clause in self.clauses:
             cdef = self.arg_type.constructor(clause.constructor)
@@ -257,9 +257,23 @@ class Program:
                 raise ValueError(f"{self.name}.{clause.constructor} needs "
                                  f"{n_pay + cdef.recursive_arity} binders")
             slots = {b: i for i, b in enumerate(clause.binders + self.params[1:])}
+            kids = range(n_pay, n_pay + cdef.recursive_arity)
             fns: set = set()
-            build = _compile(clause.template, self.name, slots,
-                             range(n_pay, n_pay + cdef.recursive_arity), fns)
+            stack = [clause.template]
+            while stack:
+                e = stack.pop()
+                if isinstance(e, Call):
+                    if not e.args:
+                        raise ValueError(f"{self.name}.{clause.constructor}: "
+                                         f"call of {e.fn!r} has no arguments")
+                    # recursive calls may only be applied to a child of the matched term
+                    first = e.args[0]
+                    if e.fn == self.name and not (isinstance(first, Var)
+                                                  and slots.get(first.name) in kids):
+                        raise ValueError(f"{self.name}: recursion is not structurally decreasing")
+                    fns.add(e.fn)
+                stack += reversed((e.left, e.right) if isinstance(e, Concat)
+                                  else getattr(e, "args", ()))
             calls: list = []
             try:
                 build_big, c, _ = _compile_big(clause.template, slots, calls)
@@ -268,7 +282,7 @@ class Program:
             except (KeyError, ReductionError):  # an unbound variable, or not an expression
                 big = None
             self.compiled[clause.constructor] = (
-                (n_pay, cdef.recursive_arity, len(self.params)), build,
+                (n_pay, cdef.recursive_arity, len(self.params)), clause.template, slots,
                 f"{self.name}/{clause.constructor}", tuple(fns), big)
 
 
@@ -276,62 +290,33 @@ class Program:
 # substitution and local normalization
 
 
-def _compile(template: Expr, name: str, slots: dict, kids: range, fns: set):
-    """A function from the environment (payloads, children, then the other
-    arguments, by position) to the instance of template, in which each
-    child becomes a value.  Adds to fns the programs the instance calls.
-    Recursive calls may only be applied to a child of the matched term."""
-    if isinstance(template, Var):
+def _instance(template: Expr, slots: dict, kids: range, env: tuple) -> Expr:
+    """The instance of template in env (payloads, children, then the other
+    arguments, as slots numbers them), in which each child becomes a value."""
+    cls = template.__class__
+    if cls is Var:
         slot = slots.get(template.name)
         if slot is None:
-            def unbound(env, var=template.name):
-                raise ReductionError(f"unbound template variable {var!r}")
-            return unbound
-        return (lambda env: Value(env[slot])) if slot in kids else operator.itemgetter(slot)
-    if isinstance(template, ListLit):
-        items = template.items
-        picks = {i: slots.get(it.name) for i, it in enumerate(items) if isinstance(it, Var)}
-        if not picks:
-            return lambda env: template
-
-        def fill(env):
-            out = list(items)
-            for i, slot in picks.items():
-                out[i] = None if slot is None else env[slot]
-                if not isinstance(out[i], str):
-                    raise ReductionError(f"list slot {items[i].name!r} is not a payload")
-            return ListLit(tuple(out))
-
-        return fill
-    if isinstance(template, Call):
-        first = template.args[0]
-        if template.fn == name and not (isinstance(first, Var) and slots.get(first.name) in kids):
-            raise ValueError(f"{name}: recursion is not structurally decreasing")
-        fns.add(template.fn)
-    if isinstance(template, (Ctor, Call)):
-        parts = [_compile(a, name, slots, kids, fns) for a in template.args]
-        if isinstance(template, Call):
-            fn = template.fn
-            if len(parts) == 1:
-                (only,) = parts
-                return lambda env: Call(fn, (only(env),))
-            return lambda env: Call(fn, tuple([p(env) for p in parts]))
-        ctor, payloads = template.name, template.payloads
-        if len(parts) == 1:
-            (only,) = parts
-
-            def build(env):
-                arg = only(env)
-                if arg.__class__ is Value:
-                    return Value(Term(ctor, payloads, (arg.term,)))
-                return Ctor(ctor, payloads, (arg,))
-            return build
-        return lambda env: _collapse_ctor(ctor, payloads, tuple([p(env) for p in parts]))
-    if isinstance(template, Concat):
-        left = _compile(template.left, name, slots, kids, fns)
-        right = _compile(template.right, name, slots, kids, fns)
-        return lambda env: Concat(left(env), right(env))
-    return lambda env: template
+            raise ReductionError(f"unbound template variable {template.name!r}")
+        return Value(env[slot]) if slot in kids else env[slot]
+    if cls is ListLit and Var in map(type, template.items):
+        items = []
+        for item in template.items:
+            if item.__class__ is Var:
+                slot = slots.get(item.name)
+                if slot is None or not isinstance(env[slot], str):
+                    raise ReductionError(f"list slot {item.name!r} is not a payload")
+                item = env[slot]
+            items.append(item)
+        return ListLit(tuple(items))
+    if cls is Concat:
+        return Concat(_instance(template.left, slots, kids, env),
+                      _instance(template.right, slots, kids, env))
+    if cls is not Call and cls is not Ctor:
+        return template
+    args = tuple([_instance(arg, slots, kids, env) for arg in template.args])
+    return Call(template.fn, args) if cls is Call else _collapse_ctor(
+        template.name, template.payloads, args)
 
 
 def _compile_big(template: Expr, slots: dict, calls: list):
@@ -478,13 +463,8 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
     term, the environment and render code of its clause instance, the
     calls the instance makes).  None also where style cannot render a
     clause instance from the cut."""
-    if style is None:
-        if not (isinstance(expr, Call) and expr.args
-                and all(isinstance(a, Value) for a in expr.args)):
-            return None
-        terms = [lambda env, vals, a=a: a.term for a in expr.args]
-        calls, code, kids = ((expr.fn, terms[0], tuple(terms[1:]), 0, (), ()),), None, None
-    else:
+    code, starts, kids = None, [expr], None
+    if style is not None:
         try:
             code, starts = _render_code(expr, {}, style)
         except KeyError:  # a variable in a runtime expression
@@ -493,12 +473,14 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
             return None
         if not starts:  # normal, or lists to join in one level
             return int(isinstance(expr, Concat)), code, []
-        calls, kids = [], []
-        for call in starts:  # each a call on values
-            if not (call.args and all(isinstance(a, Value) for a in call.args)):
-                return None
-            terms = [lambda env, vals, a=a: a.term for a in call.args]
-            calls.append((call.fn, terms[0], tuple(terms[1:]), 0, (), ()))
+        kids = []
+    calls = []
+    for call in starts:  # each a call on values
+        if not (isinstance(call, Call) and call.args
+                and all(isinstance(a, Value) for a in call.args)):
+            return None
+        terms = [lambda env, vals, a=a: a.term for a in call.args]
+        calls.append((call.fn, terms[0], tuple(terms[1:]), 0, (), ()))
     limit = 4 if fuel is None else max(4, _budget(expr, fuel))
     # the body being evaluated: its calls and build, its environment and the
     # level it appeared at, the values and levels of its calls so far, and
@@ -516,7 +498,7 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
                     return None  # levels() would substitute an argument still pending
                 prog = programs.get(fn)
                 entry = prog.compiled.get(term.constructor) if type(term) is Term and prog else None
-                body = entry[4] if entry else None
+                body = entry[5] if entry else None
                 if body is None or entry[0] != (len(term.payloads), len(term.children),
                                                 len(rest) + 1):
                     return None
@@ -537,7 +519,7 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
                     kids.append(fired)
                     if body[0]:
                         stack.append((calls, build, env, t, vals, ready_at, kids))
-                        calls, build, kids = body[0], _no_value, fired[4]
+                        calls, build, kids = body[0], lambda env, vals: None, fired[4]
                         env, t, vals, ready_at = body_env, ready + 1, [], []
                     else:
                         vals.append(None)
@@ -572,10 +554,6 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
     if root is not None:
         return level, code, root
     return (Value(value) if type(value) is Term else ListLit(value)), level
-
-
-def _no_value(env, vals) -> None:
-    return None
 
 
 def _collapse_ctor(name: str, payloads: tuple, args: tuple) -> Expr:
@@ -648,7 +626,9 @@ class _Engine:
     constructor over values becomes a value and, within a level, a concat
     of two lists flattens.  A level rewrites every outermost redex; a
     single step stops after the first (leftmost-outermost) one, so it
-    rebuilds only that redex's ancestors."""
+    rebuilds only that redex's ancestors.  A redex's clause instance is
+    built by one walk of the template (_instance).  The engine is the
+    reference big-step and its cuts are held to, and runs where they give up."""
 
     def __init__(self, expr: Expr, programs, single: bool):
         self.programs, self.single = programs, single
@@ -659,6 +639,8 @@ class _Engine:
                 raise ReductionError("unbound template variable in a runtime expression")
             if isinstance(e, Call) and e.fn not in programs:
                 raise ReductionError(f"unknown program: {e.fn!r}")
+            if isinstance(e, Call) and not e.args:
+                raise ReductionError(f"call of {e.fn!r} has no arguments")
             stack += (e.left, e.right) if isinstance(e, Concat) else getattr(e, "args", ())
         self.prefix: list[str] = []
         self.body = expr
@@ -710,12 +692,13 @@ class _Engine:
                 prog, args, term = programs[node.fn], node.args, node.args[0].term
                 if term.constructor not in prog.compiled:
                     raise ReductionError(f"{prog.name} has no clause for {term.constructor!r}")
-                want, build, rule, fns, _ = prog.compiled[term.constructor]
+                want, template, slots, rule, fns, _ = prog.compiled[term.constructor]
                 got = len(term.payloads), len(term.children), len(args)
                 if got != want:
                     raise ReductionError(f"{prog.name} on {term.constructor!r} takes "
                                          f"(payloads, children, arguments) {want}, got {got}")
-                node = build(term.payloads + term.children + args[1:])
+                node = _instance(template, slots, range(want[0], want[0] + want[1]),
+                                 term.payloads + term.children + args[1:])
                 for fn in fns:
                     if fn not in programs:
                         raise ReductionError(f"unknown program: {fn!r}")
@@ -917,7 +900,7 @@ def render_state_unroll(expr: Expr) -> list[str]:
             out += e.items
         elif cls is not Call:
             raise RenderError(f"traversal form cannot render {cls.__name__} states")
-        elif e.args[0].__class__ is not Value:
+        elif not e.args or e.args[0].__class__ is not Value:
             raise RenderError("pending call argument must be a value")
         elif e.args[0].term.constructor == "Leaf":
             out.append(EMPTY_TOKEN)

@@ -1,11 +1,13 @@
 """CLI: subcommand behavior, file outputs, and exit codes."""
 
 import argparse
+import ast
 import gc
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -269,6 +271,24 @@ def test_gen_trees_writes_split_files(capsys, tmp_path):
     train_tokens = {json.dumps(json.loads(line)["tokens"]) for line in train}
     test_tokens = {json.dumps(json.loads(line)["tokens"]) for line in test}
     assert not train_tokens & test_tokens
+
+
+def test_gen_trees_counts_deep_requests_only_as_far_as_they_need(capsys, tmp_path):
+    # each depth squares the number of trees, so an exact count of depth
+    # 1,000 would never finish
+    for argv, expected, err in [
+        (("--depths", "1000:1000", "--train", "0", "--test", "0"), 0, ""),
+        (("--alphabet", "a", "--depths", "3:40", "--test", "30000"), 4,
+         "error: not enough distinct depth-3 trees for the test split\n"),
+        (("--alphabet", "a", "--depths", "1:3", "--train", "30", "--test", "2"), 4,
+         "error: requested 32 trees but only 25 distinct ones exist in depths 1..3\n"),
+    ]:
+        start = time.perf_counter()
+        code, _, got = run(capsys, "gen", "trees", *argv, "--out", str(tmp_path))
+        assert time.perf_counter() - start < 1
+        assert (code, got) == (expected, err)
+    for name in ("trees_train", "trees_test"):
+        assert (tmp_path / f"{name}.jsonl").read_text() == ""
 
 
 def test_gen_traces_validate_cleanly(capsys, tmp_path):
@@ -754,8 +774,6 @@ MODULE_ORDER = ("errors", "terms", "reduction", "asm", "datasets", "evaluation",
 
 
 def test_the_modules_import_each_other_in_one_order():
-    import ast
-
     import structrec
 
     found = set()
@@ -777,6 +795,27 @@ def test_the_modules_import_each_other_in_one_order():
                 if id(node) in in_body:
                     found.add((path.stem, name, "in a function"))
     assert found == set()
+
+
+# public top-level functions and classes per module, so that a new public
+# name is a deliberate edit here
+PUBLIC_DEFS = {"asm": 13, "cli": 12, "datasets": 28, "errors": 11, "evaluation": 13,
+               "reduction": 24, "shortcuts": 8, "terms": 21}
+
+
+def test_the_public_defs_of_each_module_are_pinned():
+    import structrec
+
+    found = {}
+    for path in sorted(Path(structrec.__file__).parent.glob("*.py")):
+        if path.stem in ("__init__", "__main__"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found[path.stem] = sum(
+            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") for node in tree.body)
+    assert found == PUBLIC_DEFS
+    assert sum(found.values()) == 130
 
 
 def test_python_dash_m_runs_the_cli():

@@ -995,6 +995,46 @@ def test_unknown_programs_and_unbound_variables_raise_on_the_first_step():
                 next(levels(expr, single=single))
 
 
+def _runs_of(expr, programs):
+    """Each way to normalize expr: reduce, levels and render_states."""
+    return (lambda: reduce(expr, programs), lambda: list(levels(expr, programs)),
+            lambda: list(render_states(expr, PAREN, programs)))
+
+
+@pytest.mark.parametrize("on_succ, message", [
+    (Ctor("S", (), (Var("zz"),)), "unbound template variable 'zz'"),
+    (Concat(ListLit(("x",)), ListLit((Var("a"),))), "list slot 'a' is not a payload"),
+], ids=["unbound", "list-slot"])
+def test_a_clause_instance_error_raises_from_every_run(on_succ, message):
+    bad = Program("bad", ("n",), PEANO, (Clause("I", (), ListLit(())), Clause("S", ("a",), on_succ)))
+    programs = {**builtin_programs(), "bad": bad}
+    expr = Call("bad", (Value(peano_encode(3)),))
+    for normalize in _runs_of(expr, programs):
+        with pytest.raises(ReductionError) as raised:
+            normalize()
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("first", [Var("n"), Var("m"), PEANO_ONE, Call("r", (Var("p"),))],
+                         ids=["own-argument", "other-argument", "value", "call"])
+def test_recursion_on_anything_but_a_child_is_rejected(first):
+    with pytest.raises(ValueError) as raised:
+        _peano_program("r", ("n", "m"), ListLit(()), Concat(ListLit(()), Call("r", (first,))))
+    assert str(raised.value) == "r: recursion is not structurally decreasing"
+
+
+def test_a_call_with_no_arguments_is_rejected():
+    with pytest.raises(ValueError, match=r"^r\.S: call of 's' has no arguments$"):
+        _peano_program("r", ("n",), ListLit(()), Ctor("S", (), (Call("s", ()),)))
+    nested = Concat(ListLit(("a",)), Call("inorder", ()))
+    for normalize in _runs_of(Call("s", ()), None)[::-1] + _runs_of(nested, None)[:2]:
+        with pytest.raises(ReductionError, match=r"^call of '(s|inorder)' has no arguments$"):
+            normalize()
+    states = render_states(Call("inorder", ()), ARROW)
+    with pytest.raises(RenderError, match="pending call argument must be a value"):
+        next(states)
+
+
 def test_an_instance_calling_an_unknown_program_raises_in_the_step_that_builds_it():
     hop = _peano_program("hop", ("n",), ListLit(("end",)), Call("gone", (Var("p"),)))
     relay = _peano_program("relay", ("n",), ListLit(()), Call("hop", (Var("p"),)))
