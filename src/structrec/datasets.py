@@ -21,7 +21,6 @@ from .reduction import (
     PAREN,
     Call,
     ListLit,
-    Value,
     reduce,
     render_states,
     render_trace,
@@ -273,7 +272,7 @@ def gen_single_step(spec: DatasetSpec) -> list[ExampleRecord]:
     records = []
     for value in range(spec.lo, spec.hi + 1):
         term = bin_encode(value)
-        states = [state.split(" ") for state in render_states(Call("s", (Value(term),)), PAREN)]
+        states = [state.split(" ") for state in render_states(Call("s", (term,)), PAREN)]
         group = edge_group(value)
         for step_i in range(len(states) - 1):
             records.append(
@@ -468,7 +467,7 @@ def gen_traversal(samples, kind: str, k: int | None = None) -> list[ExampleRecor
         raise GenerationError("k must be at least 1 when set")
     records = []
     for sample in samples:
-        expr = Call(kind, (Value(sample.tree),))
+        expr = Call(kind, (sample.tree,))
         if k is None:
             final, _ = reduce(expr)
             assert isinstance(final, ListLit)
@@ -506,7 +505,7 @@ def gen_traces(spec: DatasetSpec) -> list[TraceRecord]:
                     id=f"trace-succ-{value}",
                     task="successor",
                     input=linearize(term),
-                    trace=render_trace(Call("s", (Value(term),)), PAREN),
+                    trace=render_trace(Call("s", (term,)), PAREN),
                 )
             )
         return records
@@ -519,7 +518,7 @@ def gen_traces(spec: DatasetSpec) -> list[TraceRecord]:
                     id=f"trace-{spec.kind}-{sample.id}",
                     task=spec.kind,
                     input=tree_serialize(sample.tree),
-                    trace=render_trace(Call(spec.kind, (Value(sample.tree),)), ARROW),
+                    trace=render_trace(Call(spec.kind, (sample.tree,)), ARROW),
                 )
             )
         return records

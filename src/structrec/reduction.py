@@ -56,17 +56,11 @@ SEPARATOR = {PAREN: " = ", ARROW: " -> "}
 # ---------------------------------------------------------------------------
 # expressions
 #
-# Expressions keep their fields in slots: stepping builds every state, and a
-# slotted instance takes about half the memory of one with a dict.  Each is
-# built by storing its fields straight into the slots (see _slot_stored).
-
-
-@_slot_stored
-@dataclass(frozen=True, slots=True)
-class Value:
-    """A fully reduced constructor term."""
-
-    term: Term
+# A constructor term is already a value, so a Term is the value node of an
+# expression; the other nodes hold the work still pending.  Expressions keep
+# their fields in slots: stepping builds every state, and a slotted instance
+# takes about half the memory of one with a dict.  Each is built by storing
+# its fields straight into the slots (see _slot_stored).
 
 
 class _Nested:
@@ -162,17 +156,22 @@ class Var:
     name: str
 
 
-Expr = Value | Ctor | Call | ListLit | Concat | Var
+Expr = Term | Ctor | Call | ListLit | Concat | Var
 
 
 def is_normal(expr: Expr) -> bool:
     """Normal forms contain no pending calls and no unflattened concats."""
+    return _over(expr, (Term, ListLit))
+
+
+def _over(expr: Expr, leaves: tuple) -> bool:
+    """expr is constructors over leaves, each of a class in leaves."""
     stack = [expr]
     while stack:
         e = stack.pop()
         if isinstance(e, Ctor):
-            stack.extend(e.args)
-        elif not isinstance(e, (Value, ListLit)):
+            stack += e.args
+        elif not isinstance(e, leaves):
             return False
     return True
 
@@ -196,8 +195,6 @@ def _token_count(expr: Expr, enough: float) -> int:
                 stack += e.children
             else:
                 total += e._span[2] - e._span[1]
-        elif isinstance(e, Value):
-            stack.append(e.term)
         elif isinstance(e, Ctor):
             total += 1 + len(e.payloads)
             stack.extend(e.args)
@@ -236,6 +233,8 @@ class Program:
     clauses: tuple[Clause, ...]
 
     def __post_init__(self) -> None:
+        if not self.params:
+            raise ValueError(f"{self.name} takes no parameters: it needs one to match on")
         covered = [c.constructor for c in self.clauses]
         expected = [c.name for c in self.arg_type.constructors]
         if sorted(covered) != sorted(expected):
@@ -290,15 +289,15 @@ class Program:
 # substitution and local normalization
 
 
-def _instance(template: Expr, slots: dict, kids: range, env: tuple) -> Expr:
+def _instance(template: Expr, slots: dict, env: tuple) -> Expr:
     """The instance of template in env (payloads, children, then the other
-    arguments, as slots numbers them), in which each child becomes a value."""
+    arguments, as slots numbers them)."""
     cls = template.__class__
     if cls is Var:
         slot = slots.get(template.name)
         if slot is None:
             raise ReductionError(f"unbound template variable {template.name!r}")
-        return Value(env[slot]) if slot in kids else env[slot]
+        return env[slot]
     if cls is ListLit and Var in map(type, template.items):
         items = []
         for item in template.items:
@@ -310,11 +309,10 @@ def _instance(template: Expr, slots: dict, kids: range, env: tuple) -> Expr:
             items.append(item)
         return ListLit(tuple(items))
     if cls is Concat:
-        return Concat(_instance(template.left, slots, kids, env),
-                      _instance(template.right, slots, kids, env))
+        return Concat(_instance(template.left, slots, env), _instance(template.right, slots, env))
     if cls is not Call and cls is not Ctor:
         return template
-    args = tuple([_instance(arg, slots, kids, env) for arg in template.args])
+    args = tuple([_instance(arg, slots, env) for arg in template.args])
     return Call(template.fn, args) if cls is Call else _collapse_ctor(
         template.name, template.payloads, args)
 
@@ -329,9 +327,8 @@ def _compile_big(template: Expr, slots: dict, calls: list):
     if isinstance(template, Var):
         slot = slots[template.name]
         return (lambda env, vals: env[slot]), 0, ()
-    if isinstance(template, (Value, str)):  # a term, or a token in a list
-        const = template.term if isinstance(template, Value) else template
-        return (lambda env, vals: const), 0, ()
+    if isinstance(template, (Term, str)):  # a term, or a token in a list
+        return (lambda env, vals: template), 0, ()
     if isinstance(template, ListLit):
         kids, kind, c, join = template.items, str, 0, None
     elif isinstance(template, Concat):
@@ -400,7 +397,7 @@ def _render_code(expr: Expr, slots: dict, style: str, payloads: range = range(0)
     while stack:
         e = stack.pop()
         if isinstance(e, Call):
-            if not all(_holds_no_call(arg) for arg in e.args):
+            if not all(_over(arg, (Var, Term)) for arg in e.args):
                 return None, None
             code.append(len(calls))
             calls.append(e)
@@ -419,10 +416,10 @@ def _render_code(expr: Expr, slots: dict, style: str, payloads: range = range(0)
                 return None, None
         elif isinstance(e, Var) and slots[e.name] not in payloads:
             code.append((slots[e.name],))
-        elif isinstance(e, Value):
-            code += linearize(e.term)
+        elif isinstance(e, Term):
+            code += linearize(e)
         elif isinstance(e, Ctor) and (len(e.args) == 1 and not e.payloads
-                                      or all(_holds_no_call(arg) for arg in e.args)):
+                                      or all(_over(arg, (Var, Term)) for arg in e.args)):
             # a link of the emitted prefix, or a value: the constructor, its
             # payloads, then its arguments, as linearize writes a term
             code.append(e.name)
@@ -431,18 +428,6 @@ def _render_code(expr: Expr, slots: dict, style: str, payloads: range = range(0)
         else:
             return None, None
     return tuple(code), calls
-
-
-def _holds_no_call(expr: Expr) -> bool:
-    """expr is a value once its variables are bound."""
-    stack = [expr]
-    while stack:
-        e = stack.pop()
-        if isinstance(e, Ctor):
-            stack += e.args
-        elif not isinstance(e, (Var, Value)):
-            return False
-    return True
 
 
 def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
@@ -477,9 +462,9 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
     calls = []
     for call in starts:  # each a call on values
         if not (isinstance(call, Call) and call.args
-                and all(isinstance(a, Value) for a in call.args)):
+                and all(isinstance(a, Term) for a in call.args)):
             return None
-        terms = [lambda env, vals, a=a: a.term for a in call.args]
+        terms = [lambda env, vals, a=a: a for a in call.args]
         calls.append((call.fn, terms[0], tuple(terms[1:]), 0, (), ()))
     limit = 4 if fuel is None else max(4, _budget(expr, fuel))
     # the body being evaluated: its calls and build, its environment and the
@@ -553,22 +538,21 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
         raise FuelExhaustedError(f"no normal form within {fuel} levels")
     if root is not None:
         return level, code, root
-    return (Value(value) if type(value) is Term else ListLit(value)), level
+    return (value if type(value) is Term else ListLit(value)), level
 
 
 def _collapse_ctor(name: str, payloads: tuple, args: tuple) -> Expr:
-    # bookkeeping, not a reduction step: a constructor over values folds
-    # back into a plain term
+    # bookkeeping, not a reduction step: a constructor over values is a value
     for arg in args:
-        if arg.__class__ is not Value:
+        if arg.__class__ is not Term:
             return Ctor(name, payloads, args)
-    return Value(Term(name, payloads, tuple([arg.term for arg in args])))
+    return Term(name, payloads, args)
 
 
 def _make_builtins() -> dict[str, Program]:
     programs = [
         Program("s", ("b",), BIN_POS, (
-            Clause(ONE, (), Value(Term(X0, children=(Term(ONE),)))),
+            Clause(ONE, (), Term(X0, children=(Term(ONE),))),
             Clause(X0, ("b",), Ctor(X1, (), (Var("b"),))),
             Clause(X1, ("b",), Ctor(X0, (), (Call("s", (Var("b"),)),))))),
         Program("add", ("n", "m"), PEANO, (
@@ -600,8 +584,8 @@ def program_call(program: Program, inputs) -> Call:
         raise ReductionError(
             f"{program.name} takes {len(program.params)} input(s), got {len(inputs)}")
     return Call(program.name, tuple(
-        Value(tree_parse(toks) if program.arg_type is CHAR_TREE
-              else delinearize(toks, program.arg_type)) for toks in inputs))
+        tree_parse(toks) if program.arg_type is CHAR_TREE
+        else delinearize(toks, program.arg_type) for toks in inputs))
 
 
 # ---------------------------------------------------------------------------
@@ -623,11 +607,12 @@ class _Engine:
     over the part still pending (body).  A step walks the body once, in
     post-order: it fires each outermost redex it meets and rebuilds only
     the nodes whose children changed, folding what that completes: a
-    constructor over values becomes a value and, within a level, a concat
+    constructor over terms becomes a term and, within a level, a concat
     of two lists flattens.  A level rewrites every outermost redex; a
     single step stops after the first (leftmost-outermost) one, so it
     rebuilds only that redex's ancestors.  A redex's clause instance is
-    built by one walk of the template (_instance).  The engine is the
+    built by one walk of the template (_instance); expr() folds the prefix
+    back over the body as a step folds a constructor.  The engine is the
     reference big-step and its cuts are held to, and runs where they give up."""
 
     def __init__(self, expr: Expr, programs, single: bool):
@@ -657,13 +642,8 @@ class _Engine:
 
     def expr(self) -> Expr:
         expr = self.body
-        if isinstance(expr, Value) and self.prefix:  # the prefix folds into the value
-            term = expr.term
-            for name in reversed(self.prefix):
-                term = Term(name, (), (term,))
-            return Value(term)
         for name in reversed(self.prefix):
-            expr = Ctor(name, (), (expr,))
+            expr = _collapse_ctor(name, (), (expr,))
         return expr
 
     def step(self) -> bool:
@@ -687,9 +667,9 @@ class _Engine:
                     path.append(0)
                     node = left
                     continue
-            elif cls is Call and node.args[0].__class__ is Value:
+            elif cls is Call and node.args[0].__class__ is Term:
                 # the instance of the clause the matched term selects
-                prog, args, term = programs[node.fn], node.args, node.args[0].term
+                prog, args, term = programs[node.fn], node.args, node.args[0]
                 if term.constructor not in prog.compiled:
                     raise ReductionError(f"{prog.name} has no clause for {term.constructor!r}")
                 want, template, slots, rule, fns, _ = prog.compiled[term.constructor]
@@ -697,8 +677,7 @@ class _Engine:
                 if got != want:
                     raise ReductionError(f"{prog.name} on {term.constructor!r} takes "
                                          f"(payloads, children, arguments) {want}, got {got}")
-                node = _instance(template, slots, range(want[0], want[0] + want[1]),
-                                 term.payloads + term.children + args[1:])
+                node = _instance(template, slots, term.payloads + term.children + args[1:])
                 for fn in fns:
                     if fn not in programs:
                         raise ReductionError(f"unknown program: {fn!r}")
@@ -824,7 +803,7 @@ def recursion_depth(term: Term | tuple[Term, ...], program: str = "s",
                     programs: dict[str, Program] | None = None) -> int:
     """Levels to reach the normal form of program applied to term, unbudgeted."""
     args = (term,) if isinstance(term, Term) else tuple(term)
-    return reduce(Call(program, tuple(Value(t) for t in args)), programs, math.inf)[1]
+    return reduce(Call(program, args), programs, math.inf)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -842,14 +821,14 @@ def render_state_paren(expr: Expr) -> list[str]:
             raise RenderError("paren form needs a chain of unary constructors")
         prefix.append(cur.name)
         cur = cur.args[0]
-    if isinstance(cur, Value):
-        return prefix + linearize(cur.term)
+    if isinstance(cur, Term):
+        return prefix + linearize(cur)
     if isinstance(cur, Call):
         inner: list[str] = []
         for arg in cur.args:
-            if not isinstance(arg, Value):
+            if not isinstance(arg, Term):
                 raise RenderError("pending call arguments must be values")
-            inner.extend(linearize(arg.term))
+            inner.extend(linearize(arg))
         return prefix + [LPAR] + inner + [RPAR]
     raise RenderError(f"paren form cannot render {type(cur).__name__} states")
 
@@ -863,7 +842,7 @@ def parse_state_paren(tokens, program: Program, *, normalized: bool = False) -> 
     if LPAR not in toks:
         if RPAR in toks:
             raise ReductionError("unbalanced parens")
-        return Value(delinearize(toks, program.arg_type, normalized=True))
+        return delinearize(toks, program.arg_type, normalized=True)
     open_i = toks.index(LPAR)
     if toks[-1] != RPAR or toks.count(LPAR) != 1 or toks.count(RPAR) != 1:
         raise ReductionError("state must contain exactly one trailing paren group")
@@ -873,7 +852,7 @@ def parse_state_paren(tokens, program: Program, *, normalized: bool = False) -> 
     args: list[Expr] = []
     for _ in program.params:  # one term per parameter
         term, used = delinearize(inner, program.arg_type, prefix=True, normalized=True)
-        args.append(Value(term))
+        args.append(term)
         inner = inner[used:]
     if inner:
         raise ReductionError(f"trailing tokens in paren group: {inner}")
@@ -900,13 +879,13 @@ def render_state_unroll(expr: Expr) -> list[str]:
             out += e.items
         elif cls is not Call:
             raise RenderError(f"traversal form cannot render {cls.__name__} states")
-        elif not e.args or e.args[0].__class__ is not Value:
+        elif not e.args or e.args[0].__class__ is not Term:
             raise RenderError("pending call argument must be a value")
-        elif e.args[0].term.constructor == "Leaf":
+        elif e.args[0].constructor == "Leaf":
             out.append(EMPTY_TOKEN)
         else:
             out.append(UNROLL_OPEN)
-            out += tree_serialize(e.args[0].term)
+            out += tree_serialize(e.args[0])
             out.append(UNROLL_CLOSE)
     return out
 
@@ -930,7 +909,7 @@ def parse_state_unroll(tokens, program: Program, *, normalized: bool = False) ->
         tok = toks[pos]
         if tok == EMPTY_TOKEN:
             flush()
-            items.append(Call(program.name, (Value(Term("Leaf")),)))
+            items.append(Call(program.name, (Term("Leaf"),)))
             pos += 1
         elif tok == UNROLL_OPEN:
             flush()
@@ -939,7 +918,7 @@ def parse_state_unroll(tokens, program: Program, *, normalized: bool = False) ->
             except ValueError:
                 raise ReductionError("unterminated UNROLL group") from None
             tree = tree_parse(toks[pos + 1 : close], normalized=True)
-            items.append(Call(program.name, (Value(tree),)))
+            items.append(Call(program.name, (tree,)))
             pos = close + 1
         elif tok == UNROLL_CLOSE:
             raise ReductionError("unmatched ] in state")

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 from .asm import AsmMachine, GuardedRule, _start, asm_run, machine_output
 from .evaluation import failure_signature
-from .reduction import Call, Value, reduce
+from .reduction import Call, reduce
 from .terms import (
     BIN_POS,
     NATURAL,
@@ -189,7 +189,7 @@ def diff_against_oracle(order: str, mode: str, lo: int, hi: int) -> Disagreement
     step = -1 if order == NATURAL else 1  # natural order is the reversal
     found = []
     for value, term in zip(range(lo, hi + 1), _bin_terms(lo, hi)):
-        expected = linearize(reduce(Call("s", (Value(term),)))[0].term)[::step]
+        expected = linearize(reduce(Call("s", (term,)))[0])[::step]
         got = emulate(_bin_tokens(value)[::step], mode)
         if got != expected:
             found.append(

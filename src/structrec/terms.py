@@ -357,16 +357,22 @@ def _bin_terms(lo: int, hi: int):
         yield chain[0]
 
 
-def bin_value(term: Term) -> int:
+def _chain_links(term: Term, links: tuple, end: str, kind: str) -> list[str]:
+    """The constructors of term's chain of one-child links, from the root,
+    down to end, which takes no children; a node off that shape raises."""
     ops: list[str] = []
     t = term
-    while t.constructor != ONE:
-        if t.constructor not in (X0, X1) or len(t.children) != 1:
-            raise MalformedSequenceError(f"not a bin_pos term: {t.constructor!r}")
+    while t.constructor in links and len(t.children) == 1 and not t.payloads:
         ops.append(t.constructor)
         t = t.children[0]
+    if t.constructor != end or t.children or t.payloads:
+        raise MalformedSequenceError(f"not a {kind} term: {t.constructor!r}")
+    return ops
+
+
+def bin_value(term: Term) -> int:
     value = 1
-    for op in reversed(ops):
+    for op in reversed(_chain_links(term, (X0, X1), ONE, "bin_pos")):
         value = value * 2 + (1 if op == X1 else 0)
     return value
 
@@ -417,14 +423,7 @@ def peano_encode(n: int) -> Term:
 
 
 def peano_value(term: Term) -> int:
-    value = 1
-    t = term
-    while t.constructor == "S":
-        value += 1
-        t = t.children[0]
-    if t.constructor != "I":
-        raise MalformedSequenceError(f"not a peano term: {t.constructor!r}")
-    return value
+    return 1 + len(_chain_links(term, ("S",), "I", "peano"))
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,6 @@ from structrec.reduction import (
     PAREN,
     Call,
     ListLit,
-    Value,
     recursion_depth,
     reduce,
     render_trace,
@@ -68,7 +67,7 @@ def _verdict(num, ok, description):
 
 
 def _successor(n):
-    return reduce(Call("s", (Value(bin_encode(n)),)))
+    return reduce(Call("s", (bin_encode(n),)))
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +79,7 @@ def test_criterion_01_successor_oracle():
     correct = 0
     for n in range(1, 131072 + 1):
         final, _ = _successor(n)
-        if bin_value(final.term) == n + 1:
+        if bin_value(final) == n + 1:
             correct += 1
     elapsed = time.perf_counter() - started
     ok = correct == 131072 and elapsed < 30.0
@@ -101,17 +100,17 @@ def test_criterion_02_pinned_examples():
     ok = True
     for arg, want in pairs:
         term = delinearize(tokenize(arg), BIN_POS)
-        final, _ = reduce(Call("s", (Value(term),)))
-        ok = ok and linearize(final.term) == tokenize(want)
+        final, _ = reduce(Call("s", (term,)))
+        ok = ok and linearize(final) == tokenize(want)
 
     final, taken = _successor(11)
-    ok = ok and linearize(final.term) == tokenize("XO XO X1 01") and taken == 3
+    ok = ok and linearize(final) == tokenize("XO XO X1 01") and taken == 3
 
-    add_final, _ = reduce(Call("add", (Value(peano_encode(2)), Value(peano_encode(1)))))
-    ok = ok and linearize(add_final.term) == ["S", "S", "I"]
+    add_final, _ = reduce(Call("add", (peano_encode(2), peano_encode(1))))
+    ok = ok and linearize(add_final) == ["S", "S", "I"]
 
     cat = branch("a", branch("c", leaf(), leaf()), branch("t", leaf(), leaf()))
-    cat_final, cat_taken = reduce(Call("inorder", (Value(cat),)))
+    cat_final, cat_taken = reduce(Call("inorder", (cat,)))
     ok = ok and cat_final == ListLit(("c", "a", "t")) and cat_taken == 3
 
     _verdict(2, ok, "six successor pairs, the three-level eleven chain, "
@@ -171,7 +170,7 @@ def test_criterion_04_traversal_equivalence():
         nonlocal mismatches, checked
         checked += 1
         for kind in ("inorder", "preorder"):
-            final, _ = reduce(Call(kind, (Value(tree),)))
+            final, _ = reduce(Call(kind, (tree,)))
             if list(final.items) != _ref_traversal(tree, kind):
                 mismatches += 1
 
@@ -222,7 +221,7 @@ def test_criterion_06_rasm_agreement():
     for n in range(1, 4096 + 1):
         final, _ = _successor(n)
         result = rasm_run(spec, linearize(bin_encode(n)))
-        if result.output != linearize(final.term) or result.agent_count != bin_x1_run(n):
+        if result.output != linearize(final) or result.agent_count != bin_x1_run(n):
             bad += 1
     _verdict(6, bad == 0, f"recursive machine agrees with the engine and spawns "
                           f"trailing-ones children for all n <= 4096 ({bad} failures)")
@@ -246,13 +245,13 @@ def test_criterion_07_trace_validator():
     a label; the skipped-copy trace is flagged at step 2."""
     traces = []
     for n in range(1, 9001):
-        traces.append((render_trace(Call("s", (Value(bin_encode(n)),)), PAREN), "successor",
+        traces.append((render_trace(Call("s", (bin_encode(n),)), PAREN), "successor",
                        linearize(bin_encode(n))))
     samples, _ = gen_trees(DatasetSpec(task="traversal", depth_lo=2, depth_hi=4,
                                        train_count=1000, test_count=0,
                                        seed=DEFAULT_SEED))
     for sample in samples:
-        traces.append((render_trace(Call("inorder", (Value(sample.tree),)), ARROW), "inorder",
+        traces.append((render_trace(Call("inorder", (sample.tree,)), ARROW), "inorder",
                        tree_serialize(sample.tree)))
 
     valid = sum(

@@ -19,7 +19,6 @@ from structrec.reduction import (
     ARROW,
     PAREN,
     Call,
-    Value,
     builtin_programs,
     levels,
     parse_state_unroll,
@@ -308,7 +307,7 @@ def test_add_level_records():
 
 
 def test_inorder_level_and_single_records():
-    expr = Call("inorder", (Value(tree_parse(tokenize("a ( c LEAF LEAF ) ( t LEAF LEAF )"))),))
+    expr = Call("inorder", (tree_parse(tokenize("a ( c LEAF LEAF ) ( t LEAF LEAF )")),))
     assert [(engine.paths, engine.rules) for engine in levels(expr)] == [
         (((),), ("inorder/Branch",)),
         (((0, 0), (1,)), ("inorder/Branch", "inorder/Branch")),

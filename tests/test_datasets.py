@@ -43,7 +43,6 @@ from structrec.errors import EvalError, GenerationError, RemapError
 from structrec.evaluation import PredictionRecord, read_predictions
 from structrec.reduction import (
     Call,
-    Value,
     builtin_programs,
     parse_state_paren,
     recursion_depth,

@@ -29,7 +29,7 @@ from structrec.evaluation import (
     validate_trace,
 )
 from structrec.datasets import DatasetSpec, ExampleRecord, RecordMeta, gen_successor_range
-from structrec.reduction import ARROW, PAREN, Call, Value, render_trace
+from structrec.reduction import ARROW, PAREN, Call, render_trace
 from structrec.terms import (
     TOKEN_ALIASES,
     bin_encode,
@@ -555,11 +555,11 @@ def test_render_report_rejects_unknown_format():
 
 
 def _successor_trace(n):
-    return render_trace(Call("s", (Value(bin_encode(n)),)), PAREN)
+    return render_trace(Call("s", (bin_encode(n),)), PAREN)
 
 
 def _traversal_trace(tree, kind="inorder"):
-    return render_trace(Call(kind, (Value(tree),)), ARROW)
+    return render_trace(Call(kind, (tree,)), ARROW)
 
 
 def test_oracle_successor_traces_validate():
@@ -597,7 +597,7 @@ def test_the_first_state_is_normalized_once(monkeypatch):
     # called on their own, the parsers still normalize
     program = reduction.builtin_programs()["s"]
     assert reduction.parse_state_paren(["XO", "(", "01", ")"], program) == reduction.Ctor(
-        "X0", (), (Call("s", (Value(bin_encode(1)),)),))
+        "X0", (), (Call("s", (bin_encode(1),)),))
 
 
 def test_single_state_trace_of_a_base_value_is_not_valid():

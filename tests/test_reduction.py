@@ -21,7 +21,6 @@ from structrec.reduction import (
     Ctor,
     ListLit,
     Program,
-    Value,
     Var,
     _big_step,
     _fueled_levels,
@@ -69,7 +68,7 @@ CAT_TREE = branch("a", branch("c", leaf(), leaf()), branch("t", leaf(), leaf()))
 
 
 def s_of(n):
-    return Call("s", (Value(bin_encode(n)),))
+    return Call("s", (bin_encode(n),))
 
 
 def run(expr):
@@ -92,9 +91,9 @@ SUCCESSOR_PAIRS = [
 
 @pytest.mark.parametrize("arg,expected", SUCCESSOR_PAIRS)
 def test_successor_small_pairs(arg, expected):
-    final, _ = run(Call("s", (Value(delinearize(tokenize(arg), BIN_POS)),)))
-    assert isinstance(final, Value)
-    assert linearize(final.term) == tokenize(expected)
+    final, _ = run(Call("s", (delinearize(tokenize(arg), BIN_POS),)))
+    assert isinstance(final, Term)
+    assert linearize(final) == tokenize(expected)
 
 
 def test_successor_is_plus_one_random():
@@ -102,7 +101,7 @@ def test_successor_is_plus_one_random():
     for _ in range(300):
         n = rng.randint(1, 2**40)
         final, _ = run(s_of(n))
-        assert bin_value(final.term) == n + 1
+        assert bin_value(final) == n + 1
 
 
 def test_successor_trace_eleven():
@@ -134,9 +133,9 @@ def test_recursion_depth_matches_trace_length():
     for _ in range(40):
         tree = _tree_of_size(rng, rng.randint(0, 60))
         for kind in ("inorder", "preorder"):
-            assert recursion_depth(tree, kind) == _stepped(Call(kind, (Value(tree),)))
+            assert recursion_depth(tree, kind) == _stepped(Call(kind, (tree,)))
         args = (peano_encode(rng.randint(1, 40)), peano_encode(rng.randint(1, 40)))
-        assert recursion_depth(args, "add") == _stepped(Call("add", tuple(map(Value, args))))
+        assert recursion_depth(args, "add") == _stepped(Call("add", args))
 
 
 def test_reduce_takes_no_step_until_the_steps_are_read(monkeypatch):
@@ -148,14 +147,14 @@ def test_reduce_takes_no_step_until_the_steps_are_read(monkeypatch):
     monkeypatch.setattr(reduction, "levels", no_levels)
     for expr, tokens, length, style in [
         (s_of(11), ["X0", "X0", "X1", "01"], 3, PAREN),
-        (Call("add", (Value(peano_encode(2)), Value(peano_encode(1)))), ["S", "S", "I"], 2,
+        (Call("add", (peano_encode(2), peano_encode(1))), ["S", "S", "I"], 2,
          PAREN),
-        (Call("inorder", (Value(CAT_TREE),)), ["c", "a", "t"], 3, ARROW),
-        (Call("preorder", (Value(CAT_TREE),)), ["a", "c", "t"], 3, ARROW),
+        (Call("inorder", (CAT_TREE,)), ["c", "a", "t"], 3, ARROW),
+        (Call("preorder", (CAT_TREE,)), ["a", "c", "t"], 3, ARROW),
     ]:
         final, taken = reduce(expr)
         assert taken == length
-        assert (linearize(final.term) if isinstance(final, Value) else list(final.items)) == tokens
+        assert (linearize(final) if isinstance(final, Term) else list(final.items)) == tokens
         assert render_trace(expr, style).count(" = " if style == PAREN else " -> ") == length
     # the steps are levels()'s, which only runs when asked
     with pytest.raises(AssertionError, match="levels"):
@@ -167,9 +166,9 @@ def test_reduce_takes_no_step_until_the_steps_are_read(monkeypatch):
 
 
 def test_add_two_plus_one():
-    final, taken = run(Call("add", (Value(peano_encode(2)), Value(peano_encode(1)))))
-    assert isinstance(final, Value)
-    assert linearize(final.term) == ["S", "S", "I"]
+    final, taken = run(Call("add", (peano_encode(2), peano_encode(1))))
+    assert isinstance(final, Term)
+    assert linearize(final) == ["S", "S", "I"]
     assert taken == 2
 
 
@@ -177,9 +176,9 @@ def test_add_commutes_on_values():
     rng = random.Random(6)
     for _ in range(50):
         a, b = rng.randint(1, 20), rng.randint(1, 20)
-        fa, _ = run(Call("add", (Value(peano_encode(a)), Value(peano_encode(b)))))
-        fb, _ = run(Call("add", (Value(peano_encode(b)), Value(peano_encode(a)))))
-        assert peano_value(fa.term) == peano_value(fb.term) == a + b
+        fa, _ = run(Call("add", (peano_encode(a), peano_encode(b))))
+        fb, _ = run(Call("add", (peano_encode(b), peano_encode(a))))
+        assert peano_value(fa) == peano_value(fb) == a + b
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +186,18 @@ def test_add_commutes_on_values():
 
 
 def test_inorder_cat():
-    final, taken = run(Call("inorder", (Value(CAT_TREE),)))
+    final, taken = run(Call("inorder", (CAT_TREE,)))
     assert final == ListLit(("c", "a", "t"))
     assert taken == 3
 
 
 def test_preorder_cat():
-    final, _ = run(Call("preorder", (Value(CAT_TREE),)))
+    final, _ = run(Call("preorder", (CAT_TREE,)))
     assert final == ListLit(("a", "c", "t"))
 
 
 def test_inorder_arrow_trace():
-    assert render_trace(Call("inorder", (Value(CAT_TREE),)), ARROW) == (
+    assert render_trace(Call("inorder", (CAT_TREE,)), ARROW) == (
         "UNROLL[ a ( c LEAF LEAF ) ( t LEAF LEAF ) ] -> "
         "UNROLL[ c LEAF LEAF ] a UNROLL[ t LEAF LEAF ] -> "
         "EMPTY c EMPTY a EMPTY t EMPTY -> "
@@ -207,7 +206,7 @@ def test_inorder_arrow_trace():
 
 
 def test_inorder_leaf_is_empty_list():
-    final, taken = run(Call("inorder", (Value(leaf()),)))
+    final, taken = run(Call("inorder", (leaf(),)))
     assert final == ListLit(())
     assert taken == 1
 
@@ -237,7 +236,7 @@ def test_traversals_match_reference(kind, ref):
     rng = random.Random(7)
     for _ in range(400):
         tree = _random_tree(rng, 6)
-        final, _ = run(Call(kind, (Value(tree),)))
+        final, _ = run(Call(kind, (tree,)))
         assert list(final.items) == ref(tree)
 
 
@@ -246,7 +245,7 @@ def test_traversal_level_count_is_depth_plus_one():
     rng = random.Random(8)
     for _ in range(100):
         tree = branch(rng.choice("abc"), _random_tree(rng, 4), _random_tree(rng, 4))
-        assert run(Call("inorder", (Value(tree),)))[1] == tree_depth(tree) + 1
+        assert run(Call("inorder", (tree,)))[1] == tree_depth(tree) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +253,7 @@ def test_traversal_level_count_is_depth_plus_one():
 
 
 def test_step_level_expands_whole_frontier():
-    expr = Call("inorder", (Value(CAT_TREE),))
+    expr = Call("inorder", (CAT_TREE,))
     one = step_level(expr)[0]
     # both children become calls at once
     two = step_level(one)[0]
@@ -263,7 +262,7 @@ def test_step_level_expands_whole_frontier():
 
 
 def test_step_single_is_leftmost_outermost():
-    expr = Call("inorder", (Value(CAT_TREE),))
+    expr = Call("inorder", (CAT_TREE,))
     state = step_level(expr)[0]
     # two pending calls; a single step fires only the left one
     after, _ = step_single(state)
@@ -287,12 +286,12 @@ def test_step_single_reaches_same_normal_form():
 
 
 def test_step_on_normal_form_is_none():
-    assert step_level(Value(bin_encode(9))) is None
+    assert step_level(bin_encode(9)) is None
     assert step_single(ListLit(("a",))) is None
 
 
 def test_is_normal():
-    assert is_normal(Value(bin_encode(3)))
+    assert is_normal(bin_encode(3))
     assert is_normal(ListLit(("a", "b")))
     assert not is_normal(s_of(3))
     assert not is_normal(Concat(ListLit(()), ListLit(())))
@@ -305,7 +304,7 @@ def test_fuel_exhaustion():
 
 def test_default_fuel_suffices_for_long_runs():
     final, _ = reduce(s_of(2**60 - 1))
-    assert bin_value(final.term) == 2**60
+    assert bin_value(final) == 2**60
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +317,7 @@ def test_programs_cover_all_constructors():
             name="half",
             params=("n",),
             arg_type=BIN_POS,
-            clauses=(Clause("01", (), Value(bin_encode(1))),),
+            clauses=(Clause("01", (), bin_encode(1)),),
         )
 
 
@@ -329,11 +328,17 @@ def test_programs_must_recurse_structurally():
             params=("n",),
             arg_type=PEANO,
             clauses=(
-                Clause("I", (), Value(peano_encode(1))),
+                Clause("I", (), peano_encode(1)),
                 # recursing on the whole argument, not the child binder
                 Clause("S", ("p",), Call("bad", (Call("bad", (Var("q"),)),))),
             ),
         )
+
+
+def test_a_program_needs_a_parameter_to_match_on():
+    with pytest.raises(ValueError, match=r"^z takes no parameters: it needs one to match on$"):
+        Program("z", (), PEANO, (Clause("I", (), ListLit(())),
+                                 Clause("S", ("p",), Call("z", (Var("p"),)))))
 
 
 def test_builtin_programs_present():
@@ -357,7 +362,7 @@ def test_paren_round_trip():
 
 def test_unroll_round_trip():
     program = builtin_programs()["inorder"]
-    expr = Call("inorder", (Value(CAT_TREE),))
+    expr = Call("inorder", (CAT_TREE,))
     while expr is not None:
         toks = render_state_unroll(expr)
         assert render_state_unroll(parse_state_unroll(toks, program)) == toks
@@ -371,6 +376,18 @@ def test_parse_state_paren_rejects_garbage():
         parse_state_paren(["X0", "(", "01"], program)
     with pytest.raises(ReductionError):
         parse_state_paren(["X0", "(", ")", "01"], program)
+
+
+def test_each_renderer_refuses_the_states_of_the_other_form():
+    walk = program_call(builtin_programs()["inorder"], [tree_serialize(CAT_TREE)])
+    for state in (reduce(walk)[0], step_level(walk)[0]):  # a list, then a concat
+        with pytest.raises(RenderError, match=rf"^paren form cannot render "
+                                              rf"{type(state).__name__} states$"):
+            render_state_paren(state)
+    with pytest.raises(RenderError, match=r"^paren form cannot render Concat states$"):
+        render_trace(walk, PAREN)
+    with pytest.raises(RenderError, match=r"^traversal form cannot render \w+ states$"):
+        render_state_unroll(reduce(s_of(5))[0])  # a value
 
 
 def test_parse_state_paren_accepts_alias_spelling():
@@ -388,10 +405,10 @@ def test_hundred_thousand_token_successor_reduces_renders_and_replays():
     rng = random.Random(11)
     tokens = ["X1"] * 3 + ["X0"] + [rng.choice(("X0", "X1")) for _ in range(99_995)] + ["01"]
     term = delinearize(tokens, BIN_POS)
-    final, taken = reduce(Call("s", (Value(term),)))
+    final, taken = reduce(Call("s", (term,)))
     assert taken == 4
-    assert bin_value(final.term) == bin_value(term) + 1
-    text = render_trace(Call("s", (Value(term),)), PAREN)
+    assert bin_value(final) == bin_value(term) + 1
+    text = render_trace(Call("s", (term,)), PAREN)
     assert text.split(" = ")[-1].split() == ["X0"] * 3 + ["X1"] + tokens[4:]
     assert validate_trace(text, "successor", input_tokens=tokens).valid
 
@@ -428,29 +445,29 @@ def _ctor_chain(depth, base):
 def _concat_chain(depth, last="a"):
     expr = ListLit((last,))
     for i in range(depth):
-        expr = Concat(expr, Call("inorder", (Value(leaf()),))) if i % 2 else Concat(
+        expr = Concat(expr, Call("inorder", (leaf(),))) if i % 2 else Concat(
             ListLit(("b",)), expr)
     return expr
 
 
 def test_expression_repr_text():
-    args = (Call("s", (Value(bin_encode(2)),)), ListLit((X0, Var("x"))))
+    args = (Call("s", (bin_encode(2),)), ListLit((X0, Var("x"))))
     expr = Concat(Ctor("Branch", ("a",), args), Ctor(ONE, (), ()))
     assert repr(expr) == (
         "Concat(left=Ctor(name='Branch', payloads=('a',), args=(Call(fn='s', args=("
-        "Value(term=Term(constructor='X0', payloads=(), children=("
-        "Term(constructor='01', payloads=(), children=()),))),)), "
+        "Term(constructor='X0', payloads=(), children=("
+        "Term(constructor='01', payloads=(), children=()),)),)), "
         "ListLit(items=('X0', Var(name='x'))))), right=Ctor(name='01', payloads=(), args=()))")
 
 
 def test_deep_expressions_compare_hash_and_print_past_the_recursion_limit():
-    chain = _ctor_chain(3000, Value(bin_encode(3)))
-    same = _ctor_chain(3000, Value(bin_encode(3)))
+    chain = _ctor_chain(3000, bin_encode(3))
+    same = _ctor_chain(3000, bin_encode(3))
     assert chain == same and hash(chain) == hash(same)
-    assert chain != _ctor_chain(3000, Value(bin_encode(5)))
-    assert chain != _ctor_chain(2999, Value(bin_encode(3)))
+    assert chain != _ctor_chain(3000, bin_encode(5))
+    assert chain != _ctor_chain(2999, bin_encode(3))
     assert repr(chain) == ("Ctor(name='X0', payloads=(), args=(" * 3000
-                           + repr(Value(bin_encode(3))) + ",))" * 3000)
+                           + repr(bin_encode(3)) + ",))" * 3000)
     cat = _concat_chain(3000)
     assert cat == _concat_chain(3000) and hash(cat) == hash(_concat_chain(3000))
     assert cat != _concat_chain(3000, last="b") and cat != _concat_chain(2999)
@@ -462,7 +479,7 @@ def test_inorder_of_a_left_spine_past_the_recursion_limit():
     # depth**2 nodes; 700 keeps that small, while a walk of its states that
     # recursed per node would pass Python's default limit of 1,000 frames
     tree = tree_parse(tree_serialize(_left_spine(700)))
-    final, taken = reduce(Call("inorder", (Value(tree),)))
+    final, taken = reduce(Call("inorder", (tree,)))
     assert taken == 701
     assert list(final.items) == _walk_inorder(tree)
 
@@ -481,7 +498,7 @@ def _by_levels(expr, programs=None):
 
 def _tokens(expr):
     # compares deep terms without the recursion of the generated __eq__
-    return (type(expr), linearize(expr.term) if isinstance(expr, Value) else list(expr.items))
+    return (type(expr), linearize(expr) if isinstance(expr, Term) else list(expr.items))
 
 
 def _assert_big_step_is_levels(expr, programs=None):
@@ -523,10 +540,10 @@ def test_big_step_equals_levels_at_random_sizes(program):
         elif program == "add":
             n = rng.randint(1, size - 1)
             _assert_big_step_is_levels(
-                Call("add", (Value(peano_encode(n)), Value(peano_encode(size - n)))))
+                Call("add", (peano_encode(n), peano_encode(size - n))))
         else:
             tree = _tree_of_size(rng, max(1, (size - 1) // 3))
-            expr = Call(program, (Value(tree),))
+            expr = Call(program, (tree,))
             assert _assert_big_step_is_levels(expr) == tree_depth(tree) + 1
             ref = _ref_inorder if program == "inorder" else _ref_preorder
             assert list(reduce(expr)[0].items) == ref(tree)
@@ -583,14 +600,14 @@ def test_big_step_equals_levels_on_hand_built_programs(program):
             arg = _tree_of_size(rng, rng.randint(0, 60))
         else:  # 1, 2 and 3 first: each clause at the top
             arg = bin_encode(i + 1 if i < 3 else rng.randint(1, 2 ** rng.randint(1, 60)))
-        expr = Call(program, (Value(arg),))
+        expr = Call(program, (arg,))
         if program != "mistyped":
             _assert_big_step_is_levels(expr, programs)
             continue
         assert _big_step(expr, programs, 10**6) is None
         by_levels = _outcome(lambda: _by_levels(expr, programs)[0])
         assert _outcome(lambda: reduce(expr, programs)[0]) == by_levels
-        assert not isinstance(by_levels, (Value, ListLit))
+        assert not isinstance(by_levels, (Term, ListLit))
 
 
 def test_default_fuel_is_sized_only_past_four_levels(monkeypatch):
@@ -599,14 +616,14 @@ def test_default_fuel_is_sized_only_past_four_levels(monkeypatch):
 
     sized = []
     monkeypatch.setattr(reduction, "_token_count", lambda expr, enough: sized.append(expr) or 50)
-    assert _tokens(reduce(s_of(0b1111))[0]) == (Value, linearize(bin_encode(16)))  # four
+    assert _tokens(reduce(s_of(0b1111))[0]) == (Term, linearize(bin_encode(16)))  # four
     assert sized == []
-    assert _tokens(reduce(s_of(0b11111))[0]) == (Value, linearize(bin_encode(32)))  # five
+    assert _tokens(reduce(s_of(0b11111))[0]) == (Term, linearize(bin_encode(32)))  # five
     assert sized == [s_of(0b11111)]
     # no call fires past level 3, but joining the leaves' lists takes two more
     programs = {**builtin_programs(), **HAND_BUILT}
     tree = branch("a", branch("b", branch("c", leaf(), leaf()), leaf()), leaf())
-    expr = Call("wrap", (Value(tree),))
+    expr = Call("wrap", (tree,))
     expected, taken = _by_levels(expr, programs)
     got, level = _big_step(expr, programs, None)
     assert level == taken == 5 and _tokens(got) == _tokens(expected)
@@ -619,7 +636,7 @@ def test_default_fuel_counts_only_until_it_passes_the_level():
     from structrec.reduction import _budget, _token_count, expr_token_count
 
     tree = _tree_of_size(random.Random(4), 3000)
-    expr = Call("inorder", (Value(tree),))
+    expr = Call("inorder", (tree,))
     full = expr_token_count(expr)
     assert full > 9000 and _token_count(expr, math.inf) == full
     assert 10 <= _token_count(expr, 10) <= 12  # a Branch adds 2, a Leaf 1, the call 1
@@ -628,7 +645,7 @@ def test_default_fuel_counts_only_until_it_passes_the_level():
         assert budget == 2 * full if 2 * full <= past else past < budget <= 2 * full
     assert _budget(expr, None) == 2 * full and _budget(expr, 7, 1) == 7
     deep = s_of(2**40 - 1)  # 40 levels: sized in steps as the levels pass 4, 8, ...
-    assert _tokens(reduce(deep)[0]) == (Value, linearize(bin_encode(2**40)))
+    assert _tokens(reduce(deep)[0]) == (Term, linearize(bin_encode(2**40)))
 
 
 def test_a_call_that_does_not_fit_its_clause_is_left_to_levels():
@@ -641,24 +658,24 @@ def test_a_call_that_does_not_fit_its_clause_is_left_to_levels():
     ))
     programs = {**builtin_programs(), "right": right}
     node = Term("Node", (), (Term("Tip"), Term("Tip")))
-    for expr in (Call("s", (Value(Term(X0)),)),
-                 Call("s", (Value(Term(X1, (), (Term(ONE), Term(ONE)))),)),
-                 Call("s", (Value(Term(X0, ("a",), (Term(ONE),))),)),
-                 Call("inorder", (Value(Term("Branch", ("a", "b"), (leaf(),))),)),
-                 Call("right", (Value(Term("Node", ("x",), (node, Term("Tip")))),)),
-                 Call("add", (Value(peano_encode(2)),)),
-                 Call("s", (Value(bin_encode(5)), Value(bin_encode(1))))):
+    for expr in (Call("s", (Term(X0),)),
+                 Call("s", (Term(X1, (), (Term(ONE), Term(ONE))),)),
+                 Call("s", (Term(X0, ("a",), (Term(ONE),)),)),
+                 Call("inorder", (Term("Branch", ("a", "b"), (leaf(),)),)),
+                 Call("right", (Term("Node", ("x",), (node, Term("Tip"))),)),
+                 Call("add", (peano_encode(2),)),
+                 Call("s", (bin_encode(5), bin_encode(1)))):
         assert _big_step(expr, programs, 100) is None
         by_levels = _outcome(lambda: _by_levels(expr, programs)[0])
         assert _outcome(lambda: reduce(expr, programs)[0]) == by_levels
 
 
 @pytest.mark.parametrize("expr,message", [
-    (Call("s", (Value(Term(X0)),)), r"s on 'X0' .* \(0, 1, 1\), got \(0, 0, 1\)"),
-    (Call("add", (Value(peano_encode(2)),)), r"add on 'S' .* \(0, 1, 2\), got \(0, 1, 1\)"),
-    (Call("s", (Value(Term(X1, (), (Term(ONE), Term(ONE)))),)), r"s on 'X1' .* got \(0, 2, 1\)"),
-    (Call("s", (Value(Term(X0, ("a",), (Term(ONE),))),)), r"s on 'X0' .* got \(1, 1, 1\)"),
-    (Call("s", (Value(bin_encode(5)), Value(bin_encode(1)))), r"s on 'X1' .* got \(0, 1, 2\)"),
+    (Call("s", (Term(X0),)), r"s on 'X0' .* \(0, 1, 1\), got \(0, 0, 1\)"),
+    (Call("add", (peano_encode(2),)), r"add on 'S' .* \(0, 1, 2\), got \(0, 1, 1\)"),
+    (Call("s", (Term(X1, (), (Term(ONE), Term(ONE))),)), r"s on 'X1' .* got \(0, 2, 1\)"),
+    (Call("s", (Term(X0, ("a",), (Term(ONE),)),)), r"s on 'X0' .* got \(1, 1, 1\)"),
+    (Call("s", (bin_encode(5), bin_encode(1))), r"s on 'X1' .* got \(0, 1, 2\)"),
 ])
 def test_a_call_of_the_wrong_shape_raises_a_reduction_error(expr, message):
     # a child, payload or argument too few or too many, which zip would
@@ -679,12 +696,12 @@ def test_token_count_needs_no_linearize():
     chain = delinearize(["X1"] * 9 + ["01"], BIN_POS)
     for term in (bin_encode(2**70 + 5), tree, parsed, parsed.children[1], chain,
                  chain.children[0]):
-        assert expr_token_count(Value(term)) == len(linearize(term))
-    add = Call("add", (Value(peano_encode(3)), Value(peano_encode(2))))
+        assert expr_token_count(term) == len(linearize(term))
+    add = Call("add", (peano_encode(3), peano_encode(2)))
     assert expr_token_count(add) == 1 + 3 + 2
 
 
-PEANO_ONE = Value(peano_encode(1))
+PEANO_ONE = peano_encode(1)
 
 
 def _peano_program(name, params, on_one, on_succ):
@@ -697,18 +714,18 @@ def test_a_pending_other_argument_leaves_the_normal_form_to_levels():
     twice = _peano_program("twice", ("n", "m"), Var("m"),
                            Call("add", (Var("p"), Call("add", (Var("p"), Var("m"))))))
     programs = {**builtin_programs(), "twice": twice}
-    expr = Call("twice", (Value(peano_encode(4)), Value(peano_encode(3))))
+    expr = Call("twice", (peano_encode(4), peano_encode(3)))
     assert _big_step(expr, programs, 100) is None
     expected, taken = _by_levels(expr, programs)
     final, level = reduce(expr, programs)
     assert _tokens(final) == _tokens(expected) and level == taken
-    assert peano_value(expected.term) == 3 + 3 + 3  # p + (p + m) with p = n - 1
+    assert peano_value(expected) == 3 + 3 + 3  # p + (p + m) with p = n - 1
 
 
 def test_a_missing_clause_raises_the_levels_error():
     wrong = _peano_program("wrong", ("n",), Call("s", (PEANO_ONE,)), Call("wrong", (Var("p"),)))
     programs = {**builtin_programs(), "wrong": wrong}
-    expr = Call("wrong", (Value(peano_encode(3)),))
+    expr = Call("wrong", (peano_encode(3),))
     assert _big_step(expr, programs, 100) is None
     with pytest.raises(ReductionError) as by_levels:
         _by_levels(expr, programs)
@@ -721,7 +738,7 @@ def test_a_cross_program_loop_runs_out_of_fuel():
     ping = _peano_program("ping", ("n",), Call("pong", (PEANO_ONE,)), Call("pong", (Var("p"),)))
     pong = _peano_program("pong", ("n",), Call("ping", (PEANO_ONE,)), Call("ping", (Var("p"),)))
     programs = {"ping": ping, "pong": pong}
-    expr = Call("ping", (Value(peano_encode(3)),))
+    expr = Call("ping", (peano_encode(3),))
     assert _big_step(expr, programs, 8) is None
     with pytest.raises(FuelExhaustedError, match="within 8 levels"):
         reduce(expr, programs)
@@ -736,7 +753,7 @@ def test_an_error_within_the_fuel_comes_before_a_deep_call_runs_out():
                Concat(Call("inorder", (Var("l"),)), Call("s", (Var("r"),)))),
     ))
     programs = {**builtin_programs(), "both": both}
-    expr = Call("both", (Value(branch("a", _left_spine(10), leaf())),))
+    expr = Call("both", (branch("a", _left_spine(10), leaf()),))
     for fuel in (2, 3, 12):
         with pytest.raises(ReductionError, match="^s has no clause for 'Leaf'$"):
             reduce(expr, programs, fuel)
@@ -746,16 +763,16 @@ def test_an_error_within_the_fuel_comes_before_a_deep_call_runs_out():
 
 def test_big_step_takes_a_hundred_thousand_token_numeral():
     term = delinearize(["X1"] * 99_999 + ["01"], BIN_POS)
-    expr = Call("s", (Value(term),))
+    expr = Call("s", (term,))
     final, level = _big_step(expr, builtin_programs(), 100_000)
-    assert linearize(final.term) == ["X0"] * 100_000 + ["01"] and level == 100_000
+    assert linearize(final) == ["X0"] * 100_000 + ["01"] and level == 100_000
     with pytest.raises(FuelExhaustedError, match="within 99999 levels"):
         _big_step(expr, builtin_programs(), 99_999)
 
 
 def test_big_step_takes_a_depth_ten_thousand_left_spine():
     tree = _left_spine(10_000)
-    expr = Call("inorder", (Value(tree),))
+    expr = Call("inorder", (tree,))
     final, level = _big_step(expr, builtin_programs(), 10_001)
     assert list(final.items) == _walk_inorder(tree) and level == 10_001
     with pytest.raises(FuelExhaustedError, match="within 10000 levels"):
@@ -775,7 +792,7 @@ def _fuel_inputs():
                 arg, style = _tree_of_size(rng, rng.randint(0, 12)), ARROW
             else:
                 arg, style = bin_encode(i + 1 if i < 3 else rng.randint(1, 2**12)), PAREN
-            yield Call(name, (Value(arg),)), programs, style
+            yield Call(name, (arg,)), programs, style
 
 
 def _by_fueled_levels(expr, programs, fuel, style):
@@ -858,7 +875,7 @@ def _fuzz_exprs(rng):
         tree = _random_tree(rng, rng.randint(1, 7))
         if i % 2 and tree.constructor != "Leaf":  # a parsed tree renders from its span
             tree = tree_parse(tree_serialize(tree))
-        exprs.append(Call(("inorder", "preorder")[i % 4 // 2], (Value(tree),)))
+        exprs.append(Call(("inorder", "preorder")[i % 4 // 2], (tree,)))
     return exprs
 
 
@@ -892,7 +909,7 @@ def test_cut_states_are_the_levels_states_on_the_fuzz():
     for expr in _fuzz_exprs(record_rng(13, "one-pass", 0)):
         _assert_cuts_are_levels(expr)
     for n, m in ((1, 1), (3, 2), (40, 17)):
-        _assert_cuts_are_levels(Call("add", (Value(peano_encode(n)), Value(peano_encode(m)))))
+        _assert_cuts_are_levels(Call("add", (peano_encode(n), peano_encode(m))))
 
 
 @pytest.mark.parametrize("program", sorted(HAND_BUILT))
@@ -908,7 +925,7 @@ def test_cut_states_on_hand_built_programs_are_the_levels_states(program):
             arg = _tree_of_size(rng, rng.randint(0, 30))
         else:
             arg = bin_encode(i + 1 if i < 3 else rng.randint(1, 2 ** rng.randint(1, 30)))
-        expr = Call(program, (Value(arg),))
+        expr = Call(program, (arg,))
         found = _big_step(expr, programs, math.inf, style)
         assert (found is not None) == cut
         assert _outcome(lambda: list(render_states(expr, style, programs))) == _outcome(
@@ -923,7 +940,7 @@ def test_a_parsed_state_of_lists_and_calls_is_cut_from_level_zero():
     state = parse_state_paren(tokenize("X0 X0 ( X1 X1 01 )"), builtin_programs()["s"])
     assert list(render_states(state, PAREN)) == [
         "X0 X0 ( X1 X1 01 )", "X0 X0 X0 ( X1 01 )", "X0 X0 X0 X0 ( 01 )", "X0 X0 X0 X0 X0 01"]
-    assert list(render_states(Value(bin_encode(6)), PAREN)) == ["X0 X1 01"]
+    assert list(render_states(bin_encode(6), PAREN)) == ["X0 X1 01"]
     with pytest.raises(RenderError, match="unknown trace style"):
         render_states(s_of(3), "zigzag")
     with pytest.raises(RenderError, match="unknown trace style"):  # not SEPARATOR's KeyError
@@ -966,12 +983,12 @@ def _validate_by_levels(text, task, input_tokens):
 def test_cut_judgments_are_the_levels_judgments_on_replay_corruptions():
     rng = record_rng(13, "cut-replay", 0)
     for expr in _fuzz_exprs(record_rng(13, "one-pass", 0)):
-        if expr.args[0].term.constructor == "Leaf":  # no input names a bare leaf
+        if expr.args[0].constructor == "Leaf":  # no input names a bare leaf
             continue
         task = "successor" if expr.fn == "s" else expr.fn
         style = PAREN if task == "successor" else ARROW
         states = _stepped_states(expr, style)
-        tokens = (linearize if task == "successor" else tree_serialize)(expr.args[0].term)
+        tokens = (linearize if task == "successor" else tree_serialize)(expr.args[0])
         mutated = [state.split() for state in states]
         at = rng.randrange(len(mutated))
         mutated[at][rng.randrange(len(mutated[at]))] = rng.choice(
@@ -985,8 +1002,8 @@ def test_cut_judgments_are_the_levels_judgments_on_replay_corruptions():
 
 
 def test_unknown_programs_and_unbound_variables_raise_on_the_first_step():
-    nope = Call("nope", (Value(leaf()),))
-    pending = Call("inorder", (Value(CAT_TREE),))
+    nope = Call("nope", (leaf(),))
+    pending = Call("inorder", (CAT_TREE,))
     for expr, message in ((nope, "unknown program: 'nope'"),
                           (Concat(pending, Concat(ListLit(("a",)), nope)), "unknown program"),
                           (Concat(pending, Var("x")), "unbound template variable")):
@@ -1008,7 +1025,7 @@ def _runs_of(expr, programs):
 def test_a_clause_instance_error_raises_from_every_run(on_succ, message):
     bad = Program("bad", ("n",), PEANO, (Clause("I", (), ListLit(())), Clause("S", ("a",), on_succ)))
     programs = {**builtin_programs(), "bad": bad}
-    expr = Call("bad", (Value(peano_encode(3)),))
+    expr = Call("bad", (peano_encode(3),))
     for normalize in _runs_of(expr, programs):
         with pytest.raises(ReductionError) as raised:
             normalize()
@@ -1040,7 +1057,7 @@ def test_an_instance_calling_an_unknown_program_raises_in_the_step_that_builds_i
     relay = _peano_program("relay", ("n",), ListLit(()), Call("hop", (Var("p"),)))
     programs = {**builtin_programs(), "hop": hop, "relay": relay}
     assert [e.rules for e in levels(Call("hop", (PEANO_ONE,)), programs)] == [("hop/I",)]
-    run = levels(Call("relay", (Value(peano_encode(3)),)), programs)
+    run = levels(Call("relay", (peano_encode(3),)), programs)
     assert next(run).rules == ("relay/S",)
     with pytest.raises(ReductionError, match="unknown program: 'gone'"):
         next(run)
@@ -1052,8 +1069,8 @@ def test_an_instance_calling_an_unknown_program_raises_in_the_step_that_builds_i
 _TWO = Term(X0, (), (Term(ONE),))
 _TWO_TEXT = ("Term(constructor='X0', payloads=(), children=("
              "Term(constructor='01', payloads=(), children=()),))")
-_PENDING = Call("s", (Value(_TWO),))
-_PENDING_TEXT = f"Call(fn='s', args=(Value(term={_TWO_TEXT}),))"
+_PENDING = Call("s", (_TWO,))
+_PENDING_TEXT = f"Call(fn='s', args=({_TWO_TEXT},))"
 
 
 # each node class: an instance, one field and another value for it, its
@@ -1062,23 +1079,22 @@ _PENDING_TEXT = f"Call(fn='s', args=(Value(term={_TWO_TEXT}),))"
 @pytest.mark.parametrize("node, name, other, names, text, key", [
     (_TWO, "constructor", X1, ("constructor", "payloads", "children"), _TWO_TEXT,
      ((X0, (), 1), (ONE, (), 0))),
-    (Value(_TWO), "term", Term(ONE), ("term",), f"Value(term={_TWO_TEXT})", (_TWO,)),
-    (Ctor("Branch", ("a",), (_PENDING, Value(Term("Leaf")))), "payloads", ("b",),
+    (Ctor("Branch", ("a",), (_PENDING, Term("Leaf"))), "payloads", ("b",),
      ("name", "payloads", "args"),
      f"Ctor(name='Branch', payloads=('a',), args=({_PENDING_TEXT}, "
-     "Value(term=Term(constructor='Leaf', payloads=(), children=()))))",
+     "Term(constructor='Leaf', payloads=(), children=())))",
      ("Ctor(", "name='Branch'", ", payloads=('a',)", ", args=", "(",
-      "Call(", "fn='s'", ", args=", "(", Value(_TWO), ",)", ")",
-      ", ", Value(Term("Leaf")), ")", ")")),
+      "Call(", "fn='s'", ", args=", "(", _TWO, ",)", ")",
+      ", ", Term("Leaf"), ")", ")")),
     (_PENDING, "fn", "add", ("fn", "args"), _PENDING_TEXT,
-     ("Call(", "fn='s'", ", args=", "(", Value(_TWO), ",)", ")")),
+     ("Call(", "fn='s'", ", args=", "(", _TWO, ",)", ")")),
     (ListLit(("a", "b")), "items", ("a",), ("items",), "ListLit(items=('a', 'b'))",
      (("a", "b"),)),
     (Concat(ListLit(("a",)), _PENDING), "left", ListLit(()), ("left", "right"),
      f"Concat(left=ListLit(items=('a',)), right={_PENDING_TEXT})",
      ("Concat(", "left=", ListLit(("a",)), ", right=",
-      "Call(", "fn='s'", ", args=", "(", Value(_TWO), ",)", ")", ")")),
-], ids=["Term", "Value", "Ctor", "Call", "ListLit", "Concat"])
+      "Call(", "fn='s'", ", args=", "(", _TWO, ",)", ")", ")")),
+], ids=["Term", "Ctor", "Call", "ListLit", "Concat"])
 def test_nodes_are_frozen_slot_stores_with_their_dataclass_surface(node, name, other, names,
                                                                    text, key):
     cls = type(node)
@@ -1102,14 +1118,14 @@ def test_nodes_are_frozen_slot_stores_with_their_dataclass_surface(node, name, o
 
 def test_single_step_cost_does_not_grow_with_length(monkeypatch):
     built = [0]  # expression nodes and terms built
-    for cls in (Term, Value, Ctor, Call, ListLit, Concat):
+    for cls in (Term, Ctor, Call, ListLit, Concat):
         def counted(self, *args, _init=cls.__init__, **kwargs):
             built[0] += 1
             _init(self, *args, **kwargs)
         monkeypatch.setattr(cls, "__init__", counted)
     per_step = {}
     for n in (64, 1024):  # n X1 constructors over 01: the successor carries n times
-        expr = Call("s", (Value(delinearize([X1] * n + [ONE], BIN_POS)),))
+        expr = Call("s", (delinearize([X1] * n + [ONE], BIN_POS),))
         per_step[n], steps, start = [], [], built[0]
         for engine in levels(expr, single=True):
             per_step[n].append(built[0] - start)
@@ -1122,7 +1138,7 @@ def test_single_step_cost_does_not_grow_with_length(monkeypatch):
 
 def test_cut_path_builds_nodes_linear_in_the_depth_of_a_left_spine(monkeypatch):
     built = [0]  # expression nodes and terms built; rendered text is no node
-    for cls in (Term, Value, Ctor, Call, ListLit, Concat):
+    for cls in (Term, Ctor, Call, ListLit, Concat):
         def counted(self, *args, _init=cls.__init__, **kwargs):
             built[0] += 1
             _init(self, *args, **kwargs)
@@ -1130,7 +1146,7 @@ def test_cut_path_builds_nodes_linear_in_the_depth_of_a_left_spine(monkeypatch):
     per_depth = {}
     for depth in (250, 500, 1000):
         tree = _left_spine(depth)
-        tokens, expr = tree_serialize(tree), Call("inorder", (Value(tree),))
+        tokens, expr = tree_serialize(tree), Call("inorder", (tree,))
         start = built[0]
         text = render_trace(expr, ARROW)
         assert validate_trace(text, "inorder", input_tokens=tokens).valid

@@ -8,7 +8,7 @@ import pytest
 from structrec.asm import ReadLog, asm_run, asm_step, machine_output
 from structrec.datasets import record_rng, write_jsonl
 from structrec.errors import GenerationError, MalformedSequenceError
-from structrec.reduction import Call, Value, reduce
+from structrec.reduction import Call, reduce
 from structrec.shortcuts import (
     CORRECTED,
     FAITHFUL,
@@ -33,8 +33,8 @@ from structrec.terms import (
 
 
 def _oracle(value, order):
-    final, _ = reduce(Call("s", (Value(bin_encode(value)),)))
-    toks = linearize(final.term)
+    final, _ = reduce(Call("s", (bin_encode(value),)))
+    toks = linearize(final)
     return toks if order == REVERSE else list(reversed(toks))
 
 

@@ -12,7 +12,9 @@ from structrec.errors import MalformedSequenceError, RemapError
 from structrec.terms import (
     BIN_POS,
     CHAR_TREE,
+    ONE,
     PEANO,
+    X0,
     ConstructorDef,
     InductiveDef,
     Term,
@@ -116,6 +118,18 @@ def test_peano_round_trip():
         assert peano_value(term) == n
     assert linearize(peano_encode(1)) == ["I"]
     assert linearize(peano_encode(3)) == ["S", "S", "I"]
+
+
+@pytest.mark.parametrize("decode, term", [
+    (peano_value, Term("S")),
+    (peano_value, Term("S", children=(Term("I"), Term("I")))),
+    (peano_value, Term("I", children=(Term("I"),))),
+    (bin_value, Term(ONE, children=(Term(ONE),))),
+    (bin_value, Term(X0)),
+], ids=["S-without-child", "S-with-two", "I-with-child", "01-with-child", "X0-without-child"])
+def test_the_value_decoders_reject_malformed_terms(decode, term):
+    with pytest.raises(MalformedSequenceError):
+        decode(term)
 
 
 def test_peano_rejects_zero():
@@ -288,9 +302,9 @@ def test_parsed_trees_serialize_from_their_spans():
         assert built._tree_span is None
         assert tree == built and hash(tree) == hash(built) and repr(tree) == repr(built)
         assert linearize(tree) == linearize(built)
-        from structrec.reduction import Value, expr_token_count
+        from structrec.reduction import expr_token_count
 
-        assert expr_token_count(Value(tree)) == expr_token_count(Value(built))
+        assert expr_token_count(tree) == expr_token_count(built)
 
 
 def test_a_serialized_span_is_a_fresh_copy():
