@@ -313,9 +313,10 @@ def cmd_shortcut(args) -> int:
         print(" ".join(emulate(tokenize(args.input), args.mode)))
         return GOOD
     report = shortcuts.diff_against_oracle(args.order, args.mode, *args.range)
+    if args.out:  # written before anything is printed, as gen and eval do
+        datasets.write_jsonl(report.disagreements, args.out)
     print(shortcuts.report_summary(report))
     if args.out:
-        datasets.write_jsonl(report.disagreements, args.out)
         print(f"wrote disagreements to {args.out}")
     return GOOD
 

@@ -24,7 +24,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .errors import FuelExhaustedError, ReductionError, RenderError
+from .errors import FuelExhaustedError, MalformedSequenceError, ReductionError, RenderError
 from .terms import (
     BIN_POS,
     CHAR_TREE,
@@ -884,9 +884,10 @@ def render_state_unroll(expr: Expr) -> list[str]:
         elif e.args[0].constructor == "Leaf":
             out.append(EMPTY_TOKEN)
         else:
-            out.append(UNROLL_OPEN)
-            out += tree_serialize(e.args[0])
-            out.append(UNROLL_CLOSE)
+            try:
+                out += [UNROLL_OPEN, *tree_serialize(e.args[0]), UNROLL_CLOSE]
+            except MalformedSequenceError as err:  # err names the node off the char_tree shape
+                raise RenderError(f"traversal form cannot render this call: {err}") from None
     return out
 
 

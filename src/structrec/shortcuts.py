@@ -19,7 +19,6 @@ from dataclasses import asdict, dataclass
 
 from .asm import AsmMachine, GuardedRule, _start, asm_run, machine_output
 from .evaluation import failure_signature
-from .reduction import Call, reduce
 from .terms import (
     BIN_POS,
     NATURAL,
@@ -27,11 +26,9 @@ from .terms import (
     REVERSE,
     X0,
     X1,
-    _bin_terms,
     _bin_tokens,
     _chain_length,
     edge_group,
-    linearize,
     normalize_tokens,
 )
 
@@ -152,7 +149,7 @@ def emulate_reverse(tokens, mode: str = FAITHFUL) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# disagreement reports against the reduction oracle
+# disagreement reports against the successor oracle
 
 
 @dataclass(frozen=True)
@@ -179,7 +176,7 @@ class DisagreementReport:
 
 
 def diff_against_oracle(order: str, mode: str, lo: int, hi: int) -> DisagreementReport:
-    """Compare the emulator with the normal form of s(.) over a value range."""
+    """Compare the emulator with gen's successor, _bin_tokens(v + 1), over a value range."""
     if order not in (NATURAL, REVERSE):
         raise ValueError(f"unknown order: {order!r}")
     _check_mode(mode)
@@ -188,8 +185,8 @@ def diff_against_oracle(order: str, mode: str, lo: int, hi: int) -> Disagreement
     emulate = emulate_natural if order == NATURAL else emulate_reverse
     step = -1 if order == NATURAL else 1  # natural order is the reversal
     found = []
-    for value, term in zip(range(lo, hi + 1), _bin_terms(lo, hi)):
-        expected = linearize(reduce(Call("s", (term,)))[0])[::step]
+    for value in range(lo, hi + 1):
+        expected = _bin_tokens(value + 1)[::step]
         got = emulate(_bin_tokens(value)[::step], mode)
         if got != expected:
             found.append(

@@ -167,6 +167,13 @@ def test_shortcut_diff_writes_jsonl(capsys, tmp_path):
     assert values == [3, 7, 15, 31, 63]
 
 
+def test_shortcut_diff_that_cannot_write_its_out_file_prints_nothing(capsys, tmp_path):
+    code, out, err = run(capsys, "shortcut", "natural", "--diff", "--range", "1:1",
+                         "--out", str(tmp_path / "missing" / "diff.jsonl"))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+
+
 def test_shortcut_without_work_is_an_error(capsys):
     code, _, _ = run(capsys, "shortcut", "natural")
     assert code == 4
@@ -789,15 +796,28 @@ def test_no_module_imports_a_name_it_does_not_use():
 MODULE_ORDER = ("errors", "terms", "reduction", "asm", "datasets", "evaluation", "shortcuts",
                 "cli")
 
+# the package modules that each module imports, so that a new edge is a
+# deliberate edit here
+MODULE_IMPORTS = {
+    "errors": (),
+    "terms": ("errors",),
+    "reduction": ("errors", "terms"),
+    "asm": ("errors", "terms"),
+    "datasets": ("errors", "reduction", "terms"),
+    "evaluation": ("datasets", "errors", "reduction", "terms"),
+    "shortcuts": ("asm", "evaluation", "terms"),
+    "cli": ("asm", "datasets", "errors", "evaluation", "reduction", "shortcuts", "terms"),
+}
 
-def test_the_modules_import_each_other_in_one_order():
+
+def _package_imports():
+    """(module, imported package module, whether the import is in a function)
+    for each relative import of each src module."""
     import structrec
 
-    found = set()
     for path in sorted(Path(structrec.__file__).parent.glob("*.py")):
         if path.stem in ("__init__", "__main__"):  # the package's surface, after every module
             continue
-        rank = MODULE_ORDER.index(path.stem)
         tree = ast.parse(path.read_text(encoding="utf-8"))
         in_body = {id(node) for fn in ast.walk(tree)
                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -807,11 +827,23 @@ def test_the_modules_import_each_other_in_one_order():
                 continue
             names = [node.module] if node.module else [alias.name for alias in node.names]
             for name in names:
-                if MODULE_ORDER.index(name) >= rank:
-                    found.add((path.stem, name, "not earlier"))
-                if id(node) in in_body:
-                    found.add((path.stem, name, "in a function"))
+                yield path.stem, name, id(node) in in_body
+
+
+def test_the_modules_import_each_other_in_one_order():
+    found = set()
+    for module, name, in_function in _package_imports():
+        if MODULE_ORDER.index(name) >= MODULE_ORDER.index(module):
+            found.add((module, name, "not earlier"))
+        if in_function:
+            found.add((module, name, "in a function"))
     assert found == set()
+
+
+def test_the_module_import_edges_are_pinned():
+    edges = {(module, name) for module, name, _ in _package_imports()}
+    assert edges == {(module, name) for module, names in MODULE_IMPORTS.items()
+                     for name in names}
 
 
 # public top-level functions and classes per module, so that a new public

@@ -1161,8 +1161,21 @@ def test_cut_path_builds_nodes_linear_in_the_depth_of_a_left_spine(monkeypatch):
 
 
 def test_traversal_form_of_a_call_on_no_tree_is_malformed():
+    # a successor call asked for in the traversal form: the renderer refuses it
     expr = s_of(5)
-    with pytest.raises(MalformedSequenceError, match="not a char_tree term: 'X1'"):
-        render_state_unroll(expr)
-    with pytest.raises(MalformedSequenceError, match="not a char_tree term: 'X1'"):
-        render_trace(expr, ARROW)
+    for render in (render_state_unroll, lambda call: render_trace(call, ARROW)):
+        with pytest.raises(RenderError, match=r"^traversal form cannot render this call: "
+                                              r"not a char_tree term: 'X1'$"):
+            render(expr)
+
+
+def test_a_call_on_a_term_off_the_char_tree_shape_raises_render_error():
+    # the message names the first node off the shape, at the root or deep in a subtree
+    deep = branch("a", leaf(), branch("b", peano_encode(2), leaf()))
+    for arg, name in ((bin_encode(4), "X0"), (bin_encode(1), "01"), (peano_encode(3), "S"),
+                      (deep, "S")):
+        with pytest.raises(RenderError) as raised:
+            render_state_unroll(Concat(ListLit(("x",)), Call("inorder", (arg,))))
+        assert not isinstance(raised.value, MalformedSequenceError)
+        assert str(raised.value) == (f"traversal form cannot render this call: "
+                                     f"not a char_tree term: {name!r}")

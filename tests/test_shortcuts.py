@@ -156,12 +156,15 @@ def test_oracle_sweep_holds_no_range_of_terms():
 
 
 def test_random_long_values_against_the_oracle():
-    """Corrected mode equals the oracle; faithful mode disagrees exactly on
-    the values 2^L - 1 (L >= 2), one token short."""
+    """Corrected mode equals the oracle and the reduction of s(.); faithful
+    mode disagrees exactly on the values 2^L - 1 (L >= 2), one token short."""
     for case in range(24):
         value = _random_value(record_rng(0, "shortcut-oracle", case))
         all_ones = value >= 3 and value == 2 ** value.bit_length() - 1
         for order in (NATURAL, REVERSE):
+            emulate = emulate_natural if order == NATURAL else emulate_reverse
+            assert emulate(_input(value, order), CORRECTED) == _oracle(value, order), \
+                (case, order, value.bit_length())
             assert diff_against_oracle(order, CORRECTED, value, value).disagreements == ()
             found = diff_against_oracle(order, FAITHFUL, value, value).disagreements
             assert [d.label for d in found] == (["one-token-short"] if all_ones else []), \
