@@ -16,15 +16,7 @@ import random
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import GenerationError
-from .reduction import (
-    ARROW,
-    PAREN,
-    Call,
-    ListLit,
-    reduce,
-    render_states,
-    render_trace,
-)
+from .reduction import ARROW, PAREN, Call, levels, render_states, render_trace
 from .terms import (
     NATURAL,
     REVERSE,
@@ -192,6 +184,9 @@ class DatasetSpec:
             )
         if not self.alphabet:
             raise GenerationError("alphabet must not be empty")
+        if any(ch.isspace() or ch in "()[]" for ch in self.alphabet):  # tokenize splits on these
+            raise GenerationError(
+                f"alphabet must hold no whitespace and none of ()[], got {self.alphabet!r}")
         if self.max_pad < 0:
             raise GenerationError("max_pad must be non-negative")
         if self.oversample_group1 < 1 or self.oversample_group2 < 1:
@@ -387,8 +382,7 @@ def sample_tree(rng: random.Random, depth: int, alphabet: str) -> Term:
             term = _as_term(tree, Term("Leaf"))  # one leaf term serves the whole tree
             # serialized once: its key and its records slice the root's span
             tokens = tree_serialize(term)
-            return _spanned("Branch", term.payloads, term.children, (tokens, 0, len(tokens)),
-                            "_tree_span")
+            return _spanned("Branch", term.payloads, term.children, None, (tokens, 0, len(tokens)))
     raise GenerationError(f"could not hit depth {depth} in {_MAX_TRIES} tries")
 
 
@@ -458,6 +452,33 @@ def gen_trees(spec: DatasetSpec) -> tuple[list[TreeSample], SplitSpec]:
     return samples, split
 
 
+def _walk(tree: Term, kind: str) -> list[str]:
+    """The node values of tree in kind's order, by one walk down each left
+    spine: the normal form of kind(tree); tests pin it to the engine.  The
+    engine walks a tree off the char_tree shape, and raises its error."""
+    pre, out, pending, node = kind == "preorder", [], [], tree
+    try:
+        while True:
+            while node.constructor == "Branch":
+                (value,), (node, right) = node.payloads, node.children
+                if pre:
+                    out.append(value)
+                pending.append((value, right))
+            if node.constructor != "Leaf" or node.payloads or node.children:
+                break
+            if not pending:
+                "".join(out)  # TypeError for a value that is not a string
+                return out
+            value, node = pending.pop()
+            if not pre:
+                out.append(value)
+    except (AttributeError, TypeError, ValueError):  # a node off the shape
+        pass
+    for engine in levels(Call(kind, (tree,))):  # raises before its normal form
+        pass
+    return list(engine.expr().items)
+
+
 def gen_traversal(samples, kind: str, k: int | None = None) -> list[ExampleRecord]:
     """Traversal records over tree samples: the target is either the full
     value list or the state after k levels in the flat traversal form."""
@@ -467,13 +488,10 @@ def gen_traversal(samples, kind: str, k: int | None = None) -> list[ExampleRecor
         raise GenerationError("k must be at least 1 when set")
     records = []
     for sample in samples:
-        expr = Call(kind, (sample.tree,))
         if k is None:
-            final, _ = reduce(expr)
-            assert isinstance(final, ListLit)
-            target = list(final.items)
+            target = _walk(sample.tree, kind)
         else:
-            for _, state in zip(range(k + 1), render_states(expr, ARROW)):
+            for _, state in zip(range(k + 1), render_states(Call(kind, (sample.tree,)), ARROW)):
                 pass  # zip stops at state k, or after the normal form
             target = state.split(" ")
         records.append(

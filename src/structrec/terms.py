@@ -178,6 +178,18 @@ class Term(_Spans):
     def __hash__(self):
         return hash(tuple(self._nodes()))
 
+    def __reduce__(self):
+        """Its preorder nodes with their spans, for _rebuilt: no recursion at any depth."""
+        nodes, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            nodes.append((t.constructor, t.payloads, len(t.children), t._span, t._tree_span))
+            stack += t.children[::-1]
+        return _rebuilt, (nodes,)
+
+    def __deepcopy__(self, memo):
+        return self  # immutable, as a tuple of strings is (rebuilt, it would copy every span)
+
     def __repr__(self):
         out, stack = [], [self]
         while stack:
@@ -199,6 +211,16 @@ _new = object.__new__
 _store_constructor, _store_payloads, _store_children, _store_span, _store_tree_span = (
     Term.constructor.__set__, Term.payloads.__set__, Term.children.__set__,
     Term._span.__set__, Term._tree_span.__set__)
+
+
+def _rebuilt(nodes) -> Term:
+    """The term whose nodes Term.__reduce__ lists, built from the last one back."""
+    built: list[Term] = []  # the subterms built so far, the next child on top
+    for constructor, payloads, arity, span, tree_span in reversed(nodes):
+        term = _spanned(constructor, payloads, tuple(built[:-arity - 1:-1]), span, tree_span)
+        del built[len(built) - arity:]
+        built.append(term)
+    return built[0]
 
 
 PEANO = InductiveDef(
@@ -251,16 +273,16 @@ def linearize(term: Term) -> list[str]:
     return out
 
 
-def _spanned(constructor: str, payloads: tuple, children: tuple, span: tuple,
-             kind: str = "_span") -> Term:
-    """Term(constructor, payloads, children) with span as its kind of span
-    (_span or _tree_span), stored straight into the slots."""
+def _spanned(constructor: str, payloads: tuple, children: tuple, span: tuple | None,
+             tree_span: tuple | None = None) -> Term:
+    """Term(constructor, payloads, children) with its _span and _tree_span,
+    stored straight into the slots."""
     term = _new(Term)
     _store_constructor(term, constructor)
     _store_payloads(term, payloads)
     _store_children(term, children)
-    _store_span(term, span if kind == "_span" else None)
-    _store_tree_span(term, span if kind == "_tree_span" else None)
+    _store_span(term, span)
+    _store_tree_span(term, tree_span)
     return term
 
 
@@ -504,7 +526,7 @@ def tree_parse(tokens, *, normalized: bool = False) -> Term:
         want = "LEAF or a subtree"
         if len(kids) == 2:
             open_nodes.pop()
-            tree = _spanned("Branch", (value,), tuple(kids), (toks, start, pos), "_tree_span")
+            tree = _spanned("Branch", (value,), tuple(kids), None, (toks, start, pos))
             if not open_nodes:
                 if pos != len(toks):
                     raise MalformedSequenceError(f"trailing tokens after position {pos}")

@@ -47,7 +47,13 @@ INPUTS = {"s": [S_INPUT], "add": ["S S S I", "S S I"], "inorder": [TREE], "preor
 TRAVERSAL_ARGV = ["gen", "traversal", "--train", "300", "--test", "60", "--depths", "2:7",
                   "--seed", "5"]
 TREES_ARGV = ["gen", "trees", "--depths", "2:7", "--train", "200", "--test", "40", "--seed", "5"]
+# remapped, padded records of trees deeper than TRAVERSAL_ARGV's
+DEEP_TRAVERSAL_ARGV = ["gen", "traversal", "--depths", "2:9", "--train", "500", "--test", "50",
+                       "--alphabet", "ab", "--max-pad", "2", "--remap", '{"a":"x","b":"y"}',
+                       "--seed", "3"]
 
+# a pin's name is the stem of the file it pins, after any "tag/" that sets
+# it apart from another pin of a file of that name
 GEN_PINS = {
     "traces_successor": (
         ["gen", "traces", "--range", "1:2048"],
@@ -76,6 +82,16 @@ GEN_PINS = {
         "cb57539038eaa6d659ab064fe4789e1641ebef2963fbec6a23b13a679759edc2",
         "2cbb1f3e79e705df46cc136654a668d36c0e356561b6426030d4d8599120564a",
     ),
+    "deep/inorder_full_train": (
+        DEEP_TRAVERSAL_ARGV + ["--kind", "inorder"],
+        "5faf9bd5a81025ea22e1267e83fde0c9d10f1395312d7aa4ce012247a16b769c",
+        "54eabf6d43d9a35b614af1566227a0a5eb7c29fc79ef0eb1df6d70a67b563997",
+    ),
+    "deep/inorder_full_test": (
+        DEEP_TRAVERSAL_ARGV + ["--kind", "inorder"],
+        "7bad71ca04f29edcfebd509f078143515d510b70c859ef22c57442f45021b24c",
+        "a3b1722f8eaf8bcb0f79df648f7944f7a745a93abbe1ebcc3e617ec3b4ada64b",
+    ),
     "preorder_full_train": (
         TRAVERSAL_ARGV + ["--kind", "preorder"],
         "7c68038df74e783792f2107095609153f4d36668f406a422c6fa8e8ea1a045fb",
@@ -85,6 +101,16 @@ GEN_PINS = {
         TRAVERSAL_ARGV + ["--kind", "preorder"],
         "e42b13b68fde424c0781e3bdd8348211079829220ef526befa5b9caf957907db",
         "8ec07499dd19699ce333f89b8c391cb416753cec80cfe7868e90d01ebbc08b02",
+    ),
+    "deep/preorder_full_train": (
+        DEEP_TRAVERSAL_ARGV + ["--kind", "preorder"],
+        "5acef47bda7b9f895b1b3061905f81baf7db179129a2c625b465e71ea0b14dff",
+        "165e224eb3c747ab129378f6e6d610ea203c2f7886ed42c3b1c2be9c08eb6449",
+    ),
+    "deep/preorder_full_test": (
+        DEEP_TRAVERSAL_ARGV + ["--kind", "preorder"],
+        "517af248c391816364e53ed293765ad787a75be4831c52e103130491ea4e0836",
+        "4ea4c01e0ddb66c2abec4c931ed96bdad8c168847c144f62547e202d57f62b13",
     ),
     "inorder_k2_train": (
         TRAVERSAL_ARGV + ["--kind", "inorder", "--k", "2"],
@@ -232,8 +258,9 @@ def test_gen_traces_files_are_pinned(tmp_path, capsys, name):
     argv, data_sha, manifest_sha = GEN_PINS[name]
     assert main(argv + ["--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    assert _sha((tmp_path / f"{name}.jsonl").read_bytes()) == data_sha
-    assert _sha((tmp_path / f"{name}.manifest.json").read_bytes()) == manifest_sha
+    stem = name.rpartition("/")[2]
+    assert _sha((tmp_path / f"{stem}.jsonl").read_bytes()) == data_sha
+    assert _sha((tmp_path / f"{stem}.manifest.json").read_bytes()) == manifest_sha
 
 
 @pytest.mark.parametrize("program", sorted(TRACE_PINS))

@@ -280,6 +280,40 @@ def test_gen_trees_writes_split_files(capsys, tmp_path):
     assert not train_tokens & test_tokens
 
 
+@pytest.mark.parametrize("kind", ["inorder", "preorder"])
+def test_gen_traversal_full_targets_run_no_engine(capsys, monkeypatch, tmp_path, kind):
+    # a full target is one walk of its tree: neither big-step nor the
+    # stepping engine runs, and the files are the ones they would give
+    from structrec import datasets, reduction
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("an engine ran")
+
+    argv = ["gen", "traversal", "--kind", kind, "--depths", "2:7", "--train", "300",
+            "--test", "60", "--seed", "5", "--out"]
+    assert run(capsys, *argv, str(tmp_path / "engine"))[0] == 0
+    for module, name in [(reduction, "_big_step"), (reduction, "levels"), (datasets, "levels")]:
+        monkeypatch.setattr(module, name, no_engine)
+    assert run(capsys, *argv, str(tmp_path / "walk"))[0] == 0
+    for split in ("train", "test"):
+        name = f"{kind}_full_{split}.jsonl"
+        assert (tmp_path / "walk" / name).read_bytes() == (tmp_path / "engine" / name).read_bytes()
+
+
+@pytest.mark.parametrize("command", [["trees"], ["traversal"], ["traces", "--task", "inorder"]])
+@pytest.mark.parametrize("alphabet", ["(", "ab)", "[", "a]", "a b", "\tb", "c\n"])
+def test_gen_rejects_an_alphabet_that_holds_a_token_delimiter(capsys, tmp_path, command,
+                                                             alphabet):
+    # tokenize splits node values on whitespace, parens and brackets, so a
+    # tree holding one could not be read back
+    code, out, err = run(capsys, "gen", *command, "--alphabet", alphabet,
+                         "--out", str(tmp_path))
+    assert (code, out) == (4, "")
+    assert err == (f"error: alphabet must hold no whitespace and none of ()[], "
+                   f"got {alphabet!r}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_gen_trees_counts_deep_requests_only_as_far_as_they_need(capsys, tmp_path):
     # each depth squares the number of trees, so an exact count of depth
     # 1,000 would never finish

@@ -18,6 +18,7 @@ from structrec.datasets import (
     SUCCESSOR_RANDOM,
     TRAVERSAL,
     TraceRecord,
+    TreeSample,
     apply_padding,
     apply_remap,
     build_dataset,
@@ -35,11 +36,18 @@ from structrec.datasets import (
     read_jsonl,
     read_traces,
     record_rng,
+    sample_tree,
     tree_key,
     write_jsonl,
     write_manifest,
 )
-from structrec.errors import EvalError, GenerationError, RemapError
+from structrec.errors import (
+    EvalError,
+    GenerationError,
+    MalformedSequenceError,
+    ReductionError,
+    RemapError,
+)
 from structrec.evaluation import PredictionRecord, read_predictions
 from structrec.reduction import (
     Call,
@@ -50,7 +58,17 @@ from structrec.reduction import (
     render_state_paren,
     step_single,
 )
-from structrec.terms import BIN_POS, NATURAL, REVERSE, bin_encode, delinearize, tree_depth
+from structrec.terms import (
+    BIN_POS,
+    NATURAL,
+    REVERSE,
+    Term,
+    bin_encode,
+    branch,
+    delinearize,
+    leaf,
+    tree_depth,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +248,51 @@ def test_traversal_targets_match_reference(kind):
     for record, sample in zip(gen_traversal(samples, kind), samples):
         assert record.target == _ref_traversal(sample.tree, kind)
         assert record.meta.depth == sample.depth
+
+
+def _samples(trees) -> list[TreeSample]:
+    return [TreeSample(f"t{i}", tree, 0, "train") for i, tree in enumerate(trees)]
+
+
+@pytest.mark.parametrize("kind", ["inorder", "preorder"])
+def test_full_traversal_targets_are_the_engines_normal_forms(kind):
+    # the targets come from one walk of each tree; reduce is the reference
+    rng = random.Random(26)
+    trees = [sample_tree(rng, rng.randint(1, 8), "abc") for _ in range(500)]
+    left = right = bare = leaf()
+    for i in range(2000):
+        left, right = branch("abc"[i % 3], left, bare), branch("abc"[i % 3], bare, right)
+    trees += [left, right]
+    assert {tree_depth(tree) for tree in trees} == {*range(1, 9), 2000}
+    for record, tree in zip(gen_traversal(_samples(trees), kind), trees, strict=True):
+        assert record.target == list(reduce(Call(kind, (tree,)))[0].items)
+
+
+@pytest.mark.parametrize("kind", ["inorder", "preorder"])
+@pytest.mark.parametrize("tree, error, message", [
+    (Term("Branch", (), (leaf(), leaf())), ReductionError,
+     "{kind} on 'Branch' takes (payloads, children, arguments) (1, 2, 1), got (0, 2, 1)"),
+    (branch("a", Term("Node", ("b",), (leaf(), leaf())), leaf()), ReductionError,
+     "{kind} has no clause for 'Node'"),
+    (leaf(), MalformedSequenceError, "a bare Leaf has no serialized form"),
+    # the engine names the node it meets first, level by level
+    (branch("a", branch("b", Term("X"), leaf()), Term("Y", ("c",), (leaf(), leaf()))),
+     ReductionError, "{kind} has no clause for 'Y'"),
+    (branch("a", leaf(), Term("Leaf", ("z",))), ReductionError,
+     "{kind} on 'Leaf' takes (payloads, children, arguments) (0, 0, 1), got (1, 0, 1)"),
+    (branch("a", leaf(), branch(leaf(), leaf(), leaf())), ReductionError,
+     "list slot 'v' is not a payload"),
+    (branch("a", "b", leaf()), ReductionError, "expression is stuck: nothing to rewrite"),
+])
+def test_a_full_target_off_the_char_tree_shape_raises_the_engines_error(
+        kind, tree, error, message):
+    with pytest.raises(error) as raised:
+        gen_traversal(_samples([tree]), kind)
+    assert type(raised.value) is error and str(raised.value) == message.format(kind=kind)
+    if error is ReductionError:  # as reduce raises it
+        with pytest.raises(ReductionError) as reference:
+            reduce(Call(kind, (tree,)))
+        assert str(reference.value) == str(raised.value)
 
 
 def test_traversal_k_state_targets():

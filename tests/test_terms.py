@@ -232,6 +232,36 @@ def test_spanned_terms_copy_pickle_and_replace_with_their_spans_readable():
         assert linearize(replaced) == linearize(spanned)
 
 
+def _spans(term) -> list:
+    """The (tokens, start, end) spans of term's nodes, in preorder."""
+    out, stack = [], [term]
+    while stack:
+        t = stack.pop()
+        out += [span for span in (t._span, t._tree_span) if span is not None]
+        stack += t.children[::-1]
+    return out
+
+
+def test_deep_terms_round_trip_through_pickle_and_deepcopy_with_their_spans():
+    # pickle and deepcopy used to recurse once per level, so both raised
+    # RecursionError some hundreds of levels down
+    tree, bare = leaf(), leaf()
+    for i in range(20000):  # depth 20,000, down a path that turns at every third level
+        tree = branch("ab"[i % 2], tree, bare) if i % 3 else branch("c", bare, tree)
+    numeral, tree = bin_encode(2**99999 + 12345), tree_parse(tree_serialize(tree))
+    assert (len(linearize(numeral)), tree_depth(tree)) == (100000, 20000)
+    for term in (numeral, tree):
+        spans = _spans(term)
+        for other in [pickle.loads(pickle.dumps(term, protocol))
+                      for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)] + [
+                copy.deepcopy(term)]:
+            assert other == term
+            copied = _spans(other)
+            assert [span[1:] for span in copied] == [span[1:] for span in spans]
+            # every node still slices one token sequence, equal to the original's
+            assert len({id(span[0]) for span in copied}) == 1 and copied[0][0] == spans[0][0]
+
+
 def _built(tree):
     """The same tree made with Term(...), so it holds no span."""
     if tree.constructor == "Leaf":
