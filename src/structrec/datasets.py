@@ -268,24 +268,11 @@ def gen_single_step(spec: DatasetSpec) -> list[ExampleRecord]:
     for value in range(spec.lo, spec.hi + 1):
         term = bin_encode(value)
         states = [state.split(" ") for state in render_states(Call("s", (term,)), PAREN)]
-        group = edge_group(value)
-        for step_i in range(len(states) - 1):
-            records.append(
-                ExampleRecord(
-                    id=f"sstep-{value}-{step_i}",
-                    task=SINGLE_STEP,
-                    order=REVERSE,
-                    input=states[step_i],
-                    target=states[step_i + 1],
-                    meta=RecordMeta(
-                        value=value,
-                        bits=value.bit_length(),
-                        depth=len(states) - 1,
-                        edge_group=group,
-                        weight=_group_weight(spec, group),
-                    ),
-                )
-            )
+        depth, group = len(states) - 1, edge_group(value)
+        for step_i in range(depth):
+            meta = RecordMeta(value, value.bit_length(), depth, group, 0, _group_weight(spec, group))
+            records.append(ExampleRecord(f"sstep-{value}-{step_i}", SINGLE_STEP, REVERSE,
+                                         states[step_i], states[step_i + 1], meta))
     return records
 
 
@@ -547,61 +534,42 @@ def gen_traces(spec: DatasetSpec) -> list[TraceRecord]:
 # post-processing
 
 
-def apply_padding(records, max_pad: int, seed: int, pad_token: str = PAD_TOKEN):
-    """Prefix each record's input and target with the same uniformly drawn
-    number of pad tokens (0..max_pad inclusive)."""
-    if max_pad < 0:
-        raise GenerationError("max_pad must be non-negative")
+def postprocess(records, spec: DatasetSpec):
+    """The records respelled by spec.remap, then prefixed on input and
+    target with the same number of pad tokens (0..max_pad, each drawn with
+    the record's own seed), then repeated by their edge group's oversample
+    factor and shuffled, in one pass; records itself when no stage is on.
+    Structural tokens, the pad token among them, pass through a remap
+    unchanged unless it names them."""
+    spec.validate()
+    factors = {1: spec.oversample_group1, 2: spec.oversample_group2}
+    shuffled = max(factors.values()) > 1
+    if not (spec.remap or spec.max_pad or shuffled):
+        return records
+    full, pad_token = spec.remap and dict(spec.remap), spec.pad_token
+    if full:
+        for tok in STRUCTURAL_TOKENS:
+            full.setdefault(tok, tok)
+        if records:  # checked once, and only when there is a record to respell
+            _check_injective(full)
+        pad_token = full.get(pad_token, pad_token)
     rng, out = random.Random(), []
     for i, record in enumerate(records):
-        rng.seed(_record_seed(seed, "pad", i))  # record_rng(seed, "pad", i), reseeded
-        pad = rng.randint(0, max_pad)
-        prefix = [pad_token] * pad
-        meta = record.meta
-        out.append(ExampleRecord(
-            record.id, record.task, record.order,
-            prefix + list(record.input), prefix + list(record.target),
-            RecordMeta(meta.value, meta.bits, meta.depth, meta.edge_group, pad, meta.weight)))
+        if full or spec.max_pad:
+            inp, target, meta = record.input, record.target, record.meta
+            if full:
+                inp, target = _respelled(inp, full), _respelled(target, full)
+            if spec.max_pad:
+                rng.seed(_record_seed(spec.seed, "pad", i))  # record_rng(seed, "pad", i), reseeded
+                prefix = [pad_token] * rng.randint(0, spec.max_pad)
+                inp, target = [*prefix, *inp], [*prefix, *target]
+                meta = RecordMeta(meta.value, meta.bits, meta.depth, meta.edge_group,
+                                  len(prefix), meta.weight)
+            record = ExampleRecord(record.id, record.task, record.order, inp, target, meta)
+        out += [record] * factors.get(record.meta.edge_group, 1)
+    if shuffled:
+        record_rng(spec.seed, "oversample", 0).shuffle(out)
     return out
-
-
-def apply_remap(records, mapping: dict):
-    """Respell record tokens; structural tokens pass through unchanged
-    unless the mapping names them explicitly."""
-    full = dict(mapping)
-    for tok in STRUCTURAL_TOKENS:
-        full.setdefault(tok, tok)
-    out = []
-    for record in records:
-        if not out:  # checked once, and only when there is a record to respell
-            _check_injective(full)
-        out.append(ExampleRecord(
-            record.id, record.task, record.order,
-            _respelled(record.input, full), _respelled(record.target, full), record.meta))
-    return out
-
-
-def oversample(records, group1_factor: int, group2_factor: int, seed: int):
-    """Duplicate edge-group records by the given factors and reshuffle."""
-    if group1_factor < 1 or group2_factor < 1:
-        raise GenerationError("oversample factors must be at least 1")
-    out = []
-    for record in records:
-        factor = {1: group1_factor, 2: group2_factor}.get(record.meta.edge_group, 1)
-        out.extend([record] * factor)
-    record_rng(seed, "oversample", 0).shuffle(out)
-    return out
-
-
-def postprocess(records, spec: DatasetSpec):
-    """Remap, pad, and oversample, in that order."""
-    if spec.remap:
-        records = apply_remap(records, spec.remap)
-    if spec.max_pad:
-        records = apply_padding(records, spec.max_pad, spec.seed, spec.pad_token)
-    if spec.oversample_group1 > 1 or spec.oversample_group2 > 1:
-        records = oversample(records, spec.oversample_group1, spec.oversample_group2, spec.seed)
-    return records
 
 
 def build_dataset(spec: DatasetSpec) -> list[ExampleRecord]:
@@ -629,14 +597,10 @@ def build_dataset(spec: DatasetSpec) -> list[ExampleRecord]:
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
-def _dump_line(obj: dict) -> str:
-    return _ENCODER.encode(obj)
-
-
 def write_jsonl(records, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for record in records:
-            handle.write(_dump_line(record.to_dict()))
+            handle.write(_ENCODER.encode(record.to_dict()))
             handle.write("\n")
 
 

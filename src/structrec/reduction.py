@@ -64,9 +64,9 @@ SEPARATOR = {PAREN: " = ", ARROW: " -> "}
 
 
 class _Nested:
-    """Eq, hash and repr of the expressions that hold expressions, from one
-    walk on a stack, as Term's are: the dataclass-generated ones recurse
-    once per level.  The repr text is the generated one."""
+    """Eq, hash, repr and pickling of the expressions that hold expressions,
+    from one walk on a stack, as Term's are: the dataclass-generated ones
+    recurse once per level.  The repr text is the generated one."""
 
     __slots__ = ()
     _exprs: tuple[str, ...] = ()  # the fields that hold an expression or a tuple of them
@@ -107,6 +107,38 @@ class _Nested:
 
     def __repr__(self):
         return "".join(p if isinstance(p, str) else repr(p) for p in self._pieces())
+
+    def __reduce__(self):
+        """Its nodes in preorder, a node's last expression first, for
+        _renested: no recursion at any depth, as for Term.  A node lists as
+        its class, its other fields and the number of its expressions (its
+        last fields hold one tuple of them, or one each); any other
+        expression e lists as (None, e, 0)."""
+        nodes, stack = [], [self]
+        while stack:
+            e = stack.pop()
+            if not isinstance(e, _Nested):
+                nodes.append((None, e, 0))
+                continue
+            values = [getattr(e, name) for name in e.__dataclass_fields__]
+            cut = len(values) - len(e._exprs)
+            kids = values[cut] if len(e._exprs) == 1 else values[cut:]
+            nodes.append((e.__class__, values[:cut], len(kids)))
+            stack += kids
+        return _renested, (nodes,)
+
+
+def _renested(nodes) -> Expr:
+    """The expression whose nodes _Nested.__reduce__ lists, built from the
+    last one back, so that a node's expressions are the last ones built."""
+    built = []
+    for cls, head, count in reversed(nodes):
+        if cls is not None:
+            kids = built[len(built) - count:]
+            del built[len(built) - count:]
+            head = cls(*head, tuple(kids)) if len(cls._exprs) == 1 else cls(*head, *kids)
+        built.append(head)
+    return built[0]
 
 
 @_slot_stored

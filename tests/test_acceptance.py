@@ -20,7 +20,7 @@ from structrec.datasets import (
     gen_successor_random,
     gen_successor_range,
     gen_trees,
-    oversample,
+    postprocess,
     record_rng,
     sample_tree,
     write_jsonl,
@@ -314,7 +314,7 @@ def test_criterion_09_oversampling_arithmetic():
     """k1 = 5 multiplies group-1 record counts by exactly five and leaves
     the rest alone."""
     records = gen_successor_range(DatasetSpec(lo=1, hi=2048))
-    over = oversample(records, 5, 1, seed=DEFAULT_SEED)
+    over = postprocess(records, DatasetSpec(oversample_group1=5, seed=DEFAULT_SEED))
     counts = {}
     for record in over:
         counts[record.id] = counts.get(record.id, 0) + 1

@@ -169,12 +169,12 @@ GEN_PINS = {
         "d7238a89f85366fe980004b7c8f11ca4af8db4a93a3d952887dac036cead3fc2",
         "aa49f1c537092773c8228fff5656331f241a8085f75b5e8039933610bd8cd785",
     ),
-    # a remap that names PAD, which padding adds after the remap
+    # a remap that names PAD, so the pads are written as p
     "successor_natural": (
         ["gen", "successor", "--order", "natural", "--range", "1:2048", "--max-pad", "2",
          "--remap", '{"X0":"a","X1":"b","01":"c","PAD":"p"}', "--oversample-g1", "3"],
-        "579cec2a3396443b6c5872d3575cc1e037217c561db066ee8d4d1481e211de95",
-        "17d59fa2cd67c8f9dfafd988a90b648d3000f1cbb57026fa19400ad9b78639ee",
+        "e8ee994a1870978f52a4d48de88d4eada371e990c0144c2dba22c2e0df2b4aa5",
+        "f4ebd0d2d4a3466b1ee97cf3684c907280e9716c86c67c79a4cf1afdc212fee7",
     ),
 }
 

@@ -14,13 +14,12 @@ from structrec.datasets import (
     ExampleRecord,
     RecordMeta,
     SINGLE_STEP,
+    STRUCTURAL_TOKENS,
     SUCCESSOR,
     SUCCESSOR_RANDOM,
     TRAVERSAL,
     TraceRecord,
     TreeSample,
-    apply_padding,
-    apply_remap,
     build_dataset,
     count_trees,
     count_trees_exact,
@@ -32,7 +31,7 @@ from structrec.datasets import (
     gen_traces,
     gen_traversal,
     gen_trees,
-    oversample,
+    postprocess,
     read_jsonl,
     read_traces,
     record_rng,
@@ -40,6 +39,7 @@ from structrec.datasets import (
     tree_key,
     write_jsonl,
     write_manifest,
+    _record_seed,
 )
 from structrec.errors import (
     EvalError,
@@ -63,6 +63,8 @@ from structrec.terms import (
     NATURAL,
     REVERSE,
     Term,
+    _check_injective,
+    _respelled,
     bin_encode,
     branch,
     delinearize,
@@ -342,7 +344,7 @@ def test_traversal_traces_use_arrows():
 
 def test_padding_mirrors_input_and_target():
     records = gen_successor_range(DatasetSpec(lo=1, hi=60))
-    padded = apply_padding(records, 4, seed=99)
+    padded = postprocess(records, DatasetSpec(max_pad=4, seed=99))
     seen = set()
     for record in padded:
         pad = record.meta.pad_len
@@ -355,14 +357,15 @@ def test_padding_mirrors_input_and_target():
 
 def test_padding_deterministic():
     records = gen_successor_range(DatasetSpec(lo=1, hi=30))
-    a = apply_padding(records, 3, seed=5)
-    b = apply_padding(records, 3, seed=5)
+    a = postprocess(records, DatasetSpec(max_pad=3, seed=5))
+    b = postprocess(records, DatasetSpec(max_pad=3, seed=5))
     assert [r.to_dict() for r in a] == [r.to_dict() for r in b]
 
 
 def test_remap_respells_value_tokens_only():
-    records = apply_padding(gen_successor_range(DatasetSpec(lo=1, hi=8)), 2, seed=1)
-    mapped = apply_remap(records, {"01": "c", "X0": "a", "X1": "b"})
+    records = gen_successor_range(DatasetSpec(lo=1, hi=8))
+    mapped = postprocess(records, DatasetSpec(max_pad=2, seed=1,
+                                              remap={"01": "c", "X0": "a", "X1": "b"}))
     for record in mapped:
         assert set(record.input) <= {"a", "b", "c", "PAD"}
         assert set(record.target) <= {"a", "b", "c", "PAD"}
@@ -370,15 +373,15 @@ def test_remap_respells_value_tokens_only():
 
 def test_remap_can_target_structural_tokens_explicitly():
     records = gen_successor_range(DatasetSpec(lo=1, hi=4))
-    padded = apply_padding(records, 1, seed=2)
-    mapped = apply_remap(padded, {"01": "c", "X0": "a", "X1": "b", "PAD": "_"})
+    mapped = postprocess(records, DatasetSpec(
+        max_pad=1, seed=2, remap={"01": "c", "X0": "a", "X1": "b", "PAD": "_"}))
     tokens = {tok for r in mapped for tok in r.input}
     assert "PAD" not in tokens
 
 
 def test_padding_draws_each_length_from_the_record_rng():
     records = gen_successor_range(DatasetSpec(lo=1, hi=50))
-    padded = apply_padding(records, 5, seed=7, pad_token="_")
+    padded = postprocess(records, DatasetSpec(max_pad=5, seed=7, pad_token="_"))
     for i, (record, out) in enumerate(zip(records, padded)):
         pad = record_rng(7, "pad", i).randint(0, 5)
         assert out.meta.pad_len == pad
@@ -393,21 +396,21 @@ def test_remap_checks_injectivity_only_with_a_record():
     # the second is not injective only once PAD keeps its own spelling
     for mapping in ({"01": "c", "X0": "a", "X1": "a"}, {"01": "c", "X0": "PAD", "X1": "b"}):
         with pytest.raises(RemapError) as raised:
-            apply_remap(records, mapping)
+            postprocess(records, DatasetSpec(remap=mapping))
         assert str(raised.value) == "remap is not injective"
-        assert apply_remap([], mapping) == []
+        assert postprocess([], DatasetSpec(remap=mapping)) == []
 
 
 def test_remap_names_the_first_token_outside_its_domain():
     record = ExampleRecord("r", SUCCESSOR, None, ["X1", "Z", "Q", "01"], ["X0", "X1", "01"])
     with pytest.raises(RemapError) as raised:
-        apply_remap([record], {"01": "c", "X0": "a", "X1": "b"})
+        postprocess([record], DatasetSpec(remap={"01": "c", "X0": "a", "X1": "b"}))
     assert str(raised.value) == "token outside remap domain: 'Z'"
 
 
 def test_remap_normalizes_an_alias_before_respelling_it():
     record = ExampleRecord("r", SUCCESSOR, None, ["X1", "XO", "01"], ["XO", "X1", "01"])
-    (mapped,) = apply_remap([record], {"01": "c", "X0": "a", "X1": "b"})
+    (mapped,) = postprocess([record], DatasetSpec(remap={"01": "c", "X0": "a", "X1": "b"}))
     assert (mapped.input, mapped.target) == (["b", "a", "c"], ["a", "b", "c"])
     assert (mapped.id, mapped.task, mapped.meta) == ("r", SUCCESSOR, record.meta)
     assert record.input == ["X1", "XO", "01"]
@@ -415,7 +418,7 @@ def test_remap_normalizes_an_alias_before_respelling_it():
 
 def test_oversample_counts():
     records = gen_successor_range(DatasetSpec(lo=1, hi=64))
-    over = oversample(records, 5, 3, seed=42)
+    over = postprocess(records, DatasetSpec(oversample_group1=5, oversample_group2=3, seed=42))
     counts = {}
     for record in over:
         counts[record.id] = counts.get(record.id, 0) + 1
@@ -427,10 +430,116 @@ def test_oversample_counts():
 
 def test_oversample_shuffles_deterministically():
     records = gen_successor_range(DatasetSpec(lo=1, hi=64))
-    a = oversample(records, 5, 1, seed=42)
-    b = oversample(records, 5, 1, seed=42)
+    a = postprocess(records, DatasetSpec(oversample_group1=5, seed=42))
+    b = postprocess(records, DatasetSpec(oversample_group1=5, seed=42))
     assert [r.id for r in a] == [r.id for r in b]
     assert [r.id for r in a] != [r.id for r in records]
+
+
+# the one-pass postprocess against the three stages it replaced, run in turn
+
+
+def _reference_padding(records, max_pad: int, seed: int, pad_token: str = "PAD"):
+    if max_pad < 0:
+        raise GenerationError("max_pad must be non-negative")
+    rng, out = random.Random(), []
+    for i, record in enumerate(records):
+        rng.seed(_record_seed(seed, "pad", i))
+        pad = rng.randint(0, max_pad)
+        prefix = [pad_token] * pad
+        meta = record.meta
+        out.append(ExampleRecord(
+            record.id, record.task, record.order,
+            prefix + list(record.input), prefix + list(record.target),
+            RecordMeta(meta.value, meta.bits, meta.depth, meta.edge_group, pad, meta.weight)))
+    return out
+
+
+def _reference_remap(records, mapping: dict):
+    full = dict(mapping)
+    for tok in STRUCTURAL_TOKENS:
+        full.setdefault(tok, tok)
+    out = []
+    for record in records:
+        if not out:
+            _check_injective(full)
+        out.append(ExampleRecord(
+            record.id, record.task, record.order,
+            _respelled(record.input, full), _respelled(record.target, full), record.meta))
+    return out
+
+
+def _reference_oversample(records, group1_factor: int, group2_factor: int, seed: int):
+    if group1_factor < 1 or group2_factor < 1:
+        raise GenerationError("oversample factors must be at least 1")
+    out = []
+    for record in records:
+        factor = {1: group1_factor, 2: group2_factor}.get(record.meta.edge_group, 1)
+        out.extend([record] * factor)
+    record_rng(seed, "oversample", 0).shuffle(out)
+    return out
+
+
+def _reference_postprocess(records, spec: DatasetSpec):
+    if spec.remap:
+        records = _reference_remap(records, spec.remap)
+    if spec.max_pad:
+        records = _reference_padding(records, spec.max_pad, spec.seed, spec.pad_token)
+    if spec.oversample_group1 > 1 or spec.oversample_group2 > 1:
+        records = _reference_oversample(records, spec.oversample_group1, spec.oversample_group2,
+                                        spec.seed)
+    return records
+
+
+def _outcome(run, records, spec):
+    try:
+        return [record.to_dict() for record in run(records, spec)]
+    except RemapError as exc:
+        return str(exc)
+
+
+def test_postprocess_matches_the_three_stages_run_in_turn():
+    samples, _ = gen_trees(DatasetSpec(task=TRAVERSAL, depth_lo=2, depth_hi=4, train_count=8,
+                                       test_count=0, seed=5))
+    g1, g2 = gen_edge_records(DatasetSpec(order=NATURAL), range(2, 9))
+    pool = (gen_successor_range(DatasetSpec(lo=1, hi=40))
+            + gen_successor_random(DatasetSpec(count=20, bits_lo=2, bits_hi=12))
+            + gen_single_step(DatasetSpec(lo=1, hi=12)) + g1 + g2
+            + gen_traversal(samples, "inorder") + gen_traversal(samples, "preorder", 2))
+    values = ["X0", "X1", "01", "a", "b", "c"]
+    rng = random.Random(27)
+    seen = {"remap": 0, "outside": 0, "not injective": 0, "pad": 0, "oversample": 0, "empty": 0}
+    for _ in range(400):
+        records = [] if rng.random() < 0.05 else rng.sample(pool, rng.randint(1, 12))
+        for k, record in enumerate(records):  # XO is an alias of X0
+            if rng.random() < 0.3 and "X0" in record.input:
+                i = record.input.index("X0")
+                records[k] = dataclasses.replace(
+                    record, input=record.input[:i] + ["XO"] + record.input[i + 1:])
+        remap = None
+        if rng.random() < 0.6:
+            spellings = rng.sample("pqrstuvwxyz", len(values))
+            if rng.random() < 0.15:
+                spellings[1] = spellings[0]
+            remap = dict(zip(values, spellings))
+            if rng.random() < 0.15:
+                del remap[rng.choice(values)]
+        spec = DatasetSpec(remap=remap, max_pad=rng.randint(0, 4),
+                           oversample_group1=rng.randint(1, 5),
+                           oversample_group2=rng.randint(1, 5),
+                           pad_token=rng.choice(["PAD", "_"]), seed=rng.randrange(1000))
+        want = _outcome(_reference_postprocess, records, spec)
+        assert _outcome(postprocess, records, spec) == want
+        if isinstance(want, str):
+            seen["outside" if "outside" in want else "not injective"] += 1
+            continue
+        seen["remap"] += bool(remap)
+        seen["pad"] += spec.max_pad > 0
+        seen["oversample"] += len(want) > len(records)
+        seen["empty"] += not records
+    assert min(seen.values()) >= 10, seen
+    records = pool[:5]
+    assert postprocess(records, DatasetSpec()) is records
 
 
 def test_build_dataset_rejects_unknown_task():

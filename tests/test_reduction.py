@@ -1116,6 +1116,25 @@ def test_nodes_are_frozen_slot_stores_with_their_dataclass_surface(node, name, o
         assert pickle.loads(pickle.dumps(node, protocol)) == node
 
 
+def test_deep_expressions_round_trip_through_pickle_and_deepcopy():
+    # pickle and deepcopy used to recurse once per level, so both raised
+    # RecursionError on either chain
+    chain = Call("s", (Term("01"),))
+    for _ in range(3000):
+        chain = Ctor("X0", (), (chain,))
+    spine = ListLit(("a",))
+    for i in range(3000):
+        spine = Concat(spine, ListLit((str(i),)))
+    mixed = Concat(Ctor("Branch", ("a",), (Term("Leaf"), Call("f", (ListLit(()), _PENDING)),
+                                           Ctor("E", (), ()))), Call("g", (_TWO, _TWO)))
+    for expr in (chain, spine, mixed):
+        copies = [pickle.loads(pickle.dumps(expr, protocol))
+                  for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for other in copies + [copy.deepcopy(expr)]:
+            assert other == expr and other is not expr and type(other) is type(expr)
+    assert repr(copies[-1]) == repr(mixed)
+
+
 def test_single_step_cost_does_not_grow_with_length(monkeypatch):
     built = [0]  # expression nodes and terms built
     for cls in (Term, Ctor, Call, ListLit, Concat):
