@@ -127,12 +127,8 @@ def _add_postprocess_flags(parser: argparse.ArgumentParser) -> None:
 def _add_edge_group_flags(parser: argparse.ArgumentParser) -> None:
     for group in (1, 2):
         parser.add_argument(f"--oversample-g{group}", dest=f"oversample_group{group}",
-                            type=_int_at_least(1), default=1, metavar="K",
+                            type=_int_at_least(1), default=None, metavar="K",
                             help=f"duplication factor for edge group {group} records (default 1)")
-    for group in (1, 2):
-        parser.add_argument(f"--weight-g{group}", dest=f"weight_group{group}",
-                            type=_int_at_least(1), default=1, metavar="W",
-                            help=f"loss weight stored on edge group {group} records (default 1)")
 
 
 def _add_tree_flags(parser: argparse.ArgumentParser) -> None:
@@ -143,14 +139,15 @@ def _add_tree_flags(parser: argparse.ArgumentParser) -> None:
 
 
 # the DatasetSpec fields that the shared flag groups set, each flag's dest
-_GROUP_FIELDS = frozenset({"seed", "max_pad", "remap", "oversample_group1", "oversample_group2",
-                           "weight_group1", "weight_group2"})
+_GROUP_FIELDS = frozenset({"seed", "max_pad", "remap", "oversample_group1", "oversample_group2"})
 
 
 def _gen_spec(args, **fields) -> datasets.DatasetSpec:
     """The spec of fields and of the group flags this subcommand has; a
-    flag it lacks leaves its field at the spec's default."""
-    flags = {field: value for field, value in vars(args).items() if field in _GROUP_FIELDS}
+    flag it lacks, or one left at None, leaves its field at the spec's
+    default."""
+    flags = {field: value for field, value in vars(args).items()
+             if field in _GROUP_FIELDS and value is not None}
     spec = datasets.DatasetSpec(**{**flags, **fields})
     spec.validate()
     return spec
@@ -176,10 +173,9 @@ def _emit(records, out_dir: str, name: str, spec: datasets.DatasetSpec) -> Path:
 def cmd_gen_successor(args) -> int:
     if args.edge_cases is not None:
         spec = _gen_spec(args, task=datasets.SUCCESSOR, order=args.order,
-                         bits_lo=args.edge_cases[0], bits_hi=args.edge_cases[1],
-                         oversample_group1=1, oversample_group2=1)
+                         bits_lo=args.edge_cases[0], bits_hi=args.edge_cases[1])
+        # edge files are test groups, so the parser takes no oversample flag for them
         g1, g2 = datasets.gen_edge_records(spec, range(spec.bits_lo, spec.bits_hi + 1))
-        # edge files are test groups, so never oversample them
         _emit(datasets.postprocess(g1, spec), args.out, f"edge_group1_{args.order}", spec)
         _emit(datasets.postprocess(g2, spec), args.out, f"edge_group2_{args.order}", spec)
         return GOOD
@@ -233,29 +229,35 @@ def cmd_gen_traversal(args) -> int:
 _TREE_TASKS = ("inorder", "preorder")
 _TRACE_TASK_FLAGS = {"range": (("successor",), (1, 1024)), "count": (_TREE_TASKS, 100),
                      "depths": (_TREE_TASKS, (2, 4)), "alphabet": (_TREE_TASKS, "abc")}
+# the flags of gen successor that a value range reads and --edge-cases does not
+_RANGE_FLAGS = {"range": ((None,), (1, 131072)), "oversample_group1": ((None,), None),
+                "oversample_group2": ((None,), None)}
 
 
-def _trace_default(dest: str) -> str:
-    default = _TRACE_TASK_FLAGS[dest][1]
-    return "%d:%d" % default if isinstance(default, tuple) else str(default)
+def _flag_text(value) -> str:
+    return "%d:%d" % value if isinstance(value, tuple) else str(value)
 
 
 class _GenParser(argparse.ArgumentParser):
     """A gen subcommand's parser.  Of its task_flags, which only some
-    values of --task read, one the chosen task does not read is a usage
-    error, as a flag the subcommand lacks is, and one it reads and is not
-    given takes its default."""
+    values of its task_dest flag read, one the chosen value does not read
+    is a usage error, as a flag the subcommand lacks is, and one it reads
+    and is not given takes its default."""
 
-    task_flags: dict = {}  # dest: (the tasks that read the flag, its default)
+    task_dest = "task"
+    task_flags: dict = {}  # dest: (the task_dest values that read the flag, its default)
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
-        unread = [f"--{dest}" for dest, (tasks, _) in self.task_flags.items()
-                  if namespace.task not in tasks and getattr(namespace, dest) is not None]
+        task = getattr(namespace, self.task_dest, None)
+        flag = {action.dest: action.option_strings[0] for action in self._actions}
+        unread = [flag[dest] for dest, (tasks, _) in self.task_flags.items()
+                  if task not in tasks and getattr(namespace, dest) is not None]
         if unread:
-            self.error(f"--task {namespace.task} does not read {', '.join(unread)}")
+            self.error(f"{flag[self.task_dest]} {_flag_text(task)} does not read "
+                       f"{', '.join(unread)}")
         for dest, (tasks, default) in self.task_flags.items():
-            if namespace.task in tasks and getattr(namespace, dest) is None:
+            if task in tasks and getattr(namespace, dest) is None:
                 setattr(namespace, dest, default)
         return namespace, extras
 
@@ -405,13 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = gen_sub.add_parser("successor", help="successor pairs over a value range")
     g.add_argument("--order", choices=(REVERSE, NATURAL), default=REVERSE)
-    g.add_argument("--range", type=_range_arg, default=(1, 131072), metavar="LO:HI",
+    g.add_argument("--range", type=_range_arg, default=None, metavar="LO:HI",
                    help="value range, inclusive (default 1:131072)")
     g.add_argument("--edge-cases", type=_range_arg, default=None, metavar="LO:HI",
                    help="write the two edge groups for this bit-length range instead")
     _add_gen_common(g)
     _add_postprocess_flags(g)
     _add_edge_group_flags(g)
+    g.task_dest, g.task_flags = "edge_cases", _RANGE_FLAGS
     g.set_defaults(func=cmd_gen_successor)
 
     g = gen_sub.add_parser("random", help="successor pairs at uniform long bit lengths")
@@ -446,17 +449,18 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen_traversal)
 
     g = gen_sub.add_parser("traces", help="fully rendered oracle traces")
+    default = {dest: _flag_text(value) for dest, (_, value) in _TRACE_TASK_FLAGS.items()}
     g.add_argument("--task", choices=("successor", "inorder", "preorder"),
                    default="successor")
     g.add_argument("--range", type=_range_arg, default=None, metavar="LO:HI",
-                   help=f"successor value range (default {_trace_default('range')})")
+                   help=f"successor value range (default {default['range']})")
     g.add_argument("--count", type=_int_at_least(1), default=None,
-                   help=f"tree count for traversal traces (default {_trace_default('count')})")
+                   help=f"tree count for traversal traces (default {default['count']})")
     g.add_argument("--depths", type=_range_arg, default=None, metavar="LO:HI",
                    help="tree depth range for traversal traces "
-                        f"(default {_trace_default('depths')})")
+                        f"(default {default['depths']})")
     g.add_argument("--alphabet", default=None,
-                   help=f"node values of traversal trees (default {_trace_default('alphabet')})")
+                   help=f"node values of traversal trees (default {default['alphabet']})")
     _add_gen_common(g)
     g.task_flags = _TRACE_TASK_FLAGS
     g.set_defaults(func=cmd_gen_traces)

@@ -65,7 +65,6 @@ class RecordMeta:
     depth: int | None = None
     edge_group: int = 0
     pad_len: int = 0
-    weight: int = 1
 
     def to_dict(self) -> dict:
         out = {}
@@ -73,7 +72,7 @@ class RecordMeta:
             val = getattr(self, key)
             if val is not None:
                 out[key] = val
-        out.update(edge_group=self.edge_group, pad_len=self.pad_len, weight=self.weight)
+        out.update(edge_group=self.edge_group, pad_len=self.pad_len)
         return out
 
 
@@ -159,12 +158,9 @@ class DatasetSpec:
     train_count: int = 20000
     test_count: int = 1000
     max_pad: int = 0
-    pad_token: str = PAD_TOKEN
     remap: dict | None = None
     oversample_group1: int = 1
     oversample_group2: int = 1
-    weight_group1: int = 1
-    weight_group2: int = 1
     seed: int = DEFAULT_SEED
 
     def validate(self) -> None:
@@ -191,8 +187,6 @@ class DatasetSpec:
             raise GenerationError("max_pad must be non-negative")
         if self.oversample_group1 < 1 or self.oversample_group2 < 1:
             raise GenerationError("oversample factors must be at least 1")
-        if self.weight_group1 < 1 or self.weight_group2 < 1:
-            raise GenerationError("weights must be at least 1")
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +197,7 @@ def _ordered(tokens: list[str], order: str) -> list[str]:
     return tokens if order == REVERSE else list(reversed(tokens))
 
 
-def _group_weight(spec: DatasetSpec, group: int) -> int:
-    """The loss weight of a record in this edge group; group 0 (none) weighs 1."""
-    return {1: spec.weight_group1, 2: spec.weight_group2}.get(group, 1)
-
-
 def _successor_record(rec_id: str, task: str, value: int, spec: DatasetSpec) -> ExampleRecord:
-    group = edge_group(value)
     return ExampleRecord(
         id=rec_id,
         task=task,
@@ -220,8 +208,7 @@ def _successor_record(rec_id: str, task: str, value: int, spec: DatasetSpec) -> 
             value=value,
             bits=value.bit_length(),
             depth=bin_x1_run(value) + 1,  # closed form; tests pin it to the engine
-            edge_group=group,
-            weight=_group_weight(spec, group),
+            edge_group=edge_group(value),
         ),
     )
 
@@ -270,7 +257,7 @@ def gen_single_step(spec: DatasetSpec) -> list[ExampleRecord]:
         states = [state.split(" ") for state in render_states(Call("s", (term,)), PAREN)]
         depth, group = len(states) - 1, edge_group(value)
         for step_i in range(depth):
-            meta = RecordMeta(value, value.bit_length(), depth, group, 0, _group_weight(spec, group))
+            meta = RecordMeta(value, value.bit_length(), depth, group)
             records.append(ExampleRecord(f"sstep-{value}-{step_i}", SINGLE_STEP, REVERSE,
                                          states[step_i], states[step_i + 1], meta))
     return records
@@ -324,10 +311,6 @@ def _count_trees(max_depth: int, alphabet_size: int, enough) -> int:
             break
         total = 1 + alphabet_size * total * total
     return total
-
-
-def count_trees_exact(depth: int, alphabet_size: int) -> int:
-    return count_trees(depth, alphabet_size) - count_trees(depth - 1, alphabet_size)
 
 
 _BRANCH_PROB = 0.8
@@ -394,7 +377,7 @@ def gen_trees(spec: DatasetSpec) -> tuple[list[TreeSample], SplitSpec]:
     test_quota = {d: per_depth + (1 if j < extra else 0) for j, d in enumerate(depths)}
     for d, quota in test_quota.items():
         shallower = _count_trees(d - 1, size, quota)
-        if quota > 1 + size * shallower * shallower - shallower:  # count_trees_exact(d, size)
+        if quota > 1 + size * shallower * shallower - shallower:  # the depth-d trees
             raise GenerationError(f"not enough distinct depth-{d} trees for the test split")
 
     samples: list[TreeSample] = []
@@ -546,13 +529,13 @@ def postprocess(records, spec: DatasetSpec):
     shuffled = max(factors.values()) > 1
     if not (spec.remap or spec.max_pad or shuffled):
         return records
-    full, pad_token = spec.remap and dict(spec.remap), spec.pad_token
+    full, pad = spec.remap and dict(spec.remap), PAD_TOKEN
     if full:
         for tok in STRUCTURAL_TOKENS:
             full.setdefault(tok, tok)
         if records:  # checked once, and only when there is a record to respell
             _check_injective(full)
-        pad_token = full.get(pad_token, pad_token)
+        pad = full[PAD_TOKEN]
     rng, out = random.Random(), []
     for i, record in enumerate(records):
         if full or spec.max_pad:
@@ -561,10 +544,9 @@ def postprocess(records, spec: DatasetSpec):
                 inp, target = _respelled(inp, full), _respelled(target, full)
             if spec.max_pad:
                 rng.seed(_record_seed(spec.seed, "pad", i))  # record_rng(seed, "pad", i), reseeded
-                prefix = [pad_token] * rng.randint(0, spec.max_pad)
+                prefix = [pad] * rng.randint(0, spec.max_pad)
                 inp, target = [*prefix, *inp], [*prefix, *target]
-                meta = RecordMeta(meta.value, meta.bits, meta.depth, meta.edge_group,
-                                  len(prefix), meta.weight)
+                meta = RecordMeta(meta.value, meta.bits, meta.depth, meta.edge_group, len(prefix))
             record = ExampleRecord(record.id, record.task, record.order, inp, target, meta)
         out += [record] * factors.get(record.meta.edge_group, 1)
     if shuffled:

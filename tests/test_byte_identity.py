@@ -58,123 +58,123 @@ GEN_PINS = {
     "traces_successor": (
         ["gen", "traces", "--range", "1:2048"],
         "4f7902bb283f0f792e339b2a0fbf8ac4e904818fed8088d97b47e683ca2ca262",
-        "ef418da5a46b868ba489539572b11ce0bec568ceab5713d51386e7b16f635c93",
+        "a0cede4b41482d8bae5f6fe73cbcbe01f2cb4901d218845a04d0bcba67d3727c",
     ),
     "traces_inorder": (
         ["gen", "traces", "--task", "inorder", "--count", "200", "--depths", "2:6",
          "--seed", "11"],
         "3b00c1f62c95f6757066c17b11ce10073860e23def4ed1a3d2e75b3e802d314d",
-        "37147c61dfacddf84373dce8f98de8a9a6b97e77da10071462b157791578a739",
+        "78667203304359258dc193a7214677c41a32b9c9526012db16827efa83d62d14",
     ),
     "traces_preorder": (
         ["gen", "traces", "--task", "preorder", "--count", "200", "--depths", "2:6",
          "--seed", "11"],
         "293b8503afed054ce18d048a13148ed91077dac2c13fe88049b25f5614a2eaa8",
-        "4607eddb5ad8e8972d375fb4ad56d1c0a6c2968a1c7a0a5371800ba75f8953c9",
+        "4286c968927e3488ae40a5fa17cf34f0e1b7845383c446ea06d23705aa380bbb",
     ),
     "inorder_full_train": (
         TRAVERSAL_ARGV + ["--kind", "inorder"],
-        "4ddc1e8f4484c12b46e5dd2d8c58bddd59a759d61444d18d2b2ee3f31c3c6699",
-        "20f39ba7b7bfbce351534914d0223cdc9d4099bc7f68f428d58431b19a2896dc",
+        "3513ab497e811c4165ff9fcc19bd8a9cbc948306077897e4f63fe1a65ce712ca",
+        "8e44879f77b76b0d6491f8638bdda2fee61fc0802628fafe77c532cc993f64fc",
     ),
     "inorder_full_test": (
         TRAVERSAL_ARGV + ["--kind", "inorder"],
-        "cb57539038eaa6d659ab064fe4789e1641ebef2963fbec6a23b13a679759edc2",
-        "2cbb1f3e79e705df46cc136654a668d36c0e356561b6426030d4d8599120564a",
+        "238e7b33a4801ddca02810681071fca2f1a6ed2b187b9c2b882aa794eb5f13bd",
+        "ae72baf7902095c0c8b1027a06e377a93e44f7a84b86dacc66ea926cf8e5a3d9",
     ),
     "deep/inorder_full_train": (
         DEEP_TRAVERSAL_ARGV + ["--kind", "inorder"],
-        "5faf9bd5a81025ea22e1267e83fde0c9d10f1395312d7aa4ce012247a16b769c",
-        "54eabf6d43d9a35b614af1566227a0a5eb7c29fc79ef0eb1df6d70a67b563997",
+        "b1dbf89b3d94a1bece2d1ea1f98cd5db5fd9919243e3be19f77f6b4ddaf680f8",
+        "e386882421d7dca6232b4140b96c0c5adb2399be84ca4ad58550d6fcdd702eee",
     ),
     "deep/inorder_full_test": (
         DEEP_TRAVERSAL_ARGV + ["--kind", "inorder"],
-        "7bad71ca04f29edcfebd509f078143515d510b70c859ef22c57442f45021b24c",
-        "a3b1722f8eaf8bcb0f79df648f7944f7a745a93abbe1ebcc3e617ec3b4ada64b",
+        "8ddebe0164fdd14a95a78c739701495a46e679e087c284e7337896a8a41bcf3b",
+        "6148d0a1892acb0e70af529b1316fbe0beebf644fa19a1b8edf47b169c02c4a5",
     ),
     "preorder_full_train": (
         TRAVERSAL_ARGV + ["--kind", "preorder"],
-        "7c68038df74e783792f2107095609153f4d36668f406a422c6fa8e8ea1a045fb",
-        "2dd047761045d5412ca9cac74c5e216cd2f75103665e277b3041648ccf516fe4",
+        "20179d90a8e644b22a9425edb28753c28c7a77d3f24d3a4f7f799896fc3a56c1",
+        "9ecb3ee81cd388df9163f28c68ee6358088094ac6305360522e8b469afecd8b6",
     ),
     "preorder_full_test": (
         TRAVERSAL_ARGV + ["--kind", "preorder"],
-        "e42b13b68fde424c0781e3bdd8348211079829220ef526befa5b9caf957907db",
-        "8ec07499dd19699ce333f89b8c391cb416753cec80cfe7868e90d01ebbc08b02",
+        "4dcfc5b5b1a0ec821ebe5ac396146a8961db20a45e4b4f1938667c960f778879",
+        "e682fa280997d301a9529d45e90097391b4db2553ef5e9ed86c30cc5a9f22a9d",
     ),
     "deep/preorder_full_train": (
         DEEP_TRAVERSAL_ARGV + ["--kind", "preorder"],
-        "5acef47bda7b9f895b1b3061905f81baf7db179129a2c625b465e71ea0b14dff",
-        "165e224eb3c747ab129378f6e6d610ea203c2f7886ed42c3b1c2be9c08eb6449",
+        "c059048e454c3931e454c18b57dede57860fdf59c5256fb6995cc6e6d7db190e",
+        "2ad8517840d41542bd5d2b7b80805c0645bec5b191f19b7d4eb7f807b358e718",
     ),
     "deep/preorder_full_test": (
         DEEP_TRAVERSAL_ARGV + ["--kind", "preorder"],
-        "517af248c391816364e53ed293765ad787a75be4831c52e103130491ea4e0836",
-        "4ea4c01e0ddb66c2abec4c931ed96bdad8c168847c144f62547e202d57f62b13",
+        "c5ec5d6cef0326bf6d1f7c5041b465f9392efb0d98362979b48ec71124a577fa",
+        "9ad18f0558e13d6f5197809488a145d98008d7e5a6cdbf411217bf4d21a99a6e",
     ),
     "inorder_k2_train": (
         TRAVERSAL_ARGV + ["--kind", "inorder", "--k", "2"],
-        "3271a844419a011914acc95da0a04139381e1838e2a1daf2c48096171a7ff475",
-        "c424202e7a76786356c0792873a9d85c891d0e44c627300c523d23c2bc5ce34c",
+        "05a3badd1604b119452cd019d1bcd228848196a1102f7dac7a29426575f84a90",
+        "67115ab382edaa71544e26a440506b88e6b0489bfe673260186953ccecab27ef",
     ),
     "inorder_k2_test": (
         TRAVERSAL_ARGV + ["--kind", "inorder", "--k", "2"],
-        "e119fa5b8a7fc68fa2a3cb707993df3ecf8c31cb5811c7f082e3b001418ff9c2",
-        "204781f2ac401ce88caed20b7cb60a7deb1480dc837d8b5995e707439a37a885",
+        "34df2cb59d7449888bf63cd5c60875a8b51be4bddecc636673dbec93fc2d1321",
+        "34907377195083c17424c9fd8998851aa8d654ad64908dded8b472a144e31912",
     ),
     "preorder_k2_train": (
         TRAVERSAL_ARGV + ["--kind", "preorder", "--k", "2"],
-        "095b504c42d68c23efd0767c18636b431b677cc656d9e0b03a826909ff06737a",
-        "e60725d442f3b89c89370253ef04c3ce04a2ae130699caccf07ff84a0d960155",
+        "b29f7603f7b3bdbb8d2336c73ef2ee0873297372fa3344885d19560fd9b2942f",
+        "f8659c5296b7eeff8fd47b6ed7dc30a12cbb7d7eba1e0e659a1a1336f2f7f182",
     ),
     "preorder_k2_test": (
         TRAVERSAL_ARGV + ["--kind", "preorder", "--k", "2"],
-        "78406c12ceab98e036eaa62bba9e6204e66683e3a8de0157ff65c8d86244f589",
-        "523b78a640dc6620acc7176cdb54ea2aa085921c348006205da688eb920e7d0d",
+        "59ef41cd488e3b10c03072b19ed4efa062ad5c7375be0d077e87e5bd030babf7",
+        "a03ebe0375740eb1a39478b2337b13cde84c31f910dbe4d696f0ead5621a88f8",
     ),
     "successor_reverse": (
         ["gen", "successor", "--range", "1:4096", "--max-pad", "3",
          "--remap", '{"X0":"a","X1":"b","01":"c"}', "--oversample-g1", "4",
          "--oversample-g2", "3"],
-        "bc9bb0e53bbbc2acb54a8e9326b4fe4093b1311f8337b9982c7dbcd179f17d27",
-        "a297971c5d6a5a83ec63175d22057a7025f467b3ea0d3557c1dfdac389b95c22",
+        "0c3ea3869d223b3b1d7b1720a1f3c1942be97f1ef4bfb28bb4aed0a38a5430f9",
+        "fe327e0ac33b44e18485c36795f357af41714122f84730077f711abdc4fb7f2d",
     ),
     "edge_group1_reverse": (
         ["gen", "successor", "--edge-cases", "2:40"],
-        "2365ef4f6ce2d9f639b05ed38dd3df90086b0995adfa461bb667cb1ca143faf3",
-        "3f24e4772ce402b52a538949b9d81b23b34764f53d0aa2cad4c9d87f163adb10",
+        "0caf317e0333af6a94ae559b601dc72d2472efe5cf0e12ff05b9724dfbb6c6aa",
+        "3f77a214ec07fd1ef5e374a1d95f87d4995cd97fa27bb1c02532911e61cfcbee",
     ),
     "edge_group2_reverse": (
         ["gen", "successor", "--edge-cases", "2:40"],
-        "982227d7a3f97b8957912ef94c2d76f7af26ff92d41cd8f3a615b67a5d4cf1b8",
-        "252029700c7cca5767fea266aefd5080468330dd90cdfc46055fbe63b29619f8",
+        "cf7a9bfd6de389d825516044e93132d2c30d1c0793719d0998c2f7b79f5b0f63",
+        "15b7170b8b2164df10f044208871eb38033eafc9214211f032312b11d66f49a4",
     ),
     "successor_random_reverse": (
         ["gen", "random", "--count", "300"],
-        "8c56afbb7c0d727eccaab66b7ec762357661341a8d4849011d857c11ced8fed9",
-        "068d7148701bd458136434d9c78cc3b2a581baa0f9e3f32692fe12056dcba8f3",
+        "f89679e573911d12d64b40313652ad1606ffe680937beb6280c25eb0b6b469f5",
+        "f8f4dc96a33b45ad37aa93f44a8ea901f27ad32c4d363ed288263ae71f82292d",
     ),
     "single_step": (
         ["gen", "single-step", "--range", "1:512"],
-        "822b6f3dc4597de66180e4145935d0b89c6cf904d97fef50f78bd1b9e02532bd",
-        "96a30174fd319ccdcf622844c4aa3f47093200304cdcd614693ebdb9e052eb3a",
+        "8aff064c2bff886eaff4d6640f6ef3b369eba590d044b47a75d48f1cd587bd9d",
+        "986648d5d5677444584b2e2de21221ac6c35ad14a33c3595d55894a901be11ee",
     ),
     "trees_train": (
         TREES_ARGV,
         "422eef9953f112a9b30df814f9170b6c6660513536f775490e66acb4eae316c3",
-        "ef1fdf0bf5da7868b505a69bc4668cacf18aa3d66bae0c686ca7ce80563a7e1e",
+        "e315c02e0dd98e2e081c9a4445a58aa1b3f89cc0dbf44f935753b4c89a4eeb39",
     ),
     "trees_test": (
         TREES_ARGV,
         "d7238a89f85366fe980004b7c8f11ca4af8db4a93a3d952887dac036cead3fc2",
-        "aa49f1c537092773c8228fff5656331f241a8085f75b5e8039933610bd8cd785",
+        "362ce4a1589aaaef89b82cda11c0e71bf5f235c5da96935b4161e142c175b80a",
     ),
     # a remap that names PAD, so the pads are written as p
     "successor_natural": (
         ["gen", "successor", "--order", "natural", "--range", "1:2048", "--max-pad", "2",
          "--remap", '{"X0":"a","X1":"b","01":"c","PAD":"p"}', "--oversample-g1", "3"],
-        "e8ee994a1870978f52a4d48de88d4eada371e990c0144c2dba22c2e0df2b4aa5",
-        "f4ebd0d2d4a3466b1ee97cf3684c907280e9716c86c67c79a4cf1afdc212fee7",
+        "0d1103f5da22f0bd2e7d1cf0c0f0db396666bd42546ead5de83615f08434df21",
+        "a7111a8c5b65ac2c27210fec3958e235c86d85f42349618fcea5f8d7a218ac4d",
     ),
 }
 

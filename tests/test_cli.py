@@ -2,6 +2,7 @@
 
 import argparse
 import ast
+import dataclasses
 import gc
 import json
 import os
@@ -400,6 +401,28 @@ def test_eval_unknown_breakdown_key_exit_code(capsys, tmp_path, key):
     assert out == ""
 
 
+def test_a_gold_file_that_still_holds_meta_weight_scores_the_same(capsys, tmp_path):
+    from structrec.datasets import ExampleRecord
+
+    gold, pred = _gold_and_pred(capsys, tmp_path)
+    # each line as gen wrote it while records carried a weight
+    old = [json.dumps({**row, "meta": {**row["meta"], "weight": 1}}, sort_keys=True,
+                      separators=(",", ":")) for row in map(json.loads, gold)]
+    assert '"pad_len":0,"value":1,"weight":1}' in old[0]
+    for line, old_line in zip(gold, old):
+        assert (ExampleRecord.from_dict(json.loads(old_line))
+                == ExampleRecord.from_dict(json.loads(line)))
+    for fmt in ("text", "json"):
+        flags = ("--format", fmt, "--breakdown", "edge_group", "--breakdown", "bits")
+        new_run, old_run = (_eval_lines(capsys, tmp_path, lines, pred, *flags)
+                            for lines in (gold, old))
+        assert new_run == old_run and new_run[0] == 0
+    code, out, err = _eval_lines(capsys, tmp_path, old, pred, "--breakdown", "weight")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: unknown breakdown key: 'weight' "
+                          "(meta fields: value, bits, depth, edge_group, pad_len;")
+
+
 @pytest.mark.parametrize("damage, expected", [(None, 0), ("missing", 6), ("malformed", 4)])
 @pytest.mark.parametrize("enabled, frozen", [(True, False), (False, True)])
 def test_eval_leaves_the_collector_as_it_found_it(capsys, tmp_path, damage, expected,
@@ -616,8 +639,6 @@ def test_missing_file_exit_code(capsys, tmp_path):
     ("gen", "traversal", "--k", "0"),
     ("gen", "successor", "--oversample-g1", "0"),
     ("gen", "successor", "--oversample-g2", "0"),
-    ("gen", "random", "--weight-g1", "0"),
-    ("gen", "single-step", "--weight-g2", "-1"),
 ])
 def test_values_below_one_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -663,8 +684,6 @@ GEN_FLAGS = {
     **PAD_FLAGS,
     "--oversample-g1": lambda rng: _int_flag(rng, 1, 4),
     "--oversample-g2": lambda rng: _int_flag(rng, 1, 4),
-    "--weight-g1": lambda rng: _int_flag(rng, 1, 4),
-    "--weight-g2": lambda rng: _int_flag(rng, 1, 4),
 }
 TREE_FLAGS = {
     "--depths": lambda rng: _range_flag(rng, (-1, 0, 1, 2, 3, 5), 4),
@@ -674,10 +693,14 @@ TREE_FLAGS = {
 # each subcommand with small sizes to start from, and its numeric and range
 # flags, every value small enough that a run takes milliseconds
 FLAG_FUZZ = {
+    # a value range and --edge-cases apart, as --edge-cases reads neither
+    # --range nor an oversample flag
     ("gen", "successor"): (["--range", "1:8"], {
         "--range": lambda rng: _range_flag(rng, (-1, 0, 1, 5, BIG - 40, BIG, BIG + 1), 63),
-        "--edge-cases": lambda rng: _range_flag(rng, (-1, 0, 1, 2, 30, 64), 8),
         **GEN_FLAGS}),
+    ("gen", "successor", "--edge-cases", "2:4"): ([], {
+        "--edge-cases": lambda rng: _range_flag(rng, (-1, 0, 1, 2, 30, 64), 8),
+        **SEED_FLAGS, **PAD_FLAGS}),
     ("gen", "random"): (["--count", "5", "--bits", "4:8"], {
         "--count": lambda rng: _int_flag(rng, 1, 50),
         "--bits": lambda rng: _range_flag(rng, (-1, 0, 1, 2, 30, 62), 4),
@@ -882,7 +905,7 @@ def test_the_module_import_edges_are_pinned():
 
 # public top-level functions and classes per module, so that a new public
 # name is a deliberate edit here
-PUBLIC_DEFS = {"asm": 13, "cli": 12, "datasets": 25, "errors": 11, "evaluation": 13,
+PUBLIC_DEFS = {"asm": 13, "cli": 12, "datasets": 24, "errors": 11, "evaluation": 13,
                "reduction": 23, "shortcuts": 8, "terms": 21}
 
 
@@ -898,7 +921,7 @@ def test_the_public_defs_of_each_module_are_pinned():
             isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and not node.name.startswith("_") for node in tree.body)
     assert found == PUBLIC_DEFS
-    assert sum(found.values()) == 126
+    assert sum(found.values()) == 125
 
 
 def test_python_dash_m_runs_the_cli():
@@ -954,15 +977,70 @@ def test_gen_oversample(capsys, tmp_path):
         assert counts[row["id"]] == expected
 
 
-def test_gen_single_step_weights_edge_group_records(capsys, tmp_path):
-    code, _, _ = run(capsys, "gen", "single-step", "--range", "1:16", "--out", str(tmp_path),
-                     "--weight-g1", "5", "--weight-g2", "7")
-    assert code == 0
-    rows = [json.loads(line) for line in (tmp_path / "single_step.jsonl").read_text().splitlines()]
-    assert {(row["meta"]["edge_group"], row["meta"]["weight"]) for row in rows} == {
-        (0, 1), (1, 5), (2, 7)}
-    manifest = json.loads((tmp_path / "single_step.manifest.json").read_text())
-    assert (manifest["spec"]["weight_group1"], manifest["spec"]["weight_group2"]) == (5, 7)
+# each gen command that writes ExampleRecords, and the files it writes
+RECORD_FILES = [
+    (["successor", "--range", "1:40", "--max-pad", "2", "--oversample-g1", "3"],
+     ["successor_reverse"]),
+    (["successor", "--edge-cases", "2:9", "--max-pad", "2"],
+     ["edge_group1_reverse", "edge_group2_reverse"]),
+    (["random", "--count", "20", "--bits", "2:12"], ["successor_random_reverse"]),
+    (["single-step", "--range", "1:16"], ["single_step"]),
+    (["traversal", "--depths", "2:4", "--train", "8", "--test", "4"],
+     ["inorder_full_train", "inorder_full_test"]),
+    (["traversal", "--kind", "preorder", "--k", "2", "--depths", "2:4", "--train", "8",
+      "--test", "4", "--max-pad", "1"], ["preorder_k2_train", "preorder_k2_test"]),
+]
+
+
+@pytest.mark.parametrize("argv, names", RECORD_FILES, ids=[
+    "successor", "edge-cases", "random", "single-step", "traversal-full", "traversal-k"])
+def test_gen_records_and_manifests_hold_only_the_fields_something_reads(capsys, tmp_path,
+                                                                        argv, names):
+    from structrec.datasets import DatasetSpec
+
+    assert run(capsys, "gen", *argv, "--out", str(tmp_path))[0] == 0
+    for name in names:
+        rows = [json.loads(line) for line in (tmp_path / f"{name}.jsonl").read_text().splitlines()]
+        assert rows
+        for row in rows:
+            assert {"edge_group", "pad_len"} <= row["meta"].keys() <= {
+                "value", "bits", "depth", "edge_group", "pad_len"}
+        manifest = json.loads((tmp_path / f"{name}.manifest.json").read_text())
+        assert manifest["spec"].keys() == {f.name for f in dataclasses.fields(DatasetSpec)}
+
+
+@pytest.mark.parametrize("command", ["successor", "random", "single-step"])
+@pytest.mark.parametrize("flag", ["--weight-g1", "--weight-g2"])
+def test_the_weight_flags_are_gone(capsys, tmp_path, command, flag):
+    code, out, err = run(capsys, "gen", command, flag, "2", "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and f"unrecognized arguments: {flag} 2" in err
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags, unread", [
+    (["--range", "1:3", "--oversample-g1", "4"], "--range, --oversample-g1"),
+    (["--oversample-g2", "1"], "--oversample-g2"),
+    (["--range", "1:131072"], "--range"),
+])
+def test_a_flag_edge_cases_does_not_read_is_a_usage_error(capsys, tmp_path, flags, unread):
+    code, out, err = run(capsys, "gen", "successor", "--edge-cases", "2:5", *flags,
+                         "--out", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and err.endswith(
+        f"error: --edge-cases 2:5 does not read {unread}\n")
+    assert not any(tmp_path.iterdir())
+
+
+def test_the_flags_a_value_range_reads_default_to_their_spec(capsys, tmp_path):
+    from structrec.cli import build_parser
+
+    assert build_parser().parse_args(["gen", "successor"]).range == (1, 131072)
+    for out, given in (("plain", []), ("given", ["--oversample-g1", "1", "--oversample-g2", "1"])):
+        assert run(capsys, "gen", "successor", "--range", "1:64", *given,
+                   "--out", str(tmp_path / out))[0] == 0
+    for name in ("successor_reverse.jsonl", "successor_reverse.manifest.json"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "given" / name).read_bytes()
 
 
 def _subcommands(parser) -> dict:
@@ -971,7 +1049,7 @@ def _subcommands(parser) -> dict:
 
 
 POSTPROCESS = {"--max-pad", "--remap"}
-EDGE_GROUPS = {"--oversample-g1", "--oversample-g2", "--weight-g1", "--weight-g2"}
+EDGE_GROUPS = {"--oversample-g1", "--oversample-g2"}
 SHARED = {"--seed", "--out"}
 TREES = {"--depths", "--train", "--test", "--alphabet"}
 GEN_TAKES = {
@@ -1017,7 +1095,7 @@ def test_each_gen_subcommand_takes_only_the_flags_it_reads():
     takes = {name: {flag for action in sub._actions for flag in action.option_strings}
              - {"-h", "--help"} for name, sub in gen.items()}
     assert takes == GEN_TAKES
-    assert sum(map(len, takes.values())) == 54
+    assert sum(map(len, takes.values())) == 48
 
 
 @pytest.mark.parametrize("command, flag", sorted(

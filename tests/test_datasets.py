@@ -22,7 +22,6 @@ from structrec.datasets import (
     TreeSample,
     build_dataset,
     count_trees,
-    count_trees_exact,
     file_digest,
     gen_edge_records,
     gen_single_step,
@@ -164,7 +163,7 @@ def test_count_trees_closed_form():
     assert count_trees(1, 3) == 4
     assert count_trees(2, 3) == 49
     assert count_trees(3, 3) == 7204
-    assert count_trees_exact(2, 3) == 45
+    assert count_trees(2, 3) - count_trees(1, 3) == 45  # the trees of depth exactly 2
 
 
 def test_gen_trees_split_sizes_and_depths():
@@ -381,7 +380,8 @@ def test_remap_can_target_structural_tokens_explicitly():
 
 def test_padding_draws_each_length_from_the_record_rng():
     records = gen_successor_range(DatasetSpec(lo=1, hi=50))
-    padded = postprocess(records, DatasetSpec(max_pad=5, seed=7, pad_token="_"))
+    padded = postprocess(records, DatasetSpec(
+        max_pad=5, seed=7, remap={"X0": "X0", "X1": "X1", "01": "01", "PAD": "_"}))
     for i, (record, out) in enumerate(zip(records, padded)):
         pad = record_rng(7, "pad", i).randint(0, 5)
         assert out.meta.pad_len == pad
@@ -439,7 +439,7 @@ def test_oversample_shuffles_deterministically():
 # the one-pass postprocess against the three stages it replaced, run in turn
 
 
-def _reference_padding(records, max_pad: int, seed: int, pad_token: str = "PAD"):
+def _reference_padding(records, max_pad: int, seed: int, pad_token: str):
     if max_pad < 0:
         raise GenerationError("max_pad must be non-negative")
     rng, out = random.Random(), []
@@ -451,7 +451,7 @@ def _reference_padding(records, max_pad: int, seed: int, pad_token: str = "PAD")
         out.append(ExampleRecord(
             record.id, record.task, record.order,
             prefix + list(record.input), prefix + list(record.target),
-            RecordMeta(meta.value, meta.bits, meta.depth, meta.edge_group, pad, meta.weight)))
+            RecordMeta(meta.value, meta.bits, meta.depth, meta.edge_group, pad)))
     return out
 
 
@@ -484,7 +484,9 @@ def _reference_postprocess(records, spec: DatasetSpec):
     if spec.remap:
         records = _reference_remap(records, spec.remap)
     if spec.max_pad:
-        records = _reference_padding(records, spec.max_pad, spec.seed, spec.pad_token)
+        # a remap that names PAD spells the pads
+        records = _reference_padding(records, spec.max_pad, spec.seed,
+                                     (spec.remap or {}).get("PAD", "PAD"))
     if spec.oversample_group1 > 1 or spec.oversample_group2 > 1:
         records = _reference_oversample(records, spec.oversample_group1, spec.oversample_group2,
                                         spec.seed)
@@ -524,10 +526,11 @@ def test_postprocess_matches_the_three_stages_run_in_turn():
             remap = dict(zip(values, spellings))
             if rng.random() < 0.15:
                 del remap[rng.choice(values)]
+            if rng.random() < 0.5:
+                remap["PAD"] = "_"
         spec = DatasetSpec(remap=remap, max_pad=rng.randint(0, 4),
                            oversample_group1=rng.randint(1, 5),
-                           oversample_group2=rng.randint(1, 5),
-                           pad_token=rng.choice(["PAD", "_"]), seed=rng.randrange(1000))
+                           oversample_group2=rng.randint(1, 5), seed=rng.randrange(1000))
         want = _outcome(_reference_postprocess, records, spec)
         assert _outcome(postprocess, records, spec) == want
         if isinstance(want, str):
@@ -779,8 +782,8 @@ def test_record_meta_omits_unset_fields():
 
 
 _META = RecordMeta(value=5, bits=3, depth=2, edge_group=1)
-_META_REPR = "RecordMeta(value=5, bits=3, depth=2, edge_group=1, pad_len=0, weight=1)"
-_META_DICT = {"value": 5, "bits": 3, "depth": 2, "edge_group": 1, "pad_len": 0, "weight": 1}
+_META_REPR = "RecordMeta(value=5, bits=3, depth=2, edge_group=1, pad_len=0)"
+_META_DICT = {"value": 5, "bits": 3, "depth": 2, "edge_group": 1, "pad_len": 0}
 
 
 # each record class: an instance, one field and another value for it, its
@@ -836,7 +839,6 @@ def test_record_classes_are_slotted(record, name, other, text, as_dict):
     {"alphabet": ""},
     {"max_pad": -1},
     {"oversample_group1": 0},
-    {"weight_group2": 0},
 ])
 def test_spec_validation_rejects(kwargs):
     with pytest.raises(GenerationError):
