@@ -161,6 +161,8 @@ def _tree_spec(args, **fields) -> datasets.DatasetSpec:
 
 
 def _emit(records, out_dir: str, name: str, spec: datasets.DatasetSpec) -> Path:
+    """Post-process records by spec, then write them and their manifest."""
+    records = datasets.postprocess(records, spec)
     directory = Path(out_dir if out_dir is not None else _default_out())
     directory.mkdir(parents=True, exist_ok=True)
     data_path = directory / f"{name}.jsonl"
@@ -175,26 +177,26 @@ def cmd_gen_successor(args) -> int:
         spec = _gen_spec(args, task=datasets.SUCCESSOR, order=args.order,
                          bits_lo=args.edge_cases[0], bits_hi=args.edge_cases[1])
         # edge files are test groups, so the parser takes no oversample flag for them
-        g1, g2 = datasets.gen_edge_records(spec, range(spec.bits_lo, spec.bits_hi + 1))
-        _emit(datasets.postprocess(g1, spec), args.out, f"edge_group1_{args.order}", spec)
-        _emit(datasets.postprocess(g2, spec), args.out, f"edge_group2_{args.order}", spec)
+        g1, g2 = datasets.gen_edge_records(spec)
+        _emit(g1, args.out, f"edge_group1_{args.order}", spec)
+        _emit(g2, args.out, f"edge_group2_{args.order}", spec)
         return GOOD
     spec = _gen_spec(args, task=datasets.SUCCESSOR, order=args.order,
                      lo=args.range[0], hi=args.range[1])
-    _emit(datasets.build_dataset(spec), args.out, f"successor_{args.order}", spec)
+    _emit(datasets.gen_successor_range(spec), args.out, f"successor_{args.order}", spec)
     return GOOD
 
 
 def cmd_gen_random(args) -> int:
     spec = _gen_spec(args, task=datasets.SUCCESSOR_RANDOM, order=args.order,
                      count=args.count, bits_lo=args.bits[0], bits_hi=args.bits[1])
-    _emit(datasets.build_dataset(spec), args.out, f"successor_random_{args.order}", spec)
+    _emit(datasets.gen_successor_random(spec), args.out, f"successor_random_{args.order}", spec)
     return GOOD
 
 
 def cmd_gen_single_step(args) -> int:
     spec = _gen_spec(args, task=datasets.SINGLE_STEP, lo=args.range[0], hi=args.range[1])
-    _emit(datasets.build_dataset(spec), args.out, "single_step", spec)
+    _emit(datasets.gen_single_step(spec), args.out, "single_step", spec)
     return GOOD
 
 
@@ -218,9 +220,8 @@ def cmd_gen_traversal(args) -> int:
     samples, _ = datasets.gen_trees(spec)
     stem = f"{spec.kind}_{'full' if spec.k is None else f'k{spec.k}'}"
     for part in ("train", "test"):
-        records = datasets.gen_traversal(
-            [s for s in samples if s.split == part], spec.kind, spec.k)
-        _emit(datasets.postprocess(records, spec), args.out, f"{stem}_{part}", spec)
+        records = datasets.gen_traversal([s for s in samples if s.split == part], spec)
+        _emit(records, args.out, f"{stem}_{part}", spec)
     return GOOD
 
 
@@ -310,6 +311,9 @@ def cmd_shortcut(args) -> int:
     if args.input is None and not args.diff:
         raise ReductionError("need --input TOKENS or --diff")
     if args.input is not None:
+        unread = [flag for flag, given in (("--diff", args.diff), ("--out", args.out)) if given]
+        if unread:
+            raise ReductionError(f"--input does not read {', '.join(unread)}")
         emulate = (shortcuts.emulate_natural if args.order == NATURAL
                    else shortcuts.emulate_reverse)
         print(" ".join(emulate(tokenize(args.input), args.mode)))
@@ -364,6 +368,14 @@ def cmd_asm(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # the flags only the other mode reads; --hit-ks is left out, as its
+    # default cannot be told from a given value
+    other = ({"--gold": args.gold, "--pred": args.pred, "--breakdown": args.breakdown}
+             if args.validate_traces else {"--traces": args.traces, "--task": args.task})
+    unread = [flag for flag, value in other.items() if value not in (None, [])]
+    if unread:
+        mode = "--validate-traces" if args.validate_traces else "scoring predictions"
+        raise ReductionError(f"{mode} does not read {', '.join(unread)}")
     if args.validate_traces:
         if not args.traces:
             raise ReductionError("--validate-traces needs --traces FILE")

@@ -235,11 +235,11 @@ def gen_successor_random(spec: DatasetSpec) -> list[ExampleRecord]:
     return records
 
 
-def gen_edge_records(spec: DatasetSpec, bit_lengths) -> tuple[list[ExampleRecord], list[ExampleRecord]]:
-    """The two edge groups as successor records, one member per bit length."""
-    lengths = sorted(set(bit_lengths))
-    if not lengths:
-        raise GenerationError("empty bit-length range")
+def gen_edge_records(spec: DatasetSpec) -> tuple[list[ExampleRecord], list[ExampleRecord]]:
+    """The two edge groups as successor records, one member per bit length
+    in bits_lo..bits_hi."""
+    spec.validate()
+    lengths = range(spec.bits_lo, spec.bits_hi + 1)
     g1 = [_successor_record(f"edge1-{spec.order}-{L}", SUCCESSOR, group1_value(L), spec)
           for L in lengths if L >= 2]
     g2 = [_successor_record(f"edge2-{spec.order}-{L}", SUCCESSOR, group2_value(L), spec)
@@ -449,14 +449,12 @@ def _walk(tree: Term, kind: str) -> list[str]:
     return list(engine.expr().items)
 
 
-def gen_traversal(samples, kind: str, k: int | None = None) -> list[ExampleRecord]:
-    """Traversal records over tree samples: the target is either the full
-    value list or the state after k levels in the flat traversal form."""
-    if kind not in ("inorder", "preorder"):
-        raise GenerationError(f"unknown traversal kind: {kind!r}")
-    if k is not None and k < 1:
-        raise GenerationError("k must be at least 1 when set")
-    records = []
+def gen_traversal(samples, spec: DatasetSpec) -> list[ExampleRecord]:
+    """spec.kind traversal records over tree samples: the target is either
+    the full value list or, with spec.k set, the state after k levels in
+    the flat traversal form."""
+    spec.validate()
+    kind, k, records = spec.kind, spec.k, []
     for sample in samples:
         if k is None:
             target = _walk(sample.tree, kind)
@@ -552,23 +550,6 @@ def postprocess(records, spec: DatasetSpec):
     if shuffled:
         record_rng(spec.seed, "oversample", 0).shuffle(out)
     return out
-
-
-def build_dataset(spec: DatasetSpec) -> list[ExampleRecord]:
-    """Generate, then post-process."""
-    spec.validate()
-    if spec.task == SUCCESSOR:
-        records = gen_successor_range(spec)
-    elif spec.task == SUCCESSOR_RANDOM:
-        records = gen_successor_random(spec)
-    elif spec.task == SINGLE_STEP:
-        records = gen_single_step(spec)
-    elif spec.task == TRAVERSAL:
-        samples, _ = gen_trees(spec)
-        records = gen_traversal([s for s in samples if s.split == "train"], spec.kind, spec.k)
-    else:
-        raise GenerationError(f"unknown task: {spec.task!r}")
-    return postprocess(records, spec)
 
 
 # ---------------------------------------------------------------------------

@@ -223,8 +223,6 @@ _ARROW_MARKERS = {UNROLL_OPEN, UNROLL_CLOSE, EMPTY_TOKEN}
 
 
 _PROGRAMS = builtin_programs()
-# each traced program reduces with a table of itself alone
-_ALONE = {name: {name: program} for name, program in _PROGRAMS.items()}
 _TRACE_TASKS = {
     "successor": (_PROGRAMS["s"], PAREN),
     "inorder": (_PROGRAMS["inorder"], ARROW),
@@ -281,7 +279,7 @@ def validate_trace(text: str, task: str, input_tokens=None) -> TraceJudgment:
 
     # the states from the parsed one on, each rendered from a cut of one
     # big-step run, not stepped and parsed anew
-    run = render_states(cur, style, _ALONE[program.name])
+    run = render_states(cur, style)
     next(run)  # the state the trace starts from
     last = len(states) - 1
     for i in range(1, last + 1):
@@ -312,7 +310,7 @@ def _classify(task, style, parse, program, prev, got, expected, is_last) -> str:
         swapped = _SWAPPED[task]
         try:
             alt_cur = parse_state_unroll(prev, swapped, normalized=True)
-            alt = step_level(alt_cur, _ALONE[swapped.name])
+            alt = step_level(alt_cur)
             if alt is not None and render_state_unroll(alt[0]) == got:
                 return RULE_ORDER_SWAP
         except (ReductionError, MalformedSequenceError):

@@ -15,7 +15,6 @@ import time
 from structrec.datasets import (
     DEFAULT_SEED,
     DatasetSpec,
-    build_dataset,
     gen_edge_records,
     gen_successor_random,
     gen_successor_range,
@@ -284,8 +283,8 @@ def test_criterion_08_determinism_and_splits(tmp_path):
     spec = DatasetSpec(task="successor", lo=1, hi=2048, max_pad=3,
                        oversample_group1=2, seed=DEFAULT_SEED)
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_jsonl(build_dataset(spec), a)
-    write_jsonl(build_dataset(spec), b)
+    write_jsonl(postprocess(gen_successor_range(spec), spec), a)
+    write_jsonl(postprocess(gen_successor_range(spec), spec), b)
     bytes_equal = a.read_bytes() == b.read_bytes()
 
     _, split = gen_trees(DatasetSpec(task="traversal", depth_lo=5, depth_hi=6,
@@ -301,7 +300,7 @@ def test_criterion_08_determinism_and_splits(tmp_path):
                                                   bits_lo=18, bits_hi=41,
                                                   seed=DEFAULT_SEED))
     }
-    g1, g2 = gen_edge_records(DatasetSpec(), range(18, 42))
+    g1, g2 = gen_edge_records(DatasetSpec(bits_lo=18, bits_hi=41))
     edge_values = {r.meta.value for r in g1} | {r.meta.value for r in g2}
     ranges_ok = not (train_values & random_values) and not (train_values & edge_values)
 

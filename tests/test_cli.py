@@ -180,6 +180,16 @@ def test_shortcut_without_work_is_an_error(capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--diff"], "--diff"), (["--out"], "--out"), (["--diff", "--out"], "--diff, --out")])
+def test_shortcut_input_rejects_the_flags_of_diff(capsys, tmp_path, flags, named):
+    path = tmp_path / "diff.jsonl"
+    argv = [arg for flag in flags for arg in ([flag, str(path)] if flag == "--out" else [flag])]
+    code, out, err = run(capsys, "shortcut", "reverse", "--range", "1:8", "--input", "01", *argv)
+    assert (code, out, err) == (4, "", f"error: --input does not read {named}\n")
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # asm
 
@@ -390,6 +400,32 @@ def test_eval_malformed_record_exit_code(capsys, tmp_path, which, field, value):
     assert code == 4
     assert err.startswith("error: ") and ":4: " in err
     assert out == ""
+
+
+_TRACES = ["--validate-traces", "--traces", "TRACES"]
+_SCORING = ["--gold", "GOLD", "--pred", "PRED"]
+
+
+@pytest.mark.parametrize("flags, unread, message", [
+    (_TRACES, ["--gold", "MISSING", "--pred", "MISSING", "--breakdown", "bits"],
+     "--validate-traces does not read --gold, --pred, --breakdown"),
+    (_TRACES, ["--pred", "MISSING"], "--validate-traces does not read --pred"),
+    (_SCORING, ["--traces", "MISSING", "--task", "inorder"],
+     "scoring predictions does not read --traces, --task"),
+    (_SCORING, ["--task", "successor"], "scoring predictions does not read --task"),
+])
+def test_eval_rejects_the_flags_of_the_other_mode(capsys, tmp_path, flags, unread, message):
+    gold, pred = _gold_and_pred(capsys, tmp_path)
+    assert _eval_lines(capsys, tmp_path, gold, pred)[0] == 0  # writes gold.jsonl and pred.jsonl
+    assert run(capsys, "gen", "traces", "--range", "1:4", "--out", str(tmp_path))[0] == 0
+    paths = {"TRACES": "traces_successor.jsonl", "GOLD": "gold.jsonl", "PRED": "pred.jsonl",
+             "MISSING": "missing.jsonl"}
+    report = tmp_path / "report.txt"
+    argv = [str(tmp_path / paths[arg]) if arg in paths else arg for arg in flags + unread]
+    code, out, err = run(capsys, "eval", *argv, "--out", str(report))
+    assert (code, out, err) == (4, "", f"error: {message}\n")
+    assert not report.exists()
+    assert run(capsys, "eval", *argv[:len(flags)])[0] == 0  # the mode's own flags run
 
 
 @pytest.mark.parametrize("key", ["to_dict", "__dict__", "astrology"])
@@ -784,7 +820,7 @@ PUBLIC_NAMES = """
     DEFAULT_SEED DatasetSpec EvalError ExampleRecord FAITHFUL FuelExhaustedError GenerationError
     GuardedRule IdMismatchError ListLit MalformedSequenceError NATURAL PAREN PEANO REVERSE RasmSpec
     RecordMeta ReductionError RemapError RenderError StructrecError Term TraceRecord UNDEF
-    UpdateClashError asm_log asm_run bin_encode bin_value bin_x1_run build_dataset
+    UpdateClashError asm_log asm_run bin_encode bin_value bin_x1_run
     builtin_programs compute_metrics delinearize diff_against_oracle edge_group emulate_natural
     emulate_reverse failure_signature gen_edge_records gen_single_step gen_successor_random
     gen_successor_range gen_traces gen_traversal gen_trees linearize machine_output
@@ -803,7 +839,7 @@ def test_the_package_exports_are_pinned():
     exported = sorted(name for name, value in vars(structrec).items()
                       if not name.startswith("_") and not isinstance(value, types.ModuleType))
     assert exported == PUBLIC_NAMES
-    assert len(exported) == 77
+    assert len(exported) == 76
 
 
 def test_the_readme_api_list_names_exactly_the_exports():
@@ -903,13 +939,17 @@ def test_the_module_import_edges_are_pinned():
                      for name in names}
 
 
-# public top-level functions and classes per module, so that a new public
-# name is a deliberate edit here
-PUBLIC_DEFS = {"asm": 13, "cli": 12, "datasets": 24, "errors": 11, "evaluation": 13,
+# public top-level functions and classes per module, and the parameters of
+# those functions, so that a new public name or knob is a deliberate edit here
+PUBLIC_DEFS = {"asm": 13, "cli": 12, "datasets": 23, "errors": 11, "evaluation": 13,
                "reduction": 23, "shortcuts": 8, "terms": 21}
+PUBLIC_PARAMS = {"asm": 12, "cli": 11, "datasets": 28, "errors": 0, "evaluation": 20,
+                 "reduction": 32, "shortcuts": 11, "terms": 24}
 
 
-def test_the_public_defs_of_each_module_are_pinned():
+def _public_defs():
+    """{module: its public top-level function and class nodes} for each src
+    module."""
     import structrec
 
     found = {}
@@ -917,11 +957,26 @@ def test_the_public_defs_of_each_module_are_pinned():
         if path.stem in ("__init__", "__main__"):
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        found[path.stem] = sum(
-            isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not node.name.startswith("_") for node in tree.body)
+        found[path.stem] = [
+            node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+    return found
+
+
+def test_the_public_defs_of_each_module_are_pinned():
+    found = {module: len(nodes) for module, nodes in _public_defs().items()}
     assert found == PUBLIC_DEFS
-    assert sum(found.values()) == 125
+    assert sum(found.values()) == 124
+
+
+def test_the_parameters_of_each_modules_public_functions_are_pinned():
+    found = {module: sum(len(node.args.posonlyargs + node.args.args + node.args.kwonlyargs)
+                         + (node.args.vararg is not None) + (node.args.kwarg is not None)
+                         for node in nodes if not isinstance(node, ast.ClassDef))
+             for module, nodes in _public_defs().items()}
+    assert found == PUBLIC_PARAMS
+    assert sum(found.values()) == 138
 
 
 def test_python_dash_m_runs_the_cli():

@@ -20,7 +20,6 @@ from structrec.datasets import (
     TRAVERSAL,
     TraceRecord,
     TreeSample,
-    build_dataset,
     count_trees,
     file_digest,
     gen_edge_records,
@@ -126,11 +125,18 @@ def test_record_rng_streams_are_independent():
 
 
 def test_edge_records():
-    g1, g2 = gen_edge_records(DatasetSpec(order=REVERSE), range(2, 7))
+    g1, g2 = gen_edge_records(DatasetSpec(order=REVERSE, bits_lo=2, bits_hi=6))
     assert [r.meta.value for r in g1] == [3, 7, 15, 31, 63]
     assert [r.meta.value for r in g2] == [5, 11, 23, 47]
     assert all(r.meta.edge_group == 1 for r in g1)
     assert all(r.meta.edge_group == 2 for r in g2)
+
+
+def test_edge_records_validate_their_spec():
+    # as every other generator does, before it makes a record
+    with pytest.raises(GenerationError) as raised:
+        gen_edge_records(DatasetSpec(order="bogus", bits_lo=2, bits_hi=4))
+    assert str(raised.value) == "unknown order: 'bogus'"
 
 
 def test_single_step_records_replay():
@@ -202,7 +208,7 @@ def test_each_sampled_tree_is_serialized_once(monkeypatch):
     spec = DatasetSpec(task=TRAVERSAL, depth_lo=2, depth_hi=4, train_count=150,
                        test_count=15, seed=14)
     samples, _ = gen_trees(spec)
-    records = gen_traversal(samples, "inorder")
+    records = gen_traversal(samples, DatasetSpec(kind="inorder"))
     # each draw is walked, then keyed; each record takes its input
     assert sum(walks) == len(drawn) >= len(samples)
     assert len(walks) == 2 * len(drawn) + len(records)
@@ -246,7 +252,7 @@ def test_traversal_targets_match_reference(kind):
     spec = DatasetSpec(task=TRAVERSAL, depth_lo=2, depth_hi=4, train_count=120,
                        test_count=0, seed=14)
     samples, _ = gen_trees(spec)
-    for record, sample in zip(gen_traversal(samples, kind), samples):
+    for record, sample in zip(gen_traversal(samples, DatasetSpec(kind=kind)), samples):
         assert record.target == _ref_traversal(sample.tree, kind)
         assert record.meta.depth == sample.depth
 
@@ -265,7 +271,8 @@ def test_full_traversal_targets_are_the_engines_normal_forms(kind):
         left, right = branch("abc"[i % 3], left, bare), branch("abc"[i % 3], bare, right)
     trees += [left, right]
     assert {tree_depth(tree) for tree in trees} == {*range(1, 9), 2000}
-    for record, tree in zip(gen_traversal(_samples(trees), kind), trees, strict=True):
+    for record, tree in zip(gen_traversal(_samples(trees), DatasetSpec(kind=kind)), trees,
+                            strict=True):
         assert record.target == list(reduce(Call(kind, (tree,)))[0].items)
 
 
@@ -288,7 +295,7 @@ def test_full_traversal_targets_are_the_engines_normal_forms(kind):
 def test_a_full_target_off_the_char_tree_shape_raises_the_engines_error(
         kind, tree, error, message):
     with pytest.raises(error) as raised:
-        gen_traversal(_samples([tree]), kind)
+        gen_traversal(_samples([tree]), DatasetSpec(kind=kind))
     assert type(raised.value) is error and str(raised.value) == message.format(kind=kind)
     if error is ReductionError:  # as reduce raises it
         with pytest.raises(ReductionError) as reference:
@@ -300,20 +307,20 @@ def test_traversal_k_state_targets():
     spec = DatasetSpec(task=TRAVERSAL, depth_lo=3, depth_hi=3, train_count=40,
                        test_count=0, seed=15)
     samples, _ = gen_trees(spec)
-    records = gen_traversal(samples, "inorder", k=1)
+    records = gen_traversal(samples, DatasetSpec(kind="inorder", k=1))
     for record, sample in zip(records, samples):
         assert "UNROLL[" in record.target
         # after depth+1 levels the state is the fully flattened list
-    full = gen_traversal(samples, "inorder", k=4)
+    full = gen_traversal(samples, DatasetSpec(kind="inorder", k=4))
     for record, sample in zip(full, samples):
         assert record.target == _ref_traversal(sample.tree, "inorder")
 
 
 def test_traversal_rejects_bad_k():
-    with pytest.raises(GenerationError):
-        gen_traversal([], "inorder", k=0)
-    with pytest.raises(GenerationError):
-        gen_traversal([], "postorder")
+    with pytest.raises(GenerationError, match="k must be at least 1 when set"):
+        gen_traversal([], DatasetSpec(kind="inorder", k=0))
+    with pytest.raises(GenerationError, match="unknown traversal kind: 'postorder'"):
+        gen_traversal([], DatasetSpec(kind="postorder"))
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +510,12 @@ def _outcome(run, records, spec):
 def test_postprocess_matches_the_three_stages_run_in_turn():
     samples, _ = gen_trees(DatasetSpec(task=TRAVERSAL, depth_lo=2, depth_hi=4, train_count=8,
                                        test_count=0, seed=5))
-    g1, g2 = gen_edge_records(DatasetSpec(order=NATURAL), range(2, 9))
+    g1, g2 = gen_edge_records(DatasetSpec(order=NATURAL, bits_lo=2, bits_hi=8))
     pool = (gen_successor_range(DatasetSpec(lo=1, hi=40))
             + gen_successor_random(DatasetSpec(count=20, bits_lo=2, bits_hi=12))
             + gen_single_step(DatasetSpec(lo=1, hi=12)) + g1 + g2
-            + gen_traversal(samples, "inorder") + gen_traversal(samples, "preorder", 2))
+            + gen_traversal(samples, DatasetSpec(kind="inorder"))
+            + gen_traversal(samples, DatasetSpec(kind="preorder", k=2)))
     values = ["X0", "X1", "01", "a", "b", "c"]
     rng = random.Random(27)
     seen = {"remap": 0, "outside": 0, "not injective": 0, "pad": 0, "oversample": 0, "empty": 0}
@@ -545,11 +553,6 @@ def test_postprocess_matches_the_three_stages_run_in_turn():
     assert postprocess(records, DatasetSpec()) is records
 
 
-def test_build_dataset_rejects_unknown_task():
-    with pytest.raises(GenerationError):
-        build_dataset(DatasetSpec(task="mystery"))
-
-
 # ---------------------------------------------------------------------------
 # files
 
@@ -558,11 +561,12 @@ def test_jsonl_round_trip_and_byte_identity(tmp_path):
     spec = DatasetSpec(task=SUCCESSOR, lo=1, hi=100, max_pad=3,
                        oversample_group1=2, seed=5)
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    write_jsonl(build_dataset(spec), a)
-    write_jsonl(build_dataset(spec), b)
+    records = postprocess(gen_successor_range(spec), spec)
+    write_jsonl(records, a)
+    write_jsonl(postprocess(gen_successor_range(spec), spec), b)
     assert a.read_bytes() == b.read_bytes()
     back = read_jsonl(a)
-    assert [r.to_dict() for r in back] == [r.to_dict() for r in build_dataset(spec)]
+    assert [r.to_dict() for r in back] == [r.to_dict() for r in records]
 
 
 def test_jsonl_lines_have_sorted_keys(tmp_path):
@@ -762,7 +766,7 @@ def test_manifest_records_digest_and_spec(tmp_path):
     spec = DatasetSpec(task=SUCCESSOR, lo=1, hi=20, seed=3)
     data = tmp_path / "d.jsonl"
     manifest = tmp_path / "d.manifest.json"
-    records = build_dataset(spec)
+    records = gen_successor_range(spec)
     write_jsonl(records, data)
     write_manifest(manifest, spec, data, len(records))
     doc = json.loads(manifest.read_text())
