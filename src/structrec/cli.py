@@ -23,7 +23,6 @@ from .errors import (
     BudgetExhaustedError,
     FuelExhaustedError,
     IdMismatchError,
-    ReductionError,
     StructrecError,
 )
 from .reduction import (
@@ -104,6 +103,47 @@ def _remap_arg(text: str) -> dict:
 
 def _default_out() -> str:
     return os.environ.get(DATA_DIR_ENV, ".")
+
+
+REQUIRED = object()  # a mode_flags default: the modes that read the flag must be given it
+
+
+def _flag_text(value) -> str:
+    return "%d:%d" % value if isinstance(value, tuple) else str(value)
+
+
+class _Parser(argparse.ArgumentParser):
+    """The parser of every subcommand.  Of its mode_flags, which only some
+    values of its mode_dest argument read, one the chosen mode does not
+    read is a usage error, as a flag the subcommand lacks is, and so is a
+    REQUIRED one it reads and was not given; any other takes its default."""
+
+    mode_dest = None
+    mode_flags: dict = {}  # dest: (the mode_dest values that read the flag, its default)
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if not self.mode_flags:
+            return namespace, extras
+        mode = getattr(namespace, self.mode_dest)
+        flag = {action.dest: action.option_strings[0] for action in self._actions
+                if action.option_strings}
+        unread = [flag[dest] for dest, (modes, _) in self.mode_flags.items()
+                  if mode not in modes and getattr(namespace, dest) is not None]
+        for dest, (modes, default) in self.mode_flags.items():
+            if mode in modes and getattr(namespace, dest) is None:
+                setattr(namespace, dest, default)
+        missing = [flag[dest] for dest in self.mode_flags if getattr(namespace, dest) is REQUIRED]
+        if unread or missing:
+            if self.mode_dest not in flag:  # a positional is named by its value
+                name = mode
+            elif mode is None or mode is False:
+                name = f"{self.prog.split()[-1]} without {flag[self.mode_dest]}"
+            else:
+                name = flag[self.mode_dest] + ("" if mode is True else f" {_flag_text(mode)}")
+            self.error(f"{name} does not read {', '.join(unread)}" if unread
+                       else f"{name} needs {', '.join(missing)}")
+        return namespace, extras
 
 
 # ---------------------------------------------------------------------------
@@ -231,36 +271,8 @@ _TREE_TASKS = ("inorder", "preorder")
 _TRACE_TASK_FLAGS = {"range": (("successor",), (1, 1024)), "count": (_TREE_TASKS, 100),
                      "depths": (_TREE_TASKS, (2, 4)), "alphabet": (_TREE_TASKS, "abc")}
 # the flags of gen successor that a value range reads and --edge-cases does not
-_RANGE_FLAGS = {"range": ((None,), (1, 131072)), "oversample_group1": ((None,), None),
-                "oversample_group2": ((None,), None)}
-
-
-def _flag_text(value) -> str:
-    return "%d:%d" % value if isinstance(value, tuple) else str(value)
-
-
-class _GenParser(argparse.ArgumentParser):
-    """A gen subcommand's parser.  Of its task_flags, which only some
-    values of its task_dest flag read, one the chosen value does not read
-    is a usage error, as a flag the subcommand lacks is, and one it reads
-    and is not given takes its default."""
-
-    task_dest = "task"
-    task_flags: dict = {}  # dest: (the task_dest values that read the flag, its default)
-
-    def parse_known_args(self, args=None, namespace=None):
-        namespace, extras = super().parse_known_args(args, namespace)
-        task = getattr(namespace, self.task_dest, None)
-        flag = {action.dest: action.option_strings[0] for action in self._actions}
-        unread = [flag[dest] for dest, (tasks, _) in self.task_flags.items()
-                  if task not in tasks and getattr(namespace, dest) is not None]
-        if unread:
-            self.error(f"{flag[self.task_dest]} {_flag_text(task)} does not read "
-                       f"{', '.join(unread)}")
-        for dest, (tasks, default) in self.task_flags.items():
-            if task in tasks and getattr(namespace, dest) is None:
-                setattr(namespace, dest, default)
-        return namespace, extras
+_RANGE_FLAGS = {"range": ((None,), (1, 131072)), "oversample_group1": ((None,), 1),
+                "oversample_group2": ((None,), 1)}
 
 
 def cmd_gen_traces(args) -> int:
@@ -281,8 +293,6 @@ def cmd_gen_traces(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    if args.k is not None and args.fuel is not None:
-        raise ReductionError("--k has no fuel; --fuel works with --trace or alone")
     expr = program_call(builtin_programs()[args.program], [tokenize(text) for text in args.input])
     style = ARROW if args.program in ("inorder", "preorder") else PAREN
     if args.k is not None:  # the state after k levels, or the normal form before them
@@ -308,12 +318,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_shortcut(args) -> int:
-    if args.input is None and not args.diff:
-        raise ReductionError("need --input TOKENS or --diff")
     if args.input is not None:
-        unread = [flag for flag, given in (("--diff", args.diff), ("--out", args.out)) if given]
-        if unread:
-            raise ReductionError(f"--input does not read {', '.join(unread)}")
         emulate = (shortcuts.emulate_natural if args.order == NATURAL
                    else shortcuts.emulate_reverse)
         print(" ".join(emulate(tokenize(args.input), args.mode)))
@@ -333,13 +338,7 @@ def cmd_shortcut(args) -> int:
 
 def cmd_asm(args) -> int:
     tokens = tokenize(args.input)
-    if args.mode is not None and not args.machine.startswith("shortcut-"):
-        raise ReductionError(f"{args.machine} has no mode; --mode works on the shortcut machines")
-    mode = shortcuts.FAITHFUL if args.mode is None else args.mode
     if args.machine == "successor-rasm":
-        if args.log:
-            raise ReductionError(
-                "successor-rasm keeps no step log; --log works on the other machines")
         result = asm_mod.rasm_run(asm_mod.successor_rasm(), tokens, budget=args.budget)
         print(" ".join(result.output))
         print(f"agents: {result.agent_count}  max call depth: {result.max_call_depth}  "
@@ -347,8 +346,8 @@ def cmd_asm(args) -> int:
         return GOOD
     machine = {
         "successor": asm_mod.successor_machine,
-        "shortcut-natural": lambda: shortcuts.natural_shortcut_machine(mode),
-        "shortcut-reverse": lambda: shortcuts.reverse_shortcut_machine(mode),
+        "shortcut-natural": lambda: shortcuts.natural_shortcut_machine(args.mode),
+        "shortcut-reverse": lambda: shortcuts.reverse_shortcut_machine(args.mode),
     }[args.machine]()
     if args.log:
         entries = asm_mod.asm_log(machine, tokens, budget=args.budget)
@@ -368,27 +367,17 @@ def cmd_asm(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    # the flags only the other mode reads; --hit-ks is left out, as its
-    # default cannot be told from a given value
-    other = ({"--gold": args.gold, "--pred": args.pred, "--breakdown": args.breakdown}
-             if args.validate_traces else {"--traces": args.traces, "--task": args.task})
-    unread = [flag for flag, value in other.items() if value not in (None, [])]
-    if unread:
-        mode = "--validate-traces" if args.validate_traces else "scoring predictions"
-        raise ReductionError(f"{mode} does not read {', '.join(unread)}")
     if args.validate_traces:
-        if not args.traces:
-            raise ReductionError("--validate-traces needs --traces FILE")
-        records = datasets.read_traces(args.traces)
         report = evaluation.TraceValidationReport()
-        for record in records:
-            judgment = evaluation.validate_trace(
-                record.trace, args.task or record.task, input_tokens=record.input)
+        for record in datasets.read_traces(args.traces):
+            try:
+                judgment = evaluation.validate_trace(
+                    record.trace, args.task or record.task, input_tokens=record.input)
+            except StructrecError as exc:  # same class, so the same exit code
+                raise type(exc)(f"{args.traces}: record {record.id}: {exc}") from None
             report.add(judgment)
         text = report.render(args.format)
     else:
-        if not (args.gold and args.pred):
-            raise ReductionError("eval needs --gold and --pred")
         gold = datasets.read_jsonl(args.gold)
         predictions = evaluation.read_predictions(args.pred)
         metrics = evaluation.compute_metrics(
@@ -407,7 +396,7 @@ def cmd_eval(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="structrec",
         description="datasets, reduction, machine emulation, and evaluation "
                     "for structural-recursion sequence tasks",
@@ -415,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write datasets with manifest sidecars")
-    gen_sub = gen.add_subparsers(dest="gen_command", required=True, parser_class=_GenParser)
+    gen_sub = gen.add_subparsers(dest="gen_command", required=True)
 
     g = gen_sub.add_parser("successor", help="successor pairs over a value range")
     g.add_argument("--order", choices=(REVERSE, NATURAL), default=REVERSE)
@@ -426,7 +415,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gen_common(g)
     _add_postprocess_flags(g)
     _add_edge_group_flags(g)
-    g.task_dest, g.task_flags = "edge_cases", _RANGE_FLAGS
+    g.mode_dest, g.mode_flags = "edge_cases", _RANGE_FLAGS
     g.set_defaults(func=cmd_gen_successor)
 
     g = gen_sub.add_parser("random", help="successor pairs at uniform long bit lengths")
@@ -474,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--alphabet", default=None,
                    help=f"node values of traversal trees (default {default['alphabet']})")
     _add_gen_common(g)
-    g.task_flags = _TRACE_TASK_FLAGS
+    g.mode_dest, g.mode_flags = "task", _TRACE_TASK_FLAGS
     g.set_defaults(func=cmd_gen_traces)
 
     red = sub.add_parser("reduce", help="reduce a program application")
@@ -487,6 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="stop after N levels and print that state")
     red.add_argument("--fuel", type=_int_at_least(1), default=None,
                      help="level budget override (default scales with input size)")
+    red.mode_dest, red.mode_flags = "k", {"fuel": ((None,), None)}
     red.set_defaults(func=cmd_reduce)
 
     sc = sub.add_parser("shortcut", help="run a shortcut emulator or diff it against the oracle")
@@ -495,11 +485,13 @@ def build_parser() -> argparse.ArgumentParser:
                     default=shortcuts.FAITHFUL)
     sc.add_argument("--input", default=None, metavar="TOKENS",
                     help="single input in the order's own token layout")
-    sc.add_argument("--diff", action="store_true",
+    sc.add_argument("--diff", action="store_true", default=None,
                     help="compare against the reduction oracle over --range")
     sc.add_argument("--range", type=lambda text: _range_arg(text, _int_at_least(1)),
-                    default=(1, 1024), metavar="LO:HI")
+                    default=None, metavar="LO:HI")
     sc.add_argument("--out", default=None, help="write per-value disagreements as JSONL")
+    sc.mode_dest, sc.mode_flags = "input", {
+        "diff": ((None,), REQUIRED), "out": ((None,), None), "range": ((None,), (1, 1024))}
     sc.set_defaults(func=cmd_shortcut)
 
     am = sub.add_parser("asm", help="run a guarded-update machine step by step")
@@ -508,23 +500,30 @@ def build_parser() -> argparse.ArgumentParser:
     am.add_argument("--input", required=True, metavar="TOKENS")
     am.add_argument("--mode", choices=(shortcuts.FAITHFUL, shortcuts.CORRECTED),
                     default=None, help=f"shortcut machines only (default {shortcuts.FAITHFUL})")
-    am.add_argument("--log", action="store_true", help="print every step and fired rules")
+    am.add_argument("--log", action="store_true", default=None,
+                    help="print every step and fired rules")
     am.add_argument("--budget", type=_int_at_least(1), default=None,
                     help="step budget override")
+    am.mode_dest, am.mode_flags = "machine", {
+        "mode": (("shortcut-natural", "shortcut-reverse"), shortcuts.FAITHFUL),
+        "log": (("successor", "shortcut-natural", "shortcut-reverse"), False)}
     am.set_defaults(func=cmd_asm)
 
     ev = sub.add_parser("eval", help="score predictions or validate traces")
     ev.add_argument("--gold", default=None, help="gold dataset JSONL")
     ev.add_argument("--pred", default=None, help="prediction JSONL (id + candidates)")
-    ev.add_argument("--hit-ks", type=_ks_arg, default=(1, 3, 5), metavar="K,K,...")
-    ev.add_argument("--breakdown", action="append", default=[], metavar="KEY",
+    ev.add_argument("--hit-ks", type=_ks_arg, default=None, metavar="K,K,...")
+    ev.add_argument("--breakdown", action="append", default=None, metavar="KEY",
                     help="repeatable; accuracy grouped by this metadata key")
     ev.add_argument("--validate-traces", action="store_true")
     ev.add_argument("--traces", default=None, help="trace JSONL for --validate-traces")
-    ev.add_argument("--task", default=None,
-                    help="override the per-record task when validating traces")
+    ev.add_argument("--task", choices=("successor", "inorder", "preorder"), default=None,
+                    metavar="TASK", help="override the per-record task when validating traces")
     ev.add_argument("--format", choices=("text", "json"), default="text")
     ev.add_argument("--out", default=None, help="also write the report here")
+    ev.mode_dest, ev.mode_flags = "validate_traces", {
+        "gold": ((False,), REQUIRED), "pred": ((False,), REQUIRED), "breakdown": ((False,), ()),
+        "hit_ks": ((False,), (1, 3, 5)), "traces": ((True,), REQUIRED), "task": ((True,), None)}
     ev.set_defaults(func=cmd_eval)
 
     return parser

@@ -93,8 +93,8 @@ def test_reduce_long_all_ones_successor_keeps_only_the_final_state(capsys):
 @pytest.mark.parametrize("flags", [("--k", "3", "--fuel", "1"), ("--fuel", "1", "--k", "3")])
 def test_reduce_k_takes_no_fuel(capsys, flags):
     code, out, err = run(capsys, "reduce", "s", "X1 X1 01", *flags)
-    assert (code, out) == (4, "")
-    assert err.startswith("error:") and "--k" in err and "--fuel" in err
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and err.endswith("error: --k 3 does not read --fuel\n")
     # each alone runs: three levels reach the normal form, one does not
     assert run(capsys, "reduce", "s", "X1 X1 01", "--k", "3") == (0, "X0 X0 X0 01\n", "")
     code, _, err = run(capsys, "reduce", "s", "X1 X1 01", "--fuel", "1")
@@ -175,21 +175,6 @@ def test_shortcut_diff_that_cannot_write_its_out_file_prints_nothing(capsys, tmp
     assert err.startswith("error: ")
 
 
-def test_shortcut_without_work_is_an_error(capsys):
-    code, _, _ = run(capsys, "shortcut", "natural")
-    assert code == 4
-
-
-@pytest.mark.parametrize("flags, named", [
-    (["--diff"], "--diff"), (["--out"], "--out"), (["--diff", "--out"], "--diff, --out")])
-def test_shortcut_input_rejects_the_flags_of_diff(capsys, tmp_path, flags, named):
-    path = tmp_path / "diff.jsonl"
-    argv = [arg for flag in flags for arg in ([flag, str(path)] if flag == "--out" else [flag])]
-    code, out, err = run(capsys, "shortcut", "reverse", "--range", "1:8", "--input", "01", *argv)
-    assert (code, out, err) == (4, "", f"error: --input does not read {named}\n")
-    assert not path.exists()
-
-
 # ---------------------------------------------------------------------------
 # asm
 
@@ -225,21 +210,6 @@ def test_asm_rasm_past_the_recursion_limit(capsys):
     assert code == 0
     assert out.split() == ["X0"] * 1200 + ["01"]
     assert "agents: 1199  max call depth: 1199" in err
-
-
-def test_asm_rasm_rejects_log(capsys):
-    code, out, err = run(capsys, "asm", "successor-rasm", "--input", "X1 01", "--log")
-    assert (code, out) == (4, "")
-    assert err == "error: successor-rasm keeps no step log; --log works on the other machines\n"
-
-
-@pytest.mark.parametrize("machine", ["successor", "successor-rasm"])
-@pytest.mark.parametrize("mode", ["faithful", "corrected"])
-def test_asm_successor_machines_reject_mode(capsys, machine, mode):
-    code, out, err = run(capsys, "asm", machine, "--input", "X1 01", "--mode", mode)
-    assert (code, out) == (4, "")
-    assert err == f"error: {machine} has no mode; --mode works on the shortcut machines\n"
-    assert run(capsys, "asm", machine, "--input", "X1 01")[:2] == (0, "X0 X0 01\n")
 
 
 # ---------------------------------------------------------------------------
@@ -400,32 +370,6 @@ def test_eval_malformed_record_exit_code(capsys, tmp_path, which, field, value):
     assert code == 4
     assert err.startswith("error: ") and ":4: " in err
     assert out == ""
-
-
-_TRACES = ["--validate-traces", "--traces", "TRACES"]
-_SCORING = ["--gold", "GOLD", "--pred", "PRED"]
-
-
-@pytest.mark.parametrize("flags, unread, message", [
-    (_TRACES, ["--gold", "MISSING", "--pred", "MISSING", "--breakdown", "bits"],
-     "--validate-traces does not read --gold, --pred, --breakdown"),
-    (_TRACES, ["--pred", "MISSING"], "--validate-traces does not read --pred"),
-    (_SCORING, ["--traces", "MISSING", "--task", "inorder"],
-     "scoring predictions does not read --traces, --task"),
-    (_SCORING, ["--task", "successor"], "scoring predictions does not read --task"),
-])
-def test_eval_rejects_the_flags_of_the_other_mode(capsys, tmp_path, flags, unread, message):
-    gold, pred = _gold_and_pred(capsys, tmp_path)
-    assert _eval_lines(capsys, tmp_path, gold, pred)[0] == 0  # writes gold.jsonl and pred.jsonl
-    assert run(capsys, "gen", "traces", "--range", "1:4", "--out", str(tmp_path))[0] == 0
-    paths = {"TRACES": "traces_successor.jsonl", "GOLD": "gold.jsonl", "PRED": "pred.jsonl",
-             "MISSING": "missing.jsonl"}
-    report = tmp_path / "report.txt"
-    argv = [str(tmp_path / paths[arg]) if arg in paths else arg for arg in flags + unread]
-    code, out, err = run(capsys, "eval", *argv, "--out", str(report))
-    assert (code, out, err) == (4, "", f"error: {message}\n")
-    assert not report.exists()
-    assert run(capsys, "eval", *argv[:len(flags)])[0] == 0  # the mode's own flags run
 
 
 @pytest.mark.parametrize("key", ["to_dict", "__dict__", "astrology"])
@@ -612,6 +556,23 @@ def test_validate_traces_malformed_record_exit_code(capsys, tmp_path, field, val
     assert code == 4
     assert err.startswith("error: ") and ":3: " in err
     assert out == ""
+
+
+def test_validate_traces_rejects_an_unknown_task_before_reading(capsys, tmp_path):
+    code, out, err = run(capsys, "eval", "--validate-traces", "--task", "bogus",
+                         "--traces", str(tmp_path / "missing.jsonl"))
+    assert (code, out) == (2, "")
+    assert err.startswith("usage:") and "argument --task: invalid choice: 'bogus'" in err
+
+
+def test_a_trace_whose_input_does_not_fit_the_task_names_its_file_and_record(capsys, tmp_path):
+    assert run(capsys, "gen", "traces", "--range", "1:4", "--out", str(tmp_path))[0] == 0
+    path = tmp_path / "traces_successor.jsonl"
+    code, out, err = run(capsys, "eval", "--validate-traces", "--task", "inorder",
+                         "--traces", str(path))
+    assert (code, out) == (4, "")
+    assert err == (f"error: {path}: record trace-succ-1: "
+                   "unexpected end of tree tokens, wanted LEAF or a subtree\n")
 
 
 TRACE_FUZZ_TOKENS = ("X0", "X1", "01", "XO", "(", ")", "UNROLL[", "REDUCE[", "]", "EMPTY",
@@ -1087,17 +1048,6 @@ def test_a_flag_edge_cases_does_not_read_is_a_usage_error(capsys, tmp_path, flag
     assert not any(tmp_path.iterdir())
 
 
-def test_the_flags_a_value_range_reads_default_to_their_spec(capsys, tmp_path):
-    from structrec.cli import build_parser
-
-    assert build_parser().parse_args(["gen", "successor"]).range == (1, 131072)
-    for out, given in (("plain", []), ("given", ["--oversample-g1", "1", "--oversample-g2", "1"])):
-        assert run(capsys, "gen", "successor", "--range", "1:64", *given,
-                   "--out", str(tmp_path / out))[0] == 0
-    for name in ("successor_reverse.jsonl", "successor_reverse.manifest.json"):
-        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "given" / name).read_bytes()
-
-
 def _subcommands(parser) -> dict:
     return next(action.choices for action in parser._actions
                 if isinstance(action, argparse._SubParsersAction))
@@ -1131,18 +1081,6 @@ def test_a_flag_the_trace_task_does_not_read_is_a_usage_error(capsys, tmp_path, 
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("task, flags", [
-    ("successor", ["--range", "1:1024"]),
-    ("inorder", ["--count", "100", "--depths", "2:4", "--alphabet", "abc"]),
-])
-def test_the_flags_a_trace_task_reads_default_to_their_spec(capsys, tmp_path, task, flags):
-    for out, given in (("plain", []), ("given", flags)):
-        assert run(capsys, "gen", "traces", "--task", task, *given,
-                   "--out", str(tmp_path / out))[0] == 0
-    for name in (f"traces_{task}.jsonl", f"traces_{task}.manifest.json"):
-        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "given" / name).read_bytes()
-
-
 def test_each_gen_subcommand_takes_only_the_flags_it_reads():
     from structrec.cli import build_parser
 
@@ -1162,3 +1100,173 @@ def test_a_flag_a_gen_subcommand_would_ignore_is_a_usage_error(capsys, tmp_path,
     assert (code, out) == (2, "")
     assert err.startswith("usage:") and f"unrecognized arguments: {flag} {value}" in err
     assert not any(tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
+# the flags a mode reads, from each parser's own mode table
+
+
+def _mode_parsers() -> dict:
+    """{argv prefix: parser} for each parser of the CLI that has a mode table."""
+    from structrec.cli import build_parser
+
+    found, todo = {}, [((), build_parser())]
+    while todo:
+        prefix, parser = todo.pop()
+        if parser.mode_flags:
+            found[prefix] = parser
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                todo += [(prefix + (name,), sub) for name, sub in action.choices.items()]
+    return found
+
+
+MODE_PARSERS = _mode_parsers()
+# argv that runs each mode cheaply, after the parser's prefix; OUT is a path
+# none of them writes to until it runs, GOLD, PRED and TRACES are input files
+MODE_RUNS = {
+    ("gen", "successor"): [["--range", "1:64", "--out", "OUT"],
+                           ["--edge-cases", "2:5", "--out", "OUT"]],
+    ("gen", "traces"): [["--task", task, "--out", "OUT"]
+                        for task in ("successor", "inorder", "preorder")],
+    ("reduce",): [["s", "X1 01"], ["s", "X1 01", "--k", "1"]],
+    ("shortcut",): [["natural", "--diff", "--out", "OUT"], ["reverse", "--input", "X1 01"]],
+    ("asm",): [[machine, "--input", "01"] for machine in
+               ("successor", "successor-rasm", "shortcut-natural", "shortcut-reverse")],
+    ("eval",): [["--gold", "GOLD", "--pred", "PRED", "--out", "OUT"],
+                ["--validate-traces", "--traces", "TRACES", "--out", "OUT"]],
+}
+# a value for each flag of a mode table that takes one
+MODE_FLAG_VALUES = {"--range": "1:3", "--oversample-g1": "2", "--oversample-g2": "2",
+                    "--count": "3", "--depths": "1:2", "--alphabet": "xy", "--fuel": "9",
+                    "--out": "OUT", "--mode": "corrected", "--gold": "GOLD", "--pred": "PRED",
+                    "--breakdown": "bits", "--hit-ks": "1,2", "--traces": "TRACES",
+                    "--task": "successor"}
+# 131,072 records: leaving --range out is compared by namespace only
+SLOW = {("gen", "successor", "--range")}
+
+
+def _flags(parser) -> dict:
+    return {action.dest: action for action in parser._actions}
+
+
+def _mode_cases(reads: bool):
+    """(prefix, example, flag) for each mode example and each flag of the
+    parser's table that the example's mode reads, or does not."""
+    for prefix, parser in MODE_PARSERS.items():
+        actions = _flags(parser)
+        for example in MODE_RUNS.get(prefix, []):
+            mode = getattr(parser.parse_args(example), parser.mode_dest)
+            for dest, (modes, _) in parser.mode_flags.items():
+                if (mode in modes) == reads:
+                    flag = actions[dest].option_strings[0]
+                    yield pytest.param(prefix, example, flag,
+                                       id=" ".join([*prefix, *example, "/", flag]))
+
+
+def _mode_paths(capsys, tmp_path) -> dict:
+    """The placeholders of MODE_RUNS, with the input files written."""
+    inputs = tmp_path / "in"
+    assert run(capsys, "gen", "successor", "--range", "1:8", "--out", str(inputs))[0] == 0
+    assert run(capsys, "gen", "traces", "--range", "1:4", "--out", str(inputs))[0] == 0
+    gold = inputs / "successor_reverse.jsonl"
+    pred = inputs / "pred.jsonl"
+    pred.write_text("".join(json.dumps({"id": json.loads(line)["id"], "candidates": []}) + "\n"
+                            for line in gold.read_text().splitlines()))
+    return {"OUT": str(tmp_path / "out"), "GOLD": str(gold), "PRED": str(pred),
+            "TRACES": str(inputs / "traces_successor.jsonl")}
+
+
+def _mode_argv(paths, prefix, *args) -> list:
+    return [*prefix, *(paths.get(arg, arg) for arg in args)]
+
+
+def _run_and_collect(capsys, out: Path, argv):
+    """The exit code, stdout and every byte written under out, which is then removed."""
+    code, stdout, _ = run(capsys, *argv)
+    files = {}
+    if out.is_file():
+        files[out.name] = out.read_bytes()
+        out.unlink()
+    elif out.is_dir():
+        files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+        for path in out.iterdir():
+            path.unlink()
+        out.rmdir()
+    return code, stdout, files
+
+
+def test_every_mode_table_has_runs_for_each_mode_and_values_for_each_flag():
+    assert MODE_PARSERS.keys() == MODE_RUNS.keys()
+    for prefix, parser in MODE_PARSERS.items():
+        actions = _flags(parser)
+        modes = {getattr(parser.parse_args(example), parser.mode_dest)
+                 for example in MODE_RUNS[prefix]}
+        choices = actions[parser.mode_dest].choices
+        # each named mode runs, or an option's absent value and a given one
+        assert modes == set(choices) if choices else len(modes) == 2
+        for dest in parser.mode_flags:
+            action = actions[dest]
+            assert action.nargs == 0 or action.option_strings[0] in MODE_FLAG_VALUES
+
+
+@pytest.mark.parametrize("prefix, example", [
+    pytest.param(prefix, example, id=" ".join([*prefix, *example]))
+    for prefix, examples in MODE_RUNS.items() for example in examples])
+def test_each_mode_runs(capsys, tmp_path, prefix, example):
+    paths = _mode_paths(capsys, tmp_path)
+    code, _, err = run(capsys, *_mode_argv(paths, prefix, *example))
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("prefix, example, flag", _mode_cases(reads=False))
+def test_a_flag_the_mode_does_not_read_is_a_usage_error(capsys, tmp_path, prefix, example,
+                                                        flag):
+    parser = MODE_PARSERS[prefix]
+    paths = _mode_paths(capsys, tmp_path)
+    given = [flag] if flag not in MODE_FLAG_VALUES else [flag, MODE_FLAG_VALUES[flag]]
+    code, out, err = run(capsys, *_mode_argv(paths, prefix, *example, *given))
+    assert (code, out) == (2, "")
+    mode_action = _flags(parser)[parser.mode_dest]
+    mode = (mode_action.option_strings[0] if mode_action.option_strings
+            else getattr(parser.parse_args(example), parser.mode_dest))
+    last = err.splitlines()[-1]
+    assert err.startswith("usage:") and last.startswith(f"{parser.prog}: error: ")
+    assert mode in last and last.endswith(f" does not read {flag}")
+    assert not Path(paths["OUT"]).exists()
+
+
+def _without(parser, example, flag) -> list:
+    """The example with flag, and the value it takes, left out."""
+    if flag not in example:
+        return list(example)
+    at = example.index(flag)
+    return example[:at] + example[at + 1 + (parser._option_string_actions[flag].nargs != 0):]
+
+
+@pytest.mark.parametrize("prefix, example, flag", _mode_cases(reads=True))
+def test_a_flag_the_mode_reads_defaults_to_its_table_entry(capsys, tmp_path, prefix, example,
+                                                           flag):
+    from structrec.cli import REQUIRED, _flag_text
+
+    parser = MODE_PARSERS[prefix]
+    action = parser._option_string_actions[flag]
+    default = parser.mode_flags[action.dest][1]
+    paths = _mode_paths(capsys, tmp_path)
+    base = _without(parser, example, flag)
+    out = Path(paths["OUT"])
+    if default is REQUIRED:  # leaving it out is a usage error
+        code, stdout, err = run(capsys, *_mode_argv(paths, prefix, *base))
+        assert (code, stdout) == (2, "")
+        assert err.startswith("usage:") and err.endswith(f" needs {flag}\n")
+        assert not out.exists()
+        return
+    assert getattr(parser.parse_args(_mode_argv(paths, (), *base)), action.dest) == default
+    if default is None or default is False or default == ():
+        return  # no value spells it
+    text = ",".join(map(str, default)) if flag == "--hit-ks" else _flag_text(default)
+    given = base + [flag, text]
+    assert parser.parse_args(given) == parser.parse_args(base)
+    if (*prefix, flag) not in SLOW:
+        assert (_run_and_collect(capsys, out, _mode_argv(paths, prefix, *base))
+                == _run_and_collect(capsys, out, _mode_argv(paths, prefix, *given)))
