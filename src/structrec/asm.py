@@ -10,22 +10,20 @@ updates that assign different values to one location are a clash.
 Each machine is compiled once into one step function.  It tests the
 guards in rule order and writes the fired updates in place; a guard or
 update given as expression text over s is inlined into it, and a callable
-one is called.  A recursive variant lets an agent spawn a child agent on
-a sub-input and wait for its result.
+one is called.  A rule that fires alone stores the values of its
+update text straight into the state.  A recursive variant lets an agent
+spawn a child agent on a sub-input and wait for its result.
 """
 
 from __future__ import annotations
 
+import ast
 import functools
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import BudgetExhaustedError, UpdateClashError
 from .terms import BIN_POS, ONE, X0, X1, _chain_length, normalize_tokens
-
-# a location is a bare name or a (tape name, index) cell
-Location = str | tuple[str, int]
-
 
 class Undef:
     """Read result for locations that were never written."""
@@ -149,28 +147,67 @@ class AsmMachine:
         object.__setattr__(self, "step", _compile(self))
 
 
+@functools.lru_cache(maxsize=256)
+def _pairs(source: str):
+    """(name, index text or None, value text) per pair of update text that
+    is a list display whose locations are name literals, none twice, or
+    (name literal, index) cells; None for any other text."""
+    display, pairs = ast.parse(f"({source})", mode="eval").body, []
+    for pair in display.elts if display.__class__ is ast.List else [None]:
+        loc, value = pair.elts if pair.__class__ is ast.Tuple and len(pair.elts) == 2 else (0, 0)
+        loc, index = loc.elts if loc.__class__ is ast.Tuple and len(loc.elts) == 2 else (loc, None)
+        if loc.__class__ is not ast.Constant or loc.value.__class__ is not str or ast.Starred in (
+                index.__class__, value.__class__):
+            return None
+        pairs.append((loc.value, index and ast.unparse(index), ast.unparse(value)))
+    names = [name for name, index, _ in pairs if index is None]
+    return tuple(pairs) if len(set(names)) == len(names) else None
+
+
 def _compile(machine: AsmMachine) -> Callable:
-    """One step: every guard tested in rule order, the fired rules' updates
+    """One step: every guard tested in rule order and the fired rules' updates
     computed, then written into the state in place.  Returns the fired rule
-    ids, or () if the step writes nothing (a fixed point).  Once a second
-    rule fires, the updates so far are merged, so that a clash raises
-    before any later rule is tested; one rule whose locations are distinct
-    needs no merge."""
-    names = dict(_NAMES, _merge=_merge, _apply=_apply, _name=machine.name)
-    lines = ["def f(s):", "    fired = []", "    ups = []"]
-    for i, rule in enumerate(machine.rules):
-        guard, updates = rule.text
-        names[f"_r{i}"] = rule
-        lines += [f"    if ({guard or f'_r{i}.guard(s)'}):",
-                  f"        fired.append({rule.id!r})",
-                  f"        ups.append({updates or f'list(_r{i}.updates(s))'})",
-                  "        if len(ups) > 1: _merge(_name, fired, ups)"]
-    lines += ["    if len(ups) == 1 and len(dict(ups[0])) == len(ups[0]):",
-              "        ups = ups[0]",
-              "    elif ups:",
-              "        ups = _merge(_name, fired, ups).items()",
-              "    _apply(s, ups)",
-              "    return fired if ups else ()"]
+    ids, or () if the step writes nothing (a fixed point).  Once a second rule
+    fires, the updates so far are merged, so that a clash raises before any
+    later rule is tested.  A lone rule writes text that _pairs takes apart
+    straight into the state, unless two cells of one tape share an index."""
+    names = dict(_NAMES, _merge=_merge, _apply=_apply, _name=machine.name, _undef=UNDEF)
+    lines, ends, expand = ["def f(s):", "    w = -1"], [], []  # w: the one rule fired, or -2
+    for k, rule in enumerate(machine.rules):
+        guard, text = rule.text
+        names[f"_r{k}"] = rule
+        pairs = None if text is None else _pairs(text)
+        body, items, writes, tapes = [], [], [], {}
+        for j, (name, index, value) in enumerate(pairs or ()):
+            v, i, key = f"v{k}_{j}", f"i{k}_{j}", repr(name)
+            if index is None:
+                items.append(f"({key}, {v})")
+                writes.append(f"        s[{key}] = {v}")
+            else:
+                body.append(f"        {i} = ({index})")
+                items.append(f"(({key}, {i}), {v})")
+                writes += [f"        t = s[{key}] if {key} in s else s.setdefault({key}, [])",
+                           f"        if {i} == len(t): t.append({v})",
+                           f"        else: t += [_undef] * ({i} + 1 - len(t)); t[{i}] = {v}"]
+                tapes.setdefault(name, []).append(i)
+            body.append(f"        {v} = ({value})")
+        if pairs is None:
+            body = [f"        u{k} = {f'({text})' if text else f'list(_r{k}.updates(s))'}"]
+        else:  # written straight in if every two cells of one tape are apart
+            apart = "".join(f" and {a} != {b}" for cells in tapes.values()
+                            for n, a in enumerate(cells) for b in cells[n + 1:])
+            ends += [f"    if w == {k}{apart}:", *writes,
+                     f"        return {(rule.id,)!r}" if pairs else "        return ()"]
+        ups = f"u{k}" if pairs is None else f"[{', '.join(items)}]"
+        lines += [f"    if ({guard or f'_r{k}.guard(s)'}):", *body]
+        lines += [f"        if w == -1: w = {k}", "        else:", "            if w >= 0:",
+                  *(" " * 16 + line for line in expand), "                w = -2",
+                  f"            fired.append({rule.id!r})", f"            ups.append({ups})",
+                  "            merged = _merge(_name, fired, ups)"] if k else ["        w = 0"]
+        expand.append(f"{'el' * (k > 0)}if w == {k}: fired, ups = [{rule.id!r}], [{ups}]")
+    lines += [*ends, "    if w == -1: return ()", "    if w >= 0:",
+              *("        " + line for line in expand), "        merged = _merge(_name, fired, ups)",
+              "    _apply(s, merged.items())", "    return tuple(fired) if merged else ()"]
     return _define("\n".join(lines), names)
 
 
@@ -282,12 +319,8 @@ def successor_machine() -> AsmMachine:
 
     def upd_flip(s: dict):
         pos, outn, n, tape = s["pos"], s["outn"], s["len"], s["in"]
-        ups = [(("out", outn), X1)]
-        for j in range(pos + 1, n):
-            ups.append((("out", outn + 1 + (j - pos - 1)), tape[j]))
-        ups.append(("outn", outn + 1 + (n - pos - 1)))
-        ups.append(("done", True))
-        return ups
+        rest = [(("out", outn + j - pos), tape[j]) for j in range(pos + 1, n)]
+        return [(("out", outn), X1), *rest, ("outn", outn + n - pos), ("done", True)]
 
     rules = (
         GuardedRule("shift-ones", 's["done"] is False and s["in"][s["pos"]] == X1',
@@ -363,9 +396,8 @@ def successor_rasm() -> RasmSpec:
 
     def upd_flip(s: dict):
         at, n, tape = s["at"], s["len"], s["in"]
-        ups = [(("out", at), X1)]
-        ups += [(("out", j), tape[j]) for j in range(at + 1, n)]
-        return ups + [("outn", n), ("done", True)]
+        rest = [(("out", j), tape[j]) for j in range(at + 1, n)]
+        return [(("out", at), X1), *rest, ("outn", n), ("done", True)]
 
     def agent(root: dict, at: int) -> dict:
         return {"in": root["in"], "out": root["out"], "at": at, "len": root["len"],

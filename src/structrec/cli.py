@@ -82,6 +82,14 @@ def _ks_arg(text: str) -> tuple[int, ...]:
     return ks
 
 
+def _breakdown_key(text: str) -> str:
+    try:
+        evaluation._meta_field(text)  # its error names the accepted keys
+    except StructrecError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _remap_arg(text: str) -> dict:
     try:
         mapping = json.loads(text)
@@ -513,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--gold", default=None, help="gold dataset JSONL")
     ev.add_argument("--pred", default=None, help="prediction JSONL (id + candidates)")
     ev.add_argument("--hit-ks", type=_ks_arg, default=None, metavar="K,K,...")
-    ev.add_argument("--breakdown", action="append", default=None, metavar="KEY",
+    ev.add_argument("--breakdown", action="append", type=_breakdown_key, metavar="KEY",
                     help="repeatable; accuracy grouped by this metadata key")
     ev.add_argument("--validate-traces", action="store_true")
     ev.add_argument("--traces", default=None, help="trace JSONL for --validate-traces")

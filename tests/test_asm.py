@@ -10,6 +10,7 @@ from structrec.asm import (
     AsmMachine,
     GuardedRule,
     ReadLog,
+    _pairs,
     asm_log,
     asm_run,
     asm_step,
@@ -19,6 +20,12 @@ from structrec.asm import (
     successor_rasm,
 )
 from structrec.errors import BudgetExhaustedError, MalformedSequenceError, UpdateClashError
+from structrec.shortcuts import (
+    CORRECTED,
+    FAITHFUL,
+    natural_shortcut_machine,
+    reverse_shortcut_machine,
+)
 from structrec.terms import bin_encode, bin_value, bin_x1_run, delinearize, linearize, BIN_POS
 
 
@@ -241,6 +248,40 @@ def test_one_rule_writing_a_cell_twice_clashes():
         "toy: rules twice and twice both write ('out', 3) with different values"
 
 
+@pytest.mark.parametrize("b", [1, True], ids=["same-int", "int-and-bool"])
+@pytest.mark.parametrize("y", ["X0", "X1"], ids=["clash", "agree"])
+def test_one_text_rule_writing_a_cell_through_two_equal_indices(b, y):
+    """The two cells' indices are only known to be equal at run time, and
+    1 and True name one cell, as they are one key of a dict."""
+    text = '[(("out", s["a"]), s["x"]), (("out", s["b"]), s["y"])]'
+    assert _pairs(text) is not None  # the rule is written straight into the state
+    machine = AsmMachine("toy", (GuardedRule("twice", "True", text),), lambda _: {},
+                         lambda s: False)
+    state = {"a": 1, "b": b, "x": "X1", "y": y, "out": []}
+    if y == "X0":
+        with pytest.raises(UpdateClashError) as raised:
+            machine.step(state)
+        assert str(raised.value) == \
+            f"toy: rules twice and twice both write ('out', {b!r}) with different values"
+    else:
+        assert list(machine.step(state)) == ["twice"]
+        assert state["out"] == [UNDEF, "X1"]
+
+
+def test_every_text_update_of_the_built_in_machines_is_taken_apart():
+    """Each is written straight into the state when its rule fires alone."""
+    machines = [successor_machine(), successor_rasm().machine]
+    machines += [build(mode) for build in (natural_shortcut_machine, reverse_shortcut_machine)
+                 for mode in (FAITHFUL, CORRECTED)]
+    texts = {(machine.name, rule.id): rule.text[1]
+             for machine in machines for rule in machine.rules if rule.text[1] is not None}
+    assert {key for key in texts if not key[0].startswith("shortcut")} == {
+        ("successor", "shift-ones"), ("successor", "base-one"),
+        ("successor-agent", "base-one"), ("successor-agent", "wrap-child")}
+    assert sum(name.startswith("shortcut") for name, _ in texts) == 16
+    assert [key for key, text in texts.items() if _pairs(text) is None] == []
+
+
 # ---------------------------------------------------------------------------
 # the recursive machine
 
@@ -349,17 +390,46 @@ def _reference_apply(state, updates):
 
 _GUARDS = ('True', 's["a"] == 1', 's["b"] < 2', 's["a"] != s["b"]', 's["c"] % 2 == 0',
            'len(s["out"]) < 3', 's["out"] != [] and s["out"][0] == 1')
-_VALUES = ('0', '1', '2', 's["a"]', 's["b"] + 1', '(s["c"] + 1) % 3', 'len(s["out"])')
+_VALUES = ('0', '1', '2', 's["a"]', 's["b"] + 1', '(s["c"] + 1) % 3', 'len(s["out"])',
+           's["c"] > 0')
 _LOCATIONS = ('"a"', '"b"', '"c"', '("out", 0)', '("out", 1)', '("out", 2)', '("out", 4)',
               '("out", s["a"])')
+# locations whose name is an expression, not a literal
+_NOT_LITERAL = ('"a" + ""', '("o" + "ut", 0)')
+
+
+def _fallback(rng, pairs):
+    """The pairs as update text of a form the step does not take apart."""
+    form = rng.randrange(4)
+    if form == 0:  # a tuple display
+        return "(" + "".join(f"{pair}, " for pair in pairs) + ")"
+    if form == 1:  # a list comprehension
+        return f"[pair for pair in {_display(pairs)}]"
+    if form == 2:  # a location whose name is not a literal
+        return _display(pairs + [f"({rng.choice(_NOT_LITERAL)}, {rng.choice(_VALUES)})"])
+    return _display(pairs + [f'("b", {rng.choice(_VALUES)})' for _ in range(2)])  # a name twice
+
+
+def _display(pairs):
+    return "[" + ", ".join(pairs) + "]"
+
+
+def _random_pair(rng):
+    # a new out tape as a name: the cells written after it land in the new list
+    if rng.random() < 0.1:
+        return '("out", s["out"][1:])'
+    return f"({rng.choice(_LOCATIONS)}, {rng.choice(_VALUES)})"
 
 
 def _random_rule(rng, rule_id):
     """A rule whose guard and updates are each text or the same text as a
-    callable; a callable's updates are sometimes a one-shot iterator."""
+    callable; a callable's updates are sometimes a one-shot iterator, and
+    some update texts are of a form the step does not take apart."""
     guard = rng.choice(_GUARDS)
-    updates = "[" + ", ".join(f"({rng.choice(_LOCATIONS)}, {rng.choice(_VALUES)})"
-                              for _ in range(rng.randrange(4))) + "]"
+    pairs = [_random_pair(rng) for _ in range(rng.randrange(4))]
+    updates = _display(pairs)
+    if rng.random() < 0.25:
+        updates = _fallback(rng, pairs)
     if rng.random() < 0.5:
         guard = eval(f"lambda s: {guard}")
     if rng.random() < 0.5:
@@ -370,7 +440,8 @@ def _random_rule(rng, rule_id):
 
 def test_the_compiled_step_matches_the_reference_interpreter():
     rng = random.Random(2024)
-    seen = {"clash": 0, "agree": 0, "several": 0, "writes-nothing": 0, "past-end": 0}
+    seen = {"clash": 0, "agree": 0, "several": 0, "writes-nothing": 0, "past-end": 0,
+            "direct": 0, "fallback": 0}
     for trial in range(2000):
         rules = tuple(_random_rule(rng, f"r{i}") for i in range(rng.randint(1, 4)))
         machine = AsmMachine(f"m{trial}", rules, lambda _: {}, lambda s: False)
@@ -395,6 +466,12 @@ def test_the_compiled_step_matches_the_reference_interpreter():
             seen["several"] += len(fired) > 1
             seen["writes-nothing"] += not merged
             seen["past-end"] += any(cell is UNDEF for cell in state["out"])
+            # a lone text rule, taken apart, whose locations are distinct
+            # writes its values straight into the state
+            text = rules[int(fired[0][1:])].text[1] if len(fired) == 1 else None
+            taken = text is not None and _pairs(text) is not None
+            seen["direct"] += taken and written == len(merged) > 0
+            seen["fallback"] += text is not None and not taken
             state = got
     # the sample takes every path of the step
     assert min(seen.values()) >= 100, seen

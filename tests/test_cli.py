@@ -376,9 +376,13 @@ def test_eval_malformed_record_exit_code(capsys, tmp_path, which, field, value):
 def test_eval_unknown_breakdown_key_exit_code(capsys, tmp_path, key):
     gold, pred = _gold_and_pred(capsys, tmp_path)
     code, out, err = _eval_lines(capsys, tmp_path, gold, pred, "--breakdown", key)
-    assert code == 4
-    assert err.startswith(f"error: unknown breakdown key: {key!r}")
+    assert code == 2
+    assert f"error: argument --breakdown: unknown breakdown key: {key!r}" in err
+    assert "aliases: bit_length, tree_depth" in err
     assert out == ""
+    # the key is a usage error before either file is opened
+    missing = str(tmp_path / "missing.jsonl")
+    assert run(capsys, "eval", "--gold", missing, "--pred", missing, "--breakdown", key)[0] == 2
 
 
 def test_a_gold_file_that_still_holds_meta_weight_scores_the_same(capsys, tmp_path):
@@ -398,9 +402,9 @@ def test_a_gold_file_that_still_holds_meta_weight_scores_the_same(capsys, tmp_pa
                             for lines in (gold, old))
         assert new_run == old_run and new_run[0] == 0
     code, out, err = _eval_lines(capsys, tmp_path, old, pred, "--breakdown", "weight")
-    assert (code, out) == (4, "")
-    assert err.startswith("error: unknown breakdown key: 'weight' "
-                          "(meta fields: value, bits, depth, edge_group, pad_len;")
+    assert (code, out) == (2, "")
+    assert "error: argument --breakdown: unknown breakdown key: 'weight' " \
+           "(meta fields: value, bits, depth, edge_group, pad_len;" in err
 
 
 @pytest.mark.parametrize("damage, expected", [(None, 0), ("missing", 6), ("malformed", 4)])
