@@ -25,17 +25,7 @@ from .errors import (
     IdMismatchError,
     StructrecError,
 )
-from .reduction import (
-    ARROW,
-    PAREN,
-    SEPARATOR,
-    builtin_programs,
-    program_call,
-    reduce,
-    render_state_paren,
-    render_state_unroll,
-    render_states,
-)
+from .reduction import _style_of, builtin_programs, program_call, reduce, render_states
 from .terms import NATURAL, REVERSE, tokenize
 
 DATA_DIR_ENV = "STRUCTREC_DATA_DIR"
@@ -275,24 +265,23 @@ def cmd_gen_traversal(args) -> int:
 
 # the flags of gen traces that only some tasks read, by dest: the tasks
 # that read each, and its default
-_TREE_TASKS = ("inorder", "preorder")
-_TRACE_TASK_FLAGS = {"range": (("successor",), (1, 1024)), "count": (_TREE_TASKS, 100),
-                     "depths": (_TREE_TASKS, (2, 4)), "alphabet": (_TREE_TASKS, "abc")}
+_TRACE_TASK_FLAGS = {"range": ((datasets.SUCCESSOR,), (1, 1024)),
+                     "count": (datasets._TRAVERSALS, 100),
+                     "depths": (datasets._TRAVERSALS, (2, 4)),
+                     "alphabet": (datasets._TRAVERSALS, "abc")}
 # the flags of gen successor that a value range reads and --edge-cases does not
 _RANGE_FLAGS = {"range": ((None,), (1, 131072)), "oversample_group1": ((None,), 1),
                 "oversample_group2": ((None,), 1)}
 
 
 def cmd_gen_traces(args) -> int:
-    if args.task == "successor":
-        spec = _gen_spec(args, task=datasets.SUCCESSOR, lo=args.range[0], hi=args.range[1])
-        name = "traces_successor"
-    else:
+    if args.task in datasets._TRAVERSALS:
         spec = _gen_spec(args, task=datasets.TRAVERSAL, kind=args.task, count=args.count,
                          depth_lo=args.depths[0], depth_hi=args.depths[1],
                          alphabet=args.alphabet)
-        name = f"traces_{args.task}"
-    _emit(datasets.gen_traces(spec), args.out, name, spec)
+    else:
+        spec = _gen_spec(args, task=datasets.SUCCESSOR, lo=args.range[0], hi=args.range[1])
+    _emit(datasets.gen_traces(spec), args.out, f"traces_{args.task}", spec)
     return GOOD
 
 
@@ -301,23 +290,23 @@ def cmd_gen_traces(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    expr = program_call(builtin_programs()[args.program], [tokenize(text) for text in args.input])
-    style = ARROW if args.program in ("inorder", "preorder") else PAREN
+    program = builtin_programs()[args.program]
+    expr = program_call(program, [tokenize(text) for text in args.input])
+    style = _style_of(program)
     if args.k is not None:  # the state after k levels, or the normal form before them
-        for taken, state in zip(range(args.k + 1), render_states(expr, style)):
+        for taken, state in zip(range(args.k + 1), render_states(expr, style.name)):
             pass  # zip stops at state k, or after the normal form
         print(state)
         if taken < args.k:
             print(f"(normal after {taken} levels)", file=sys.stderr)
         return GOOD
     if args.trace:  # each state written as it is cut
-        for i, state in enumerate(render_states(expr, style, fuel=args.fuel)):
-            sys.stdout.write(f"{SEPARATOR[style] if i else ''}{state}")
+        for i, state in enumerate(render_states(expr, style.name, fuel=args.fuel)):
+            sys.stdout.write(f"{style.separator if i else ''}{state}")
         sys.stdout.write("\n")
         return GOOD
     final, _ = reduce(expr, fuel=args.fuel)
-    render = render_state_unroll if style == ARROW else render_state_paren
-    print(" ".join(render(final)))
+    print(" ".join(style.render(final)))
     return GOOD
 
 
@@ -449,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen_trees)
 
     g = gen_sub.add_parser("traversal", help="traversal targets over fresh tree splits")
-    g.add_argument("--kind", choices=("inorder", "preorder"), default="inorder")
+    g.add_argument("--kind", choices=datasets._TRAVERSALS, default=datasets.DatasetSpec.kind)
     g.add_argument("--k", type=_int_at_least(1), default=None,
                    help="emit the state after k levels instead of the full traversal")
     _add_tree_flags(g)
@@ -459,8 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = gen_sub.add_parser("traces", help="fully rendered oracle traces")
     default = {dest: _flag_text(value) for dest, (_, value) in _TRACE_TASK_FLAGS.items()}
-    g.add_argument("--task", choices=("successor", "inorder", "preorder"),
-                   default="successor")
+    g.add_argument("--task", choices=tuple(datasets._TRACE_TASKS), default=datasets.SUCCESSOR)
     g.add_argument("--range", type=_range_arg, default=None, metavar="LO:HI",
                    help=f"successor value range (default {default['range']})")
     g.add_argument("--count", type=_int_at_least(1), default=None,
@@ -475,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_gen_traces)
 
     red = sub.add_parser("reduce", help="reduce a program application")
-    red.add_argument("program", choices=("s", "add", "inorder", "preorder"))
+    red.add_argument("program", choices=tuple(builtin_programs()))
     red.add_argument("input", nargs="+",
                      help="one token string per program parameter")
     mode = red.add_mutually_exclusive_group()
@@ -525,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="repeatable; accuracy grouped by this metadata key")
     ev.add_argument("--validate-traces", action="store_true")
     ev.add_argument("--traces", default=None, help="trace JSONL for --validate-traces")
-    ev.add_argument("--task", choices=("successor", "inorder", "preorder"), default=None,
+    ev.add_argument("--task", choices=tuple(datasets._TRACE_TASKS), default=None,
                     metavar="TASK", help="override the per-record task when validating traces")
     ev.add_argument("--format", choices=("text", "json"), default="text")
     ev.add_argument("--out", default=None, help="also write the report here")

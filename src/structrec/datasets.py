@@ -16,8 +16,19 @@ import random
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import GenerationError
-from .reduction import ARROW, PAREN, Call, levels, render_states, render_trace
+from .reduction import (
+    ARROW,
+    PAREN,
+    Call,
+    Program,
+    _style_of,
+    builtin_programs,
+    levels,
+    render_states,
+    render_trace,
+)
 from .terms import (
+    CHAR_TREE,
     NATURAL,
     REVERSE,
     Term,
@@ -45,6 +56,27 @@ SUCCESSOR = "successor"
 SUCCESSOR_RANDOM = "successor_random"
 SINGLE_STEP = "single_step"
 TRAVERSAL = "traversal"
+
+
+@dataclass(frozen=True)
+class _TraceTask:
+    """A trace task: the program whose runs its traces show and, for a
+    traversal, the sibling program that the rule-order-swap check replays
+    (the classic misreading applies the pieces in the other root-vs-subtree
+    order, which is exactly the sibling traversal)."""
+
+    program: Program
+    swapped: Program | None = None
+
+
+_PROGRAMS = builtin_programs()
+# the trace tasks by name, in the order the CLI lists them
+_TRACE_TASKS = {SUCCESSOR: _TraceTask(_PROGRAMS["s"]),
+                "inorder": _TraceTask(_PROGRAMS["inorder"], _PROGRAMS["preorder"]),
+                "preorder": _TraceTask(_PROGRAMS["preorder"], _PROGRAMS["inorder"])}
+# the traversal kinds: the trace tasks that walk a tree
+_TRAVERSALS = tuple(name for name, task in _TRACE_TASKS.items()
+                    if task.program.arg_type is CHAR_TREE)
 
 
 def record_rng(seed: int, stream: str, index) -> random.Random:
@@ -170,7 +202,7 @@ class DatasetSpec:
             raise GenerationError(f"value range must sit inside 1..2^31, got {self.lo}..{self.hi}")
         if self.bits_lo < 1 or self.bits_lo > self.bits_hi:
             raise GenerationError(f"bad bit range {self.bits_lo}..{self.bits_hi}")
-        if self.kind not in ("inorder", "preorder"):
+        if self.kind not in _TRAVERSALS:
             raise GenerationError(f"unknown traversal kind: {self.kind!r}")
         if self.k is not None and self.k < 1:
             raise GenerationError("k must be at least 1 when set")
@@ -482,33 +514,20 @@ def gen_traversal(samples, spec: DatasetSpec) -> list[ExampleRecord]:
 def gen_traces(spec: DatasetSpec) -> list[TraceRecord]:
     """Fully rendered oracle traces for prompting and validator fixtures."""
     spec.validate()
-    records = []
     if spec.task == SUCCESSOR:
-        for value in range(spec.lo, spec.hi + 1):
-            term = bin_encode(value)
-            records.append(
-                TraceRecord(
-                    id=f"trace-succ-{value}",
-                    task="successor",
-                    input=linearize(term),
-                    trace=render_trace(Call("s", (term,)), PAREN),
-                )
-            )
-        return records
-    if spec.task == TRAVERSAL:
-        tree_spec = replace(spec, train_count=spec.count, test_count=0)
-        samples, _ = gen_trees(tree_spec)
-        for sample in samples:
-            records.append(
-                TraceRecord(
-                    id=f"trace-{spec.kind}-{sample.id}",
-                    task=spec.kind,
-                    input=tree_serialize(sample.tree),
-                    trace=render_trace(Call(spec.kind, (sample.tree,)), ARROW),
-                )
-            )
-        return records
-    raise GenerationError(f"no trace generator for task {spec.task!r}")
+        name, write = SUCCESSOR, linearize
+        inputs = [(f"succ-{value}", bin_encode(value)) for value in range(spec.lo, spec.hi + 1)]
+    elif spec.task == TRAVERSAL:
+        name, write = spec.kind, tree_serialize
+        samples, _ = gen_trees(replace(spec, train_count=spec.count, test_count=0))
+        inputs = [(f"{spec.kind}-{sample.id}", sample.tree) for sample in samples]
+    else:
+        raise GenerationError(f"no trace generator for task {spec.task!r}")
+    program = _TRACE_TASKS[name].program
+    style = _style_of(program).name
+    return [TraceRecord(f"trace-{key}", name, write(term),
+                        render_trace(Call(program.name, (term,)), style))
+            for key, term in inputs]
 
 
 # ---------------------------------------------------------------------------

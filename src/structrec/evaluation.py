@@ -16,25 +16,11 @@ from dataclasses import dataclass, field
 from itertools import compress
 from operator import attrgetter, itemgetter, not_
 
-from .datasets import _META_KEYS, _read_records
+from .datasets import _META_KEYS, _TRACE_TASKS, _read_records
 from .errors import EvalError, IdMismatchError, MalformedSequenceError, ReductionError
-from .reduction import (
-    ARROW,
-    PAREN,
-    SEPARATOR,
-    Call,
-    builtin_programs,
-    parse_state_paren,
-    parse_state_unroll,
-    program_call,
-    render_state_paren,
-    render_state_unroll,
-    render_states,
-    step_level,
-    step_single,  # no caller here; kept because the benchmark's tracer rebinds it
-)
+# step_single has no caller here; it is kept because the benchmark's tracer rebinds it
+from .reduction import Call, _style_of, program_call, render_states, step_level, step_single
 from .terms import (
-    EMPTY_TOKEN,
     LPAR,
     RPAR,
     TOKEN_ALIASES,
@@ -218,26 +204,6 @@ class TraceJudgment:
     error: str | None = None
 
 
-_PAREN_MARKERS = {LPAR, RPAR}
-_ARROW_MARKERS = {UNROLL_OPEN, UNROLL_CLOSE, EMPTY_TOKEN}
-
-
-_PROGRAMS = builtin_programs()
-_TRACE_TASKS = {
-    "successor": (_PROGRAMS["s"], PAREN),
-    "inorder": (_PROGRAMS["inorder"], ARROW),
-    "preorder": (_PROGRAMS["preorder"], ARROW),
-}
-# the classic misreading applies the traversal's pieces in the other
-# root-vs-subtree order, which is exactly the sibling traversal
-_SWAPPED = {"inorder": _PROGRAMS["preorder"], "preorder": _PROGRAMS["inorder"]}
-
-
-def _has_pending(tokens, style: str) -> bool:
-    markers = _PAREN_MARKERS if style == PAREN else _ARROW_MARKERS
-    return any(tok in markers for tok in tokens)
-
-
 def _split(text: str) -> list[str]:
     """The tokens of a rendered state's text."""
     return text.split(" ") if text else []
@@ -257,29 +223,28 @@ def validate_trace(text: str, task: str, input_tokens=None) -> TraceJudgment:
     """
     if task not in _TRACE_TASKS:
         raise EvalError(f"no trace validator for task {task!r}")
-    program, style = _TRACE_TASKS[task]
-    opening, closing = (LPAR, RPAR) if style == PAREN else (UNROLL_OPEN, UNROLL_CLOSE)
-    parse, render = ((parse_state_paren, render_state_paren) if style == PAREN
-                     else (parse_state_unroll, render_state_unroll))
-    states = [part.strip() for part in text.split(SEPARATOR[style].strip())]
+    row = _TRACE_TASKS[task]
+    program, style = row.program, _style_of(row.program)
+    states = [part.strip() for part in text.split(style.separator.strip())]
     if any(not part for part in states):
         bad = next(i for i, part in enumerate(states) if not part)
         return TraceJudgment(False, bad, MALFORMED_STATE)
     got = tokenize(states[0])
     try:
-        cur = parse(got, program, normalized=True)
+        cur = style.parse(got, program)
     except (ReductionError, MalformedSequenceError):
         return TraceJudgment(False, 0, MALFORMED_STATE)
     if input_tokens is not None:
         # a pending call on the input shows the input's own tokens; only when
         # they differ is the input parsed, which still rejects a bad one
-        shown = isinstance(cur, Call) and got == [opening, *normalize_tokens(input_tokens), closing]
-        if not shown and got != render(program_call(program, [input_tokens])):
+        shown = isinstance(cur, Call) and got == [
+            style.opening, *normalize_tokens(input_tokens), style.closing]
+        if not shown and got != style.render(program_call(program, [input_tokens])):
             return TraceJudgment(False, 0, TOKEN_MUTATION)
 
     # the states from the parsed one on, each rendered from a cut of one
     # big-step run, not stepped and parsed anew
-    run = render_states(cur, style)
+    run = render_states(cur, style.name)
     next(run)  # the state the trace starts from
     last = len(states) - 1
     for i in range(1, last + 1):
@@ -293,29 +258,27 @@ def validate_trace(text: str, task: str, input_tokens=None) -> TraceJudgment:
         got, want = tokenize(states[i]), _split(expected)
         if got != want:
             return TraceJudgment(False, i, _classify(
-                task, style, parse, program, tokenize(states[i - 1]), got, want,
-                is_last=(i == last)))
+                row, tokenize(states[i - 1]), got, want, is_last=(i == last)))
 
-    if _has_pending(_split(expected) if last else got, style):
+    if not style.pending.isdisjoint(_split(expected) if last else got):
         return TraceJudgment(False, last, MISSING_TERMINATION)
     return TraceJudgment(True)
 
 
-def _classify(task, style, parse, program, prev, got, expected, is_last) -> str:
+def _classify(row, prev, got, expected, is_last) -> str:
+    style = _style_of(row.program)
     try:
-        parse(got, program, normalized=True)
+        style.parse(got, row.program)
     except (ReductionError, MalformedSequenceError):
         return MALFORMED_STATE
-    if style == ARROW:
-        swapped = _SWAPPED[task]
+    if row.swapped is not None:
         try:
-            alt_cur = parse_state_unroll(prev, swapped, normalized=True)
-            alt = step_level(alt_cur)
-            if alt is not None and render_state_unroll(alt[0]) == got:
+            alt = step_level(style.parse(prev, row.swapped))
+            if alt is not None and style.render(alt[0]) == got:
                 return RULE_ORDER_SWAP
         except (ReductionError, MalformedSequenceError):
             pass
-    if is_last and not _has_pending(got, style) and _has_pending(expected, style):
+    if is_last and style.pending.isdisjoint(got) and not style.pending.isdisjoint(expected):
         return PREMATURE_TERMINATION
     if _one_edit_apart(_stripped(got), _stripped(expected)):
         return TOKEN_MUTATION

@@ -50,8 +50,32 @@ from .terms import (
 # the trace styles: the paren form and the flat traversal form (see below)
 PAREN = "paren"
 ARROW = "arrow"
-# what stands between two states of a rendered trace, by style
-SEPARATOR = {PAREN: " = ", ARROW: " -> "}
+
+
+@dataclass(frozen=True)
+class _Style:
+    """A trace style: the text between two states, the tokens around a
+    pending call and those that show one, and the form that names its
+    parse_state_ (given normalized tokens) and render_state_.  Each is looked
+    up by name when called, so that a rebinding of either is the one used."""
+
+    name: str
+    separator: str
+    opening: str
+    closing: str
+    pending: frozenset
+    form: str
+
+    def parse(self, tokens: list[str], program: Program) -> Expr:
+        return globals()[f"parse_state_{self.form}"](tokens, program, normalized=True)
+
+    def render(self, expr: Expr) -> list[str]:
+        return globals()[f"render_state_{self.form}"](expr)
+
+
+_STYLES = {PAREN: _Style(PAREN, " = ", LPAR, RPAR, frozenset({LPAR, RPAR}), "paren"),
+           ARROW: _Style(ARROW, " -> ", UNROLL_OPEN, UNROLL_CLOSE,
+                         frozenset({UNROLL_OPEN, UNROLL_CLOSE, EMPTY_TOKEN}), "unroll")}
 
 # ---------------------------------------------------------------------------
 # expressions
@@ -309,7 +333,7 @@ class Program:
             try:
                 build_big, c, _ = _compile_big(clause.template, slots, calls)
                 big = (calls, build_big, c, {style: _render_code(
-                    clause.template, slots, style, range(n_pay))[0] for style in (PAREN, ARROW)})
+                    clause.template, slots, style, range(n_pay))[0] for style in _STYLES})
             except (KeyError, ReductionError):  # an unbound variable, or not an expression
                 big = None
             self.compiled[clause.constructor] = (
@@ -607,6 +631,11 @@ _BUILTINS = _make_builtins()
 
 def builtin_programs() -> dict[str, Program]:
     return dict(_BUILTINS)
+
+
+def _style_of(program: Program) -> _Style:
+    """The style of program's states: arrow for a walk of a tree, else paren."""
+    return _STYLES[ARROW if program.arg_type is CHAR_TREE else PAREN]
 
 
 def program_call(program: Program, inputs) -> Call:
@@ -994,7 +1023,7 @@ def _cuts(expr: Expr, style: str, programs, fuel: float | None):
     found = _big_step(expr, programs, fuel, style)
     if found is None:
         # stepped in full first, so that an error comes before any state
-        render = render_state_paren if style == PAREN else render_state_unroll
+        render = _STYLES[style].render
         states = [" ".join(render(expr))]
         for engine in _fueled_levels(expr, programs, fuel):
             states.append(" ".join(render(engine.expr())))
@@ -1056,6 +1085,6 @@ def _pending(call: tuple, paren: bool) -> str:
 
 
 def render_trace(expr: Expr, style: str, programs: dict[str, Program] | None = None) -> str:
-    """render_states(expr, style, programs) joined by the style's SEPARATOR."""
+    """render_states(expr, style, programs) joined by the style's separator."""
     states = render_states(expr, style, programs)  # checks the style first
-    return SEPARATOR[style].join(states)
+    return _STYLES[style].separator.join(states)

@@ -14,7 +14,8 @@ from pathlib import Path
 import pytest
 
 from structrec.cli import main
-from structrec.datasets import record_rng
+from structrec.datasets import _TRACE_TASKS, _TRAVERSALS, record_rng
+from structrec.reduction import _style_of
 
 
 def run(capsys, *argv):
@@ -313,14 +314,33 @@ def test_gen_trees_counts_deep_requests_only_as_far_as_they_need(capsys, tmp_pat
         assert (tmp_path / f"{name}.jsonl").read_text() == ""
 
 
-def test_gen_traces_validate_cleanly(capsys, tmp_path):
-    code, _, _ = run(capsys, "gen", "traces", "--task", "successor",
-                     "--range", "1:30", "--out", str(tmp_path))
+# a value token of a normal state, and another value token of its task
+_OTHER_VALUE = {"X0": "X1", "X1": "X0", "01": "X1", "a": "b", "b": "c", "c": "a"}
+
+
+@pytest.mark.parametrize("task", list(_TRACE_TASKS))
+def test_gen_traces_validate_cleanly(capsys, tmp_path, task):
+    size = ["--count", "12", "--depths", "2:3"] if task in _TRAVERSALS else ["--range", "1:30"]
+    code, _, _ = run(capsys, "gen", "traces", "--task", task, *size, "--out", str(tmp_path))
     assert code == 0
-    code, out, _ = run(capsys, "eval", "--validate-traces",
-                       "--traces", str(tmp_path / "traces_successor.jsonl"))
+    path = tmp_path / f"traces_{task}.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    n = len(records)
+    assert n == (12 if task in _TRAVERSALS else 30)
+    code, out, _ = run(capsys, "eval", "--validate-traces", "--traces", str(path))
+    assert (code, out) == (0, f"traces {n}, valid {n}, invalid 0\n")
+
+    # the first token of each trace's normal form, a value token, changed
+    separator = _style_of(_TRACE_TASKS[task].program).separator
+    for record in records:
+        *states, last = record["trace"].split(separator)
+        first, *rest = last.split(" ")
+        record["trace"] = separator.join([*states, " ".join([_OTHER_VALUE[first], *rest])])
+    damaged = tmp_path / "damaged.jsonl"
+    damaged.write_text("".join(json.dumps(record) + "\n" for record in records))
+    code, out, _ = run(capsys, "eval", "--validate-traces", "--traces", str(damaged))
     assert code == 0
-    assert "traces 30, valid 30, invalid 0" in out
+    assert out.startswith(f"traces {n}, valid 0, invalid {n}\n")
 
 
 def test_eval_id_mismatch_exit_code(capsys, tmp_path):
@@ -942,6 +962,71 @@ def test_the_parameters_of_each_modules_public_functions_are_pinned():
              for module, nodes in _public_defs().items()}
     assert found == PUBLIC_PARAMS
     assert sum(found.values()) == 138
+
+
+# the modules that dispatch on trace tasks, and in each, by the top-level
+# def or assignment they sit in: every literal that is a trace task's name,
+# and every comparison with, or pick between, the trace styles PAREN and
+# ARROW.  Tasks and styles are read from the task table (datasets) and the
+# style entries (reduction), so a new dispatch site is a deliberate edit here
+DISPATCH_MODULES = ("cli", "datasets", "evaluation")
+TASK_NAME_LITERALS = {
+    ("cli", "build_parser"): 3,  # gen successor, and the asm machine successor twice
+    ("cli", "cmd_asm"): 1,  # the asm machine successor
+    ("datasets", "SUCCESSOR"): 1,
+    ("datasets", "DatasetSpec"): 1,  # the default kind
+    ("datasets", "_TRACE_TASKS"): 6,  # the table: each traversal's name, program and sibling
+    ("datasets", "_walk"): 1,
+}
+STYLE_BRANCHES: dict = {}
+
+
+def _dispatch_sites():
+    """(task-name literals, style comparisons and picks), each a
+    {(module, top-level name): count}."""
+    import structrec
+
+    tasks = set(_TRACE_TASKS)
+    literals, branches = {}, {}
+    for module in DISPATCH_MODULES:
+        path = Path(structrec.__file__).parent / f"{module}.py"
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                scope = top.name
+            elif isinstance(top, (ast.Assign, ast.AnnAssign)):
+                scope = ast.unparse(top.targets[0] if isinstance(top, ast.Assign) else top.target)
+            else:
+                scope = "<module>"
+            for node in ast.walk(top):
+                if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                        and node.value in tasks:
+                    literals[module, scope] = literals.get((module, scope), 0) + 1
+                operands = ([node.left, *node.comparators] if isinstance(node, ast.Compare)
+                            else [node.body, node.orelse] if isinstance(node, ast.IfExp) else [])
+                if any(isinstance(op, ast.Name) and op.id in ("PAREN", "ARROW") for op in operands):
+                    branches[module, scope] = branches.get((module, scope), 0) + 1
+    return literals, branches
+
+
+def test_the_trace_task_and_style_dispatch_sites_are_pinned():
+    literals, branches = _dispatch_sites()
+    assert literals == TASK_NAME_LITERALS
+    assert branches == STYLE_BRANCHES
+
+
+def test_the_task_choices_are_the_trace_task_table_and_the_builtin_programs():
+    from structrec.cli import build_parser
+    from structrec.reduction import builtin_programs
+
+    def choices(parser, dest) -> list:
+        return list(next(action.choices for action in parser._actions if action.dest == dest))
+
+    commands = _subcommands(build_parser())
+    gen = _subcommands(commands["gen"])
+    assert list(_TRACE_TASKS) == ["successor", "inorder", "preorder"]
+    assert choices(gen["traces"], "task") == choices(commands["eval"], "task") == list(_TRACE_TASKS)
+    assert choices(gen["traversal"], "kind") == list(_TRAVERSALS) == ["inorder", "preorder"]
+    assert choices(commands["reduce"], "program") == list(builtin_programs())
 
 
 def test_python_dash_m_runs_the_cli():

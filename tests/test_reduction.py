@@ -24,6 +24,7 @@ from structrec.reduction import (
     Var,
     _big_step,
     _fueled_levels,
+    _style_of,
     builtin_programs,
     is_normal,
     levels,
@@ -949,7 +950,8 @@ def test_a_parsed_state_of_lists_and_calls_is_cut_from_level_zero():
 
 def _validate_by_levels(text, task, input_tokens):
     """validate_trace as it stood on levels(): each state stepped, then rendered."""
-    program, style = evaluation._TRACE_TASKS[task]
+    row = evaluation._TRACE_TASKS[task]
+    program, style = row.program, _style_of(row.program).name
     separator = "=" if style == PAREN else "->"
     parse, render = ((parse_state_paren, render_state_paren) if style == PAREN
                      else (parse_state_unroll, render_state_unroll))
@@ -972,10 +974,9 @@ def _validate_by_levels(text, task, input_tokens):
         expected = render(engine.expr())
         got = tokenize(states[i])
         if got != expected:
-            return False, i, evaluation._classify(task, style, parse, program,
-                                                  tokenize(states[i - 1]), got, expected,
+            return False, i, evaluation._classify(row, tokenize(states[i - 1]), got, expected,
                                                   is_last=(i == last))
-    if evaluation._has_pending(got, style):
+    if not _style_of(program).pending.isdisjoint(got):
         return False, last, evaluation.MISSING_TERMINATION
     return True, None, None
 
