@@ -14,8 +14,9 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field, fields, replace
+from json.encoder import encode_basestring_ascii
 
-from .errors import GenerationError
+from .errors import GenerationError, RemapError
 from .reduction import (
     ARROW,
     PAREN,
@@ -43,6 +44,7 @@ from .terms import (
     group2_value,
     intern_tokens,
     linearize,
+    tokenize,
     tree_serialize,
 )
 
@@ -131,6 +133,17 @@ class ExampleRecord:
             "meta": self.meta.to_dict(),
         }
 
+    def _json_line(self, esc) -> str:
+        escaped, order, meta = esc.__getitem__, self.order, self.meta
+        bits = "" if (val := meta.bits) is None else f'"bits":{val},'
+        depth = "" if (val := meta.depth) is None else f'"depth":{val},'
+        value = "" if (val := meta.value) is None else f',"value":{val}'
+        return (f'{{"id":{encode_basestring_ascii(self.id)},'
+                f'"input":[{",".join(map(escaped, self.input))}],"meta":{{{bits}{depth}'
+                f'"edge_group":{meta.edge_group},"pad_len":{meta.pad_len}{value}}},'
+                f'"order":{"null" if order is None else escaped(order)},'
+                f'"target":[{",".join(map(escaped, self.target))}],"task":{escaped(self.task)}}}\n')
+
     @classmethod
     def from_dict(cls, obj: dict) -> "ExampleRecord":
         """Tokens are interned, so equal tokens across records are one
@@ -159,6 +172,11 @@ class TraceRecord:
     def to_dict(self) -> dict:
         return {"id": self.id, "task": self.task, "input": list(self.input),
                 "trace": self.trace}
+
+    def _json_line(self, esc) -> str:
+        return (f'{{"id":{encode_basestring_ascii(self.id)},'
+                f'"input":[{",".join(map(esc.__getitem__, self.input))}],'
+                f'"task":{esc[self.task]},"trace":{encode_basestring_ascii(self.trace)}}}\n')
 
     @classmethod
     def from_dict(cls, obj: dict) -> "TraceRecord":
@@ -310,6 +328,11 @@ class TreeSample:
         return {"id": self.id, "depth": self.depth, "split": self.split,
                 "tokens": tree_serialize(self.tree)}
 
+    def _json_line(self, esc) -> str:
+        return (f'{{"depth":{self.depth},"id":{encode_basestring_ascii(self.id)},'
+                f'"split":{esc[self.split]},'
+                f'"tokens":[{",".join(map(esc.__getitem__, tree_serialize(self.tree)))}]}}\n')
+
 
 @dataclass
 class SplitSpec:
@@ -349,28 +372,30 @@ _BRANCH_PROB = 0.8
 _MAX_TRIES = 1000
 
 
-# a candidate tree is a leaf, or (depth, value, left, right): plain tuples,
-# so a candidate of the wrong depth costs no Term
-_LEAF = (0,)
-
-
-def _branch(rng: random.Random, budget: int, alphabet: str) -> tuple:
-    """A Branch candidate: its value, then each subtree in turn, which
-    while budget lasts is a Branch with probability _BRANCH_PROB (the coin
-    drawn before anything of the subtree)."""
+def _branch(rng: random.Random, budget: int, alphabet: str, out: list, leaf: Term):
+    """A Branch candidate and its depth, its serialized tokens appended to
+    out as it is drawn: its value, then each subtree in turn, which while
+    budget lasts is a Branch with probability _BRANCH_PROB (the coin drawn
+    before anything of the subtree)."""
     value = rng.choice(alphabet)
-    left = (_branch(rng, budget - 1, alphabet)
-            if budget and rng.random() <= _BRANCH_PROB else _LEAF)
-    right = (_branch(rng, budget - 1, alphabet)
-             if budget and rng.random() <= _BRANCH_PROB else _LEAF)
-    return 1 + max(left[0], right[0]), value, left, right
-
-
-def _as_term(node: tuple, leaf: Term) -> Term:
-    if node is _LEAF:
-        return leaf
-    _, value, left, right = node
-    return Term("Branch", (value,), (_as_term(left, leaf), _as_term(right, leaf)))
+    out.append(value)
+    left_depth = right_depth = 0
+    if budget and rng.random() <= _BRANCH_PROB:
+        out.append("(")
+        left, left_depth = _branch(rng, budget - 1, alphabet, out, leaf)
+        out.append(")")
+    else:
+        left = leaf
+        out.append("LEAF")
+    if budget and rng.random() <= _BRANCH_PROB:
+        out.append("(")
+        right, right_depth = _branch(rng, budget - 1, alphabet, out, leaf)
+        out.append(")")
+    else:
+        right = leaf
+        out.append("LEAF")
+    depth = left_depth if left_depth > right_depth else right_depth
+    return _spanned("Branch", (value,), (left, right), None), depth + 1
 
 
 def sample_tree(rng: random.Random, depth: int, alphabet: str) -> Term:
@@ -378,13 +403,12 @@ def sample_tree(rng: random.Random, depth: int, alphabet: str) -> Term:
     is always a Branch."""
     if depth < 1:
         raise GenerationError("tree samples need depth >= 1 (a bare Leaf is not a sample)")
+    leaf = Term("Leaf")  # one leaf term serves the whole tree
     for _ in range(_MAX_TRIES):
-        tree = _branch(rng, depth - 1, alphabet)
-        if tree[0] == depth:
-            term = _as_term(tree, Term("Leaf"))  # one leaf term serves the whole tree
-            # serialized once: its key and its records slice the root's span
-            tokens = tree_serialize(term)
-            return _spanned("Branch", term.payloads, term.children, None, (tokens, 0, len(tokens)))
+        tokens: list[str] = []
+        tree, got = _branch(rng, depth - 1, alphabet, tokens, leaf)
+        if got == depth:  # its key and its records slice the tokens drawn with it
+            return _spanned("Branch", tree.payloads, tree.children, None, (tokens, 0, len(tokens)))
     raise GenerationError(f"could not hit depth {depth} in {_MAX_TRIES} tries")
 
 
@@ -551,6 +575,9 @@ def postprocess(records, spec: DatasetSpec):
         for tok in STRUCTURAL_TOKENS:
             full.setdefault(tok, tok)
         if records:  # checked once, and only when there is a record to respell
+            for spelling in full.values():  # eval reads text back by tokenize
+                if not isinstance(spelling, str) or tokenize(spelling) != [spelling]:
+                    raise RemapError(f"remap spelling {spelling!r} does not read back as itself")
             _check_injective(full)
         pad = full[PAD_TOKEN]
     rng, out = random.Random(), []
@@ -575,15 +602,21 @@ def postprocess(records, spec: DatasetSpec):
 # files
 
 
-# what json.dumps(obj, sort_keys=True, separators=(",", ":")) would build per call
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+class _Escaped(dict):
+    """token -> its JSON string, escaped once by the json encoder's own function"""
+
+    def __missing__(self, token: str) -> str:
+        self[token] = escaped = encode_basestring_ascii(token)
+        return escaped
 
 
 def write_jsonl(records, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    """One line per record, as json.dumps(record.to_dict(), sort_keys=True,
+    separators=(",", ":")) spells it, built from the record's fields."""
+    esc = _Escaped()
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for record in records:
-            handle.write(_ENCODER.encode(record.to_dict()))
-            handle.write("\n")
+            handle.write(record._json_line(esc))
 
 
 def _read_records(path, build, error=GenerationError, what="bad record ({})") -> list:
@@ -646,6 +679,6 @@ def write_manifest(path, spec: DatasetSpec, data_path, record_count: int) -> Non
         "records": record_count,
         "sha256": file_digest(data_path),
     }
-    with open(path, "w", encoding="utf-8") as handle:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -164,6 +164,13 @@ class Disagreement:
     def to_dict(self) -> dict:
         return asdict(self)
 
+    def _json_line(self, esc) -> str:
+        """The line datasets.write_jsonl writes; esc is its memo of escaped tokens."""
+        return (f'{{"bits":{self.bits},"edge_group":{self.edge_group},'
+                f'"expected":[{",".join(map(esc.__getitem__, self.expected))}],'
+                f'"got":[{",".join(map(esc.__getitem__, self.got))}],'
+                f'"label":{esc[self.label]},"value":{self.value}}}\n')
+
 
 @dataclass(frozen=True)
 class DisagreementReport:

@@ -1068,6 +1068,14 @@ def test_gen_remap_that_names_the_pad_token_respells_the_pads(capsys, tmp_path):
     assert code == 4 and "remap is not injective" in err
 
 
+def test_gen_remap_to_a_spelling_text_cannot_give_back_is_exit_4(capsys, tmp_path):
+    # eval tokenizes text predictions, so "a b" and "" could never match a target
+    code, out, err = run(capsys, "gen", "successor", "--range", "1:3", "--out", str(tmp_path),
+                         "--remap", '{"X0":"a b","X1":"c","01":""}')
+    assert code == 4 and "remap spelling 'a b' does not read back as itself" in err
+    assert out == "" and not list(tmp_path.iterdir())
+
+
 def test_gen_oversample(capsys, tmp_path):
     code, _, _ = run(capsys, "gen", "successor", "--range", "1:32",
                      "--out", str(tmp_path), "--oversample-g1", "5")

@@ -196,7 +196,8 @@ def test_gen_trees_no_duplicates_anywhere():
 
 
 def test_each_sampled_tree_is_serialized_once(monkeypatch):
-    # a draw walks its tree once; its key and its records slice that walk
+    # a draw serializes its tree as it draws it: no draw is walked after,
+    # and its key and its records slice the drawn tokens
     import structrec.datasets as datasets
     from structrec.terms import Term, tree_serialize
 
@@ -209,12 +210,16 @@ def test_each_sampled_tree_is_serialized_once(monkeypatch):
                        test_count=15, seed=14)
     samples, _ = gen_trees(spec)
     records = gen_traversal(samples, DatasetSpec(kind="inorder"))
-    # each draw is walked, then keyed; each record takes its input
-    assert sum(walks) == len(drawn) >= len(samples)
-    assert len(walks) == 2 * len(drawn) + len(records)
+    # each draw is keyed, each record takes its input, and none walks a tree
+    assert sum(walks) == 0 and len(drawn) >= len(samples)
+    assert len(walks) == len(drawn) + len(records)
+    for tree in drawn:
+        toks, start, end = tree._tree_span
+        built = Term("Branch", tree.payloads, tree.children)
+        assert (start, end) == (0, len(toks)) and toks == tree_serialize(built)
     for sample, record in zip(samples, records):
-        built = Term("Branch", sample.tree.payloads, sample.tree.children)
-        assert sample.tree == built and record.input == tree_serialize(built)
+        assert record.input == sample.tree._tree_span[0]
+        assert record.input is not sample.tree._tree_span[0]
 
 
 def test_gen_trees_deterministic():
@@ -408,6 +413,25 @@ def test_remap_checks_injectivity_only_with_a_record():
         assert postprocess([], DatasetSpec(remap=mapping)) == []
 
 
+@pytest.mark.parametrize("spelling", ["a b", "", "XO", "x]", "(c", 7, None, ["a"]])
+def test_remap_rejects_a_spelling_that_text_cannot_give_back(spelling):
+    # eval tokenizes a text prediction, so each spelling must be one token
+    # that reads back as itself; a non-string never reaches the writer
+    records = gen_successor_range(DatasetSpec(lo=1, hi=3))
+    remap = {"X0": "a", "X1": spelling, "01": "c", "PAD": "not one"}
+    with pytest.raises(RemapError) as raised:
+        postprocess(records, DatasetSpec(remap=remap))
+    assert str(raised.value) == f"remap spelling {spelling!r} does not read back as itself"
+    assert postprocess([], DatasetSpec(remap=remap)) == []
+
+
+def test_remap_rejects_a_bad_spelling_of_a_structural_token():
+    records = gen_successor_range(DatasetSpec(lo=1, hi=3))
+    with pytest.raises(RemapError) as raised:
+        postprocess(records, DatasetSpec(remap={"X0": "a", "X1": "b", "01": "c", "PAD": "P D"}))
+    assert str(raised.value) == "remap spelling 'P D' does not read back as itself"
+
+
 def test_remap_names_the_first_token_outside_its_domain():
     record = ExampleRecord("r", SUCCESSOR, None, ["X1", "Z", "Q", "01"], ["X0", "X1", "01"])
     with pytest.raises(RemapError) as raised:
@@ -567,6 +591,91 @@ def test_jsonl_round_trip_and_byte_identity(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     back = read_jsonl(a)
     assert [r.to_dict() for r in back] == [r.to_dict() for r in records]
+
+
+# tokens the writer must escape as json.dumps does: non-ASCII (one outside
+# the BMP), a quote, a backslash, control characters, U+2028 and the empty token
+_AWKWARD = ["X0", "X1", "01", "PAD", "LEAF", "(", ")", "\u00e9", "\u65e5\u672c", "\U0001f600",
+            '"', "\\", "\x00", "\x1f", "\t", "\r", "\n", "\x7f", "\u2028", "a b", ""]
+
+
+def _awkward_tokens(rng: random.Random) -> list[str]:
+    return rng.choices(_AWKWARD, k=rng.randint(0, 9))
+
+
+def _awkward_text(rng: random.Random) -> str:
+    return "".join(_awkward_tokens(rng))
+
+
+def _written_records():
+    """At least 1,000 seeded records of each class write_jsonl writes, real
+    ones and synthetic ones with every awkward token, null field and pad."""
+    from structrec.shortcuts import Disagreement, diff_against_oracle
+
+    rng = random.Random(33)
+    spec = DatasetSpec(lo=1, hi=300, max_pad=3, remap={"X0": "\u00e9", "X1": '"', "01": "\\"})
+    samples, _ = gen_trees(DatasetSpec(task=TRAVERSAL, depth_lo=2, depth_hi=5, train_count=200,
+                                       test_count=20, seed=33))
+    examples = (postprocess(gen_successor_range(spec), spec)
+                + gen_traversal(samples, DatasetSpec(kind="preorder"))
+                + gen_traversal(samples, DatasetSpec(kind="inorder", k=2)))
+    for i in range(600):
+        meta = RecordMeta(*(rng.choice([None, 0, 7, -3, 2**70]) for _ in range(3)),
+                          rng.choice([0, 1, 2]), rng.randint(0, 3))
+        examples.append(ExampleRecord(f"ex-{i}-{_awkward_text(rng)}", rng.choice(_AWKWARD),
+                                      rng.choice([None, REVERSE, NATURAL, *_AWKWARD]),
+                                      _awkward_tokens(rng), _awkward_tokens(rng), meta))
+    traces = gen_traces(DatasetSpec(task=SUCCESSOR, lo=1, hi=200)) + [
+        TraceRecord(f"tr-{i}-{_awkward_text(rng)}", rng.choice(_AWKWARD), _awkward_tokens(rng),
+                    _awkward_text(rng)) for i in range(800)]
+    trees = [TreeSample(f"t-{i}-{_awkward_text(rng)}", sample_tree(rng, rng.randint(1, 4),
+                                                                   "\u00e9\"\\\x01\u2028\U0001f600a"),
+                        rng.randint(1, 4), rng.choice(["train", "test", *_AWKWARD]))
+             for i in range(1000)]
+    trees += [TreeSample("walked", branch("\u2028", leaf(), branch('"', leaf(), leaf())), 2, "test")]
+    report = diff_against_oracle(NATURAL, "faithful", 1, 2000)
+    disagreements = [*report.disagreements, *(
+        Disagreement(rng.randint(1, 2**40), rng.randint(1, 40), rng.choice([0, 1, 2]),
+                     tuple(_awkward_tokens(rng)), tuple(_awkward_tokens(rng)),
+                     rng.choice(_AWKWARD)) for _ in range(1000))]
+    return {"example": examples, "trace": traces, "tree": trees, "disagreement": disagreements}
+
+
+@pytest.mark.parametrize("kind", ["example", "trace", "tree", "disagreement"])
+def test_each_line_is_json_dumps_of_the_records_dict(tmp_path, kind):
+    records = _written_records()[kind]
+    assert len(records) >= 1000
+    path = tmp_path / f"{kind}.jsonl"
+    write_jsonl(records, path)
+    lines = path.read_bytes().decode("ascii").split("\n")
+    assert lines.pop() == ""  # every line, the last one too, ends in a bare \n
+    assert lines == [json.dumps(r.to_dict(), sort_keys=True, separators=(",", ":"))
+                     for r in records]
+    read = {"example": read_jsonl, "trace": read_traces}.get(kind)
+    if read is not None:
+        assert read(path) == records
+    else:  # no reader: the lines decode to the records' dicts, tuples as lists
+        assert [json.loads(line) for line in lines] == [
+            json.loads(json.dumps(r.to_dict())) for r in records]
+
+
+def test_files_are_opened_to_write_bare_newlines(tmp_path, monkeypatch):
+    # text mode with the default newline=None writes os.linesep, \r\n on Windows
+    import builtins
+
+    import structrec.datasets as datasets
+
+    opened = []
+
+    def spy(file, mode="r", *args, **kwargs):
+        opened.append((mode, kwargs.get("newline")))
+        return builtins.open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(datasets, "open", spy, raising=False)
+    spec = DatasetSpec(lo=1, hi=3)
+    write_jsonl(gen_successor_range(spec), tmp_path / "d.jsonl")
+    write_manifest(tmp_path / "d.manifest.json", spec, tmp_path / "d.jsonl", 3)
+    assert [entry for entry in opened if "b" not in entry[0]] == [("w", "\n"), ("w", "\n")]
 
 
 def test_jsonl_lines_have_sorted_keys(tmp_path):
