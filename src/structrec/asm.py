@@ -7,12 +7,11 @@ that cell ("in", i).  Every rule whose guard holds fires in the same step;
 their update sets are merged and applied simultaneously, and two fired
 updates that assign different values to one location are a clash.
 
-Each machine is compiled once into one step function.  It tests the
-guards in rule order and writes the fired updates in place; a guard or
-update given as expression text over s is inlined into it, and a callable
-one is called.  A rule that fires alone stores the values of its
-update text straight into the state.  A recursive variant lets an agent
-spawn a child agent on a sub-input and wait for its result.
+_fire defines the step.  Each machine is compiled once into a step
+function in which a rule that fires alone stores the values of its
+update text straight into the state; it leaves every other step to
+_fire.  A recursive variant lets an agent spawn a child agent on a
+sub-input and wait for its result.
 """
 
 from __future__ import annotations
@@ -164,67 +163,62 @@ def _pairs(source: str):
     return tuple(pairs) if len(set(names)) == len(names) else None
 
 
+def _fire(machine: AsmMachine, state: dict) -> tuple:
+    """One step: every guard tested in rule order, each fired rule's updates
+    merged as it fires (two that assign one location different values are a
+    clash, raised before a later rule is tested), and the merged updates
+    written into the state in place.  Returns the fired rule ids, or () if
+    the step writes nothing (a fixed point)."""
+    merged, owner, fired = {}, {}, []
+    for rule in machine.rules:
+        if rule.guard(state):
+            for loc, value in rule.updates(state):
+                if loc in merged and merged[loc] != value:
+                    raise UpdateClashError(f"{machine.name}: rules {owner[loc]} and {rule.id} "
+                                           f"both write {loc!r} with different values")
+                merged[loc] = value
+                owner[loc] = rule.id
+            fired.append(rule.id)
+    _apply(state, merged.items())
+    return tuple(fired) if merged else ()
+
+
 def _compile(machine: AsmMachine) -> Callable:
-    """One step: every guard tested in rule order and the fired rules' updates
-    computed, then written into the state in place.  Returns the fired rule
-    ids, or () if the step writes nothing (a fixed point).  Once a second rule
-    fires, the updates so far are merged, so that a clash raises before any
-    later rule is tested.  A lone rule writes text that _pairs takes apart
-    straight into the state, unless two cells of one tape share an index."""
-    names = dict(_NAMES, _merge=_merge, _apply=_apply, _name=machine.name, _undef=UNDEF)
-    lines, ends, expand = ["def f(s):", "    w = -1"], [], []  # w: the one rule fired, or -2
+    """The step of _fire, with guard and update text inlined.  A lone fired
+    rule whose update text _pairs takes apart stores its values straight
+    into the state; any other step (a later guard holds too, or two cells of
+    one tape share an index) is left to _fire, which tests every guard again."""
+    names = dict(_NAMES, _fire=_fire, _m=machine, _undef=UNDEF)
+    guards = [f"({rule.text[0] or f'_r{k}.guard(s)'})" for k, rule in enumerate(machine.rules)]
+    lines, fire = ["def f(s):"], "return _fire(_m, s)"
     for k, rule in enumerate(machine.rules):
-        guard, text = rule.text
         names[f"_r{k}"] = rule
-        pairs = None if text is None else _pairs(text)
-        body, items, writes, tapes = [], [], [], {}
-        for j, (name, index, value) in enumerate(pairs or ()):
+        pairs = None if rule.text[1] is None else _pairs(rule.text[1])
+        lines.append(f"    if {guards[k]}:")
+        if pairs is None:
+            lines.append(f"        {fire}")
+            continue
+        if guards[k + 1:]:
+            lines.append(f"        if {' or '.join(guards[k + 1:])}: {fire}")
+        writes, tapes = [], {}
+        for j, (name, index, value) in enumerate(pairs):
             v, i, key = f"v{k}_{j}", f"i{k}_{j}", repr(name)
             if index is None:
-                items.append(f"({key}, {v})")
                 writes.append(f"        s[{key}] = {v}")
             else:
-                body.append(f"        {i} = ({index})")
-                items.append(f"(({key}, {i}), {v})")
+                lines.append(f"        {i} = ({index})")
                 writes += [f"        t = s[{key}] if {key} in s else s.setdefault({key}, [])",
                            f"        if {i} == len(t): t.append({v})",
                            f"        else: t += [_undef] * ({i} + 1 - len(t)); t[{i}] = {v}"]
                 tapes.setdefault(name, []).append(i)
-            body.append(f"        {v} = ({value})")
-        if pairs is None:
-            body = [f"        u{k} = {f'({text})' if text else f'list(_r{k}.updates(s))'}"]
-        else:  # written straight in if every two cells of one tape are apart
-            apart = "".join(f" and {a} != {b}" for cells in tapes.values()
-                            for n, a in enumerate(cells) for b in cells[n + 1:])
-            ends += [f"    if w == {k}{apart}:", *writes,
-                     f"        return {(rule.id,)!r}" if pairs else "        return ()"]
-        ups = f"u{k}" if pairs is None else f"[{', '.join(items)}]"
-        lines += [f"    if ({guard or f'_r{k}.guard(s)'}):", *body]
-        lines += [f"        if w == -1: w = {k}", "        else:", "            if w >= 0:",
-                  *(" " * 16 + line for line in expand), "                w = -2",
-                  f"            fired.append({rule.id!r})", f"            ups.append({ups})",
-                  "            merged = _merge(_name, fired, ups)"] if k else ["        w = 0"]
-        expand.append(f"{'el' * (k > 0)}if w == {k}: fired, ups = [{rule.id!r}], [{ups}]")
-    lines += [*ends, "    if w == -1: return ()", "    if w >= 0:",
-              *("        " + line for line in expand), "        merged = _merge(_name, fired, ups)",
-              "    _apply(s, merged.items())", "    return tuple(fired) if merged else ()"]
+            lines.append(f"        {v} = ({value})")
+        shared = " or ".join(f"{a} == {b}" for cells in tapes.values()
+                             for n, a in enumerate(cells) for b in cells[n + 1:])
+        if shared:
+            lines.append(f"        if {shared}: {fire}")
+        lines += [*writes, f"        return {(rule.id,) if pairs else ()!r}"]
+    lines.append("    return ()")
     return _define("\n".join(lines), names)
-
-
-def _merge(name: str, fired: list, ups: list) -> dict:
-    """The fired rules' updates as one dict; updates that disagree are a clash."""
-    merged: dict = {}
-    owner: dict = {}
-    for rule_id, rule_ups in zip(fired, ups):
-        for loc, value in rule_ups:
-            if loc in merged and merged[loc] != value:
-                raise UpdateClashError(
-                    f"{name}: rules {owner[loc]} and {rule_id} both write "
-                    f"{loc!r} with different values"
-                )
-            merged[loc] = value
-            owner[loc] = rule_id
-    return merged
 
 
 def asm_step(machine: AsmMachine, state: dict) -> dict:

@@ -26,6 +26,7 @@ from .terms import (
     TOKEN_ALIASES,
     UNROLL_CLOSE,
     UNROLL_OPEN,
+    _NEEDS_REGEX,
     intern_tokens,
     normalize_tokens,
     tokenize,
@@ -69,10 +70,9 @@ def read_predictions(path) -> list[PredictionRecord]:
 
 def _canonical(text: str) -> bool:
     # then text.split(" ") == tokenize(text); space-joined texts are canonical
-    # exactly when each one is ("[" also rules out the alias REDUCE[)
+    # exactly when each one is (no piece tokenize looks for holds a space)
     return (text[:1] not in ("", " ") and text[-1] != " " and "  " not in text
-            and text.isprintable() and not ("(" in text or ")" in text or "[" in text
-                                            or "]" in text or "XO" in text))
+            and text.isprintable() and not any(map(text.__contains__, _NEEDS_REGEX)))
 
 
 def _prediction(obj) -> PredictionRecord:

@@ -653,14 +653,6 @@ def program_call(program: Program, inputs) -> Call:
 # stepping
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    before: Expr
-    after: Expr
-    paths: tuple[tuple[int, ...], ...]
-    rules: tuple[str, ...]
-
-
 class _Engine:
     """Call-by-value reduction, one pass over the pending part per step.
 
@@ -805,23 +797,16 @@ def levels(expr: Expr, programs: dict[str, Program] | None = None, single: bool 
         yield engine
 
 
-def _steps(expr: Expr, engines):
-    """The steps that the engines of a levels() run over expr take."""
-    before = expr
-    for engine in engines:
-        after = engine.expr()
-        yield ReductionStep(before, after, engine.paths, engine.rules)
-        before = after
-
-
 def step_level(expr: Expr, programs: dict[str, Program] | None = None):
-    """Rewrite every outermost redex at once; None when expr is normal."""
-    return next(((step.after, step) for step in _steps(expr, levels(expr, programs))), None)
+    """Rewrite every outermost redex at once: (the state reached, the engine
+    whose paths and rules describe the step), or None when expr is normal."""
+    return next(((engine.expr(), engine) for engine in levels(expr, programs)), None)
 
 
 def step_single(expr: Expr, programs: dict[str, Program] | None = None):
-    """Rewrite the leftmost-outermost redex; None when expr is normal."""
-    return next(((step.after, step) for step in _steps(expr, levels(expr, programs, True))), None)
+    """Rewrite the leftmost-outermost redex: (the state reached, the engine),
+    as step_level gives, or None when expr is normal."""
+    return next(((engine.expr(), engine) for engine in levels(expr, programs, True)), None)
 
 
 def _budget(expr: Expr, fuel: int | None, past: float = math.inf) -> int:

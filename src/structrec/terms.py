@@ -41,7 +41,7 @@ TOKEN_ALIASES = {
 REVERSE = "reverse"  # constructor order: least-significant effect first
 NATURAL = "natural"  # written order: exact reversal of constructor order
 
-_TOKEN_RE = re.compile(r"UNROLL\[|REDUCE\[|[()\]]|[^\s()\[\]]+")
+_TOKEN_RE = re.compile(r"UNROLL\[|REDUCE\[|[()\[\]]|[^\s()\[\]]+")
 
 
 def normalize_tokens(tokens) -> list[str]:

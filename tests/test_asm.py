@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from structrec import asm
 from structrec.asm import (
     UNDEF,
     AsmMachine,
@@ -26,7 +27,15 @@ from structrec.shortcuts import (
     natural_shortcut_machine,
     reverse_shortcut_machine,
 )
-from structrec.terms import bin_encode, bin_value, bin_x1_run, delinearize, linearize, BIN_POS
+from structrec.terms import (
+    BIN_POS,
+    _bin_tokens,
+    bin_encode,
+    bin_value,
+    bin_x1_run,
+    delinearize,
+    linearize,
+)
 
 
 def _succ_tokens(n):
@@ -280,6 +289,39 @@ def test_every_text_update_of_the_built_in_machines_is_taken_apart():
         ("successor-agent", "base-one"), ("successor-agent", "wrap-child")}
     assert sum(name.startswith("shortcut") for name, _ in texts) == 16
     assert [key for key, text in texts.items() if _pairs(text) is None] == []
+
+
+def _counting_fire(monkeypatch):
+    """Wrap _fire for the machines compiled from here on; returns the list
+    of the ids each call of it returns."""
+    calls, fire = [], asm._fire
+
+    def counted(machine, state):
+        calls.append(fire(machine, state))
+        return calls[-1]
+
+    monkeypatch.setattr(asm, "_fire", counted)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [FAITHFUL, CORRECTED])
+def test_the_shortcut_machines_never_leave_the_compiled_path(monkeypatch, mode):
+    calls = _counting_fire(monkeypatch)
+    for build, order in ((natural_shortcut_machine, -1), (reverse_shortcut_machine, 1)):
+        machine = build.__wrapped__(mode)  # a fresh build, compiled with the wrapped _fire
+        steps = sum(asm_run(machine, _bin_tokens(n)[::order])[1] for n in range(1, 1025))
+        assert steps > 10_000 and calls == []
+
+
+def test_the_successor_machine_leaves_only_its_callable_rule_to_fire(monkeypatch):
+    calls = _counting_fire(monkeypatch)
+    machine = successor_machine()
+    fired = []
+    for n in range(1, 1025):
+        fired += [ids for _, ids, _ in asm_log(machine, _succ_tokens(n))[1:]]
+    assert calls == [ids for ids in fired if ids == ("flip-first-zero",)]
+    # every input but the all-ones ones (n & (n + 1) == 0) has an X0 to flip
+    assert len(calls) == sum(n & (n + 1) != 0 for n in range(1, 1025)) < len(fired)
 
 
 # ---------------------------------------------------------------------------

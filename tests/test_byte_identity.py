@@ -475,8 +475,8 @@ def _string_eval_fixture(directory):
 
 # sha256 of `structrec eval` stdout on the string-candidate fixture, by --format
 STRING_EVAL_PINS = {
-    "json": "f94c09037ddbc72ccb1b289bf4b2e1293d27c05f81a41bc181ff56deafb5d051",
-    "text": "b73122d5c500fc5e0c795fcf3d388936378203c470844ff9e690580fad5b5b44",
+    "json": "c85ba95ec5b4b71e6e640828058260be8f35c6d9463b854c5318896f58833632",
+    "text": "cc12c0cbb7340fc01d4114c61208fa45310d5456ded5c00f551c3906f343549d",
 }
 
 

@@ -19,6 +19,7 @@ from structrec.evaluation import (
     TRACE_ERRORS,
     PredictionRecord,
     TraceValidationReport,
+    _canonical,
     breakdown,
     compute_metrics,
     exact_match,
@@ -32,6 +33,7 @@ from structrec.datasets import DatasetSpec, ExampleRecord, RecordMeta, gen_succe
 from structrec.reduction import ARROW, PAREN, Call, render_trace
 from structrec.terms import (
     TOKEN_ALIASES,
+    _NEEDS_REGEX,
     bin_encode,
     branch,
     leaf,
@@ -215,6 +217,23 @@ def test_read_predictions_names_the_physical_line_after_blank_lines(tmp_path):
     path.write_text('{"id": "a", "candidates": ["X1 01"]}\n\n{"id": "b", "candidates": [5]}\n')
     with pytest.raises(EvalError, match=":3: candidates must be a list"):
         read_predictions(path)
+
+
+def test_a_text_candidate_with_a_stray_bracket_matches_nothing(tmp_path):
+    path = tmp_path / "p.jsonl"
+    path.write_text('{"id": "a", "candidates": ["X1 [ 01", "[X1 01"]}\n')
+    records = read_predictions(path)
+    assert records[0].candidates == [["X1", "[", "01"], ["[", "X1", "01"]]
+    gold = [ExampleRecord(id="a", task="successor", order="reverse", input=["01"],
+                          target=["X1", "01"])]
+    assert compute_metrics(records, gold, ks=(1, 2)).hits == {1: 0.0, 2: 0.0}
+
+
+@pytest.mark.parametrize("piece", _NEEDS_REGEX)
+def test_text_holding_a_piece_tokenize_looks_for_is_not_canonical(piece):
+    assert _canonical("X1 01")
+    for text in (piece, f"X1 {piece} 01", f"X1{piece}", f"{piece}01", f"X1 01 {piece}"):
+        assert not _canonical(text), text
 
 
 # tokens a target or candidate is drawn from: aliases, parens and brackets

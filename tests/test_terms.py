@@ -359,6 +359,12 @@ def test_tokenize_parens_without_spaces():
     assert tokenize("(X1 01)") == ["(", "X1", "01", ")"]
 
 
+def test_tokenize_keeps_a_stray_bracket_as_a_token():
+    assert tokenize("X1 [ 01") == ["X1", "[", "01"]
+    assert tokenize("[X1 01") == tokenize("[ X1 01") == ["[", "X1", "01"]
+    assert tokenize("aUNROLL[ b") == ["aUNROLL", "[", "b"]
+
+
 ALL_CHARS = "".join(map(chr, range(0x110000)))
 WHITESPACE = [c for c in ALL_CHARS if c.isspace()]
 TEXT_PIECES = ("X0", "X1", "01", "LEAF", "EMPTY", "a", "b", "Q", "(", ")", "[", "]", "UNROLL[",
