@@ -30,8 +30,14 @@ from .reduction import (
 )
 from .terms import (
     CHAR_TREE,
+    EMPTY_TOKEN,
+    LEAF_TOKEN,
+    LPAR,
     NATURAL,
     REVERSE,
+    RPAR,
+    UNROLL_CLOSE,
+    UNROLL_OPEN,
     Term,
     _bin_tokens,
     _check_injective,
@@ -52,7 +58,7 @@ DEFAULT_SEED = 1729
 PAD_TOKEN = "PAD"
 
 # tokens that a vocabulary remap leaves alone unless explicitly mapped
-STRUCTURAL_TOKENS = ("(", ")", "LEAF", "UNROLL[", "]", "EMPTY", PAD_TOKEN)
+STRUCTURAL_TOKENS = (LPAR, RPAR, LEAF_TOKEN, UNROLL_OPEN, UNROLL_CLOSE, EMPTY_TOKEN, PAD_TOKEN)
 
 SUCCESSOR = "successor"
 SUCCESSOR_RANDOM = "successor_random"

@@ -236,14 +236,9 @@ def expr_token_count(expr: Expr) -> int:
     """The size of expr in tokens; a value counts as many as it linearizes
     to (its constructors and payloads, or the span it was read from),
     without building the list."""
-    return _token_count(expr, math.inf)
-
-
-def _token_count(expr: Expr, enough: float) -> int:
-    """expr_token_count(expr), or a count of at least enough, once it reaches it."""
     total = 0
     stack = [expr]
-    while stack and total < enough:
+    while stack:
         e = stack.pop()
         if type(e) is Term:
             if e._span is None:
@@ -403,40 +398,16 @@ def _compile_big(template: Expr, slots: dict, calls: list):
                       [p[1:] for p in parts[1:] if p[1:] != (0, ())]))
         index = len(calls) - 1
         return (lambda env, vals: vals[index]), 0, (index,)
-    return (_joined(builds, kind, join), max([c] + [p[1] for p in parts]),
-            sum((p[2] for p in parts), ()))
 
-
-def _joined(builds: list, kind: type, join):
-    """build(env, vals): join over the values of builds, each of type kind,
-    or their tuple when join is None (a list's items), fixed to the arity."""
-    if not builds:  # nothing to evaluate: one value serves every instance
-        const = join() if join else ()
-        return lambda env, vals: const
-    if len(builds) == 1:
-        (only,) = builds
-
-        def build(env, vals):
-            arg = only(env, vals)
+    def build(env, vals):
+        args = []
+        for make in builds:
+            arg = make(env, vals)
             if type(arg) is not kind:
                 raise ReductionError("ill-typed")  # levels() gets stuck, rejects or leaves it
-            return join(arg) if join else (arg,)
-    elif len(builds) == 2:
-        first, second = builds
-
-        def build(env, vals):
-            left, right = first(env, vals), second(env, vals)
-            if type(left) is not kind or type(right) is not kind:
-                raise ReductionError("ill-typed")
-            return join(left, right) if join else (left, right)
-    else:
-        def build(env, vals):
-            args = tuple([make(env, vals) for make in builds])
-            for arg in args:
-                if type(arg) is not kind:
-                    raise ReductionError("ill-typed")
-            return join(*args) if join else args
-    return build
+            args.append(arg)
+        return join(*args) if join else tuple(args)
+    return build, max([c] + [p[1] for p in parts]), sum((p[2] for p in parts), ())
 
 
 def _render_code(expr: Expr, slots: dict, style: str, payloads: range = range(0)):
@@ -490,12 +461,12 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
     """(normal form, levels) of the levels() run from a call on values, by
     eval/apply on an explicit stack.  A call fires one level after its
     matched argument is normal.  None past the larger of fuel and _budget's
-    default (sized only once a level reaches 4, the least it can be), and
-    where only levels() can tell what happens: an error, a stuck part, or a
-    call that fires while another argument is pending, which levels()
-    substitutes unevaluated.  A run that completes past an explicit fuel
-    raises FuelExhaustedError: it is the levels() run, so no error of
-    levels() comes before the level past the fuel.
+    default (not counted at fuel math.inf), and where only levels() can
+    tell what happens: an error, a stuck part, or a call that fires while
+    another argument is pending, which levels() substitutes unevaluated.
+    A run that completes past an explicit fuel raises FuelExhaustedError:
+    it is the levels() run, so no error of levels() comes before the level
+    past the fuel.
 
     With a trace style, instead (levels, code, calls) of the run from any
     state that style renders, each of its calls on values starting at level
@@ -522,7 +493,9 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
             return None
         terms = [lambda env, vals, a=a: a for a in call.args]
         calls.append((call.fn, terms[0], tuple(terms[1:]), 0, (), ()))
-    limit = 4 if fuel is None else max(4, _budget(expr, fuel))
+    limit = _budget(expr, fuel)
+    if fuel is not None and limit < math.inf:  # an explicit fuel: at least the default
+        limit = max(limit, _budget(expr, None))
     # the body being evaluated: its calls and build, its environment and the
     # level it appeared at, the values and levels of its calls so far, and
     # the records of its fired calls, kept instead of values
@@ -543,10 +516,8 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
                 if body is None or entry[0] != (len(term.payloads), len(term.children),
                                                 len(rest) + 1):
                     return None
-                if ready >= limit:  # the default budget, counted past twice the level
-                    limit = max(limit, _budget(expr, None, 2 * ready))
-                    if ready >= limit:
-                        return None
+                if ready >= limit:
+                    return None
                 body_env = term.payloads + term.children
                 if rest:
                     body_env += tuple([make(env, vals) for make in rest])
@@ -586,8 +557,6 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
         value = build(env, vals)
     except ReductionError:  # only levels() tells what happens
         return None
-    if level > limit:
-        limit = max(limit, _budget(expr, None, level))
     if level > limit or root is None and type(value) not in (Term, tuple):
         return None
     if fuel is not None and level > fuel:
@@ -809,11 +778,11 @@ def step_single(expr: Expr, programs: dict[str, Program] | None = None):
     return next(((engine.expr(), engine) for engine in levels(expr, programs, True)), None)
 
 
-def _budget(expr: Expr, fuel: int | None, past: float = math.inf) -> int:
+def _budget(expr: Expr, fuel: int | None) -> int:
     """The level budget: fuel, or by default one that scales with the input
-    size, counted only until it passes past."""
+    size."""
     if fuel is None:
-        return max(4, 2 * _token_count(expr, past / 2 + 1))
+        return max(4, 2 * expr_token_count(expr))
     if fuel < 1:
         raise ValueError("fuel must be at least 1")
     return fuel

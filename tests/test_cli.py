@@ -876,6 +876,23 @@ def test_no_module_imports_a_name_it_does_not_use():
     assert unused == UNUSED_IMPORTS_KEPT
 
 
+def test_every_name_the_benchmark_traces_exists():
+    # read, not imported: each ("structrec.<module>", "<name>", ...) row of
+    # bench/workloads.py wraps that attribute, so a deleted one breaks --trace
+    import importlib
+
+    source = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    rows = [[elt.value for elt in node.elts[:2]]
+            for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Tuple) and len(node.elts) >= 2
+            and all(isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+                    for elt in node.elts[:2])
+            and node.elts[0].value.startswith("structrec.")]
+    missing = [(module, name) for module, name in rows
+               if not hasattr(importlib.import_module(module), name)]
+    assert len(rows) == 43 and missing == []
+
+
 # each module imports only modules before it, so the modules form a DAG
 MODULE_ORDER = ("errors", "terms", "reduction", "asm", "datasets", "evaluation", "shortcuts",
                 "cli")

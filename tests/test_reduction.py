@@ -566,7 +566,7 @@ HAND_BUILT = {
     # a call on the value of another call
     "plus2": Program("plus2", ("b",), BIN_POS, (
         _plus_two(ONE, ()), _plus_two(X0, ("b",)), _plus_two(X1, ("b",)))),
-    # lists of three items, built by the general loop rather than a fixed arity
+    # lists of three items
     "echo": Program("echo", ("t",), CHAR_TREE, (
         Clause("Leaf", (), ListLit(("<", "-", ">"))),
         Clause("Branch", ("v", "l", "r"), Concat(
@@ -611,16 +611,9 @@ def test_big_step_equals_levels_on_hand_built_programs(program):
         assert not isinstance(by_levels, (Term, ListLit))
 
 
-def test_default_fuel_is_sized_only_past_four_levels(monkeypatch):
-    # the default budget is at least 4, so shallower runs never count tokens
-    import structrec.reduction as reduction
+def test_default_fuel_is_twice_the_token_count():
+    from structrec.reduction import _budget, expr_token_count
 
-    sized = []
-    monkeypatch.setattr(reduction, "_token_count", lambda expr, enough: sized.append(expr) or 50)
-    assert _tokens(reduce(s_of(0b1111))[0]) == (Term, linearize(bin_encode(16)))  # four
-    assert sized == []
-    assert _tokens(reduce(s_of(0b11111))[0]) == (Term, linearize(bin_encode(32)))  # five
-    assert sized == [s_of(0b11111)]
     # no call fires past level 3, but joining the leaves' lists takes two more
     programs = {**builtin_programs(), **HAND_BUILT}
     tree = branch("a", branch("b", branch("c", leaf(), leaf()), leaf()), leaf())
@@ -628,25 +621,75 @@ def test_default_fuel_is_sized_only_past_four_levels(monkeypatch):
     expected, taken = _by_levels(expr, programs)
     got, level = _big_step(expr, programs, None)
     assert level == taken == 5 and _tokens(got) == _tokens(expected)
-    assert len(sized) == 2
-
-
-def test_default_fuel_counts_only_until_it_passes_the_level():
-    # big-step asks only whether twice the count passes the level reached,
-    # so a large input is counted no further than that
-    from structrec.reduction import _budget, _token_count, expr_token_count
-
-    tree = _tree_of_size(random.Random(4), 3000)
-    expr = Call("inorder", (tree,))
-    full = expr_token_count(expr)
-    assert full > 9000 and _token_count(expr, math.inf) == full
-    assert 10 <= _token_count(expr, 10) <= 12  # a Branch adds 2, a Leaf 1, the call 1
-    for past in (0, 3, 4, 9, 100, 2 * full - 1, 2 * full, 10 * full):
-        budget = _budget(expr, None, past)
-        assert budget == 2 * full if 2 * full <= past else past < budget <= 2 * full
-    assert _budget(expr, None) == 2 * full and _budget(expr, 7, 1) == 7
-    deep = s_of(2**40 - 1)  # 40 levels: sized in steps as the levels pass 4, 8, ...
+    expr = Call("inorder", (_tree_of_size(random.Random(4), 3000),))
+    assert _budget(expr, None) == 2 * expr_token_count(expr) and _budget(expr, 7) == 7
+    deep = s_of(2**40 - 1)  # 40 levels
     assert _tokens(reduce(deep)[0]) == (Term, linearize(bin_encode(2**40)))
+
+
+# programs that run far longer than their input is long, each with an
+# input whose run takes exactly the default budget and one that needs one
+# level more: "far" walks down a numeral, then runs s on a six-bit all-ones
+# constant, so its last level fires a call; "far_wrap" walks down the left
+# spine of a tree, then wraps a depth-12 spine, so its last level joins lists
+BUDGET_EDGES = {
+    "far": (Program("far", ("b",), BIN_POS, (
+        Clause(ONE, (), Call("s", (bin_encode(2**6 - 1),))),
+        Clause(X0, ("b",), Call("far", (Var("b"),))),
+        Clause(X1, ("b",), Call("far", (Var("b"),))),
+    )), PAREN, bin_encode(8), bin_encode(4)),
+    "far_wrap": (Program("far_wrap", ("t",), CHAR_TREE, (
+        Clause("Leaf", (), Call("wrap", (_left_spine(12),))),
+        Clause("Branch", ("v", "l", "r"), Call("far_wrap", (Var("l"),))),
+    )), ARROW, branch("a", leaf(), branch("b", leaf(), leaf())), _left_spine(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUDGET_EDGES))
+def test_default_fuel_ends_the_run_on_its_last_level(name):
+    from structrec.reduction import _budget
+
+    program, style, *args = BUDGET_EDGES[name]
+    programs = {**builtin_programs(), **HAND_BUILT, name: program}
+    for over, arg in enumerate(args):
+        expr = Call(name, (arg,))
+        budget = _budget(expr, None)
+        assert sum(1 for _ in _fueled_levels(expr, programs, math.inf)) == budget + over
+        assert (_big_step(expr, programs, None) is None) == bool(over)
+
+        def by_reduce():
+            final, level = reduce(expr, programs)
+            return repr(final), level
+
+        got = (_outcome(by_reduce),
+               _outcome(lambda: list(render_states(expr, style, programs, None))))
+        assert got == _by_fueled_levels(expr, programs, None, style)
+        if over:
+            assert got[0] == got[1] == (FuelExhaustedError,
+                                        f"no normal form within {budget} levels")
+        else:
+            assert got[0][1] == budget and len(got[1]) == budget + 1
+
+
+def test_fuel_infinity_counts_no_tokens(monkeypatch):
+    # replay and recursion_depth run unbudgeted, so they never size the budget
+    import structrec.reduction as reduction
+
+    successor = render_trace(s_of(0b1011), PAREN)
+    tree = branch("a", branch("b", leaf(), leaf()), branch("c", leaf(), leaf()))
+    walk = render_trace(Call("inorder", (tree,)), ARROW)
+
+    def counted(expr):
+        raise AssertionError("counted the tokens of an unbudgeted run")
+
+    monkeypatch.setattr(reduction, "expr_token_count", counted)
+    assert validate_trace(successor, "successor").valid
+    assert validate_trace(walk, "inorder").valid
+    assert list(render_states(s_of(0b1011), PAREN))[-1] == " ".join(linearize(bin_encode(12)))
+    assert _tokens(reduce(s_of(0b111), fuel=math.inf)[0]) == (Term, linearize(bin_encode(8)))
+    assert recursion_depth(bin_encode(0b111)) == 3
+    with pytest.raises(AssertionError, match="unbudgeted"):
+        reduce(s_of(0b111))  # the default budget is counted
 
 
 def test_a_call_that_does_not_fit_its_clause_is_left_to_levels():
