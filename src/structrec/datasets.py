@@ -13,43 +13,37 @@ import gc
 import hashlib
 import json
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 from json.encoder import encode_basestring_ascii
 
 from .errors import GenerationError, RemapError
-from .reduction import (
-    ARROW,
-    PAREN,
-    Call,
-    Program,
-    _style_of,
-    builtin_programs,
-    levels,
-    render_states,
-    render_trace,
-)
+from .reduction import ARROW, Call, Program, _style_of, builtin_programs, levels, render_states
 from .terms import (
     CHAR_TREE,
     EMPTY_TOKEN,
     LEAF_TOKEN,
     LPAR,
     NATURAL,
+    ONE,
     REVERSE,
     RPAR,
     UNROLL_CLOSE,
     UNROLL_OPEN,
+    X0,
+    X1,
+    _STRUCTURAL,
     Term,
     _bin_tokens,
     _check_injective,
     _respelled,
     _spanned,
-    bin_encode,
     bin_x1_run,
     edge_group,
     group1_value,
     group2_value,
     intern_tokens,
-    linearize,
     tokenize,
     tree_serialize,
 )
@@ -68,20 +62,81 @@ TRAVERSAL = "traversal"
 
 @dataclass(frozen=True)
 class _TraceTask:
-    """A trace task: the program whose runs its traces show and, for a
+    """A trace task: the program whose runs its traces show; for a
     traversal, the sibling program that the rule-order-swap check replays
     (the classic misreading applies the pieces in the other root-vs-subtree
-    order, which is exactly the sibling traversal)."""
+    order, which is exactly the sibling traversal); and states: the rendered
+    states of the run on a value, from one scan of its tokens (None if not one)."""
 
     program: Program
     swapped: Program | None = None
+    states: Callable[[list[str]], Iterator[str] | None] | None = None
+
+
+def _successor_states(tokens: list[str]) -> Iterator[str] | None:
+    """With r the leading X1 run of a numeral's tokens, state i <= r is X0 i times, then
+    ( tokens[i:] ); the last is X0 r times, then X1 tokens[r+1:] or, at a 01, X0 01."""
+    if not tokens or tokens[-1] != ONE or tokens.count(X0) + tokens.count(X1) != len(tokens) - 1:
+        return None
+    r = tokens.index(X0) if X0 in tokens else len(tokens) - 1
+    text, step = " ".join(tokens), len(X1) + 1  # tokens[i:] is text[i * step:] for i <= r
+    last = f"{X1} {text[r * step + len(X0) + 1:]}" if tokens[r] == X0 else f"{X0} {ONE}"
+    return (f"{X0} " * min(i, r) + (f"{LPAR} {text[i * step:]} {RPAR}" if i <= r else last)
+            for i in range(r + 2))
+
+
+def _tree_states(tokens: list[str], pre: bool) -> Iterator[str] | None:
+    """The states of the inorder walk (preorder, with pre) of the tree the
+    tokens serialize: the state after level k shows each node above depth k
+    expanded in the walk's order (a leaf as nothing), and each node at depth
+    k pending: a Branch as UNROLL[ its tokens ], a leaf as EMPTY."""
+    above, want = [], None  # the nodes being read, each [start, value, left, right, end]
+    for pos, tok in enumerate(tokens):  # want: None for a value, else LEAF_TOKEN or RPAR
+        if want is None and tok not in _STRUCTURAL:
+            above.append([pos, tok])
+            want = LEAF_TOKEN
+        elif not above or tok != want and (tok, want) != (LPAR, LEAF_TOKEN):
+            return None
+        elif tok == LPAR:
+            want = None
+        else:  # a LEAF, or the ) after the node just read: one more subtree of above[-1]
+            above[-1].append(None if tok == LEAF_TOKEN else node)
+            if len(above[-1]) < 4:
+                want = LEAF_TOKEN
+            else:
+                node, want = above.pop(), RPAR
+                node.append(pos + 1)
+    return _tree_cuts(node, tokens, pre) if tokens and not above else None
+
+
+def _tree_cuts(root: list, tokens: list[str], pre: bool) -> Iterator[str]:
+    """Each state as texts and pending calls (a node, or None on a leaf)."""
+    pieces = [root]
+    while True:
+        shown, cut = [], []
+        for piece in pieces:
+            if piece.__class__ is str:
+                shown.append(piece)
+                cut.append(piece)
+            elif piece is None:
+                shown.append(EMPTY_TOKEN)
+            else:
+                shown.append(f"{UNROLL_OPEN} {' '.join(tokens[piece[0]:piece[4]])} {UNROLL_CLOSE}")
+                _, value, left, right, _ = piece
+                cut += (value, left, right) if pre else (left, value, right)
+        yield " ".join(shown)
+        if cut == shown:  # only with no call pending: a fired one leaves a non-text or a gap
+            return
+        pieces = cut
 
 
 _PROGRAMS = builtin_programs()
 # the trace tasks by name, in the order the CLI lists them
-_TRACE_TASKS = {SUCCESSOR: _TraceTask(_PROGRAMS["s"]),
-                "inorder": _TraceTask(_PROGRAMS["inorder"], _PROGRAMS["preorder"]),
-                "preorder": _TraceTask(_PROGRAMS["preorder"], _PROGRAMS["inorder"])}
+_TRACE_TASKS = {SUCCESSOR: _TraceTask(_PROGRAMS["s"], states=_successor_states),
+                "inorder": _TraceTask(_PROGRAMS["inorder"], _PROGRAMS["preorder"],
+                                      partial(_tree_states, pre=False)),
+                "preorder": _TraceTask(_PROGRAMS["preorder"], _PROGRAMS["inorder"],
+                                       partial(_tree_states, pre=True))}
 # the traversal kinds: the trace tasks that walk a tree
 _TRAVERSALS = tuple(name for name, task in _TRACE_TASKS.items()
                     if task.program.arg_type is CHAR_TREE)
@@ -307,10 +362,9 @@ def gen_single_step(spec: DatasetSpec) -> list[ExampleRecord]:
     """Consecutive paren-form state pairs from every successor trace in
     lo..hi; each pair is one step_level application."""
     spec.validate()
-    records = []
+    records, successor = [], _TRACE_TASKS[SUCCESSOR].states
     for value in range(spec.lo, spec.hi + 1):
-        term = bin_encode(value)
-        states = [state.split(" ") for state in render_states(Call("s", (term,)), PAREN)]
+        states = [state.split(" ") for state in successor(_bin_tokens(value))]
         depth, group = len(states) - 1, edge_group(value)
         for step_i in range(depth):
             meta = RecordMeta(value, value.bit_length(), depth, group)
@@ -521,7 +575,10 @@ def gen_traversal(samples, spec: DatasetSpec) -> list[ExampleRecord]:
         if k is None:
             target = _walk(sample.tree, kind)
         else:
-            for _, state in zip(range(k + 1), render_states(Call(kind, (sample.tree,)), ARROW)):
+            tree = sample.tree  # one keeping its span is its tokens; the engine walks others
+            states = (_TRACE_TASKS[kind].states(tree_serialize(tree)) if tree._tree_span
+                      else render_states(Call(kind, (tree,)), ARROW))
+            for _, state in zip(range(k + 1), states):
                 pass  # zip stops at state k, or after the normal form
             target = state.split(" ")
         records.append(
@@ -545,19 +602,18 @@ def gen_traces(spec: DatasetSpec) -> list[TraceRecord]:
     """Fully rendered oracle traces for prompting and validator fixtures."""
     spec.validate()
     if spec.task == SUCCESSOR:
-        name, write = SUCCESSOR, linearize
-        inputs = [(f"succ-{value}", bin_encode(value)) for value in range(spec.lo, spec.hi + 1)]
+        name = SUCCESSOR
+        inputs = [(f"succ-{value}", _bin_tokens(value)) for value in range(spec.lo, spec.hi + 1)]
     elif spec.task == TRAVERSAL:
-        name, write = spec.kind, tree_serialize
+        name = spec.kind
         samples, _ = gen_trees(replace(spec, train_count=spec.count, test_count=0))
-        inputs = [(f"{spec.kind}-{sample.id}", sample.tree) for sample in samples]
+        inputs = [(f"{spec.kind}-{sample.id}", tree_serialize(sample.tree)) for sample in samples]
     else:
         raise GenerationError(f"no trace generator for task {spec.task!r}")
-    program = _TRACE_TASKS[name].program
-    style = _style_of(program).name
-    return [TraceRecord(f"trace-{key}", name, write(term),
-                        render_trace(Call(program.name, (term,)), style))
-            for key, term in inputs]
+    row = _TRACE_TASKS[name]
+    separator = _style_of(row.program).separator
+    return [TraceRecord(f"trace-{key}", name, tokens, separator.join(row.states(tokens)))
+            for key, tokens in inputs]
 
 
 # ---------------------------------------------------------------------------

@@ -230,21 +230,25 @@ def validate_trace(text: str, task: str, input_tokens=None) -> TraceJudgment:
         bad = next(i for i, part in enumerate(states) if not part)
         return TraceJudgment(False, bad, MALFORMED_STATE)
     got = tokenize(states[0])
-    try:
-        cur = style.parse(got, program)
-    except (ReductionError, MalformedSequenceError):
-        return TraceJudgment(False, 0, MALFORMED_STATE)
-    if input_tokens is not None:
-        # a pending call on the input shows the input's own tokens; only when
-        # they differ is the input parsed, which still rejects a bad one
-        shown = isinstance(cur, Call) and got == [
-            style.opening, *normalize_tokens(input_tokens), style.closing]
-        if not shown and got != style.render(program_call(program, [input_tokens])):
-            return TraceJudgment(False, 0, TOKEN_MUTATION)
-
-    # the states from the parsed one on, each rendered from a cut of one
-    # big-step run, not stepped and parsed anew
-    run = render_states(cur, style.name)
+    # one pending call on a value's tokens (the input's, if given): the row reads the run off them
+    value = got[1:-1]
+    run = row.states and got[0] == style.opening and got[-1] == style.closing and (
+        input_tokens is None or value == normalize_tokens(input_tokens)) and row.states(value)
+    if not run:
+        try:
+            cur = style.parse(got, program)
+        except (ReductionError, MalformedSequenceError):
+            return TraceJudgment(False, 0, MALFORMED_STATE)
+        if input_tokens is not None:
+            # a pending call on the input shows the input's own tokens; only when
+            # they differ is the input parsed, which still rejects a bad one
+            shown = isinstance(cur, Call) and got == [
+                style.opening, *normalize_tokens(input_tokens), style.closing]
+            if not shown and got != style.render(program_call(program, [input_tokens])):
+                return TraceJudgment(False, 0, TOKEN_MUTATION)
+        # the states from the parsed one on, each rendered from a cut of one
+        # big-step run, not stepped and parsed anew
+        run = render_states(cur, style.name)
     next(run)  # the state the trace starts from
     last = len(states) - 1
     for i in range(1, last + 1):

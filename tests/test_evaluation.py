@@ -1,9 +1,14 @@
 """Metrics, breakdowns, failure signatures, and the trace validator."""
 
+import dataclasses
 import gc
 import json
 import operator
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,8 +34,16 @@ from structrec.evaluation import (
     render_report,
     validate_trace,
 )
-from structrec.datasets import DatasetSpec, ExampleRecord, RecordMeta, gen_successor_range
-from structrec.reduction import ARROW, PAREN, Call, render_trace
+from structrec.datasets import (
+    _TRACE_TASKS,
+    DatasetSpec,
+    ExampleRecord,
+    RecordMeta,
+    gen_successor_range,
+    record_rng,
+    sample_tree,
+)
+from structrec.reduction import ARROW, PAREN, Call, parse_state_unroll, render_states, render_trace
 from structrec.terms import (
     TOKEN_ALIASES,
     _NEEDS_REGEX,
@@ -708,6 +721,170 @@ def test_labels_are_drawn_from_the_catalog():
 def test_validate_trace_unknown_task():
     with pytest.raises(EvalError):
         validate_trace("( 01 ) = X0 01", "carousel")
+
+
+# ---------------------------------------------------------------------------
+# the trace validator: states read from the input tokens, or cut by big-step
+
+
+def _row_trace(task, tokens) -> list[list[str]]:
+    """The states of task's run on tokens, as the task's row reads them."""
+    return [state.split(" ") for state in _TRACE_TASKS[task].states(tokens)]
+
+
+def _edited(tokens, vocab, rng) -> list[str]:
+    """tokens with one token changed, inserted or deleted."""
+    tokens, at = list(tokens), rng.randrange(len(tokens) + 1)
+    edit = rng.choice(("change", "insert", "delete") if at < len(tokens) else ("insert",))
+    if edit != "insert":
+        del tokens[at]
+    if edit != "delete":
+        tokens.insert(at, rng.choice(vocab))
+    return tokens
+
+
+_EDIT_VOCAB = {"successor": ("X0", "X1", "01", "XO", "(", ")", "Q"),
+               "inorder": ("a", "b", "c", "LEAF", "(", ")", "UNROLL[", "]", "EMPTY", "REDUCE[")}
+_EDIT_VOCAB["preorder"] = _EDIT_VOCAB["inorder"]
+
+
+def _corrupted_traces(count: int) -> list:
+    """(task, trace text, input tokens) for count seeded traces: valid ones, and
+    ones with a token changed, inserted or deleted, a state dropped, repeated
+    or truncated, the sibling traversal's run from a state on, or the input
+    corrupted; then the fixed first states that no row reads."""
+    cases = []
+    for i in range(count):
+        rng = record_rng(5, "row-differential", i)
+        task = rng.choice(list(_TRACE_TASKS))
+        if task == "successor":
+            bits = rng.randint(1, 24)
+            value = rng.choice((rng.randint(2 ** (bits - 1), 2**bits - 1), 2**bits - 1))
+            tokens = linearize(bin_encode(value))
+        else:
+            tokens = tree_serialize(sample_tree(rng, rng.randint(1, 4), "abc"))
+        states, inp, vocab = _row_trace(task, tokens), tokens, _EDIT_VOCAB[task]
+        how = rng.choice(("none", "token", "token", "token", "drop", "repeat", "truncate", "input",
+                          "swap"))
+        at = rng.randrange(len(states))
+        if how == "swap" and task != "successor":  # from state at on, the sibling's run
+            sibling = _TRACE_TASKS[task].swapped
+            start = parse_state_unroll(states[at], sibling)
+            states[at:] = [state.split(" ") for state in render_states(start, ARROW)]
+        elif how == "token":
+            states[at] = _edited(states[at], vocab, rng)
+        elif how == "drop":
+            del states[at]
+        elif how == "repeat":
+            states.insert(at, states[at])
+        elif how == "truncate":
+            states = states[:at + 1]
+        elif how == "input":
+            inp = _edited(tokens, vocab, rng)
+        separator = " = " if task == "successor" else " -> "
+        cases.append((task, separator.join(" ".join(state) for state in states), inp))
+    cases += [
+        ("successor", "( ) = X0 01", ["01"]),
+        ("inorder", "UNROLL[ ] -> a", ["a", "LEAF", "LEAF"]),
+        ("successor", "X0 ( X1 01 ) = X0 X0 ( 01 ) = X0 X0 X0 01", ["X1", "X1", "01"]),
+        ("inorder", "EMPTY", ["LEAF"]),
+        ("preorder", "UNROLL[ a LEAF LEAF ] UNROLL[ b LEAF LEAF ] -> a EMPTY EMPTY b EMPTY EMPTY",
+         ["a", "LEAF", "LEAF"]),
+    ]
+    return cases
+
+
+def _trace_outcomes(cases) -> list:
+    """Each case judged with its input and without: the judgment, or the
+    type and message of what validate_trace raised."""
+    outcomes = []
+    for task, text, inp in cases:
+        for given in (inp, None):
+            try:
+                outcomes.append(validate_trace(text, task, input_tokens=given))
+            except Exception as exc:  # the two runs must raise alike, too
+                outcomes.append((type(exc).__name__, str(exc)))
+    return outcomes
+
+
+def test_judgments_are_the_same_without_the_rows_states(monkeypatch):
+    cases = _corrupted_traces(5000)
+    with_rows = _trace_outcomes(cases)
+    for task, row in _TRACE_TASKS.items():
+        monkeypatch.setitem(_TRACE_TASKS, task, dataclasses.replace(row, states=None))
+    assert _trace_outcomes(cases) == with_rows
+    assert len(with_rows) >= 10_000
+    labels = {j.error for j in with_rows if not isinstance(j, tuple)}
+    assert labels == {None, *TRACE_ERRORS}
+    assert any(isinstance(j, tuple) for j in with_rows)  # a corrupted input raises
+
+
+def _counting_engine(monkeypatch) -> list:
+    """Calls of big-step and of the two value parsers, wherever they are looked up."""
+    from structrec import reduction, terms
+
+    calls = []
+    for module, name in ((reduction, "_big_step"), (terms, "delinearize"), (terms, "tree_parse"),
+                         (reduction, "delinearize"), (reduction, "tree_parse")):
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            calls.append(_name)
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_trace_from_its_input_runs_no_parse_and_no_big_step(monkeypatch):
+    traces = [("successor", linearize(bin_encode(value))) for value in (1, 2, 11, 2**40 - 1)]
+    traces += [(kind, tree_serialize(tree)) for kind in ("inorder", "preorder")
+               for tree in (CAT_TREE, branch("a", leaf(), leaf()))]
+    texts = [(task, [" ".join(state) for state in _row_trace(task, tokens)], tokens)
+             for task, tokens in traces]
+    calls = _counting_engine(monkeypatch)
+    for task, states, tokens in texts:
+        separator = " = " if task == "successor" else " -> "
+        assert validate_trace(separator.join(states), task, input_tokens=tokens).valid
+        assert calls == []
+        # a trace that starts one level in falls back to the parse and big-step
+        assert validate_trace(separator.join(states[1:]), task).valid
+        assert "_big_step" in calls
+        calls.clear()
+
+
+_DEEP_TRACES = """
+import sys
+from structrec.datasets import _TRACE_TASKS
+from structrec.evaluation import MISSING_TERMINATION, validate_trace
+from structrec.reduction import Call, render_states
+from structrec.terms import _bin_tokens, branch, leaf, tree_serialize
+
+spine = leaf()
+for i in range(2000):
+    spine = branch("abc"[i % 3], spine, leaf())
+traces = [(kind, list(render_states(Call(kind, (spine,)), "arrow")), tree_serialize(spine))
+          for kind in ("inorder", "preorder")]
+# the first three states of the 10^4-bit all-ones value's run: its whole trace is 300 MB
+ones = _bin_tokens(2**10_000 - 1)
+states = [state for _, state in zip(range(3), _TRACE_TASKS["successor"].states(ones))]
+traces.append(("successor", states, ones))
+sys.setrecursionlimit(150)
+for task, states, tokens in traces:
+    separator = " = " if task == "successor" else " -> "
+    # by the row from the input, and one level in by the parse and big-step
+    for trace, given in ((states, tokens), (states[1:], None)):
+        got = validate_trace(separator.join(trace), task, input_tokens=given)
+        want = (True, None, None) if task != "successor" else (
+            False, len(trace) - 1, MISSING_TERMINATION)
+        assert (got.valid, got.first_bad_step, got.error) == want, (task, got)
+print("ok")
+"""
+
+
+def test_deep_traces_validate_under_a_low_recursion_limit():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-c", _DEEP_TRACES], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
 
 
 # ---------------------------------------------------------------------------

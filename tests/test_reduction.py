@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 import random
@@ -9,7 +10,7 @@ import random
 import pytest
 
 from structrec import evaluation
-from structrec.datasets import record_rng
+from structrec.datasets import _TRACE_TASKS, record_rng, sample_tree
 from structrec.errors import FuelExhaustedError, MalformedSequenceError, ReductionError, RenderError
 from structrec.evaluation import validate_trace
 from structrec.reduction import (
@@ -954,6 +955,92 @@ def test_cut_states_are_the_levels_states_on_the_fuzz():
         _assert_cuts_are_levels(expr)
     for n, m in ((1, 1), (3, 2), (40, 17)):
         _assert_cuts_are_levels(Call("add", (peano_encode(n), peano_encode(m))))
+
+
+# ---------------------------------------------------------------------------
+# trace states read from the input tokens by the trace-task rows
+
+_ROWS = {row.program.name: row for row in _TRACE_TASKS.values()}
+
+
+def _value_tokens(program, value):
+    return tree_serialize(value) if program.arg_type is CHAR_TREE else linearize(value)
+
+
+def _assert_row_states_are_the_cuts(expr):
+    """The row's states on the tokens of expr's value are render_states' of
+    expr, streamed so that a long run is never held; rendered tokens hold no
+    space, so equal texts are equal tokens."""
+    row = _ROWS[expr.fn]
+    states = row.states(_value_tokens(row.program, expr.args[0]))
+    assert states is not None
+    cuts = render_states(expr, _style_of(row.program).name)
+    for mine, cut in itertools.zip_longest(states, cuts):
+        assert mine == cut
+
+
+def _right_spine(depth):
+    tree = leaf()
+    for i in range(depth):
+        tree = branch("abc"[i % 3], leaf(), tree)
+    return tree
+
+
+def test_row_states_are_the_cuts_on_the_fuzz():
+    for expr in _fuzz_exprs(record_rng(13, "one-pass", 0)):
+        if expr.args[0].constructor != "Leaf":  # a bare Leaf has no serialized form
+            _assert_row_states_are_the_cuts(expr)
+
+
+def test_row_states_are_the_cuts_on_seeded_values_and_trees():
+    for i in range(500):
+        rng = record_rng(13, "row-states", i)
+        bits = rng.randint(1, 600)
+        _assert_row_states_are_the_cuts(s_of(rng.randint(2 ** (bits - 1), 2**bits - 1)))
+        tree = sample_tree(rng, rng.randint(1, 9), "abc")
+        for kind in ("inorder", "preorder"):
+            _assert_row_states_are_the_cuts(Call(kind, (tree,)))
+
+
+def test_row_states_are_the_cuts_on_deep_spines_and_long_numerals():
+    for tree in (_left_spine(2000), _right_spine(2000)):
+        tree = tree_parse(tree_serialize(tree))  # so that each pending subtree's text is a slice
+        for kind in ("inorder", "preorder"):
+            _assert_row_states_are_the_cuts(Call(kind, (tree,)))
+    bits = 10_000
+    for value in (2**bits - 1, 3 * 2 ** (bits - 2) - 1):
+        _assert_row_states_are_the_cuts(s_of(value))
+
+
+def test_a_row_reads_only_tokens_the_state_parser_reads_as_one_pending_call():
+    # seeded edits of value tokens: each list a row reads, the state parser
+    # reads as the one pending call on it, whose cuts are the row's states
+    vocab = (X0, X1, ONE, "a", "b", "(", ")", "LEAF", "UNROLL[", "]", "EMPTY", "Q")
+    read = 0
+    for i in range(3000):
+        rng = record_rng(13, "row-scan", i)
+        row = rng.choice(list(_TRACE_TASKS.values()))
+        program, style = row.program, _style_of(row.program)
+        value = (sample_tree(rng, rng.randint(1, 4), "ab") if program.arg_type is CHAR_TREE
+                 else bin_encode(rng.randint(1, 2**12)))
+        tokens = _value_tokens(program, value)
+        for _ in range(rng.randint(0, 2)):
+            at = rng.randrange(len(tokens) + 1)
+            edit = rng.randrange(3)
+            if edit == 0:
+                tokens.insert(at, rng.choice(vocab))
+            elif at < len(tokens):
+                del tokens[at:at + 1]
+                if edit == 1:
+                    tokens.insert(at, rng.choice(vocab))
+        states = row.states(tokens)
+        if states is None:
+            continue
+        read += 1
+        call = style.parse([style.opening, *tokens, style.closing], program)
+        assert isinstance(call, Call)
+        assert list(states) == list(render_states(call, style.name))
+    assert read > 1000
 
 
 @pytest.mark.parametrize("program", sorted(HAND_BUILT))
