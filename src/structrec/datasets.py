@@ -294,8 +294,9 @@ class DatasetSpec:
         if any(ch.isspace() or ch in "()[]" for ch in self.alphabet):  # tokenize splits on these
             raise GenerationError(
                 f"alphabet must hold no whitespace and none of ()[], got {self.alphabet!r}")
-        if self.max_pad < 0:
-            raise GenerationError("max_pad must be non-negative")
+        for name in ("count", "train_count", "test_count", "max_pad"):
+            if getattr(self, name) < 0:
+                raise GenerationError(f"{name} must be non-negative")
         if self.oversample_group1 < 1 or self.oversample_group2 < 1:
             raise GenerationError("oversample factors must be at least 1")
 

@@ -9,7 +9,8 @@ pass over the part of the state still pending.  reduce() gets the normal
 form and the number of levels from a big-step evaluator of the same
 clauses, and a rendered trace is cut from that evaluator's call tree,
 level by level; levels() steps only where big-step gives up, and is the
-reference both are held to.
+reference both are held to.  All three read each clause as compiled by
+one walk of its template when its program was built (see _compile).
 
 Two intermediate-state surface forms are supported: the paren form for
 linear programs (emitted prefix, then the pending argument in parens)
@@ -217,12 +218,12 @@ Expr = Term | Ctor | Call | ListLit | Concat | Var
 
 def is_normal(expr: Expr) -> bool:
     """Normal forms contain no pending calls and no unflattened concats."""
-    return _over(expr, (Term, ListLit))
+    return _over((expr,), (Term, ListLit))
 
 
-def _over(expr: Expr, leaves: tuple) -> bool:
-    """expr is constructors over leaves, each of a class in leaves."""
-    stack = [expr]
+def _over(exprs, leaves: tuple) -> bool:
+    """Each of exprs is constructors over leaves, each of a class in leaves."""
+    stack = list(exprs)
     while stack:
         e = stack.pop()
         if isinstance(e, Ctor):
@@ -294,11 +295,9 @@ class Program:
                 f"exactly once, got {covered}"
             )
         # per constructor: the payloads, children and arguments it takes, the
-        # template and its variables' slots in the environment (payloads,
-        # children, then the other arguments, by position), the rule name,
-        # the programs the instance calls, and big-step code (its calls,
-        # build and c, and its render code per trace style).  Not a field,
-        # so eq and repr ignore it
+        # rule name, the programs the instance calls, the instance builder,
+        # and the calls, build, c and code of its clause (see _compile).  Not
+        # a field, so eq and repr ignore it
         object.__setattr__(self, "compiled", {})
         for clause in self.clauses:
             cdef = self.arg_type.constructor(clause.constructor)
@@ -308,153 +307,159 @@ class Program:
                                  f"{n_pay + cdef.recursive_arity} binders")
             slots = {b: i for i, b in enumerate(clause.binders + self.params[1:])}
             kids = range(n_pay, n_pay + cdef.recursive_arity)
-            fns: set = set()
-            stack = [clause.template]
-            while stack:
-                e = stack.pop()
-                if isinstance(e, Call):
-                    if not e.args:
-                        raise ValueError(f"{self.name}.{clause.constructor}: "
-                                         f"call of {e.fn!r} has no arguments")
-                    # recursive calls may only be applied to a child of the matched term
-                    first = e.args[0]
-                    if e.fn == self.name and not (isinstance(first, Var)
-                                                  and slots.get(first.name) in kids):
-                        raise ValueError(f"{self.name}: recursion is not structurally decreasing")
-                    fns.add(e.fn)
-                stack += reversed((e.left, e.right) if isinstance(e, Concat)
-                                  else getattr(e, "args", ()))
-            calls: list = []
-            try:
-                build_big, c, _ = _compile_big(clause.template, slots, calls)
-                big = (calls, build_big, c, {style: _render_code(
-                    clause.template, slots, style, range(n_pay))[0] for style in _STYLES})
-            except (KeyError, ReductionError):  # an unbound variable, or not an expression
-                big = None
+            calls, build, c, code, make = _compile(clause.template, slots, range(n_pay))
+            for call, *_ in calls:
+                if not call.args:
+                    raise ValueError(f"{self.name}.{clause.constructor}: "
+                                     f"call of {call.fn!r} has no arguments")
+                # recursive calls may only be applied to a child of the matched term
+                first = call.args[0]
+                if call.fn == self.name and not (isinstance(first, Var)
+                                                 and slots.get(first.name) in kids):
+                    raise ValueError(f"{self.name}: recursion is not structurally decreasing")
             self.compiled[clause.constructor] = (
-                (n_pay, cdef.recursive_arity, len(self.params)), clause.template, slots,
-                f"{self.name}/{clause.constructor}", tuple(fns), big)
+                (n_pay, cdef.recursive_arity, len(self.params)),
+                f"{self.name}/{clause.constructor}", tuple({call[0].fn for call in calls}), make,
+                (calls, build, c, code))
 
 
 # ---------------------------------------------------------------------------
-# substitution and local normalization
+# clause code and big-step
 
 
-def _instance(template: Expr, slots: dict, env: tuple) -> Expr:
-    """The instance of template in env (payloads, children, then the other
-    arguments, as slots numbers them)."""
-    cls = template.__class__
-    if cls is Var:
-        slot = slots.get(template.name)
-        if slot is None:
-            raise ReductionError(f"unbound template variable {template.name!r}")
-        return env[slot]
-    if cls is ListLit and Var in map(type, template.items):
-        items = []
-        for item in template.items:
-            if item.__class__ is Var:
-                slot = slots.get(item.name)
-                if slot is None or not isinstance(env[slot], str):
-                    raise ReductionError(f"list slot {item.name!r} is not a payload")
-                item = env[slot]
-            items.append(item)
-        return ListLit(tuple(items))
-    if cls is Concat:
-        return Concat(_instance(template.left, slots, env), _instance(template.right, slots, env))
-    if cls is not Call and cls is not Ctor:
-        return template
-    args = tuple([_instance(arg, slots, env) for arg in template.args])
-    return Call(template.fn, args) if cls is Call else _collapse_ctor(
-        template.name, template.payloads, args)
-
-
-def _compile_big(template: Expr, slots: dict, calls: list):
-    """(build, c, waits): build(env, vals) makes the node's value from the
-    environment and the values of earlier calls; in a body that appeared at
-    level t it is normal at level max(t + c, the levels of calls waits).
-    Appends the node's calls in firing order as (program, the matched
-    argument's build, the other arguments' builds, c and waits of the
-    matched one, those of the others not normal at t)."""
-    if isinstance(template, Var):
-        slot = slots[template.name]
-        return (lambda env, vals: env[slot]), 0, ()
-    if isinstance(template, (Term, str)):  # a term, or a token in a list
-        return (lambda env, vals: template), 0, ()
-    if isinstance(template, ListLit):
-        kids, kind, c, join = template.items, str, 0, None
-    elif isinstance(template, Concat):
-        # two lists that were lists already take a level to join; any other
-        # concat joins in the level that completes it
-        kids, kind, c, join = (template.left, template.right), tuple, 1, operator.add
-    elif isinstance(template, (Ctor, Call)):  # a call takes its value from its body instead
-        kids, kind, c = template.args, Term, 0
-        join = lambda *args: Term(template.name, template.payloads, args)
-    else:
-        raise ReductionError("not an expression")
-    parts = [_compile_big(kid, slots, calls) for kid in kids]
-    builds = [build for build, _, _ in parts]
-    if isinstance(template, Call):
-        calls.append((template.fn, builds[0], tuple(builds[1:]), *parts[0][1:],
-                      [p[1:] for p in parts[1:] if p[1:] != (0, ())]))
-        index = len(calls) - 1
-        return (lambda env, vals: vals[index]), 0, (index,)
-
-    def build(env, vals):
-        args = []
-        for make in builds:
-            arg = make(env, vals)
-            if type(arg) is not kind:
-                raise ReductionError("ill-typed")  # levels() gets stuck, rejects or leaves it
-            args.append(arg)
-        return join(*args) if join else tuple(args)
-    return build, max([c] + [p[1] for p in parts]), sum((p[2] for p in parts), ())
-
-
-def _render_code(expr: Expr, slots: dict, style: str, payloads: range = range(0)):
-    """(code, calls): the tokens in which style renders expr, a template or
-    a state, in order, where (slot,) stands for a bound variable's tokens
-    and i for the state of its i-th call, and its calls in that order (the
-    order _compile_big numbers them in).  Slots in payloads hold a payload,
-    the others a term.  (None, None) where the style cannot render expr
-    from a cut alone: a call on a pending argument, a list item that is no
-    token, and what render_state_paren or render_state_unroll rejects."""
-    code: list = []
+def _compile(template: Expr, slots: dict, payloads: range = range(0)):
+    """(calls, build, c, code, make) of template, a clause's body or a
+    state, from one walk on a stack (a state is as deep as its emitted
+    prefix).  A variable stands for the slot slots gives it in env: the
+    matched term's payloads (the slots in payloads) and children, then the
+    other arguments.  make(env) builds the instance levels() steps to.
+    build(env, vals) makes its value, a term or a tuple of tokens, from env
+    and the values of its calls; in a body that appeared at level t it is
+    normal at level max(t + c, the levels of the calls in it).  calls holds
+    those in firing order, each as (the call, the builds of its matched
+    argument and of the others, c and waits of the matched one, those of
+    the others not normal at t), where a node's waits are the indices of
+    the calls in it.  code maps each trace style to the tokens it renders
+    template in, where (slot,) stands for a bound variable's tokens and i
+    for the state of calls[i]; None where it cannot render template from a
+    cut alone: a call on a pending argument, a list item that is no token,
+    what render_state_paren or render_state_unroll rejects, and all of a
+    template with an unbound variable.  Such a variable, or a node that is
+    no expression, stops no walk: build raises ReductionError where it
+    meets either, and make where it meets the variable."""
     calls: list = []
-    stack = [expr]
+    done: list = []  # the parts of each node walked whose parent is not yet
+    unbound = False
+    stack = [(template, None)]  # a node, and the calls before it once its kids are pushed
     while stack:
-        e = stack.pop()
-        if isinstance(e, Call):
-            if not all(_over(arg, (Var, Term)) for arg in e.args):
-                return None, None
-            code.append(len(calls))
-            calls.append(e)
-        elif style == ARROW:
-            if isinstance(e, Concat):
-                stack += (e.right, e.left)
-            elif isinstance(e, ListLit):
-                for it in e.items:
-                    if isinstance(it, Var) and slots[it.name] in payloads:
-                        code.append((slots[it.name],))
-                    elif isinstance(it, str):
-                        code.append(it)
-                    else:
-                        return None, None
-            else:
-                return None, None
-        elif isinstance(e, Var) and slots[e.name] not in payloads:
-            code.append((slots[e.name],))
-        elif isinstance(e, Term):
-            code += linearize(e)
-        elif isinstance(e, Ctor) and (len(e.args) == 1 and not e.payloads
-                                      or all(_over(arg, (Var, Term)) for arg in e.args)):
-            # a link of the emitted prefix, or a value: the constructor, its
-            # payloads, then its arguments, as linearize writes a term
-            code.append(e.name)
-            code += e.payloads
-            stack += reversed(e.args)
+        e, first = stack.pop()
+        cls = e.__class__
+        kids = (e.left, e.right) if cls is Concat else e.args if cls is Ctor or cls is Call else ()
+        if first is None and kids:
+            stack.append((e, len(calls)))
+            stack += [(kid, None) for kid in reversed(kids)]
+            continue
+        unbound = unbound or cls is Var and e.name not in slots
+        parts = done[len(done) - len(kids):]
+        del done[len(done) - len(kids):]
+        done.append(_node(e, parts, slots, payloads, calls, len(calls) if first is None else first))
+    build, c, _, make, *codes = done[0]
+    return calls, build, c, {style: None if unbound or code is None else _flat(code)
+                             for style, code in zip((PAREN, ARROW), codes)}, make
+
+
+def _node(e, parts: list, slots: dict, payloads: range, calls: list, first: int):
+    """(build, c, waits, make, paren code, arrow code) of node e in
+    _compile's walk, from the parts of its kids, where first is the number
+    of calls before e.  A code nests the codes of e's kids (see _flat)."""
+    cls, c, paren, arrow = e.__class__, 0, None, None
+    if cls is Term:  # a value: levels() keeps it
+        build = make = lambda env, vals=None: e
+        paren = e
+    elif cls is Var:
+        slot = slots.get(e.name)
+        build = make = (lambda env, vals=None: env[slot]) if slot is not None else _fails(
+            f"unbound template variable {e.name!r}")
+        paren = None if slot is None or slot in payloads else (slot,)
+    elif cls is ListLit:  # its tokens, with each variable's payload in its place
+        items = e.items
+        bound = [(i, slots.get(v.name), v.name) for i, v in enumerate(items) if v.__class__ is Var]
+
+        def build(env, vals=None):
+            got = list(items)
+            for i, slot, name in bound:
+                if slot is None or not isinstance(env[slot], str):
+                    raise ReductionError(f"list slot {name!r} is not a payload")
+                got[i] = env[slot]
+            return tuple(got)
+        make = lambda env: ListLit(build(env))
+        if not bound:
+            build, make = (lambda env, vals=None: items), (lambda env: e)
+        if all(v.__class__ is str or v.__class__ is Var and slots.get(v.name, -1) in payloads
+               for v in items):
+            arrow = [v if v.__class__ is str else (slots[v.name],) for v in items]
+    elif cls is Call:  # a call takes its value from its body instead
+        matched = parts[0] if parts else (_fails("a call with no arguments"), 0, ())
+        calls.append((e, matched[0], tuple([p[0] for p in parts[1:]]), matched[1], matched[2],
+                      [p[1:3] for p in parts[1:] if p[1] or p[2]]))
+        index, fn, makes = len(calls) - 1, e.fn, [p[3] for p in parts]
+        build = lambda env, vals: vals[index]
+        make = lambda env: Call(fn, tuple([m(env) for m in makes]))
+        if parts and _over(e.args, (Var, Term)):
+            paren = arrow = index
+    elif cls is Ctor or cls is Concat:
+        builds, makes = [p[0] for p in parts], [p[3] for p in parts]
+        if cls is Ctor:
+            name, pays = e.name, e.payloads
+            kind, join = Term, lambda *args: Term(name, pays, args)
+            make = lambda env: _collapse_ctor(name, pays, tuple([m(env) for m in makes]))
+            kid = [p[4] for p in parts]
+            if None not in kid and (len(kid) == 1 and not pays
+                                    or _over(e.args, (Var, Term))):
+                # a link of the emitted prefix, or a value: the constructor,
+                # its payloads, then its arguments, as linearize writes a term
+                paren = [name, *pays, *kid]
         else:
-            return None, None
-    return tuple(code), calls
+            # two lists that were lists already take a level to join; any
+            # other concat joins in the level that completes it
+            (left, right), kind, join, c = makes, tuple, operator.add, 1
+            make = lambda env: Concat(left(env), right(env))
+            if parts[0][5] is not None and parts[1][5] is not None:
+                arrow = [parts[0][5], parts[1][5]]
+
+        def build(env, vals):
+            args = []
+            for get in builds:
+                arg = get(env, vals)
+                if type(arg) is not kind:
+                    raise ReductionError("ill-typed")  # levels() gets stuck, rejects or leaves it
+                args.append(arg)
+            return join(*args)
+        c = max([c] + [p[1] for p in parts])
+    else:  # a token where a term belongs, or no expression: levels() keeps it
+        make = lambda env: e
+        build = (lambda env, vals: e) if isinstance(e, str) else _fails("not an expression")
+    return build, c, range(first, len(calls)), make, paren, arrow
+
+
+def _flat(code) -> tuple:
+    """The pieces of a code _node nests, in order, where a term stands for
+    its tokens: read only where it renders, never under a call."""
+    out, stack = [], [code]
+    while stack:
+        piece = stack.pop()
+        if piece.__class__ is list:
+            stack += reversed(piece)
+        else:
+            out += linearize(piece) if piece.__class__ is Term else (piece,)
+    return tuple(out)
+
+
+def _fails(message: str):
+    """A build that raises ReductionError(message) where it is reached."""
+    def fail(env, vals=None):
+        raise ReductionError(message)
+    return fail
 
 
 def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
@@ -468,81 +473,73 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
     it is the levels() run, so no error of levels() comes before the level
     past the fuel.
 
-    With a trace style, instead (levels, code, calls) of the run from any
+    With a trace style, instead (levels, code, kids) of the run from any
     state that style renders, each of its calls on values starting at level
-    0, and no value: the state's render code and calls (see _render_code),
-    each call recorded as it fires as (the level it fires in, its matched
-    term, the environment and render code of its clause instance, the
-    calls the instance makes).  None also where style cannot render a
-    clause instance from the cut."""
-    code, starts, kids = None, [expr], None
-    if style is not None:
-        try:
-            code, starts = _render_code(expr, {}, style)
-        except KeyError:  # a variable in a runtime expression
+    0, and no value: the state's render code and calls, from the walk that
+    compiles a clause (see _compile), and each call recorded as it fires as
+    (the level it fires in, its matched term, the environment and render
+    code of its clause instance, the records of the calls the instance
+    makes).  None also where style cannot render a clause instance from the
+    cut."""
+    kids = None
+    if style is None:  # a call on values
+        if not (isinstance(expr, Call) and expr.args
+                and all(isinstance(a, Term) for a in expr.args)):
             return None
-        if code is None:
+        terms = [lambda env, vals, a=a: a for a in expr.args]
+        calls = [(expr, terms[0], tuple(terms[1:]), 0, (), ())]
+    else:
+        calls, _, c, codes, _ = _compile(expr, {})
+        # levels() gets stuck on a call on a constructor over values
+        if codes[style] is None or not all(
+                isinstance(a, Term) for call in calls for a in call[0].args):
             return None
-        if not starts:  # normal, or lists to join in one level
-            return int(isinstance(expr, Concat)), code, []
+        if not calls:  # normal, or lists to join in one level
+            return c, codes[style], []
         kids = []
-    calls = []
-    for call in starts:  # each a call on values
-        if not (isinstance(call, Call) and call.args
-                and all(isinstance(a, Term) for a in call.args)):
-            return None
-        terms = [lambda env, vals, a=a: a for a in call.args]
-        calls.append((call.fn, terms[0], tuple(terms[1:]), 0, (), ()))
     limit = _budget(expr, fuel)
     if fuel is not None and limit < math.inf:  # an explicit fuel: at least the default
         limit = max(limit, _budget(expr, None))
     # the body being evaluated: its calls and build, its environment and the
     # level it appeared at, the values and levels of its calls so far, and
     # the records of its fired calls, kept instead of values
-    build, root = (lambda env, vals: vals[0]), kids
+    build, root, no_value = (lambda env, vals: vals[0]), kids, (lambda env, vals: None)
     env, t, vals, ready_at, stack = (), 0, [], [], []
     try:
         while True:
             if len(vals) < len(calls):
-                fn, first, rest, k, w, others = calls[len(vals)]
+                call, first, rest, k, w, others = calls[len(vals)]
                 term = first(env, vals)
                 ready = max([t + k] + [ready_at[j] for j in w]) if w else t + k
                 if others and any(max([t + ok] + [ready_at[j] for j in ow]) > ready
                                   for ok, ow in others):
                     return None  # levels() would substitute an argument still pending
-                prog = programs.get(fn)
+                prog = programs.get(call.fn)
                 entry = prog.compiled.get(term.constructor) if type(term) is Term and prog else None
-                body = entry[5] if entry else None
-                if body is None or entry[0] != (len(term.payloads), len(term.children),
-                                                len(rest) + 1):
+                if entry is None or entry[0] != (len(term.payloads), len(term.children),
+                                                 len(rest) + 1):
                     return None
                 if ready >= limit:
                     return None
+                body_calls, body_build, c, code = entry[4]
                 body_env = term.payloads + term.children
                 if rest:
                     body_env += tuple([make(env, vals) for make in rest])
                 if kids is not None:
                     # the code's checks stand in for the build's: the calls
-                    # and arguments here read no value
-                    own = body[3][style]
-                    if own is None:
+                    # and arguments here read no value, and the calls of the
+                    # body record into this call's record
+                    if code[style] is None:
                         return None
-                    fired = (ready + 1, term, body_env, own, [])
-                    kids.append(fired)
-                    if body[0]:
-                        stack.append((calls, build, env, t, vals, ready_at, kids))
-                        calls, build, kids = body[0], lambda env, vals: None, fired[4]
-                        env, t, vals, ready_at = body_env, ready + 1, [], []
-                    else:
-                        vals.append(None)
-                        ready_at.append(ready + 1 + body[2])
-                elif body[0]:
+                    kids.append((ready + 1, term, body_env, code[style], []))
+                    body_build = no_value
+                if body_calls:
                     stack.append((calls, build, env, t, vals, ready_at, kids))
-                    calls, build = body[0], body[1]
+                    calls, build, kids = body_calls, body_build, kids and kids[-1][4]
                     env, t, vals, ready_at = body_env, ready + 1, [], []
                 else:  # a body without calls is normal as it appears, or c levels later
-                    vals.append(body[1](body_env, ()))
-                    ready_at.append(ready + 1 + body[2])
+                    vals.append(body_build(body_env, ()))
+                    ready_at.append(ready + 1 + c)
             else:
                 # normal with its latest call: a call inside an argument
                 # fires before the call it is in, and every call ends a level
@@ -562,7 +559,7 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
     if fuel is not None and level > fuel:
         raise FuelExhaustedError(f"no normal form within {fuel} levels")
     if root is not None:
-        return level, code, root
+        return level, codes[style], root
     return (value if type(value) is Term else ListLit(value)), level
 
 
@@ -633,8 +630,8 @@ class _Engine:
     of two lists flattens.  A level rewrites every outermost redex; a
     single step stops after the first (leftmost-outermost) one, so it
     rebuilds only that redex's ancestors.  A redex's clause instance is
-    built by one walk of the template (_instance); expr() folds the prefix
-    back over the body as a step folds a constructor.  The engine is the
+    built by the builder its program compiled (see _compile); expr() folds
+    the prefix back over the body as a step folds a constructor.  The engine is the
     reference big-step and its cuts are held to, and runs where they give up."""
 
     def __init__(self, expr: Expr, programs, single: bool):
@@ -694,12 +691,12 @@ class _Engine:
                 prog, args, term = programs[node.fn], node.args, node.args[0]
                 if term.constructor not in prog.compiled:
                     raise ReductionError(f"{prog.name} has no clause for {term.constructor!r}")
-                want, template, slots, rule, fns, _ = prog.compiled[term.constructor]
+                want, rule, fns, make, _ = prog.compiled[term.constructor]
                 got = len(term.payloads), len(term.children), len(args)
                 if got != want:
                     raise ReductionError(f"{prog.name} on {term.constructor!r} takes "
                                          f"(payloads, children, arguments) {want}, got {got}")
-                node = _instance(template, slots, term.payloads + term.children + args[1:])
+                node = make(term.payloads + term.children + args[1:])
                 for fn in fns:
                     if fn not in programs:
                         raise ReductionError(f"unknown program: {fn!r}")

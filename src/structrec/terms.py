@@ -463,17 +463,17 @@ def tree_serialize(term: Term) -> list[str]:
     node = term
     try:
         while True:
-            if node.constructor != "Branch":  # a misnamed node of any shape
+            if node.constructor != "Branch":  # a misnamed node of any shape, or a Leaf with parts
                 raise MalformedSequenceError(f"not a char_tree term: {node.constructor!r}")
             out.append(node.payloads[0])
             left, right = node.children
-            if left.constructor != "Leaf":
+            if left.constructor != "Leaf" or left.payloads or left.children:
                 out.append(LPAR)
                 owed.append(right)
                 node = left
                 continue
             out.append(LEAF_TOKEN)
-            while right.constructor == "Leaf":
+            while right.constructor == "Leaf" and not (right.payloads or right.children):
                 out.append(LEAF_TOKEN)
                 while owed:
                     right = owed.pop()

@@ -238,6 +238,19 @@ def test_gen_trees_refuses_impossible_requests():
         DatasetSpec(task=TRAVERSAL, depth_lo=0, depth_hi=2).validate()
 
 
+@pytest.mark.parametrize("field, generate", [
+    ("count", lambda: gen_successor_random(DatasetSpec(count=-2))),
+    ("train_count", lambda: gen_trees(DatasetSpec(depth_lo=2, depth_hi=3, train_count=-3,
+                                                  test_count=2))),
+    ("test_count", lambda: gen_trees(DatasetSpec(depth_lo=2, depth_hi=3, train_count=2,
+                                                 test_count=-3))),
+], ids=["count", "train_count", "test_count"])
+def test_a_negative_count_is_refused(field, generate):
+    # the generators used to drop the work quietly: no records, or only the test trees
+    with pytest.raises(GenerationError, match=f"^{field} must be non-negative$"):
+        generate()
+
+
 # ---------------------------------------------------------------------------
 # traversal records
 

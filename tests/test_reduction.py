@@ -582,6 +582,13 @@ HAND_BUILT = {
         Clause(X0, ("b",), Concat(ListLit(("0",)), Var("b"))),
         Clause(X1, ("b",), Concat(Var("b"), ListLit(("1",)))),
     )),
+    # two parameters, and a constructor over a variable in a call's argument:
+    # an accumulator that moves each bit below the leading one onto acc
+    "rev": Program("rev", ("b", "acc"), BIN_POS, (
+        Clause(ONE, (), Ctor(X1, (), (Var("acc"),))),
+        Clause(X0, ("b",), Call("rev", (Var("b"), Ctor(X0, (), (Var("acc"),))))),
+        Clause(X1, ("b",), Call("rev", (Var("b"), Ctor(X1, (), (Var("acc"),))))),
+    )),
 }
 
 
@@ -602,7 +609,10 @@ def test_big_step_equals_levels_on_hand_built_programs(program):
             arg = _tree_of_size(rng, rng.randint(0, 60))
         else:  # 1, 2 and 3 first: each clause at the top
             arg = bin_encode(i + 1 if i < 3 else rng.randint(1, 2 ** rng.randint(1, 60)))
-        expr = Call(program, (arg,))
+        expr = Call(program, (arg,) + tuple(bin_encode(rng.randint(1, 2 ** rng.randint(1, 60)))
+                                            for _ in HAND_BUILT[program].params[1:]))
+        if program == "rev" and i < 8:
+            _assert_cuts_are_levels(expr, programs)
         if program != "mistyped":
             _assert_big_step_is_levels(expr, programs)
             continue
@@ -837,7 +847,7 @@ def _fuel_inputs():
                 arg, style = _tree_of_size(rng, rng.randint(0, 12)), ARROW
             else:
                 arg, style = bin_encode(i + 1 if i < 3 else rng.randint(1, 2**12)), PAREN
-            yield Call(name, (arg,)), programs, style
+            yield Call(name, (arg,) * len(HAND_BUILT[name].params)), programs, style
 
 
 def _by_fueled_levels(expr, programs, fuel, style):
@@ -1045,10 +1055,10 @@ def test_a_row_reads_only_tokens_the_state_parser_reads_as_one_pending_call():
 
 @pytest.mark.parametrize("program", sorted(HAND_BUILT))
 def test_cut_states_on_hand_built_programs_are_the_levels_states(program):
-    # wrap and echo render from the cut; plus2 calls on a pending argument
-    # and mistyped gets stuck, so levels() renders both
+    # wrap, echo and rev render from the cut; plus2 calls on a pending
+    # argument and mistyped gets stuck, so levels() renders both
     programs = {**builtin_programs(), **HAND_BUILT}
-    cut = program in ("wrap", "echo")
+    cut = program in ("wrap", "echo", "rev")
     style = ARROW if HAND_BUILT[program].arg_type is CHAR_TREE else PAREN
     for i in range(12):
         rng = record_rng(6, f"cut-{program}", i)
@@ -1056,7 +1066,7 @@ def test_cut_states_on_hand_built_programs_are_the_levels_states(program):
             arg = _tree_of_size(rng, rng.randint(0, 30))
         else:
             arg = bin_encode(i + 1 if i < 3 else rng.randint(1, 2 ** rng.randint(1, 30)))
-        expr = Call(program, (arg,))
+        expr = Call(program, (arg,) * len(HAND_BUILT[program].params))
         found = _big_step(expr, programs, math.inf, style)
         assert (found is not None) == cut
         assert _outcome(lambda: list(render_states(expr, style, programs))) == _outcome(
@@ -1076,6 +1086,17 @@ def test_a_parsed_state_of_lists_and_calls_is_cut_from_level_zero():
         render_states(s_of(3), "zigzag")
     with pytest.raises(RenderError, match="unknown trace style"):  # not SEPARATOR's KeyError
         render_trace(s_of(3), "zigzag")
+
+
+def test_a_deep_parsed_state_is_cut_from_level_zero():
+    # a state is compiled by a walk on a stack: a parsed state is as deep as
+    # its emitted prefix, or as its run of items
+    paren = parse_state_paren(tokenize("X0 " * 3000 + "( X1 X1 01 )"), builtin_programs()["s"])
+    arrow = parse_state_unroll(tokenize("a EMPTY UNROLL[ b LEAF LEAF ] " * 1000),
+                               builtin_programs()["inorder"])
+    for state, style in ((paren, PAREN), (arrow, ARROW)):
+        assert _big_step(state, builtin_programs(), math.inf, style) is not None
+        assert list(render_states(state, style)) == _stepped_states(state, style)
 
 
 def _validate_by_levels(text, task, input_tokens):

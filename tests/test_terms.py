@@ -421,6 +421,8 @@ def test_tree_serialize_rejects_bare_leaf():
     (branch("a", branch("b", Term("01"), leaf()), leaf()), "01"),
     (Term("X1", ("a",), (leaf(), leaf())), "X1"),  # a misnamed node of Branch's shape
     (branch("a", leaf(), Term("Node", ("b",), (leaf(), leaf()))), "Node"),
+    (branch("a", leaf(), Term("Leaf", ("z",))), "Leaf"),  # a Leaf with a payload, or a child
+    (branch("a", Term("Leaf", (), (leaf(),)), leaf()), "Leaf"),
 ])
 def test_tree_serialize_of_a_term_that_is_no_tree_is_malformed(term, name):
     with pytest.raises(MalformedSequenceError, match=f"not a char_tree term: '{name}'"):
