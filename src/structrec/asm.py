@@ -8,10 +8,11 @@ their update sets are merged and applied simultaneously, and two fired
 updates that assign different values to one location are a clash.
 
 _fire defines the step.  Each machine is compiled once into a step
-function in which a rule that fires alone stores the values of its
-update text straight into the state; it leaves every other step to
-_fire.  A recursive variant lets an agent spawn a child agent on a
-sub-input and wait for its result.
+function, in which a rule that fires alone stores the values of its
+update text straight into the state, and a run function, which takes
+such steps to a halt with each location its text names held in a local
+variable; both leave every other step to _fire.  A recursive variant
+lets an agent spawn a child agent on a sub-input and wait for its result.
 """
 
 from __future__ import annotations
@@ -41,17 +42,8 @@ class Undef:
 UNDEF = Undef()
 
 
-def _read(state: dict, name: str, index: int | None = None):
-    """The value under name, or cell index of the tape name; UNDEF if unset."""
-    value = state.get(name, UNDEF)
-    if index is None:
-        return value
-    return value[index] if value is not UNDEF and index < len(value) else UNDEF
-
-
 def _start(tokens: list, **fields) -> dict:
-    """A built-in machine's initial state: tokens on the in tape, an empty
-    out tape, and fields."""
+    """A built-in machine's initial state: tokens on the in tape, an empty out tape, fields."""
     return {"in": tokens, "out": [], "len": len(tokens), "outn": 0, "done": False, **fields}
 
 
@@ -74,8 +66,7 @@ def _apply(state: dict, updates) -> None:
 
 def _snapshot(state: dict) -> dict:
     """A copy of state, with its own copy of each tape list."""
-    return {name: value[:] if value.__class__ is list else value
-            for name, value in state.items()}
+    return {name: value[:] if value.__class__ is list else value for name, value in state.items()}
 
 
 class ReadLog:
@@ -87,11 +78,13 @@ class ReadLog:
 
     def __getitem__(self, name: str):
         self.reads.add(name)
-        return _read(self.base, name)
+        return self.base.get(name, UNDEF)
 
     def get(self, name: str, index: int | None = None):
-        self.reads.add(name)
-        return _read(self.base, name, index)
+        value = self[name]  # the value under name, or cell index of the tape name
+        if index is None or value is UNDEF:
+            return value
+        return value[index] if index < len(value) else UNDEF
 
 
 # the names that rule text may use besides s
@@ -104,10 +97,17 @@ def _code(source: str):
 
 
 def _define(source: str, names: dict) -> Callable:
-    """The function f that source defines over names; each built-in
-    machine's source repeats from one build to the next, so compiles once."""
+    """The function f that source defines over names, compiled once per source."""
     exec(_code(source), names)
     return names["f"]
+
+
+def _expr(source: str) -> Callable:
+    """The function of s that expression text source computes; it keeps the
+    text, so a rule or machine made again from it inlines the text again."""
+    f = _define(f"def f(s):\n    return ({source})", dict(_NAMES))
+    f.text = source
+    return f
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,7 @@ class GuardedRule:
     """When guard(state) holds, the rule fires and writes updates(state),
     (location, value) pairs.  Either may be given as expression text over
     s (package source only, never input; update text is a list display):
-    the text becomes the callable here, and the step compiler inlines it."""
+    the text becomes the callable here, and the compiler inlines it."""
 
     id: str
     guard: Callable
@@ -123,27 +123,35 @@ class GuardedRule:
     text: tuple = field(init=False, repr=False, compare=False)  # each text, or None
 
     def __post_init__(self):
-        text = tuple(part if isinstance(part, str) else None
-                     for part in (self.guard, self.updates))
-        object.__setattr__(self, "text", text)
-        for name, source in zip(("guard", "updates"), text):
-            if source is not None:
-                object.__setattr__(self, name, _define(f"def f(s):\n    return ({source})",
-                                                       dict(_NAMES)))
+        for name in ("guard", "updates"):
+            if isinstance(getattr(self, name), str):
+                object.__setattr__(self, name, _expr(getattr(self, name)))
+        object.__setattr__(self, "text", (getattr(self.guard, "text", None),
+                                          getattr(self.updates, "text", None)))
 
 
 @dataclass(frozen=True)
 class AsmMachine:
-    """Immutable rule set, compiled once into step; each run owns its own state."""
+    """Immutable rule set, compiled once into step and run (see _sources);
+    each run owns its own state."""
 
     name: str
     rules: tuple[GuardedRule, ...]
     init: Callable  # input -> the initial state, a dict
-    halted: Callable  # state -> bool
+    halted: Callable  # state -> bool, or expression text over s as a guard takes
     step: Callable = field(init=False, repr=False, compare=False)  # state -> fired rule ids
+    run: Callable = field(init=False, repr=False, compare=False)  # state, budget -> steps taken
 
     def __post_init__(self):
-        object.__setattr__(self, "step", _compile(self))
+        if isinstance(self.halted, str):
+            object.__setattr__(self, "halted", _expr(self.halted))
+        names = dict(_NAMES, _fire=_fire, _m=self, _undef=UNDEF, _exhausted=BudgetExhaustedError)
+        names.update((f"_r{k}", rule) for k, rule in enumerate(self.rules))
+        step, on_state, on_locals = _sources(tuple((rule.id, *rule.text) for rule in self.rules),
+                                             getattr(self.halted, "text", None))
+        object.__setattr__(self, "step", _define(step, names))
+        run = names["_dict_run"] = _define(on_state, names)
+        object.__setattr__(self, "run", _define(on_locals, names) if on_locals else run)
 
 
 @functools.lru_cache(maxsize=256)
@@ -161,6 +169,25 @@ def _pairs(source: str):
         pairs.append((loc.value, index and ast.unparse(index), ast.unparse(value)))
     names = [name for name, index, _ in pairs if index is None]
     return tuple(pairs) if len(set(names)) == len(names) else None
+
+
+class _Local(ast.NodeTransformer):
+    """Rewrites each s["name"] as the local variable l_name."""
+
+    def visit_Subscript(self, node):
+        key = node.slice
+        if (node.value.__class__ is ast.Name and node.value.id == "s"
+                and key.__class__ is ast.Constant and key.value.__class__ is str):
+            return ast.Name(f"l_{key.value}", ast.Load())
+        return self.generic_visit(node)
+
+
+def _local(source: str):
+    """(source over locals, the names it reads), or None where it uses s
+    other than as s["name"]."""
+    tree = _Local().visit(ast.parse(f"({source})", mode="eval"))
+    names = [node.id for node in ast.walk(tree) if node.__class__ is ast.Name]
+    return None if "s" in names else (ast.unparse(tree), [n[2:] for n in names if n[:2] == "l_"])
 
 
 def _fire(machine: AsmMachine, state: dict) -> tuple:
@@ -183,42 +210,73 @@ def _fire(machine: AsmMachine, state: dict) -> tuple:
     return tuple(fired) if merged else ()
 
 
-def _compile(machine: AsmMachine) -> Callable:
-    """The step of _fire, with guard and update text inlined.  A lone fired
-    rule whose update text _pairs takes apart stores its values straight
-    into the state; any other step (a later guard holds too, or two cells of
-    one tape share an index) is left to _fire, which tests every guard again."""
-    names = dict(_NAMES, _fire=_fire, _m=machine, _undef=UNDEF)
-    guards = [f"({rule.text[0] or f'_r{k}.guard(s)'})" for k, rule in enumerate(machine.rules)]
-    lines, fire = ["def f(s):"], "return _fire(_m, s)"
-    for k, rule in enumerate(machine.rules):
-        names[f"_r{k}"] = rule
-        pairs = None if rule.text[1] is None else _pairs(rule.text[1])
-        lines.append(f"    if {guards[k]}:")
-        if pairs is None:
-            lines.append(f"        {fire}")
-            continue
-        if guards[k + 1:]:
-            lines.append(f"        if {' or '.join(guards[k + 1:])}: {fire}")
-        writes, tapes = [], {}
-        for j, (name, index, value) in enumerate(pairs):
-            v, i, key = f"v{k}_{j}", f"i{k}_{j}", repr(name)
-            if index is None:
-                writes.append(f"        s[{key}] = {v}")
-            else:
-                lines.append(f"        {i} = ({index})")
-                writes += [f"        t = s[{key}] if {key} in s else s.setdefault({key}, [])",
-                           f"        if {i} == len(t): t.append({v})",
-                           f"        else: t += [_undef] * ({i} + 1 - len(t)); t[{i}] = {v}"]
-                tapes.setdefault(name, []).append(i)
-            lines.append(f"        {v} = ({value})")
-        shared = " or ".join(f"{a} == {b}" for cells in tapes.values()
-                             for n, a in enumerate(cells) for b in cells[n + 1:])
-        if shared:
-            lines.append(f"        if {shared}: {fire}")
-        lines += [*writes, f"        return {(rule.id,) if pairs else ()!r}"]
-    lines.append("    return ()")
-    return _define("\n".join(lines), names)
+@functools.lru_cache(maxsize=256)
+def _sources(rules: tuple, halting: str | None) -> tuple:
+    """The text of the step, of the step until halted, and of the run on
+    locals, from rules as (id, guard text, update text) and halting text
+    (None for a callable).  A step stores the values of a lone fired rule
+    whose update text _pairs takes apart straight into the state, and
+    leaves any other step (a later guard holds too, or two cells of one
+    tape share an index) to _fire.  The run on locals inlines its steps and
+    holds each location the text names in a local variable, written back
+    before _fire and at the end and loaded again after _fire; there is none
+    if a guard or halting is a callable, or text uses s but as s["name"]."""
+    pairs = [None if updates is None else _pairs(updates) for _, _, updates in rules]
+    cells = [cell for found in pairs if found for cell in found]
+    texts = [halting, *(guard for _, guard, _ in rules), *(t for _, *ts in cells for t in ts if t)]
+    found = [text is not None and _local(text) for text in texts]
+    names = dict.fromkeys([*(name for text in found if text for name in text[1]),
+                           *(name for name, _, _ in cells)])
+    back = "".join(f"s[{name!r}] = l_{name}; "
+                   for name in dict.fromkeys(name for name, index, _ in cells if index is None))
+    load = "; ".join(f"l_{name} = s[{name!r}]" for name in names) or "pass"
+
+    def body(local: bool) -> list:
+        ref = (lambda text: _local(text)[0]) if local else (lambda text: text)
+        fire = f"{back}_fire(_m, s); {load}; continue" if local else "return _fire(_m, s)"
+        guards = ["(" + (f"_r{k}.guard(s)" if guard is None else ref(guard)) + ")"
+                  for k, (_, guard, _) in enumerate(rules)]
+        lines = []
+        for k, (rule_id, _, _) in enumerate(rules):
+            lines.append(f"if {guards[k]}:")
+            if pairs[k] is None:
+                lines.append(f"    {fire}")
+                continue
+            if guards[k + 1:]:
+                lines.append(f"    if {' or '.join(guards[k + 1:])}: {fire}")
+            writes, tapes = [], {}
+            for j, (name, index, value) in enumerate(pairs[k]):
+                v, i, key = f"v{k}_{j}", f"i{k}_{j}", repr(name)
+                at = "l_" + name if local else f"s[{key}]"
+                if index is None:
+                    writes.append(f"    {at} = {v}")
+                else:
+                    lines.append(f"    {i} = ({ref(index)})")
+                    tape = at if local else f"{at} if {key} in s else s.setdefault({key}, [])"
+                    writes += [f"    t = {tape}", f"    if {i} == len(t): t.append({v})",
+                               f"    else: t += [_undef] * ({i} + 1 - len(t)); t[{i}] = {v}"]
+                    tapes.setdefault(name, []).append(i)
+                lines.append(f"    {v} = ({ref(value)})")
+            shared = " or ".join(f"{a} == {b}" for indices in tapes.values()
+                                 for n, a in enumerate(indices) for b in indices[n + 1:])
+            if shared:
+                lines.append(f"    if {shared}: {fire}")
+            lines += [*writes, "    continue" if local
+                      else f"    return {(rule_id,) if pairs[k] else ()!r}"]
+        return lines
+
+    def run(lines: list, local: bool) -> str:
+        wb, halt = (back, f"({_local(halting)[0]})") if local else ("", "_m.halted(s)")
+        head = [f"    try: {load}", "    except KeyError: return _dict_run(s, budget)"]
+        return "\n".join(["def f(s, budget):", *(head if local else []), "    steps = 0",
+                          f"    while not {halt}:", f"        if steps >= budget: {wb}raise"
+                          " _exhausted(f'{_m.name}: no halt within {budget} steps')",
+                          "        steps += 1", *(f"        {line}" for line in lines),
+                          f"    {wb}return steps"])
+
+    on_locals = all(found) and all(f"l_{name}".isidentifier() for name in names)
+    return ("\n".join(["def f(s):", *(f"    {line}" for line in body(False)), "    return ()"]),
+            run(["_m.step(s)"], False), run(body(True), True) if on_locals else None)
 
 
 def asm_step(machine: AsmMachine, state: dict) -> dict:
@@ -229,55 +287,19 @@ def asm_step(machine: AsmMachine, state: dict) -> dict:
 
 
 def _budget(machine_input, budget: int | None) -> int:
-    if budget is None:
-        try:
-            return 4 * len(machine_input) + 16
-        except TypeError:
-            return 256
-    if budget < 1:
+    if budget is not None and budget < 1:
         raise ValueError("budget must be at least 1")
-    return budget
-
-
-def _run(machine: AsmMachine, state: dict, budget: int, on_step=None,
-         spec: "RasmSpec | None" = None, depth: int = 0):
-    """The run loop: step until halted, applying each step's updates to
-    state in place, and call on_step(steps, fired rule ids, state) after
-    each.  An agent of a recursive machine (spec) yields the child's
-    initial state when its call guard holds and is sent the child's halted
-    state.  Returns (state, steps)."""
-    halted, step = machine.halted, machine.step
-    steps = 0
-    while not halted(state):
-        if steps >= budget:
-            raise BudgetExhaustedError(
-                f"{machine.name}: no halt within {budget} steps" if spec is None
-                else f"{spec.name}: agent at depth {depth} exceeded {budget} steps")
-        if spec is not None and spec.call_guard(state):
-            _apply(state, spec.result_write(state, (yield spec.spawn(state))))
-            fired = ()
-        else:
-            fired = step(state)
-            if spec is not None and not fired:
-                raise BudgetExhaustedError(f"{spec.name}: agent is stuck")
-        steps += 1
-        if on_step is not None:
-            on_step(steps, fired, state)
-    return state, steps
-
-
-def _finish(run):
-    """The result of a run that spawns no agent, so never yields."""
     try:
-        next(run)
-    except StopIteration as done:
-        return done.value
+        return budget or 4 * len(machine_input) + 16
+    except TypeError:  # an input without a length
+        return 256
 
 
 def asm_run(machine: AsmMachine, machine_input, budget: int | None = None):
     """Run to a halting state; returns (state, steps taken)."""
     budget = _budget(machine_input, budget)
-    return _finish(_run(machine, machine.init(machine_input), budget))
+    state = machine.init(machine_input)
+    return state, machine.run(state, budget)
 
 
 def asm_log(machine: AsmMachine, machine_input, budget: int | None = None):
@@ -286,14 +308,16 @@ def asm_log(machine: AsmMachine, machine_input, budget: int | None = None):
     budget = _budget(machine_input, budget)
     state = machine.init(machine_input)
     log = [(0, (), _snapshot(state))]
-    _finish(_run(machine, state, budget, lambda steps, fired, after: log.append(
-        (steps, tuple(fired), _snapshot(after)))))
+    while not machine.halted(state):
+        if len(log) > budget:
+            raise BudgetExhaustedError(f"{machine.name}: no halt within {budget} steps")
+        log.append((len(log), tuple(machine.step(state)), _snapshot(state)))
     return log
 
 
 def machine_output(state: dict) -> list[str]:
     """Read the out[0..outn) token array."""
-    n = _read(state, "outn")
+    n = state.get("outn", UNDEF)
     return [] if n is UNDEF else state["out"][:n]
 
 
@@ -324,12 +348,8 @@ def successor_machine() -> AsmMachine:
                     '[(("out", s["outn"]), X0), (("out", s["outn"] + 1), ONE),'
                     ' ("outn", s["outn"] + 2), ("done", True)]'),
     )
-    return AsmMachine(
-        name="successor",
-        rules=rules,
-        init=lambda tokens: _load_input(tokens, pos=0),
-        halted=lambda s: s["done"] is True,
-    )
+    return AsmMachine("successor", rules, lambda tokens: _load_input(tokens, pos=0),
+                      halted='s["done"] is True')
 
 
 # ---------------------------------------------------------------------------
@@ -359,27 +379,29 @@ class RasmResult:
 def rasm_run(spec: RasmSpec, machine_input, budget: int | None = None) -> RasmResult:
     """Run the root agent; children run to completion while the caller
     waits, and each child's halted state is handed back to its caller.
-    The waiting agents are runs on an explicit stack, so the call depth
-    has no recursion limit."""
+    The waiting agents are [state, steps taken] on an explicit stack, so
+    the call depth has no recursion limit."""
     budget = _budget(machine_input, budget)
     machine = spec.machine
-    agents = [_run(machine, machine.init(machine_input), budget, spec=spec)]
+    agents = [[machine.init(machine_input), 0]]
     spawned = max_depth = steps = 0
-    reply = None
-    while True:
-        try:
-            child = agents[-1].send(reply)
-        except StopIteration as done:
-            agents.pop()
-            reply, agent_steps = done.value
-            steps += agent_steps
-            if not agents:
-                return RasmResult(spec.output(reply), spawned, max_depth, steps)
+    while agents:
+        state = (agent := agents[-1])[0]
+        if machine.halted(state):
+            steps += agents.pop()[1]
+            if agents:
+                _apply(agents[-1][0], spec.result_write(agents[-1][0], state))
             continue
-        spawned += 1
-        max_depth = max(max_depth, len(agents))
-        agents.append(_run(machine, child, budget, spec=spec, depth=len(agents)))
-        reply = None
+        if agent[1] >= budget:
+            raise BudgetExhaustedError(
+                f"{spec.name}: agent at depth {len(agents) - 1} exceeded {budget} steps")
+        agent[1] += 1
+        if spec.call_guard(state):
+            spawned, max_depth = spawned + 1, max(max_depth, len(agents))
+            agents.append([spec.spawn(state), 0])
+        elif not machine.step(state):
+            raise BudgetExhaustedError(f"{spec.name}: agent is stuck")
+    return RasmResult(spec.output(state), spawned, max_depth, steps)
 
 
 def successor_rasm() -> RasmSpec:
@@ -406,25 +428,13 @@ def successor_rasm() -> RasmSpec:
                     ' and s["child_ready"] is True',
                     '[(("out", s["at"]), X0), ("outn", s["childn"]), ("done", True)]'),
     )
-    machine = AsmMachine(
-        name="successor-agent",
-        rules=rules,
-        init=lambda tokens: agent(_load_input(tokens), 0),  # validated once, for every agent
-        halted=lambda s: s["done"] is True,
-    )
-
-    def call_guard(s: dict) -> bool:
-        return (s["done"] is False and s["in"][s["at"]] == X1
-                and s["child_ready"] is False)
-
-    def result_write(s: dict, child: dict):
-        return [("childn", child["outn"]), ("child_ready", True)]
-
+    machine = AsmMachine("successor-agent", rules,
+                         lambda tokens: agent(_load_input(tokens), 0),  # validated once, for all
+                         halted='s["done"] is True')
     return RasmSpec(
-        name="successor-rasm",
-        machine=machine,
-        call_guard=call_guard,
+        "successor-rasm", machine,
+        call_guard=_expr('s["done"] is False and s["in"][s["at"]] == X1'
+                         ' and s["child_ready"] is False'),
         spawn=lambda s: agent(s, s["at"] + 1),
-        result_write=result_write,
-        output=machine_output,
-    )
+        result_write=lambda s, child: [("childn", child["outn"]), ("child_ready", True)],
+        output=machine_output)

@@ -288,12 +288,9 @@ class Program:
         if not self.params:
             raise ValueError(f"{self.name} takes no parameters: it needs one to match on")
         covered = [c.constructor for c in self.clauses]
-        expected = [c.name for c in self.arg_type.constructors]
-        if sorted(covered) != sorted(expected):
-            raise ValueError(
-                f"{self.name} must cover each constructor of {self.arg_type.name} "
-                f"exactly once, got {covered}"
-            )
+        if sorted(covered) != sorted(c.name for c in self.arg_type.constructors):
+            raise ValueError(f"{self.name} must cover each constructor of "
+                             f"{self.arg_type.name} exactly once, got {covered}")
         # per constructor: the payloads, children and arguments it takes, the
         # rule name, the programs the instance calls, the instance builder,
         # and the calls, build, c and code of its clause (see _compile).  Not
@@ -307,6 +304,11 @@ class Program:
                                  f"{n_pay + cdef.recursive_arity} binders")
             slots = {b: i for i, b in enumerate(clause.binders + self.params[1:])}
             kids = range(n_pay, n_pay + cdef.recursive_arity)
+            for item in (v for e in _Nested._pieces(clause.template) if e.__class__ is ListLit
+                         for v in e.items):  # the items of each list literal in the template
+                if not isinstance(item, (str, Var)):
+                    raise ValueError(f"{self.name}.{clause.constructor}: list item {item!r} "
+                                     "is neither a token nor a variable")
             calls, build, c, code, make = _compile(clause.template, slots, range(n_pay))
             for call, *_ in calls:
                 if not call.args:
@@ -516,10 +518,8 @@ def _big_step(expr: Expr, programs, fuel: int | None, style: str | None = None):
                     return None  # levels() would substitute an argument still pending
                 prog = programs.get(call.fn)
                 entry = prog.compiled.get(term.constructor) if type(term) is Term and prog else None
-                if entry is None or entry[0] != (len(term.payloads), len(term.children),
-                                                 len(rest) + 1):
-                    return None
-                if ready >= limit:
+                if entry is None or ready >= limit or entry[0] != (
+                        len(term.payloads), len(term.children), len(rest) + 1):
                     return None
                 body_calls, body_build, c, code = entry[4]
                 body_env = term.payloads + term.children

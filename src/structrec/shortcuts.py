@@ -87,12 +87,7 @@ def natural_shortcut_machine(mode: str = FAITHFUL) -> AsmMachine:
                     '[(("out", s["outn"]), X0), ("outn", s["outn"] + 1)]'),
         GuardedRule("halt", 's["done"] is False and s["outn"] == s["halt"]', '[("done", True)]'),
     )
-    return AsmMachine(
-        name=f"shortcut-natural-{mode}",
-        rules=rules,
-        init=init,
-        halted=lambda s: s["done"] is True,
-    )
+    return AsmMachine(f"shortcut-natural-{mode}", rules, init, halted='s["done"] is True')
 
 
 @functools.cache
@@ -130,22 +125,17 @@ def reverse_shortcut_machine(mode: str = FAITHFUL) -> AsmMachine:
                     '[(("out", s["outn"]), s["in"][s["outn"]]), ("outn", s["outn"] + 1)]'),
         GuardedRule("halt", 's["done"] is False and s["outn"] == s["halt"]', '[("done", True)]'),
     )
-    return AsmMachine(
-        name=f"shortcut-reverse-{mode}",
-        rules=rules,
-        init=init,
-        halted=lambda s: s["done"] is True,
-    )
+    return AsmMachine(f"shortcut-reverse-{mode}", rules, init, halted='s["done"] is True')
 
 
 def emulate_natural(tokens, mode: str = FAITHFUL) -> list[str]:
     """Successor of a natural-order sequence via the shortcut machine."""
-    return machine_output(asm_run(natural_shortcut_machine(mode), list(tokens))[0])
+    return machine_output(asm_run(natural_shortcut_machine(mode), tokens)[0])
 
 
 def emulate_reverse(tokens, mode: str = FAITHFUL) -> list[str]:
     """Successor of a constructor-order sequence via the shortcut machine."""
-    return machine_output(asm_run(reverse_shortcut_machine(mode), list(tokens))[0])
+    return machine_output(asm_run(reverse_shortcut_machine(mode), tokens)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +181,10 @@ def diff_against_oracle(order: str, mode: str, lo: int, hi: int) -> Disagreement
         raise ValueError(f"bad value range {lo}..{hi}")
     emulate = emulate_natural if order == NATURAL else emulate_reverse
     step = -1 if order == NATURAL else 1  # natural order is the reversal
-    found = []
-    for value in range(lo, hi + 1):
+    found, tokens = [], _bin_tokens(lo)[::step]
+    for value in range(lo, hi + 1):  # the expected tokens of v are the input of v + 1
         expected = _bin_tokens(value + 1)[::step]
-        got = emulate(_bin_tokens(value)[::step], mode)
+        got, tokens = emulate(tokens, mode), expected
         if got != expected:
             found.append(
                 Disagreement(

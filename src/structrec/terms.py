@@ -456,7 +456,7 @@ def tree_serialize(term: Term) -> list[str]:
     if term._tree_span is not None:
         toks, start, end = term._tree_span
         return toks[start:end]
-    if term.constructor == "Leaf":
+    if term.constructor == "Leaf" and not (term.payloads or term.children):
         raise MalformedSequenceError("a bare Leaf has no serialized form")
     out: list[str] = []
     owed: list = []  # per open paren, the right sibling owed after it (None: none)

@@ -1,5 +1,6 @@
 """Guarded-update machines: simultaneity, clashes, budgets, recursion."""
 
+import collections
 import dataclasses
 import random
 
@@ -12,6 +13,7 @@ from structrec.asm import (
     GuardedRule,
     ReadLog,
     _pairs,
+    _snapshot,
     asm_log,
     asm_run,
     asm_step,
@@ -304,13 +306,46 @@ def _counting_fire(monkeypatch):
     return calls
 
 
+def _count_calls(machine, names=("step", "halted")):
+    """Wrap the named callables of machine in place; returns the list of
+    the names called, one entry per call."""
+    calls = []
+    for name in names:
+        def counted(*args, name=name, f=getattr(machine, name)):
+            calls.append(name)
+            return f(*args)
+        object.__setattr__(machine, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("mode", [FAITHFUL, CORRECTED])
 def test_the_shortcut_machines_never_leave_the_compiled_path(monkeypatch, mode):
     calls = _counting_fire(monkeypatch)
     for build, order in ((natural_shortcut_machine, -1), (reverse_shortcut_machine, 1)):
         machine = build.__wrapped__(mode)  # a fresh build, compiled with the wrapped _fire
+        called = _count_calls(machine)
         steps = sum(asm_run(machine, _bin_tokens(n)[::order])[1] for n in range(1, 1025))
-        assert steps > 10_000 and calls == []
+        # the run takes its steps itself: no _fire, no machine.step, no machine.halted
+        assert steps > 10_000 and calls == [] and called == []
+
+
+def test_a_machine_copied_with_replace_runs_on_locals_and_compiles_nothing_new():
+    machine = natural_shortcut_machine.__wrapped__(FAITHFUL)  # its sources are cached now
+    tokens = _bin_tokens(1234)[::-1]
+    expected = asm_run(machine, tokens)
+    cached = (asm._code.cache_info().misses, asm._sources.cache_info().misses)
+    # what the benchmark's tracer does to wrap init
+    copy = dataclasses.replace(machine, init=lambda toks: machine.init(toks))
+    assert (asm._code.cache_info().misses, asm._sources.cache_info().misses) == cached
+    assert copy.halted.text == 's["done"] is True' and copy.halted({"done": True}) is True
+    called = _count_calls(copy)
+    assert asm_run(copy, tokens) == expected and called == []
+    # a state that lacks a location the text names runs on the state, step by step
+    state = copy.init(tokens)
+    del state["pivot_token"]
+    with pytest.raises(KeyError, match="pivot_token"):
+        copy.run(state, 100)
+    assert called[:2] == ["halted", "step"]
 
 
 def test_the_successor_machine_leaves_only_its_callable_rule_to_fire(monkeypatch):
@@ -463,18 +498,19 @@ def _random_pair(rng):
     return f"({rng.choice(_LOCATIONS)}, {rng.choice(_VALUES)})"
 
 
-def _random_rule(rng, rule_id):
+def _random_rule(rng, rule_id, callable_share=0.5):
     """A rule whose guard and updates are each text or the same text as a
-    callable; a callable's updates are sometimes a one-shot iterator, and
-    some update texts are of a form the step does not take apart."""
+    callable (each with chance callable_share); a callable's updates are
+    sometimes a one-shot iterator, and some update texts are of a form the
+    step does not take apart."""
     guard = rng.choice(_GUARDS)
     pairs = [_random_pair(rng) for _ in range(rng.randrange(4))]
     updates = _display(pairs)
     if rng.random() < 0.25:
         updates = _fallback(rng, pairs)
-    if rng.random() < 0.5:
+    if rng.random() < callable_share:
         guard = eval(f"lambda s: {guard}")
-    if rng.random() < 0.5:
+    if rng.random() < callable_share:
         listed = eval(f"lambda s: {updates}")
         updates = (lambda s: iter(listed(s))) if rng.random() < 0.5 else listed
     return GuardedRule(rule_id, guard, updates)
@@ -517,3 +553,83 @@ def test_the_compiled_step_matches_the_reference_interpreter():
             state = got
     # the sample takes every path of the step
     assert min(seen.values()) >= 100, seen
+
+
+# ---------------------------------------------------------------------------
+# the compiled run against a loop of _fire
+
+
+def _fire_loop(machine, state, budget):
+    """The run as _fire defines it: step the state until halted; returns
+    the steps taken."""
+    steps = 0
+    while not machine.halted(state):
+        if steps >= budget:
+            raise BudgetExhaustedError(f"{machine.name}: no halt within {budget} steps")
+        asm._fire(machine, state)
+        steps += 1
+    return steps
+
+
+def _outcome(run):
+    """(final state as its items in order, steps), or the type and text of
+    what the run raised."""
+    try:
+        state, steps = run()
+    except (UpdateClashError, BudgetExhaustedError, KeyError, IndexError) as raised:
+        return type(raised), str(raised)
+    return list(state.items()), steps
+
+
+# halting tests: each reads a location, a cell that may be missing, or s as
+# a whole (which keeps the run on the state), or never holds
+_HALTS = ('s["c"] == 2', 's["a"] == s["b"] and s["out"] != []', 'len(s["out"]) > 4',
+          's["out"][2] == 1', 'len(s) > 5', 'False')
+
+
+def test_the_compiled_run_matches_a_loop_of_fire():
+    rng = random.Random(2025)
+    seen = collections.Counter()
+    for trial in range(1500):
+        share = rng.choice((0.5, 0.1))  # of callable guards and updates
+        rules = tuple(_random_rule(rng, f"r{i}", share) for i in range(rng.randint(1, 4)))
+        start = {"a": rng.randrange(3), "b": rng.randrange(3), "c": rng.randrange(3),
+                 "out": [rng.randrange(3) for _ in range(rng.randrange(3))]}
+        if rng.random() < 0.15:
+            del start[rng.choice("abc")]  # a location some text may name
+        halt, budget = rng.choice(_HALTS), rng.randint(1, 6)
+        for halted in (halt, eval(f"lambda s: {halt}")):
+            machine = AsmMachine(f"m{trial}", rules, lambda _: _snapshot(start), halted)
+            state = _snapshot(start)
+            want = _outcome(lambda: (state, _fire_loop(machine, state, budget)))
+            called = _count_calls(machine)  # the run on the state steps by machine.step
+            got = _outcome(lambda: asm_run(machine, None, budget))
+            assert got == want, (trial, halted)
+            seen[got[0].__name__ if isinstance(got[0], type) else "halted", not called] += 1
+    # the sample takes every outcome on the state, and each on locals but a
+    # missing location, which keeps a run on the state
+    outcomes = ("halted", "UpdateClashError", "BudgetExhaustedError", "KeyError", "IndexError")
+    assert min(seen[outcome, on_locals] for outcome in outcomes for on_locals in (False, True)
+               if (outcome, on_locals) != ("KeyError", True)) >= 50, seen
+
+
+def _reversed_bits(n):
+    return _bin_tokens(n)[::-1]
+
+
+@pytest.mark.parametrize("build, mode, encode", [
+    (natural_shortcut_machine, FAITHFUL, _reversed_bits),
+    (natural_shortcut_machine, CORRECTED, _reversed_bits),
+    (reverse_shortcut_machine, FAITHFUL, _bin_tokens),
+    (reverse_shortcut_machine, CORRECTED, _bin_tokens),
+    (lambda mode: successor_machine(), None, _succ_tokens),  # flip-first-zero goes to _fire
+], ids=["natural-faithful", "natural-corrected", "reverse-faithful", "reverse-corrected",
+        "successor"])
+def test_the_built_in_machines_run_as_a_loop_of_fire_does(build, mode, encode):
+    machine = build(mode)
+    for n in range(1, 2**12 + 1):
+        tokens = encode(n)
+        state = machine.init(tokens)
+        steps = _fire_loop(machine, state, 4 * len(tokens) + 16)
+        got, got_steps = asm_run(machine, tokens)
+        assert (list(got.items()), got_steps) == (list(state.items()), steps), n

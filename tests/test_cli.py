@@ -989,8 +989,8 @@ def test_the_parameters_of_each_modules_public_functions_are_pinned():
 
 # the lines of each src module, and of all of them, as ceilings, so that
 # growth is a deliberate edit here, as a new public name is
-SRC_LINES = {"__init__": 95, "__main__": 3, "asm": 430, "cli": 559, "datasets": 747,
-             "errors": 45, "evaluation": 419, "reduction": 1041, "shortcuts": 230,
+SRC_LINES = {"__init__": 95, "__main__": 3, "asm": 440, "cli": 559, "datasets": 747,
+             "errors": 45, "evaluation": 419, "reduction": 1041, "shortcuts": 220,
              "terms": 553}
 
 

@@ -1204,6 +1204,17 @@ def test_a_call_with_no_arguments_is_rejected():
         next(states)
 
 
+@pytest.mark.parametrize("on_one, on_succ, clause, item", [
+    (ListLit((Term("I"),)), ListLit(()), "I", "Term(constructor='I', payloads=(), children=())"),
+    (ListLit(()), ListLit(("x", 5)), "S", "5"),
+    (ListLit(()), Concat(ListLit(("x",)), Ctor("S", (), (ListLit((Var("p"), 5)),))), "S", "5"),
+], ids=["term-item", "int-item", "nested"])
+def test_a_list_item_that_is_no_token_or_variable_is_rejected(on_one, on_succ, clause, item):
+    with pytest.raises(ValueError) as raised:
+        _peano_program("r", ("n",), on_one, on_succ)
+    assert str(raised.value) == f"r.{clause}: list item {item} is neither a token nor a variable"
+
+
 def test_an_instance_calling_an_unknown_program_raises_in_the_step_that_builds_it():
     hop = _peano_program("hop", ("n",), ListLit(("end",)), Call("gone", (Var("p"),)))
     relay = _peano_program("relay", ("n",), ListLit(()), Call("hop", (Var("p"),)))

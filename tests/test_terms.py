@@ -410,7 +410,7 @@ def test_tree_parse_round_trip():
 
 
 def test_tree_serialize_rejects_bare_leaf():
-    with pytest.raises(MalformedSequenceError):
+    with pytest.raises(MalformedSequenceError, match="^a bare Leaf has no serialized form$"):
         tree_serialize(leaf())
 
 
@@ -423,6 +423,8 @@ def test_tree_serialize_rejects_bare_leaf():
     (branch("a", leaf(), Term("Node", ("b",), (leaf(), leaf()))), "Node"),
     (branch("a", leaf(), Term("Leaf", ("z",))), "Leaf"),  # a Leaf with a payload, or a child
     (branch("a", Term("Leaf", (), (leaf(),)), leaf()), "Leaf"),
+    (Term("Leaf", ("z",)), "Leaf"),  # the same at the root, which is no bare Leaf
+    (Term("Leaf", (), (leaf(),)), "Leaf"),
 ])
 def test_tree_serialize_of_a_term_that_is_no_tree_is_malformed(term, name):
     with pytest.raises(MalformedSequenceError, match=f"not a char_tree term: '{name}'"):
