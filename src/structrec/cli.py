@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 bad flags, 3 I/O failure, 4 malformed input,
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import os
@@ -393,6 +394,7 @@ def cmd_eval(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every subcommand on each call."""
     parser = _Parser(
         prog="structrec",
         description="datasets, reduction, machine emulation, and evaluation "
@@ -413,7 +415,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_postprocess_flags(g)
     _add_edge_group_flags(g)
     g.mode_dest, g.mode_flags = "edge_cases", _RANGE_FLAGS
-    g.set_defaults(func=cmd_gen_successor)
 
     g = gen_sub.add_parser("random", help="successor pairs at uniform long bit lengths")
     g.add_argument("--order", choices=(REVERSE, NATURAL), default=REVERSE)
@@ -423,19 +424,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_gen_common(g)
     _add_postprocess_flags(g)
     _add_edge_group_flags(g)
-    g.set_defaults(func=cmd_gen_random)
 
     g = gen_sub.add_parser("single-step", help="consecutive state pairs from successor runs")
     g.add_argument("--range", type=_range_arg, default=(1, 1024), metavar="LO:HI")
     _add_gen_common(g)
     _add_postprocess_flags(g)
     _add_edge_group_flags(g)
-    g.set_defaults(func=cmd_gen_single_step)
 
     g = gen_sub.add_parser("trees", help="structure-disjoint train/test tree files")
     _add_tree_flags(g)
     _add_gen_common(g)
-    g.set_defaults(func=cmd_gen_trees)
 
     g = gen_sub.add_parser("traversal", help="traversal targets over fresh tree splits")
     g.add_argument("--kind", choices=datasets._TRAVERSALS, default=datasets.DatasetSpec.kind)
@@ -444,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tree_flags(g)
     _add_gen_common(g)
     _add_postprocess_flags(g)
-    g.set_defaults(func=cmd_gen_traversal)
 
     g = gen_sub.add_parser("traces", help="fully rendered oracle traces")
     default = {dest: _flag_text(value) for dest, (_, value) in _TRACE_TASK_FLAGS.items()}
@@ -460,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"node values of traversal trees (default {default['alphabet']})")
     _add_gen_common(g)
     g.mode_dest, g.mode_flags = "task", _TRACE_TASK_FLAGS
-    g.set_defaults(func=cmd_gen_traces)
 
     red = sub.add_parser("reduce", help="reduce a program application")
     red.add_argument("program", choices=tuple(builtin_programs()))
@@ -473,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     red.add_argument("--fuel", type=_int_at_least(1), default=None,
                      help="level budget override (default scales with input size)")
     red.mode_dest, red.mode_flags = "k", {"fuel": ((None,), None)}
-    red.set_defaults(func=cmd_reduce)
 
     sc = sub.add_parser("shortcut", help="run a shortcut emulator or diff it against the oracle")
     sc.add_argument("order", choices=(NATURAL, REVERSE))
@@ -488,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--out", default=None, help="write per-value disagreements as JSONL")
     sc.mode_dest, sc.mode_flags = "input", {
         "diff": ((None,), REQUIRED), "out": ((None,), None), "range": ((None,), (1, 1024))}
-    sc.set_defaults(func=cmd_shortcut)
 
     am = sub.add_parser("asm", help="run a guarded-update machine step by step")
     am.add_argument("machine", choices=("successor", "successor-rasm",
@@ -503,7 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
     am.mode_dest, am.mode_flags = "machine", {
         "mode": (("shortcut-natural", "shortcut-reverse"), shortcuts.FAITHFUL),
         "log": (("successor", "shortcut-natural", "shortcut-reverse"), False)}
-    am.set_defaults(func=cmd_asm)
 
     ev = sub.add_parser("eval", help="score predictions or validate traces")
     ev.add_argument("--gold", default=None, help="gold dataset JSONL")
@@ -520,24 +513,31 @@ def build_parser() -> argparse.ArgumentParser:
     ev.mode_dest, ev.mode_flags = "validate_traces", {
         "gold": ((False,), REQUIRED), "pred": ((False,), REQUIRED), "breakdown": ((False,), ()),
         "hit_ks": ((False,), (1, 3, 5)), "traces": ((True,), REQUIRED), "task": ((True,), None)}
-    ev.set_defaults(func=cmd_eval)
 
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """main's parser, built by its first call: a parse leaves a parser as it was."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _main_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # each subcommand runs the cmd_ function named after it, looked up when it runs
+    name = f"cmd_gen_{args.gen_command}" if args.command == "gen" else f"cmd_{args.command}"
+    command = globals()[name.replace("-", "_")]
     # gen's and eval's records hold no cycles: a collection while they are
     # built, read or scored only rescans them
     paused = args.command in ("gen", "eval") and gc.isenabled()
     if paused:
         gc.disable()
     try:
-        return args.func(args)
+        return command(args)
     except (FuelExhaustedError, BudgetExhaustedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return OUT_OF_FUEL

@@ -176,15 +176,14 @@ def diff_against_oracle(order: str, mode: str, lo: int, hi: int) -> Disagreement
     """Compare the emulator with gen's successor, _bin_tokens(v + 1), over a value range."""
     if order not in (NATURAL, REVERSE):
         raise ValueError(f"unknown order: {order!r}")
-    _check_mode(mode)
+    machine = (natural_shortcut_machine if order == NATURAL else reverse_shortcut_machine)(mode)
     if not 1 <= lo <= hi:
         raise ValueError(f"bad value range {lo}..{hi}")
-    emulate = emulate_natural if order == NATURAL else emulate_reverse
     step = -1 if order == NATURAL else 1  # natural order is the reversal
     found, tokens = [], _bin_tokens(lo)[::step]
     for value in range(lo, hi + 1):  # the expected tokens of v are the input of v + 1
         expected = _bin_tokens(value + 1)[::step]
-        got, tokens = emulate(tokens, mode), expected
+        got, tokens = machine_output(asm_run(machine, tokens)[0]), expected
         if got != expected:
             found.append(
                 Disagreement(

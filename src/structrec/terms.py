@@ -111,7 +111,7 @@ class InductiveDef:
             return None
         return frozenset(c.name for c in self.constructors if c.recursive_arity)
 
-    @property
+    @functools.cached_property
     def vocabulary(self) -> frozenset[str]:
         return frozenset(c.name for c in self.constructors)
 
@@ -297,8 +297,12 @@ def _chain(toks: tuple, end: int) -> Term:
 def _chain_length(toks, idef: InductiveDef, prefix: bool = False) -> int:
     """The number of normalized tokens the chain at the front of toks takes,
     for a chain type (see InductiveDef._links); raises what delinearize raises."""
+    links = idef._links  # a whole chain: a base at the last token, a link at each other one
+    if (not prefix and toks and toks[-1] not in links and toks[-1] in idef.vocabulary
+            and links.issuperset(toks[:-1])):  # all at C speed
+        return len(toks)
     try:  # the first token that is not a link ends the chain, or is unknown
-        end = operator.indexOf(map(idef._links.__contains__, toks), False) + 1
+        end = operator.indexOf(map(links.__contains__, toks), False) + 1
     except ValueError:  # links only
         raise MalformedSequenceError("dangling constructor: token sequence ends early") from None
     idef.constructor(toks[end - 1])  # a base, or raises for an unknown token
@@ -416,13 +420,10 @@ def group2_value(bits: int) -> int:
 
 
 def peano_encode(n: int) -> Term:
-    """Unary term for n >= 1 (I denotes one)."""
+    """Unary term for n >= 1 (I denotes one), spanned as if read by delinearize."""
     if n < 1:
         raise ValueError(f"peano encodes positive integers only, got {n}")
-    term = Term("I")
-    for _ in range(n - 1):
-        term = Term("S", children=(term,))
-    return term
+    return _chain(("S",) * (n - 1) + ("I",), n)
 
 
 def peano_value(term: Term) -> int:

@@ -2,12 +2,14 @@
 
 import copy
 import dataclasses
+import operator
 import pickle
 import random
 import re
 
 import pytest
 
+from structrec import terms
 from structrec.errors import MalformedSequenceError, RemapError
 from structrec.terms import (
     BIN_POS,
@@ -200,6 +202,58 @@ def test_chain_parse_agrees_with_the_generic_loop(idef):
                 chain if isinstance(chain, str) else used)
 
 
+def _scanned_chain_length(toks, idef, prefix=False):
+    """_chain_length by its scan alone, for every input: the reference."""
+    try:
+        end = operator.indexOf(map(idef._links.__contains__, toks), False) + 1
+    except ValueError:
+        raise MalformedSequenceError("dangling constructor: token sequence ends early") from None
+    idef.constructor(toks[end - 1])
+    if not prefix and end != len(toks):
+        raise MalformedSequenceError(f"trailing tokens after position {end}")
+    return end
+
+
+def _end_or_error(call):
+    try:
+        return call()
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("idef", [BIN_POS, PEANO], ids=lambda idef: idef.name)
+def test_a_whole_chain_is_counted_as_the_scan_finds_it(idef, monkeypatch):
+    """Whole chains, damaged ones (a token replaced, inserted or dropped:
+    links, bases of both types, an alias, unknown tokens) and empty lists,
+    as lists and tuples, in both modes: _chain_length gives the scan's end,
+    or raises its exception type with its message."""
+    rng = random.Random(39)
+    links = sorted(idef._links)
+    base = next(c.name for c in idef.constructors if not c.recursive_arity)
+    spare = [*links, base, "01", "I", "XO", "Q", ""]
+    whole = []
+    for _ in range(3000):
+        toks = [rng.choice(links) for _ in range(rng.choice((0, 1, 2, 3, 5, 8, 40)))] + [base]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            damage, at = rng.choice(("insert", "replace", "drop")), rng.randrange(len(toks) + 1)
+            if damage == "insert":
+                toks.insert(at, rng.choice(spare))
+            elif toks:
+                at = min(at, len(toks) - 1)
+                toks[at:at + 1] = [rng.choice(spare)] if damage == "replace" else []
+        for seq in (toks, tuple(toks)):
+            for prefix in (False, True):
+                expected = _end_or_error(lambda: _scanned_chain_length(seq, idef, prefix))
+                assert _end_or_error(lambda: _chain_length(seq, idef, prefix)) == expected
+                if not prefix and expected == len(seq):
+                    whole.append(seq)
+    assert _end_or_error(lambda: _chain_length([], idef)) == (
+        MalformedSequenceError, "dangling constructor: token sequence ends early")
+    assert len(whole) > 2000
+    monkeypatch.setattr(terms, "operator", None)  # the scan cannot run: each is counted
+    assert [_chain_length(seq, idef) for seq in whole] == list(map(len, whole))
+
+
 def test_parsed_terms_keep_their_spans():
     tokens = ["X1", "XO", "X1", "01", "X0"]
     term, used = delinearize(tokens, BIN_POS, prefix=True)
@@ -335,6 +389,13 @@ def test_bin_encode_is_the_chain_delinearize_reads():
         assert term == built and hash(term) == hash(built) and repr(term) == repr(built)
         assert term == delinearize(linearize(built), BIN_POS) and bin_value(term) == n
         assert linearize(term) == linearize(built) and term._span is not None
+
+
+def test_peano_encode_is_the_chain_delinearize_reads():
+    for n in (1, 2, 7, 3000):
+        term, read = peano_encode(n), delinearize(["S"] * (n - 1) + ["I"], PEANO)
+        assert term == read and hash(term) == hash(read) and peano_value(term) == n
+        assert term._span == read._span and linearize(term) == linearize(read)
 
 
 # ---------------------------------------------------------------------------
