@@ -199,9 +199,9 @@ def _tree_spec(args, **fields) -> datasets.DatasetSpec:
                      **fields)
 
 
-def _emit(records, out_dir: str, name: str, spec: datasets.DatasetSpec) -> Path:
-    """Post-process records by spec, then write them and their manifest."""
-    records = datasets.postprocess(records, spec)
+def _emit(records, out_dir: str, name: str, spec: datasets.DatasetSpec, streamed=False) -> Path:
+    """Post-process records by spec unless streamed, then write them and their manifest."""
+    records = records if streamed else datasets.postprocess(records, spec)
     directory = Path(out_dir if out_dir is not None else _default_out())
     directory.mkdir(parents=True, exist_ok=True)
     data_path = directory / f"{name}.jsonl"
@@ -222,7 +222,7 @@ def cmd_gen_successor(args) -> int:
         return GOOD
     spec = _gen_spec(args, task=datasets.SUCCESSOR, order=args.order,
                      lo=args.range[0], hi=args.range[1])
-    _emit(datasets.gen_successor_range(spec), args.out, f"successor_{args.order}", spec)
+    _emit(datasets._successor_stream(spec), args.out, f"successor_{args.order}", spec, streamed=True)
     return GOOD
 
 

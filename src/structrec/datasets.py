@@ -13,6 +13,7 @@ import gc
 import hashlib
 import json
 import random
+from array import array
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from functools import partial
@@ -20,33 +21,10 @@ from json.encoder import encode_basestring_ascii
 
 from .errors import GenerationError, RemapError
 from .reduction import ARROW, Call, Program, _style_of, builtin_programs, levels, render_states
-from .terms import (
-    CHAR_TREE,
-    EMPTY_TOKEN,
-    LEAF_TOKEN,
-    LPAR,
-    NATURAL,
-    ONE,
-    REVERSE,
-    RPAR,
-    UNROLL_CLOSE,
-    UNROLL_OPEN,
-    X0,
-    X1,
-    _STRUCTURAL,
-    Term,
-    _bin_tokens,
-    _check_injective,
-    _respelled,
-    _spanned,
-    bin_x1_run,
-    edge_group,
-    group1_value,
-    group2_value,
-    intern_tokens,
-    tokenize,
-    tree_serialize,
-)
+from .terms import (CHAR_TREE, EMPTY_TOKEN, LEAF_TOKEN, LPAR, NATURAL, ONE, REVERSE, RPAR,
+                    UNROLL_CLOSE, UNROLL_OPEN, X0, X1, _STRUCTURAL, Term, _bin_tokens,
+                    _check_injective, _respelled, _spanned, bin_x1_run, edge_group, group1_value,
+                    group2_value, intern_tokens, tokenize, tree_serialize)
 
 DEFAULT_SEED = 1729
 PAD_TOKEN = "PAD"
@@ -185,14 +163,8 @@ class ExampleRecord:
     meta: RecordMeta = field(default_factory=RecordMeta)
 
     def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "task": self.task,
-            "order": self.order,
-            "input": list(self.input),
-            "target": list(self.target),
-            "meta": self.meta.to_dict(),
-        }
+        return {"id": self.id, "task": self.task, "order": self.order, "input": list(self.input),
+                "target": list(self.target), "meta": self.meta.to_dict()}
 
     def _json_line(self, esc) -> str:
         escaped, order, meta = esc.__getitem__, self.order, self.meta
@@ -305,24 +277,17 @@ class DatasetSpec:
 # successor records
 
 
-def _ordered(tokens: list[str], order: str) -> list[str]:
-    return tokens if order == REVERSE else list(reversed(tokens))
-
-
-def _successor_record(rec_id: str, task: str, value: int, spec: DatasetSpec) -> ExampleRecord:
-    return ExampleRecord(
-        id=rec_id,
-        task=task,
-        order=spec.order,
-        input=_ordered(_bin_tokens(value), spec.order),
-        target=_ordered(_bin_tokens(value + 1), spec.order),
-        meta=RecordMeta(
-            value=value,
-            bits=value.bit_length(),
-            depth=bin_x1_run(value) + 1,  # closed form; tests pin it to the engine
-            edge_group=edge_group(value),
-        ),
-    )
+def _successor_record(rec_id: str, task: str, value: int, spec: DatasetSpec,
+                      spelling=(X0, X1, ONE), prefix=()) -> ExampleRecord:
+    """value's record: input value and target value + 1 in spec's order, each
+    after prefix and spelled by spelling (see _bin_tokens); its depth is a
+    closed form, which tests pin to the engine."""
+    inp, target = _bin_tokens(value, *spelling), _bin_tokens(value + 1, *spelling)
+    if spec.order != REVERSE:
+        inp.reverse()
+        target.reverse()
+    return ExampleRecord(rec_id, task, spec.order, [*prefix, *inp], [*prefix, *target], RecordMeta(
+        value, value.bit_length(), bin_x1_run(value) + 1, edge_group(value), len(prefix)))
 
 
 def gen_successor_range(spec: DatasetSpec) -> list[ExampleRecord]:
@@ -331,6 +296,30 @@ def gen_successor_range(spec: DatasetSpec) -> list[ExampleRecord]:
     spec.validate()
     return [_successor_record(f"succ-{spec.order}-{value}", SUCCESSOR, value, spec)
             for value in range(spec.lo, spec.hi + 1)]
+
+
+def _successor_stream(spec: DatasetSpec) -> _Records:
+    """postprocess(gen_successor_range(spec), spec), each record made once,
+    already respelled and padded, as it is read, so that a file of any range
+    is written in bounded memory.  The first two records go through
+    postprocess before this returns, so a bad remap raises before any file
+    is opened: they hold every token of the range (the record of 1 lacks
+    X1, and every other record holds X0, X1 and 01)."""
+    spec.validate()
+    lo, hi, order, max_pad, seed = spec.lo, spec.hi, spec.order, spec.max_pad, spec.seed
+    postprocess(gen_successor_range(replace(spec, hi=min(hi, lo + 1))), spec)
+    *spelling, pad = ((spec.remap or {}).get(tok, tok) for tok in (X0, X1, ONE, PAD_TOKEN))
+    rng = random.Random()
+
+    def build(i: int) -> ExampleRecord:
+        prefix = [pad] * _pad_length(rng, seed, i, max_pad) if max_pad else ()
+        value = lo + i
+        return _successor_record(f"succ-{order}-{value}", SUCCESSOR, value, spec, spelling, prefix)
+
+    members = (v for bits in range(lo.bit_length(), hi.bit_length() + 1)
+               for v in (3 * 2**bits // 4 - 1, 2**bits - 1))  # each edge group's candidates
+    groups = ((v - lo, edge_group(v)) for v in members if lo <= v <= hi)
+    return _Records(_file_order(hi - lo + 1, groups, spec), build)
 
 
 def gen_successor_random(spec: DatasetSpec) -> list[ExampleRecord]:
@@ -485,10 +474,8 @@ def gen_trees(spec: DatasetSpec) -> tuple[list[TreeSample], SplitSpec]:
     below = _count_trees(spec.depth_lo - 1, size, need)
     available = _count_trees(spec.depth_hi, size, need + below) - below
     if need > available:
-        raise GenerationError(
-            f"requested {need} trees but only "
-            f"{available} distinct ones exist in depths {spec.depth_lo}..{spec.depth_hi}"
-        )
+        raise GenerationError(f"requested {need} trees but only {available} distinct ones exist "
+                              f"in depths {spec.depth_lo}..{spec.depth_hi}")
     per_depth = spec.test_count // len(depths)
     extra = spec.test_count - per_depth * len(depths)
     test_quota = {d: per_depth + (1 if j < extra else 0) for j, d in enumerate(depths)}
@@ -497,8 +484,7 @@ def gen_trees(spec: DatasetSpec) -> tuple[list[TreeSample], SplitSpec]:
         if quota > 1 + size * shallower * shallower - shallower:  # the depth-d trees
             raise GenerationError(f"not enough distinct depth-{d} trees for the test split")
 
-    samples: list[TreeSample] = []
-    seen: set[str] = set()
+    samples, seen = [], set()
 
     def draw(stream: str, index, depth: int | None) -> tuple[Term, int, str]:
         rng = record_rng(spec.seed, stream, index)
@@ -513,9 +499,7 @@ def gen_trees(spec: DatasetSpec) -> tuple[list[TreeSample], SplitSpec]:
 
     # test first: its per-depth quotas are exact, while train may fall back
     # to another depth when a shallow stratum is exhausted
-    test_keys: set[str] = set()
-    test_samples = []
-    j = 0
+    test_keys, test_samples, j = set(), [], 0
     for d in depths:
         for _ in range(test_quota[d]):
             tree, _, key = draw("tree-test", j, d)
@@ -530,13 +514,8 @@ def gen_trees(spec: DatasetSpec) -> tuple[list[TreeSample], SplitSpec]:
         train_keys.add(key)
     samples.extend(test_samples)
 
-    split = SplitSpec(
-        train_ids=[s.id for s in samples if s.split == "train"],
-        test_ids=[s.id for s in samples if s.split == "test"],
-        train_keys=train_keys,
-        test_keys=test_keys,
-    )
-    return samples, split
+    ids = {part: [s.id for s in samples if s.split == part] for part in ("train", "test")}
+    return samples, SplitSpec(ids["train"], ids["test"], train_keys, test_keys)
 
 
 def _walk(tree: Term, kind: str) -> list[str]:
@@ -582,16 +561,9 @@ def gen_traversal(samples, spec: DatasetSpec) -> list[ExampleRecord]:
             for _, state in zip(range(k + 1), states):
                 pass  # zip stops at state k, or after the normal form
             target = state.split(" ")
-        records.append(
-            ExampleRecord(
-                id=f"{kind}-{'full' if k is None else k}-{sample.id}",
-                task=kind,
-                order=None,
-                input=tree_serialize(sample.tree),
-                target=target,
-                meta=RecordMeta(depth=sample.depth),
-            )
-        )
+        rec_id = f"{kind}-{'full' if k is None else k}-{sample.id}"
+        records.append(ExampleRecord(rec_id, kind, None, tree_serialize(sample.tree), target,
+                                     RecordMeta(depth=sample.depth)))
     return records
 
 
@@ -621,19 +593,52 @@ def gen_traces(spec: DatasetSpec) -> list[TraceRecord]:
 # post-processing
 
 
+def _pad_length(rng: random.Random, seed: int, i: int, max_pad: int) -> int:
+    # record_rng(seed, "pad", i), reseeded by the C seed that Random.seed calls for an int
+    super(random.Random, rng).seed(_record_seed(seed, "pad", i))
+    return rng.randint(0, max_pad)
+
+
+def _file_order(n: int, groups, spec: DatasetSpec):
+    """The indices 0..n-1 in file order: if an oversample factor is above 1, each repeated by
+    its edge group's factor (groups: rising (index, group) pairs, read only then) and shuffled,
+    as a compact array (Random.shuffle's swaps depend only on the length)."""
+    factors = {1: spec.oversample_group1, 2: spec.oversample_group2}
+    if max(factors.values()) == 1:
+        return range(n)
+    order, start = array("q"), 0
+    for i, group in groups:
+        if (factor := factors.get(group, 1)) > 1:
+            order.extend(range(start, i))
+            order.extend([i] * factor)
+            start = i + 1
+    order.extend(range(start, n))
+    record_rng(spec.seed, "oversample", 0).shuffle(order)
+    return order
+
+
+class _Records:
+    """Records made as they are read: build(i) for each index i of order."""
+
+    def __init__(self, order: range | array, build: Callable[[int], ExampleRecord]):
+        self.order, self.build = order, build
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __iter__(self) -> Iterator[ExampleRecord]:
+        return map(self.build, self.order)
+
+
 def postprocess(records, spec: DatasetSpec):
     """The records respelled by spec.remap, then prefixed on input and
     target with the same number of pad tokens (0..max_pad, each drawn with
     the record's own seed), then repeated by their edge group's oversample
-    factor and shuffled, in one pass; records itself when no stage is on.
-    Structural tokens, the pad token among them, pass through a remap
-    unchanged unless it names them."""
+    factor and shuffled; records itself when no stage is on.  Structural
+    tokens, the pad token among them, pass through a remap unchanged unless
+    it names them."""
     spec.validate()
-    factors = {1: spec.oversample_group1, 2: spec.oversample_group2}
-    shuffled = max(factors.values()) > 1
-    if not (spec.remap or spec.max_pad or shuffled):
-        return records
-    full, pad = spec.remap and dict(spec.remap), PAD_TOKEN
+    full, pad, max_pad = spec.remap and dict(spec.remap), PAD_TOKEN, spec.max_pad
     if full:
         for tok in STRUCTURAL_TOKENS:
             full.setdefault(tok, tok)
@@ -643,22 +648,21 @@ def postprocess(records, spec: DatasetSpec):
                     raise RemapError(f"remap spelling {spelling!r} does not read back as itself")
             _check_injective(full)
         pad = full[PAD_TOKEN]
-    rng, out = random.Random(), []
-    for i, record in enumerate(records):
-        if full or spec.max_pad:
+    if full or max_pad:  # in list order, so the first record outside the remap raises
+        rng, done = random.Random(), []
+        for i, record in enumerate(records):
             inp, target, meta = record.input, record.target, record.meta
             if full:
                 inp, target = _respelled(inp, full), _respelled(target, full)
-            if spec.max_pad:
-                rng.seed(_record_seed(spec.seed, "pad", i))  # record_rng(seed, "pad", i), reseeded
-                prefix = [pad] * rng.randint(0, spec.max_pad)
+            if max_pad:
+                prefix = [pad] * _pad_length(rng, spec.seed, i, max_pad)
                 inp, target = [*prefix, *inp], [*prefix, *target]
                 meta = RecordMeta(meta.value, meta.bits, meta.depth, meta.edge_group, len(prefix))
-            record = ExampleRecord(record.id, record.task, record.order, inp, target, meta)
-        out += [record] * factors.get(record.meta.edge_group, 1)
-    if shuffled:
-        record_rng(spec.seed, "oversample", 0).shuffle(out)
-    return out
+            done.append(ExampleRecord(record.id, record.task, record.order, inp, target, meta))
+        records = done
+    groups = ((i, record.meta.edge_group) for i, record in enumerate(records))
+    order = _file_order(len(records), groups, spec)
+    return records if isinstance(order, range) else list(map(records.__getitem__, order))
 
 
 # ---------------------------------------------------------------------------
@@ -736,12 +740,8 @@ def file_digest(path) -> str:
 
 def write_manifest(path, spec: DatasetSpec, data_path, record_count: int) -> None:
     """Sidecar recording the generation spec, seed, and content digest."""
-    doc = {
-        "spec": {k: v for k, v in vars(spec).items()},
-        "seed": spec.seed,
-        "records": record_count,
-        "sha256": file_digest(data_path),
-    }
+    doc = {"spec": dict(vars(spec)), "seed": spec.seed, "records": record_count,
+           "sha256": file_digest(data_path)}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         json.dump(doc, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -350,12 +350,12 @@ def delinearize(tokens, idef: InductiveDef, prefix: bool = False, *, normalized:
 # value semantics for the numeric types
 
 
-def _bin_tokens(n: int) -> list[str]:
-    """Constructor-order bin_pos tokens of n >= 1: the bits from the least
-    significant up, then the leading 1 bit as 01."""
+def _bin_tokens(n: int, x0: str = X0, x1: str = X1, one: str = ONE) -> list[str]:
+    """Constructor-order bin_pos tokens of n >= 1, spelled by x0, x1 and one:
+    the bits from the least significant up, then the leading 1 bit as 01."""
     if n < 1:
         raise ValueError(f"bin_pos encodes positive integers only, got {n}")
-    return [X1 if bit == "1" else X0 for bit in bin(n)[:2:-1]] + [ONE]
+    return [*map({"0": x0, "1": x1}.__getitem__, bin(n)[:2:-1]), one]
 
 
 def bin_encode(n: int) -> Term:

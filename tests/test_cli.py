@@ -1131,10 +1131,13 @@ def test_gen_remap_that_names_the_pad_token_respells_the_pads(capsys, tmp_path):
         pad = row["meta"]["pad_len"]
         assert "PAD" not in row["input"] + row["target"]
         assert row["input"][:pad] == ["_"] * pad == row["target"][:pad]
-    # a value token spelled as the pad token still collides with it
-    code, _, err = run(capsys, "gen", "successor", "--range", "1:6", "--out", str(tmp_path),
+    # a value token spelled as the pad token still collides with it, and the
+    # file is refused before it is opened
+    bad = tmp_path / "bad"
+    code, _, err = run(capsys, "gen", "successor", "--range", "1:6", "--out", str(bad),
                        "--max-pad", "2", "--remap", '{"X0":"PAD","X1":"b","01":"c"}')
     assert code == 4 and "remap is not injective" in err
+    assert not bad.exists()
 
 
 def test_gen_remap_to_a_spelling_text_cannot_give_back_is_exit_4(capsys, tmp_path):
@@ -1143,6 +1146,23 @@ def test_gen_remap_to_a_spelling_text_cannot_give_back_is_exit_4(capsys, tmp_pat
                          "--remap", '{"X0":"a b","X1":"c","01":""}')
     assert code == 4 and "remap spelling 'a b' does not read back as itself" in err
     assert out == "" and not list(tmp_path.iterdir())
+
+
+def test_gen_remap_that_leaves_out_a_token_the_range_uses_is_exit_4_before_any_file(
+        capsys, tmp_path):
+    remap = '{"X0":"a","01":"c"}'
+    for order in ("reverse", "natural"):
+        out = tmp_path / order
+        code, _, err = run(capsys, "gen", "successor", "--range", "1:40", "--order", order,
+                           "--oversample-g1", "3", "--max-pad", "1", "--out", str(out),
+                           "--remap", remap)
+        assert code == 4 and "token outside remap domain: 'X1'" in err
+        assert not out.exists()
+    # the record of 1 alone uses no X1: 01 -> X0 01
+    code, _, _ = run(capsys, "gen", "successor", "--range", "1:1", "--out", str(tmp_path),
+                     "--remap", remap)
+    row = json.loads((tmp_path / "successor_reverse.jsonl").read_text())
+    assert (code, row["input"], row["target"]) == (0, ["c"], ["a", "c"])
 
 
 def test_gen_oversample(capsys, tmp_path):

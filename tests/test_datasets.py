@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import gc
+import itertools
 import json
 import pickle
 import random
@@ -38,6 +39,7 @@ from structrec.datasets import (
     write_jsonl,
     write_manifest,
     _record_seed,
+    _successor_stream,
 )
 from structrec.errors import (
     EvalError,
@@ -588,6 +590,70 @@ def test_postprocess_matches_the_three_stages_run_in_turn():
     assert min(seen.values()) >= 10, seen
     records = pool[:5]
     assert postprocess(records, DatasetSpec()) is records
+
+
+def _remap_case(rng: random.Random):
+    """A remap of the successor tokens, or None: some name PAD, some leave a
+    value token out, some are not injective."""
+    if rng.random() < 0.3:
+        return None
+    remap = dict(zip(("X0", "X1", "01"), rng.sample("abcdefg", 3)))
+    if rng.random() < 0.4:
+        remap["PAD"] = "_"
+    if rng.random() < 0.15:
+        del remap[rng.choice(("X0", "X1", "01"))]
+    if rng.random() < 0.1:
+        remap["X1"] = remap.get("01", "c")
+    return remap
+
+
+def test_the_successor_stream_writes_the_file_of_the_three_stages_run_in_turn(tmp_path):
+    # the stream makes each record once, in file order, from shuffled indices;
+    # its file must be the one the stages write when run over the whole list
+    rng = random.Random(40)
+    streamed, reference = tmp_path / "streamed.jsonl", tmp_path / "reference.jsonl"
+    seen = {"natural": 0, "pad": 0, "PAD named": 0, "oversample": 0, "from 1": 0, "outside": 0,
+            "not injective": 0}
+    for _ in range(300):
+        lo = rng.choice([1, 1, 2, 3, rng.randint(1, 40)])
+        spec = DatasetSpec(order=rng.choice((REVERSE, NATURAL)), lo=lo,
+                           hi=lo + rng.choice([0, 1, 2, rng.randint(0, 70)]),
+                           max_pad=rng.randint(0, 3), remap=_remap_case(rng),
+                           oversample_group1=rng.randint(1, 5), oversample_group2=rng.randint(1, 5),
+                           seed=rng.randrange(1000))
+        plain = dataclasses.replace(spec, max_pad=0, remap=None, oversample_group1=1,
+                                    oversample_group2=1)
+        try:
+            want = _reference_postprocess(gen_successor_range(plain), spec)
+        except RemapError as exc:  # raised before a file could be opened
+            with pytest.raises(RemapError) as raised:
+                _successor_stream(spec)
+            assert str(raised.value) == str(exc)
+            seen["outside" if "outside" in str(exc) else "not injective"] += 1
+            continue
+        stream = _successor_stream(spec)
+        assert len(stream) == len(want)
+        write_jsonl(stream, streamed)
+        write_jsonl(want, reference)
+        assert streamed.read_bytes() == reference.read_bytes()
+        seen["natural"] += spec.order == NATURAL
+        seen["pad"] += spec.max_pad > 0
+        seen["PAD named"] += "PAD" in (spec.remap or {})
+        seen["oversample"] += len(want) > spec.hi - spec.lo + 1
+        seen["from 1"] += spec.lo == 1
+    assert min(seen.values()) >= 10, seen
+
+
+def test_the_successor_stream_makes_only_the_records_read(monkeypatch):
+    from structrec import datasets
+
+    made, make = [], datasets._successor_record
+    monkeypatch.setattr(datasets, "_successor_record",
+                        lambda *args: made.append(args[2]) or make(*args))
+    stream = _successor_stream(DatasetSpec(lo=1, hi=2**31, max_pad=3))
+    assert len(stream) == 2**31
+    assert [record.meta.value for record in itertools.islice(stream, 3)] == [1, 2, 3]
+    assert made == [1, 2, 1, 2, 3]  # the remap check's two, then the three read
 
 
 # ---------------------------------------------------------------------------
